@@ -461,12 +461,12 @@ func (p *Plane) resolveLostHome(z *zoneArbiter, s string, now time.Duration) {
 			remaining = append(remaining, l)
 			continue
 		}
-		c, _ := z.view.FindContainer(l.id)
+		c, node := z.mon.findReplica(l.id)
 		alive := c != nil && c.State != container.StateRemoved
 		switch {
 		case !alive:
 		case l.replaced:
-			z.mon.removeReplica(l.id)
+			z.mon.removeFrom(node, l.id)
 			z.mon.recovery.StaleDrained++
 			z.mon.event(now, obs.EventStaleDrained, l.node, s, l.id, "")
 		default:

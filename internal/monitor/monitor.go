@@ -689,9 +689,20 @@ func growServiceStats(s *[]core.ServiceStats) *core.ServiceStats {
 // findReplica resolves a live replica ID to its container and host node in
 // O(1) via the replicaHome index, falling back to the cluster-wide scan only
 // when the index is stale (e.g. a checkpoint restored across topology
-// changes). The fallback keeps behaviour identical to the original
-// FindContainer-based lookup.
+// changes) or the ID was never indexed (a lost replica). The fallback keeps
+// behaviour identical to the original FindContainer-based lookup. It is the
+// monitor's only container-by-ID lookup: every action, journal entry and
+// self-heal transition resolves through it.
 func (m *Monitor) findReplica(id string) (*container.Container, *cluster.Node) {
+	if c, n := m.indexedReplica(id); c != nil {
+		return c, n
+	}
+	return m.cluster.FindContainer(id)
+}
+
+// indexedReplica is findReplica without the scan: it answers only from the
+// replicaHome index and returns nils on a miss.
+func (m *Monitor) indexedReplica(id string) (*container.Container, *cluster.Node) {
 	if home, ok := m.replicaHome[id]; ok {
 		if n := m.cluster.Node(home); n != nil {
 			if c := n.Container(id); c != nil {
@@ -699,14 +710,21 @@ func (m *Monitor) findReplica(id string) (*container.Container, *cluster.Node) {
 			}
 		}
 	}
-	return m.cluster.FindContainer(id)
+	return nil, nil
 }
 
 // serviceOfContainer maps a container ID back to its service, falling back
 // to the "<service>-<idx>" naming convention when the container is already
 // gone from the cluster.
 func (m *Monitor) serviceOfContainer(id string) string {
-	if c, _ := m.cluster.FindContainer(id); c != nil {
+	c, _ := m.findReplica(id)
+	return serviceOf(id, c)
+}
+
+// serviceOf names the service of container id, resolved to c (nil when the
+// container is gone): c's own service, else the "<service>-<idx>" prefix.
+func serviceOf(id string, c *container.Container) string {
+	if c != nil {
 		return c.Service
 	}
 	if i := strings.LastIndex(id, "-"); i > 0 {
@@ -717,8 +735,10 @@ func (m *Monitor) serviceOfContainer(id string) string {
 
 // observe journals one action attempt with its outcome and the observed
 // inputs from the snapshot that motivated it. createdID names the replica a
-// successful scale-out started. No-op unless Obs is set.
-func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome obs.Outcome, createdID string) {
+// successful scale-out started; target is the container a vertical or
+// scale-in action resolved to (nil when it is gone), so the journal never
+// looks it up again. No-op unless Obs is set.
+func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome obs.Outcome, createdID string, target *container.Container) {
 	if m.Obs == nil {
 		return
 	}
@@ -728,10 +748,6 @@ func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome
 		d.Kind = obs.KindVertical
 		d.Container = act.ContainerID
 		d.Alloc = act.NewAlloc
-		d.Service = m.serviceOfContainer(act.ContainerID)
-		if c, _ := m.cluster.FindContainer(act.ContainerID); c != nil {
-			d.Node = c.NodeID
-		}
 	case core.ScaleOut:
 		d.Kind = obs.KindScaleOut
 		d.Service = act.Service
@@ -741,9 +757,11 @@ func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome
 	case core.ScaleIn:
 		d.Kind = obs.KindScaleIn
 		d.Container = act.ContainerID
-		d.Service = m.serviceOfContainer(act.ContainerID)
-		if c, _ := m.cluster.FindContainer(act.ContainerID); c != nil {
-			d.Node = c.NodeID
+	}
+	if d.Kind != obs.KindScaleOut {
+		d.Service = serviceOf(d.Container, target)
+		if target != nil {
+			d.Node = target.NodeID
 		}
 	}
 	d.Observed = m.lastObs[d.Service]
@@ -793,25 +811,25 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 	a := p.action
 	switch act := a.(type) {
 	case core.VerticalScale:
-		c, _ := m.cluster.FindContainer(act.ContainerID)
+		c, _ := m.findReplica(act.ContainerID)
 		if c == nil || c.State == container.StateRemoved {
-			m.observe(a, now, p.attempts, obs.OutcomeMoot, "")
+			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", c)
 			return // target gone; the action is moot, not failed
 		}
 		nm := m.nmByID[c.NodeID]
 		if nm == nil {
-			m.observe(a, now, p.attempts, obs.OutcomeMoot, "")
+			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", c)
 			return
 		}
 		if m.actionsCut(now, c.NodeID) || m.Faults.VerticalFails(now, act.ContainerID) {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "")
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", c)
 			return
 		}
 		if err := nm.ApplyVertical(act.ContainerID, act.NewAlloc); err == nil {
 			m.counts.Vertical++
-			m.observe(a, now, p.attempts, obs.OutcomeApplied, "")
+			m.observe(a, now, p.attempts, obs.OutcomeApplied, "", c)
 		} else {
-			m.observe(a, now, p.attempts, obs.OutcomeRejected, "")
+			m.observe(a, now, p.attempts, obs.OutcomeRejected, "", c)
 		}
 	case core.ScaleOut:
 		st, ok := m.byName[act.Service]
@@ -821,13 +839,13 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 		// A queued scale-out (retry or reconciler re-placement) may have
 		// been overtaken by the algorithm's own fresh decisions; never push
 		// past the replica ceiling.
-		if (p.attempts > 0 || p.lostID != "") && len(m.Replicas(act.Service)) >= st.spec.MaxReplicas {
+		if (p.attempts > 0 || p.lostID != "") && m.ReplicaCount(act.Service) >= st.spec.MaxReplicas {
 			if p.lostID != "" {
 				// The ceiling already covers the lost capacity; treat the
 				// original as superseded so a recovery drains it.
 				m.finishLost(p.lostID)
 			}
-			m.observe(a, now, p.attempts, obs.OutcomeOvertaken, "")
+			m.observe(a, now, p.attempts, obs.OutcomeOvertaken, "", nil)
 			return
 		}
 		// Reconciler re-placements carry no node: resolve against live
@@ -840,18 +858,18 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 			a = act
 			if act.NodeID == "" {
 				m.counts.PlacementFailures++
-				m.observe(a, now, p.attempts, m.requeue(p, now), "")
+				m.observe(a, now, p.attempts, m.requeue(p, now), "", nil)
 				return
 			}
 		}
 		if m.actionsCut(now, act.NodeID) {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "")
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", nil)
 			return
 		}
 		key := fmt.Sprintf("%s/%d", act.Service, st.nextIdx)
 		fail, slowBy := m.Faults.StartFault(now, key)
 		if fail {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "")
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", nil)
 			return
 		}
 		err := m.startReplica(st, act.NodeID, act.Alloc, now, slowBy)
@@ -873,7 +891,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 		}
 		if err != nil {
 			m.counts.PlacementFailures++
-			m.observe(a, now, p.attempts, m.requeue(p, now), "")
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", nil)
 		} else {
 			created := st.replicaIDs[len(st.replicaIDs)-1]
 			if p.lostID != "" {
@@ -881,20 +899,20 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 				m.recovery.Replaced++
 				m.event(now, obs.EventReplicaReplaced, act.NodeID, act.Service, created, "replaces "+p.lostID)
 			}
-			m.observe(a, now, p.attempts, obs.OutcomeApplied, created)
+			m.observe(a, now, p.attempts, obs.OutcomeApplied, created, nil)
 		}
 	case core.ScaleIn:
-		_, node := m.cluster.FindContainer(act.ContainerID)
+		c, node := m.findReplica(act.ContainerID)
 		if node == nil {
-			m.observe(a, now, p.attempts, obs.OutcomeMoot, "")
+			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", nil)
 			return
 		}
 		if m.actionsCut(now, node.ID()) {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "")
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", c)
 			return
 		}
-		m.observe(a, now, p.attempts, obs.OutcomeApplied, "")
-		m.removeReplica(act.ContainerID)
+		m.observe(a, now, p.attempts, obs.OutcomeApplied, "", c)
+		m.removeFrom(node, act.ContainerID)
 	}
 }
 
@@ -962,10 +980,13 @@ func (m *Monitor) startReplicaWithReady(st *serviceState, nodeID string, alloc r
 }
 
 func (m *Monitor) removeReplica(containerID string) {
-	_, node := m.cluster.FindContainer(containerID)
-	if node == nil {
-		return
+	if _, node := m.findReplica(containerID); node != nil {
+		m.removeFrom(node, containerID)
 	}
+}
+
+// removeFrom is removeReplica for a replica already resolved to its node.
+func (m *Monitor) removeFrom(node *cluster.Node, containerID string) {
 	killed := node.RemoveContainer(containerID)
 	delete(m.replicaHome, containerID)
 	m.counts.ScaleIns++

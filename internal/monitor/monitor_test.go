@@ -7,6 +7,7 @@ import (
 	"hyscale/internal/cluster"
 	"hyscale/internal/container"
 	"hyscale/internal/core"
+	"hyscale/internal/obs"
 	"hyscale/internal/resources"
 	"hyscale/internal/workload"
 )
@@ -347,5 +348,63 @@ func TestDetachAttachNode(t *testing.T) {
 	m.AttachNode(cl.Node("node-2")) // duplicate: no-op
 	if got := len(m.Snapshot(0).Nodes); got != before {
 		t.Errorf("nodes after duplicate attach = %d", got)
+	}
+}
+
+// TestJournalResolvesActionTargets pins what vertical and scale-in decisions
+// journal as their Service and Node: the target's own service and host while
+// it lives, resolved once per action through the replica index or, for a
+// container the index never saw, through the cluster-wide fallback. Once
+// the container is gone (the moot case), Service comes from the
+// "<service>-<idx>" ID and Node is empty.
+func TestJournalResolvesActionTargets(t *testing.T) {
+	cl, m := setup(t, nil)
+	m.Obs = obs.NewJournal()
+	_ = m.AddService(spec("a"), 0.5)
+	_ = m.DeployInitial("a", 0)
+	// A container placed behind the monitor's back is absent from the
+	// replica index; only the fallback scan can resolve it.
+	stray := container.New("x-7", spec("x"), "node-2", resources.Vector{CPU: 1, MemMB: 256}, 0)
+	stray.MaybeStart(0)
+	if err := cl.Node("node-2").AddContainer(stray); err != nil {
+		t.Fatal(err)
+	}
+	reps := m.Replicas("a")
+	keep, victim := reps[0], reps[1]
+	keepNode, victimNode := keep.NodeID, victim.NodeID
+	if keepNode == "" || victimNode == "" || keepNode == victimNode {
+		t.Fatalf("replicas not spread: %q, %q", keepNode, victimNode)
+	}
+
+	grow := resources.Vector{CPU: 1.5, MemMB: 512}
+	m.Apply(core.Plan{Actions: []core.Action{
+		core.VerticalScale{ContainerID: keep.ID, NewAlloc: grow},
+		core.VerticalScale{ContainerID: stray.ID, NewAlloc: grow},
+		core.ScaleIn{ContainerID: victim.ID},
+		// The victim is gone by now: both follow-ups are moot.
+		core.VerticalScale{ContainerID: victim.ID, NewAlloc: grow},
+		core.ScaleIn{ContainerID: victim.ID},
+	}}, 5*time.Second)
+
+	want := []obs.Decision{
+		{Kind: obs.KindVertical, Container: keep.ID, Service: "a", Node: keepNode, Outcome: obs.OutcomeApplied},
+		{Kind: obs.KindVertical, Container: "x-7", Service: "x", Node: "node-2", Outcome: obs.OutcomeApplied},
+		{Kind: obs.KindScaleIn, Container: victim.ID, Service: "a", Node: victimNode, Outcome: obs.OutcomeApplied},
+		{Kind: obs.KindVertical, Container: victim.ID, Service: "a", Node: "", Outcome: obs.OutcomeMoot},
+		{Kind: obs.KindScaleIn, Container: victim.ID, Service: "a", Node: "", Outcome: obs.OutcomeMoot},
+	}
+	got := m.Obs.Decisions()
+	if len(got) != len(want) {
+		t.Fatalf("journaled %d decisions, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Kind != w.Kind || g.Container != w.Container || g.Service != w.Service || g.Node != w.Node || g.Outcome != w.Outcome {
+			t.Errorf("decision %d = {%v %s svc=%q node=%q %v}, want {%v %s svc=%q node=%q %v}",
+				i, g.Kind, g.Container, g.Service, g.Node, g.Outcome, w.Kind, w.Container, w.Service, w.Node, w.Outcome)
+		}
+	}
+	if stray.Alloc != grow {
+		t.Errorf("unindexed container alloc = %v, want %v", stray.Alloc, grow)
 	}
 }

@@ -480,10 +480,18 @@ func (p *Plane) Apply(plan core.Plan, now time.Duration) {
 	}
 }
 
-// owner returns the arbiter whose view holds the container, or nil.
+// owner returns the arbiter whose view holds the container, or nil. A node
+// sits in exactly one view, so the first arbiter whose replica index resolves
+// the container owns it: O(zones) on a hit. Only a container no arbiter has
+// indexed costs the per-view scan.
 func (p *Plane) owner(containerID string) *zoneArbiter {
 	for _, z := range p.zones {
-		if c, _ := z.view.FindContainer(containerID); c != nil {
+		if c, _ := z.mon.indexedReplica(containerID); c != nil {
+			return z
+		}
+	}
+	for _, z := range p.zones {
+		if c, _ := z.mon.findReplica(containerID); c != nil {
 			return z
 		}
 	}

@@ -179,3 +179,41 @@ func TestPlaneAttachDetachKeepsZonesBalanced(t *testing.T) {
 		t.Fatalf("NodeConditions() covers %d nodes after detach, want 4", got)
 	}
 }
+
+// TestPlaneApplyRoutesContainerActions checks the manual-scale path: a
+// container-addressed action reaches the arbiter whose view holds the
+// container, whether that arbiter indexed it or it was placed behind the
+// plane's back, and an unknown container is dropped.
+func TestPlaneApplyRoutesContainerActions(t *testing.T) {
+	p, cl := newTestPlane(t, 6, 3)
+	for _, name := range []string{"a", "b", "c"} {
+		if err := p.AddService(planeSpec(name, 1, 1, 4), 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.DeployInitial(name, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// node-5 sits in zone 2, whose arbiter never indexed this container.
+	stray := container.New("x-0", planeSpec("x", 1, 1, 1), "node-5", resources.Vector{CPU: 1, MemMB: 256}, 0)
+	if err := cl.Node("node-5").AddContainer(stray); err != nil {
+		t.Fatal(err)
+	}
+	b := p.Replicas("b")[0]
+	grow := resources.Vector{CPU: 1.5, MemMB: 256}
+	p.Apply(core.Plan{Actions: []core.Action{
+		core.VerticalScale{ContainerID: b.ID, NewAlloc: grow},
+		core.VerticalScale{ContainerID: stray.ID, NewAlloc: grow},
+		core.VerticalScale{ContainerID: "ghost-0", NewAlloc: grow},
+	}}, time.Second)
+
+	if b.Alloc != grow || stray.Alloc != grow {
+		t.Fatalf("allocs = %v, %v; want both %v", b.Alloc, stray.Alloc, grow)
+	}
+	arbs := p.Arbiters()
+	for z, want := range []uint64{0, 1, 1} {
+		if got := arbs[z].Counts().Vertical; got != want {
+			t.Errorf("zone %d applied %d vertical actions, want %d", z, got, want)
+		}
+	}
+}

@@ -307,7 +307,7 @@ func (m *Monitor) declareDead(nodeID string, now time.Duration) {
 				continue
 			}
 			alloc := st.info.InitialAlloc
-			if c, _ := m.cluster.FindContainer(id); c != nil {
+			if c, _ := m.findReplica(id); c != nil {
 				alloc = c.Alloc
 			} else if cached := m.lastReports[nodeID]; cached != nil {
 				for _, cs := range cached.rep.Containers {
@@ -367,14 +367,14 @@ func (m *Monitor) reconcileRecovery(nodeID string, now time.Duration) {
 			remaining = append(remaining, l)
 			continue
 		}
-		c, _ := m.cluster.FindContainer(l.id)
+		c, node := m.findReplica(l.id)
 		alive := c != nil && c.State != container.StateRemoved
 		switch {
 		case !alive:
 			// Nothing survived the outage; the replacement (ran or
 			// cancelled) is all there is.
 		case l.replaced:
-			m.removeReplica(l.id)
+			m.removeFrom(node, l.id)
 			m.recovery.StaleDrained++
 			m.event(now, obs.EventStaleDrained, nodeID, l.service, l.id, "")
 		default:

@@ -43,10 +43,14 @@ type Report struct {
 type Manager struct {
 	node *cluster.Node
 
-	// samples accumulates per-container usage sums and counts between
-	// reports.
-	sums   map[string]resources.Vector
-	counts map[string]int
+	// slots accumulates per-container usage sums and counts between reports,
+	// one slot per container, aligned index for index with node.Containers().
+	// The alignment is re-established only when node.Version() moves (see
+	// sync), so a steady-state Sample or Report does no hashing. spare is the
+	// other half of the double buffer a resync builds into.
+	slots   []slot
+	spare   []slot
+	slotVer uint64
 
 	// containers is the reusable backing array for Report's stats slice —
 	// cleared, not reallocated, each report, so steady-state polls allocate
@@ -57,13 +61,46 @@ type Manager struct {
 	missedQueries uint64
 }
 
-// New attaches a manager to its node.
-func New(node *cluster.Node) *Manager {
-	return &Manager{
-		node:   node,
-		sums:   make(map[string]resources.Vector),
-		counts: make(map[string]int),
+// slot is one container's sampling window: the sum and count of the usage
+// samples taken since the last Report.
+type slot struct {
+	c     *container.Container
+	sum   resources.Vector
+	count int
+}
+
+// New attaches a manager to its node. The sampling window starts empty.
+func New(node *cluster.Node) *Manager { return &Manager{node: node} }
+
+// sync realigns the slots with the node's container list if a placement or
+// removal moved node.Version() since the last call. (A zero slotVer matches
+// only a node that never held a container, so a new manager's empty slots
+// start aligned.) Each surviving container keeps its partial window; new
+// containers start empty and removed ones drop out. Containers keep their
+// relative order on a node (placements append, removals splice), so the
+// search for a container's old slot resumes after the previous match and
+// the whole resync is linear.
+func (m *Manager) sync() {
+	if m.node.Version() == m.slotVer {
+		return
 	}
+	m.slotVer = m.node.Version()
+	old := m.slots
+	next := m.spare[:0]
+	j := 0
+	for _, c := range m.node.Containers() {
+		s := slot{c: c}
+		for k := j; k < len(old); k++ {
+			if old[k].c == c {
+				s, j = old[k], k+1
+				break
+			}
+		}
+		next = append(next, s)
+	}
+	clear(old)
+	m.spare = old[:0]
+	m.slots = next
 }
 
 // NodeID returns the managed node's ID.
@@ -72,13 +109,15 @@ func (m *Manager) NodeID() string { return m.node.ID() }
 // Sample records each hosted container's latest usage (what one `docker
 // stats` poll would observe). Call once per physics tick.
 func (m *Manager) Sample() {
-	for _, c := range m.node.Containers() {
-		if c.State != container.StateRunning {
+	m.sync()
+	for i := range m.slots {
+		s := &m.slots[i]
+		if s.c.State != container.StateRunning {
 			continue
 		}
-		u := c.LastUsage()
-		m.sums[c.ID] = m.sums[c.ID].Add(resources.Vector{CPU: u.CPU, MemMB: u.MemMB, NetMbps: u.NetMbps})
-		m.counts[c.ID]++
+		u := s.c.LastUsage()
+		s.sum = s.sum.Add(resources.Vector{CPU: u.CPU, MemMB: u.MemMB, NetMbps: u.NetMbps})
+		s.count++
 	}
 }
 
@@ -90,16 +129,19 @@ func (m *Manager) Sample() {
 // until the next Report on this manager, and callers that keep it longer must
 // copy it.
 func (m *Manager) Report() Report {
+	m.sync()
 	rep := Report{
 		NodeID:    m.node.ID(),
 		Capacity:  m.node.Capacity(),
 		Available: m.node.Available(),
 	}
 	m.containers = m.containers[:0]
-	for _, c := range m.node.Containers() {
+	for i := range m.slots {
+		s := &m.slots[i]
+		c := s.c
 		var usage resources.Vector
-		if n := m.counts[c.ID]; n > 0 {
-			usage = m.sums[c.ID].Scale(1 / float64(n))
+		if s.count > 0 {
+			usage = s.sum.Scale(1 / float64(s.count))
 		}
 		m.containers = append(m.containers, ContainerStats{
 			ID:        c.ID,
@@ -109,10 +151,9 @@ func (m *Manager) Report() Report {
 			Routable:  c.Routable(),
 			Inflight:  c.Inflight(),
 		})
+		s.sum, s.count = resources.Vector{}, 0
 	}
 	rep.Containers = m.containers
-	clear(m.sums)
-	clear(m.counts)
 	return rep
 }
 

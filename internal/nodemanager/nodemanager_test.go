@@ -130,3 +130,136 @@ func TestLiveness(t *testing.T) {
 		t.Errorf("liveness = %d, want 0", nm.Liveness())
 	}
 }
+
+// refManager is the map-keyed sampling window the slot accumulators
+// replaced, kept here as the reference their Report means must match.
+type refManager struct {
+	node   *cluster.Node
+	sums   map[string]resources.Vector
+	counts map[string]int
+}
+
+func newRef(n *cluster.Node) *refManager {
+	return &refManager{node: n, sums: map[string]resources.Vector{}, counts: map[string]int{}}
+}
+
+func (r *refManager) sample() {
+	for _, c := range r.node.Containers() {
+		if c.State != container.StateRunning {
+			continue
+		}
+		u := c.LastUsage()
+		r.sums[c.ID] = r.sums[c.ID].Add(resources.Vector{CPU: u.CPU, MemMB: u.MemMB, NetMbps: u.NetMbps})
+		r.counts[c.ID]++
+	}
+}
+
+func (r *refManager) report() map[string]resources.Vector {
+	out := map[string]resources.Vector{}
+	for _, c := range r.node.Containers() {
+		var usage resources.Vector
+		if n := r.counts[c.ID]; n > 0 {
+			usage = r.sums[c.ID].Scale(1 / float64(n))
+		}
+		out[c.ID] = usage
+	}
+	clear(r.sums)
+	clear(r.counts)
+	return out
+}
+
+// TestReportMatchesMapReference drives the slot accumulators and the map
+// reference over the same node through container churn mid-window and a
+// missed query, and requires bit-identical per-container means.
+func TestReportMatchesMapReference(t *testing.T) {
+	n, nm, c0 := setup(t)
+	ref := newRef(n)
+	running := func(id string) *container.Container {
+		c := container.New(id, spec(), "node-0", resources.Vector{CPU: 0.5, MemMB: 128}, 0)
+		c.MaybeStart(0)
+		if err := n.AddContainer(c); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	c1 := running("c-1")
+	tick := 0
+	sample := func() {
+		tick++
+		for i, c := range n.Containers() {
+			f := float64(tick*7+i*3) / 10
+			c.SetLastUsage(container.Usage{CPU: f, MemMB: 100 * f, NetMbps: f / 3})
+		}
+		nm.Sample()
+		ref.sample()
+	}
+	check := func(step string) []ContainerStats {
+		t.Helper()
+		want := ref.report()
+		rep := nm.Report()
+		if len(rep.Containers) != len(want) {
+			t.Fatalf("%s: report has %d containers, want %d", step, len(rep.Containers), len(want))
+		}
+		for i, cs := range rep.Containers {
+			if id := n.Containers()[i].ID; cs.ID != id {
+				t.Fatalf("%s: report[%d] = %s, want %s (node order)", step, i, cs.ID, id)
+			}
+			if cs.Usage != want[cs.ID] {
+				t.Errorf("%s: %s usage = %v, want %v", step, cs.ID, cs.Usage, want[cs.ID])
+			}
+		}
+		return rep.Containers
+	}
+
+	sample()
+	sample()
+	running("c-2") // added between two samples: its window starts now
+	sample()
+	starting := container.New("c-3", spec(), "node-0", resources.Vector{CPU: 0.5, MemMB: 128}, time.Hour)
+	if err := n.AddContainer(starting); err != nil {
+		t.Fatal(err)
+	}
+	sample()
+	n.RemoveContainer(c1.ID) // removed mid-window: drops out, others keep theirs
+	sample()
+	got := check("churn window")
+	if last := got[len(got)-1]; last.ID != "c-3" || last.Usage != (resources.Vector{}) || last.Routable {
+		t.Errorf("starting container reported %+v, want zero usage, unroutable", last)
+	}
+
+	// A missed query leaves the window intact: the next report averages
+	// every sample since the last delivered one, churn included.
+	sample()
+	nm.NoteMissedQuery()
+	sample()
+	n.RemoveContainer(c0.ID)
+	running("c-4")
+	sample()
+	check("window across a missed query")
+
+	sample()
+	check("steady window")
+}
+
+// TestSampleReportAllocFree pins the steady-state NM cycle at zero
+// allocations: with no placement or removal the slots stay aligned and a
+// Sample or Report touches no map.
+func TestSampleReportAllocFree(t *testing.T) {
+	n, nm, _ := setup(t)
+	for _, id := range []string{"c-1", "c-2"} {
+		c := container.New(id, spec(), "node-0", resources.Vector{CPU: 0.5, MemMB: 128}, 0)
+		c.MaybeStart(0)
+		if err := n.AddContainer(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func() {
+		nm.Sample()
+		nm.Sample()
+		_ = nm.Report()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("steady-state Sample+Report allocates %.1f objects/cycle, want 0", allocs)
+	}
+}
