@@ -13,9 +13,9 @@
 // charts and decision timelines. Artifact bytes are identical for any
 // -parallel worker count.
 //
-// -perf runs the pinned performance suite instead of an experiment and
-// writes a BENCH_<n>.json report (see internal/perf and DESIGN.md §12);
-// -cpuprofile/-memprofile capture pprof profiles of whatever mode ran.
+// -cpuprofile/-memprofile capture pprof profiles of the run. Simulator
+// performance is measured by the benchmark in simbench/ (see
+// simbench/BASELINE.md).
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 
 	"hyscale/internal/experiments"
 	"hyscale/internal/obs"
-	"hyscale/internal/perf"
 )
 
 func main() { os.Exit(realMain()) }
@@ -49,15 +48,13 @@ func realMain() int {
 		csv        = flag.String("csv", "", "also write each table as CSV into this directory")
 		report     = flag.String("report", "", "journal every run and write decision logs, time-series CSVs and a rendered report into this directory")
 		timing     = flag.Bool("timing", true, "print per-run wall-clock timings after each experiment")
-		perfMode   = flag.Bool("perf", false, "run the pinned performance suite and write a BENCH_<n>.json report instead of an experiment")
-		perfOut    = flag.String("perf-out", "BENCH_8.json", "output path for the -perf report")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
 
-	if !*all && *exp == "" && !*perfMode {
-		fmt.Fprintln(os.Stderr, "usage: hyscale-bench -all | -exp <id> | -perf [-scale S] [-seed N] [-parallel N] [-md file] [-report dir]")
+	if !*all && *exp == "" {
+		fmt.Fprintln(os.Stderr, "usage: hyscale-bench -all | -exp <id> [-scale S] [-seed N] [-parallel N] [-md file] [-report dir]")
 		return 2
 	}
 
@@ -89,10 +86,6 @@ func realMain() int {
 				fmt.Fprintf(os.Stderr, "hyscale-bench: %v\n", err)
 			}
 		}()
-	}
-
-	if *perfMode {
-		return runPerf(*seed, *scale, *perfOut)
 	}
 
 	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallel: *parallel, Observe: *report != ""}
@@ -189,27 +182,6 @@ func realMain() int {
 		fmt.Fprintf(out, "wrote report for %d runs to %s\n", len(runs), *report)
 		out.Flush()
 	}
-	return 0
-}
-
-// runPerf executes the pinned performance suite and writes the JSON report.
-func runPerf(seed int64, scale float64, outPath string) int {
-	rep, err := perf.Run(perf.Options{Seed: seed, Scale: scale, PR: 8})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hyscale-bench: perf: %v\n", err)
-		return 1
-	}
-	b, err := rep.JSON()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hyscale-bench: perf: %v\n", err)
-		return 1
-	}
-	if err := os.WriteFile(outPath, b, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "hyscale-bench: perf: %v\n", err)
-		return 1
-	}
-	fmt.Print(rep.Summary())
-	fmt.Printf("wrote %s\n", outPath)
 	return 0
 }
 

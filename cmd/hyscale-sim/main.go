@@ -169,10 +169,10 @@ func runScenario(path string) {
 			rec.Suspected, rec.DeclaredDead, rec.Recovered, rec.ReplicasLost, rec.Replaced,
 			rec.Readopted, rec.StaleDrained, rec.CheckpointRestores, rec.ColdRestarts, w.MonitorCrashes())
 	}
-	if zs := w.ZoneSummaries(); zs != nil {
-		cz := w.CrossZone()
+	if zs := w.Control().ZoneSummaries(); zs != nil {
+		cz := w.Control().Cross()
 		printZones(zs, &cz)
-		printEvac(w.ZoneEvac())
+		printEvac(w.Control().Evac())
 	}
 }
 

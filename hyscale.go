@@ -291,11 +291,11 @@ type CrossZoneCounts = monitor.CrossZoneCounts
 
 // ZoneSummaries returns one ledger per zone arbiter, in zone order; nil when
 // the control plane is not zoned (SimConfig.Zones <= 1).
-func (s *Simulation) ZoneSummaries() []ZoneSummary { return s.world.ZoneSummaries() }
+func (s *Simulation) ZoneSummaries() []ZoneSummary { return s.world.Control().ZoneSummaries() }
 
 // CrossZone returns the global allocator's node-lease counters (all zero
 // when the control plane is not zoned).
-func (s *Simulation) CrossZone() CrossZoneCounts { return s.world.CrossZone() }
+func (s *Simulation) CrossZone() CrossZoneCounts { return s.world.Control().Cross() }
 
 // EvacCounts tallies zone evacuations, re-adoptions, displaced replicas and
 // spillover placements (the disaster-recovery path).
@@ -303,7 +303,7 @@ type EvacCounts = monitor.EvacCounts
 
 // ZoneEvac returns the zone disaster-recovery counters, nil unless the
 // control plane is zoned and SimConfig.EvacuateZones was set.
-func (s *Simulation) ZoneEvac() *EvacCounts { return s.world.ZoneEvac() }
+func (s *Simulation) ZoneEvac() *EvacCounts { return s.world.Control().Evac() }
 
 // ClampedEvents counts simulator events that had to be clamped to "now"
 // because a component scheduled them in the past. Non-zero values flag

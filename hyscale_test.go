@@ -109,7 +109,7 @@ func TestSimulationDefaults(t *testing.T) {
 	if got := len(sim.World().Cluster().Nodes()); got != 19 {
 		t.Errorf("default nodes = %d, want 19 (paper setup)", got)
 	}
-	if sim.World().Monitor().Algorithm().Name() != "hybridmem" {
+	if sim.World().Control().Algorithm().Name() != "hybridmem" {
 		t.Error("default algorithm should be hybridmem")
 	}
 }

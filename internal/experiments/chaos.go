@@ -118,7 +118,7 @@ func (u *uptimeProbe) attach(w *platform.World, spec runner.RunSpec) error {
 		now := e.Now()
 		for _, s := range spec.Services {
 			u.total++
-			for _, c := range w.Monitor().Replicas(s.Spec.Name) {
+			for _, c := range w.Control().Replicas(s.Spec.Name) {
 				if c.Routable() && !inj.BackendDown(now, c.Service, c.ID) {
 					u.up++
 					break

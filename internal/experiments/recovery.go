@@ -158,7 +158,7 @@ func (p *recoveryProbe) attach(w *platform.World, spec runner.RunSpec) error {
 		now := e.Now()
 		for _, s := range spec.Services {
 			p.total++
-			for _, c := range w.Monitor().Replicas(s.Spec.Name) {
+			for _, c := range w.Control().Replicas(s.Spec.Name) {
 				if c.Routable() {
 					p.up++
 					break
@@ -168,12 +168,12 @@ func (p *recoveryProbe) attach(w *platform.World, spec runner.RunSpec) error {
 		switch {
 		case p.failAt < 0 || now < p.failAt:
 			for _, s := range spec.Services {
-				p.pre[s.Spec.Name] = len(w.Monitor().Replicas(s.Spec.Name))
+				p.pre[s.Spec.Name] = w.Control().ReplicaCount(s.Spec.Name)
 			}
 		case p.reconvergeAt < 0:
 			restored := true
 			for _, s := range spec.Services {
-				if len(w.Monitor().Replicas(s.Spec.Name)) < p.pre[s.Spec.Name] {
+				if w.Control().ReplicaCount(s.Spec.Name) < p.pre[s.Spec.Name] {
 					restored = false
 					break
 				}

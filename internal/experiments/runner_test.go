@@ -85,7 +85,7 @@ func TestSpecMatchesLegacyExecution(t *testing.T) {
 			t.Logf("seed %d: summaries diverge:\n  spec   %+v\n  legacy %+v", seed, res.Summary, w.Summary())
 			return false
 		}
-		if res.Actions != w.Monitor().Counts() {
+		if res.Actions != w.Control().Counts() {
 			t.Logf("seed %d: action counts diverge", seed)
 			return false
 		}

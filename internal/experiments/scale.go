@@ -10,14 +10,12 @@ import (
 	"hyscale/internal/workload"
 )
 
-// The scale experiment is the perf-trajectory harness behind ROADMAP item 1:
-// it sweeps the cluster far past the paper's 24-node / 15-service world and
-// records how many simulated seconds each configuration executes per
-// wall-clock second. The ratio is the single number that makes hot-path work
-// provable across PRs — cmd/hyscale-bench's -perf mode embeds these points
-// in BENCH_<n>.json so every optimization pass leaves a recorded trajectory.
+// The scale experiment sweeps the cluster far past the paper's 24-node /
+// 15-service world, zoned and unzoned, and reports what each configuration
+// simulated. It is a deterministic functional sweep: the output depends only
+// on the seed and scale. Simulator speed is measured by simbench.
 
-// ScalePoint is one node-count × service-count configuration's measurement.
+// ScalePoint is one node-count × service-count configuration's outcome.
 type ScalePoint struct {
 	Nodes    int `json:"nodes"`
 	Services int `json:"services"`
@@ -27,11 +25,6 @@ type ScalePoint struct {
 
 	// SimSeconds is the simulated horizon the run covered.
 	SimSeconds float64 `json:"simSeconds"`
-	// WallSeconds is the wall-clock time the run took.
-	WallSeconds float64 `json:"wallSeconds"`
-	// SimRatio is SimSeconds / WallSeconds — simulated seconds executed per
-	// wall second, the headline scaling metric.
-	SimRatio float64 `json:"simRatio"`
 
 	// Requests is the total client requests the run generated.
 	Requests uint64 `json:"requests"`
@@ -45,22 +38,11 @@ type ScaleResult struct {
 	Points []ScalePoint
 }
 
-// Point returns the measurement for a nodes/services pair with a single-zone
-// control plane, or nil.
-func (r *ScaleResult) Point(nodes, services int) *ScalePoint {
-	for i := range r.Points {
-		if r.Points[i].Nodes == nodes && r.Points[i].Services == services && r.Points[i].Zones <= 1 {
-			return &r.Points[i]
-		}
-	}
-	return nil
-}
-
 // Table renders the sweep.
 func (r *ScaleResult) Table() *Table {
 	t := &Table{
-		Title:   "Scale sweep: sim-seconds per wall-second by cluster size",
-		Columns: []string{"nodes", "services", "zones", "sim s", "wall s", "sim/wall", "requests", "scale-outs"},
+		Title:   "Scale sweep: requests and scale-outs by cluster size",
+		Columns: []string{"nodes", "services", "zones", "sim s", "requests", "scale-outs"},
 	}
 	for _, p := range r.Points {
 		zones := p.Zones
@@ -72,8 +54,6 @@ func (r *ScaleResult) Table() *Table {
 			fmt.Sprintf("%d", p.Services),
 			fmt.Sprintf("%d", zones),
 			fmt.Sprintf("%.0f", p.SimSeconds),
-			fmt.Sprintf("%.2f", p.WallSeconds),
-			fmt.Sprintf("%.1f", p.SimRatio),
 			fmt.Sprintf("%d", p.Requests),
 			fmt.Sprintf("%d", p.ScaleOuts),
 		)
@@ -90,10 +70,9 @@ type ScaleConfig struct {
 }
 
 // ScaleGrid is the pinned sweep: the paper's 24/15 testbed, two intermediate
-// datacenter slices, the 1,000-node / 500-service north-star point of
-// ROADMAP item 1 — and the zoned control plane at that same point plus the
-// 5,000-node / 2,000-service configuration only the sharded monitor makes
-// tractable.
+// datacenter slices, the 1,000-node / 500-service point — and the zoned
+// control plane at that same point plus the 5,000-node / 2,000-service
+// configuration.
 func ScaleGrid() []ScaleConfig {
 	return []ScaleConfig{
 		{Nodes: 24, Services: 15},
@@ -147,15 +126,14 @@ func scaleDuration(opts Options) time.Duration {
 	return time.Duration(float64(2*time.Minute) * opts.Scale)
 }
 
-// RunScale sweeps ScaleGrid and measures sim-seconds-per-wall-second at each
-// point. Runs execute sequentially (never in parallel) so wall-clock numbers
-// measure single-run speed, not scheduler contention — the -parallel flag is
-// deliberately ignored here.
+// RunScale runs every ScaleGrid point through the executor and reports each
+// one's request and scale-out counts, in grid order.
 func RunScale(opts Options) (*ScaleResult, error) {
 	opts = opts.scaled()
 	duration := scaleDuration(opts)
-	res := &ScaleResult{}
-	for _, g := range ScaleGrid() {
+	grid := ScaleGrid()
+	specs := make([]runner.RunSpec, len(grid))
+	for i, g := range grid {
 		nodes, services := g.Nodes, g.Services
 		cfg := platform.DefaultConfig(opts.Seed)
 		cfg.Nodes = nodes
@@ -164,7 +142,7 @@ func RunScale(opts Options) (*ScaleResult, error) {
 			cfg.Zones = g.Zones
 			name = fmt.Sprintf("%s-%dz", name, g.Zones)
 		}
-		spec := runner.RunSpec{
+		specs[i] = runner.RunSpec{
 			Name:      name,
 			Seed:      opts.Seed,
 			Platform:  cfg,
@@ -172,29 +150,21 @@ func RunScale(opts Options) (*ScaleResult, error) {
 			Duration:  duration,
 			Services:  scaleServices(services, opts.Seed),
 		}
-		// Run through execute (not raw runner.Execute) so -report/-timing see
-		// scale runs like any other experiment, but force Parallel=1.
-		seq := opts
-		seq.Parallel = 1
-		results, err := execute([]runner.RunSpec{spec}, seq)
-		if err != nil {
-			return nil, err
-		}
-		r := results[0]
-		wall := r.Elapsed.Seconds()
-		p := ScalePoint{
-			Nodes:       nodes,
-			Services:    services,
-			Zones:       g.Zones,
-			SimSeconds:  duration.Seconds(),
-			WallSeconds: wall,
-			Requests:    r.Summary.Requests,
-			ScaleOuts:   r.Actions.ScaleOuts,
-		}
-		if wall > 0 {
-			p.SimRatio = p.SimSeconds / wall
-		}
-		res.Points = append(res.Points, p)
+	}
+	results, err := execute(specs, opts)
+	if err != nil {
+		return nil, err
+	}
+	res := &ScaleResult{}
+	for i, g := range grid {
+		res.Points = append(res.Points, ScalePoint{
+			Nodes:      g.Nodes,
+			Services:   g.Services,
+			Zones:      g.Zones,
+			SimSeconds: duration.Seconds(),
+			Requests:   results[i].Summary.Requests,
+			ScaleOuts:  results[i].Actions.ScaleOuts,
+		})
 	}
 	return res, nil
 }

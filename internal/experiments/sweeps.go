@@ -206,14 +206,14 @@ func init() {
 			if _, err := w.Cluster().RemoveNode(id); err != nil {
 				return nil, err
 			}
-			w.Monitor().DetachNode(id)
+			w.Control().DetachNode(id)
 			big := cluster.DefaultNodeConfig(fmt.Sprintf("big-%d", i))
 			big.Capacity = resources.Vector{CPU: 8, MemMB: 16384, NetMbps: 2000}
 			big.Net.CapacityMbps = 2000
 			if err := w.Cluster().AddNode(big); err != nil {
 				return nil, err
 			}
-			w.Monitor().AttachNode(w.Cluster().Node(big.ID))
+			w.Control().AttachNode(w.Cluster().Node(big.ID))
 		}
 		return nil, nil
 	})

@@ -9,9 +9,9 @@ import (
 // TestFig2TableGoldenZonesOne is the sharded-control-plane equivalence
 // regression: an explicit zones=1 configuration must reproduce the committed
 // pre-refactor Fig-2 golden byte-for-byte, at several executor worker
-// counts. zones=1 routes through the ControlPlane interface and the World's
-// zone plumbing, so byte equality proves that plumbing is inert when the
-// plane is not sharded.
+// counts. zones=1 runs on the same monitor.Plane as a zoned world, as its
+// single arbiter, so byte equality proves the zone plumbing is inert when
+// the plane is not sharded.
 func TestFig2TableGoldenZonesOne(t *testing.T) {
 	if testing.Short() {
 		t.Skip("macro experiment")

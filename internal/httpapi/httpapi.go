@@ -452,9 +452,8 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 // global allocator's cross-zone counters; 404 on single-monitor worlds.
 func (s *Server) handleZones(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	zs := s.world.ZoneSummaries()
-	cz := s.world.CrossZone()
-	ev := s.world.ZoneEvac()
+	ctl := s.world.Control()
+	zs, cz, ev := ctl.ZoneSummaries(), ctl.Cross(), ctl.Evac()
 	s.mu.Unlock()
 	if zs == nil {
 		http.Error(w, "control plane is not zoned", http.StatusNotFound)
@@ -523,7 +522,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	// Zone series only exist on zoned worlds, keeping the single-monitor
 	// exposition byte-identical to before the sharded control plane.
-	if zs := s.world.ZoneSummaries(); zs != nil {
+	if zs := s.world.Control().ZoneSummaries(); zs != nil {
 		fmt.Fprintf(w, "# TYPE hyscale_zone_nodes gauge\n")
 		for _, z := range zs {
 			fmt.Fprintf(w, "hyscale_zone_nodes{zone=\"%d\"} %d\n", z.Zone, z.Nodes)
@@ -554,10 +553,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			}
 			fmt.Fprintf(w, "hyscale_zone_evacuated{zone=\"%d\"} %d\n", z.Zone, v)
 		}
-		cz := s.world.CrossZone()
+		cz := s.world.Control().Cross()
 		fmt.Fprintf(w, "# TYPE hyscale_cross_zone_node_leases_total counter\nhyscale_cross_zone_node_leases_total %d\n", cz.NodeLeases)
 		fmt.Fprintf(w, "# TYPE hyscale_cross_zone_lease_failures_total counter\nhyscale_cross_zone_lease_failures_total %d\n", cz.LeaseFailures)
-		if ev := s.world.ZoneEvac(); ev != nil {
+		if ev := s.world.Control().Evac(); ev != nil {
 			fmt.Fprintf(w, "# TYPE hyscale_zone_evac_zones_total counter\n")
 			fmt.Fprintf(w, "hyscale_zone_evac_zones_total{phase=\"evacuated\"} %d\n", ev.ZonesEvacuated)
 			fmt.Fprintf(w, "hyscale_zone_evac_zones_total{phase=\"readopted\"} %d\n", ev.ZonesReadopted)

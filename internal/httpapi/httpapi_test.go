@@ -147,13 +147,13 @@ func TestManualScale(t *testing.T) {
 	if rec := scale(4); rec.Code != http.StatusOK {
 		t.Fatalf("scale up status = %d: %s", rec.Code, rec.Body)
 	}
-	if got := len(w.Monitor().Replicas("api")); got != 4 {
+	if got := len(w.Control().Replicas("api")); got != 4 {
 		t.Errorf("replicas = %d after scale-up, want 4", got)
 	}
 	if rec := scale(1); rec.Code != http.StatusOK {
 		t.Fatalf("scale down status = %d", rec.Code)
 	}
-	if got := len(w.Monitor().Replicas("api")); got != 1 {
+	if got := len(w.Control().Replicas("api")); got != 1 {
 		t.Errorf("replicas = %d after scale-down, want 1", got)
 	}
 }

@@ -184,8 +184,11 @@ func TestZoneOutageWithoutEvacuationStaysPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	pollRange(p, 5*time.Second, 120*time.Second)
-	if ev := p.Evac(); ev != (EvacCounts{}) {
-		t.Errorf("evacuation disabled but counters moved: %+v", ev)
+	if p.evac != (EvacCounts{}) {
+		t.Errorf("evacuation disabled but counters moved: %+v", p.evac)
+	}
+	if ev := p.Evac(); ev != nil {
+		t.Errorf("evacuation disabled but Evac() = %+v, want nil", *ev)
 	}
 	if z := p.ZoneOfService("a"); z != 0 {
 		t.Errorf("service a re-homed to zone %d with evacuation disabled", z)

@@ -1,15 +1,17 @@
-// The zoned control plane: the datacenter-scale successor to the single
-// central arbiter. Nodes are partitioned into zones, each owned by a zone
-// arbiter — a full Monitor running over a zone-local cluster view — and a
-// thin global allocator (the Plane) sits above them handling service→zone
-// assignment, cross-zone capacity leasing when a zone runs dry, and the
-// merging of per-zone ledgers into the cluster-wide view experiments, obs
-// and httpapi consume.
+// The control plane every World runs on. Nodes are partitioned into zones,
+// each owned by a zone arbiter — a full Monitor running over a zone-local
+// cluster view — and a thin global allocator (the Plane) sits above them
+// handling service→zone assignment, cross-zone capacity leasing when a zone
+// runs dry, and the merging of per-zone ledgers into the cluster-wide view
+// experiments, obs and httpapi consume.
+//
+// One zone is the paper's single central Monitor: one arbiter over a view of
+// every node, with no lease hook, no pre-poll starvation scan and no
+// evacuation, so its decisions are exactly the unzoned Monitor's.
 //
 // Each arbiter polls only its own nodes and hands the scaling algorithm a
 // zone-local snapshot, so the per-poll placement scan drops from O(services
-// × nodes) to O(services × nodes / zones) — the structural speedup ROADMAP
-// item 1 asked for after PR 7 exhausted micro-optimization.
+// × nodes) to O(services × nodes / zones).
 //
 // Zones stay disjoint: a node belongs to exactly one arbiter at a time, so
 // no machine is double-polled and every replica has exactly one owner.
@@ -31,39 +33,6 @@ import (
 	"hyscale/internal/faults"
 	"hyscale/internal/resources"
 	"hyscale/internal/workload"
-)
-
-// ControlPlane is the surface the platform drives: both the single Monitor
-// and the zoned Plane implement it, so every consumer of the cluster view —
-// runner, httpapi, obs sampling, the facade — is agnostic to sharding.
-type ControlPlane interface {
-	AddService(spec workload.ServiceSpec, targetUtil float64) error
-	DeployInitial(service string, now time.Duration) error
-	StartReplica(service, nodeID string, alloc resources.Vector, now time.Duration) error
-
-	Sample()
-	Poll(now time.Duration)
-	Apply(plan core.Plan, now time.Duration)
-	MaybeCheckpoint(now time.Duration)
-	Restart(now time.Duration)
-
-	Replicas(service string) []*container.Container
-	AppendReplicas(buf []*container.Container, service string) []*container.Container
-	ReplicaCount(service string) int
-
-	Counts() ActionCounts
-	Recovery() RecoveryCounts
-	NodeConditions() []NodeCondition
-	PendingRetries() int
-	Algorithm() core.Algorithm
-
-	DetachNode(nodeID string)
-	AttachNode(n *cluster.Node)
-}
-
-var (
-	_ ControlPlane = (*Monitor)(nil)
-	_ ControlPlane = (*Plane)(nil)
 )
 
 // PlaneConfig parameterises the zoned control plane.
@@ -158,7 +127,8 @@ type zoneArbiter struct {
 }
 
 // Plane is the two-level control plane: zone arbiters below, the global
-// allocator above. Single-goroutine like everything else in the simulator.
+// allocator above (a no-op at one zone). Single-goroutine like everything
+// else in the simulator.
 type Plane struct {
 	global *cluster.Cluster
 	cfg    PlaneConfig
@@ -179,18 +149,17 @@ type Plane struct {
 }
 
 // NewPlane partitions the cluster's nodes into contiguous zones and builds
-// one arbiter per zone. The algorithm instance is shared by all arbiters:
-// every algorithm in internal/core keys its state per service name, services
-// are assigned to exactly one zone, and zones decide sequentially, so no
-// state crosses zone boundaries.
+// one arbiter per zone; Zones <= 1 builds the single central arbiter. The
+// algorithm instance is shared by all arbiters: every algorithm in
+// internal/core keys its state per service name, services are assigned to
+// exactly one zone, and zones decide sequentially, so no state crosses zone
+// boundaries.
 func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig) (*Plane, error) {
 	nodes := cl.Nodes()
-	if cfg.Zones < 2 {
-		return nil, fmt.Errorf("monitor: plane needs at least 2 zones, got %d (use Monitor for 1)", cfg.Zones)
-	}
-	k := cfg.Zones
-	if k > len(nodes) {
-		k = len(nodes)
+	k := min(cfg.Zones, len(nodes))
+	if k <= 1 {
+		// Nothing to lease from or evacuate to.
+		k, cfg.Evacuate = 1, false
 	}
 	p := &Plane{
 		global:        cl,
@@ -217,9 +186,11 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig) (*Plane
 			idx: z, name: strconv.Itoa(z), view: view, mon: New(view, algo),
 			healthyAt: -1,
 		}
-		zi := z
-		za.mon.OutOfCapacity = func(alloc resources.Vector) bool {
-			return p.leaseInto(zi, alloc)
+		if k > 1 {
+			zi := z
+			za.mon.OutOfCapacity = func(alloc resources.Vector) bool {
+				return p.leaseInto(zi, alloc)
+			}
 		}
 		p.zones = append(p.zones, za)
 	}
@@ -260,9 +231,6 @@ func (p *Plane) Arbiters() []*Monitor {
 	return out
 }
 
-// ZoneCount returns the number of zones.
-func (p *Plane) ZoneCount() int { return len(p.zones) }
-
 // ZoneOfService returns the zone a service was assigned to, or -1.
 func (p *Plane) ZoneOfService(name string) int {
 	if z, ok := p.zoneOfService[name]; ok {
@@ -274,8 +242,12 @@ func (p *Plane) ZoneOfService(name string) int {
 // Cross returns the global allocator's cumulative counters.
 func (p *Plane) Cross() CrossZoneCounts { return p.cross }
 
-// ZoneSummaries returns each zone's merged view in zone order.
+// ZoneSummaries returns each zone's merged view in zone order, nil for the
+// single central arbiter.
 func (p *Plane) ZoneSummaries() []ZoneSummary {
+	if len(p.zones) == 1 {
+		return nil
+	}
 	out := make([]ZoneSummary, len(p.zones))
 	for i, z := range p.zones {
 		s := ZoneSummary{
@@ -299,11 +271,22 @@ func (p *Plane) ZoneSummaries() []ZoneSummary {
 	return out
 }
 
-// Evac returns the evacuation / re-adoption counters.
-func (p *Plane) Evac() EvacCounts { return p.evac }
+// Evac returns the evacuation / re-adoption counters, nil when the plane
+// does not evacuate (one zone, or PlaneConfig.Evacuate off).
+func (p *Plane) Evac() *EvacCounts {
+	if !p.cfg.Evacuate {
+		return nil
+	}
+	ec := p.evac
+	return &ec
+}
 
-// home returns the arbiter owning a service, or nil.
+// home returns the arbiter owning a service, or nil. The single central
+// arbiter owns every service, so one zone skips the map lookup.
 func (p *Plane) home(service string) *zoneArbiter {
+	if len(p.zones) == 1 {
+		return p.zones[0]
+	}
 	z, ok := p.zoneOfService[service]
 	if !ok {
 		return nil
@@ -346,13 +329,13 @@ func (p *Plane) DeployInitial(service string, now time.Duration) error {
 // StartReplica forwards a pinned placement to the service's home arbiter.
 // The pinned node must live in the home zone: zones own their machines
 // exclusively, so a cross-zone pin would create a replica its owner cannot
-// poll.
+// poll. An unknown node is the arbiter's to reject.
 func (p *Plane) StartReplica(service, nodeID string, alloc resources.Vector, now time.Duration) error {
 	za := p.home(service)
 	if za == nil {
 		return fmt.Errorf("monitor: unknown service %q", service)
 	}
-	if z, ok := p.zoneOfNode[nodeID]; !ok || z != za.idx {
+	if z, ok := p.zoneOfNode[nodeID]; ok && z != za.idx {
 		return fmt.Errorf("monitor: node %q is not in service %q's zone %d", nodeID, service, za.idx)
 	}
 	return za.mon.StartReplica(service, nodeID, alloc, now)
@@ -368,13 +351,15 @@ func (p *Plane) Sample() {
 // Poll runs one monitoring period across all zones in index order. Before a
 // zone decides, the allocator tops up its headroom: algorithms silently skip
 // scale-outs when no local node fits, so a starved zone must receive an idle
-// machine before Decide runs, not after.
+// machine before Decide runs, not after. One zone has no donor, so it skips
+// the scan.
 func (p *Plane) Poll(now time.Duration) {
 	if p.cfg.Evacuate {
 		p.evacTick(now)
 	}
+	lease := len(p.zones) > 1
 	for _, z := range p.zones {
-		if len(z.services) > 0 && p.starved(z) {
+		if lease && len(z.services) > 0 && p.starved(z) {
 			p.leaseInto(z.idx, p.cfg.headroom())
 		}
 		z.mon.Poll(now)
@@ -458,25 +443,25 @@ func (p *Plane) leaseInto(zi int, alloc resources.Vector) bool {
 
 // Apply routes a plan's actions: scale-outs to the service's home arbiter,
 // container-addressed actions to the zone whose view holds the container.
-// Used by the manual-scale HTTP endpoint; the periodic loop never crosses
-// this path (each arbiter applies its own plans inside Poll).
+// An action no arbiter owns (unknown service or container) goes to zone 0,
+// which journals it as moot exactly as the single Monitor does. Used by the
+// manual-scale HTTP endpoint; the periodic loop never crosses this path
+// (each arbiter applies its own plans inside Poll).
 func (p *Plane) Apply(plan core.Plan, now time.Duration) {
 	for _, a := range plan.Actions {
-		one := core.Plan{Actions: []core.Action{a}}
+		var za *zoneArbiter
 		switch act := a.(type) {
 		case core.ScaleOut:
-			if za := p.home(act.Service); za != nil {
-				za.mon.Apply(one, now)
-			}
+			za = p.home(act.Service)
 		case core.VerticalScale:
-			if za := p.owner(act.ContainerID); za != nil {
-				za.mon.Apply(one, now)
-			}
+			za = p.owner(act.ContainerID)
 		case core.ScaleIn:
-			if za := p.owner(act.ContainerID); za != nil {
-				za.mon.Apply(one, now)
-			}
+			za = p.owner(act.ContainerID)
 		}
+		if za == nil {
+			za = p.zones[0]
+		}
+		za.mon.Apply(core.Plan{Actions: []core.Action{a}}, now)
 	}
 }
 
@@ -527,6 +512,9 @@ func (p *Plane) AppendReplicas(buf []*container.Container, service string) []*co
 		return buf
 	}
 	buf = za.mon.AppendReplicas(buf, service)
+	if len(p.spills) == 0 {
+		return buf
+	}
 	for _, zi := range p.spills[service] {
 		buf = p.zones[zi].mon.AppendReplicas(buf, service)
 	}
@@ -541,6 +529,9 @@ func (p *Plane) ReplicaCount(service string) int {
 		return 0
 	}
 	n := za.mon.ReplicaCount(service)
+	if len(p.spills) == 0 {
+		return n
+	}
 	for _, zi := range p.spills[service] {
 		n += p.zones[zi].mon.ReplicaCount(service)
 	}
@@ -616,15 +607,20 @@ func (p *Plane) DetachNode(nodeID string) {
 }
 
 // AttachNode assigns a newly added machine to the zone with the fewest nodes
-// (lowest index on ties) and registers it with that zone's arbiter.
+// (lowest index on ties) and registers it with that zone's arbiter. A
+// machine re-added under the ID of one that failed while its arbiter still
+// tracks it rejoins that zone's view, as it rejoins the physical cluster.
 func (p *Plane) AttachNode(n *cluster.Node) {
-	if _, dup := p.zoneOfNode[n.ID()]; dup {
-		return
-	}
-	best := 0
-	for i := 1; i < len(p.zones); i++ {
-		if len(p.zones[i].view.Nodes()) < len(p.zones[best].view.Nodes()) {
-			best = i
+	best, known := p.zoneOfNode[n.ID()]
+	if known {
+		if p.zones[best].view.Node(n.ID()) != nil {
+			return
+		}
+	} else {
+		for i := 1; i < len(p.zones); i++ {
+			if len(p.zones[i].view.Nodes()) < len(p.zones[best].view.Nodes()) {
+				best = i
+			}
 		}
 	}
 	if err := p.zones[best].view.AdoptNode(n); err != nil {

@@ -7,6 +7,7 @@ import (
 	"hyscale/internal/cluster"
 	"hyscale/internal/container"
 	"hyscale/internal/core"
+	"hyscale/internal/obs"
 	"hyscale/internal/resources"
 	"hyscale/internal/workload"
 )
@@ -180,10 +181,36 @@ func TestPlaneAttachDetachKeepsZonesBalanced(t *testing.T) {
 	}
 }
 
+// TestPlaneReattachReplacedNode: a machine that failed under self-healing
+// (released from its view, still tracked by its arbiter) and is re-added
+// under the same ID rejoins its zone's view, just as it rejoins the physical
+// cluster — at one zone, as the central Monitor over the shared cluster saw
+// it, and at several.
+func TestPlaneReattachReplacedNode(t *testing.T) {
+	for _, zones := range []int{1, 2} {
+		p, cl := newTestPlane(t, 4, zones)
+		if _, err := cl.RemoveNode("node-3"); err != nil {
+			t.Fatal(err)
+		}
+		p.NoteNodeRemoved("node-3")
+		if err := cl.AddNode(cluster.DefaultNodeConfig("node-3")); err != nil {
+			t.Fatal(err)
+		}
+		p.AttachNode(cl.Node("node-3"))
+		z := p.zones[p.zoneOfNode["node-3"]]
+		if got := z.view.Node("node-3"); got != cl.Node("node-3") {
+			t.Errorf("zones=%d: zone %d view holds %p for node-3, want the re-added node %p", zones, z.idx, got, cl.Node("node-3"))
+		}
+		if got := len(z.view.Nodes()); got != 4/zones {
+			t.Errorf("zones=%d: zone %d view has %d nodes, want %d", zones, z.idx, got, 4/zones)
+		}
+	}
+}
+
 // TestPlaneApplyRoutesContainerActions checks the manual-scale path: a
 // container-addressed action reaches the arbiter whose view holds the
 // container, whether that arbiter indexed it or it was placed behind the
-// plane's back, and an unknown container is dropped.
+// plane's back, and an unknown container changes nothing.
 func TestPlaneApplyRoutesContainerActions(t *testing.T) {
 	p, cl := newTestPlane(t, 6, 3)
 	for _, name := range []string{"a", "b", "c"} {
@@ -214,6 +241,35 @@ func TestPlaneApplyRoutesContainerActions(t *testing.T) {
 	for z, want := range []uint64{0, 1, 1} {
 		if got := arbs[z].Counts().Vertical; got != want {
 			t.Errorf("zone %d applied %d vertical actions, want %d", z, got, want)
+		}
+	}
+}
+
+// TestPlaneApplyJournalsUnownedActionsMoot: an action no arbiter owns (an
+// unknown container) is still journaled as moot, exactly as the single
+// Monitor journals it, at one zone and at several.
+func TestPlaneApplyJournalsUnownedActionsMoot(t *testing.T) {
+	for _, zones := range []int{1, 3} {
+		p, _ := newTestPlane(t, 6, zones)
+		j := obs.NewJournal()
+		for _, m := range p.Arbiters() {
+			m.Obs = j
+		}
+		if err := p.AddService(planeSpec("a", 1, 1, 4), 0.5); err != nil {
+			t.Fatal(err)
+		}
+		p.Apply(core.Plan{Actions: []core.Action{
+			core.VerticalScale{ContainerID: "ghost-0", NewAlloc: resources.Vector{CPU: 2, MemMB: 256}},
+			core.ScaleIn{ContainerID: "ghost-1"},
+		}}, time.Second)
+		got := j.Decisions()
+		if len(got) != 2 {
+			t.Fatalf("zones=%d: journaled %d decisions, want 2", zones, len(got))
+		}
+		for i, want := range []string{"ghost-0", "ghost-1"} {
+			if got[i].Container != want || got[i].Outcome != obs.OutcomeMoot {
+				t.Errorf("zones=%d: decision %d = {%s %v}, want {%s moot}", zones, i, got[i].Container, got[i].Outcome, want)
+			}
 		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 // TestReportGoldenZonesOne is the sharded-control-plane equivalence
 // regression: the observed batch with an explicit zones=1 platform must
 // produce byte-identical JSONL/CSV artifacts to the committed pre-refactor
-// golden, at every worker count. zones=1 dispatches every control action
-// through the ControlPlane interface the zoned plane also implements, so
-// byte equality proves the refactor left the single-monitor path untouched.
+// golden, at every worker count. zones=1 runs on the same monitor.Plane as a
+// zoned world, as its single arbiter, so byte equality proves the one-zone
+// plane decides exactly as the single central Monitor did.
 func TestReportGoldenZonesOne(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_report_artifacts.txt"))
 	if err != nil {

@@ -234,7 +234,7 @@ func TestIntegrationNodeFailureRecovery(t *testing.T) {
 	}
 	for _, svc := range []string{"cpu", "mixed", "net"} {
 		alive := 0
-		for _, rep := range w.Monitor().Replicas(svc) {
+		for _, rep := range w.Control().Replicas(svc) {
 			if rep.Routable() {
 				alive++
 			}
@@ -245,7 +245,7 @@ func TestIntegrationNodeFailureRecovery(t *testing.T) {
 	}
 	// The failed nodes' replicas are gone from the replica lists.
 	for _, svc := range []string{"cpu", "mixed", "net"} {
-		for _, rep := range w.Monitor().Replicas(svc) {
+		for _, rep := range w.Control().Replicas(svc) {
 			if rep.NodeID == "node-0" || rep.NodeID == "node-1" {
 				t.Errorf("service %s still lists replica on failed node %s", svc, rep.NodeID)
 			}
@@ -283,7 +283,7 @@ func TestIntegrationNodeRecoveryExpandsCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	onExtra := 0
-	for _, rep := range w.Monitor().Replicas("a") {
+	for _, rep := range w.Control().Replicas("a") {
 		if len(rep.NodeID) >= 5 && rep.NodeID[:5] == "extra" {
 			onExtra++
 		}

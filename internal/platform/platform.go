@@ -82,9 +82,9 @@ type Config struct {
 	// graph's traffic. The zero value disables everything.
 	Resilience resilience.Config
 	// Zones shards the control plane into that many per-zone arbiters under
-	// a thin global allocator (see monitor.Plane), and shards the event heap
-	// to match. 0 or 1 — the default — runs the single central Monitor with
-	// byte-identical output to every release before zoning existed.
+	// a thin global allocator (see monitor.Plane). 0 or 1 — the default —
+	// runs the single central arbiter with byte-identical output to every
+	// release before zoning existed.
 	Zones int
 	// ZoneLeaseHeadroomCPU tunes the allocator's proactive-lease threshold
 	// (cores of single-node headroom a zone must retain); zero means the
@@ -149,13 +149,10 @@ type World struct {
 	cfg     Config
 	engine  *sim.Engine
 	cluster *cluster.Cluster
-	// ctl is the control plane the world drives: the single monitor for
-	// Zones <= 1, the zoned plane otherwise. Exactly one of monitor/plane is
-	// non-nil.
-	ctl     monitor.ControlPlane
-	monitor *monitor.Monitor
-	plane   *monitor.Plane
-	lb      *lb.Balancer
+	// ctl is the control plane the world drives: one arbiter per zone, a
+	// single one for Zones <= 1.
+	ctl *monitor.Plane
+	lb  *lb.Balancer
 	// algo is the algorithm instance driving the control plane, kept so
 	// algorithm-specific observability (the scaler manager's per-scaler
 	// recommendations) can be surfaced without re-plumbing the monitor.
@@ -232,27 +229,15 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 	if cfg.EvacuateZones && !cfg.SelfHealing.Enabled {
 		return nil, fmt.Errorf("platform: zone evacuation requires self-healing (the per-zone failure detectors are its trigger)")
 	}
-	if zones > 1 {
-		p, err := monitor.NewPlane(cl, algo, monitor.PlaneConfig{
-			Zones:            zones,
-			LeaseHeadroomCPU: cfg.ZoneLeaseHeadroomCPU,
-			Evacuate:         cfg.EvacuateZones,
-			SpilloverZones:   cfg.ZoneSpilloverZones,
-			ReadoptAfter:     cfg.ZoneReadoptAfter,
-		})
-		if err != nil {
-			return nil, err
-		}
-		w.plane = p
-		w.ctl = p
-		// Shard the event heap to match: heap maintenance stays flat as the
-		// zoned worlds grow the event volume. Ordering is provably identical.
-		if err := w.engine.SetShards(zones); err != nil {
-			return nil, err
-		}
-	} else {
-		w.monitor = monitor.New(cl, algo)
-		w.ctl = w.monitor
+	w.ctl, err = monitor.NewPlane(cl, algo, monitor.PlaneConfig{
+		Zones:            zones,
+		LeaseHeadroomCPU: cfg.ZoneLeaseHeadroomCPU,
+		Evacuate:         cfg.EvacuateZones,
+		SpilloverZones:   cfg.ZoneSpilloverZones,
+		ReadoptAfter:     cfg.ZoneReadoptAfter,
+	})
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Observe {
 		w.journal = obs.NewJournal()
@@ -282,7 +267,7 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 		w.recorder.RecordFailure(r.Service, workload.FailureRemoval)
 		w.costs.ObserveFailure()
 	}
-	for _, m := range w.arbiters() {
+	for _, m := range w.ctl.Arbiters() {
 		m.Obs = w.journal
 		m.StartDelay = cfg.StartDelay
 		m.SelfHeal = cfg.SelfHealing
@@ -323,10 +308,8 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 		w.graph = newGraphRun(w, cfg.CallGraph, m)
 	}
 	w.faults = faults.New(cfg.Faults)
-	if w.plane != nil {
-		w.plane.InstallZoneFaults(w.faults)
-	}
-	for _, m := range w.arbiters() {
+	w.ctl.InstallZoneFaults(w.faults)
+	for _, m := range w.ctl.Arbiters() {
 		m.Faults = w.faults
 		if cfg.HardeningOff {
 			m.Hardening.Enabled = false
@@ -368,67 +351,19 @@ type noopAlgorithm struct{}
 func (noopAlgorithm) Name() string                   { return "static" }
 func (noopAlgorithm) Decide(core.Snapshot) core.Plan { return core.Plan{} }
 
-// arbiters returns every Monitor in the world — the single central one, or
-// one per zone — so shared configuration applies uniformly.
-func (w *World) arbiters() []*monitor.Monitor {
-	if w.plane != nil {
-		return w.plane.Arbiters()
-	}
-	return []*monitor.Monitor{w.monitor}
-}
-
 // Engine exposes the simulation engine (for custom scheduled events).
 func (w *World) Engine() *sim.Engine { return w.engine }
 
 // Cluster exposes the cluster (for assertions in tests).
 func (w *World) Cluster() *cluster.Cluster { return w.cluster }
 
-// Monitor exposes the central arbiter. It is nil when the control plane is
-// zoned (Config.Zones > 1); zone-agnostic callers should use Control.
-func (w *World) Monitor() *monitor.Monitor { return w.monitor }
+// Control exposes the control plane: the zone arbiters under their global
+// allocator, or the single central arbiter when Config.Zones <= 1.
+func (w *World) Control() *monitor.Plane { return w.ctl }
 
-// Control exposes the control plane: the central Monitor, or the zoned
-// Plane when Config.Zones > 1.
-func (w *World) Control() monitor.ControlPlane { return w.ctl }
-
-// Plane exposes the zoned control plane, nil when Config.Zones <= 1.
-func (w *World) Plane() *monitor.Plane { return w.plane }
-
-// Zones returns the number of control-plane zones (1 for the single
-// central monitor).
-func (w *World) Zones() int {
-	if w.plane != nil {
-		return w.plane.ZoneCount()
-	}
-	return 1
-}
-
-// ZoneSummaries returns per-zone merged views, nil for single-zone worlds.
-func (w *World) ZoneSummaries() []monitor.ZoneSummary {
-	if w.plane == nil {
-		return nil
-	}
-	return w.plane.ZoneSummaries()
-}
-
-// CrossZone returns the global allocator's counters (zero for single-zone
-// worlds).
-func (w *World) CrossZone() monitor.CrossZoneCounts {
-	if w.plane == nil {
-		return monitor.CrossZoneCounts{}
-	}
-	return w.plane.Cross()
-}
-
-// ZoneEvac returns the zone evacuation / re-adoption counters, nil when the
-// world is unzoned or evacuation is disabled.
-func (w *World) ZoneEvac() *monitor.EvacCounts {
-	if w.plane == nil || !w.cfg.EvacuateZones {
-		return nil
-	}
-	ec := w.plane.Evac()
-	return &ec
-}
+// ZoneEvac returns the zone evacuation / re-adoption counters, nil unless
+// the world is zoned with evacuation enabled.
+func (w *World) ZoneEvac() *monitor.EvacCounts { return w.ctl.Evac() }
 
 // Recorder exposes the metrics recorder.
 func (w *World) Recorder() *metrics.Recorder { return w.recorder }
@@ -766,12 +701,9 @@ func (w *World) ScheduleNodeFailure(at time.Duration, nodeID string) error {
 		if err != nil {
 			return // already gone
 		}
-		if w.plane != nil {
-			// Mirror the physical removal into the owning zone's view so the
-			// zone arbiter sees the machine gone, just as the single monitor
-			// does through the shared cluster.
-			w.plane.NoteNodeRemoved(nodeID)
-		}
+		// Mirror the physical removal into the owning zone's view so the
+		// arbiter sees the machine gone.
+		w.ctl.NoteNodeRemoved(nodeID)
 		if !w.cfg.SelfHealing.Enabled {
 			// Legacy out-of-band notification. With self-healing on, the
 			// failure detector must discover the death through missed polls.

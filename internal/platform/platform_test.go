@@ -99,7 +99,7 @@ func TestNoBackendIsConnectionFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill the only replica out from under the balancer.
-	for _, rep := range w.Monitor().Replicas("a") {
+	for _, rep := range w.Control().Replicas("a") {
 		_, node := w.Cluster().FindContainer(rep.ID)
 		node.RemoveContainer(rep.ID)
 	}
@@ -187,7 +187,7 @@ func TestDeployReplicaAndStress(t *testing.T) {
 	if err := w.DeployReplica("a", "node-1", resources.Vector{CPU: 2, MemMB: 256}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(w.Monitor().Replicas("a")); got != 2 {
+	if got := len(w.Control().Replicas("a")); got != 2 {
 		t.Fatalf("replicas = %d, want 2", got)
 	}
 	if err := w.AddStressContainer("node-1", resources.Vector{CPU: 2, MemMB: 64}, 4, 8); err != nil {
@@ -240,10 +240,10 @@ func TestAutoscalerGrowsReplicasUnderLoad(t *testing.T) {
 	}
 	// 30 rps * 0.11 cpu-s = 3.3 cores demanded; at 50% target K8s needs
 	// ~7 replicas of 1 CPU, clamped by max 6.
-	if got := len(w.Monitor().Replicas("a")); got < 3 {
+	if got := len(w.Control().Replicas("a")); got < 3 {
 		t.Errorf("replicas = %d, want >= 3 under sustained load", got)
 	}
-	if w.Monitor().Counts().ScaleOuts == 0 {
+	if w.Control().Counts().ScaleOuts == 0 {
 		t.Error("no scale-outs recorded")
 	}
 	if w.UtilSeries.Len() == 0 {

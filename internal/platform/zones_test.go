@@ -101,9 +101,9 @@ func checkLedger(t *testing.T, w *World, label string) {
 	}
 	// Zoned runs: ownership must be exclusive and exhaustive — the per-zone
 	// replica sums cover the physical cluster exactly once.
-	if p := w.Plane(); p != nil {
+	if summaries := ctl.ZoneSummaries(); summaries != nil {
 		zoneTotal := 0
-		for _, zs := range p.ZoneSummaries() {
+		for _, zs := range summaries {
 			zoneTotal += zs.Replicas
 		}
 		if zoneTotal != totalPhysical {
@@ -226,7 +226,7 @@ func TestZonedOutageRunIsDeterministic(t *testing.T) {
 		if err := w.Run(4 * time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		return w.ZoneSummaries(), w.Control().Counts(), *w.ZoneEvac()
+		return w.Control().ZoneSummaries(), w.Control().Counts(), *w.ZoneEvac()
 	}
 	z1, c1, e1 := run()
 	z2, c2, e2 := run()
@@ -250,7 +250,7 @@ func TestZonedRunIsDeterministic(t *testing.T) {
 		if err := w.Run(3 * time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		return w.ZoneSummaries(), w.Control().Counts(), w.Summary().Requests
+		return w.Control().ZoneSummaries(), w.Control().Counts(), w.Summary().Requests
 	}
 	z1, c1, r1 := run()
 	z2, c2, r2 := run()

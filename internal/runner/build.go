@@ -180,11 +180,11 @@ func Run(spec RunSpec) (Result, error) {
 		World:          w,
 		Journal:        w.Journal(),
 	}
-	if zs := w.ZoneSummaries(); zs != nil {
+	if zs := ctl.ZoneSummaries(); zs != nil {
 		res.Zones = zs
-		cz := w.CrossZone()
+		cz := ctl.Cross()
 		res.CrossZone = &cz
-		res.ZoneEvac = w.ZoneEvac()
+		res.ZoneEvac = ctl.Evac()
 	}
 	if w.HasCallGraph() {
 		cs := w.CascadeStats()

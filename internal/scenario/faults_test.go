@@ -83,7 +83,7 @@ func TestBuildWiresFaultsAndHardening(t *testing.T) {
 	if inj == nil || !inj.Enabled() {
 		t.Fatal("built world has no fault injector")
 	}
-	if !w.Monitor().Hardening.Enabled {
+	if !w.Control().Arbiters()[0].Hardening.Enabled {
 		t.Error("hardening should default to enabled")
 	}
 
@@ -98,7 +98,7 @@ func TestBuildWiresFaultsAndHardening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w2.Monitor().Hardening.Enabled {
+	if w2.Control().Arbiters()[0].Hardening.Enabled {
 		t.Error("hardening: false not honoured")
 	}
 }
@@ -122,7 +122,7 @@ func TestScenarioRunWithFaultsIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := w.Summary()
-		return w.Monitor().Counts().StaleSnapshots, s.FailedPercent()
+		return w.Control().Counts().StaleSnapshots, s.FailedPercent()
 	}
 	stale1, failed1 := run()
 	stale2, failed2 := run()

@@ -48,17 +48,6 @@ type Engine struct {
 	rng     *rand.Rand
 	stopped bool
 	clamped uint64
-
-	// lanes, when non-nil, shards the event queue: an event with sequence
-	// number s lives in lane s % len(lanes), and popping takes the (at, seq)
-	// minimum across lane roots. Because (at, seq) is a total order, the pop
-	// sequence is identical to the single-heap engine — sharding is purely a
-	// cost structure (each sift-down runs over a heap 1/k the size, which is
-	// what lets zoned datacenter runs keep heap maintenance flat as event
-	// volume grows). nil (the default) keeps the original single heap.
-	lanes [][]scheduledEvent
-	// pending counts queued events across queue and lanes.
-	pending int
 }
 
 // ErrStopped is returned by Run when Stop was called before the horizon.
@@ -78,8 +67,7 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // eventLess orders events by (at, seq): earliest first, FIFO within an
-// instant. seq is unique, so this is a total order — the property that makes
-// the sharded lanes pop in exactly the single-heap sequence.
+// instant. seq is unique, so this is a total order.
 func eventLess(a, b scheduledEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -130,70 +118,6 @@ func popHeap(q *[]scheduledEvent) scheduledEvent {
 	return root
 }
 
-// SetShards splits the event queue into k independent lanes (see the Engine
-// doc). k <= 1 keeps the single heap. It must be called before any event is
-// scheduled; changing the lane layout with events in flight would scatter
-// them.
-func (e *Engine) SetShards(k int) error {
-	if e.pending > 0 {
-		return errors.New("sim: SetShards with events pending")
-	}
-	if k <= 1 {
-		e.lanes = nil
-		return nil
-	}
-	e.lanes = make([][]scheduledEvent, k)
-	return nil
-}
-
-// Shards returns the number of event lanes (1 for the single-heap default).
-func (e *Engine) Shards() int {
-	if e.lanes == nil {
-		return 1
-	}
-	return len(e.lanes)
-}
-
-func (e *Engine) push(ev scheduledEvent) {
-	e.pending++
-	if e.lanes != nil {
-		pushHeap(&e.lanes[ev.seq%uint64(len(e.lanes))], ev)
-		return
-	}
-	pushHeap(&e.queue, ev)
-}
-
-// headLane returns the index of the lane whose root is the global (at, seq)
-// minimum. Callers guarantee at least one event is pending.
-func (e *Engine) headLane() int {
-	best := -1
-	for i := range e.lanes {
-		if len(e.lanes[i]) == 0 {
-			continue
-		}
-		if best == -1 || eventLess(e.lanes[i][0], e.lanes[best][0]) {
-			best = i
-		}
-	}
-	return best
-}
-
-// head returns the next event without removing it.
-func (e *Engine) head() *scheduledEvent {
-	if e.lanes != nil {
-		return &e.lanes[e.headLane()][0]
-	}
-	return &e.queue[0]
-}
-
-func (e *Engine) pop() scheduledEvent {
-	e.pending--
-	if e.lanes != nil {
-		return popHeap(&e.lanes[e.headLane()])
-	}
-	return popHeap(&e.queue)
-}
-
 // Schedule runs fn at the absolute simulated time at. Scheduling in the past
 // is an error: the event fires immediately at the current time instead, which
 // keeps the clock monotonic, and Schedule both reports it and counts it in
@@ -207,7 +131,7 @@ func (e *Engine) Schedule(at time.Duration, fn Event) error {
 		at = e.now
 	}
 	e.seq++
-	e.push(scheduledEvent{at: at, seq: e.seq, call: fn})
+	pushHeap(&e.queue, scheduledEvent{at: at, seq: e.seq, call: fn})
 	return err
 }
 
@@ -230,7 +154,7 @@ func (e *Engine) ScheduleBatch(at time.Duration, start, count int, fn IndexedEve
 		at = e.now
 	}
 	e.seq++
-	e.push(scheduledEvent{at: at, seq: e.seq, batch: fn, start: start, count: count})
+	pushHeap(&e.queue, scheduledEvent{at: at, seq: e.seq, batch: fn, start: start, count: count})
 	return err
 }
 
@@ -279,14 +203,14 @@ func (e *Engine) Stop() { e.stopped = true }
 // returns ErrStopped if Stop was called, otherwise nil.
 func (e *Engine) Run(horizon time.Duration) error {
 	e.stopped = false
-	for e.pending > 0 {
-		if e.head().at > horizon {
+	for len(e.queue) > 0 {
+		if e.queue[0].at > horizon {
 			// Leave future events queued; advance the clock to the horizon so
 			// repeated Run calls see a consistent notion of "now".
 			e.now = horizon
 			return nil
 		}
-		next := e.pop()
+		next := popHeap(&e.queue)
 		e.now = next.at
 		if next.batch != nil {
 			for i := 0; i < next.count; i++ {
@@ -295,7 +219,7 @@ func (e *Engine) Run(horizon time.Duration) error {
 					// Requeue the unfired remainder at the original (at, seq)
 					// so a later Run resumes exactly where the batch stopped.
 					if rest := next.count - i - 1; rest > 0 {
-						e.push(scheduledEvent{at: e.now, seq: next.seq,
+						pushHeap(&e.queue, scheduledEvent{at: e.now, seq: next.seq,
 							batch: next.batch, start: next.start + i + 1, count: rest})
 					}
 					return ErrStopped
@@ -316,4 +240,4 @@ func (e *Engine) Run(horizon time.Duration) error {
 
 // Pending returns the number of queued events, mainly for tests and
 // diagnostics.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return len(e.queue) }
