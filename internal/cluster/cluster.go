@@ -12,6 +12,10 @@ import (
 type Cluster struct {
 	nodes []*Node
 	byID  map[string]*Node
+	// slots issues Container.Slot to every node this cluster creates, so
+	// slots are dense and unique across its live containers. Adopted nodes
+	// keep the pool of the cluster that created them.
+	slots *slotPool
 
 	// tickBuf is Advance's reusable merge buffer; the returned TickResult
 	// aliases it and is valid until the next Advance.
@@ -20,7 +24,7 @@ type Cluster struct {
 
 // New builds a cluster from node configs, preserving order.
 func New(cfgs ...NodeConfig) (*Cluster, error) {
-	c := &Cluster{byID: make(map[string]*Node, len(cfgs))}
+	c := &Cluster{byID: make(map[string]*Node, len(cfgs)), slots: &slotPool{}}
 	for _, cfg := range cfgs {
 		if err := c.AddNode(cfg); err != nil {
 			return nil, err
@@ -53,6 +57,7 @@ func (c *Cluster) AddNode(cfg NodeConfig) error {
 	if err != nil {
 		return err
 	}
+	n.slots = c.slots
 	c.nodes = append(c.nodes, n)
 	c.byID[cfg.ID] = n
 	return nil

@@ -65,6 +65,10 @@ type Node struct {
 	// Monitor skip rebuilding per-node snapshot state when nothing moved.
 	version uint64
 
+	// slots issues Container.Slot: the owning cluster's pool, or a private
+	// one for a node built outside any cluster.
+	slots *slotPool
+
 	// Per-tick scratch buffers reused across Advance calls so steady-state
 	// physics ticks allocate nothing.
 	flowsBuf []netem.Flow
@@ -86,8 +90,26 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	case cfg.CPUContention < 0:
 		return nil, fmt.Errorf("cluster: node %q has negative CPUContention", cfg.ID)
 	}
-	return &Node{cfg: cfg, byID: make(map[string]*container.Container)}, nil
+	return &Node{cfg: cfg, byID: make(map[string]*container.Container), slots: &slotPool{}}, nil
 }
+
+// slotPool hands out dense container slots, reusing released ones first.
+type slotPool struct {
+	next int
+	free []int
+}
+
+func (p *slotPool) take() int {
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free = p.free[:n-1]
+		return s
+	}
+	p.next++
+	return p.next - 1
+}
+
+func (p *slotPool) release(s int) { p.free = append(p.free, s) }
 
 // ID returns the node identifier.
 func (n *Node) ID() string { return n.cfg.ID }
@@ -104,6 +126,7 @@ func (n *Node) AddContainer(c *container.Container) error {
 		return fmt.Errorf("cluster: node %s already hosts container %s", n.cfg.ID, c.ID)
 	}
 	c.NodeID = n.cfg.ID
+	c.Slot = n.slots.take()
 	n.containers = append(n.containers, c)
 	n.byID[c.ID] = c
 	n.version++
@@ -130,6 +153,7 @@ func (n *Node) RemoveContainer(id string) []*workload.Request {
 		}
 	}
 	n.version++
+	n.slots.release(c.Slot)
 	return c.Remove()
 }
 
@@ -169,16 +193,7 @@ func (n *Node) HostsService(service string) bool {
 
 // TickResult aggregates what happened on a node (or across the cluster)
 // during one physics tick.
-type TickResult struct {
-	Completed []container.CompletedRequest
-	TimedOut  []*workload.Request
-}
-
-// merge appends o's contents into t.
-func (t *TickResult) merge(o container.AdvanceResult) {
-	t.Completed = append(t.Completed, o.Completed...)
-	t.TimedOut = append(t.TimedOut, o.TimedOut...)
-}
+type TickResult = container.AdvanceResult
 
 // Advance runs dt of physics on this node:
 //
@@ -222,7 +237,7 @@ func (n *Node) Advance(now time.Duration, dt time.Duration) TickResult {
 			c.SetLastUsage(container.Usage{MemMB: 0})
 			continue
 		}
-		res.merge(c.Advance(now, dt, cpuRates[i], netShares[i].RateMbps))
+		c.AdvanceInto(&res, now, dt, cpuRates[i], netShares[i].RateMbps)
 	}
 	n.tickBuf = res
 	return res

@@ -56,6 +56,11 @@ type Container struct {
 	Service string
 	// NodeID is the machine hosting the container.
 	NodeID string
+	// Slot is the container's dense index among the live containers of its
+	// cluster: assigned when a node takes the container, recycled once the
+	// node lets it go. Per-container caches (the balancer's health-probe
+	// cache) index by it instead of hashing ID. Zero until placed.
+	Slot int
 
 	// Spec is the service specification (per-request demands, baseline
 	// memory, timeout).
@@ -292,8 +297,15 @@ type CompletedRequest struct {
 // a fair tc qdisc behave.
 func (c *Container) Advance(now time.Duration, dt time.Duration, cpuRate, netRate float64) AdvanceResult {
 	var res AdvanceResult
+	c.AdvanceInto(&res, now, dt, cpuRate, netRate)
+	return res
+}
+
+// AdvanceInto is Advance appending the completions and timeouts to res, so
+// a node merging its containers' results fills one reused buffer.
+func (c *Container) AdvanceInto(res *AdvanceResult, now time.Duration, dt time.Duration, cpuRate, netRate float64) {
 	if dt <= 0 {
-		return res
+		return
 	}
 	sec := dt.Seconds()
 
@@ -417,7 +429,6 @@ func (c *Container) Advance(now time.Duration, dt time.Duration, cpuRate, netRat
 		MemMB:   c.MemUsageMB(),
 		NetMbps: netConsumed / sec,
 	}
-	return res
 }
 
 // Remove transitions the container to Removed and returns the in-flight

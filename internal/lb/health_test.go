@@ -11,7 +11,7 @@ import (
 
 // startingReplica is a replica still inside its start delay at probe time.
 func startingReplica(id string, readyAt time.Duration) *container.Container {
-	return container.New(id, spec(), "node", resources.Vector{CPU: 1, MemMB: 256}, readyAt)
+	return placed(container.New(id, spec(), "node", resources.Vector{CPU: 1, MemMB: 256}, readyAt))
 }
 
 func TestAllStartingIsDistinguishedFromAbsent(t *testing.T) {
@@ -81,7 +81,7 @@ func TestAllEjectedIsNoBackendNotStarting(t *testing.T) {
 	}
 }
 
-func TestProbeCacheExpiresAndForgets(t *testing.T) {
+func TestProbeCacheExpires(t *testing.T) {
 	calls := 0
 	b := New(RoundRobin)
 	b.HealthCheck = func(time.Duration, *container.Container) bool { calls++; return true }
@@ -97,10 +97,66 @@ func TestProbeCacheExpiresAndForgets(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("probe calls = %d, want 2 (cache expiry)", calls)
 	}
+}
 
-	b.Forget("a")
-	b.RouteAt(2600*time.Millisecond, req(4), reps)
-	if calls != 3 {
-		t.Fatalf("probe calls = %d, want 3 (Forget clears cache)", calls)
+// TestReusedSlotStartsUnprobed: a container that inherits a departed
+// container's slot is probed afresh instead of inheriting its cached
+// verdict.
+func TestReusedSlotStartsUnprobed(t *testing.T) {
+	down := map[string]bool{"a": true}
+	b := New(RoundRobin)
+	b.HealthCheck = func(_ time.Duration, c *container.Container) bool { return !down[c.ID] }
+	b.ProbeInterval = 2 * time.Second
+
+	old := replica("a")
+	if _, err := b.RouteAt(0, req(1), []*container.Container{old}); !errors.Is(err, ErrNoBackend) {
+		t.Fatalf("down backend: err = %v, want ErrNoBackend", err)
+	}
+	old.Remove()
+	fresh := replica("b")
+	fresh.Slot = old.Slot
+	if c, err := b.RouteAt(time.Second, req(2), []*container.Container{old, fresh}); err != nil || c != fresh {
+		t.Fatalf("reused slot: got %v, %v; want the fresh replica", c, err)
+	}
+}
+
+// TestBalancersKeepIndependentProbeCaches: two balancers over one replica
+// set probe on their own schedules, so one's cached verdict never leaks
+// into the other's.
+func TestBalancersKeepIndependentProbeCaches(t *testing.T) {
+	down := map[string]bool{"a": true}
+	calls := map[*Balancer]int{}
+	mk := func() *Balancer {
+		b := New(RoundRobin)
+		b.ProbeInterval = 2 * time.Second
+		b.HealthCheck = func(_ time.Duration, c *container.Container) bool {
+			calls[b]++
+			return !down[c.ID]
+		}
+		return b
+	}
+	early, late := mk(), mk()
+	reps := []*container.Container{replica("a"), replica("b")}
+
+	if c, _ := early.RouteAt(0, req(1), reps); c.ID != "b" {
+		t.Fatalf("early balancer routed to down backend %s", c.ID)
+	}
+	down["a"] = false
+	// late probes now and sees a healthy; early's cache still ejects a.
+	seen := map[string]bool{}
+	for i := 0; i < 4; i++ {
+		c, _ := late.RouteAt(time.Second, req(uint64(10+i)), reps)
+		seen[c.ID] = true
+	}
+	if !seen["a"] || !seen["b"] {
+		t.Errorf("late balancer rotation = %v, want both", seen)
+	}
+	for i := 0; i < 4; i++ {
+		if c, _ := early.RouteAt(time.Second, req(uint64(20+i)), reps); c.ID != "b" {
+			t.Fatalf("early balancer lost its cached ejection of a: routed to %s", c.ID)
+		}
+	}
+	if calls[early] != 2 || calls[late] != 2 {
+		t.Errorf("probe calls early=%d late=%d, want 2 each", calls[early], calls[late])
 	}
 }

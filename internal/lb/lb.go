@@ -71,8 +71,13 @@ var ErrAllFull = errors.New("lb: all replica queues full")
 // defaultProbeInterval spaces health probes per backend.
 const defaultProbeInterval = 2 * time.Second
 
-// probeState caches one backend's last health probe.
+// probeState caches one backend's last health probe. id records which
+// container the entry belongs to: slots are recycled, and an entry left by a
+// departed container must read as a miss for the next one in its slot.
+// Container IDs are never reissued, so slot and ID together key exactly
+// what an ID-keyed cache would, without retaining the departed container.
 type probeState struct {
+	id      string
 	at      time.Duration
 	healthy bool
 }
@@ -95,8 +100,10 @@ type Balancer struct {
 	// probe notices.
 	ProbeInterval time.Duration
 
-	rr     map[string]int
-	probes map[string]probeState
+	rr map[string]int
+	// probes is the probe cache, indexed by Container.Slot. It grows to the
+	// cluster's peak live-container count, never beyond.
+	probes []probeState
 
 	// rotation is split's reusable scratch for the viable-replica set —
 	// rebuilt on every RouteAt, so routing a request allocates nothing.
@@ -108,7 +115,6 @@ func New(policy Policy) *Balancer {
 	return &Balancer{
 		policy: policy,
 		rr:     make(map[string]int),
-		probes: make(map[string]probeState),
 	}
 }
 
@@ -217,16 +223,14 @@ func (b *Balancer) healthy(now time.Duration, c *container.Container) bool {
 	if interval <= 0 {
 		interval = defaultProbeInterval
 	}
-	if p, ok := b.probes[c.ID]; ok && now-p.at < interval {
+	if c.Slot >= len(b.probes) {
+		b.probes = append(b.probes, make([]probeState, c.Slot+1-len(b.probes))...)
+	}
+	p := &b.probes[c.Slot]
+	if p.id == c.ID && now-p.at < interval {
 		return p.healthy
 	}
 	h := b.HealthCheck(now, c)
-	b.probes[c.ID] = probeState{at: now, healthy: h}
+	*p = probeState{id: c.ID, at: now, healthy: h}
 	return h
-}
-
-// Forget drops a backend's cached probe state; call when a replica is
-// removed so its ID can be reused without inheriting stale health.
-func (b *Balancer) Forget(containerID string) {
-	delete(b.probes, containerID)
 }

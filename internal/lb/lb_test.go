@@ -20,8 +20,17 @@ func spec() workload.ServiceSpec {
 }
 
 func replica(id string) *container.Container {
-	c := container.New(id, spec(), "node", resources.Vector{CPU: 1, MemMB: 256}, 0)
+	c := placed(container.New(id, spec(), "node", resources.Vector{CPU: 1, MemMB: 256}, 0))
 	c.MaybeStart(0)
+	return c
+}
+
+// nextSlot gives test replicas distinct slots, as a cluster's nodes would.
+var nextSlot int
+
+func placed(c *container.Container) *container.Container {
+	c.Slot = nextSlot
+	nextSlot++
 	return c
 }
 

@@ -107,9 +107,16 @@ type Generator struct {
 	// accumulator. Deterministic mode is exactly reproducible and is the
 	// default for benchmarks.
 	Poisson bool
+	// ServiceOrd is stamped on every request as Request.ServiceOrd.
+	ServiceOrd int
+	// Pool, when set, supplies the requests; the World that owns it takes
+	// each one back after its final accounting. Nil allocates.
+	Pool *workload.RequestPool
 
 	ids *IDAllocator
 	acc float64
+	// exp memoises exp(-λ) for the Poisson draw.
+	exp expMemo
 	// buf is Arrivals' reusable result buffer; each tick's slice is valid
 	// until the next Arrivals call on this generator.
 	buf []*workload.Request
@@ -135,7 +142,7 @@ func (g *Generator) Arrivals(now, dt time.Duration, rng *rand.Rand) []*workload.
 
 	var n int
 	if g.Poisson && rng != nil {
-		n = poisson(rng, expected)
+		n = poisson(rng, expected, &g.exp)
 	} else {
 		g.acc += expected
 		n = int(g.acc)
@@ -147,15 +154,31 @@ func (g *Generator) Arrivals(now, dt time.Duration, rng *rand.Rand) []*workload.
 	g.buf = g.buf[:0]
 	for i := 0; i < n; i++ {
 		at := now + time.Duration(float64(dt)*(float64(i)+0.5)/float64(n))
-		g.buf = append(g.buf, workload.NewRequest(g.ids.Next(), g.Spec, at))
+		g.buf = append(g.buf, g.Pool.New(g.ids.Next(), &g.Spec, g.ServiceOrd, at))
 	}
 	return g.buf
+}
+
+// expMemo caches exp(-λ) for the last λ. Burst and flash-crowd plateaus
+// repeat the same rate tick after tick, so the Knuth loop's threshold is
+// usually a hit. The cached value is the same float math.Exp returns.
+type expMemo struct {
+	lambda, exp float64
+	ok          bool
+}
+
+// negExp returns exp(-lambda), memoised in m.
+func (m *expMemo) negExp(lambda float64) float64 {
+	if !m.ok || m.lambda != lambda {
+		m.lambda, m.exp, m.ok = lambda, math.Exp(-lambda), true
+	}
+	return m.exp
 }
 
 // poisson draws a Poisson-distributed integer with mean lambda using
 // Knuth's method for small lambda and a normal approximation above 30 to
 // stay O(1).
-func poisson(rng *rand.Rand, lambda float64) int {
+func poisson(rng *rand.Rand, lambda float64, memo *expMemo) int {
 	if lambda <= 0 {
 		return 0
 	}
@@ -166,7 +189,7 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		return n
 	}
-	l := math.Exp(-lambda)
+	l := memo.negExp(lambda)
 	k := 0
 	p := 1.0
 	for {

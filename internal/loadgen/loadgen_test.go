@@ -191,7 +191,7 @@ func TestPoissonLargeLambdaNormalApprox(t *testing.T) {
 	total := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		total += poisson(rng, 100) // exercises the normal-approximation path
+		total += poisson(rng, 100, &expMemo{}) // exercises the normal-approximation path
 	}
 	mean := float64(total) / n
 	if mean < 95 || mean > 105 {
@@ -207,5 +207,58 @@ func TestZeroAndNegativeWindows(t *testing.T) {
 	}
 	if got := g.Arrivals(0, -time.Second, nil); got != nil {
 		t.Error("negative window produced arrivals")
+	}
+}
+
+// TestPoissonMemoMatchesFreshDraws checks that memoising exp(-λ) changes
+// neither the counts nor the random numbers consumed: a memoised and a fresh
+// draw from equally seeded sources agree over a rate sequence with repeats,
+// and both sources end in the same state.
+func TestPoissonMemoMatchesFreshDraws(t *testing.T) {
+	lambdas := []float64{2, 2, 2, 0.5, 0.5, 2, 7.25, 7.25, 0, 7.25, 31, 31, 2, 2}
+	memoRNG := rand.New(rand.NewSource(11))
+	freshRNG := rand.New(rand.NewSource(11))
+	var memo expMemo
+	for round := 0; round < 50; round++ {
+		for i, l := range lambdas {
+			got, want := poisson(memoRNG, l, &memo), poisson(freshRNG, l, &expMemo{})
+			if got != want {
+				t.Fatalf("round %d draw %d (λ=%v): memoised %d, fresh %d", round, i, l, got, want)
+			}
+		}
+	}
+	if memoRNG.Int63() != freshRNG.Int63() {
+		t.Fatal("memoised draws consumed a different number of random values")
+	}
+}
+
+// TestPooledArrivalsReuseRequests checks that a pooled generator stamps the
+// service ordinal and hands back requests its owner returned.
+func TestPooledArrivalsReuseRequests(t *testing.T) {
+	var ids IDAllocator
+	var pool workload.RequestPool
+	g := NewGenerator(spec(), Constant{RPS: 30}, &ids)
+	g.Pool, g.ServiceOrd = &pool, 3
+	first := append([]*workload.Request(nil), g.Arrivals(0, 100*time.Millisecond, nil)...)
+	if len(first) != 3 {
+		t.Fatalf("arrivals = %d, want 3", len(first))
+	}
+	for _, r := range first {
+		if r.ServiceOrd != 3 || r.Service != "svc" || r.Phase != workload.PhaseCPU {
+			t.Fatalf("request not initialised: %+v", r)
+		}
+		pool.Put(r)
+		if r.Phase != workload.PhaseRecycled || !math.IsNaN(r.RemainingCPU) {
+			t.Fatalf("returned request not poisoned: %+v", r)
+		}
+	}
+	reused := map[*workload.Request]bool{first[0]: true, first[1]: true, first[2]: true}
+	for _, r := range g.Arrivals(100*time.Millisecond, 100*time.Millisecond, nil) {
+		if !reused[r] {
+			t.Fatal("pooled generator allocated while requests were free")
+		}
+		if r.Phase != workload.PhaseCPU || r.RemainingCPU != spec().TotalCPUWork() || r.ID <= 3 {
+			t.Fatalf("reused request not reinitialised: %+v", r)
+		}
 	}
 }

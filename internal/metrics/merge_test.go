@@ -58,12 +58,12 @@ func TestIncrementalSummariesMatchFullSort(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			s := sample{svcs[rng.Intn(len(svcs))], time.Duration(rng.Intn(5000)) * time.Millisecond}
 			history = append(history, s)
-			inc.RecordCompletion(s.svc, s.lat)
+			inc.RecordCompletion(inc.Stats(s.svc), s.lat)
 		}
 		// Summarize mid-stream so later rounds merge into a warm cache.
 		fresh := NewRecorder()
 		for _, s := range history {
-			fresh.RecordCompletion(s.svc, s.lat)
+			fresh.RecordCompletion(fresh.Stats(s.svc), s.lat)
 		}
 		got, want := inc.Summarize(), fresh.Summarize()
 		if got != want {
@@ -82,7 +82,7 @@ func TestIncrementalSummariesMatchFullSort(t *testing.T) {
 func TestServicesAllocFree(t *testing.T) {
 	r := NewRecorder()
 	for _, svc := range []string{"a", "b", "c", "d"} {
-		r.RecordCompletion(svc, time.Millisecond)
+		r.RecordCompletion(r.Stats(svc), time.Millisecond)
 	}
 	r.Services() // size the scratch buffer
 	if allocs := testing.AllocsPerRun(100, func() { r.Services() }); allocs != 0 {

@@ -120,7 +120,10 @@ func mergeSortedSuffix(all []time.Duration, n int, buf []time.Duration) []time.D
 	return buf
 }
 
-func (r *Recorder) service(name string) *ServiceStats {
+// Stats returns the named service's stats cell, creating it on first use
+// (which fixes the service's first-seen position). The pointer is stable for
+// the recorder's lifetime, so a hot path resolves it once per service.
+func (r *Recorder) Stats(name string) *ServiceStats {
 	s, ok := r.services[name]
 	if !ok {
 		s = &ServiceStats{Name: name}
@@ -130,18 +133,18 @@ func (r *Recorder) service(name string) *ServiceStats {
 	return s
 }
 
-// RecordCompletion records a successful request with its response time.
-func (r *Recorder) RecordCompletion(service string, latency time.Duration) {
-	s := r.service(service)
+// RecordCompletion records a successful request of service s (a cell from
+// Stats) with its response time.
+func (r *Recorder) RecordCompletion(s *ServiceStats, latency time.Duration) {
 	s.Completed++
 	s.latencies = append(s.latencies, latency)
 	s.totalLat += latency
 	r.hist.Observe(latency)
 }
 
-// RecordFailure records a failed request with its failure class.
-func (r *Recorder) RecordFailure(service string, class workload.FailureClass) {
-	s := r.service(service)
+// RecordFailure records a failed request of service s (a cell from Stats)
+// with its failure class.
+func (r *Recorder) RecordFailure(s *ServiceStats, class workload.FailureClass) {
 	switch class {
 	case workload.FailureRemoval:
 		s.RemovalFailures++
@@ -165,7 +168,7 @@ func (r *Recorder) Services() []*ServiceStats {
 // about n requests, so bulk injection does not grow the sample slices
 // repeatedly. It never shrinks and is safe to call at any time.
 func (r *Recorder) Reserve(service string, n int) {
-	s := r.service(service)
+	s := r.Stats(service)
 	if extra := n - (cap(s.latencies) - len(s.latencies)); extra > 0 {
 		grown := make([]time.Duration, len(s.latencies), cap(s.latencies)+extra)
 		copy(grown, s.latencies)

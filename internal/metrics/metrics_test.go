@@ -10,10 +10,10 @@ import (
 
 func TestRecordAndSummarize(t *testing.T) {
 	r := NewRecorder()
-	r.RecordCompletion("a", 100*time.Millisecond)
-	r.RecordCompletion("a", 300*time.Millisecond)
-	r.RecordFailure("a", workload.FailureRemoval)
-	r.RecordFailure("b", workload.FailureConnection)
+	r.RecordCompletion(r.Stats("a"), 100*time.Millisecond)
+	r.RecordCompletion(r.Stats("a"), 300*time.Millisecond)
+	r.RecordFailure(r.Stats("a"), workload.FailureRemoval)
+	r.RecordFailure(r.Stats("b"), workload.FailureConnection)
 
 	s := r.Summarize()
 	if s.Requests != 4 || s.Completed != 2 {
@@ -43,7 +43,7 @@ func TestEmptySummary(t *testing.T) {
 func TestPercentiles(t *testing.T) {
 	r := NewRecorder()
 	for i := 1; i <= 100; i++ {
-		r.RecordCompletion("a", time.Duration(i)*time.Millisecond)
+		r.RecordCompletion(r.Stats("a"), time.Duration(i)*time.Millisecond)
 	}
 	s := r.Summarize()
 	if s.P50Latency != 50*time.Millisecond {
@@ -62,9 +62,9 @@ func TestPercentiles(t *testing.T) {
 
 func TestSummarizeService(t *testing.T) {
 	r := NewRecorder()
-	r.RecordCompletion("a", 10*time.Millisecond)
-	r.RecordCompletion("b", 90*time.Millisecond)
-	r.RecordFailure("b", workload.FailureConnection)
+	r.RecordCompletion(r.Stats("a"), 10*time.Millisecond)
+	r.RecordCompletion(r.Stats("b"), 90*time.Millisecond)
+	r.RecordFailure(r.Stats("b"), workload.FailureConnection)
 
 	sa := r.SummarizeService("a")
 	if sa.Requests != 1 || sa.MeanLatency != 10*time.Millisecond {
@@ -81,9 +81,9 @@ func TestSummarizeService(t *testing.T) {
 
 func TestServicesOrderedFirstSeen(t *testing.T) {
 	r := NewRecorder()
-	r.RecordCompletion("z", time.Millisecond)
-	r.RecordCompletion("a", time.Millisecond)
-	r.RecordCompletion("z", time.Millisecond)
+	r.RecordCompletion(r.Stats("z"), time.Millisecond)
+	r.RecordCompletion(r.Stats("a"), time.Millisecond)
+	r.RecordCompletion(r.Stats("z"), time.Millisecond)
 	ss := r.Services()
 	if len(ss) != 2 || ss[0].Name != "z" || ss[1].Name != "a" {
 		t.Errorf("order wrong: %v", ss)
@@ -92,7 +92,7 @@ func TestServicesOrderedFirstSeen(t *testing.T) {
 
 func TestSummaryString(t *testing.T) {
 	r := NewRecorder()
-	r.RecordCompletion("a", 123*time.Millisecond)
+	r.RecordCompletion(r.Stats("a"), 123*time.Millisecond)
 	s := r.Summarize().String()
 	if !strings.Contains(s, "requests=1") || !strings.Contains(s, "mean=123ms") {
 		t.Errorf("String = %q", s)
@@ -120,7 +120,7 @@ func TestTimeSeries(t *testing.T) {
 
 func TestUnknownFailureClassCountsAsConnection(t *testing.T) {
 	r := NewRecorder()
-	r.RecordFailure("a", workload.FailureNone)
+	r.RecordFailure(r.Stats("a"), workload.FailureNone)
 	if got := r.Summarize().ConnectionFailures; got != 1 {
 		t.Errorf("ConnectionFailures = %d, want 1", got)
 	}
@@ -128,15 +128,15 @@ func TestUnknownFailureClassCountsAsConnection(t *testing.T) {
 
 func TestSummaryCacheInvalidatesOnNewSamples(t *testing.T) {
 	r := NewRecorder()
-	r.RecordCompletion("a", 300*time.Millisecond)
-	r.RecordCompletion("a", 100*time.Millisecond)
+	r.RecordCompletion(r.Stats("a"), 300*time.Millisecond)
+	r.RecordCompletion(r.Stats("a"), 100*time.Millisecond)
 	if got := r.Summarize().P50Latency; got != 100*time.Millisecond {
 		t.Fatalf("p50 = %v, want 100ms", got)
 	}
 	// A summary between recordings must not freeze the sorted caches: new
 	// samples (including a new max, and for a second service) have to land.
-	r.RecordCompletion("a", 500*time.Millisecond)
-	r.RecordCompletion("b", 700*time.Millisecond)
+	r.RecordCompletion(r.Stats("a"), 500*time.Millisecond)
+	r.RecordCompletion(r.Stats("b"), 700*time.Millisecond)
 	s := r.Summarize()
 	if s.MaxLatency != 700*time.Millisecond {
 		t.Errorf("max = %v, want 700ms after cache refresh", s.MaxLatency)
@@ -161,7 +161,7 @@ func TestSummaryCacheInvalidatesOnNewSamples(t *testing.T) {
 func BenchmarkSummarize(b *testing.B) {
 	r := NewRecorder()
 	for i := 0; i < 100000; i++ {
-		r.RecordCompletion("svc", time.Duration(i%997)*time.Millisecond)
+		r.RecordCompletion(r.Stats("svc"), time.Duration(i%997)*time.Millisecond)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -173,7 +173,7 @@ func BenchmarkSummarize(b *testing.B) {
 func TestLatencyHistogramTracksCompletions(t *testing.T) {
 	r := NewRecorder()
 	for i := 1; i <= 1000; i++ {
-		r.RecordCompletion("a", time.Duration(i)*time.Millisecond)
+		r.RecordCompletion(r.Stats("a"), time.Duration(i)*time.Millisecond)
 	}
 	h := r.LatencyHistogram()
 	if h.Count() != 1000 {

@@ -119,6 +119,7 @@ func (p *Plane) zoneUsable(z *zoneArbiter) bool {
 // assigned to surviving zones capacity-aware and moved with their retry-queue
 // entries and lost-replica ledgers.
 func (p *Plane) evacuateZone(z *zoneArbiter, now time.Duration) {
+	p.gen++ // services re-home, spill and drop guest shards below
 	work := len(z.services) + len(z.guests)
 	for _, s := range append([]string(nil), z.guests...) {
 		home := p.home(s)
@@ -381,6 +382,7 @@ func (p *Plane) dropGuest(za *zoneArbiter, s string, dest *zoneArbiter, now time
 // any orphan container left on the zone's nodes by work that resolved while
 // the zone was unreachable.
 func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
+	p.gen++ // services move home and drop their spill shards below
 	// Deterministic service order: scan zones/services, not the evacHome map.
 	var names []string
 	for _, zz := range p.zones {

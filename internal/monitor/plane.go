@@ -144,6 +144,16 @@ type Plane struct {
 	evacHome map[string]int
 	spills   map[string][]int
 
+	// routes holds one route slot per service, indexed by registration
+	// ordinal (see RouteView). gen versions service placement, and a slot
+	// resolved at an older gen re-resolves on its next use. A new service's
+	// slot starts unresolved (gen 0). After registration only evacuateZone
+	// and readoptZone change zoneOfService, spills or an arbiter's byName —
+	// spill shards and guests come and go inside them — so they are the two
+	// places that move gen.
+	routes []routeSlot
+	gen    uint64
+
 	cross CrossZoneCounts
 	evac  EvacCounts
 }
@@ -169,6 +179,7 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig) (*Plane
 		zoneOfService: make(map[string]int),
 		evacHome:      make(map[string]int),
 		spills:        make(map[string][]int),
+		gen:           1, // above the zero gen of an unresolved route slot
 	}
 	for z := 0; z < k; z++ {
 		view, err := cluster.New()
@@ -313,7 +324,49 @@ func (p *Plane) AddService(spec workload.ServiceSpec, targetUtil float64) error 
 	}
 	za.services = append(za.services, spec.Name)
 	p.zoneOfService[spec.Name] = best
+	p.routes = append(p.routes, routeSlot{name: spec.Name})
 	return nil
+}
+
+// routeSlot caches where one service's replicas live: its home arbiter and
+// that arbiter's serviceState, as of plane generation gen. spilled marks a
+// service with spillover shards, whose replicas span several arbiters.
+type routeSlot struct {
+	name    string
+	gen     uint64
+	mon     *Monitor
+	st      *serviceState
+	spilled bool
+}
+
+// ServiceCount returns how many services are registered. Services are
+// numbered in registration order from 0; RouteView takes that ordinal.
+func (p *Plane) ServiceCount() int { return len(p.routes) }
+
+// RouteView returns the replicas of service ord (its registration ordinal)
+// for routing one request, without copying them.
+//
+// For a service whose replicas all live in its home arbiter, the result
+// aliases that arbiter's resolved replica cache: it is valid only until the
+// next topology change, it includes replicas a scale-in already flipped to
+// StateRemoved (callers must skip them, as the balancer does), and it must
+// never be assigned to a buffer that is later appended into. A spilled
+// service's replicas are appended into *scratch instead, which the caller
+// owns and keeps.
+func (p *Plane) RouteView(ord int, scratch *[]*container.Container) []*container.Container {
+	rs := &p.routes[ord]
+	if rs.gen != p.gen {
+		rs.gen, rs.mon, rs.st = p.gen, nil, nil
+		rs.spilled = len(p.spills[rs.name]) > 0
+		if za := p.home(rs.name); za != nil {
+			rs.mon, rs.st = za.mon, za.mon.byName[rs.name]
+		}
+	}
+	if rs.st == nil || rs.spilled {
+		*scratch = p.AppendReplicas((*scratch)[:0], rs.name)
+		return *scratch
+	}
+	return rs.mon.resolvedFor(rs.st)
 }
 
 // DeployInitial forwards to the service's home arbiter; a full home zone

@@ -176,8 +176,7 @@ func (g *graphRun) admit(n *reqNode) {
 	req.ExtraLatency += w.cfg.BaseLatency
 	now := w.engine.Now()
 
-	w.replicaBuf = w.ctl.AppendReplicas(w.replicaBuf[:0], req.Service)
-	target, err := w.lb.RouteAt(now, req, w.replicaBuf)
+	target, err := w.lb.RouteAt(now, req, w.ctl.RouteView(int(req.ServiceOrd), &w.replicaBuf))
 	if err != nil {
 		g.dropEdge(n)
 		switch {
@@ -274,7 +273,7 @@ func (g *graphRun) issueCall(p *reqNode, e workload.CallEdge, slot, attempt int)
 	es.Issued++
 	g.res.RecordAttempt(p.req.Service, attempt)
 
-	req := workload.NewRequest(g.w.ids.Next(), rt.spec, now)
+	req := g.w.reqs.New(g.w.ids.Next(), &rt.spec, rt.ord, now)
 	req.Deadline = deadline
 	req.Edge = key
 	req.ParentID = p.req.ID
@@ -300,11 +299,10 @@ func (g *graphRun) finish(n *reqNode, o outcome, at time.Duration, class workloa
 		if lat < 0 {
 			lat = 0
 		}
-		w.recorder.RecordCompletion(n.req.Service, lat)
+		w.recorder.RecordCompletion(w.statsOf(n.req), lat)
 		w.costs.ObserveCompletion(lat)
 	} else {
-		w.recorder.RecordFailure(n.req.Service, class)
-		w.costs.ObserveFailure()
+		w.fail(n.req, class)
 	}
 
 	if n.parent == nil {
@@ -418,8 +416,7 @@ func (g *graphRun) onRemoval(r *workload.Request) {
 	n, ok := g.nodes[r.ID]
 	if !ok {
 		// Untracked (already resolved); keep the legacy accounting.
-		g.w.recorder.RecordFailure(r.Service, workload.FailureRemoval)
-		g.w.costs.ObserveFailure()
+		g.w.fail(r, workload.FailureRemoval)
 		return
 	}
 	n.cont = nil

@@ -128,7 +128,10 @@ func DefaultConfig(seed int64) Config {
 // serviceRuntime couples a service with its load generator.
 type serviceRuntime struct {
 	spec workload.ServiceSpec
-	gen  *loadgen.Generator
+	// ord is the service's index in World.services: Request.ServiceOrd and
+	// the control plane's route-slot index.
+	ord int
+	gen *loadgen.Generator
 }
 
 // ConnFailureBreakdown attributes connection failures recorded at routing
@@ -160,7 +163,10 @@ type World struct {
 
 	services []*serviceRuntime
 	byName   map[string]*serviceRuntime
-	ids      loadgen.IDAllocator
+	// stats holds each service's recorder cell by ordinal, resolved on its
+	// first recorded outcome so the recorder keeps its first-seen order.
+	stats []*metrics.ServiceStats
+	ids   loadgen.IDAllocator
 
 	recorder *metrics.Recorder
 	costs    *cost.Tracker
@@ -177,10 +183,16 @@ type World struct {
 	// UtilSeries records cluster-wide CPU usage fraction per poll.
 	UtilSeries *metrics.TimeSeries
 
-	// replicaBuf is the reusable replica-lookup buffer for per-request
-	// routing — the single hottest path in a macro run. Valid only within
-	// one route/poll call; never retained.
+	// replicaBuf is the reusable replica-lookup buffer for the poll journal
+	// and for routing to spilled services. Valid only within one route/poll
+	// call; never retained, and never assigned a RouteView result.
 	replicaBuf []*container.Container
+
+	// reqs recycles plain-world requests: whoever books a request's final
+	// outcome (completion, timeout, routing failure, scale-in or node-failure
+	// removal) returns it. Nil in call-graph worlds, whose parents and
+	// children reference each other past that point, so they allocate.
+	reqs *workload.RequestPool
 
 	stressIdx int
 	started   bool
@@ -264,8 +276,7 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 			w.graph.onRemoval(r)
 			return
 		}
-		w.recorder.RecordFailure(r.Service, workload.FailureRemoval)
-		w.costs.ObserveFailure()
+		w.fail(r, workload.FailureRemoval)
 	}
 	for _, m := range w.ctl.Arbiters() {
 		m.Obs = w.journal
@@ -306,6 +317,8 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 			}
 		}
 		w.graph = newGraphRun(w, cfg.CallGraph, m)
+	} else {
+		w.reqs = &workload.RequestPool{}
 	}
 	w.faults = faults.New(cfg.Faults)
 	w.ctl.InstallZoneFaults(w.faults)
@@ -371,15 +384,19 @@ func (w *World) Recorder() *metrics.Recorder { return w.recorder }
 // AddService registers a microservice with its utilization target and load
 // pattern, and deploys its minimum replicas.
 func (w *World) AddService(spec workload.ServiceSpec, targetUtil float64, pattern loadgen.Pattern) error {
+	ord := w.ctl.ServiceCount()
 	if err := w.ctl.AddService(spec, targetUtil); err != nil {
 		return err
 	}
-	rt := &serviceRuntime{spec: spec}
+	rt := &serviceRuntime{spec: spec, ord: ord}
 	if pattern != nil {
 		rt.gen = loadgen.NewGenerator(spec, pattern, &w.ids)
 		rt.gen.Poisson = w.cfg.PoissonArrivals
+		rt.gen.ServiceOrd = ord
+		rt.gen.Pool = w.reqs
 	}
 	w.services = append(w.services, rt)
+	w.stats = append(w.stats, nil)
 	w.byName[spec.Name] = rt
 	w.ReplicaSeries[spec.Name] = &metrics.TimeSeries{Name: spec.Name + "-replicas"}
 	if err := w.ctl.DeployInitial(spec.Name, w.engine.Now()); err != nil {
@@ -439,7 +456,7 @@ func (w *World) InjectRequests(at time.Duration, window time.Duration, service s
 	reqs := make([]*workload.Request, n)
 	for i := range reqs {
 		arrive := at + time.Duration(float64(window)*float64(i)/float64(n))
-		reqs[i] = workload.NewRequest(w.ids.Next(), rt.spec, arrive)
+		reqs[i] = w.reqs.New(w.ids.Next(), &rt.spec, rt.ord, arrive)
 	}
 	fire := func(e *sim.Engine, i int) { w.route(reqs[i]) }
 	for i := 0; i < n; {
@@ -455,6 +472,34 @@ func (w *World) InjectRequests(at time.Duration, window time.Duration, service s
 	return nil
 }
 
+// statsOf returns the recorder cell of the request's service.
+func (w *World) statsOf(r *workload.Request) *metrics.ServiceStats {
+	s := w.stats[r.ServiceOrd]
+	if s == nil {
+		s = w.recorder.Stats(r.Service)
+		w.stats[r.ServiceOrd] = s
+	}
+	return s
+}
+
+// complete books a plain-world request's completion and recycles it.
+func (w *World) complete(r *workload.Request, at time.Duration) {
+	latency := at - r.Arrival + r.ExtraLatency
+	if latency < 0 {
+		latency = 0
+	}
+	w.recorder.RecordCompletion(w.statsOf(r), latency)
+	w.costs.ObserveCompletion(latency)
+	w.reqs.Put(r)
+}
+
+// fail books a request's failure and, in a plain world, recycles it.
+func (w *World) fail(r *workload.Request, class workload.FailureClass) {
+	w.recorder.RecordFailure(w.statsOf(r), class)
+	w.costs.ObserveFailure()
+	w.reqs.Put(r)
+}
+
 // route sends one request through the load balancer. Call-graph worlds
 // divert to the propagation layer; plain worlds run the original path.
 func (w *World) route(req *workload.Request) {
@@ -464,24 +509,21 @@ func (w *World) route(req *workload.Request) {
 	}
 	req.ExtraLatency += w.cfg.BaseLatency
 	now := w.engine.Now()
-	w.replicaBuf = w.ctl.AppendReplicas(w.replicaBuf[:0], req.Service)
-	target, err := w.lb.RouteAt(now, req, w.replicaBuf)
+	target, err := w.lb.RouteAt(now, req, w.ctl.RouteView(int(req.ServiceOrd), &w.replicaBuf))
 	if err != nil {
 		if errors.Is(err, lb.ErrAllStarting) {
 			w.connFail.Starting++
 		} else {
 			w.connFail.Absent++
 		}
-		w.recorder.RecordFailure(req.Service, workload.FailureConnection)
-		w.costs.ObserveFailure()
+		w.fail(req, workload.FailureConnection)
 		return
 	}
 	if w.faults.BackendDown(now, target.Service, target.ID) {
 		// The chosen backend is black-holing connections — an outage the
 		// balancer's probes have not (or, unhardened, will never) notice.
 		w.connFail.Unhealthy++
-		w.recorder.RecordFailure(req.Service, workload.FailureConnection)
-		w.costs.ObserveFailure()
+		w.fail(req, workload.FailureConnection)
 		return
 	}
 	target.Enqueue(req)
@@ -507,17 +549,10 @@ func (w *World) tick(e *sim.Engine) {
 		w.graph.afterAdvance(now+dt, res)
 	} else {
 		for _, done := range res.Completed {
-			r := done.Request
-			latency := done.At - r.Arrival + r.ExtraLatency
-			if latency < 0 {
-				latency = 0
-			}
-			w.recorder.RecordCompletion(r.Service, latency)
-			w.costs.ObserveCompletion(latency)
+			w.complete(done.Request, done.At)
 		}
 		for _, r := range res.TimedOut {
-			w.recorder.RecordFailure(r.Service, workload.FailureConnection)
-			w.costs.ObserveFailure()
+			w.fail(r, workload.FailureConnection)
 		}
 	}
 
@@ -710,8 +745,7 @@ func (w *World) ScheduleNodeFailure(at time.Duration, nodeID string) error {
 			w.ctl.DetachNode(nodeID)
 		}
 		for _, r := range killed {
-			w.recorder.RecordFailure(r.Service, workload.FailureRemoval)
-			w.costs.ObserveFailure()
+			w.fail(r, workload.FailureRemoval)
 		}
 	})
 }

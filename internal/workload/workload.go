@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -192,7 +193,7 @@ func (f FailureClass) String() string {
 // Phase tracks where in its lifecycle a request currently is. Requests are
 // processed in two sequential stages: the CPU stage (compute the response)
 // and the network stage (transmit it through the container's egress shaper).
-type Phase int
+type Phase int32
 
 // Request phases. PhaseWait only occurs in call-graph runs: the request's
 // own CPU and network work is done but downstream calls are still
@@ -204,6 +205,11 @@ const (
 	PhaseWait
 	PhaseDone
 )
+
+// PhaseRecycled is never the phase of a live request: a RequestPool stamps
+// it on every request it takes back, so a stale reference that survives its
+// accounting shows up as a request in no valid phase.
+const PhaseRecycled Phase = -1
 
 // Request is one in-flight client request. Requests are created by the load
 // generator, routed by a load balancer to a container, and advanced by the
@@ -220,6 +226,11 @@ type Request struct {
 
 	// Phase is the current processing stage.
 	Phase Phase
+	// ServiceOrd is the dense ordinal the World gave the service at
+	// registration. The route path and the completion accounting index
+	// their per-service slices by it; Service stays for output. (32 bits,
+	// paired with Phase, keep a Request in a 128-byte allocation.)
+	ServiceOrd int32
 	// RemainingCPU is the cpu-seconds of work left in the CPU stage.
 	RemainingCPU float64
 	// RemainingNetMb is the megabits left to transmit in the network stage.
@@ -251,16 +262,60 @@ type Request struct {
 
 // NewRequest builds a request for spec arriving at the given simulated time.
 func NewRequest(id uint64, spec ServiceSpec, arrival time.Duration) *Request {
-	return &Request{
-		ID:             id,
-		Service:        spec.Name,
-		Arrival:        arrival,
-		Deadline:       arrival + spec.Timeout,
-		Phase:          PhaseCPU,
-		RemainingCPU:   spec.TotalCPUWork(),
-		RemainingNetMb: spec.NetPerRequest,
-		MemFootprintMB: spec.MemPerRequest,
+	return (*RequestPool)(nil).New(id, &spec, 0, arrival)
+}
+
+// RequestPool is a free list of requests. Its owner returns a request with
+// Put once every consumer is done with it, and New hands it out again, so
+// a steady request stream allocates nothing. A nil pool allocates every
+// request and ignores Put.
+type RequestPool struct {
+	free []*Request
+}
+
+// New builds a request for spec (service ordinal ord) arriving at the given
+// simulated time, reusing a recycled request when one is free. spec is read,
+// never retained.
+func (p *RequestPool) New(id uint64, spec *ServiceSpec, ord int, arrival time.Duration) *Request {
+	var r *Request
+	if p != nil && len(p.free) > 0 {
+		r = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+	} else {
+		r = new(Request)
 	}
+	// Field by field: a whole-struct store into a heap object with pointer
+	// fields compiles to a typed bulk copy (runtime.duffcopy).
+	r.ID = id
+	r.Service = spec.Name
+	r.ServiceOrd = int32(ord)
+	r.Arrival = arrival
+	r.Deadline = arrival + spec.Timeout
+	r.Phase = PhaseCPU
+	r.RemainingCPU = spec.TotalCPUWork()
+	r.RemainingNetMb = spec.NetPerRequest
+	r.MemFootprintMB = spec.MemPerRequest
+	r.ExtraLatency = 0
+	r.Edge = ""
+	r.ParentID = 0
+	r.Attempt = 0
+	r.PendingChildren = 0
+	r.OwnDoneAt = 0
+	return r
+}
+
+// Put takes r back. The caller must hold the last reference: r is poisoned
+// (PhaseRecycled, NaN remaining work, ordinal -1) and handed out again by a
+// later New.
+func (p *RequestPool) Put(r *Request) {
+	if p == nil {
+		return
+	}
+	nan := math.NaN()
+	r.Phase = PhaseRecycled
+	r.ServiceOrd = -1
+	r.RemainingCPU, r.RemainingNetMb, r.MemFootprintMB = nan, nan, nan
+	p.free = append(p.free, r)
 }
 
 // Finished reports whether both processing stages are complete.
