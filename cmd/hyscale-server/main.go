@@ -37,13 +37,12 @@ func main() {
 	)
 	flag.Parse()
 
-	sim, err := hyscale.NewSimulation(hyscale.SimConfig{
-		Seed:      time.Now().UnixNano() % (1 << 31),
-		Nodes:     *nodes,
-		Zones:     *zones,
-		Algorithm: hyscale.AlgorithmName(*algo),
-		Observe:   *observe,
-	})
+	cfg := hyscale.DefaultSimConfig(time.Now().UnixNano() % (1 << 31))
+	cfg.Nodes = *nodes
+	cfg.Zones = *zones
+	cfg.Algorithm = hyscale.AlgorithmName(*algo)
+	cfg.Observe = *observe
+	sim, err := hyscale.NewSimulation(cfg)
 	if err != nil {
 		fatal(err)
 	}

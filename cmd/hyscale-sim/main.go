@@ -84,12 +84,11 @@ func main() {
 	specs := make([]hyscale.RunSpec, 0, len(algos))
 	for _, a := range algos {
 		a = strings.TrimSpace(a)
-		spec := hyscale.NewRunSpec("sim/"+a, hyscale.SimConfig{
-			Seed:      *seed,
-			Nodes:     *nodes,
-			Zones:     *zones,
-			Algorithm: hyscale.AlgorithmName(a),
-		}, *duration)
+		cfg := hyscale.DefaultSimConfig(*seed)
+		cfg.Nodes = *nodes
+		cfg.Zones = *zones
+		cfg.Algorithm = hyscale.AlgorithmName(a)
+		spec := hyscale.NewRunSpec("sim/"+a, cfg, *duration)
 		spec.Label = a
 		spec.Services = runs
 		specs = append(specs, spec)

@@ -11,11 +11,9 @@ import (
 // CPU+memory hybrid autoscaler and prints whether the run stayed healthy.
 // Runs are deterministic for a fixed seed.
 func ExampleNewSimulation() {
-	sim, err := hyscale.NewSimulation(hyscale.SimConfig{
-		Seed:      42,
-		Nodes:     8,
-		Algorithm: hyscale.AlgoHyScaleCPUMem,
-	})
+	cfg := hyscale.DefaultSimConfig(42)
+	cfg.Nodes = 8
+	sim, err := hyscale.NewSimulation(cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -24,11 +24,9 @@ func main() {
 
 	fmt.Printf("%-12s %-14s %-10s %-10s\n", "algorithm", "mean response", "failed %", "actions (V/out/in)")
 	for _, algo := range algos {
-		sim, err := hyscale.NewSimulation(hyscale.SimConfig{
-			Seed:      7,
-			Nodes:     19,
-			Algorithm: algo,
-		})
+		cfg := hyscale.DefaultSimConfig(7)
+		cfg.Algorithm = algo
+		sim, err := hyscale.NewSimulation(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -39,11 +39,7 @@ func main() {
 		fmt.Printf("replaying synthetic Rnd twin: %d VM series\n", len(tr.Series))
 	}
 
-	sim, err := hyscale.NewSimulation(hyscale.SimConfig{
-		Seed:      1,
-		Nodes:     19,
-		Algorithm: hyscale.AlgoHyScaleCPUMem,
-	})
+	sim, err := hyscale.NewSimulation(hyscale.DefaultSimConfig(1))
 	if err != nil {
 		log.Fatal(err)
 	}

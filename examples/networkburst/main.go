@@ -17,11 +17,9 @@ import (
 
 func main() {
 	for _, algo := range []hyscale.AlgorithmName{hyscale.AlgoKubernetes, hyscale.AlgoNetwork} {
-		sim, err := hyscale.NewSimulation(hyscale.SimConfig{
-			Seed:      3,
-			Nodes:     19,
-			Algorithm: algo,
-		})
+		cfg := hyscale.DefaultSimConfig(3)
+		cfg.Algorithm = algo
+		sim, err := hyscale.NewSimulation(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,11 +16,7 @@ import (
 func main() {
 	// A 19-worker cluster (the paper's testbed minus the five LB nodes)
 	// managed by the CPU+memory hybrid algorithm.
-	sim, err := hyscale.NewSimulation(hyscale.SimConfig{
-		Seed:      42,
-		Nodes:     19,
-		Algorithm: hyscale.AlgoHyScaleCPUMem,
-	})
+	sim, err := hyscale.NewSimulation(hyscale.DefaultSimConfig(42))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,11 +20,7 @@
 //
 // A minimal session:
 //
-//	sim, _ := hyscale.NewSimulation(hyscale.SimConfig{
-//		Seed:      1,
-//		Nodes:     19,
-//		Algorithm: hyscale.AlgoHyScaleCPUMem,
-//	})
+//	sim, _ := hyscale.NewSimulation(hyscale.DefaultSimConfig(1))
 //	svc := hyscale.CPUBoundService("api", 0.12)
 //	_ = sim.AddService(svc, 0.5, hyscale.WaveLoad(12, 0.3, 8*time.Minute))
 //	_ = sim.Run(30 * time.Minute)
@@ -87,77 +83,30 @@ func NewAlgorithm(name AlgorithmName) (core.Algorithm, error) {
 	return algo, nil
 }
 
-// SimConfig configures a Simulation. Zero-valued fields fall back to the
-// paper's experimental setup (19 worker nodes of 4 cores / 8 GiB / 1 Gbps,
-// 5 s monitor period, 100 ms physics tick).
+// PlatformConfig configures the simulated platform: cluster shape, physics
+// tick, monitor period, zones, faults, self-healing, observation, call graph
+// and resilience. See internal/platform for the field reference.
+type PlatformConfig = platform.Config
+
+// SimConfig configures a Simulation: the platform plus the autoscaler. Start
+// from DefaultSimConfig and edit. A PlatformConfig that leaves both Nodes
+// and Tick zero is replaced whole by the paper's defaults, as in a RunSpec.
 type SimConfig struct {
-	// Seed drives all randomness; equal seeds give identical runs.
-	Seed int64
-	// Nodes is the number of worker machines (default 19).
-	Nodes int
-	// Algorithm selects the autoscaler (default AlgoHyScaleCPUMem).
+	PlatformConfig
+	// Algorithm selects the autoscaler; empty or AlgoNone runs without one.
 	Algorithm AlgorithmName
-	// Zones shards the control plane: the node pool is partitioned into this
-	// many zones, each governed by its own arbiter (a full Monitor over the
-	// zone's nodes), under a thin global allocator that assigns services to
-	// zones and leases idle machines across zone boundaries when a zone runs
-	// out of capacity. Zero or one keeps the classic single central monitor
-	// and its byte-identical output.
-	Zones int
-	// ZoneLeaseHeadroomCPU is the per-node free-CPU threshold below which a
-	// zone is considered starved and proactively leases an idle machine
-	// before its poll (default 1 CPU; only meaningful with Zones > 1).
-	ZoneLeaseHeadroomCPU float64
-	// EvacuateZones enables the zone disaster-recovery path: a zone whose
-	// nodes are all ruled dead has its services re-homed into surviving
-	// zones and migrated back when it heals. Requires Zones > 1 and
-	// SelfHealing.
-	EvacuateZones bool
-	// ZoneSpilloverZones bounds how many zones one evacuated service may
-	// span when no single surviving zone fits it (<= 1 disables spillover).
-	ZoneSpilloverZones int
-	// ZoneReadoptAfter is the anti-flap cooldown before an evacuated service
-	// migrates back into its healed home zone (default 30 s).
-	ZoneReadoptAfter time.Duration
-	// MonitorPeriod is the decision period (default 5 s).
-	MonitorPeriod time.Duration
-	// NodeCPU / NodeMemMB / NodeNetMbps resize the machines (defaults
-	// 4 / 8192 / 1000).
-	NodeCPU     float64
-	NodeMemMB   float64
-	NodeNetMbps float64
-	// Faults configures deterministic control-plane fault injection
-	// (failed docker updates, failed/slow replica starts, dropped stats
-	// queries, black-holed backends). The zero value injects nothing.
-	Faults faults.Config
-	// DisableHardening turns off the control plane's resilience machinery
-	// (retry/backoff, stale-snapshot degradation, LB health checks) so the
-	// cost of faults can be measured unmitigated.
-	DisableHardening bool
-	// SelfHealing configures the Monitor's failure detector, desired-state
-	// reconciler and checkpoint/restore. The zero value disables all three;
-	// start from DefaultSelfHealing for the recommended thresholds.
-	SelfHealing SelfHealingConfig
-	// Observe enables the decision-trace journal (see Simulation.Journal):
-	// every scaling decision with its observed inputs and outcome, plus
-	// per-service time series sampled each monitor period. Off by default —
-	// disabled observation costs nothing.
-	Observe bool
-	// CallGraph declares inter-service call edges: each completed request of
-	// an upstream service fans calls out to downstream services, with
-	// latency composition, bounded per-replica queues and fail-fast error
-	// propagation. Empty (the default) keeps every service independent and
-	// executes exactly the pre-call-graph code paths.
-	CallGraph CallGraph
-	// Resilience enables the cascading-failure defenses on call-graph runs:
-	// per-edge circuit breakers, budgeted retries, deadline propagation and
-	// adaptive load shedding. The zero value disables all of them.
-	Resilience ResilienceConfig
 	// Manager tunes the AlgoManager / AlgoManagerCost algorithms — sliding
 	// window widths, per-scaler weights and targets, merge policy, and the
 	// cost allocator's freshness/retention knobs. Nil means scalermgr
 	// defaults; ignored by every other algorithm.
 	Manager *ManagerConfig
+}
+
+// DefaultSimConfig returns the paper's experimental setup (19 worker nodes of
+// 4 cores / 8 GiB / 1 Gbps, 5 s monitor period, 100 ms physics tick) under
+// the flagship HYSCALE_CPU+Mem autoscaler.
+func DefaultSimConfig(seed int64) SimConfig {
+	return SimConfig{PlatformConfig: platform.DefaultConfig(seed), Algorithm: AlgoHyScaleCPUMem}
 }
 
 // FaultConfig re-exports the fault-injection configuration for callers of
@@ -189,52 +138,9 @@ type Simulation struct {
 	world *platform.World
 }
 
-// platformConfig lowers the public SimConfig onto the internal platform
-// configuration, filling paper defaults for zero-valued fields.
-func (cfg SimConfig) platformConfig() platform.Config {
-	pc := platform.DefaultConfig(cfg.Seed)
-	if cfg.Nodes > 0 {
-		pc.Nodes = cfg.Nodes
-	}
-	if cfg.MonitorPeriod > 0 {
-		pc.MonitorPeriod = cfg.MonitorPeriod
-	}
-	if cfg.NodeCPU > 0 {
-		pc.NodeTemplate.Capacity.CPU = cfg.NodeCPU
-	}
-	if cfg.NodeMemMB > 0 {
-		pc.NodeTemplate.Capacity.MemMB = cfg.NodeMemMB
-	}
-	if cfg.NodeNetMbps > 0 {
-		pc.NodeTemplate.Capacity.NetMbps = cfg.NodeNetMbps
-		pc.NodeTemplate.Net.CapacityMbps = cfg.NodeNetMbps
-	}
-	pc.Zones = cfg.Zones
-	pc.ZoneLeaseHeadroomCPU = cfg.ZoneLeaseHeadroomCPU
-	pc.EvacuateZones = cfg.EvacuateZones
-	pc.ZoneSpilloverZones = cfg.ZoneSpilloverZones
-	pc.ZoneReadoptAfter = cfg.ZoneReadoptAfter
-	pc.Faults = cfg.Faults
-	pc.HardeningOff = cfg.DisableHardening
-	pc.SelfHealing = cfg.SelfHealing
-	pc.Observe = cfg.Observe
-	pc.CallGraph = cfg.CallGraph
-	pc.Resilience = cfg.Resilience
-	return pc
-}
-
-// algorithmName returns the configured algorithm, defaulting to the paper's
-// flagship HYSCALE_CPU+Mem.
-func (cfg SimConfig) algorithmName() AlgorithmName {
-	if cfg.Algorithm == "" {
-		return AlgoHyScaleCPUMem
-	}
-	return cfg.Algorithm
-}
-
 // NewSimulation builds a simulation from cfg. It compiles the config to a
-// RunSpec and materialises it through the same runner layer every experiment
-// uses.
+// RunSpec and validates and materialises it through the same runner layer
+// every experiment uses.
 func NewSimulation(cfg SimConfig) (*Simulation, error) {
 	spec := NewRunSpec("simulation", cfg, 0)
 	w, _, err := runner.Build(spec)
@@ -302,7 +208,7 @@ func (s *Simulation) CrossZone() CrossZoneCounts { return s.world.Control().Cros
 type EvacCounts = monitor.EvacCounts
 
 // ZoneEvac returns the zone disaster-recovery counters, nil unless the
-// control plane is zoned and SimConfig.EvacuateZones was set.
+// control plane is zoned and SimConfig.Evacuate was set.
 func (s *Simulation) ZoneEvac() *EvacCounts { return s.world.Control().Evac() }
 
 // ClampedEvents counts simulator events that had to be clamped to "now"
@@ -453,7 +359,7 @@ func LoadSpecFor(p loadgen.Pattern) LoadSpec { return runner.FromPattern(p) }
 // NewRunSpec compiles a SimConfig into a RunSpec with the given name and
 // simulated duration. Services can then be appended declaratively:
 //
-//	spec := hyscale.NewRunSpec("api-wave", hyscale.SimConfig{Seed: 1}, 30*time.Minute)
+//	spec := hyscale.NewRunSpec("api-wave", hyscale.DefaultSimConfig(1), 30*time.Minute)
 //	spec.Services = append(spec.Services, hyscale.ServiceRun{
 //		Spec:   hyscale.CPUBoundService("api", 0.12),
 //		Target: 0.5,
@@ -461,14 +367,8 @@ func LoadSpecFor(p loadgen.Pattern) LoadSpec { return runner.FromPattern(p) }
 //	})
 //	results, timings, err := hyscale.ExecuteSpecs(0, 1, []hyscale.RunSpec{spec})
 func NewRunSpec(name string, cfg SimConfig, duration time.Duration) RunSpec {
-	return RunSpec{
-		Name:      name,
-		Seed:      cfg.Seed,
-		Platform:  cfg.platformConfig(),
-		Algorithm: string(cfg.algorithmName()),
-		Manager:   cfg.Manager,
-		Duration:  duration,
-	}
+	return RunSpec{Name: name, Seed: cfg.Seed, Platform: cfg.PlatformConfig,
+		Algorithm: string(cfg.Algorithm), Manager: cfg.Manager, Duration: duration}
 }
 
 // ExecuteSpecs fans independent RunSpecs across a bounded worker pool

@@ -3,6 +3,8 @@ package hyscale
 import (
 	"testing"
 	"time"
+
+	"hyscale/internal/resources"
 )
 
 func TestNewAlgorithm(t *testing.T) {
@@ -69,7 +71,9 @@ func TestLoadHelpers(t *testing.T) {
 }
 
 func TestSimulationEndToEnd(t *testing.T) {
-	sim, err := NewSimulation(SimConfig{Seed: 1, Nodes: 4, Algorithm: AlgoHyScaleCPUMem})
+	cfg := DefaultSimConfig(1)
+	cfg.Nodes = 4
+	sim, err := NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +106,7 @@ func TestSimulationEndToEnd(t *testing.T) {
 }
 
 func TestSimulationDefaults(t *testing.T) {
-	sim, err := NewSimulation(SimConfig{Seed: 1})
+	sim, err := NewSimulation(DefaultSimConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +119,11 @@ func TestSimulationDefaults(t *testing.T) {
 }
 
 func TestSimulationCustomNodeShape(t *testing.T) {
-	sim, err := NewSimulation(SimConfig{
-		Seed: 1, Nodes: 2,
-		NodeCPU: 8, NodeMemMB: 16384, NodeNetMbps: 2000,
-	})
+	cfg := DefaultSimConfig(1)
+	cfg.Nodes = 2
+	cfg.NodeTemplate.Capacity = resources.Vector{CPU: 8, MemMB: 16384, NetMbps: 2000}
+	cfg.NodeTemplate.Net.CapacityMbps = 2000
+	sim, err := NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +140,10 @@ func TestSimulationBadAlgorithm(t *testing.T) {
 }
 
 func TestSimulationAlgoNone(t *testing.T) {
-	sim, err := NewSimulation(SimConfig{Seed: 1, Nodes: 2, Algorithm: AlgoNone})
+	cfg := DefaultSimConfig(1)
+	cfg.Nodes = 2
+	cfg.Algorithm = AlgoNone
+	sim, err := NewSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

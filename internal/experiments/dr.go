@@ -371,8 +371,8 @@ func (c drCell) compile(nodes, zones, fillers, mammothReplicas int, opts Options
 	cfg.Nodes = nodes
 	cfg.Zones = zones
 	cfg.SelfHealing = monitor.DefaultSelfHealing()
-	cfg.EvacuateZones = c.variant.evacuate
-	cfg.ZoneSpilloverZones = c.variant.spillover
+	cfg.Evacuate = c.variant.evacuate
+	cfg.SpilloverZones = c.variant.spillover
 	cfg.Faults = faults.Config{
 		Seed:    opts.Seed + 3000,
 		Windows: c.scenario.windows(d),

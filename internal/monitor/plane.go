@@ -35,9 +35,12 @@ import (
 	"hyscale/internal/workload"
 )
 
-// PlaneConfig parameterises the zoned control plane.
+// PlaneConfig parameterises the zoned control plane. platform.Config embeds
+// it, and platform.Config.Validate holds every rule on its fields.
 type PlaneConfig struct {
-	// Zones is the number of zone arbiters; clamped to the node count.
+	// Zones is the number of zone arbiters. 0 or 1 runs the single central
+	// arbiter; more than the node count is rejected, since a zone with no
+	// nodes could never host a service.
 	Zones int
 	// LeaseHeadroomCPU triggers proactive leasing: when a zone's best
 	// single-node available CPU falls below this many cores before a poll,

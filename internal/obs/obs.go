@@ -9,10 +9,11 @@
 // The layer is zero-overhead when disabled: every producer holds a *Journal
 // that may be nil, and all Journal methods are nil-receiver-safe, so
 // disabled runs execute exactly the code they did before this package
-// existed. When enabled (platform.Config.Observe, runner.RunSpec.Observe,
-// hyscale.SimConfig.Observe, or hyscale-bench -report), each run owns an
-// isolated Journal, so the parallel executor's output stays byte-identical
-// for any worker count.
+// existed. One switch enables it, platform.Config.Observe: the facade's
+// SimConfig embeds that config, runner.RunSpec.Observe sets it, and
+// hyscale-bench -report sets it on every run. Each run owns an isolated
+// Journal, so the parallel executor's output stays byte-identical for any
+// worker count.
 //
 // Artifacts: Journal.WriteJSONL emits one JSON object per decision,
 // Journal.WriteSeriesCSV emits the per-service time series, and

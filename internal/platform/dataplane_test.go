@@ -31,8 +31,8 @@ func drWorld(t *testing.T, seed int64, spill int) *World {
 	cfg.Nodes = 9
 	cfg.Zones = 3
 	cfg.SelfHealing = monitor.DefaultSelfHealing()
-	cfg.EvacuateZones = true
-	cfg.ZoneSpilloverZones = spill
+	cfg.Evacuate = true
+	cfg.SpilloverZones = spill
 	cfg.Faults = faults.Config{
 		Seed: seed,
 		Windows: []faults.Window{

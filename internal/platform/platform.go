@@ -81,29 +81,67 @@ type Config struct {
 	// retry budgets, deadline propagation, load shedding) on the call
 	// graph's traffic. The zero value disables everything.
 	Resilience resilience.Config
-	// Zones shards the control plane into that many per-zone arbiters under
-	// a thin global allocator (see monitor.Plane). 0 or 1 — the default —
-	// runs the single central arbiter with byte-identical output to every
-	// release before zoning existed.
-	Zones int
-	// ZoneLeaseHeadroomCPU tunes the allocator's proactive-lease threshold
-	// (cores of single-node headroom a zone must retain); zero means the
-	// 1-core default. Ignored unless Zones > 1.
-	ZoneLeaseHeadroomCPU float64
-	// EvacuateZones enables the zone disaster-recovery path: a zone whose
-	// nodes are all ruled dead has its services re-homed into surviving
-	// zones, and migrated back (after an anti-flap cooldown) when it heals.
-	// Requires SelfHealing — the per-zone failure detectors are the trigger.
-	// Ignored unless Zones > 1.
-	EvacuateZones bool
-	// ZoneSpilloverZones bounds how many zones one evacuated service may
-	// span when no single surviving zone fits all its replicas (home plus
-	// spill shards). Values <= 1 disable spillover.
-	ZoneSpilloverZones int
-	// ZoneReadoptAfter is how long a healed zone must stay fully healthy
-	// before its evacuated services migrate home; zero means the 30 s
-	// default.
-	ZoneReadoptAfter time.Duration
+	// PlaneConfig shapes the control plane: the zone count (0 or 1, the
+	// default, runs the single central arbiter with byte-identical output to
+	// every release before zoning existed), cross-zone leasing and zone
+	// evacuation. See monitor.PlaneConfig.
+	monitor.PlaneConfig
+}
+
+// Validate checks the configuration. It holds every rule on a platform
+// configuration; New calls it, and so does every entry point that compiles
+// to one (runner.RunSpec.Validate, the scenario parser, the public facade).
+func (c Config) Validate() error {
+	if c.Nodes <= 0 {
+		return fmt.Errorf("platform: need at least one node")
+	}
+	if c.Tick <= 0 {
+		return fmt.Errorf("platform: tick must be positive")
+	}
+	if c.Zones < 0 {
+		return fmt.Errorf("platform: zones must be >= 0, got %d", c.Zones)
+	}
+	if c.Zones > c.Nodes {
+		// A zone with no nodes can never host a service, and the lease scan
+		// would silently skip it — reject instead of shrinking the request.
+		return fmt.Errorf("platform: zones (%d) exceeds node count (%d)", c.Zones, c.Nodes)
+	}
+	if c.LeaseHeadroomCPU < 0 {
+		return fmt.Errorf("platform: lease headroom must be >= 0, got %g", c.LeaseHeadroomCPU)
+	}
+	if c.SpilloverZones < 0 {
+		return fmt.Errorf("platform: spillover zones must be >= 0, got %d", c.SpilloverZones)
+	}
+	if c.ReadoptAfter < 0 {
+		return fmt.Errorf("platform: readopt cooldown must be >= 0, got %v", c.ReadoptAfter)
+	}
+	if c.Evacuate {
+		if c.Zones < 2 {
+			return fmt.Errorf("platform: zone evacuation requires a zoned control plane (zones >= 2)")
+		}
+		if !c.SelfHealing.Enabled {
+			return fmt.Errorf("platform: zone evacuation requires self-healing (the per-zone failure detectors are its trigger)")
+		}
+	}
+	if err := c.Faults.Validate(); err != nil {
+		return err
+	}
+	for _, wnd := range c.Faults.Windows {
+		if wnd.Kind != faults.KindZoneOutage && wnd.Kind != faults.KindZonePartition {
+			continue
+		}
+		if c.Zones <= 1 {
+			return fmt.Errorf("platform: %s fault windows need a zoned control plane (zones >= 2)", wnd.Kind)
+		}
+		zi, err := strconv.Atoi(wnd.Target)
+		if err != nil || zi < 0 || zi >= c.Zones {
+			return fmt.Errorf("platform: %s window targets zone %q, want an index in [0,%d)", wnd.Kind, wnd.Target, c.Zones)
+		}
+	}
+	if err := c.Resilience.Validate(); err != nil {
+		return err
+	}
+	return c.CallGraph.Validate(nil)
 }
 
 // DefaultConfig mirrors the paper's experimental setup: 24 nodes minus the
@@ -207,11 +245,8 @@ type World struct {
 // New builds a world. algo may be nil for experiments with no autoscaler
 // (the §III fixed-allocation microbenchmarks).
 func New(cfg Config, algo core.Algorithm) (*World, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("platform: need at least one node")
-	}
-	if cfg.Tick <= 0 {
-		return nil, fmt.Errorf("platform: tick must be positive")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cl, err := cluster.NewHomogeneous(cfg.Nodes, cfg.NodeTemplate)
 	if err != nil {
@@ -232,22 +267,7 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 	if algo == nil {
 		algo = noopAlgorithm{}
 	}
-	zones := cfg.Zones
-	if zones > cfg.Nodes {
-		// A zone with no nodes can never host a service, and the lease scan
-		// would silently skip it — reject instead of shrinking the request.
-		return nil, fmt.Errorf("platform: zones (%d) exceeds node count (%d)", zones, cfg.Nodes)
-	}
-	if cfg.EvacuateZones && !cfg.SelfHealing.Enabled {
-		return nil, fmt.Errorf("platform: zone evacuation requires self-healing (the per-zone failure detectors are its trigger)")
-	}
-	w.ctl, err = monitor.NewPlane(cl, algo, monitor.PlaneConfig{
-		Zones:            zones,
-		LeaseHeadroomCPU: cfg.ZoneLeaseHeadroomCPU,
-		Evacuate:         cfg.EvacuateZones,
-		SpilloverZones:   cfg.ZoneSpilloverZones,
-		ReadoptAfter:     cfg.ZoneReadoptAfter,
-	})
+	w.ctl, err = monitor.NewPlane(cl, algo, cfg.PlaneConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -283,27 +303,6 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 		m.StartDelay = cfg.StartDelay
 		m.SelfHeal = cfg.SelfHealing
 		m.OnRemovalFailure = onRemoval
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, err
-	}
-	for _, wnd := range cfg.Faults.Windows {
-		if wnd.Kind != faults.KindZoneOutage && wnd.Kind != faults.KindZonePartition {
-			continue
-		}
-		if zones <= 1 {
-			return nil, fmt.Errorf("platform: %s fault windows need a zoned control plane (zones >= 2)", wnd.Kind)
-		}
-		zi, err := strconv.Atoi(wnd.Target)
-		if err != nil || zi < 0 || zi >= zones {
-			return nil, fmt.Errorf("platform: %s window targets zone %q, want an index in [0,%d)", wnd.Kind, wnd.Target, zones)
-		}
-	}
-	if err := cfg.Resilience.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.CallGraph.Validate(nil); err != nil {
-		return nil, err
 	}
 	if cfg.CallGraph.Enabled() || cfg.Resilience.Enabled() {
 		m := resilience.NewManager(cfg.Resilience, cfg.Seed)

@@ -147,8 +147,8 @@ func zonedOutageWorld(t *testing.T, seed int64, zones int) *World {
 	cfg.Nodes = 12
 	cfg.Zones = zones
 	cfg.SelfHealing = monitor.DefaultSelfHealing()
-	cfg.EvacuateZones = true
-	cfg.ZoneSpilloverZones = 2
+	cfg.Evacuate = true
+	cfg.SpilloverZones = 2
 	cfg.Faults = faults.Config{
 		Seed: seed,
 		Windows: []faults.Window{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"hyscale/internal/core"
 	"hyscale/internal/cost"
 	"hyscale/internal/metrics"
 	"hyscale/internal/monitor"
@@ -52,7 +51,7 @@ type Result struct {
 	CrossZone *monitor.CrossZoneCounts `json:"crossZone,omitempty"`
 
 	// ZoneEvac holds the zone evacuation / re-adoption counters (nil unless
-	// the spec enabled Platform.EvacuateZones on a zoned run).
+	// the spec enabled Platform.Evacuate on a zoned run).
 	ZoneEvac *monitor.EvacCounts `json:"zoneEvac,omitempty"`
 
 	// Extra holds hook-harvested measurements (e.g. "uptimePercent" from the
@@ -72,24 +71,11 @@ type Result struct {
 	Journal *obs.Journal `json:"-"`
 }
 
-// Build materialises a spec into a ready-to-run world plus the finalizers of
-// its hooks. Callers that just want the measurements should use Run.
+// Build validates a spec and materialises it into a ready-to-run world plus
+// the finalizers of its hooks. Callers that just want the measurements should
+// use Run.
 func Build(spec RunSpec) (*platform.World, []Finalizer, error) {
-	cfg := spec.Platform
-	if cfg.Nodes == 0 && cfg.Tick == 0 {
-		cfg = platform.DefaultConfig(spec.Seed)
-	}
-	if spec.Seed != 0 {
-		cfg.Seed = spec.Seed
-	}
-	if spec.Observe {
-		cfg.Observe = true
-	}
-	algoCfg := core.DefaultConfig()
-	if spec.AlgoConfig != nil {
-		algoCfg = *spec.AlgoConfig
-	}
-	algo, err := NewAlgorithmManaged(spec.Algorithm, algoCfg, spec.Manager)
+	cfg, algo, err := spec.resolve()
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
@@ -98,10 +84,7 @@ func Build(spec RunSpec) (*platform.World, []Finalizer, error) {
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	for _, s := range spec.Services {
-		pattern, err := s.Load.Pattern()
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s/%s: %w", spec.Name, s.Spec.Name, err)
-		}
+		pattern, _ := s.Load.Pattern() // checked by resolve
 		if err := w.AddService(s.Spec, s.Target, pattern); err != nil {
 			return nil, nil, fmt.Errorf("%s/%s: %w", spec.Name, s.Spec.Name, err)
 		}

@@ -237,3 +237,36 @@ func TestRunRejectsZeroDuration(t *testing.T) {
 		t.Error("zero duration should error")
 	}
 }
+
+// TestValidate checks RunSpec.Validate against the effective platform config
+// and the service rules, and that Build reports the same error behind the
+// spec name.
+func TestValidate(t *testing.T) {
+	if err := (RunSpec{Name: "defaults", Seed: 1}).Validate(); err != nil {
+		t.Errorf("zero platform and duration: %v", err)
+	}
+	tests := []struct {
+		name   string
+		mutate func(*RunSpec)
+		want   string
+	}{
+		{"nodes without tick", func(s *RunSpec) { s.Platform = platform.Config{Nodes: 4} }, "tick must be positive"},
+		{"empty service name", func(s *RunSpec) { s.Services[0].Spec.Name = "" }, "service with empty name"},
+		{"duplicate service", func(s *RunSpec) { s.Services = append(s.Services, s.Services[0]) }, `duplicate service "svc"`},
+		{"invalid service spec", func(s *RunSpec) { s.Services[0].Spec.MaxReplicas = 0 }, `service "svc"`},
+		{"unknown load", func(s *RunSpec) { s.Services[0].Load.Type = "sawtooth" }, `unknown load type "sawtooth"`},
+		{"unknown algorithm", func(s *RunSpec) { s.Algorithm = "bogus" }, `unknown algorithm "bogus"`},
+	}
+	for _, tt := range tests {
+		spec := smokeSpec("bad", 1)
+		tt.mutate(&spec)
+		err := spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("%s: Validate error %v, want %q", tt.name, err, tt.want)
+			continue
+		}
+		if _, _, berr := Build(spec); berr == nil || berr.Error() != "bad: "+err.Error() {
+			t.Errorf("%s: Build error %v, want %q", tt.name, berr, "bad: "+err.Error())
+		}
+	}
+}

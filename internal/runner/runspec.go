@@ -187,7 +187,7 @@ type RunSpec struct {
 	// Executor's root seed and Name", which decorrelates runs in a batch
 	// without any shared RNG state.
 	Seed int64 `json:"seed,omitempty"`
-	// Platform configures the world; a zero value means
+	// Platform configures the world; a zero Nodes and Tick means
 	// platform.DefaultConfig(Seed). Platform.Seed is overridden by Seed.
 	Platform platform.Config `json:"platform"`
 	// Algorithm names the autoscaler, with ablation suffixes and the
@@ -234,4 +234,87 @@ func (s RunSpec) RowLabel() string {
 		return s.Label
 	}
 	return s.Name
+}
+
+// platformConfig returns the platform configuration the spec builds: Platform,
+// or platform.DefaultConfig(Seed) when Platform leaves both Nodes and Tick
+// zero, with Seed and Observe applied.
+func (s RunSpec) platformConfig() platform.Config {
+	cfg := s.Platform
+	if cfg.Nodes == 0 && cfg.Tick == 0 {
+		cfg = platform.DefaultConfig(s.Seed)
+	}
+	if s.Seed != 0 {
+		cfg.Seed = s.Seed
+	}
+	if s.Observe {
+		cfg.Observe = true
+	}
+	return cfg
+}
+
+// Validate checks everything Build would reject before it builds anything:
+// the effective platform configuration (platform.Config.Validate), the
+// algorithm name, the manager configuration, and the services — non-empty
+// unique names, valid specs and load shapes. When the spec declares
+// services, call-graph endpoints and manager targets must name one of them.
+// Duration is not checked: a spec built for stepping by hand may leave it
+// zero, and Run rejects a non-positive one. Errors carry no spec-name
+// prefix; Build adds it.
+func (s RunSpec) Validate() error {
+	_, _, err := s.resolve()
+	return err
+}
+
+// resolve validates the spec and returns its effective platform
+// configuration and algorithm instance (nil for no autoscaling).
+func (s RunSpec) resolve() (platform.Config, core.Algorithm, error) {
+	cfg := s.platformConfig()
+	if err := cfg.Validate(); err != nil {
+		return cfg, nil, err
+	}
+	if s.Manager != nil {
+		if err := s.Manager.Validate(); err != nil {
+			return cfg, nil, err
+		}
+	}
+	algoCfg := core.DefaultConfig()
+	if s.AlgoConfig != nil {
+		algoCfg = *s.AlgoConfig
+	}
+	algo, err := NewAlgorithmManaged(s.Algorithm, algoCfg, s.Manager)
+	if err != nil {
+		return cfg, nil, err
+	}
+	if len(s.Services) == 0 {
+		return cfg, algo, nil
+	}
+	declared := make(map[string]bool, len(s.Services))
+	for _, svc := range s.Services {
+		name := svc.Spec.Name
+		if name == "" {
+			return cfg, nil, fmt.Errorf("runner: service with empty name")
+		}
+		if declared[name] {
+			return cfg, nil, fmt.Errorf("runner: duplicate service %q", name)
+		}
+		declared[name] = true
+		if err := svc.Spec.Validate(); err != nil {
+			return cfg, nil, fmt.Errorf("runner: service %q: %w", name, err)
+		}
+		if _, err := svc.Load.Pattern(); err != nil {
+			return cfg, nil, fmt.Errorf("runner: service %q: %w", name, err)
+		}
+	}
+	if err := cfg.CallGraph.Validate(declared); err != nil {
+		return cfg, nil, err
+	}
+	if s.Manager != nil {
+		for _, t := range s.Manager.Services {
+			if !declared[t.Service] {
+				return cfg, nil, fmt.Errorf("runner: manager targets unknown service %q", t.Service)
+			}
+		}
+	}
+	return cfg, algo, nil
 }

@@ -75,10 +75,7 @@ func TestBuildWiresFaultsAndHardening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := sc.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := build(t, sc)
 	inj := w.FaultInjector()
 	if inj == nil || !inj.Enabled() {
 		t.Fatal("built world has no fault injector")
@@ -94,10 +91,7 @@ func TestBuildWiresFaultsAndHardening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := sc2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2 := build(t, sc2)
 	if w2.Control().Arbiters()[0].Hardening.Enabled {
 		t.Error("hardening: false not honoured")
 	}

@@ -25,12 +25,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
-	"hyscale/internal/core"
 	"hyscale/internal/faults"
-	"hyscale/internal/loadgen"
 	"hyscale/internal/monitor"
 	"hyscale/internal/platform"
 	"hyscale/internal/resilience"
@@ -88,32 +85,22 @@ type Load struct {
 	Hold Duration `json:"hold,omitempty"`
 }
 
-// Pattern materialises the load description.
-func (l Load) Pattern() (loadgen.Pattern, error) {
-	switch l.Type {
-	case "", "none":
-		return nil, nil
-	case "constant":
-		return loadgen.Constant{RPS: l.Base}, nil
-	case "wave":
-		return loadgen.Wave{Base: l.Base, Amplitude: l.Amplitude,
-			Period: time.Duration(l.Period), PhaseShift: time.Duration(l.Phase)}, nil
-	case "burst":
-		return loadgen.Burst{Base: l.Base, Peak: l.Peak,
-			Period: time.Duration(l.Period), BurstLen: time.Duration(l.BurstLen),
-			PhaseShift: time.Duration(l.Phase)}, nil
-	case "ramp":
-		return loadgen.Ramp{Start: l.Base, End: l.Peak, Duration: time.Duration(l.RampUp)}, nil
-	case "diurnal":
-		return loadgen.Diurnal{Base: l.Base, DayAmplitude: l.Amplitude,
-			Day: time.Duration(l.Period)}, nil
-	case "flashcrowd":
-		return loadgen.FlashCrowd{Base: l.Base, Peak: l.Peak,
-			Start: time.Duration(l.Start), RampUp: time.Duration(l.RampUp),
-			Hold: time.Duration(l.Hold), Decay: time.Duration(l.RampUp)}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown load type %q", l.Type)
+// Spec lowers the load description to its runner form: "none" is no
+// generator, and a flash crowd decays as fast as it rose.
+func (l Load) Spec() runner.LoadSpec {
+	spec := runner.LoadSpec{
+		Type: l.Type, Base: l.Base, Peak: l.Peak, Amplitude: l.Amplitude,
+		Period: time.Duration(l.Period), BurstLen: time.Duration(l.BurstLen),
+		Phase: time.Duration(l.Phase), RampUp: time.Duration(l.RampUp),
+		Start: time.Duration(l.Start), Hold: time.Duration(l.Hold),
 	}
+	switch l.Type {
+	case "none":
+		spec.Type = ""
+	case "flashcrowd":
+		spec.Decay = spec.RampUp
+	}
+	return spec
 }
 
 // Service describes one microservice. Zero-valued resource fields fall back
@@ -174,7 +161,8 @@ func expandServices(services []Service) []Service {
 	return out
 }
 
-// Spec materialises the service description with defaults filled in.
+// Spec materialises the service description with defaults filled in. It
+// rejects only an unknown kind; runner.RunSpec.Validate checks the rest.
 func (s Service) Spec() (workload.ServiceSpec, error) {
 	var kind workload.Kind
 	switch s.Kind {
@@ -255,7 +243,7 @@ func (s Service) Spec() (workload.ServiceSpec, error) {
 	if spec.Timeout == 0 {
 		spec.Timeout = 30 * time.Second
 	}
-	return spec, spec.Validate()
+	return spec, nil
 }
 
 // NodeFailure schedules a machine failure.
@@ -537,7 +525,8 @@ func (m *Manager) Config() *scalermgr.Config {
 // zone boundaries when a zone runs out of capacity. Omitted (or count 1)
 // keeps the classic single-monitor control plane.
 type Zones struct {
-	// Count is the number of zones (≥ 1; clamped to the node count).
+	// Count is the number of zones (0 or 1 keeps the single monitor; more
+	// than the node count is rejected).
 	Count int `json:"count"`
 	// LeaseHeadroomCPU is the per-node free-CPU threshold below which a zone
 	// is considered starved and proactively leases an idle machine
@@ -624,7 +613,10 @@ func Parse(r io.Reader) (*Scenario, error) {
 	return &sc, nil
 }
 
-// Validate checks the scenario for structural problems.
+// Validate checks the rules that exist only in the JSON form — a positive
+// duration, at least one service, non-negative counts — then compiles the
+// scenario and validates the result with runner.RunSpec.Validate, which holds
+// every other rule.
 func (sc *Scenario) Validate() error {
 	if sc.Duration <= 0 {
 		return fmt.Errorf("scenario: duration must be positive")
@@ -632,100 +624,24 @@ func (sc *Scenario) Validate() error {
 	if len(sc.Services) == 0 {
 		return fmt.Errorf("scenario: at least one service required")
 	}
-	nodes := sc.Nodes
-	if nodes == 0 {
-		nodes = platform.DefaultConfig(0).Nodes
-	}
-	zones := 1
-	if sc.Zones != nil {
-		if sc.Zones.Count < 1 {
-			return fmt.Errorf("scenario: zones.count must be >= 1, got %d", sc.Zones.Count)
-		}
-		if sc.Zones.Count > nodes {
-			return fmt.Errorf("scenario: zones.count (%d) exceeds nodes (%d) — a zone with no nodes can never host a service", sc.Zones.Count, nodes)
-		}
-		if sc.Zones.LeaseHeadroomCPU < 0 {
-			return fmt.Errorf("scenario: zones.leaseHeadroomCPU must be >= 0")
-		}
-		zones = sc.Zones.Count
-	}
-	if sc.DR != nil && sc.DR.Evacuate {
-		if zones < 2 {
-			return fmt.Errorf("scenario: dr.evacuate requires a zoned control plane (zones.count >= 2)")
-		}
-		if sc.SelfHealing == nil || !sc.SelfHealing.Enabled {
-			return fmt.Errorf("scenario: dr.evacuate requires selfHealing (the zone failure detectors are its trigger)")
-		}
-	}
-	if sc.DR != nil {
-		if sc.DR.SpilloverZones < 0 {
-			return fmt.Errorf("scenario: dr.spilloverZones must be >= 0")
-		}
-		if sc.DR.ReadoptAfter < 0 {
-			return fmt.Errorf("scenario: dr.readoptAfter must be >= 0")
-		}
-	}
-	if sc.Faults != nil {
-		for i, w := range sc.Faults.Windows {
-			if w.Kind != string(faults.KindZoneOutage) && w.Kind != string(faults.KindZonePartition) {
-				continue
-			}
-			if zones < 2 {
-				return fmt.Errorf("scenario: faults.windows[%d]: %s needs a zoned control plane (zones.count >= 2)", i, w.Kind)
-			}
-			zi, err := strconv.Atoi(w.Target)
-			if err != nil || zi < 0 || zi >= zones {
-				return fmt.Errorf("scenario: faults.windows[%d]: %s targets zone %q, want an index in [0,%d)", i, w.Kind, w.Target, zones)
-			}
-		}
-	}
 	for _, s := range sc.Services {
 		if s.Count < 0 {
 			return fmt.Errorf("scenario: service %q: count must be >= 0", s.Name)
 		}
 	}
-	seen := make(map[string]bool)
-	for _, s := range sc.ExpandedServices() {
-		if s.Name == "" {
-			return fmt.Errorf("scenario: service with empty name")
-		}
-		if seen[s.Name] {
-			return fmt.Errorf("scenario: duplicate service %q", s.Name)
-		}
-		seen[s.Name] = true
-		if _, err := s.Spec(); err != nil {
-			return err
-		}
-		if _, err := s.Load.Pattern(); err != nil {
-			return fmt.Errorf("scenario: service %q: %w", s.Name, err)
-		}
-	}
-	if err := sc.Faults.Config(sc.Seed).Validate(); err != nil {
+	spec, err := sc.Compile()
+	if err != nil {
 		return err
 	}
-	if sc.CallGraph != nil {
-		if err := sc.CallGraph.Validate(seen); err != nil {
-			return err
-		}
-	}
-	if err := sc.Resilience.Config().Validate(); err != nil {
-		return err
-	}
-	if sc.Manager != nil {
-		if err := sc.Manager.Config().Validate(); err != nil {
-			return err
-		}
-		for _, ms := range sc.Manager.Services {
-			if !seen[ms.Service] {
-				return fmt.Errorf("scenario: manager targets unknown service %q", ms.Service)
-			}
-		}
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	return nil
 }
 
 // Compile lowers the scenario onto the repository's common execution layer:
-// one self-contained runner.RunSpec that Build, Run and the CLI all share.
+// one self-contained runner.RunSpec that the CLI, Run and runner.Build share.
+// It does not validate; Validate (run by Parse) and runner.Build do.
 func (sc *Scenario) Compile() (runner.RunSpec, error) {
 	cfg := platform.DefaultConfig(sc.Seed)
 	if sc.Nodes > 0 {
@@ -742,12 +658,12 @@ func (sc *Scenario) Compile() (runner.RunSpec, error) {
 	}
 	if sc.Zones != nil {
 		cfg.Zones = sc.Zones.Count
-		cfg.ZoneLeaseHeadroomCPU = sc.Zones.LeaseHeadroomCPU
+		cfg.LeaseHeadroomCPU = sc.Zones.LeaseHeadroomCPU
 	}
 	if sc.DR != nil {
-		cfg.EvacuateZones = sc.DR.Evacuate
-		cfg.ZoneSpilloverZones = sc.DR.SpilloverZones
-		cfg.ZoneReadoptAfter = time.Duration(sc.DR.ReadoptAfter)
+		cfg.Evacuate = sc.DR.Evacuate
+		cfg.SpilloverZones = sc.DR.SpilloverZones
+		cfg.ReadoptAfter = time.Duration(sc.DR.ReadoptAfter)
 	}
 	cfg.Faults = sc.Faults.Config(sc.Seed)
 	if sc.Faults != nil && sc.Faults.Hardening != nil {
@@ -772,16 +688,12 @@ func (sc *Scenario) Compile() (runner.RunSpec, error) {
 		if err != nil {
 			return runner.RunSpec{}, err
 		}
-		pattern, err := s.Load.Pattern()
-		if err != nil {
-			return runner.RunSpec{}, fmt.Errorf("scenario: service %q: %w", s.Name, err)
-		}
 		target := s.TargetUtil
 		if target == 0 {
 			target = 0.5
 		}
 		spec.Services = append(spec.Services, runner.ServiceRun{
-			Spec: svc, Target: target, Load: runner.FromPattern(pattern),
+			Spec: svc, Target: target, Load: s.Load.Spec(),
 		})
 	}
 	for _, f := range sc.Failures {
@@ -798,42 +710,15 @@ func (sc *Scenario) ExpandedServices() []Service {
 	return expandServices(sc.Services)
 }
 
-// Build materialises the scenario into a runnable World.
-func (sc *Scenario) Build() (*platform.World, error) {
-	spec, err := sc.Compile()
-	if err != nil {
-		return nil, err
-	}
-	w, _, err := runner.Build(spec)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	return w, nil
-}
-
-// buildAlgorithm delegates to the runner's algorithm naming (ablation
-// suffixes and the -predictive wrapper included), erroring on names that do
-// not resolve to a concrete algorithm.
-func buildAlgorithm(name string) (core.Algorithm, error) {
-	algo, err := runner.NewAlgorithm(name, core.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	if algo == nil {
-		return nil, fmt.Errorf("scenario: algorithm %q resolves to no autoscaler", name)
-	}
-	return algo, nil
-}
-
 // Run builds and runs the scenario, returning the world for inspection.
 func (sc *Scenario) Run() (*platform.World, error) {
 	spec, err := sc.Compile()
 	if err != nil {
 		return nil, err
 	}
-	res, err := runner.Run(spec)
+	res, err := runner.Run(spec) // errors carry the spec name, "scenario"
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
+		return nil, err
 	}
 	return res.World, nil
 }

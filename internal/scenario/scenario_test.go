@@ -1,9 +1,14 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"hyscale/internal/loadgen"
+	"hyscale/internal/platform"
+	"hyscale/internal/runner"
 )
 
 const minimal = `{
@@ -86,30 +91,62 @@ func TestDuplicateServiceNames(t *testing.T) {
 	}
 }
 
+// TestLoadPatternTypes pins the lowering of every JSON load type to the
+// runner.LoadSpec of the pattern it always meant, and checks a rate of each.
 func TestLoadPatternTypes(t *testing.T) {
 	tests := []struct {
 		load Load
+		want loadgen.Pattern
 		at   time.Duration
-		want float64
+		rate float64
 	}{
-		{Load{Type: "constant", Base: 7}, time.Hour, 7},
-		{Load{Type: "ramp", Base: 0, Peak: 10, RampUp: Duration(10 * time.Second)}, Duration(5 * time.Second).toTime(), 5},
-		{Load{Type: "burst", Base: 1, Peak: 9, Period: Duration(time.Minute), BurstLen: Duration(10 * time.Second)}, 5 * time.Second, 9},
-		{Load{Type: "diurnal", Base: 10, Amplitude: 0.5, Period: Duration(time.Hour)}, 0, 10},
-		{Load{Type: "flashcrowd", Base: 2, Peak: 20, Start: Duration(time.Minute), RampUp: Duration(time.Second), Hold: Duration(time.Minute)}, 90 * time.Second, 20},
+		{Load{Type: "none"}, nil, 0, 0},
+		{Load{Type: "constant", Base: 7}, loadgen.Constant{RPS: 7}, time.Hour, 7},
+		{Load{Type: "wave", Base: 10, Amplitude: 0.5, Period: Duration(time.Minute), Phase: Duration(time.Second)},
+			loadgen.Wave{Base: 10, Amplitude: 0.5, Period: time.Minute, PhaseShift: time.Second}, 0, 0},
+		{Load{Type: "ramp", Base: 0, Peak: 10, RampUp: Duration(10 * time.Second)},
+			loadgen.Ramp{Start: 0, End: 10, Duration: 10 * time.Second}, 5 * time.Second, 5},
+		{Load{Type: "burst", Base: 1, Peak: 9, Period: Duration(time.Minute), BurstLen: Duration(10 * time.Second)},
+			loadgen.Burst{Base: 1, Peak: 9, Period: time.Minute, BurstLen: 10 * time.Second}, 5 * time.Second, 9},
+		{Load{Type: "diurnal", Base: 10, Amplitude: 0.5, Period: Duration(time.Hour)},
+			loadgen.Diurnal{Base: 10, DayAmplitude: 0.5, Day: time.Hour}, 0, 10},
+		{Load{Type: "flashcrowd", Base: 2, Peak: 20, Start: Duration(time.Minute), RampUp: Duration(time.Second), Hold: Duration(time.Minute)},
+			loadgen.FlashCrowd{Base: 2, Peak: 20, Start: time.Minute, RampUp: time.Second, Hold: time.Minute, Decay: time.Second},
+			90 * time.Second, 20},
 	}
 	for _, tt := range tests {
-		p, err := tt.load.Pattern()
+		got := tt.load.Spec()
+		if want := runner.FromPattern(tt.want); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s lowers to %+v, want %+v", tt.load.Type, got, want)
+		}
+		p, err := got.Pattern()
 		if err != nil {
 			t.Fatalf("%s: %v", tt.load.Type, err)
 		}
-		if got := p.Rate(tt.at); got != tt.want {
-			t.Errorf("%s.Rate(%v) = %v, want %v", tt.load.Type, tt.at, got, tt.want)
+		if p == nil {
+			continue
+		}
+		if tt.rate != 0 {
+			if r := p.Rate(tt.at); r != tt.rate {
+				t.Errorf("%s.Rate(%v) = %v, want %v", tt.load.Type, tt.at, r, tt.rate)
+			}
 		}
 	}
 }
 
-func (d Duration) toTime() time.Duration { return time.Duration(d) }
+// build compiles a scenario and builds its world through runner.Build.
+func build(t *testing.T, sc *Scenario) *platform.World {
+	t.Helper()
+	spec, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := runner.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
 
 func TestBuildAndRunEndToEnd(t *testing.T) {
 	sc, err := Parse(strings.NewReader(minimal))
@@ -145,30 +182,51 @@ func TestBuildWithFailures(t *testing.T) {
 }
 
 func TestBuildAlgorithms(t *testing.T) {
+	sc, err := Parse(strings.NewReader(minimal))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{
 		"kubernetes", "network", "hybrid", "hybridmem",
 		"hybrid-noreclaim", "hybridmem-vertical-only", "hybrid-horizontal-only",
 	} {
-		a, err := buildAlgorithm(name)
-		if err != nil {
+		sc.Algorithm = name
+		if err := sc.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if a.Name() != name {
-			t.Errorf("Name = %q, want %q", a.Name(), name)
+		if got := build(t, sc).Control().Algorithm().Name(); got != name {
+			t.Errorf("Name = %q, want %q", got, name)
 		}
 	}
-	if _, err := buildAlgorithm("nope"); err == nil {
-		t.Error("unknown algorithm accepted")
+	// Parse rejects a name that resolves to no algorithm.
+	js := strings.Replace(minimal, `"hybridmem"`, `"nope"`, 1)
+	if _, err := Parse(strings.NewReader(js)); err == nil || !strings.Contains(err.Error(), `unknown algorithm "nope"`) {
+		t.Errorf("unknown algorithm: err = %v", err)
 	}
-	// "none" handled at Build level: the scenario runs with a no-op scaler.
-	js := strings.Replace(minimal, `"hybridmem"`, `"none"`, 1)
-	sc, err := Parse(strings.NewReader(js))
+	// "none" runs with a no-op scaler.
+	js = strings.Replace(minimal, `"hybridmem"`, `"none"`, 1)
+	sc, err = Parse(strings.NewReader(js))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.Build(); err != nil {
-		t.Errorf("algorithm none: %v", err)
+	build(t, sc)
+}
+
+// TestRunErrorPrefixedOnce: runner errors already carry the spec name,
+// "scenario", so Run must pass them on without adding its own.
+func TestRunErrorPrefixedOnce(t *testing.T) {
+	sc, err := Parse(strings.NewReader(minimal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Algorithm = "bogus" // after Parse, so only Run sees it
+	_, err = sc.Run()
+	if err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	if got := strings.Count(err.Error(), "scenario:"); got != 1 {
+		t.Errorf("error %q carries the scenario prefix %d times, want once", err, got)
 	}
 }
 

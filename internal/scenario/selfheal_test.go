@@ -146,11 +146,11 @@ func TestShippedScenarioFilesParse(t *testing.T) {
 			if err != nil {
 				t.Errorf("%s: compile: %v", path, err)
 			} else {
-				if !spec.Platform.EvacuateZones {
-					t.Errorf("%s: compiled spec lost EvacuateZones", path)
+				if !spec.Platform.Evacuate {
+					t.Errorf("%s: compiled spec lost Evacuate", path)
 				}
-				if spec.Platform.ZoneSpilloverZones != 2 {
-					t.Errorf("%s: compiled ZoneSpilloverZones = %d, want 2", path, spec.Platform.ZoneSpilloverZones)
+				if spec.Platform.SpilloverZones != 2 {
+					t.Errorf("%s: compiled SpilloverZones = %d, want 2", path, spec.Platform.SpilloverZones)
 				}
 			}
 		}
