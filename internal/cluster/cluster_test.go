@@ -37,6 +37,13 @@ func running(id string, spec workload.ServiceSpec, alloc resources.Vector) *cont
 	return c
 }
 
+// tickNode runs one physics tick on a node outside any cluster.
+func tickNode(n *Node, now, dt time.Duration) TickResult {
+	var res TickResult
+	n.advance(&res, now, dt, &scratch{})
+	return res
+}
+
 func TestNewNodeValidation(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -138,7 +145,7 @@ func TestProportionalSharing(t *testing.T) {
 	_ = n.AddContainer(a)
 	_ = n.AddContainer(b)
 
-	n.Advance(0, time.Second)
+	tickNode(n, 0, time.Second)
 	ua, ub := a.LastUsage().CPU, b.LastUsage().CPU
 	if math.Abs(ua-4.0/3) > 1e-6 || math.Abs(ub-8.0/3) > 1e-6 {
 		t.Errorf("shares = %.3f/%.3f, want 1.333/2.667", ua, ub)
@@ -159,7 +166,7 @@ func TestWorkConservingSharing(t *testing.T) {
 	_ = n.AddContainer(a)
 	_ = n.AddContainer(b)
 
-	n.Advance(0, time.Second)
+	tickNode(n, 0, time.Second)
 	if got := a.LastUsage().CPU; math.Abs(got-0.5) > 1e-6 {
 		t.Errorf("a usage = %v, want its demand 0.5", got)
 	}
@@ -182,7 +189,7 @@ func TestContentionDerate(t *testing.T) {
 	_ = n.AddContainer(a)
 	_ = n.AddContainer(b)
 
-	n.Advance(0, time.Second)
+	tickNode(n, 0, time.Second)
 	total := a.LastUsage().CPU + b.LastUsage().CPU
 	want := 4.0 / 1.17
 	if math.Abs(total-want) > 1e-6 {
@@ -205,7 +212,7 @@ func TestSwapThrottlesProgress(t *testing.T) {
 	_ = n.AddContainer(c)
 	c.Enqueue(workload.NewRequest(1, s, 0))
 
-	n.Advance(0, time.Second)
+	tickNode(n, 0, time.Second)
 	// Demand 1 core; depth = 150/140; throttled to 1/(8*150/140) ≈ 0.117.
 	want := 1.0 / (8 * (150.0 / 140.0))
 	if got := c.LastUsage().CPU; math.Abs(got-want) > 1e-6 {
@@ -219,12 +226,12 @@ func TestStartingContainersDoNotProcess(t *testing.T) {
 	_ = n.AddContainer(c)
 	c.Enqueue(workload.NewRequest(1, testSpec(), 0))
 
-	res := n.Advance(0, time.Second)
+	res := tickNode(n, 0, time.Second)
 	if len(res.Completed) != 0 {
 		t.Fatal("starting container completed work")
 	}
 	// At t=5s MaybeStart fires inside Advance and it begins processing.
-	res = n.Advance(5*time.Second, time.Second)
+	res = tickNode(n, 5*time.Second, time.Second)
 	if c.State != container.StateRunning {
 		t.Fatal("container did not start")
 	}
@@ -246,9 +253,9 @@ func TestNetworkAllocationOnNode(t *testing.T) {
 	c.Enqueue(workload.NewRequest(1, s, 0))
 
 	// First tick finishes the CPU phase.
-	n.Advance(0, 100*time.Millisecond)
+	tickNode(n, 0, 100*time.Millisecond)
 	// Second tick transmits at the tc cap (40 Mbps).
-	n.Advance(100*time.Millisecond, time.Second)
+	tickNode(n, 100*time.Millisecond, time.Second)
 	if got := c.LastUsage().NetMbps; math.Abs(got-40) > 1e-6 {
 		t.Errorf("net usage = %v, want tc cap 40", got)
 	}

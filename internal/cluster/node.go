@@ -65,17 +65,44 @@ type Node struct {
 	// Monitor skip rebuilding per-node snapshot state when nothing moved.
 	version uint64
 
-	// slots issues Container.Slot: the owning cluster's pool, or a private
-	// one for a node built outside any cluster.
-	slots *slotPool
+	// pool issues Container.Slot and carries the occupancy generation: the
+	// creating cluster's pool, or a private one for a node built outside
+	// any cluster.
+	pool *pool
 
-	// Per-tick scratch buffers reused across Advance calls so steady-state
-	// physics ticks allocate nothing.
-	flowsBuf []netem.Flow
-	ratesBuf []float64
-	claimBuf []cpuClaimant
+	// memo remembers the last fully computed idle tick (see advance).
+	memo idleMemo
+}
+
+// scratch holds one tick's working buffers. Nodes tick one at a time, so a
+// cluster shares one scratch across all of them: it stays cache-hot, and
+// steady-state physics ticks allocate nothing. tallies holds each
+// container's Tally for the tick, indexed like the node's containers.
+type scratch struct {
+	tallies  []container.Tally
+	flows    []netem.Flow
+	rates    []float64
+	claims   []cpuClaimant
 	netAlloc netem.Allocator
-	tickBuf  TickResult
+}
+
+// idleMemo is the input set and output of the node's last fully computed
+// idle tick: one that began with every container Running and nothing in
+// flight. While a tick begins in that state with the same inputs, the
+// physics is a pure function of them, so the usage samples repeat bit for
+// bit and advance replays them instead of recomputing.
+type idleMemo struct {
+	valid   bool
+	version uint64
+	dt      time.Duration
+	entries []memoEntry // indexed like the node's containers
+}
+
+// memoEntry is one container's allocation and usage sample in the memoised
+// tick.
+type memoEntry struct {
+	alloc resources.Vector
+	usage container.Usage
 }
 
 // NewNode builds a node from cfg.
@@ -90,16 +117,24 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	case cfg.CPUContention < 0:
 		return nil, fmt.Errorf("cluster: node %q has negative CPUContention", cfg.ID)
 	}
-	return &Node{cfg: cfg, byID: make(map[string]*container.Container), slots: &slotPool{}}, nil
+	return &Node{cfg: cfg, byID: make(map[string]*container.Container), pool: newPool()}, nil
 }
 
-// slotPool hands out dense container slots, reusing released ones first.
-type slotPool struct {
+// pool is the state a cluster shares with every node it creates and with
+// every view that adopts those nodes. It hands out dense container slots,
+// reusing released ones first, and versions occupancy: gen moves whenever
+// one of its nodes goes empty↔occupied or any sharing cluster's membership
+// changes, so each cluster can cache its occupied-node list against it.
+type pool struct {
 	next int
 	free []int
+	gen  uint64
 }
 
-func (p *slotPool) take() int {
+// newPool starts gen at 1, above the zero gen of a never-built cache.
+func newPool() *pool { return &pool{gen: 1} }
+
+func (p *pool) take() int {
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -109,7 +144,7 @@ func (p *slotPool) take() int {
 	return p.next - 1
 }
 
-func (p *slotPool) release(s int) { p.free = append(p.free, s) }
+func (p *pool) release(s int) { p.free = append(p.free, s) }
 
 // ID returns the node identifier.
 func (n *Node) ID() string { return n.cfg.ID }
@@ -126,7 +161,10 @@ func (n *Node) AddContainer(c *container.Container) error {
 		return fmt.Errorf("cluster: node %s already hosts container %s", n.cfg.ID, c.ID)
 	}
 	c.NodeID = n.cfg.ID
-	c.Slot = n.slots.take()
+	c.Slot = n.pool.take()
+	if len(n.containers) == 0 {
+		n.pool.gen++
+	}
 	n.containers = append(n.containers, c)
 	n.byID[c.ID] = c
 	n.version++
@@ -153,7 +191,10 @@ func (n *Node) RemoveContainer(id string) []*workload.Request {
 		}
 	}
 	n.version++
-	n.slots.release(c.Slot)
+	n.pool.release(c.Slot)
+	if len(n.containers) == 0 {
+		n.pool.gen++
+	}
 	return c.Remove()
 }
 
@@ -195,9 +236,11 @@ func (n *Node) HostsService(service string) bool {
 // during one physics tick.
 type TickResult = container.AdvanceResult
 
-// Advance runs dt of physics on this node:
+// advance runs dt of physics on this node, appending the tick's
+// completions and timeouts to res, with its working buffers in s:
 //
-//  1. Starting containers that reached their ready time become Running.
+//  1. Starting containers that reached their ready time become Running, and
+//     one pass over each container's in-flight requests takes its Tally.
 //  2. CPU: weighted max-min fair processor sharing across CPU-active
 //     containers (weight = CPU request, i.e. Docker cpu-shares), with the
 //     node's deliverable CPU derated by co-location contention and each
@@ -206,30 +249,41 @@ type TickResult = container.AdvanceResult
 //     contention (see netem).
 //  4. Each container advances its in-flight requests.
 //
-// The returned TickResult's slices are scratch reused by the next Advance on
-// this node; consume them before ticking again.
-func (n *Node) Advance(now time.Duration, dt time.Duration) TickResult {
-	n.tickBuf.Completed = n.tickBuf.Completed[:0]
-	n.tickBuf.TimedOut = n.tickBuf.TimedOut[:0]
-	res := TickResult{Completed: n.tickBuf.Completed, TimedOut: n.tickBuf.TimedOut}
+// A tick that begins idle (every container Running, nothing in flight)
+// right after an idle tick with the same dt, Version and allocations skips
+// steps 2-4 and replays the previous usage samples, which the full
+// computation would reproduce bit for bit.
+func (n *Node) advance(res *TickResult, now time.Duration, dt time.Duration, s *scratch) {
 	if dt <= 0 || len(n.containers) == 0 {
-		return res
+		return
 	}
+	s.tallies = s.tallies[:0]
+	idle := true
 	for _, c := range n.containers {
 		c.MaybeStart(now)
+		if c.State != container.StateRunning || c.Inflight() > 0 {
+			idle = false
+		}
+		s.tallies = append(s.tallies, c.Tally())
+	}
+	if idle && n.memoHit(dt) {
+		for i, c := range n.containers {
+			c.SetLastUsage(n.memo.entries[i].usage)
+		}
+		return
 	}
 
-	cpuRates := n.allocateCPU()
+	cpuRates := n.allocateCPU(s)
 
-	n.flowsBuf = n.flowsBuf[:0]
-	for _, c := range n.containers {
+	s.flows = s.flows[:0]
+	for i, c := range n.containers {
 		f := netem.Flow{}
 		if c.State == container.StateRunning {
-			f = netem.Flow{CapMbps: c.Alloc.NetMbps, Count: c.NetFlowCount()}
+			f = netem.Flow{CapMbps: c.Alloc.NetMbps, Count: c.NetFlowCount(s.tallies[i])}
 		}
-		n.flowsBuf = append(n.flowsBuf, f)
+		s.flows = append(s.flows, f)
 	}
-	netShares := n.netAlloc.Allocate(n.cfg.Net, n.flowsBuf)
+	netShares := s.netAlloc.Allocate(n.cfg.Net, s.flows)
 
 	for i, c := range n.containers {
 		if c.State != container.StateRunning {
@@ -237,10 +291,40 @@ func (n *Node) Advance(now time.Duration, dt time.Duration) TickResult {
 			c.SetLastUsage(container.Usage{MemMB: 0})
 			continue
 		}
-		c.AdvanceInto(&res, now, dt, cpuRates[i], netShares[i].RateMbps)
+		c.AdvanceInto(res, s.tallies[i], now, dt, cpuRates[i], netShares[i].RateMbps)
 	}
-	n.tickBuf = res
-	return res
+	n.memo.valid = idle
+	if idle {
+		n.remember(dt)
+	}
+}
+
+// memoHit reports whether the last fully computed tick was idle with the
+// same inputs as this one: the same dt, container set (Version) and
+// allocations. Stress demands and service specs are fixed before a
+// container is placed, and the node config never changes.
+func (n *Node) memoHit(dt time.Duration) bool {
+	m := &n.memo
+	if !m.valid || m.version != n.version || m.dt != dt {
+		return false
+	}
+	for i, c := range n.containers {
+		if c.Alloc != m.entries[i].alloc {
+			return false
+		}
+	}
+	return true
+}
+
+// remember records the inputs and usage samples of an idle tick just
+// computed in full.
+func (n *Node) remember(dt time.Duration) {
+	m := &n.memo
+	m.version, m.dt = n.version, dt
+	m.entries = m.entries[:0]
+	for _, c := range n.containers {
+		m.entries = append(m.entries, memoEntry{alloc: c.Alloc, usage: c.LastUsage()})
+	}
 }
 
 // cpuClaimant is one running container's demand in the weighted
@@ -254,21 +338,22 @@ type cpuClaimant struct {
 }
 
 // allocateCPU computes the CPU rate delivered to each container this tick.
-// The returned slice is indexed like n.containers and reused across ticks.
-func (n *Node) allocateCPU() []float64 {
-	if cap(n.ratesBuf) < len(n.containers) {
-		n.ratesBuf = make([]float64, len(n.containers))
+// The returned slice is indexed like n.containers and lives in s.
+func (n *Node) allocateCPU(s *scratch) []float64 {
+	if cap(s.rates) < len(n.containers) {
+		s.rates = make([]float64, len(n.containers))
 	}
-	rates := n.ratesBuf[:len(n.containers)]
+	rates := s.rates[:len(n.containers)]
 	clear(rates)
 
-	claimants := n.claimBuf[:0]
+	claimants := s.claims[:0]
 	active := 0
 	for i, c := range n.containers {
 		if c.State != container.StateRunning {
 			continue
 		}
-		d := c.CPUDemand()
+		t := s.tallies[i]
+		d := c.CPUDemand(t)
 		if d <= 0 {
 			continue
 		}
@@ -276,8 +361,8 @@ func (n *Node) allocateCPU() []float64 {
 		// and only occupies the CPU — at a fraction of its demand. The
 		// slowdown deepens with how far past the limit the working set is
 		// (more of it lives on disk).
-		if c.Swapping() {
-			d /= n.cfg.SwapPenalty * c.SwapDepth()
+		if c.Swapping(t) {
+			d /= n.cfg.SwapPenalty * c.SwapDepth(t)
 		}
 		w := c.Alloc.CPU
 		if w <= 0 {
@@ -288,7 +373,7 @@ func (n *Node) allocateCPU() []float64 {
 		claimants = append(claimants, cpuClaimant{idx: i, weight: w, demand: d})
 		active++
 	}
-	n.claimBuf = claimants
+	s.claims = claimants
 	if active == 0 {
 		return rates
 	}

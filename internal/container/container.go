@@ -188,32 +188,69 @@ func (c *Container) InflightRequests() []*workload.Request { return c.inflight }
 // finished successfully.
 func (c *Container) Completed() uint64 { return c.completed }
 
-// MemUsageMB returns current resident memory: the application baseline plus
-// the transient footprint of every in-flight request. Usage beyond the
-// memory limit is what forces the (simulated) kernel to swap.
-func (c *Container) MemUsageMB() float64 {
-	m := c.Spec.BaselineMemMB
-	for _, r := range c.inflight {
-		m += r.MemFootprintMB
-	}
-	return m
+// Tally is one container's physics inputs at one instant, gathered by a
+// single pass over its in-flight requests. Every physics quantity derived
+// from the in-flight set (CPU demand, flow count, swap state, overload) is
+// defined on top of it, and nowhere else.
+type Tally struct {
+	// CPUReqs and NetReqs count the in-flight requests in the CPU and
+	// network phases.
+	CPUReqs, NetReqs int
+	// MemMB is resident memory: the application baseline plus the
+	// transient footprint of every in-flight request, summed in that order
+	// (baseline first, then the queue front to back). Usage beyond the
+	// memory limit is what forces the (simulated) kernel to swap.
+	MemMB float64
 }
+
+// Tally scans the in-flight requests once.
+func (c *Container) Tally() Tally {
+	t := Tally{MemMB: c.Spec.BaselineMemMB}
+	for _, r := range c.inflight {
+		switch r.Phase {
+		case workload.PhaseCPU:
+			t.CPUReqs++
+		case workload.PhaseNet:
+			t.NetReqs++
+		}
+		t.MemMB += r.MemFootprintMB
+	}
+	return t
+}
+
+// CPUDemand returns the CPU the container could consume at the instant of
+// t: the application's constant background burn plus one core per
+// in-flight request in the CPU phase (requests are single-threaded). Stress
+// containers demand their configured amount permanently.
+func (c *Container) CPUDemand(t Tally) float64 {
+	d := float64(t.CPUReqs) + c.Spec.BackgroundCPU
+	if c.StressCPUDemand > d {
+		d = c.StressCPUDemand
+	}
+	return d
+}
+
+// NetFlowCount returns the number of concurrent transmitting micro-flows:
+// the in-flight requests in the network phase, plus the persistent flows of
+// a network stress hog. The node's tx-queue contention grows with this
+// count.
+func (c *Container) NetFlowCount(t Tally) int { return c.StressNetFlows + t.NetReqs }
 
 // Swapping reports whether resident memory exceeds the memory limit, i.e.
 // the container is paying the swap penalty of §III-B.
-func (c *Container) Swapping() bool {
-	return c.Alloc.MemMB > 0 && c.MemUsageMB() > c.Alloc.MemMB
+func (c *Container) Swapping(t Tally) bool {
+	return c.Alloc.MemMB > 0 && t.MemMB > c.Alloc.MemMB
 }
 
 // SwapDepth returns resident memory as a multiple of the memory limit (1.0
 // at the limit, 2.0 at twice the limit). The swap slowdown deepens with this
 // ratio: the further past the limit, the larger the fraction of the working
 // set living on disk. Returns 0 when no limit is set.
-func (c *Container) SwapDepth() float64 {
+func (c *Container) SwapDepth(t Tally) float64 {
 	if c.Alloc.MemMB <= 0 {
 		return 0
 	}
-	return c.MemUsageMB() / c.Alloc.MemMB
+	return t.MemMB / c.Alloc.MemMB
 }
 
 // Overloaded reports whether the container is so far past its memory limit
@@ -221,45 +258,7 @@ func (c *Container) SwapDepth() float64 {
 // behind the paper's "connection failures"). The threshold is three times
 // the limit — by then nearly the whole working set is swapped.
 func (c *Container) Overloaded() bool {
-	return c.Alloc.MemMB > 0 && c.MemUsageMB() > 3*c.Alloc.MemMB
-}
-
-// CPUDemand returns the CPU the container could consume this instant: the
-// application's constant background burn plus one core per in-flight
-// request in the CPU phase (requests are single-threaded). Stress containers
-// demand their configured amount permanently.
-func (c *Container) CPUDemand() float64 {
-	n := 0
-	for _, r := range c.inflight {
-		if r.Phase == workload.PhaseCPU {
-			n++
-		}
-	}
-	d := float64(n) + c.Spec.BackgroundCPU
-	if c.StressCPUDemand > d {
-		d = c.StressCPUDemand
-	}
-	return d
-}
-
-// NetActive reports whether any in-flight request is in the network phase
-// (or the container is a network stress hog).
-func (c *Container) NetActive() bool {
-	return c.NetFlowCount() > 0
-}
-
-// NetFlowCount returns the number of concurrent transmitting micro-flows:
-// the in-flight requests in the network phase, plus the persistent flows of
-// a network stress hog. The node's tx-queue contention grows with this
-// count.
-func (c *Container) NetFlowCount() int {
-	n := c.StressNetFlows
-	for _, r := range c.inflight {
-		if r.Phase == workload.PhaseNet {
-			n++
-		}
-	}
-	return n
+	return c.Alloc.MemMB > 0 && c.Tally().MemMB > 3*c.Alloc.MemMB
 }
 
 // SetLastUsage records the usage measured over the latest physics tick.
@@ -297,28 +296,19 @@ type CompletedRequest struct {
 // a fair tc qdisc behave.
 func (c *Container) Advance(now time.Duration, dt time.Duration, cpuRate, netRate float64) AdvanceResult {
 	var res AdvanceResult
-	c.AdvanceInto(&res, now, dt, cpuRate, netRate)
+	c.AdvanceInto(&res, c.Tally(), now, dt, cpuRate, netRate)
 	return res
 }
 
 // AdvanceInto is Advance appending the completions and timeouts to res, so
-// a node merging its containers' results fills one reused buffer.
-func (c *Container) AdvanceInto(res *AdvanceResult, now time.Duration, dt time.Duration, cpuRate, netRate float64) {
+// a node merging its containers' results fills one reused buffer. t must be
+// the container's Tally taken since its in-flight set last changed.
+func (c *Container) AdvanceInto(res *AdvanceResult, t Tally, now time.Duration, dt time.Duration, cpuRate, netRate float64) {
 	if dt <= 0 {
 		return
 	}
 	sec := dt.Seconds()
-
-	cpuReqs := 0
-	netReqs := 0
-	for _, r := range c.inflight {
-		switch r.Phase {
-		case workload.PhaseCPU:
-			cpuReqs++
-		case workload.PhaseNet:
-			netReqs++
-		}
-	}
+	cpuReqs, netReqs := t.CPUReqs, t.NetReqs
 
 	cpuConsumed := 0.0
 	netConsumed := 0.0
@@ -345,6 +335,9 @@ func (c *Container) AdvanceInto(res *AdvanceResult, now time.Duration, dt time.D
 		perReqNet = netRate / float64(netReqs)
 	}
 
+	// mem re-tallies resident memory over the kept requests, in Tally's
+	// order, for the end-of-tick usage sample.
+	mem := c.Spec.BaselineMemMB
 	kept := c.inflight[:0]
 	for _, r := range c.inflight {
 		finishedAt := now + dt
@@ -401,6 +394,7 @@ func (c *Container) AdvanceInto(res *AdvanceResult, now time.Duration, dt time.D
 			res.TimedOut = append(res.TimedOut, r)
 		default:
 			kept = append(kept, r)
+			mem += r.MemFootprintMB
 		}
 	}
 	// Zero the tail so dropped requests do not linger.
@@ -426,7 +420,7 @@ func (c *Container) AdvanceInto(res *AdvanceResult, now time.Duration, dt time.D
 
 	c.lastUsage = Usage{
 		CPU:     cpuConsumed / sec,
-		MemMB:   c.MemUsageMB(),
+		MemMB:   mem,
 		NetMbps: netConsumed / sec,
 	}
 }

@@ -133,7 +133,7 @@ func TestAdvanceNetworkPhase(t *testing.T) {
 	if r.Phase != workload.PhaseNet {
 		t.Fatalf("Phase = %v, want PhaseNet", r.Phase)
 	}
-	if !c.NetActive() || c.NetFlowCount() != 1 {
+	if c.NetFlowCount(c.Tally()) != 1 {
 		t.Error("net flow not visible")
 	}
 
@@ -160,18 +160,18 @@ func TestAdvanceTimeout(t *testing.T) {
 
 func TestMemUsageAndSwap(t *testing.T) {
 	c := newRunning(t, spec(), resources.Vector{CPU: 1, MemMB: 180})
-	if got := c.MemUsageMB(); got != 100 {
-		t.Fatalf("baseline MemUsage = %v, want 100", got)
+	if got := c.Tally().MemMB; got != 100 {
+		t.Fatalf("baseline MemMB = %v, want 100", got)
 	}
-	if c.Swapping() {
+	if c.Swapping(c.Tally()) {
 		t.Fatal("swapping below limit")
 	}
 	c.Enqueue(workload.NewRequest(1, spec(), 0)) // +50MB
 	c.Enqueue(workload.NewRequest(2, spec(), 0)) // +50MB -> 200 > 180
-	if !c.Swapping() {
+	if !c.Swapping(c.Tally()) {
 		t.Fatal("not swapping above limit")
 	}
-	if depth := c.SwapDepth(); math.Abs(depth-200.0/180) > 1e-9 {
+	if depth := c.SwapDepth(c.Tally()); math.Abs(depth-200.0/180) > 1e-9 {
 		t.Errorf("SwapDepth = %v, want %v", depth, 200.0/180)
 	}
 	if c.Overloaded() {
@@ -188,7 +188,8 @@ func TestMemUsageAndSwap(t *testing.T) {
 
 func TestSwapDepthWithoutLimit(t *testing.T) {
 	c := newRunning(t, spec(), resources.Vector{CPU: 1})
-	if c.SwapDepth() != 0 || c.Swapping() || c.Overloaded() {
+	c.Enqueue(workload.NewRequest(1, spec(), 0))
+	if c.SwapDepth(c.Tally()) != 0 || c.Swapping(c.Tally()) || c.Overloaded() {
 		t.Error("no-limit container should never swap")
 	}
 }
@@ -209,7 +210,7 @@ func TestRemoveKillsInflight(t *testing.T) {
 func TestStressCPUDemand(t *testing.T) {
 	c := newRunning(t, spec(), resources.Vector{CPU: 2, MemMB: 512})
 	c.StressCPUDemand = 4
-	if got := c.CPUDemand(); got != 4 {
+	if got := c.CPUDemand(c.Tally()); got != 4 {
 		t.Fatalf("CPUDemand = %v, want 4", got)
 	}
 	// Usage reflects the granted rate even with no requests.
@@ -222,7 +223,7 @@ func TestStressCPUDemand(t *testing.T) {
 func TestStressNetFlows(t *testing.T) {
 	c := newRunning(t, spec(), resources.Vector{CPU: 1, MemMB: 512})
 	c.StressNetFlows = 32
-	if got := c.NetFlowCount(); got != 32 {
+	if got := c.NetFlowCount(c.Tally()); got != 32 {
 		t.Fatalf("NetFlowCount = %d, want 32", got)
 	}
 	c.Advance(0, time.Second, 0, 250)
@@ -240,8 +241,8 @@ func TestUsageAccounting(t *testing.T) {
 	if math.Abs(u.CPU-0.5) > 1e-9 {
 		t.Errorf("usage CPU = %v, want 0.5", u.CPU)
 	}
-	if u.MemMB != c.MemUsageMB() {
-		t.Errorf("usage Mem = %v, want %v", u.MemMB, c.MemUsageMB())
+	if u.MemMB != c.Tally().MemMB {
+		t.Errorf("usage Mem = %v, want %v", u.MemMB, c.Tally().MemMB)
 	}
 }
 
@@ -252,14 +253,14 @@ func TestCPUDemandCountsOnlyCPUPhase(t *testing.T) {
 	c := newRunning(t, s, resources.Vector{CPU: 1, MemMB: 512})
 	r := workload.NewRequest(1, s, 0)
 	c.Enqueue(r)
-	if c.CPUDemand() != 1 {
+	if c.CPUDemand(c.Tally()) != 1 {
 		t.Fatal("CPU-phase request should demand CPU")
 	}
 	c.Advance(0, 200*time.Millisecond, 1, 0) // finish CPU phase
 	if r.Phase != workload.PhaseNet {
 		t.Fatalf("Phase = %v, want net", r.Phase)
 	}
-	if c.CPUDemand() != 0 {
+	if c.CPUDemand(c.Tally()) != 0 {
 		t.Error("net-phase request still demands CPU")
 	}
 }

@@ -7,7 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"hyscale/internal/stats"
@@ -98,7 +98,7 @@ func mergeSortedSuffix(all []time.Duration, n int, buf []time.Duration) []time.D
 	if len(tail) == 0 {
 		return buf
 	}
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(tail)
 	if n == 0 || all[n-1] <= tail[0] {
 		// Already in order — the common case when latencies trend upward.
 		return buf
@@ -254,6 +254,7 @@ func (r *Recorder) Summarize() Summary {
 			// deterministic first-seen service order), sort that suffix, and
 			// merge it into the existing sorted run.
 			have := len(r.allSorted)
+			r.allSorted = slices.Grow(r.allSorted, samples-have)
 			for _, name := range r.order {
 				s := r.services[name]
 				if s.allTaken < len(s.latencies) {

@@ -1,11 +1,13 @@
 package monitor
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"hyscale/internal/cluster"
 	"hyscale/internal/faults"
+	"hyscale/internal/nodemanager"
 )
 
 // evacPlane builds a zoned plane with self-healing detectors armed and the
@@ -192,5 +194,67 @@ func TestZoneOutageWithoutEvacuationStaysPut(t *testing.T) {
 	}
 	if z := p.ZoneOfService("a"); z != 0 {
 		t.Errorf("service a re-homed to zone %d with evacuation disabled", z)
+	}
+}
+
+// TestSampleVisitsOccupiedNodes checks the occupancy caches the zone views
+// share with the physical cluster: through an evacuate → spill → readopt
+// round trip, a node failure and its recovery, every view's Occupied must
+// equal a scan of its nodes, and every arbiter must sample exactly the
+// managers of occupied nodes.
+func TestSampleVisitsOccupiedNodes(t *testing.T) {
+	p := evacPlane(t, 12, 3, 2, faults.Window{
+		Kind: faults.KindZoneOutage, Target: "0", From: 4 * time.Second, To: 122 * time.Second,
+	})
+	for _, s := range []struct {
+		name     string
+		replicas int
+	}{{"a", 6}, {"b", 4}, {"c", 4}} {
+		if err := p.AddService(planeSpec(s.name, 2, s.replicas, s.replicas), 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.DeployInitial(s.name, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := p.zones[1].view.Occupied()[0].ID()
+	for now := 5 * time.Second; now <= 200*time.Second; now += 5 * time.Second {
+		switch now {
+		case 30 * time.Second:
+			if _, err := p.global.RemoveNode(victim); err != nil {
+				t.Fatal(err)
+			}
+			p.NoteNodeRemoved(victim)
+		case 60 * time.Second:
+			if err := p.global.AddNode(cluster.DefaultNodeConfig(victim)); err != nil {
+				t.Fatal(err)
+			}
+			p.AttachNode(p.global.Node(victim))
+		}
+		p.Poll(now)
+		p.Sample()
+		for _, z := range p.zones {
+			var nodes []*cluster.Node
+			for _, n := range z.view.Nodes() {
+				if len(n.Containers()) > 0 {
+					nodes = append(nodes, n)
+				}
+			}
+			if !slices.Equal(z.view.Occupied(), nodes) {
+				t.Fatalf("t=%v zone %d: Occupied lists %d nodes, a scan finds %d", now, z.idx, len(z.view.Occupied()), len(nodes))
+			}
+			var nms []*nodemanager.Manager
+			for _, nm := range z.mon.nms {
+				if nm.Occupied() {
+					nms = append(nms, nm)
+				}
+			}
+			if !slices.Equal(z.mon.sampling, nms) {
+				t.Fatalf("t=%v zone %d: sampling %d managers, %d host containers", now, z.idx, len(z.mon.sampling), len(nms))
+			}
+		}
+	}
+	if ev := p.Evac(); ev.ZonesEvacuated == 0 || ev.ZonesReadopted == 0 || ev.SpilloverPlacements == 0 {
+		t.Errorf("outage never ran the evacuate → spill → readopt round trip: %+v", ev)
 	}
 }

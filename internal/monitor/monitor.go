@@ -228,6 +228,12 @@ type Monitor struct {
 	snapNodes    []core.NodeStats
 	snapServices []core.ServiceStats
 	detachBuf    []string
+
+	// sampling lists the managers of occupied nodes, in nms order, as of
+	// cluster generation sampleGen; zero forces a rebuild after the
+	// manager set changed.
+	sampling  []*nodemanager.Manager
+	sampleGen uint64
 }
 
 // New wires a monitor to the cluster, creating one node manager per node,
@@ -280,6 +286,7 @@ func (m *Monitor) DetachNode(nodeID string) {
 			break
 		}
 	}
+	m.sampleGen = 0
 	m.topoGen++ // cached pointers may reference the departed node's containers
 }
 
@@ -292,6 +299,7 @@ func (m *Monitor) AttachNode(n *cluster.Node) {
 	nm := nodemanager.New(n)
 	m.nms = append(m.nms, nm)
 	m.nmByID[n.ID()] = nm
+	m.sampleGen = 0
 	m.topoGen++ // replicas unfindable while detached may resolve again
 }
 
@@ -441,9 +449,19 @@ func (m *Monitor) resolvedFor(st *serviceState) []*container.Container {
 	return st.resolved
 }
 
-// Sample forwards a stats-sampling tick to every node manager.
+// Sample forwards a stats-sampling tick to every node manager of an
+// occupied node; the others have nothing to sample.
 func (m *Monitor) Sample() {
-	for _, nm := range m.nms {
+	if g := m.cluster.Generation(); g != m.sampleGen {
+		m.sampling = m.sampling[:0]
+		for _, nm := range m.nms {
+			if nm.Occupied() {
+				m.sampling = append(m.sampling, nm)
+			}
+		}
+		m.sampleGen = g
+	}
+	for _, nm := range m.sampling {
 		nm.Sample()
 	}
 }

@@ -106,6 +106,11 @@ func (m *Manager) sync() {
 // NodeID returns the managed node's ID.
 func (m *Manager) NodeID() string { return m.node.ID() }
 
+// Occupied reports whether the managed node hosts any container. A manager
+// of an empty node has nothing to Sample; its stale slots, if any, drop out
+// at the next sync.
+func (m *Manager) Occupied() bool { return len(m.node.Containers()) > 0 }
+
 // Sample records each hosted container's latest usage (what one `docker
 // stats` poll would observe). Call once per physics tick.
 func (m *Manager) Sample() {

@@ -169,7 +169,8 @@ type serviceRuntime struct {
 	// ord is the service's index in World.services: Request.ServiceOrd and
 	// the control plane's route-slot index.
 	ord int
-	gen *loadgen.Generator
+	// replicas is the service's ReplicaSeries entry.
+	replicas *metrics.TimeSeries
 }
 
 // ConnFailureBreakdown attributes connection failures recorded at routing
@@ -201,6 +202,10 @@ type World struct {
 
 	services []*serviceRuntime
 	byName   map[string]*serviceRuntime
+	// gens holds the load generators of the services that have one, in
+	// registration order: the tick's arrival loop walks this dense slice
+	// instead of every service's runtime entry.
+	gens []*loadgen.Generator
 	// stats holds each service's recorder cell by ordinal, resolved on its
 	// first recorded outcome so the recorder keeps its first-seen order.
 	stats []*metrics.ServiceStats
@@ -387,17 +392,18 @@ func (w *World) AddService(spec workload.ServiceSpec, targetUtil float64, patter
 	if err := w.ctl.AddService(spec, targetUtil); err != nil {
 		return err
 	}
-	rt := &serviceRuntime{spec: spec, ord: ord}
+	rt := &serviceRuntime{spec: spec, ord: ord, replicas: &metrics.TimeSeries{Name: spec.Name + "-replicas"}}
 	if pattern != nil {
-		rt.gen = loadgen.NewGenerator(spec, pattern, &w.ids)
-		rt.gen.Poisson = w.cfg.PoissonArrivals
-		rt.gen.ServiceOrd = ord
-		rt.gen.Pool = w.reqs
+		gen := loadgen.NewGenerator(spec, pattern, &w.ids)
+		gen.Poisson = w.cfg.PoissonArrivals
+		gen.ServiceOrd = ord
+		gen.Pool = w.reqs
+		w.gens = append(w.gens, gen)
 	}
 	w.services = append(w.services, rt)
 	w.stats = append(w.stats, nil)
 	w.byName[spec.Name] = rt
-	w.ReplicaSeries[spec.Name] = &metrics.TimeSeries{Name: spec.Name + "-replicas"}
+	w.ReplicaSeries[spec.Name] = rt.replicas
 	if err := w.ctl.DeployInitial(spec.Name, w.engine.Now()); err != nil {
 		return err
 	}
@@ -534,11 +540,8 @@ func (w *World) tick(e *sim.Engine) {
 	now := e.Now()
 	dt := w.cfg.Tick
 
-	for _, rt := range w.services {
-		if rt.gen == nil {
-			continue
-		}
-		for _, req := range rt.gen.Arrivals(now, dt, e.Rand()) {
+	for _, gen := range w.gens {
+		for _, req := range gen.Arrivals(now, dt, e.Rand()) {
 			w.route(req)
 		}
 	}
@@ -557,13 +560,7 @@ func (w *World) tick(e *sim.Engine) {
 
 	// Machines hosting at least one container count as powered; idle ones
 	// are assumed reclaimable (§I's power argument).
-	active := 0
-	for _, n := range w.cluster.Nodes() {
-		if len(n.Containers()) > 0 {
-			active++
-		}
-	}
-	w.costs.ObserveMachines(active, dt)
+	w.costs.ObserveMachines(len(w.cluster.Occupied()), dt)
 
 	w.ctl.Sample()
 }
@@ -591,6 +588,8 @@ func (w *World) poll(e *sim.Engine) {
 	var usedCPU, capCPU float64
 	for _, n := range w.cluster.Nodes() {
 		capCPU += n.Capacity().CPU
+	}
+	for _, n := range w.cluster.Occupied() {
 		for _, c := range n.Containers() {
 			usedCPU += c.LastUsage().CPU
 		}
@@ -598,8 +597,14 @@ func (w *World) poll(e *sim.Engine) {
 	if capCPU > 0 {
 		w.UtilSeries.Append(now, usedCPU/capCPU)
 	}
-	for name, ts := range w.ReplicaSeries {
-		ts.Append(now, float64(w.ctl.ReplicaCount(name)))
+	for _, rt := range w.services {
+		live := 0
+		for _, c := range w.ctl.RouteView(rt.ord, &w.replicaBuf) {
+			if c.State != container.StateRemoved {
+				live++
+			}
+		}
+		rt.replicas.Append(now, float64(live))
 	}
 
 	if w.journal != nil {
@@ -667,7 +672,7 @@ func (w *World) RunUntilDrained(horizon, maxExtra time.Duration) error {
 
 func (w *World) inflight() int {
 	n := 0
-	for _, node := range w.cluster.Nodes() {
+	for _, node := range w.cluster.Occupied() {
 		for _, c := range node.Containers() {
 			n += c.Inflight()
 		}

@@ -10,6 +10,7 @@ package platform
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -262,5 +263,48 @@ func TestZonedRunIsDeterministic(t *testing.T) {
 	}
 	if r1 != r2 {
 		t.Fatalf("request totals differ: %d vs %d", r1, r2)
+	}
+}
+
+// TestOccupiedMatchesScan checks the physics path's occupancy cache against
+// a full scan at every tick, through a zone outage with evacuation and
+// re-adoption, a node failure and a node recovery: Cluster.Occupied must
+// equal the nodes of Nodes() hosting a container, in node order.
+func TestOccupiedMatchesScan(t *testing.T) {
+	w := zonedOutageWorld(t, 3, 3)
+	if err := w.ScheduleNodeFailure(40*time.Second, "node-5"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ScheduleNodeRecovery(100*time.Second, cluster.DefaultNodeConfig("node-5")); err != nil {
+		t.Fatal(err)
+	}
+	cl := w.Cluster()
+	changes := 0
+	var last []*cluster.Node
+	for now := w.cfg.Tick; now <= 5*time.Minute; now += w.cfg.Tick {
+		if err := w.Run(now); err != nil {
+			t.Fatal(err)
+		}
+		var want []*cluster.Node
+		for _, n := range cl.Nodes() {
+			if len(n.Containers()) > 0 {
+				want = append(want, n)
+			}
+		}
+		got := cl.Occupied()
+		if !slices.Equal(got, want) {
+			t.Fatalf("t=%v: Occupied lists %d nodes, a scan finds %d", now, len(got), len(want))
+		}
+		if !slices.Equal(got, last) {
+			changes++
+			last = append(last[:0], got...)
+		}
+	}
+	ev := w.ZoneEvac()
+	if ev.ZonesEvacuated == 0 || ev.ZonesReadopted == 0 {
+		t.Errorf("outage never ran the evacuate → readopt round trip: %+v", *ev)
+	}
+	if changes < 3 {
+		t.Errorf("occupancy changed %d times, want the churn to move it", changes)
 	}
 }
