@@ -90,7 +90,8 @@ type PlatformConfig = platform.Config
 
 // SimConfig configures a Simulation: the platform plus the autoscaler. Start
 // from DefaultSimConfig and edit. A PlatformConfig that leaves both Nodes
-// and Tick zero is replaced whole by the paper's defaults, as in a RunSpec.
+// and Tick zero is replaced whole by the paper's defaults, as in a RunSpec,
+// so it may set no field other than Seed and Observe.
 type SimConfig struct {
 	PlatformConfig
 	// Algorithm selects the autoscaler; empty or AlgoNone runs without one.

@@ -1,6 +1,7 @@
 package hyscale
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -130,6 +131,22 @@ func TestSimulationCustomNodeShape(t *testing.T) {
 	cap := sim.World().Cluster().Node("node-0").Capacity()
 	if cap.CPU != 8 || cap.MemMB != 16384 || cap.NetMbps != 2000 {
 		t.Errorf("capacity = %v", cap)
+	}
+}
+
+// TestSimulationRejectsPartialPlatform: a PlatformConfig that leaves Nodes
+// and Tick zero takes the paper's defaults whole, so any other field set on
+// it would be dropped; the facade rejects it instead. Seed and Observe are
+// the two fields the defaulting keeps.
+func TestSimulationRejectsPartialPlatform(t *testing.T) {
+	var cfg SimConfig
+	cfg.Zones = 2
+	_, err := NewSimulation(cfg)
+	if err == nil || !strings.Contains(err.Error(), "may set only seed and observe") {
+		t.Errorf("Zones-only platform: error %v, want a partial-config rejection", err)
+	}
+	if _, err := NewSimulation(SimConfig{PlatformConfig: PlatformConfig{Seed: 3, Observe: true}}); err != nil {
+		t.Errorf("Seed+Observe-only platform rejected: %v", err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"hyscale/internal/platform"
 	"hyscale/internal/resilience"
 	"hyscale/internal/runner"
-	"hyscale/internal/sim"
 	"hyscale/internal/workload"
 )
 
@@ -30,9 +29,9 @@ import (
 //	           queue-occupancy load shedding.
 //
 // The table reports goodput (roots completed / roots offered), tail latency,
-// retry amplification (total call attempts / first attempts) and time-to-
-// recovery: how long after the fault opens the per-second root goodput rate
-// takes to sustainably regain 80% of its pre-fault mean.
+// retry amplification (total call attempts / first attempts) and the health
+// probe's goodput recovery: how long after the fault opens the per-second
+// root goodput rate takes to sustainably regain 80% of its pre-fault mean.
 
 // cascadeDuration is the per-cell horizon: 30 minutes at Scale=1.
 func cascadeDuration(opts Options) time.Duration {
@@ -216,13 +215,12 @@ type CascadeOutcome struct {
 	// Amplification is total call attempts / first attempts (1.0 = no
 	// retries).
 	Amplification float64
-	// RecoverySeconds is the time from fault onset until the per-second
-	// root goodput rate sustainably regains 80% of its pre-fault mean
-	// (5-sample moving average holding to the end of the run). Defended
+	// GoodputRecoverySeconds is the health probe's goodput recovery time
+	// from the fault onset (see goodputRecovery in health.go). Defended
 	// configurations recover while the fault is still active; an
 	// undefended collapse only clears after the fault does.
 	// (-1: never within the horizon; 0: goodput never degraded).
-	RecoverySeconds float64
+	GoodputRecoverySeconds float64
 	// DegradedSeconds counts the seconds the per-second goodput rate spent
 	// below 80% of its pre-fault mean — the total outage, wherever it fell.
 	DegradedSeconds float64
@@ -256,13 +254,6 @@ func (r *CascadeResult) Table() *Table {
 			"amplif.", "recovery", "degraded", "shed", "short-circuits", "deadline-miss"},
 	}
 	for _, o := range r.Outcomes {
-		recovery := "-"
-		switch {
-		case o.RecoverySeconds == 0:
-			recovery = "0s"
-		case o.RecoverySeconds > 0:
-			recovery = fmt.Sprintf("%.0fs", o.RecoverySeconds)
-		}
 		t.AddRow(
 			o.Topology,
 			o.Algorithm,
@@ -270,7 +261,7 @@ func (r *CascadeResult) Table() *Table {
 			fmt.Sprintf("%.2f", o.GoodputPercent),
 			o.Summary.P99Latency.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.2fx", o.Amplification),
-			recovery,
+			fmtRecovery(o.GoodputRecoverySeconds),
 			fmt.Sprintf("%.0fs", o.DegradedSeconds),
 			fmt.Sprintf("%d", o.Resilience.Shed),
 			fmt.Sprintf("%d", o.Resilience.ShortCircuited),
@@ -278,103 +269,6 @@ func (r *CascadeResult) Table() *Table {
 		)
 	}
 	return t
-}
-
-// cascadeProbe samples the per-second root-completion rate and measures time
-// to recovery: how long after the fault opens the rate takes to sustainably
-// regain 80% of its pre-fault mean (a 5-sample moving average holding for at
-// least 60s). A defended system recovers while the fault is still active — the
-// breaker/shedder finds the post-fault operating point in seconds — whereas
-// an undefended collapse only clears after the fault itself does. The fault
-// window is derived from the spec's own fault config, so the hook needs no
-// out-of-band parameters.
-type cascadeProbe struct {
-	faultFrom, faultTo time.Duration
-	lastCompleted      uint64
-	preSum             float64
-	preCount           int
-	window             []float64 // rolling 5 per-second rates since fault onset
-	recoverAt          time.Duration
-	degraded           bool
-	degradedSeconds    int // samples below the 80% bar over the whole run
-}
-
-func (p *cascadeProbe) attach(w *platform.World, spec runner.RunSpec) error {
-	p.faultFrom, p.faultTo = -1, -1
-	for _, win := range spec.Platform.Faults.Windows {
-		if p.faultFrom < 0 || win.From < p.faultFrom {
-			p.faultFrom = win.From
-		}
-		if win.To > p.faultTo {
-			p.faultTo = win.To
-		}
-	}
-	p.recoverAt = -1
-	return w.Engine().SchedulePeriodic(time.Second, time.Second, func(e *sim.Engine) {
-		now := e.Now()
-		completed := w.CascadeStats().RootCompleted
-		rate := float64(completed - p.lastCompleted)
-		p.lastCompleted = completed
-		if p.faultFrom < 0 || now < p.faultFrom {
-			p.preSum += rate
-			p.preCount++
-			return
-		}
-		pre := p.preSum / float64(max(p.preCount, 1))
-		if rate < 0.8*pre {
-			p.degraded = true
-			p.degradedSeconds++
-		}
-		p.window = append(p.window, rate)
-		if len(p.window) > 5 {
-			p.window = p.window[1:]
-		}
-		var sum float64
-		for _, r := range p.window {
-			sum += r
-		}
-		switch {
-		case len(p.window) == 5 && sum/5 >= 0.8*pre:
-			if p.recoverAt < 0 {
-				p.recoverAt = now
-			}
-		default:
-			// A dip within 60s of a candidate recovery voids it; after 60s
-			// the recovery is held — brief purge oscillations at the
-			// capacity edge are not a re-outage.
-			if p.recoverAt >= 0 && now-p.recoverAt < 60*time.Second {
-				p.recoverAt = -1
-			}
-		}
-	})
-}
-
-// HookCascadeProbe is the registered runner hook attaching the cascade
-// recovery probe; its finalizer reports Extra["recoverySeconds"] (-1: never
-// recovered, 0: never degraded).
-const HookCascadeProbe = "cascade-probe"
-
-func init() {
-	runner.RegisterHook(HookCascadeProbe, func(w *platform.World, spec runner.RunSpec) (runner.Finalizer, error) {
-		probe := &cascadeProbe{}
-		if err := probe.attach(w, spec); err != nil {
-			return nil, err
-		}
-		return func(res *runner.Result) {
-			if res.Extra == nil {
-				res.Extra = make(map[string]float64)
-			}
-			recovery := -1.0
-			switch {
-			case !probe.degraded:
-				recovery = 0
-			case probe.recoverAt >= 0:
-				recovery = (probe.recoverAt - probe.faultFrom).Seconds()
-			}
-			res.Extra["recoverySeconds"] = recovery
-			res.Extra["degradedSeconds"] = float64(probe.degradedSeconds)
-		}, nil
-	})
 }
 
 // cascadeCell parameterises one run of the comparison.
@@ -403,7 +297,7 @@ func (c cascadeCell) compile(opts Options) runner.RunSpec {
 		Platform:  cfg,
 		Algorithm: c.algorithm,
 		Duration:  dur,
-		Hooks:     []string{HookCascadeProbe},
+		Hooks:     []string{HookHealth},
 	}
 	roots := make(map[string]bool)
 	for _, r := range c.topology.graph.Roots() {
@@ -450,12 +344,12 @@ func RunCascade(opts Options) (*CascadeResult, error) {
 	for i, cell := range cells {
 		r := results[i]
 		o := CascadeOutcome{
-			Topology:        cell.topology.name,
-			Algorithm:       cell.algorithm,
-			Defense:         cell.defense.name,
-			RecoverySeconds: r.Extra["recoverySeconds"],
-			DegradedSeconds: r.Extra["degradedSeconds"],
-			Summary:         r.Summary,
+			Topology:               cell.topology.name,
+			Algorithm:              cell.algorithm,
+			Defense:                cell.defense.name,
+			Summary:                r.Summary,
+			DegradedSeconds:        r.Extra[extraDegraded],
+			GoodputRecoverySeconds: r.Extra[extraGoodputRecovery],
 		}
 		if r.Cascade != nil {
 			o.Cascade = *r.Cascade

@@ -9,7 +9,6 @@ import (
 	"hyscale/internal/monitor"
 	"hyscale/internal/platform"
 	"hyscale/internal/runner"
-	"hyscale/internal/sim"
 	"hyscale/internal/workload"
 )
 
@@ -45,10 +44,9 @@ type ChaosOutcome struct {
 	Summary   metrics.Summary
 	Actions   monitor.ActionCounts
 	ConnFail  platform.ConnFailureBreakdown
-	// UptimePercent is the fraction of service-seconds with at least one
-	// replica that was both routable and not black-holed — the §VI uptime
-	// metric under chaos.
-	UptimePercent float64
+	// AvailabilityPercent is the §VI uptime metric under chaos: the share
+	// of service-seconds the health probe saw up (see health.go).
+	AvailabilityPercent float64
 }
 
 // ChaosResult is the material behind the resilience comparison.
@@ -85,7 +83,7 @@ func (r *ChaosResult) Table() *Table {
 			o.Algorithm,
 			hardened,
 			fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
-			fmt.Sprintf("%.2f", o.UptimePercent),
+			fmt.Sprintf("%.2f", o.AvailabilityPercent),
 			fmtDur(o.Summary.MeanLatency),
 			fmt.Sprintf("%d", o.Actions.Retries),
 			fmt.Sprintf("%d", o.Actions.AbandonedActions),
@@ -93,58 +91,6 @@ func (r *ChaosResult) Table() *Table {
 		)
 	}
 	return t
-}
-
-// uptimeProbe counts service-seconds of availability.
-type uptimeProbe struct {
-	total uint64
-	up    uint64
-}
-
-// percent returns availability as a percentage (100 when never sampled).
-func (u *uptimeProbe) percent() float64 {
-	if u.total == 0 {
-		return 100
-	}
-	return 100 * float64(u.up) / float64(u.total)
-}
-
-// attach samples every service in the spec once per simulated second: a
-// service is up when at least one replica is routable and not inside an
-// injected backend outage.
-func (u *uptimeProbe) attach(w *platform.World, spec runner.RunSpec) error {
-	inj := w.FaultInjector()
-	return w.Engine().SchedulePeriodic(time.Second, time.Second, func(e *sim.Engine) {
-		now := e.Now()
-		for _, s := range spec.Services {
-			u.total++
-			for _, c := range w.Control().Replicas(s.Spec.Name) {
-				if c.Routable() && !inj.BackendDown(now, c.Service, c.ID) {
-					u.up++
-					break
-				}
-			}
-		}
-	})
-}
-
-// HookChaosUptime is the registered runner hook attaching the uptime probe;
-// its finalizer reports availability as Extra["uptimePercent"].
-const HookChaosUptime = "chaos-uptime"
-
-func init() {
-	runner.RegisterHook(HookChaosUptime, func(w *platform.World, spec runner.RunSpec) (runner.Finalizer, error) {
-		probe := &uptimeProbe{}
-		if err := probe.attach(w, spec); err != nil {
-			return nil, err
-		}
-		return func(res *runner.Result) {
-			if res.Extra == nil {
-				res.Extra = make(map[string]float64)
-			}
-			res.Extra["uptimePercent"] = probe.percent()
-		}, nil
-	})
 }
 
 // chaosCell parameterises one chaos run.
@@ -155,7 +101,7 @@ type chaosCell struct {
 }
 
 // compile turns a cell into a RunSpec: the Fig. 6b workload plus a scaled
-// fault mix, optional hardening kill-switch, and the uptime probe hook.
+// fault mix, optional hardening kill-switch, and the health probe hook.
 func (c chaosCell) compile(services []serviceLoad, base faults.Config, opts Options) runner.RunSpec {
 	cfg := platform.DefaultConfig(opts.Seed)
 	cfg.Faults = base.Scaled(c.rate)
@@ -170,7 +116,7 @@ func (c chaosCell) compile(services []serviceLoad, base faults.Config, opts Opti
 		Platform:  cfg,
 		Algorithm: c.algorithm,
 		Duration:  macroDuration(opts),
-		Hooks:     []string{HookChaosUptime},
+		Hooks:     []string{HookHealth},
 	}
 	for _, s := range services {
 		spec.Services = append(spec.Services, runner.ServiceRun{
@@ -196,13 +142,13 @@ func runChaosCells(name string, services []serviceLoad, cells []chaosCell, opts 
 	for i, cell := range cells {
 		r := results[i]
 		res.Outcomes = append(res.Outcomes, ChaosOutcome{
-			Algorithm:     cell.algorithm,
-			FaultRate:     cell.rate,
-			Hardened:      cell.hardened,
-			Summary:       r.Summary,
-			Actions:       r.Actions,
-			ConnFail:      r.ConnFail,
-			UptimePercent: r.Extra["uptimePercent"],
+			Algorithm:           cell.algorithm,
+			FaultRate:           cell.rate,
+			Hardened:            cell.hardened,
+			Summary:             r.Summary,
+			Actions:             r.Actions,
+			ConnFail:            r.ConnFail,
+			AvailabilityPercent: r.Extra[extraAvailability],
 		})
 	}
 	return res, nil

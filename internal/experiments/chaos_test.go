@@ -48,7 +48,7 @@ func TestChaosHardeningReducesFailures(t *testing.T) {
 
 // TestChaosZeroRateMatchesBaseline: with the fault rate at 0 the chaos
 // harness must reproduce the plain Fig. 6b outcome exactly — the injector,
-// health checks and uptime probe must be invisible.
+// health checks and health probe must be invisible.
 func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 	opts := shapeOpts()
 	res, err := runChaosCells("zero-rate", chaosServices(opts), []chaosCell{
@@ -72,8 +72,8 @@ func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 		t.Errorf("zero-rate actions diverged from baseline:\n got %+v\nwant %+v",
 			got.Actions, want.Actions)
 	}
-	if got.UptimePercent != 100 {
-		t.Errorf("uptime = %.2f at zero rate, want 100", got.UptimePercent)
+	if got.AvailabilityPercent != 100 {
+		t.Errorf("availability = %.2f at zero rate, want 100", got.AvailabilityPercent)
 	}
 }
 

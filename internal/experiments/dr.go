@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"hyscale/internal/container"
 	"hyscale/internal/faults"
 	"hyscale/internal/loadgen"
 	"hyscale/internal/metrics"
 	"hyscale/internal/monitor"
 	"hyscale/internal/platform"
 	"hyscale/internal/runner"
-	"hyscale/internal/sim"
 	"hyscale/internal/workload"
 )
 
@@ -36,10 +34,10 @@ import (
 //	          must land whole in one surviving zone.
 //	spill   — evacuation plus spillover across up to 3 zones.
 //
-// and three algorithms. The table reports availability (service-seconds
-// with a routable replica), time-to-reconverge (first instant every service
-// is back at its pre-failure replica count), cross-zone replica
-// displacement, and the cost delta against the matching no-evac cell.
+// and three algorithms. The table reports availability and
+// time-to-reconverge as the health probe defines them (health.go),
+// cross-zone replica displacement, and the cost delta against the matching
+// no-evac cell.
 
 // drNodes/drZones/drFillers size the cluster so the rolling scenario's
 // acceptance criterion is structural: each zone offers 500 CPU (125
@@ -168,12 +166,11 @@ type DROutcome struct {
 	Scenario  string
 	Variant   string
 	Algorithm string
-	// ReconvergeSeconds is the time from the first zone failure until every
-	// service last returned to its pre-failure provisioned capacity (-1:
-	// never within the horizon — the cell did not survive).
+	// ReconvergeSeconds is the health probe's reconvergence time from the
+	// first zone failure (-1: never within the horizon — the cell did not
+	// survive).
 	ReconvergeSeconds float64
-	// AvailabilityPercent is the fraction of service-seconds with at least
-	// one routable replica.
+	// AvailabilityPercent is the health probe's share of service-seconds up.
 	AvailabilityPercent float64
 	// Displaced / Spillover count replicas carried across a zone boundary
 	// by evacuation, and the subset placed beyond the primary target zone.
@@ -211,15 +208,11 @@ func (r *DRResult) Table() *Table {
 			"failed %", "displaced", "spillover", "cost Δ"},
 	}
 	for _, o := range r.Outcomes {
-		reconverge := "-"
-		if o.ReconvergeSeconds >= 0 {
-			reconverge = fmt.Sprintf("%.0fs", o.ReconvergeSeconds)
-		}
 		t.AddRow(
 			o.Scenario,
 			o.Variant,
 			o.Algorithm,
-			reconverge,
+			fmtRecovery(o.ReconvergeSeconds),
 			fmt.Sprintf("%.2f", o.AvailabilityPercent),
 			fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
 			fmt.Sprintf("%d", o.Displaced),
@@ -228,134 +221,6 @@ func (r *DRResult) Table() *Table {
 		)
 	}
 	return t
-}
-
-// drProbe measures time-to-reconverge and availability for zoned worlds. It
-// mirrors the recovery probe but reads the control plane (the Monitor
-// accessor is nil on zoned worlds, and replica counts must include
-// spillover shards), and derives the failure instant from the spec's first
-// zone fault window rather than a churn schedule.
-type drProbe struct {
-	failAt       time.Duration
-	pre          map[string]float64
-	degraded     bool
-	reconvergeAt time.Duration
-	total, up    uint64
-}
-
-// The reconvergence bars form a Schmitt trigger over each service's
-// provisioned CPU, measured against a low-water pre-failure baseline (the
-// minimum provisioned capacity observed over the later half of the pre-fail
-// window). Capacity, not replica count, because the re-homed zone's
-// algorithm is free to rebuild the same capacity out of fewer, larger
-// replicas. A service arms the probe when it drops below 80% of baseline —
-// only a real zone loss cuts that deep — and counts as restored at 95%; the
-// gap keeps ordinary vertical/horizontal re-shaping jitter from re-arming a
-// cell that has genuinely recovered.
-const (
-	drDegradedFraction = 0.80
-	drRestoredFraction = 0.95
-)
-
-func (p *drProbe) attach(w *platform.World, spec runner.RunSpec) error {
-	p.pre = make(map[string]float64)
-	p.reconvergeAt = -1
-	p.failAt = -1
-	for _, fw := range spec.Platform.Faults.Windows {
-		if fw.Kind != faults.KindZoneOutage && fw.Kind != faults.KindZonePartition {
-			continue
-		}
-		if p.failAt < 0 || fw.From < p.failAt {
-			p.failAt = fw.From
-		}
-	}
-	ctl := w.Control()
-	var buf []*container.Container
-	return w.Engine().SchedulePeriodic(time.Second, time.Second, func(e *sim.Engine) {
-		now := e.Now()
-		before := p.failAt < 0 || now < p.failAt
-		restored := true
-		deep := false
-		for _, s := range spec.Services {
-			name := s.Spec.Name
-			p.total++
-			buf = ctl.AppendReplicas(buf[:0], name)
-			var cpu float64
-			routable := false
-			for _, c := range buf {
-				cpu += c.Alloc.CPU
-				if c.Routable() {
-					routable = true
-				}
-			}
-			if routable {
-				p.up++
-			}
-			switch {
-			case before:
-				// Low-water baseline over the settled half of the pre-fail
-				// window (the earlier half is deployment ramp-up).
-				if now >= p.failAt/2 {
-					if v, ok := p.pre[name]; !ok || cpu < v {
-						p.pre[name] = cpu
-					}
-				}
-			case cpu < drDegradedFraction*p.pre[name]:
-				restored = false
-				deep = true
-				p.degraded = true
-			case cpu < drRestoredFraction*p.pre[name]:
-				restored = false
-			}
-		}
-		if before {
-			return
-		}
-		// The detector takes several poll periods to excise a dead zone's
-		// replicas, so the first post-failure samples still show pre-failure
-		// capacity; reconvergence only counts once degradation has actually
-		// been observed. A later failure wave (the rolling scenario) re-arms
-		// the probe: the reported instant is the LAST return to pre-failure
-		// capacity, so a cell that recovers from wave one but not wave two
-		// reads as never reconverged. Only a deep dip (below the arming
-		// threshold) re-arms; shallow jitter inside the hysteresis band
-		// neither latches nor resets.
-		switch {
-		case restored && p.degraded && p.reconvergeAt < 0:
-			p.reconvergeAt = now
-		case deep:
-			p.reconvergeAt = -1
-		}
-	})
-}
-
-// HookDRProbe is the registered runner hook attaching the zone
-// disaster-recovery probe; its finalizer reports Extra["reconvergeSeconds"]
-// (-1: never) and Extra["availabilityPercent"].
-const HookDRProbe = "dr-probe"
-
-func init() {
-	runner.RegisterHook(HookDRProbe, func(w *platform.World, spec runner.RunSpec) (runner.Finalizer, error) {
-		probe := &drProbe{}
-		if err := probe.attach(w, spec); err != nil {
-			return nil, err
-		}
-		return func(res *runner.Result) {
-			if res.Extra == nil {
-				res.Extra = make(map[string]float64)
-			}
-			reconverge := -1.0
-			if probe.reconvergeAt >= 0 {
-				reconverge = (probe.reconvergeAt - probe.failAt).Seconds()
-			}
-			res.Extra["reconvergeSeconds"] = reconverge
-			avail := 100.0
-			if probe.total > 0 {
-				avail = 100 * float64(probe.up) / float64(probe.total)
-			}
-			res.Extra["availabilityPercent"] = avail
-		}, nil
-	})
 }
 
 // drCell parameterises one DR run.
@@ -384,7 +249,7 @@ func (c drCell) compile(nodes, zones, fillers, mammothReplicas int, opts Options
 		Platform:  cfg,
 		Algorithm: c.algorithm,
 		Duration:  d,
-		Hooks:     []string{HookDRProbe},
+		Hooks:     []string{HookHealth},
 	}
 	for _, s := range drServices(fillers, c.scenario.mammoths, mammothReplicas) {
 		spec.Services = append(spec.Services, runner.ServiceRun{
@@ -421,8 +286,8 @@ func runDRSized(opts Options, nodes, zones, fillers, mammothReplicas int, algori
 			Scenario:            cell.scenario.name,
 			Variant:             cell.variant.name,
 			Algorithm:           cell.algorithm,
-			ReconvergeSeconds:   r.Extra["reconvergeSeconds"],
-			AvailabilityPercent: r.Extra["availabilityPercent"],
+			ReconvergeSeconds:   r.Extra[extraReconverge],
+			AvailabilityPercent: r.Extra[extraAvailability],
 			Summary:             r.Summary,
 			Recovery:            r.Recovery,
 		}

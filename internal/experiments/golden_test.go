@@ -6,6 +6,31 @@ import (
 	"testing"
 )
 
+// checkGolden compares rendered table bytes against testdata/<file>, or
+// rewrites the file when UPDATE_GOLDEN is set.
+func checkGolden(t *testing.T, file string, tab *Table) {
+	t.Helper()
+	got := []byte(tab.String() + tab.CSV())
+	goldenPath := filepath.Join("testdata", file)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if string(want) != string(got) {
+		t.Fatalf("%s diverged from its golden:\n--- want ---\n%s\n--- got ---\n%s", file, want, got)
+	}
+}
+
 // TestFig2TableGolden pins the rendered Fig-2 table bytes against a committed
 // golden generated BEFORE the hot-path overhaul. Fig 2 drives the
 // InjectRequests path — the exact code the event-coalescing change rewrites —
@@ -23,24 +48,57 @@ func TestFig2TableGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := []byte(r.Table().String() + r.Table().CSV())
+	checkGolden(t, "golden_fig2_table.txt", r.Table())
+}
 
-	goldenPath := filepath.Join("testdata", "golden_fig2_table.txt")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
-		return
+// TestExperimentTableGoldens pins the rendered tables of every experiment
+// that reports availability or recovery: chaos, cascade and recovery at
+// Scale 0.05 and the reduced DR grid. They all read the shared health
+// probe, so a change to its definitions shows up here as a table diff.
+//
+// Regenerate deliberately with:
+//
+//	UPDATE_GOLDEN=1 go test ./internal/experiments -run TestExperimentTableGoldens
+func TestExperimentTableGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment grids")
 	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	if string(want) != string(got) {
-		t.Fatalf("fig2 table diverged from pre-change golden:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	opts := Options{Seed: 1, Scale: 0.05}
+	for _, c := range []struct {
+		name string
+		run  func(t *testing.T) (*Table, error)
+	}{
+		{"chaos", func(*testing.T) (*Table, error) {
+			r, err := RunChaos(opts)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"cascade", func(*testing.T) (*Table, error) {
+			r, err := RunCascade(opts)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"dr_smoke", func(t *testing.T) (*Table, error) {
+			return drSmoke(t, 0).Table(), nil
+		}},
+		{"recovery", func(*testing.T) (*Table, error) {
+			r, err := RunRecovery(opts)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tab, err := c.run(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "golden_"+c.name+"_table.txt", tab)
+		})
 	}
 }

@@ -30,9 +30,10 @@ type ManagerOutcome struct {
 	// SLOAttainPercent is 100 − Cost.ViolationPercent(): the share of
 	// completed work that met the cost model's latency SLA.
 	SLOAttainPercent float64
-	// UptimePercent is only meaningful on the chaos workload (the uptime
-	// probe is attached there); zero elsewhere.
-	UptimePercent float64
+	// AvailabilityPercent is the health probe's share of service-seconds
+	// up (see health.go) on the cascade and chaos cells; zero on the macro
+	// grid, which attaches no probe.
+	AvailabilityPercent float64
 }
 
 // ManagerResult is the material behind the manager pricing comparison.
@@ -150,13 +151,13 @@ func RunManager(opts Options) (*ManagerResult, error) {
 	for i, c := range cells {
 		r := results[i]
 		res.Outcomes = append(res.Outcomes, ManagerOutcome{
-			Workload:         c.workload,
-			Algorithm:        c.spec.Algorithm,
-			Summary:          r.Summary,
-			Actions:          r.Actions,
-			Cost:             r.Cost,
-			SLOAttainPercent: 100 - r.Cost.ViolationPercent(),
-			UptimePercent:    r.Extra["uptimePercent"],
+			Workload:            c.workload,
+			Algorithm:           c.spec.Algorithm,
+			Summary:             r.Summary,
+			Actions:             r.Actions,
+			Cost:                r.Cost,
+			SLOAttainPercent:    100 - r.Cost.ViolationPercent(),
+			AvailabilityPercent: r.Extra[extraAvailability],
 		})
 	}
 	return res, nil

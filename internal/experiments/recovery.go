@@ -10,15 +10,16 @@ import (
 	"hyscale/internal/monitor"
 	"hyscale/internal/platform"
 	"hyscale/internal/runner"
-	"hyscale/internal/sim"
 	"hyscale/internal/workload"
 )
 
 // The recovery experiment measures the self-healing control plane end to
 // end: two worker machines die mid-run, and the table reports how long each
-// algorithm takes to restore the pre-crash replica count (time-to-reconverge
-// from the moment of the first node death) and the availability over the
-// run. Four variants per algorithm isolate each layer's contribution:
+// algorithm takes to restore its pre-crash provisioned capacity
+// (time-to-reconverge from the moment of the first node death) and the
+// availability over the run, both as the health probe defines them
+// (health.go). Four variants per algorithm isolate each layer's
+// contribution:
 //
 //	no-heal    — legacy behaviour: the dead nodes' replicas are never
 //	             re-placed; reconvergence relies on the autoscaler alone.
@@ -46,8 +47,8 @@ const (
 )
 
 // recoveryServices builds a CPU-bound constant-load service set whose
-// pre-crash replica counts are stable, so "restored the pre-crash replica
-// count" is a well-defined reconvergence criterion.
+// pre-crash capacity is stable, so the health probe's pre-onset baseline is
+// a well-defined reconvergence target.
 func recoveryServices(n int) []serviceLoad {
 	out := make([]serviceLoad, 0, n)
 	for i := 0; i < n; i++ {
@@ -73,12 +74,11 @@ type RecoveryOutcome struct {
 	Algorithm string
 	// Variant is one of no-heal|heal|crash-ckpt|crash-cold.
 	Variant string
-	// ReconvergeSeconds is the time from the first node death until every
-	// service is back at its pre-crash replica count (-1: never within the
-	// horizon).
+	// ReconvergeSeconds is the health probe's reconvergence time from the
+	// first node death (0: capacity never degraded; -1: never restored
+	// within the horizon).
 	ReconvergeSeconds float64
-	// AvailabilityPercent is the fraction of service-seconds with at least
-	// one routable replica.
+	// AvailabilityPercent is the health probe's share of service-seconds up.
 	AvailabilityPercent float64
 	Summary             metrics.Summary
 	Recovery            monitor.RecoveryCounts
@@ -111,14 +111,10 @@ func (r *RecoveryResult) Table() *Table {
 			"lost", "replaced", "drained", "ckpt restores", "cold restarts"},
 	}
 	for _, o := range r.Outcomes {
-		reconverge := "-"
-		if o.ReconvergeSeconds >= 0 {
-			reconverge = fmt.Sprintf("%.0fs", o.ReconvergeSeconds)
-		}
 		t.AddRow(
 			o.Algorithm,
 			o.Variant,
-			reconverge,
+			fmtRecovery(o.ReconvergeSeconds),
 			fmt.Sprintf("%.2f", o.AvailabilityPercent),
 			fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
 			fmt.Sprintf("%d", o.Recovery.ReplicasLost),
@@ -131,89 +127,6 @@ func (r *RecoveryResult) Table() *Table {
 	return t
 }
 
-// recoveryProbe measures time-to-reconverge and availability. Pre-crash
-// replica counts are tracked while the clock is before the first scheduled
-// node failure; reconvergence is the first sample after it where every
-// service is back at (or above) its pre-crash count.
-type recoveryProbe struct {
-	failAt       time.Duration
-	pre          map[string]int
-	reconvergeAt time.Duration
-	total, up    uint64
-}
-
-// attach samples once per simulated second. The probe derives the failure
-// instant from the spec's own churn schedule, so the hook needs no
-// out-of-band parameters.
-func (p *recoveryProbe) attach(w *platform.World, spec runner.RunSpec) error {
-	p.pre = make(map[string]int)
-	p.reconvergeAt = -1
-	p.failAt = -1
-	for _, f := range spec.NodeFailures {
-		if p.failAt < 0 || f.At < p.failAt {
-			p.failAt = f.At
-		}
-	}
-	return w.Engine().SchedulePeriodic(time.Second, time.Second, func(e *sim.Engine) {
-		now := e.Now()
-		for _, s := range spec.Services {
-			p.total++
-			for _, c := range w.Control().Replicas(s.Spec.Name) {
-				if c.Routable() {
-					p.up++
-					break
-				}
-			}
-		}
-		switch {
-		case p.failAt < 0 || now < p.failAt:
-			for _, s := range spec.Services {
-				p.pre[s.Spec.Name] = w.Control().ReplicaCount(s.Spec.Name)
-			}
-		case p.reconvergeAt < 0:
-			restored := true
-			for _, s := range spec.Services {
-				if w.Control().ReplicaCount(s.Spec.Name) < p.pre[s.Spec.Name] {
-					restored = false
-					break
-				}
-			}
-			if restored {
-				p.reconvergeAt = now
-			}
-		}
-	})
-}
-
-// HookRecoveryProbe is the registered runner hook attaching the recovery
-// probe; its finalizer reports Extra["reconvergeSeconds"] (-1: never) and
-// Extra["availabilityPercent"].
-const HookRecoveryProbe = "recovery-probe"
-
-func init() {
-	runner.RegisterHook(HookRecoveryProbe, func(w *platform.World, spec runner.RunSpec) (runner.Finalizer, error) {
-		probe := &recoveryProbe{}
-		if err := probe.attach(w, spec); err != nil {
-			return nil, err
-		}
-		return func(res *runner.Result) {
-			if res.Extra == nil {
-				res.Extra = make(map[string]float64)
-			}
-			reconverge := -1.0
-			if probe.reconvergeAt >= 0 {
-				reconverge = (probe.reconvergeAt - probe.failAt).Seconds()
-			}
-			res.Extra["reconvergeSeconds"] = reconverge
-			avail := 100.0
-			if probe.total > 0 {
-				avail = 100 * float64(probe.up) / float64(probe.total)
-			}
-			res.Extra["availabilityPercent"] = avail
-		}, nil
-	})
-}
-
 // recoveryCell parameterises one recovery run.
 type recoveryCell struct {
 	algorithm string
@@ -224,7 +137,7 @@ type recoveryCell struct {
 
 // compile turns a cell into a RunSpec: the constant-load service set, two
 // node deaths shortly after failAt, the optional monitor-crash window, and
-// the recovery probe hook.
+// the health probe hook.
 func (c recoveryCell) compile(services []serviceLoad, opts Options) runner.RunSpec {
 	failAt := recoveryFailAt(opts)
 	cfg := platform.DefaultConfig(opts.Seed)
@@ -250,7 +163,7 @@ func (c recoveryCell) compile(services []serviceLoad, opts Options) runner.RunSp
 			{At: failAt, Node: "node-0"},
 			{At: failAt + time.Second, Node: "node-1"},
 		},
-		Hooks: []string{HookRecoveryProbe},
+		Hooks: []string{HookHealth},
 	}
 	for _, s := range services {
 		spec.Services = append(spec.Services, runner.ServiceRun{
@@ -276,8 +189,8 @@ func recoveryVariants() []recoveryCell {
 
 // RunRecovery kills two worker machines mid-run and tabulates, per HyScale
 // algorithm and self-healing variant, the time to restore the pre-crash
-// replica count, availability, and the recovery counters (hyscale-bench
-// -exp recovery).
+// capacity, availability, and the recovery counters (hyscale-bench -exp
+// recovery).
 func RunRecovery(opts Options) (*RecoveryResult, error) {
 	opts = opts.scaled()
 	services := recoveryServices(8)
@@ -303,8 +216,8 @@ func RunRecovery(opts Options) (*RecoveryResult, error) {
 		res.Outcomes = append(res.Outcomes, RecoveryOutcome{
 			Algorithm:           cell.algorithm,
 			Variant:             cell.variant,
-			ReconvergeSeconds:   r.Extra["reconvergeSeconds"],
-			AvailabilityPercent: r.Extra["availabilityPercent"],
+			ReconvergeSeconds:   r.Extra[extraReconverge],
+			AvailabilityPercent: r.Extra[extraAvailability],
 			Summary:             r.Summary,
 			Recovery:            r.Recovery,
 			MonitorCrashes:      r.MonitorCrashes,

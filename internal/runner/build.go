@@ -54,8 +54,8 @@ type Result struct {
 	// the spec enabled Platform.Evacuate on a zoned run).
 	ZoneEvac *monitor.EvacCounts `json:"zoneEvac,omitempty"`
 
-	// Extra holds hook-harvested measurements (e.g. "uptimePercent" from the
-	// chaos probe).
+	// Extra holds hook-harvested measurements (e.g. "availabilityPercent"
+	// from the experiments' health probe).
 	Extra map[string]float64 `json:"extra,omitempty"`
 
 	// Elapsed is the wall-clock time the run took, filled by the Executor.

@@ -9,7 +9,7 @@ import (
 )
 
 // Finalizer runs after a world's clock stops, letting a hook harvest
-// measurements into Result.Extra (e.g. the chaos uptime probe). A nil
+// measurements into Result.Extra (e.g. the experiments' health probe). A nil
 // Finalizer is fine.
 type Finalizer func(res *Result)
 

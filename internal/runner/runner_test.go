@@ -251,6 +251,7 @@ func TestValidate(t *testing.T) {
 		want   string
 	}{
 		{"nodes without tick", func(s *RunSpec) { s.Platform = platform.Config{Nodes: 4} }, "tick must be positive"},
+		{"partial defaulted platform", func(s *RunSpec) { s.Platform = platform.Config{}; s.Platform.Zones = 4 }, "may set only seed and observe"},
 		{"empty service name", func(s *RunSpec) { s.Services[0].Spec.Name = "" }, "service with empty name"},
 		{"duplicate service", func(s *RunSpec) { s.Services = append(s.Services, s.Services[0]) }, `duplicate service "svc"`},
 		{"invalid service spec", func(s *RunSpec) { s.Services[0].Spec.MaxReplicas = 0 }, `service "svc"`},

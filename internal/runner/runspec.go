@@ -13,6 +13,7 @@ package runner
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"hyscale/internal/cluster"
@@ -188,7 +189,8 @@ type RunSpec struct {
 	// without any shared RNG state.
 	Seed int64 `json:"seed,omitempty"`
 	// Platform configures the world; a zero Nodes and Tick means
-	// platform.DefaultConfig(Seed). Platform.Seed is overridden by Seed.
+	// platform.DefaultConfig(Seed), and then no field other than Seed and
+	// Observe may be set. Platform.Seed is overridden by Seed.
 	Platform platform.Config `json:"platform"`
 	// Algorithm names the autoscaler, with ablation suffixes and the
 	// "-predictive" wrapper ("hybridmem-noreclaim", "kubernetes-predictive",
@@ -238,10 +240,16 @@ func (s RunSpec) RowLabel() string {
 
 // platformConfig returns the platform configuration the spec builds: Platform,
 // or platform.DefaultConfig(Seed) when Platform leaves both Nodes and Tick
-// zero, with Seed and Observe applied.
-func (s RunSpec) platformConfig() platform.Config {
+// zero, with Seed and Observe applied. A defaulted Platform that sets any
+// other field is an error: the defaults would silently drop it.
+func (s RunSpec) platformConfig() (platform.Config, error) {
 	cfg := s.Platform
 	if cfg.Nodes == 0 && cfg.Tick == 0 {
+		rest := cfg
+		rest.Seed, rest.Observe = 0, false
+		if !reflect.ValueOf(rest).IsZero() {
+			return cfg, fmt.Errorf("runner: a platform with zero nodes and tick takes the defaults, so it may set only seed and observe")
+		}
 		cfg = platform.DefaultConfig(s.Seed)
 	}
 	if s.Seed != 0 {
@@ -250,7 +258,7 @@ func (s RunSpec) platformConfig() platform.Config {
 	if s.Observe {
 		cfg.Observe = true
 	}
-	return cfg
+	return cfg, nil
 }
 
 // Validate checks everything Build would reject before it builds anything:
@@ -269,7 +277,10 @@ func (s RunSpec) Validate() error {
 // resolve validates the spec and returns its effective platform
 // configuration and algorithm instance (nil for no autoscaling).
 func (s RunSpec) resolve() (platform.Config, core.Algorithm, error) {
-	cfg := s.platformConfig()
+	cfg, err := s.platformConfig()
+	if err != nil {
+		return cfg, nil, err
+	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, nil, err
 	}
