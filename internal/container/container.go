@@ -87,6 +87,13 @@ type Container struct {
 	StressNetFlows int
 
 	inflight []*workload.Request
+	// residentMB caches Tally().MemMB while residentOK holds: Enqueue and
+	// AdvanceInto keep it current with Tally's left-to-right sum, Release
+	// and Remove clear residentOK, and the next Overloaded re-sums with
+	// Tally. Routing reads the verdict per replica per request; the cache
+	// makes that O(1) instead of a scan of the in-flight set.
+	residentMB float64
+	residentOK bool
 
 	// lastUsage is the usage measured over the most recent physics tick; the
 	// node manager samples it to answer the Monitor's stats queries.
@@ -134,6 +141,8 @@ func (c *Container) Update(alloc resources.Vector) error {
 // have checked Routable.
 func (c *Container) Enqueue(r *workload.Request) {
 	c.inflight = append(c.inflight, r)
+	// Appending extends Tally's sum by one term, in Tally's order.
+	c.residentMB += r.MemFootprintMB
 }
 
 // Inflight returns the number of requests currently being processed.
@@ -171,6 +180,7 @@ func (c *Container) Release(r *workload.Request, success bool) bool {
 	for i, held := range c.inflight {
 		if held == r {
 			c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
+			c.residentOK = false
 			if success {
 				c.completed++
 			}
@@ -258,7 +268,13 @@ func (c *Container) SwapDepth(t Tally) float64 {
 // behind the paper's "connection failures"). The threshold is three times
 // the limit — by then nearly the whole working set is swapped.
 func (c *Container) Overloaded() bool {
-	return c.Alloc.MemMB > 0 && c.Tally().MemMB > 3*c.Alloc.MemMB
+	if c.Alloc.MemMB <= 0 {
+		return false
+	}
+	if !c.residentOK {
+		c.residentMB, c.residentOK = c.Tally().MemMB, true
+	}
+	return c.residentMB > 3*c.Alloc.MemMB
 }
 
 // SetLastUsage records the usage measured over the latest physics tick.
@@ -402,6 +418,7 @@ func (c *Container) AdvanceInto(res *AdvanceResult, t Tally, now time.Duration, 
 		c.inflight[i] = nil
 	}
 	c.inflight = kept
+	c.residentMB, c.residentOK = mem, true
 
 	// Stress containers burn whatever they were granted even though they
 	// complete no requests.
@@ -430,6 +447,7 @@ func (c *Container) AdvanceInto(res *AdvanceResult, t Tally, now time.Duration, 
 func (c *Container) Remove() []*workload.Request {
 	killed := c.inflight
 	c.inflight = nil
+	c.residentOK = false
 	c.State = StateRemoved
 	return killed
 }

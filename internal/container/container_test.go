@@ -2,6 +2,7 @@ package container
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -262,5 +263,68 @@ func TestCPUDemandCountsOnlyCPUPhase(t *testing.T) {
 	}
 	if c.CPUDemand(c.Tally()) != 0 {
 		t.Error("net-phase request still demands CPU")
+	}
+}
+
+// TestOverloadedCacheMatchesTally drives a container through random
+// sequences of every in-flight-set change — admissions, releases from the
+// middle of the queue, physics ticks that complete, time out and park
+// PhaseWait parents, vertical updates and removal — and checks after each
+// step that the cached resident memory is bit-identical to a fresh Tally
+// whenever it is held, and that the overload verdict matches Tally's.
+func TestOverloadedCacheMatchesTally(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := spec()
+	s.BaselineMemMB = 300.3
+	for trial := 0; trial < 50; trial++ {
+		c := newRunning(t, s, resources.Vector{CPU: 1, MemMB: 200})
+		now := time.Duration(0)
+		id := uint64(0)
+		for step := 0; step < 300; step++ {
+			var op string
+			switch k := rng.Intn(20); {
+			case k < 9:
+				op = "enqueue"
+				id++
+				r := workload.NewRequest(id, s, now)
+				r.MemFootprintMB = rng.Float64() * 80
+				r.RemainingCPU = rng.Float64() * 0.5
+				r.Deadline = now + time.Duration(rng.Intn(3000))*time.Millisecond
+				if rng.Intn(4) == 0 {
+					r.PendingChildren = 1 // parks in PhaseWait when its own work ends
+				}
+				c.Enqueue(r)
+			case k < 12:
+				op = "release"
+				if held := c.InflightRequests(); len(held) > 0 {
+					c.Release(held[rng.Intn(len(held))], rng.Intn(2) == 0)
+				}
+			case k < 17:
+				op = "advance"
+				dt := 100 * time.Millisecond
+				var res AdvanceResult
+				c.AdvanceInto(&res, c.Tally(), now, dt, rng.Float64()*4, rng.Float64()*100)
+				now += dt
+			case k < 19:
+				op = "update"
+				if err := c.Update(resources.Vector{CPU: 1, MemMB: float64(rng.Intn(400))}); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				op = "remove"
+				c.Remove()
+			}
+			want := c.Tally().MemMB
+			if c.residentOK && c.residentMB != want {
+				t.Fatalf("trial %d step %d (%s): cached resident %v, Tally %v", trial, step, op, c.residentMB, want)
+			}
+			// Skipping some reads lets admissions land on a stale cache too.
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			if got, want := c.Overloaded(), c.Alloc.MemMB > 0 && want > 3*c.Alloc.MemMB; got != want {
+				t.Fatalf("trial %d step %d (%s): Overloaded = %v, Tally says %v", trial, step, op, got, want)
+			}
+		}
 	}
 }

@@ -100,7 +100,13 @@ type Balancer struct {
 	// probe notices.
 	ProbeInterval time.Duration
 
-	rr map[string]int
+	// rr is the round-robin cursor of each service, indexed by
+	// Request.ServiceOrd and grown on demand.
+	rr []int
+	// log2 caches math.Log2 by routable-replica count, grown on demand: the
+	// distribution overhead takes one of a few dozen values, not one
+	// logarithm per request.
+	log2 []float64
 	// probes is the probe cache, indexed by Container.Slot. It grows to the
 	// cluster's peak live-container count, never beyond.
 	probes []probeState
@@ -112,10 +118,7 @@ type Balancer struct {
 
 // New creates a balancer with the given policy.
 func New(policy Policy) *Balancer {
-	return &Balancer{
-		policy: policy,
-		rr:     make(map[string]int),
-	}
+	return &Balancer{policy: policy}
 }
 
 // Policy returns the routing policy.
@@ -145,7 +148,7 @@ func (b *Balancer) RouteAt(now time.Duration, req *workload.Request, replicas []
 	}
 
 	if b.DistributionOverhead > 0 && len(routable) > 1 {
-		req.ExtraLatency += time.Duration(float64(b.DistributionOverhead) * math.Log2(float64(len(routable))))
+		req.ExtraLatency += time.Duration(float64(b.DistributionOverhead) * b.log2Of(len(routable)))
 	}
 
 	switch b.policy {
@@ -167,10 +170,22 @@ func (b *Balancer) RouteAt(now time.Duration, req *workload.Request, replicas []
 		}
 		return best, nil
 	default: // RoundRobin, also the fallback for unknown policies
-		i := b.rr[req.Service] % len(routable)
-		b.rr[req.Service] = (i + 1) % len(routable)
+		ord := int(req.ServiceOrd)
+		if ord >= len(b.rr) {
+			b.rr = append(b.rr, make([]int, ord+1-len(b.rr))...)
+		}
+		i := b.rr[ord] % len(routable)
+		b.rr[ord] = (i + 1) % len(routable)
 		return routable[i], nil
 	}
+}
+
+// log2Of returns math.Log2(n) from the table, extending it to n first.
+func (b *Balancer) log2Of(n int) float64 {
+	for len(b.log2) <= n {
+		b.log2 = append(b.log2, math.Log2(float64(len(b.log2))))
+	}
+	return b.log2[n]
 }
 
 // weightedScore is in-flight load per allocated CPU; replicas with no CPU

@@ -5,6 +5,8 @@ package metrics
 // observability layer calls every monitor period.
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -42,38 +44,76 @@ func TestMergeSortedSuffixProperty(t *testing.T) {
 	}
 }
 
-// TestIncrementalSummariesMatchFullSort records in several interleaved
-// rounds and checks that the incrementally-maintained percentile caches
-// agree with a from-scratch recorder fed the same samples all at once.
+// TestIncrementalSummariesMatchFullSort records into 50 services over
+// interleaved rounds — with heavy ties, zero latencies, single-sample
+// services joining mid-stream and per-service summaries read between
+// recordings, so some runs are sorted early and grow later — and checks
+// every summary against nearest-rank percentiles of a from-scratch sort of
+// the same samples.
 func TestIncrementalSummariesMatchFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inc := NewRecorder()
-	type sample struct {
-		svc string
-		lat time.Duration
+	svcs := make([]string, 50)
+	for i := range svcs {
+		svcs[i] = fmt.Sprintf("svc-%02d", i)
 	}
-	var history []sample
-	svcs := []string{"a", "b", "c"}
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 200; i++ {
-			s := sample{svcs[rng.Intn(len(svcs))], time.Duration(rng.Intn(5000)) * time.Millisecond}
-			history = append(history, s)
-			inc.RecordCompletion(inc.Stats(s.svc), s.lat)
+	history := map[string][]time.Duration{}
+	record := func(svc string, lat time.Duration) {
+		history[svc] = append(history[svc], lat)
+		inc.RecordCompletion(inc.Stats(svc), lat)
+	}
+	for round := 0; round < 12; round++ {
+		// Services 0-4 each record exactly one sample, one per round.
+		if round < 5 {
+			record(svcs[round], time.Duration(rng.Intn(5000))*time.Millisecond)
 		}
-		// Summarize mid-stream so later rounds merge into a warm cache.
-		fresh := NewRecorder()
-		for _, s := range history {
-			fresh.RecordCompletion(fresh.Stats(s.svc), s.lat)
+		for i, n := 0, 200+rng.Intn(400); i < n; i++ {
+			// 200 distinct values across thousands of samples: ties galore.
+			record(svcs[5+rng.Intn(45)], time.Duration(rng.Intn(200))*10*time.Millisecond)
+			if rng.Intn(40) == 0 {
+				// A per-service read mid-stream sorts that run early.
+				svc := svcs[rng.Intn(len(svcs))]
+				if got, want := inc.SummarizeService(svc), refSummary(history[svc]); got != want {
+					t.Fatalf("round %d: mid-stream %s summary %+v != full sort %+v", round, svc, got, want)
+				}
+			}
 		}
-		got, want := inc.Summarize(), fresh.Summarize()
-		if got != want {
+		var all []time.Duration
+		for _, lat := range history {
+			all = append(all, lat...)
+		}
+		if got, want := inc.Summarize(), refSummary(all); got != want {
 			t.Fatalf("round %d: incremental summary %+v != full-sort summary %+v", round, got, want)
 		}
 		for _, svc := range svcs {
-			if g, w := inc.SummarizeService(svc), fresh.SummarizeService(svc); g != w {
-				t.Fatalf("round %d: service %s incremental %+v != full %+v", round, svc, g, w)
+			if got, want := inc.SummarizeService(svc), refSummary(history[svc]); got != want {
+				t.Fatalf("round %d: service %s incremental %+v != full %+v", round, svc, got, want)
 			}
 		}
+	}
+}
+
+// refSummary is the Summary of completed-only samples computed the direct
+// way: sort a copy and index it by nearest rank.
+func refSummary(samples []time.Duration) Summary {
+	if len(samples) == 0 {
+		return Summary{}
+	}
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var total time.Duration
+	for _, d := range sorted {
+		total += d
+	}
+	n := len(sorted)
+	at := func(p float64) time.Duration {
+		return sorted[max(0, min(n-1, int(math.Ceil(p*float64(n)))-1))]
+	}
+	return Summary{
+		Requests: uint64(n), Completed: uint64(n),
+		MeanLatency: total / time.Duration(n),
+		P50Latency:  at(0.50), P95Latency: at(0.95), P99Latency: at(0.99),
+		MaxLatency: sorted[n-1],
 	}
 }
 

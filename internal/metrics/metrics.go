@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"time"
 
 	"hyscale/internal/stats"
@@ -21,22 +22,21 @@ import (
 // experiment tables report) and, in parallel, a constant-memory log-bucket
 // histogram for long-lived deployments to export (see LatencyHistogram and
 // the /v1/latency endpoint in internal/httpapi).
+//
+// Each sample is stored once, in its service's latency run, which summaries
+// keep sorted in place. Cross-service percentiles are selected over the
+// per-service runs by rank, never by merging them into a second copy.
 type Recorder struct {
 	services map[string]*ServiceStats
 	order    []string
 	hist     *stats.Histogram
 
-	// allSorted caches the cross-service sorted latency slice for Summarize;
-	// it is valid while it holds exactly as many samples as have been
-	// recorded (latencies are append-only, so a length match means clean).
-	// Refreshes are incremental: each service tracks how many of its samples
-	// were already merged (allTaken), so a refresh sorts and merges only the
-	// newly-appended suffix instead of re-sorting everything.
-	allSorted []time.Duration
-
 	// svcScratch is Services' reusable result buffer — valid until the next
 	// Services call.
 	svcScratch []*ServiceStats
+
+	// runs is Summarize's scratch list of the non-empty per-service runs.
+	runs [][]time.Duration
 
 	// mergeBuf is the shared scratch for incremental sorted merges.
 	mergeBuf []time.Duration
@@ -63,32 +63,26 @@ type ServiceStats struct {
 	RemovalFailures    uint64
 	ConnectionFailures uint64
 
+	// latencies holds every completion's latency. Its first sortedN samples
+	// are in ascending order; samples recorded since the last summary are
+	// appended after them, unsorted. Nothing reads the samples in recording
+	// order, so the run is sorted in place.
 	latencies []time.Duration
+	sortedN   int
 	totalLat  time.Duration
-
-	// sorted is a reused scratch copy of latencies kept in ascending order;
-	// like Recorder.allSorted it is clean exactly when the lengths match, so
-	// repeated percentile/summary calls between recordings cost nothing.
-	sorted []time.Duration
-
-	// allTaken counts how many of this service's latencies the Recorder has
-	// already merged into its cross-service allSorted cache.
-	allTaken int
-
-	// mergeBuf is the scratch for this service's incremental sorted merges.
-	mergeBuf []time.Duration
 }
 
-// sortedLatencies returns the service's latencies in ascending order. The
-// scratch copy is maintained incrementally: only samples appended since the
-// last call are sorted, then merged into the existing run — O(new·log new +
-// shifted) instead of a full O(n log n) re-sort per refresh.
-func (s *ServiceStats) sortedLatencies() []time.Duration {
-	if have := len(s.sorted); have != len(s.latencies) {
-		s.sorted = append(s.sorted, s.latencies[have:]...)
-		s.mergeBuf = mergeSortedSuffix(s.sorted, have, s.mergeBuf)
+// sortedLatencies returns s's latencies in ascending order. Only the
+// samples recorded since the last call are sorted, then merged into the
+// sorted run in place — O(new·log new + shifted) instead of a full
+// O(n log n) re-sort per refresh, and repeated calls between recordings
+// cost nothing.
+func (r *Recorder) sortedLatencies(s *ServiceStats) []time.Duration {
+	if s.sortedN != len(s.latencies) {
+		r.mergeBuf = mergeSortedSuffix(s.latencies, s.sortedN, r.mergeBuf)
+		s.sortedN = len(s.latencies)
 	}
-	return s.sorted
+	return s.latencies
 }
 
 // mergeSortedSuffix sorts all[n:] and merges it into the already-sorted
@@ -249,29 +243,50 @@ func (r *Recorder) Summarize() Summary {
 	}
 	sum.Requests = sum.Completed + sum.RemovalFailures + sum.ConnectionFailures
 	if samples > 0 {
-		if len(r.allSorted) != samples {
-			// Gather only the samples recorded since the last refresh (in
-			// deterministic first-seen service order), sort that suffix, and
-			// merge it into the existing sorted run.
-			have := len(r.allSorted)
-			r.allSorted = slices.Grow(r.allSorted, samples-have)
-			for _, name := range r.order {
-				s := r.services[name]
-				if s.allTaken < len(s.latencies) {
-					r.allSorted = append(r.allSorted, s.latencies[s.allTaken:]...)
-					s.allTaken = len(s.latencies)
-				}
+		r.runs = r.runs[:0]
+		lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
+		for _, name := range r.order {
+			run := r.sortedLatencies(r.services[name])
+			if len(run) == 0 {
+				continue
 			}
-			r.mergeBuf = mergeSortedSuffix(r.allSorted, have, r.mergeBuf)
+			r.runs = append(r.runs, run)
+			lo = min(lo, run[0])
+			hi = max(hi, run[len(run)-1])
 		}
-		all := r.allSorted
-		sum.MeanLatency = total / time.Duration(len(all))
-		sum.P50Latency = percentile(all, 0.50)
-		sum.P95Latency = percentile(all, 0.95)
-		sum.P99Latency = percentile(all, 0.99)
-		sum.MaxLatency = all[len(all)-1]
+		sum.MeanLatency = total / time.Duration(samples)
+		sum.P50Latency = selectRank(r.runs, nearestRank(0.50, samples), lo, hi)
+		sum.P95Latency = selectRank(r.runs, nearestRank(0.95, samples), lo, hi)
+		sum.P99Latency = selectRank(r.runs, nearestRank(0.99, samples), lo, hi)
+		sum.MaxLatency = hi
 	}
 	return sum
+}
+
+// selectRank returns the sample of 0-based rank k in the union of the
+// ascending runs, every sample of which lies in [lo, hi]. It bisects on the
+// value: the answer is the least v with more than k samples <= v, which is
+// always a sample, so the result equals sorting the union and indexing it.
+func selectRank(runs [][]time.Duration, k int, lo, hi time.Duration) time.Duration {
+	for lo < hi {
+		// The unsigned halving cannot overflow, whatever the signs.
+		mid := lo + time.Duration(uint64(hi-lo)/2)
+		if countAtMost(runs, mid) > k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// countAtMost counts the samples <= v across the ascending runs.
+func countAtMost(runs [][]time.Duration, v time.Duration) int {
+	n := 0
+	for _, run := range runs {
+		n += sort.Search(len(run), func(i int) bool { return run[i] > v })
+	}
+	return n
 }
 
 // SummarizeService aggregates a single service, returning a zero Summary for
@@ -287,7 +302,7 @@ func (r *Recorder) SummarizeService(name string) Summary {
 	sum.ConnectionFailures = s.ConnectionFailures
 	sum.Requests = sum.Completed + sum.RemovalFailures + sum.ConnectionFailures
 	if len(s.latencies) > 0 {
-		lat := s.sortedLatencies()
+		lat := r.sortedLatencies(s)
 		sum.MeanLatency = s.totalLat / time.Duration(len(lat))
 		sum.P50Latency = percentile(lat, 0.50)
 		sum.P95Latency = percentile(lat, 0.95)
@@ -303,14 +318,20 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
+	return sorted[nearestRank(p, len(sorted))]
+}
+
+// nearestRank is the 0-based nearest-rank index of the p-quantile (0..1) of
+// n > 0 sorted samples.
+func nearestRank(p float64, n int) int {
+	rank := int(math.Ceil(p*float64(n))) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
+	if rank >= n {
+		rank = n - 1
 	}
-	return sorted[rank]
+	return rank
 }
 
 // TimeSeries is an append-only series of (time, value) samples used to

@@ -156,8 +156,8 @@ func TestSummaryCacheInvalidatesOnNewSamples(t *testing.T) {
 
 // BenchmarkSummarize measures the repeated-summary path the monitor and HTTP
 // API hit: many samples, periodic Summarize calls with only a few recordings
-// in between. The sorted-scratch cache should make the steady-state calls
-// cheap.
+// in between. The runs stay sorted between calls, so a steady-state call
+// is rank selection alone.
 func BenchmarkSummarize(b *testing.B) {
 	r := NewRecorder()
 	for i := 0; i < 100000; i++ {

@@ -73,13 +73,36 @@ const (
 	outcomeFailed
 )
 
+// callEdge is one call-graph edge compiled for the hot path when the World
+// starts: everything a call needs is resolved once, so issuing, admitting
+// and resolving a call costs no string building, hashing or map lookup.
+type callEdge struct {
+	// ord is the edge's declaration index in the graph: its slot in
+	// graphRun.edges and its breaker ordinal in the resilience manager.
+	ord int
+	// key is the edge identity ("from->to") for reports and breakers.
+	key string
+	// to is the callee's runtime entry.
+	to *serviceRuntime
+	// prob and calls are the edge's effective firing probability and
+	// fan-out.
+	prob  float64
+	calls int
+	// roll is resilience.RollPrefix(seed, "call|"+key): a call-probability
+	// draw finishes the hash with the (parent, slot) suffix only.
+	roll uint64
+	// stats is the edge's traffic; Stats reports the edges with Issued > 0.
+	stats EdgeStats
+}
+
 // reqNode tracks one request (root or downstream call attempt) through the
 // call graph.
 type reqNode struct {
 	req    *workload.Request
 	parent *reqNode
-	edge   workload.CallEdge
-	slot   int
+	// edge is the call edge a downstream attempt travels, nil for roots.
+	edge *callEdge
+	slot int
 	// cont is the replica holding the request, nil before admission and
 	// after the request leaves the container.
 	cont     *container.Container
@@ -87,16 +110,20 @@ type reqNode struct {
 	resolved bool
 }
 
-// graphRun is a World's call-graph state: the live request tree, per-edge
-// counters, and the resilience manager (which may be nil when only a graph,
-// no defenses, is configured).
+// graphRun is a World's call-graph state: the live request tree, the
+// compiled edges with their counters, and the resilience manager (which may
+// be nil when only a graph, no defenses, is configured).
 type graphRun struct {
 	w     *World
 	graph workload.CallGraph
 	res   *resilience.Manager
 
 	nodes map[uint64]*reqNode
-	edges map[string]*EdgeStats
+	// edges holds the compiled edges in declaration order; out lists each
+	// service's outgoing edges, in declaration order, by service ordinal.
+	// Both are built by checkServices.
+	edges []callEdge
+	out   [][]*callEdge
 
 	rootGenerated uint64
 	rootCompleted uint64
@@ -111,37 +138,57 @@ func newGraphRun(w *World, graph workload.CallGraph, m *resilience.Manager) *gra
 		graph: graph,
 		res:   m,
 		nodes: make(map[uint64]*reqNode),
-		edges: make(map[string]*EdgeStats),
 	}
 }
 
-// checkServices verifies every graph endpoint is a registered service; run
-// once when the World starts, after all AddService calls.
+// checkServices verifies every graph endpoint is a registered service and
+// compiles the graph into per-service out-edge slices; run once when the
+// World starts, after all AddService calls.
 func (g *graphRun) checkServices() error {
 	known := make(map[string]bool, len(g.w.byName))
 	for name := range g.w.byName {
 		known[name] = true
 	}
-	return g.graph.Validate(known)
+	if err := g.graph.Validate(known); err != nil {
+		return err
+	}
+	g.edges = make([]callEdge, len(g.graph.Edges))
+	g.out = make([][]*callEdge, len(g.w.services))
+	keys := make([]string, len(g.edges))
+	for i, e := range g.graph.Edges {
+		key := e.Key()
+		g.edges[i] = callEdge{
+			ord:   i,
+			key:   key,
+			to:    g.w.byName[e.To],
+			prob:  e.EffectiveProb(),
+			calls: e.EffectiveCalls(),
+			roll:  resilience.RollPrefix(g.w.cfg.Seed, "call|"+key),
+		}
+		from := g.w.byName[e.From].ord
+		g.out[from] = append(g.out[from], &g.edges[i])
+		keys[i] = key
+	}
+	g.res.SetEdges(keys)
+	return nil
+}
+
+// outEdges returns a service's compiled outgoing edges. Services registered
+// after the World started are in no edge.
+func (g *graphRun) outEdges(ord int32) []*callEdge {
+	if int(ord) >= len(g.out) {
+		return nil
+	}
+	return g.out[ord]
 }
 
 // dropEdge books an admission-refused downstream attempt against its edge,
 // keeping the Issued == Delivered + Dropped invariant when admit refuses a
 // call (routing failure, black-holed backend, shed). Roots have no edge.
 func (g *graphRun) dropEdge(n *reqNode) {
-	if n.parent != nil {
-		g.edgeStats(n.edge.Key()).Dropped++
+	if n.edge != nil {
+		n.edge.stats.Dropped++
 	}
-}
-
-// edgeStats returns the mutable counter cell for an edge key.
-func (g *graphRun) edgeStats(key string) *EdgeStats {
-	es, ok := g.edges[key]
-	if !ok {
-		es = &EdgeStats{}
-		g.edges[key] = es
-	}
-	return es
 }
 
 // Stats snapshots the run's cascade counters.
@@ -152,10 +199,14 @@ func (g *graphRun) Stats() CascadeStats {
 		RootShed:      g.rootShed,
 		RootDeadline:  g.rootDeadline,
 		RootFailed:    g.rootFailed,
-		Edges:         make(map[string]EdgeStats, len(g.edges)),
+		Edges:         make(map[string]EdgeStats),
 	}
-	for k, es := range g.edges {
-		s.Edges[k] = *es
+	// Every call books Issued first, so these are exactly the edges that
+	// carried traffic.
+	for i := range g.edges {
+		if e := &g.edges[i]; e.stats.Issued > 0 {
+			s.Edges[e.key] = e.stats
+		}
 	}
 	return s
 }
@@ -218,8 +269,8 @@ func (g *graphRun) admit(n *reqNode) {
 
 	n.cont = target
 	target.Enqueue(req)
-	if n.parent != nil {
-		g.edgeStats(n.edge.Key()).Delivered++
+	if n.edge != nil {
+		n.edge.stats.Delivered++
 	}
 	g.spawnChildren(n)
 }
@@ -228,13 +279,12 @@ func (g *graphRun) admit(n *reqNode) {
 // outgoing edges. Probabilistic edges draw from a pure (seed, edge, parent)
 // hash, never the engine RNG, so enabling a graph does not perturb arrivals.
 func (g *graphRun) spawnChildren(n *reqNode) {
-	for _, e := range g.graph.Out(n.req.Service) {
-		prob := e.EffectiveProb()
-		for k := 0; k < e.EffectiveCalls(); k++ {
+	for _, e := range g.outEdges(n.req.ServiceOrd) {
+		for k := 0; k < e.calls; k++ {
 			if n.resolved {
 				return // a sibling call already failed the parent fast
 			}
-			if prob < 1 && resilience.Roll(g.w.cfg.Seed, "call|"+e.Key(), n.req.ID<<8|uint64(k&0xff)) >= prob {
+			if e.prob < 1 && resilience.RollFrom(e.roll, n.req.ID<<8|uint64(k&0xff)) >= e.prob {
 				continue
 			}
 			n.pending++
@@ -246,12 +296,11 @@ func (g *graphRun) spawnChildren(n *reqNode) {
 
 // issueCall issues attempt #attempt of one call slot (parent, edge, slot):
 // breaker gate, deadline math, then a fresh child request through admit.
-func (g *graphRun) issueCall(p *reqNode, e workload.CallEdge, slot, attempt int) {
+func (g *graphRun) issueCall(p *reqNode, e *callEdge, slot, attempt int) {
 	now := g.w.engine.Now()
-	key := e.Key()
-	es := g.edgeStats(key)
+	es := &e.stats
 
-	if !g.res.AllowCall(now, key) {
+	if !g.res.AllowCall(now, e.ord) {
 		// Short-circuited by an open breaker: fail fast, never retried, and
 		// the downstream tier sees nothing.
 		es.Issued++
@@ -259,7 +308,7 @@ func (g *graphRun) issueCall(p *reqNode, e workload.CallEdge, slot, attempt int)
 		g.failFast(p, now)
 		return
 	}
-	rt := g.w.byName[e.To]
+	rt := e.to
 	deadline := g.res.ChildDeadline(now, p.req.Deadline, rt.spec.Timeout)
 	if deadline <= now {
 		// The propagated deadline leaves no room: starting the call could
@@ -271,12 +320,10 @@ func (g *graphRun) issueCall(p *reqNode, e workload.CallEdge, slot, attempt int)
 		return
 	}
 	es.Issued++
-	g.res.RecordAttempt(p.req.Service, attempt)
+	g.res.RecordAttempt(int(p.req.ServiceOrd), attempt)
 
 	req := g.w.reqs.New(g.w.ids.Next(), &rt.spec, rt.ord, now)
 	req.Deadline = deadline
-	req.Edge = key
-	req.ParentID = p.req.ID
 	req.Attempt = attempt
 	n := &reqNode{req: req, parent: p, edge: e, slot: slot}
 	g.nodes[req.ID] = n
@@ -327,7 +374,7 @@ func (g *graphRun) finish(n *reqNode, o outcome, at time.Duration, class workloa
 	// blackout of the edge — a defense-induced outage. Breakers react to
 	// genuine failures only: black-holed backends, timeouts, removals.
 	if o != outcomeShed {
-		g.res.RecordCallResult(at, n.edge.Key(), o == outcomeCompleted)
+		g.res.RecordCallResult(at, n.edge.ord, o == outcomeCompleted)
 	}
 	if o == outcomeCompleted {
 		g.childSucceeded(n.parent, at)
@@ -357,13 +404,13 @@ func (g *graphRun) childSucceeded(p *reqNode, at time.Duration) {
 
 // retryOrFail handles a failed call attempt: re-issue after backoff when the
 // retry policy, budget and attempt cap allow, otherwise fail the parent fast.
-func (g *graphRun) retryOrFail(p *reqNode, e workload.CallEdge, slot, attempt int) {
+func (g *graphRun) retryOrFail(p *reqNode, e *callEdge, slot, attempt int) {
 	if p.resolved {
 		return // orphan result; the parent already resolved another way
 	}
 	now := g.w.engine.Now()
 	maxAttempts, backoff := g.res.RetryPolicy()
-	if attempt < maxAttempts && g.res.AllowRetry(p.req.Service) {
+	if attempt < maxAttempts && g.res.AllowRetry(int(p.req.ServiceOrd)) {
 		g.w.engine.ScheduleAfter(backoff, func(*sim.Engine) {
 			if p.resolved {
 				return

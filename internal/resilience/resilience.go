@@ -337,12 +337,21 @@ type budget struct {
 // decisions and deadline math for one run. A nil Manager allows everything
 // and records nothing, so call sites need no guards. Like the rest of the
 // simulator it is single-goroutine.
+//
+// Edges and services are named by dense ordinals: an edge ordinal indexes
+// the keys declared with SetEdges, a service ordinal is the caller's own
+// (the platform's registration order).
 type Manager struct {
 	cfg  Config
 	seed int64
 
-	breakers map[string]*Breaker
-	budgets  map[string]*budget
+	// edgeKeys names each edge ordinal for reports and OnTransition.
+	edgeKeys []string
+	// breakers is indexed by edge ordinal; an edge's breaker is created on
+	// its first call, so reports list exactly the edges that carried one.
+	breakers []*Breaker
+	// budgets is indexed by calling-service ordinal, grown on demand.
+	budgets  []budget
 	counters Counters
 
 	// OnTransition, when set, observes breaker state changes (for the obs
@@ -356,12 +365,17 @@ func NewManager(cfg Config, seed int64) *Manager {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &Manager{
-		cfg:      cfg,
-		seed:     seed,
-		breakers: make(map[string]*Breaker),
-		budgets:  make(map[string]*budget),
+	return &Manager{cfg: cfg, seed: seed}
+}
+
+// SetEdges declares the call-graph edges, keys[i] naming edge ordinal i.
+// Call it once, before the first call through any edge.
+func (m *Manager) SetEdges(keys []string) {
+	if m == nil {
+		return
 	}
+	m.edgeKeys = keys
+	m.breakers = make([]*Breaker, len(keys))
 }
 
 // Config returns the manager's configuration (zero for nil).
@@ -381,9 +395,9 @@ func (m *Manager) Counters() Counters {
 }
 
 // breaker returns the edge's breaker, creating it closed on first use.
-func (m *Manager) breaker(edge string) *Breaker {
-	b, ok := m.breakers[edge]
-	if !ok {
+func (m *Manager) breaker(edge int) *Breaker {
+	b := m.breakers[edge]
+	if b == nil {
 		b = NewBreaker(*m.cfg.Breakers)
 		m.breakers[edge] = b
 	}
@@ -393,7 +407,7 @@ func (m *Manager) breaker(edge string) *Breaker {
 // AllowCall reports whether the breaker on edge admits a call at now. Denied
 // calls count as short-circuited; they are failures to the caller but do not
 // touch the downstream service or the retry ledger's first-attempt count.
-func (m *Manager) AllowCall(now time.Duration, edge string) bool {
+func (m *Manager) AllowCall(now time.Duration, edge int) bool {
 	if m == nil || m.cfg.Breakers == nil {
 		return true
 	}
@@ -405,7 +419,7 @@ func (m *Manager) AllowCall(now time.Duration, edge string) bool {
 }
 
 // RecordCallResult feeds an admitted call's outcome into the edge breaker.
-func (m *Manager) RecordCallResult(now time.Duration, edge string, success bool) {
+func (m *Manager) RecordCallResult(now time.Duration, edge int, success bool) {
 	if m == nil || m.cfg.Breakers == nil {
 		return
 	}
@@ -415,7 +429,7 @@ func (m *Manager) RecordCallResult(now time.Duration, edge string, success bool)
 			m.counters.BreakerOpens++
 		}
 		if m.OnTransition != nil {
-			m.OnTransition(now, edge, from, to)
+			m.OnTransition(now, m.edgeKeys[edge], from, to)
 		}
 	}
 }
@@ -423,12 +437,17 @@ func (m *Manager) RecordCallResult(now time.Duration, edge string, success bool)
 // BreakerStates returns every instantiated breaker's current state, keyed by
 // edge, for the HTTP API and reports. Nil manager returns nil.
 func (m *Manager) BreakerStates(now time.Duration) map[string]BreakerState {
-	if m == nil || len(m.breakers) == 0 {
+	if m == nil {
 		return nil
 	}
-	out := make(map[string]BreakerState, len(m.breakers))
+	out := make(map[string]BreakerState)
 	for edge, b := range m.breakers {
-		out[edge] = b.State(now)
+		if b != nil {
+			out[m.edgeKeys[edge]] = b.State(now)
+		}
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
@@ -440,25 +459,31 @@ func (m *Manager) BreakerEdges() []string {
 		return nil
 	}
 	edges := make([]string, 0, len(m.breakers))
-	for e := range m.breakers {
-		edges = append(edges, e)
+	for edge, b := range m.breakers {
+		if b != nil {
+			edges = append(edges, m.edgeKeys[edge])
+		}
 	}
 	sort.Strings(edges)
 	return edges
 }
 
+// budget returns the calling service's retry ledger.
+func (m *Manager) budget(service int) *budget {
+	if service >= len(m.budgets) {
+		m.budgets = append(m.budgets, make([]budget, service+1-len(m.budgets))...)
+	}
+	return &m.budgets[service]
+}
+
 // RecordAttempt books one admitted downstream call attempt (1-based) into
 // the calling service's retry ledger and the amplification counters.
-func (m *Manager) RecordAttempt(service string, attempt int) {
+func (m *Manager) RecordAttempt(service int, attempt int) {
 	if m == nil {
 		return
 	}
 	m.counters.TotalAttempts++
-	bd := m.budgets[service]
-	if bd == nil {
-		bd = &budget{}
-		m.budgets[service] = bd
-	}
+	bd := m.budget(service)
 	if attempt <= 1 {
 		m.counters.FirstAttempts++
 		bd.firstAttempts++
@@ -480,7 +505,7 @@ func (m *Manager) RetryPolicy() (maxAttempts int, backoff time.Duration) {
 // AllowRetry consults service's retry budget for one more re-issue. The
 // Finagle-style ledger guarantees retries ≤ Budget × first attempts, hence
 // amplification ≤ 1 + Budget. Budget 0 means unlimited. Denials are counted.
-func (m *Manager) AllowRetry(service string) bool {
+func (m *Manager) AllowRetry(service int) bool {
 	if m == nil || m.cfg.Retry == nil {
 		return false
 	}
@@ -488,12 +513,7 @@ func (m *Manager) AllowRetry(service string) bool {
 	if b <= 0 {
 		return true
 	}
-	bd := m.budgets[service]
-	if bd == nil {
-		bd = &budget{}
-		m.budgets[service] = bd
-	}
-	if float64(bd.retries+1) <= b*float64(bd.firstAttempts) {
+	if bd := m.budget(service); float64(bd.retries+1) <= b*float64(bd.firstAttempts) {
 		return true
 	}
 	m.counters.RetriesDenied++
@@ -571,11 +591,24 @@ func (m *Manager) CountDeadlineExceeded() {
 // a shared random stream, so adding a defense never perturbs arrivals and
 // runs stay byte-identical at any parallelism.
 func Roll(seed int64, id string, n uint64) float64 {
+	return RollFrom(RollPrefix(seed, id), n)
+}
+
+// RollPrefix returns Roll's hash state after mixing in seed and id. FNV-1a
+// consumes its input one byte at a time, so RollFrom(RollPrefix(seed, id),
+// n) equals Roll(seed, id, n) exactly: a caller drawing many times under
+// one id hashes it once.
+func RollPrefix(seed int64, id string) uint64 {
 	h := uint64(seed) ^ 0x9e3779b97f4a7c15
-	for _, c := range []byte(id) {
-		h ^= uint64(c)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
 		h *= 1099511628211
 	}
+	return h
+}
+
+// RollFrom finishes a Roll from a RollPrefix state.
+func RollFrom(h uint64, n uint64) float64 {
 	for k := 0; k < 8; k++ {
 		h ^= uint64(byte(n >> (8 * k)))
 		h *= 1099511628211

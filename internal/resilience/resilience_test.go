@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -102,21 +103,23 @@ func TestBreakerLateResultWhileOpen(t *testing.T) {
 // isolation, short-circuit and open counters, and transition callbacks.
 func TestManagerBreakerAccounting(t *testing.T) {
 	m := NewManager(Config{Breakers: &BreakerConfig{FailuresToOpen: 2, OpenFor: 5 * time.Second}}, 1)
+	const ab, ac = 0, 1
+	m.SetEdges([]string{"a->b", "a->c", "a->d"})
 	var transitions []string
 	m.OnTransition = func(now time.Duration, edge string, from, to BreakerState) {
 		transitions = append(transitions, edge+":"+from.String()+"->"+to.String())
 	}
 
 	for i := 0; i < 2; i++ {
-		if !m.AllowCall(0, "a->b") {
+		if !m.AllowCall(0, ab) {
 			t.Fatal("closed breaker denied a call")
 		}
-		m.RecordCallResult(0, "a->b", false)
+		m.RecordCallResult(0, ab, false)
 	}
-	if m.AllowCall(0, "a->b") {
+	if m.AllowCall(0, ab) {
 		t.Fatal("open edge a->b admitted a call")
 	}
-	if !m.AllowCall(0, "a->c") {
+	if !m.AllowCall(0, ac) {
 		t.Fatal("edge a->c was affected by a->b's breaker")
 	}
 
@@ -130,11 +133,12 @@ func TestManagerBreakerAccounting(t *testing.T) {
 	if len(transitions) != 1 || transitions[0] != "a->b:closed->open" {
 		t.Errorf("transitions = %v, want [a->b:closed->open]", transitions)
 	}
+	// a->d never carried a call, so it has no breaker to report.
 	if got := m.BreakerEdges(); len(got) != 2 || got[0] != "a->b" || got[1] != "a->c" {
 		t.Errorf("BreakerEdges = %v, want [a->b a->c]", got)
 	}
 	states := m.BreakerStates(0)
-	if states["a->b"] != StateOpen || states["a->c"] != StateClosed {
+	if len(states) != 2 || states["a->b"] != StateOpen || states["a->c"] != StateClosed {
 		t.Errorf("BreakerStates = %v", states)
 	}
 }
@@ -144,15 +148,17 @@ func TestManagerBreakerAccounting(t *testing.T) {
 func TestRetryBudgetLedger(t *testing.T) {
 	m := NewManager(Config{Retry: &RetryConfig{MaxAttempts: 4, Budget: 0.1}}, 1)
 
+	const svc, other = 0, 1
+
 	// 100 first attempts fund exactly 10 retries.
 	for i := 0; i < 100; i++ {
-		m.RecordAttempt("svc", 1)
+		m.RecordAttempt(svc, 1)
 	}
 	granted := 0
 	for i := 0; i < 50; i++ {
-		if m.AllowRetry("svc") {
+		if m.AllowRetry(svc) {
 			granted++
-			m.RecordAttempt("svc", 2)
+			m.RecordAttempt(svc, 2)
 		}
 	}
 	if granted != 10 {
@@ -168,14 +174,14 @@ func TestRetryBudgetLedger(t *testing.T) {
 
 	// Ledgers are per calling service: a fresh service with no first
 	// attempts gets nothing.
-	if m.AllowRetry("other") {
+	if m.AllowRetry(other) {
 		t.Error("service with zero first attempts was granted a retry")
 	}
 
 	// Budget 0 means unlimited.
 	un := NewManager(Config{Retry: &RetryConfig{MaxAttempts: 4}}, 1)
 	for i := 0; i < 20; i++ {
-		if !un.AllowRetry("svc") {
+		if !un.AllowRetry(svc) {
 			t.Fatal("unbudgeted retry denied")
 		}
 	}
@@ -284,6 +290,46 @@ func TestRollIsUniformAndStable(t *testing.T) {
 	}
 }
 
+// refRoll is Roll as a single pass over seed, id and n: the construction
+// RollPrefix and RollFrom split in two.
+func refRoll(seed int64, id string, n uint64) float64 {
+	h := uint64(seed) ^ 0x9e3779b97f4a7c15
+	for _, c := range []byte(id) {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	for k := 0; k < 8; k++ {
+		h ^= uint64(byte(n >> (8 * k)))
+		h *= 1099511628211
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return float64(h>>11) / (1 << 53)
+}
+
+// TestRollPrefixMatchesRoll: a prefix hashed once and finished per draw
+// gives bit-for-bit the draw of hashing the whole input every time, which
+// is what lets the platform hash each edge's "call|from->to" once.
+func TestRollPrefixMatchesRoll(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ids := []string{"", "a", "call|gateway->orders", "call|catalog->db", "svc-17-c42"}
+	for trial := 0; trial < 2000; trial++ {
+		seed := rng.Int63() - rng.Int63()
+		id := ids[trial%len(ids)]
+		n := rng.Uint64()
+		want := refRoll(seed, id, n)
+		if got := RollFrom(RollPrefix(seed, id), n); got != want {
+			t.Fatalf("RollFrom(RollPrefix(%d, %q), %d) = %v, want %v", seed, id, n, got, want)
+		}
+		if got := Roll(seed, id, n); got != want {
+			t.Fatalf("Roll(%d, %q, %d) = %v, want %v", seed, id, n, got, want)
+		}
+	}
+}
+
 // TestNilManagerAllowsEverything checks the nil-safe surface end to end: the
 // disabled configuration must cost nothing and deny nothing.
 func TestNilManagerAllowsEverything(t *testing.T) {
@@ -291,10 +337,11 @@ func TestNilManagerAllowsEverything(t *testing.T) {
 	if m != nil {
 		t.Fatal("NewManager with zero config should return nil")
 	}
-	if !m.AllowCall(0, "a->b") {
+	m.SetEdges([]string{"a->b"})
+	if !m.AllowCall(0, 0) {
 		t.Error("nil manager denied a call")
 	}
-	if m.AllowRetry("svc") {
+	if m.AllowRetry(0) {
 		t.Error("nil manager granted a retry (retries are off without config)")
 	}
 	if m.ShouldShed(1, "c", 1) {
@@ -303,8 +350,8 @@ func TestNilManagerAllowsEverything(t *testing.T) {
 	if m.DeadlinesOn() {
 		t.Error("nil manager propagates deadlines")
 	}
-	m.RecordAttempt("svc", 1)
-	m.RecordCallResult(0, "a->b", false)
+	m.RecordAttempt(0, 1)
+	m.RecordCallResult(0, 0, false)
 	m.CountShed()
 	m.CountDeadlineExceeded()
 	if c := m.Counters(); c != (Counters{}) {

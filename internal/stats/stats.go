@@ -20,12 +20,15 @@ import (
 type Histogram struct {
 	min    time.Duration
 	growth float64
-	counts []uint64
-	under  uint64 // samples below min
-	over   uint64 // samples beyond the last bucket
-	total  uint64
-	sum    time.Duration
-	max    time.Duration
+	// logGrowth is math.Log(growth), taken once: Observe divides by it on
+	// every sample.
+	logGrowth float64
+	counts    []uint64
+	under     uint64 // samples below min
+	over      uint64 // samples beyond the last bucket
+	total     uint64
+	sum       time.Duration
+	max       time.Duration
 }
 
 // NewHistogram builds a histogram covering [min, max] with the given
@@ -39,8 +42,9 @@ func NewHistogram(min, max time.Duration, growth float64) (*Histogram, error) {
 	case growth <= 1:
 		return nil, fmt.Errorf("stats: growth must be > 1, got %v", growth)
 	}
-	n := int(math.Ceil(math.Log(float64(max)/float64(min))/math.Log(growth))) + 1
-	return &Histogram{min: min, growth: growth, counts: make([]uint64, n)}, nil
+	logGrowth := math.Log(growth)
+	n := int(math.Ceil(math.Log(float64(max)/float64(min))/logGrowth)) + 1
+	return &Histogram{min: min, growth: growth, logGrowth: logGrowth, counts: make([]uint64, n)}, nil
 }
 
 // DefaultLatencyHistogram covers 1 ms .. 10 min at ≤10 % error — right for
@@ -64,7 +68,7 @@ func (h *Histogram) Observe(d time.Duration) {
 		h.under++
 		return
 	}
-	i := int(math.Log(float64(d)/float64(h.min)) / math.Log(h.growth))
+	i := int(math.Log(float64(d)/float64(h.min)) / h.logGrowth)
 	if i >= len(h.counts) {
 		h.over++
 		return

@@ -229,7 +229,7 @@ type Request struct {
 	// ServiceOrd is the dense ordinal the World gave the service at
 	// registration. The route path and the completion accounting index
 	// their per-service slices by it; Service stays for output. (32 bits,
-	// paired with Phase, keep a Request in a 128-byte allocation.)
+	// paired with Phase, keep a Request in a 112-byte allocation.)
 	ServiceOrd int32
 	// RemainingCPU is the cpu-seconds of work left in the CPU stage.
 	RemainingCPU float64
@@ -244,13 +244,9 @@ type Request struct {
 	ExtraLatency time.Duration
 
 	// Call-graph fields, all zero for the paper's independent-service
-	// workloads. Edge is the call-graph edge key ("from->to") for
-	// downstream calls and empty for root requests; ParentID is the caller
-	// request's ID (0 for roots); Attempt is the 1-based attempt ordinal of
-	// this call slot (retries re-issue with Attempt+1).
-	Edge     string
-	ParentID uint64
-	Attempt  int
+	// workloads. Attempt is the 1-based attempt ordinal of this call slot
+	// (retries re-issue with Attempt+1).
+	Attempt int
 	// PendingChildren counts downstream calls this request still waits on;
 	// while positive a request whose own phases finished parks in
 	// PhaseWait instead of completing. Managed by the platform layer.
@@ -296,8 +292,6 @@ func (p *RequestPool) New(id uint64, spec *ServiceSpec, ord int, arrival time.Du
 	r.RemainingNetMb = spec.NetPerRequest
 	r.MemFootprintMB = spec.MemPerRequest
 	r.ExtraLatency = 0
-	r.Edge = ""
-	r.ParentID = 0
 	r.Attempt = 0
 	r.PendingChildren = 0
 	r.OwnDoneAt = 0
