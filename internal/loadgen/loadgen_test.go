@@ -247,18 +247,25 @@ func TestPooledArrivalsReuseRequests(t *testing.T) {
 		if r.ServiceOrd != 3 || r.Service != "svc" || r.Phase != workload.PhaseCPU {
 			t.Fatalf("request not initialised: %+v", r)
 		}
+		r.Node = 9 // a stale call-graph handle must not survive reuse
 		pool.Put(r)
 		if r.Phase != workload.PhaseRecycled || !math.IsNaN(r.RemainingCPU) {
 			t.Fatalf("returned request not poisoned: %+v", r)
 		}
+	}
+	if free, made := pool.Counts(); free != 3 || made != 3 {
+		t.Fatalf("pool counts = %d free, %d made; want 3, 3", free, made)
 	}
 	reused := map[*workload.Request]bool{first[0]: true, first[1]: true, first[2]: true}
 	for _, r := range g.Arrivals(100*time.Millisecond, 100*time.Millisecond, nil) {
 		if !reused[r] {
 			t.Fatal("pooled generator allocated while requests were free")
 		}
-		if r.Phase != workload.PhaseCPU || r.RemainingCPU != spec().TotalCPUWork() || r.ID <= 3 {
+		if r.Phase != workload.PhaseCPU || r.RemainingCPU != spec().TotalCPUWork() || r.ID <= 3 || r.Node != 0 {
 			t.Fatalf("reused request not reinitialised: %+v", r)
 		}
+	}
+	if free, made := pool.Counts(); free != 0 || made != 3 {
+		t.Fatalf("pool counts = %d free, %d made; want 0, 3", free, made)
 	}
 }

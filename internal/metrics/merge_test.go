@@ -1,46 +1,102 @@
 package metrics
 
-// Tests for the incremental sorted-merge machinery that replaced the full
-// per-refresh re-sort, plus allocation regressions for the accessors the
-// observability layer calls every monitor period.
+// Tests for the distinct-value latency store — the shared pending buffer
+// folded into per-service runs of distinct values with cumulative counts —
+// plus allocation regressions for the accessors the observability layer
+// calls every monitor period.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 )
 
-// TestMergeSortedSuffixProperty cross-checks the in-place suffix merge
-// against a plain full sort across random prefix/suffix shapes, including
-// the degenerate cases (empty prefix, empty suffix, suffix entirely before
-// or after the prefix).
-func TestMergeSortedSuffixProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var buf []time.Duration
-	for trial := 0; trial < 500; trial++ {
-		n := rng.Intn(40)
-		m := rng.Intn(40)
-		all := make([]time.Duration, 0, n+m)
-		for i := 0; i < n; i++ {
-			all = append(all, time.Duration(rng.Intn(1000)))
+// rle returns the distinct values of samples in ascending order with their
+// cumulative counts, computed the direct way: sort a copy and count runs.
+func rle(samples []time.Duration) (vals []time.Duration, cum []int) {
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	for i, v := range sorted {
+		if i == 0 || v != sorted[i-1] {
+			vals = append(vals, v)
+			cum = append(cum, 0)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		for i := 0; i < m; i++ {
-			all = append(all, time.Duration(rng.Intn(1000)))
-		}
-		want := append([]time.Duration(nil), all...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		cum[len(cum)-1] = i + 1
+	}
+	return vals, cum
+}
 
-		buf = mergeSortedSuffix(all, n, buf)
-		for i := range want {
-			if all[i] != want[i] {
-				t.Fatalf("trial %d (n=%d m=%d): merged[%d] = %v, want %v\nmerged: %v\nwant:   %v",
-					trial, n, m, i, all[i], want[i], all, want)
+// TestFoldMatchesRunLengthEncodedSort records random samples into a few
+// services — heavy ties, zero latencies and values near the top of the
+// int64 range — folding at random points and reading per-service summaries
+// in between, and checks every service's distinct run and cumulative counts
+// against the run-length encoding of a direct sort of its samples.
+func TestFoldMatchesRunLengthEncodedSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 400; trial++ {
+		r := NewRecorder()
+		svcs := make([]string, 1+rng.Intn(5))
+		for i := range svcs {
+			svcs[i] = fmt.Sprintf("svc-%d", i)
+		}
+		history := make(map[string][]time.Duration)
+		for i, n := 0, rng.Intn(300); i < n; i++ {
+			svc := svcs[rng.Intn(len(svcs))]
+			var lat time.Duration
+			switch rng.Intn(4) {
+			case 0:
+				lat = 0
+			case 1:
+				lat = time.Duration(1 + rng.Intn(4)) // heavy ties
+			case 2:
+				lat = math.MaxInt64 - time.Duration(rng.Intn(3))
+			default:
+				lat = time.Duration(rng.Int63n(1 << 40))
+			}
+			history[svc] = append(history[svc], lat)
+			r.RecordCompletion(r.Stats(svc), lat)
+			switch rng.Intn(40) {
+			case 0:
+				r.fold()
+			case 1:
+				if got, want := r.SummarizeService(svc), refSummary(history[svc]); got != want {
+					t.Fatalf("trial %d: mid-stream %s summary %+v != full sort %+v", trial, svc, got, want)
+				}
 			}
 		}
+		r.fold()
+		for _, svc := range svcs {
+			s := r.Stats(svc)
+			vals, cum := rle(history[svc])
+			if !slices.Equal(s.vals, vals) || !slices.Equal(s.cum, cum) {
+				t.Fatalf("trial %d: %s run\nvals %v cum %v\nwant %v cum %v", trial, svc, s.vals, s.cum, vals, cum)
+			}
+		}
+	}
+}
+
+// TestPendingBufferIsBounded checks that the shared buffer folds itself
+// when it fills, so unfolded samples never exceed pendingCap, and that the
+// fold loses nothing.
+func TestPendingBufferIsBounded(t *testing.T) {
+	r := NewRecorder()
+	a, b := r.Stats("a"), r.Stats("b")
+	for i := 0; i < 2*pendingCap+5; i++ {
+		r.RecordCompletion(a, time.Duration(i%7))
+		r.RecordCompletion(b, time.Duration(i%11))
+		if len(r.pending) >= pendingCap {
+			t.Fatalf("after %d recordings %d samples pending, want < %d", 2*i+2, len(r.pending), pendingCap)
+		}
+	}
+	if got := a.count() + b.count() + len(r.pending); got != 4*pendingCap+10 {
+		t.Errorf("%d samples folded or pending, want %d", got, 4*pendingCap+10)
+	}
+	if len(a.vals) != 7 || len(b.vals) != 11 {
+		t.Errorf("distinct runs of %d and %d values, want 7 and 11", len(a.vals), len(b.vals))
 	}
 }
 

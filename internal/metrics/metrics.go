@@ -23,8 +23,11 @@ import (
 // histogram for long-lived deployments to export (see LatencyHistogram and
 // the /v1/latency endpoint in internal/httpapi).
 //
-// Each sample is stored once, in its service's latency run, which summaries
-// keep sorted in place. Cross-service percentiles are selected over the
+// Each service keeps its latencies as a run of distinct values in ascending
+// order with cumulative counts: far fewer values than samples, and every
+// nearest-rank percentile stays exact. New samples wait in one bounded
+// buffer shared by all services and are folded into the runs when it fills
+// and before any summary. Cross-service percentiles are selected over the
 // per-service runs by rank, never by merging them into a second copy.
 type Recorder struct {
 	services map[string]*ServiceStats
@@ -35,11 +38,25 @@ type Recorder struct {
 	// Services call.
 	svcScratch []*ServiceStats
 
-	// runs is Summarize's scratch list of the non-empty per-service runs.
-	runs [][]time.Duration
+	// runs is Summarize's scratch list of the services with samples.
+	runs []*ServiceStats
 
-	// mergeBuf is the shared scratch for incremental sorted merges.
-	mergeBuf []time.Duration
+	// pending holds the completions recorded since the last fold, at most
+	// pendingCap of them.
+	pending []sample
+	// touched and groups are fold's scratch: the services with pending
+	// samples, and the pending latencies grouped by service.
+	touched []*ServiceStats
+	groups  []time.Duration
+}
+
+// pendingCap bounds the shared buffer of unfolded samples (512 KiB).
+const pendingCap = 1 << 15
+
+// sample is one recorded completion waiting to be folded.
+type sample struct {
+	s   *ServiceStats
+	lat time.Duration
 }
 
 // NewRecorder returns an empty recorder.
@@ -63,55 +80,114 @@ type ServiceStats struct {
 	RemovalFailures    uint64
 	ConnectionFailures uint64
 
-	// latencies holds every completion's latency. Its first sortedN samples
-	// are in ascending order; samples recorded since the last summary are
-	// appended after them, unsorted. Nothing reads the samples in recording
-	// order, so the run is sorted in place.
-	latencies []time.Duration
-	sortedN   int
-	totalLat  time.Duration
+	// vals holds the distinct folded latencies in ascending order, and
+	// cum[i] the number of folded samples <= vals[i].
+	vals []time.Duration
+	cum  []int
+	// npend and end are fold's group size and group end for this service.
+	npend, end int
+	totalLat   time.Duration
 }
 
-// sortedLatencies returns s's latencies in ascending order. Only the
-// samples recorded since the last call are sorted, then merged into the
-// sorted run in place — O(new·log new + shifted) instead of a full
-// O(n log n) re-sort per refresh, and repeated calls between recordings
-// cost nothing.
-func (r *Recorder) sortedLatencies(s *ServiceStats) []time.Duration {
-	if s.sortedN != len(s.latencies) {
-		r.mergeBuf = mergeSortedSuffix(s.latencies, s.sortedN, r.mergeBuf)
-		s.sortedN = len(s.latencies)
+// fold moves the pending samples into their services' runs: it groups them
+// by service, sorts each group and merges it, with counts, into the run.
+func (r *Recorder) fold() {
+	if len(r.pending) == 0 {
+		return
 	}
-	return s.latencies
-}
-
-// mergeSortedSuffix sorts all[n:] and merges it into the already-sorted
-// all[:n], in place, using (and returning) buf as scratch for the suffix.
-func mergeSortedSuffix(all []time.Duration, n int, buf []time.Duration) []time.Duration {
-	tail := all[n:]
-	if len(tail) == 0 {
-		return buf
-	}
-	slices.Sort(tail)
-	if n == 0 || all[n-1] <= tail[0] {
-		// Already in order — the common case when latencies trend upward.
-		return buf
-	}
-	buf = append(buf[:0], tail...)
-	// Backward two-pointer merge: stops as soon as the suffix is placed, so
-	// the cost is proportional to how far new samples reach into the run.
-	i, k := n-1, len(all)-1
-	for j := len(buf) - 1; j >= 0; {
-		if i >= 0 && all[i] > buf[j] {
-			all[k] = all[i]
-			i--
-		} else {
-			all[k] = buf[j]
-			j--
+	r.touched = r.touched[:0]
+	for _, p := range r.pending {
+		if p.s.npend == 0 {
+			r.touched = append(r.touched, p.s)
 		}
-		k--
+		p.s.npend++
 	}
-	return buf
+	off := 0
+	for _, s := range r.touched {
+		s.end = off
+		off += s.npend
+	}
+	groups := slices.Grow(r.groups[:0], len(r.pending))[:len(r.pending)]
+	r.groups = groups
+	for _, p := range r.pending {
+		groups[p.s.end] = p.lat
+		p.s.end++
+	}
+	for _, s := range r.touched {
+		g := groups[s.end-s.npend : s.end]
+		slices.Sort(g)
+		s.merge(g)
+		s.npend, s.end = 0, 0
+	}
+	r.pending = r.pending[:0]
+}
+
+// merge folds the ascending samples g into s's run, in place: it grows the
+// run by the number of distinct values in g, merges from the back, then
+// closes the gap the values already in the run leave. The run below g[0] is
+// never touched.
+func (s *ServiceStats) merge(g []time.Duration) {
+	distinct := 1
+	for j := 1; j < len(g); j++ {
+		if g[j] != g[j-1] {
+			distinct++
+		}
+	}
+	n := len(s.vals)
+	total := len(g)
+	if n > 0 {
+		total += s.cum[n-1]
+	}
+	s.vals = slices.Grow(s.vals, distinct)[:n+distinct]
+	s.cum = slices.Grow(s.cum, distinct)[:n+distinct]
+	vals, cum := s.vals, s.cum
+	// Walking down, each placed value's cumulative count is the running
+	// total, which then drops by the value's own count. Position k never
+	// falls below i, so every old entry is read before it is overwritten.
+	i, k := n-1, n+distinct-1
+	for j := len(g) - 1; j >= 0; k-- {
+		v, c := g[j], 0
+		for ; j >= 0 && g[j] == v; j-- {
+			c++
+		}
+		for ; i >= 0 && vals[i] >= v; i-- {
+			own := cum[i]
+			if i > 0 {
+				own -= cum[i-1]
+			}
+			if vals[i] == v {
+				c += own
+				i--
+				break
+			}
+			vals[k], cum[k] = vals[i], total
+			total -= own
+			k--
+		}
+		vals[k], cum[k] = v, total
+		total -= c
+	}
+	// The merged values start at k+1 and the untouched prefix ends at i+1;
+	// each value g shared with the run widened the gap between them by one.
+	if gap := k - i; gap > 0 {
+		copy(vals[i+1:], vals[k+1:])
+		copy(cum[i+1:], cum[k+1:])
+		s.vals, s.cum = vals[:len(vals)-gap], cum[:len(cum)-gap]
+	}
+}
+
+// at returns the value of 0-based rank k among s's folded samples: the
+// first distinct value whose cumulative count exceeds k.
+func (s *ServiceStats) at(k int) time.Duration {
+	return s.vals[sort.Search(len(s.cum), func(i int) bool { return s.cum[i] > k })]
+}
+
+// count returns the number of folded samples.
+func (s *ServiceStats) count() int {
+	if len(s.cum) == 0 {
+		return 0
+	}
+	return s.cum[len(s.cum)-1]
 }
 
 // Stats returns the named service's stats cell, creating it on first use
@@ -131,9 +207,12 @@ func (r *Recorder) Stats(name string) *ServiceStats {
 // Stats) with its response time.
 func (r *Recorder) RecordCompletion(s *ServiceStats, latency time.Duration) {
 	s.Completed++
-	s.latencies = append(s.latencies, latency)
 	s.totalLat += latency
 	r.hist.Observe(latency)
+	r.pending = append(r.pending, sample{s, latency})
+	if len(r.pending) == pendingCap {
+		r.fold()
+	}
 }
 
 // RecordFailure records a failed request of service s (a cell from Stats)
@@ -158,16 +237,16 @@ func (r *Recorder) Services() []*ServiceStats {
 	return r.svcScratch
 }
 
-// Reserve pre-sizes the latency storage for a service expected to complete
-// about n requests, so bulk injection does not grow the sample slices
-// repeatedly. It never shrinks and is safe to call at any time.
+// Reserve pre-sizes the recorder for a service expected to complete about n
+// more requests: the shared buffer for min(n, its bound) more samples and
+// the service's run for n more distinct latencies, so recording them does
+// not grow either. It never shrinks and is safe to call at any time.
 func (r *Recorder) Reserve(service string, n int) {
 	s := r.Stats(service)
-	if extra := n - (cap(s.latencies) - len(s.latencies)); extra > 0 {
-		grown := make([]time.Duration, len(s.latencies), cap(s.latencies)+extra)
-		copy(grown, s.latencies)
-		s.latencies = grown
-	}
+	s.vals = slices.Grow(s.vals, n)
+	s.cum = slices.Grow(s.cum, n)
+	r.pending = slices.Grow(r.pending, min(n, pendingCap-len(r.pending)))
+	r.groups = slices.Grow(r.groups[:0], cap(r.pending))
 }
 
 // ServiceCounters returns one service's cumulative outcome counters and
@@ -231,6 +310,7 @@ func (s Summary) String() string {
 
 // Summarize aggregates all services into one Summary.
 func (r *Recorder) Summarize() Summary {
+	r.fold()
 	var sum Summary
 	var total time.Duration
 	samples := 0
@@ -238,7 +318,7 @@ func (r *Recorder) Summarize() Summary {
 		sum.Completed += s.Completed
 		sum.RemovalFailures += s.RemovalFailures
 		sum.ConnectionFailures += s.ConnectionFailures
-		samples += len(s.latencies)
+		samples += s.count()
 		total += s.totalLat
 	}
 	sum.Requests = sum.Completed + sum.RemovalFailures + sum.ConnectionFailures
@@ -246,13 +326,13 @@ func (r *Recorder) Summarize() Summary {
 		r.runs = r.runs[:0]
 		lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
 		for _, name := range r.order {
-			run := r.sortedLatencies(r.services[name])
-			if len(run) == 0 {
+			s := r.services[name]
+			if len(s.vals) == 0 {
 				continue
 			}
-			r.runs = append(r.runs, run)
-			lo = min(lo, run[0])
-			hi = max(hi, run[len(run)-1])
+			r.runs = append(r.runs, s)
+			lo = min(lo, s.vals[0])
+			hi = max(hi, s.vals[len(s.vals)-1])
 		}
 		sum.MeanLatency = total / time.Duration(samples)
 		sum.P50Latency = selectRank(r.runs, nearestRank(0.50, samples), lo, hi)
@@ -264,10 +344,10 @@ func (r *Recorder) Summarize() Summary {
 }
 
 // selectRank returns the sample of 0-based rank k in the union of the
-// ascending runs, every sample of which lies in [lo, hi]. It bisects on the
+// services' runs, every sample of which lies in [lo, hi]. It bisects on the
 // value: the answer is the least v with more than k samples <= v, which is
 // always a sample, so the result equals sorting the union and indexing it.
-func selectRank(runs [][]time.Duration, k int, lo, hi time.Duration) time.Duration {
+func selectRank(runs []*ServiceStats, k int, lo, hi time.Duration) time.Duration {
 	for lo < hi {
 		// The unsigned halving cannot overflow, whatever the signs.
 		mid := lo + time.Duration(uint64(hi-lo)/2)
@@ -280,11 +360,14 @@ func selectRank(runs [][]time.Duration, k int, lo, hi time.Duration) time.Durati
 	return lo
 }
 
-// countAtMost counts the samples <= v across the ascending runs.
-func countAtMost(runs [][]time.Duration, v time.Duration) int {
+// countAtMost counts the samples <= v across the services' runs: in each,
+// the cumulative count just below the first value above v.
+func countAtMost(runs []*ServiceStats, v time.Duration) int {
 	n := 0
-	for _, run := range runs {
-		n += sort.Search(len(run), func(i int) bool { return run[i] > v })
+	for _, s := range runs {
+		if i := sort.Search(len(s.vals), func(i int) bool { return s.vals[i] > v }); i > 0 {
+			n += s.cum[i-1]
+		}
 	}
 	return n
 }
@@ -301,24 +384,15 @@ func (r *Recorder) SummarizeService(name string) Summary {
 	sum.RemovalFailures = s.RemovalFailures
 	sum.ConnectionFailures = s.ConnectionFailures
 	sum.Requests = sum.Completed + sum.RemovalFailures + sum.ConnectionFailures
-	if len(s.latencies) > 0 {
-		lat := r.sortedLatencies(s)
-		sum.MeanLatency = s.totalLat / time.Duration(len(lat))
-		sum.P50Latency = percentile(lat, 0.50)
-		sum.P95Latency = percentile(lat, 0.95)
-		sum.P99Latency = percentile(lat, 0.99)
-		sum.MaxLatency = lat[len(lat)-1]
+	r.fold()
+	if n := s.count(); n > 0 {
+		sum.MeanLatency = s.totalLat / time.Duration(n)
+		sum.P50Latency = s.at(nearestRank(0.50, n))
+		sum.P95Latency = s.at(nearestRank(0.95, n))
+		sum.P99Latency = s.at(nearestRank(0.99, n))
+		sum.MaxLatency = s.vals[len(s.vals)-1]
 	}
 	return sum
-}
-
-// percentile returns the p-quantile (0..1) of a sorted slice using the
-// nearest-rank method.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[nearestRank(p, len(sorted))]
 }
 
 // nearestRank is the 0-based nearest-rank index of the p-quantile (0..1) of

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -167,6 +169,52 @@ func BenchmarkSummarize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.Summarize()
+	}
+}
+
+// warmRecorder returns a recorder with 2,000 services whose runs hold
+// room for every latency recordCycle produces, its shared buffer filled
+// once, and one cycle of latencies.
+func warmRecorder() (*Recorder, []*ServiceStats, []time.Duration) {
+	r := NewRecorder()
+	cells := make([]*ServiceStats, 2000)
+	for i := range cells {
+		name := fmt.Sprintf("svc-%04d", i)
+		r.Reserve(name, 512)
+		cells[i] = r.Stats(name)
+	}
+	rng := rand.New(rand.NewSource(1))
+	lats := make([]time.Duration, 1<<12)
+	for i := range lats {
+		lats[i] = time.Duration(50+rng.Intn(60)) * time.Millisecond
+	}
+	for i := 0; i < pendingCap; i++ {
+		r.RecordCompletion(cells[i%len(cells)], lats[i%len(lats)])
+	}
+	return r, cells, lats
+}
+
+// TestRecordCompletionAllocFree pins a warm recording, folds included, at
+// zero allocations.
+func TestRecordCompletionAllocFree(t *testing.T) {
+	r, cells, lats := warmRecorder()
+	i := 0
+	if allocs := testing.AllocsPerRun(3*pendingCap, func() {
+		r.RecordCompletion(cells[i%len(cells)], lats[i%len(lats)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("RecordCompletion allocates %.4f objects/call, want 0", allocs)
+	}
+}
+
+// BenchmarkRecordCompletion measures the per-completion cost across 2,000
+// services, the amortised fold of the shared buffer included.
+func BenchmarkRecordCompletion(b *testing.B) {
+	r, cells, lats := warmRecorder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.RecordCompletion(cells[i%len(cells)], lats[i%len(lats)])
 	}
 }
 

@@ -96,7 +96,8 @@ type callEdge struct {
 }
 
 // reqNode tracks one request (root or downstream call attempt) through the
-// call graph.
+// call graph. Nodes live in the graphRun's slab; a node owns its request's
+// release, and both are recycled once nothing can read the node (release).
 type reqNode struct {
 	req    *workload.Request
 	parent *reqNode
@@ -105,9 +106,32 @@ type reqNode struct {
 	slot int
 	// cont is the replica holding the request, nil before admission and
 	// after the request leaves the container.
-	cont     *container.Container
-	pending  int
+	cont    *container.Container
+	pending int
+	// refs counts the node's references: one for itself until finish, one
+	// per unreleased child, one per scheduled retry of one of its call
+	// slots, and the guard spawnChildren holds while it runs.
+	refs int32
+	// handle is the node's slab index + 1, the value its request carries in
+	// Request.Node. It survives recycling.
+	handle   uint32
 	resolved bool
+}
+
+// nodeChunkBits sizes the slab's chunks: 256 nodes of 64 bytes each.
+const (
+	nodeChunkBits = 8
+	nodeChunk     = 1 << nodeChunkBits
+)
+
+// pendingRetry is one scheduled re-issue of a call slot: attempt #attempt
+// of (p, e, slot). Records are free-listed, and the engine event names one
+// by its index.
+type pendingRetry struct {
+	p       *reqNode
+	e       *callEdge
+	slot    int
+	attempt int
 }
 
 // graphRun is a World's call-graph state: the live request tree, the
@@ -118,7 +142,15 @@ type graphRun struct {
 	graph workload.CallGraph
 	res   *resilience.Manager
 
-	nodes map[uint64]*reqNode
+	// chunks is the node slab: fixed-size chunks, so a node's address is
+	// stable while the slab grows. free lists the released nodes.
+	chunks []*[nodeChunk]reqNode
+	free   []*reqNode
+	// retries holds the scheduled retries, freeRetries the indexes of the
+	// fired ones; fire is fireRetry, bound once.
+	retries     []pendingRetry
+	freeRetries []int
+	fire        sim.IndexedEvent
 	// edges holds the compiled edges in declaration order; out lists each
 	// service's outgoing edges, in declaration order, by service ordinal.
 	// Both are built by checkServices.
@@ -133,11 +165,61 @@ type graphRun struct {
 }
 
 func newGraphRun(w *World, graph workload.CallGraph, m *resilience.Manager) *graphRun {
-	return &graphRun{
-		w:     w,
-		graph: graph,
-		res:   m,
-		nodes: make(map[uint64]*reqNode),
+	g := &graphRun{w: w, graph: graph, res: m}
+	g.fire = g.fireRetry
+	return g
+}
+
+// newNode takes a node off the free list for req, a downstream attempt of
+// parent's call slot (parent nil for a root), holding its own reference and
+// one on parent.
+func (g *graphRun) newNode(req *workload.Request, parent *reqNode, e *callEdge, slot int) *reqNode {
+	if len(g.free) == 0 {
+		chunk := new([nodeChunk]reqNode)
+		base := len(g.chunks) << nodeChunkBits
+		g.chunks = append(g.chunks, chunk)
+		for i := nodeChunk - 1; i >= 0; i-- {
+			chunk[i].handle = uint32(base + i + 1)
+			g.free = append(g.free, &chunk[i])
+		}
+	}
+	n := g.free[len(g.free)-1]
+	g.free = g.free[:len(g.free)-1]
+	n.req, n.parent, n.edge, n.slot, n.refs = req, parent, e, slot, 1
+	req.Node = uint64(n.handle)
+	if parent != nil {
+		parent.refs++
+	}
+	return n
+}
+
+// nodeOf returns the unresolved node tracking r, or nil when r is
+// untracked.
+func (g *graphRun) nodeOf(r *workload.Request) *reqNode {
+	if r.Node == 0 {
+		return nil
+	}
+	h := r.Node - 1
+	n := &g.chunks[h>>nodeChunkBits][h&(nodeChunk-1)]
+	if n.req != r || n.resolved {
+		return nil
+	}
+	return n
+}
+
+// release drops one reference to n. The last one returns n's request to
+// the World's pool, zeroes n onto the free list and drops n's reference to
+// its parent, and so on up the chain.
+func (g *graphRun) release(n *reqNode) {
+	for n != nil {
+		if n.refs--; n.refs > 0 {
+			return
+		}
+		p := n.parent
+		g.w.reqs.Put(n.req)
+		*n = reqNode{handle: n.handle}
+		g.free = append(g.free, n)
+		n = p
 	}
 }
 
@@ -214,9 +296,7 @@ func (g *graphRun) Stats() CascadeStats {
 // route enters one externally-generated (root) request into the graph.
 func (g *graphRun) route(req *workload.Request) {
 	g.rootGenerated++
-	n := &reqNode{req: req}
-	g.nodes[req.ID] = n
-	g.admit(n)
+	g.admit(g.newNode(req, nil, nil, 0))
 }
 
 // admit routes a tracked request (root or child) to a replica, applying the
@@ -278,11 +358,20 @@ func (g *graphRun) admit(n *reqNode) {
 // spawnChildren issues the node's downstream calls per its service's
 // outgoing edges. Probabilistic edges draw from a pure (seed, edge, parent)
 // hash, never the engine RNG, so enabling a graph does not perturb arrivals.
+//
+// A child's synchronous fail-fast can resolve n inside the loop and drop
+// its last other reference, so the loop holds a guard reference on n.
 func (g *graphRun) spawnChildren(n *reqNode) {
-	for _, e := range g.outEdges(n.req.ServiceOrd) {
+	edges := g.outEdges(n.req.ServiceOrd)
+	if len(edges) == 0 {
+		return
+	}
+	n.refs++
+calls:
+	for _, e := range edges {
 		for k := 0; k < e.calls; k++ {
 			if n.resolved {
-				return // a sibling call already failed the parent fast
+				break calls // a sibling call already failed the parent fast
 			}
 			if e.prob < 1 && resilience.RollFrom(e.roll, n.req.ID<<8|uint64(k&0xff)) >= e.prob {
 				continue
@@ -292,6 +381,7 @@ func (g *graphRun) spawnChildren(n *reqNode) {
 			g.issueCall(n, e, k, 1)
 		}
 	}
+	g.release(n)
 }
 
 // issueCall issues attempt #attempt of one call slot (parent, edge, slot):
@@ -325,20 +415,18 @@ func (g *graphRun) issueCall(p *reqNode, e *callEdge, slot, attempt int) {
 	req := g.w.reqs.New(g.w.ids.Next(), &rt.spec, rt.ord, now)
 	req.Deadline = deadline
 	req.Attempt = attempt
-	n := &reqNode{req: req, parent: p, edge: e, slot: slot}
-	g.nodes[req.ID] = n
-	g.admit(n)
+	g.admit(g.newNode(req, p, e, slot))
 }
 
-// finish resolves one tracked request with a terminal outcome. Exactly one
-// finish per request keeps the recorder's conservation invariant intact;
-// class selects the failure class recorded for non-completions.
+// finish resolves one tracked request with a terminal outcome and drops
+// the node's own reference. Exactly one finish per request keeps the
+// recorder's conservation invariant intact; class selects the failure class
+// recorded for non-completions.
 func (g *graphRun) finish(n *reqNode, o outcome, at time.Duration, class workload.FailureClass) {
 	if n.resolved {
 		return
 	}
 	n.resolved = true
-	delete(g.nodes, n.req.ID)
 	w := g.w
 
 	if o == outcomeCompleted {
@@ -363,24 +451,25 @@ func (g *graphRun) finish(n *reqNode, o outcome, at time.Duration, class workloa
 		default:
 			g.rootFailed++
 		}
-		return
-	}
-
-	// Downstream call attempt: feed the edge breaker, then resolve the
-	// parent's call slot — completion, retry, or fail-fast cascade. Overload
-	// rejections (shedding, queue back-pressure) deliberately bypass the
-	// breaker: they are the downstream tier protecting itself, and counting
-	// them as failure accrual turns transient overload into an OpenFor-long
-	// blackout of the edge — a defense-induced outage. Breakers react to
-	// genuine failures only: black-holed backends, timeouts, removals.
-	if o != outcomeShed {
-		g.res.RecordCallResult(at, n.edge.ord, o == outcomeCompleted)
-	}
-	if o == outcomeCompleted {
-		g.childSucceeded(n.parent, at)
 	} else {
-		g.retryOrFail(n.parent, n.edge, n.slot, n.req.Attempt)
+		// Downstream call attempt: feed the edge breaker, then resolve the
+		// parent's call slot — completion, retry, or fail-fast cascade.
+		// Overload rejections (shedding, queue back-pressure) deliberately
+		// bypass the breaker: they are the downstream tier protecting
+		// itself, and counting them as failure accrual turns transient
+		// overload into an OpenFor-long blackout of the edge — a
+		// defense-induced outage. Breakers react to genuine failures only:
+		// black-holed backends, timeouts, removals.
+		if o != outcomeShed {
+			g.res.RecordCallResult(at, n.edge.ord, o == outcomeCompleted)
+		}
+		if o == outcomeCompleted {
+			g.childSucceeded(n.parent, at)
+		} else {
+			g.retryOrFail(n.parent, n.edge, n.slot, n.req.Attempt)
+		}
 	}
+	g.release(n)
 }
 
 // childSucceeded books one resolved call slot on the parent; when the last
@@ -411,15 +500,33 @@ func (g *graphRun) retryOrFail(p *reqNode, e *callEdge, slot, attempt int) {
 	now := g.w.engine.Now()
 	maxAttempts, backoff := g.res.RetryPolicy()
 	if attempt < maxAttempts && g.res.AllowRetry(int(p.req.ServiceOrd)) {
-		g.w.engine.ScheduleAfter(backoff, func(*sim.Engine) {
-			if p.resolved {
-				return
-			}
-			g.issueCall(p, e, slot, attempt+1)
-		})
+		var i int
+		if k := len(g.freeRetries); k > 0 {
+			i = g.freeRetries[k-1]
+			g.freeRetries = g.freeRetries[:k-1]
+		} else {
+			i = len(g.retries)
+			g.retries = append(g.retries, pendingRetry{})
+		}
+		g.retries[i] = pendingRetry{p: p, e: e, slot: slot, attempt: attempt + 1}
+		p.refs++ // the retry reads p when it fires
+		// A one-item batch takes one (at, seq) slot, like any event.
+		_ = g.w.engine.ScheduleBatch(now+backoff, i, 1, g.fire)
 		return
 	}
 	g.failFast(p, now)
+}
+
+// fireRetry issues scheduled retry i unless its parent resolved meanwhile,
+// then drops the retry's reference on the parent.
+func (g *graphRun) fireRetry(_ *sim.Engine, i int) {
+	r := g.retries[i]
+	g.retries[i] = pendingRetry{}
+	g.freeRetries = append(g.freeRetries, i)
+	if !r.p.resolved {
+		g.issueCall(r.p, r.e, r.slot, r.attempt)
+	}
+	g.release(r.p)
 }
 
 // failFast resolves a parent as failed the moment one of its call slots
@@ -440,16 +547,16 @@ func (g *graphRun) failFast(p *reqNode, now time.Duration) {
 // afterAdvance consumes one physics tick's completions and timeouts.
 func (g *graphRun) afterAdvance(now time.Duration, res cluster.TickResult) {
 	for _, done := range res.Completed {
-		n, ok := g.nodes[done.Request.ID]
-		if !ok {
+		n := g.nodeOf(done.Request)
+		if n == nil {
 			continue
 		}
 		n.cont = nil
 		g.finish(n, outcomeCompleted, done.At, workload.FailureNone)
 	}
 	for _, r := range res.TimedOut {
-		n, ok := g.nodes[r.ID]
-		if !ok {
+		n := g.nodeOf(r)
+		if n == nil {
 			continue
 		}
 		n.cont = nil // Advance already dropped it from the in-flight set
@@ -460,8 +567,8 @@ func (g *graphRun) afterAdvance(now time.Duration, res cluster.TickResult) {
 
 // onRemoval resolves a request killed by its container's removal.
 func (g *graphRun) onRemoval(r *workload.Request) {
-	n, ok := g.nodes[r.ID]
-	if !ok {
+	n := g.nodeOf(r)
+	if n == nil {
 		// Untracked (already resolved); keep the legacy accounting.
 		g.w.fail(r, workload.FailureRemoval)
 		return

@@ -121,59 +121,75 @@ const pinnedIndexStats = "{900 697 0 0 203 map[catalog->db:{741 726 15} gateway-
 	"gateway->orders:{1660 1470 190} orders->db:{1498 1455 43}]}"
 
 // TestWarmCallGraphAllocBound pins the allocation cost of a warm
-// call-graph tick: each tracked request — a root or a downstream call
-// attempt — allocates its Request and its reqNode and nothing else, so a
-// tick allocates at most two objects per request issued in it. Edge
-// lookups, breaker and budget ledgers, probability draws, routing and
-// completion accounting allocate nothing. The one other allocator is the
-// nodes map: insert after delete now and then rebuilds a table, a few
-// objects per thousand requests depending on the map's random hash seed,
-// so the bound allows 1% on top. Any per-request or per-tick allocation
-// overshoots that.
+// call-graph tick at zero: every tracked request — a root or a downstream
+// call attempt — is drawn from the World's request pool and tracked by a
+// recycled node, and scheduled retries are free-listed records behind one
+// bound event. Edge lookups, breaker and budget ledgers, probability draws,
+// routing and completion accounting allocate nothing either. The retries
+// variant slows db for the whole run, so its calls time out and are
+// retried inside the measured ticks.
 func TestWarmCallGraphAllocBound(t *testing.T) {
-	graph, services := fanoutGraph()
-	res := resilience.Config{
-		Breakers:  &resilience.BreakerConfig{FailuresToOpen: 5, OpenFor: 2 * time.Second},
-		Deadlines: &resilience.DeadlineConfig{Margin: 50 * time.Millisecond},
-		Shedding:  &resilience.ShedConfig{UtilThreshold: 0.5, MaxShed: 0.95},
-	}
-	w := cascadeWorld(t, 3, graph, res, faults.Config{}, services, 20)
-	w.cfg.MonitorPeriod = time.Hour
-	for _, spec := range services {
-		w.Recorder().Reserve(spec.Name, 1<<16)
-	}
-	now := 20 * time.Second
-	if err := w.Run(now); err != nil { // warm: maps, buffers and caches sized
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		res  resilience.Config
+		fc   faults.Config
+	}{
+		{name: "defenses", res: resilience.Config{
+			Breakers:  &resilience.BreakerConfig{FailuresToOpen: 5, OpenFor: 2 * time.Second},
+			Deadlines: &resilience.DeadlineConfig{Margin: 50 * time.Millisecond},
+			Shedding:  &resilience.ShedConfig{UtilThreshold: 0.5, MaxShed: 0.95},
+		}},
+		{name: "retries", res: resilience.Config{
+			Retry: &resilience.RetryConfig{MaxAttempts: 3, Backoff: 100 * time.Millisecond},
+		}, fc: faults.Config{Windows: []faults.Window{
+			{Kind: faults.KindSlowBackend, Target: "db", From: 0, To: time.Hour, Factor: 40},
+		}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			graph, services := fanoutGraph()
+			w := cascadeWorld(t, 3, graph, tc.res, tc.fc, services, 20)
+			w.cfg.MonitorPeriod = time.Hour
+			for _, spec := range services {
+				w.Recorder().Reserve(spec.Name, 1<<16)
+			}
+			now := 20 * time.Second
+			if err := w.Run(now); err != nil { // warm: pools, buffers and caches sized
+				t.Fatal(err)
+			}
 
-	issued := func() uint64 {
-		s := w.CascadeStats()
-		n := s.RootGenerated
-		for _, es := range s.Edges {
-			n += es.Issued
-		}
-		return n
+			issued := func() uint64 {
+				s := w.CascadeStats()
+				n := s.RootGenerated
+				for _, es := range s.Edges {
+					n += es.Issued
+				}
+				return n
+			}
+			before, retriesBefore := issued(), w.Resilience().Counters().Retries
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < 200; i++ {
+				now += w.cfg.Tick
+				if err := w.Run(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			requests := issued() - before
+			allocs := m1.Mallocs - m0.Mallocs
+			if requests < 1000 {
+				t.Fatalf("only %d requests issued in the measured ticks", requests)
+			}
+			retries := w.Resilience().Counters().Retries - retriesBefore
+			if tc.res.Retry != nil && retries < 100 {
+				t.Fatalf("only %d retries fired in the measured ticks", retries)
+			}
+			if allocs != 0 {
+				t.Errorf("warm call-graph ticks allocated %d objects for %d requests (%.3f each), want 0",
+					allocs, requests, float64(allocs)/float64(requests))
+			}
+			t.Logf("%d allocations for %d requests and %d retries", allocs, requests, retries)
+		})
 	}
-	before := issued()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < 200; i++ {
-		now += w.cfg.Tick
-		if err := w.Run(now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&m1)
-	requests := issued() - before
-	allocs := m1.Mallocs - m0.Mallocs
-	if requests < 1000 {
-		t.Fatalf("only %d requests issued in the measured ticks", requests)
-	}
-	if allocs > 2*requests+requests/100 {
-		t.Errorf("warm call-graph ticks allocated %d objects for %d requests (%.2f each), want <= 2 each",
-			allocs, requests, float64(allocs)/float64(requests))
-	}
-	t.Logf("%d allocations for %d requests (%.3f each)", allocs, requests, float64(allocs)/float64(requests))
 }

@@ -231,10 +231,11 @@ type World struct {
 	// call; never retained, and never assigned a RouteView result.
 	replicaBuf []*container.Container
 
-	// reqs recycles plain-world requests: whoever books a request's final
-	// outcome (completion, timeout, routing failure, scale-in or node-failure
-	// removal) returns it. Nil in call-graph worlds, whose parents and
-	// children reference each other past that point, so they allocate.
+	// reqs recycles the world's requests. In a plain world whoever books a
+	// request's final outcome (completion, timeout, routing failure, scale-in
+	// or node-failure removal) returns it. In a call-graph world parents and
+	// children read each other past that point, so only the release of a
+	// request's node returns it (graphRun.release).
 	reqs *workload.RequestPool
 
 	stressIdx int
@@ -267,6 +268,7 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 		costs:         cost.NewTracker(cfg.Cost),
 		ReplicaSeries: make(map[string]*metrics.TimeSeries),
 		UtilSeries:    &metrics.TimeSeries{Name: "cluster-cpu-util"},
+		reqs:          &workload.RequestPool{},
 	}
 	w.lb.DistributionOverhead = cfg.DistributionOverhead
 	if algo == nil {
@@ -321,8 +323,6 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 			}
 		}
 		w.graph = newGraphRun(w, cfg.CallGraph, m)
-	} else {
-		w.reqs = &workload.RequestPool{}
 	}
 	w.faults = faults.New(cfg.Faults)
 	w.ctl.InstallZoneFaults(w.faults)
@@ -502,7 +502,9 @@ func (w *World) complete(r *workload.Request, at time.Duration) {
 func (w *World) fail(r *workload.Request, class workload.FailureClass) {
 	w.recorder.RecordFailure(w.statsOf(r), class)
 	w.costs.ObserveFailure()
-	w.reqs.Put(r)
+	if w.graph == nil {
+		w.reqs.Put(r)
+	}
 }
 
 // route sends one request through the load balancer. Call-graph worlds

@@ -254,6 +254,10 @@ type Request struct {
 	// OwnDoneAt records when the request's own CPU/network phases finished,
 	// for latency composition once the last child returns.
 	OwnDoneAt time.Duration
+	// Node is an opaque handle the call-graph layer stores on a request it
+	// tracks, naming the request's node in that layer's slab; zero means
+	// untracked. (8 bytes keep a Request in a 112-byte allocation.)
+	Node uint64
 }
 
 // NewRequest builds a request for spec arriving at the given simulated time.
@@ -267,6 +271,17 @@ func NewRequest(id uint64, spec ServiceSpec, arrival time.Duration) *Request {
 // request and ignores Put.
 type RequestPool struct {
 	free []*Request
+	// made counts the requests New allocated instead of reusing one.
+	made int
+}
+
+// Counts returns how many requests the pool holds free and how many it has
+// ever allocated; the difference is the number its owner has out.
+func (p *RequestPool) Counts() (free, made int) {
+	if p == nil {
+		return 0, 0
+	}
+	return len(p.free), p.made
 }
 
 // New builds a request for spec (service ordinal ord) arriving at the given
@@ -279,6 +294,9 @@ func (p *RequestPool) New(id uint64, spec *ServiceSpec, ord int, arrival time.Du
 		p.free = p.free[:len(p.free)-1]
 	} else {
 		r = new(Request)
+		if p != nil {
+			p.made++
+		}
 	}
 	// Field by field: a whole-struct store into a heap object with pointer
 	// fields compiles to a typed bulk copy (runtime.duffcopy).
@@ -295,6 +313,7 @@ func (p *RequestPool) New(id uint64, spec *ServiceSpec, ord int, arrival time.Du
 	r.Attempt = 0
 	r.PendingChildren = 0
 	r.OwnDoneAt = 0
+	r.Node = 0
 	return r
 }
 
