@@ -56,9 +56,18 @@ func TestFig2TableGolden(t *testing.T) {
 // Scale 0.05 and the reduced DR grid. They all read the shared health
 // probe, so a change to its definitions shows up here as a table diff.
 //
+// Four more goldens are checked on the render of a test that already runs
+// the same grid, so no grid runs twice:
+//
+//   - manager (Seed 1, Scale 0.02): TestManagerParallelInvariance's
+//     -parallel 1 render;
+//   - Fig. 6b (RunFig6(HighBurst, shapeOpts())): TestFig6FailureOrdering;
+//   - ablation via CostTableFor (shapeOpts()): TestAblationShape;
+//   - targetutil (shapeOpts()): TestTargetUtilSweepShape.
+//
 // Regenerate deliberately with:
 //
-//	UPDATE_GOLDEN=1 go test ./internal/experiments -run TestExperimentTableGoldens
+//	UPDATE_GOLDEN=1 go test ./internal/experiments -run 'TestExperimentTableGoldens|TestManagerParallelInvariance|TestFig6FailureOrdering|TestAblationShape|TestTargetUtilSweepShape'
 func TestExperimentTableGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment grids")
