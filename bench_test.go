@@ -55,7 +55,7 @@ func BenchmarkFig3HorizontalNet(b *testing.B) {
 	}
 }
 
-func benchMacro(b *testing.B, run func(experiments.LoadShape, experiments.Options) (*experiments.MacroResult, error),
+func benchMacro(b *testing.B, run func(experiments.LoadShape, experiments.Options) (*experiments.Grid, error),
 	shape experiments.LoadShape, baseline, challenger string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -64,8 +64,8 @@ func benchMacro(b *testing.B, run func(experiments.LoadShape, experiments.Option
 			b.Fatal(err)
 		}
 		b.ReportMetric(r.Speedup(baseline, challenger), "speedup-x")
-		b.ReportMetric(r.Outcome(baseline).Summary.FailedPercent(), baseline+"-failed-%")
-		b.ReportMetric(r.Outcome(challenger).Summary.FailedPercent(), challenger+"-failed-%")
+		b.ReportMetric(r.Row(baseline).Summary.FailedPercent(), baseline+"-failed-%")
+		b.ReportMetric(r.Row(challenger).Summary.FailedPercent(), challenger+"-failed-%")
 	}
 }
 
@@ -145,8 +145,8 @@ func BenchmarkPlacementSpreadVsBinpack(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		spread := r.Outcome("hybridmem/spread")
-		pack := r.Outcome("hybridmem/binpack")
+		spread := r.Row("hybridmem/spread")
+		pack := r.Row("hybridmem/binpack")
 		b.ReportMetric(spread.Cost.MachineHours-pack.Cost.MachineHours, "machine-hours-saved")
 		b.ReportMetric(r.Speedup("hybridmem/binpack", "hybridmem/spread"), "spread-speedup-x")
 	}
@@ -158,7 +158,7 @@ func BenchmarkNodeChurnAvailability(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Outcome("kubernetes").Summary.FailedPercent(), "k8s-failed-%")
-		b.ReportMetric(r.Outcome("hybridmem").Summary.FailedPercent(), "hybridmem-failed-%")
+		b.ReportMetric(r.Row("kubernetes").Summary.FailedPercent(), "k8s-failed-%")
+		b.ReportMetric(r.Row("hybridmem").Summary.FailedPercent(), "hybridmem-failed-%")
 	}
 }

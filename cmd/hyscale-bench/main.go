@@ -39,7 +39,7 @@ func main() { os.Exit(realMain()) }
 // run on every path; a bare os.Exit would silently truncate the profiles.
 func realMain() int {
 	var (
-		exp        = flag.String("exp", "", "experiment to run: fig2|mem|fig3|fig6|fig7|fig8|fig9|fig10|macro|... (empty with -all runs everything)")
+		exp        = flag.String("exp", "", "comma-separated experiment ids: fig2,mem,fig3,fig6,...,macro,scale (an unknown id lists the valid ones)")
 		all        = flag.Bool("all", false, "run every experiment")
 		scale      = flag.Float64("scale", 1.0, "duration scale (1.0 = paper-sized, one hour macro runs)")
 		seed       = flag.Int64("seed", 1, "random seed")
@@ -55,6 +55,21 @@ func realMain() int {
 
 	if !*all && *exp == "" {
 		fmt.Fprintln(os.Stderr, "usage: hyscale-bench -all | -exp <id> [-scale S] [-seed N] [-parallel N] [-md file] [-report dir]")
+		return 2
+	}
+
+	ids := experiments.AllIDs()
+	if !*all {
+		ids = strings.Split(*exp, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
+		}
+	}
+	// Every id is checked before anything runs: a typo must not cost a
+	// paper-sized run of the experiments before it.
+	runs, err := experiments.Lookup(ids)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hyscale-bench: %v\n", err)
 		return 2
 	}
 
@@ -89,15 +104,6 @@ func realMain() int {
 	}
 
 	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallel: *parallel, Observe: *report != ""}
-	ids := []string{
-		"fig2", "mem", "fig3", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"ablation", "monitorperiod", "placement", "churn", "stateful",
-		"fig3sweep", "targetutil", "hetero", "predictive", "lbpolicy",
-		"chaos", "recovery", "cascade", "manager", "dr",
-	}
-	if !*all {
-		ids = strings.Split(*exp, ",")
-	}
 
 	// All stdout goes through one buffered writer, and each experiment's
 	// tables and timing footer are assembled into a single block before being
@@ -108,10 +114,9 @@ func realMain() int {
 
 	var tables []*experiments.Table
 	start := time.Now()
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
+	for i, id := range ids {
 		expStart := time.Now()
-		ts, err := run(id, opts)
+		ts, err := runs[i](opts)
 		if err != nil {
 			out.Flush()
 			fmt.Fprintf(os.Stderr, "hyscale-bench: %s: %v\n", id, err)
@@ -194,144 +199,4 @@ func reproduceCommand(all bool, ids []string, scale float64, seed int64, dir str
 		sel = "-exp " + strings.Join(ids, ",")
 	}
 	return fmt.Sprintf("hyscale-bench %s -scale %g -seed %d -report %s", sel, scale, seed, dir)
-}
-
-// run executes one experiment ID and returns its rendered tables.
-func run(id string, opts experiments.Options) ([]*experiments.Table, error) {
-	switch id {
-	case "fig2":
-		r, err := experiments.RunFig2(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "mem":
-		r, err := experiments.RunMemScaling(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "fig3":
-		r, err := experiments.RunFig3(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "fig6", "fig7", "fig8", "macro":
-		// "macro" is the canonical four-algorithm macrobenchmark (Fig. 6 under
-		// both load shapes) — the CI smoke target.
-		var tables []*experiments.Table
-		for _, shape := range []experiments.LoadShape{experiments.LowBurst, experiments.HighBurst} {
-			var (
-				r   *experiments.MacroResult
-				err error
-			)
-			switch id {
-			case "fig7":
-				r, err = experiments.RunFig7(shape, opts)
-			case "fig8":
-				r, err = experiments.RunFig8(shape, opts)
-			default:
-				r, err = experiments.RunFig6(shape, opts)
-			}
-			if err != nil {
-				return nil, err
-			}
-			tables = append(tables, r.Table())
-		}
-		return tables, nil
-	case "fig9":
-		r, err := experiments.RunFig9(nil, opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "fig10":
-		r, err := experiments.RunFig10(nil, opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "chaos":
-		r, err := experiments.RunChaos(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "recovery":
-		r, err := experiments.RunRecovery(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "dr":
-		r, err := experiments.RunDR(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "cascade":
-		r, err := experiments.RunCascade(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "manager":
-		r, err := experiments.RunManager(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "scale":
-		r, err := experiments.RunScale(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "fig3sweep":
-		r, err := experiments.RunFig3Sweep(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "targetutil":
-		r, err := experiments.RunTargetUtilSweep(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{r.Table()}, nil
-	case "hetero":
-		r, err := experiments.RunHeterogeneous(opts)
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{experiments.CostTableFor(r)}, nil
-	case "ablation", "monitorperiod", "placement", "churn", "stateful", "predictive", "lbpolicy":
-		var (
-			r   *experiments.MacroResult
-			err error
-		)
-		switch id {
-		case "ablation":
-			r, err = experiments.RunAblation(opts)
-		case "monitorperiod":
-			r, err = experiments.RunMonitorPeriodSensitivity(opts)
-		case "placement":
-			r, err = experiments.RunPlacement(opts)
-		case "stateful":
-			r, err = experiments.RunStateful(opts)
-		case "predictive":
-			r, err = experiments.RunPredictive(opts)
-		case "lbpolicy":
-			r, err = experiments.RunLBPolicy(opts)
-		default:
-			r, err = experiments.RunNodeChurn(opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return []*experiments.Table{experiments.CostTableFor(r)}, nil
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", id)
-	}
 }

@@ -4,8 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"hyscale/internal/experiments"
 )
 
 // docFiles are the repository documents whose links CI verifies.
@@ -62,5 +65,51 @@ func TestDocsMentionPackagesThatExist(t *testing.T) {
 				t.Errorf("%s references %s, which is not a package directory", doc, m[1])
 			}
 		}
+	}
+}
+
+// TestDocsNameRegisteredExperiments keeps the hyscale-bench docs honest:
+// every `-exp <id>` the top-level docs name is a registered experiment, and
+// EXPERIMENTS.md's table of -exp modes lists exactly the registered ids.
+func TestDocsNameRegisteredExperiments(t *testing.T) {
+	registered := append(experiments.AllIDs(), "macro", "scale")
+	if _, err := experiments.Lookup(registered); err != nil {
+		t.Fatal(err)
+	}
+	expFlag := regexp.MustCompile(`-exp\s+([a-z0-9]+(?:,[a-z0-9]+)*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		body, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		for _, m := range expFlag.FindAllStringSubmatch(string(body), -1) {
+			if _, err := experiments.Lookup(strings.Split(m[1], ",")); err != nil {
+				t.Errorf("%s: %q: %v", doc, m[0], err)
+			}
+		}
+	}
+
+	// The mode table runs from its "| `-exp` |" header to the next blank
+	// line; a row may name several ids ("`fig6` / `fig7` / `fig8`").
+	body, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(body), "| `-exp` |")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no -exp mode table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	var listed []string
+	for _, row := range strings.Split(table, "\n")[2:] {
+		first, _, _ := strings.Cut(strings.TrimPrefix(row, "| "), " |")
+		for _, id := range strings.Split(first, " / ") {
+			listed = append(listed, strings.Trim(id, "`"))
+		}
+	}
+	slices.Sort(listed)
+	slices.Sort(registered)
+	if !slices.Equal(listed, registered) {
+		t.Errorf("EXPERIMENTS.md lists -exp modes %q, registered ids are %q", listed, registered)
 	}
 }

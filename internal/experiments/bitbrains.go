@@ -59,7 +59,7 @@ func RunFig9(tr *trace.Trace, opts Options) (*Fig9Result, error) {
 // "re-purposed this dataset ... and scaled it to run on our cluster").
 // Pass a parsed real trace to replay the genuine dataset, or nil for the
 // synthetic twin.
-func RunFig10(tr *trace.Trace, opts Options) (*MacroResult, error) {
+func RunFig10(tr *trace.Trace, opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	if tr == nil {
 		cfg := trace.DefaultRndConfig(opts.Seed)
@@ -85,11 +85,10 @@ func RunFig10(tr *trace.Trace, opts Options) (*MacroResult, error) {
 		})
 		services = append(services, serviceLoad{spec: spec, target: 0.5, pattern: pattern})
 	}
-	return runMacro(
+	return macroGrid(
 		"Figure 10: Bitbrains Rnd replay (mixed services)",
-		"bitbrains",
 		services,
-		[]string{"kubernetes", "hybrid", "hybridmem"},
+		algorithmRows("kubernetes", "hybrid", "hybridmem"),
 		opts,
 	)
 }

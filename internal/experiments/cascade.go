@@ -6,7 +6,6 @@ import (
 
 	"hyscale/internal/faults"
 	"hyscale/internal/loadgen"
-	"hyscale/internal/metrics"
 	"hyscale/internal/platform"
 	"hyscale/internal/resilience"
 	"hyscale/internal/runner"
@@ -205,70 +204,44 @@ func cascadeDefenses(shedThreshold float64) []cascadeDefense {
 	}
 }
 
-// CascadeOutcome is one (topology, algorithm, defense) cell.
-type CascadeOutcome struct {
-	Topology  string
-	Algorithm string
-	Defense   string
-	// GoodputPercent is roots completed / roots offered.
-	GoodputPercent float64
-	// Amplification is total call attempts / first attempts (1.0 = no
-	// retries).
-	Amplification float64
-	// GoodputRecoverySeconds is the health probe's goodput recovery time
-	// from the fault onset (see goodputRecovery in health.go). Defended
-	// configurations recover while the fault is still active; an
-	// undefended collapse only clears after the fault does.
-	// (-1: never within the horizon; 0: goodput never degraded).
-	GoodputRecoverySeconds float64
-	// DegradedSeconds counts the seconds the per-second goodput rate spent
-	// below 80% of its pre-fault mean — the total outage, wherever it fell.
-	DegradedSeconds float64
-	Summary         metrics.Summary
-	Cascade         platform.CascadeStats
-	Resilience      resilience.Counters
+// cascadeGoodputPercent is roots completed / roots offered.
+func cascadeGoodputPercent(r *Row) float64 {
+	if r.Cascade == nil || r.Cascade.RootGenerated == 0 {
+		return 0
+	}
+	return 100 * float64(r.Cascade.RootCompleted) / float64(r.Cascade.RootGenerated)
 }
 
-// CascadeResult is the material behind the cascading-failure comparison.
-type CascadeResult struct {
-	Name     string
-	Outcomes []CascadeOutcome
+// cascadeDefenseCounts is the run's cascade-defense counters (zero without a
+// call graph).
+func cascadeDefenseCounts(r *Row) resilience.Counters {
+	if r.Resilience == nil {
+		return resilience.Counters{}
+	}
+	return *r.Resilience
 }
 
-// Outcome returns the cell for (topology, algorithm, defense), or nil.
-func (r *CascadeResult) Outcome(topology, algorithm, defense string) *CascadeOutcome {
-	for i := range r.Outcomes {
-		o := &r.Outcomes[i]
-		if o.Topology == topology && o.Algorithm == algorithm && o.Defense == defense {
-			return o
+// cascadeColumns report goodput, tail latency, retry amplification (total
+// call attempts / first attempts) and the health probe's goodput recovery
+// from the fault onset (see goodputRecovery in health.go): defended
+// configurations recover while the fault is still active, an undefended
+// collapse only after it clears. "degraded" counts the seconds the
+// per-second goodput rate spent below 80% of its pre-fault mean — the total
+// outage, wherever it fell.
+var cascadeColumns = []column{
+	cellf("goodput %", "%.2f", cascadeGoodputPercent),
+	{"p99", func(r *Row) string { return fmtDur(r.Summary.P99Latency) }},
+	cellf("amplif.", "%.2fx", func(r *Row) float64 {
+		if r.Resilience == nil {
+			return 0
 		}
-	}
-	return nil
-}
-
-// Table renders the cascade comparison.
-func (r *CascadeResult) Table() *Table {
-	t := &Table{
-		Title: r.Name,
-		Columns: []string{"topology", "algorithm", "defense", "goodput %", "p99",
-			"amplif.", "recovery", "degraded", "shed", "short-circuits", "deadline-miss"},
-	}
-	for _, o := range r.Outcomes {
-		t.AddRow(
-			o.Topology,
-			o.Algorithm,
-			o.Defense,
-			fmt.Sprintf("%.2f", o.GoodputPercent),
-			o.Summary.P99Latency.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.2fx", o.Amplification),
-			fmtRecovery(o.GoodputRecoverySeconds),
-			fmt.Sprintf("%.0fs", o.DegradedSeconds),
-			fmt.Sprintf("%d", o.Resilience.Shed),
-			fmt.Sprintf("%d", o.Resilience.ShortCircuited),
-			fmt.Sprintf("%d", o.Resilience.DeadlineExceeded),
-		)
-	}
-	return t
+		return r.Resilience.Amplification()
+	}),
+	{"recovery", func(r *Row) string { return fmtRecovery(r.Extra[extraGoodputRecovery]) }},
+	cellf("degraded", "%.0fs", func(r *Row) float64 { return r.Extra[extraDegraded] }),
+	cellf("shed", "%d", func(r *Row) uint64 { return cascadeDefenseCounts(r).Shed }),
+	cellf("short-circuits", "%d", func(r *Row) uint64 { return cascadeDefenseCounts(r).ShortCircuited }),
+	cellf("deadline-miss", "%d", func(r *Row) uint64 { return cascadeDefenseCounts(r).DeadlineExceeded }),
 }
 
 // cascadeCell parameterises one run of the comparison.
@@ -322,46 +295,20 @@ func cascadeAlgorithms() []string {
 // downstream fault under every (algorithm, defense level) pair and tabulates
 // goodput, tail latency, retry amplification and time-to-recovery
 // (hyscale-bench -exp cascade).
-func RunCascade(opts Options) (*CascadeResult, error) {
+func RunCascade(opts Options) (*Grid, error) {
 	opts = opts.scaled()
-	var cells []cascadeCell
-	for _, topo := range cascadeTopologies() {
-		for _, algo := range cascadeAlgorithms() {
-			for _, def := range cascadeDefenses(topo.shedThreshold) {
-				cells = append(cells, cascadeCell{topology: topo, algorithm: algo, defense: def})
-			}
-		}
+	defenseName := func(d cascadeDefense) string { return d.name }
+	topologies, topologyOf := axisOf(cascadeTopologies(), func(t cascadeTopology) string { return t.name })
+	// Defense names do not depend on the topology's shed threshold.
+	defenses, _ := axisOf(cascadeDefenses(0), defenseName)
+	g := &Grid{
+		Title:   "Cascade: dependency-graph workloads under a downstream fault",
+		Axes:    []string{"topology", "algorithm", "defense"},
+		columns: cascadeColumns,
 	}
-	specs := make([]runner.RunSpec, len(cells))
-	for i, cell := range cells {
-		specs[i] = cell.compile(opts)
-	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &CascadeResult{Name: "Cascade: dependency-graph workloads under a downstream fault"}
-	for i, cell := range cells {
-		r := results[i]
-		o := CascadeOutcome{
-			Topology:               cell.topology.name,
-			Algorithm:              cell.algorithm,
-			Defense:                cell.defense.name,
-			Summary:                r.Summary,
-			DegradedSeconds:        r.Extra[extraDegraded],
-			GoodputRecoverySeconds: r.Extra[extraGoodputRecovery],
-		}
-		if r.Cascade != nil {
-			o.Cascade = *r.Cascade
-			if o.Cascade.RootGenerated > 0 {
-				o.GoodputPercent = 100 * float64(o.Cascade.RootCompleted) / float64(o.Cascade.RootGenerated)
-			}
-		}
-		if r.Resilience != nil {
-			o.Resilience = *r.Resilience
-			o.Amplification = r.Resilience.Amplification()
-		}
-		res.Outcomes = append(res.Outcomes, o)
-	}
-	return res, nil
+	return g.run(product(topologies, cascadeAlgorithms(), defenses), func(l []string) runner.RunSpec {
+		topo := topologyOf[l[0]]
+		_, defenseOf := axisOf(cascadeDefenses(topo.shedThreshold), defenseName)
+		return cascadeCell{topology: topo, algorithm: l[1], defense: defenseOf[l[2]]}.compile(opts)
+	}, opts)
 }

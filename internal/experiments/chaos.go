@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"hyscale/internal/faults"
-	"hyscale/internal/metrics"
-	"hyscale/internal/monitor"
 	"hyscale/internal/platform"
 	"hyscale/internal/runner"
 	"hyscale/internal/workload"
@@ -36,61 +35,15 @@ func ChaosFaults(seed int64) faults.Config {
 	}
 }
 
-// ChaosOutcome is one (fault rate, algorithm, hardening) cell.
-type ChaosOutcome struct {
-	Algorithm string
-	FaultRate float64
-	Hardened  bool
-	Summary   metrics.Summary
-	Actions   monitor.ActionCounts
-	ConnFail  platform.ConnFailureBreakdown
-	// AvailabilityPercent is the §VI uptime metric under chaos: the share
-	// of service-seconds the health probe saw up (see health.go).
-	AvailabilityPercent float64
-}
-
-// ChaosResult is the material behind the resilience comparison.
-type ChaosResult struct {
-	Name     string
-	Outcomes []ChaosOutcome
-}
-
-// Outcome returns the cell for (algorithm, rate, hardened), or nil.
-func (r *ChaosResult) Outcome(algorithm string, rate float64, hardened bool) *ChaosOutcome {
-	for i := range r.Outcomes {
-		o := &r.Outcomes[i]
-		if o.Algorithm == algorithm && o.FaultRate == rate && o.Hardened == hardened {
-			return o
-		}
-	}
-	return nil
-}
-
-// Table renders the per-algorithm resilience comparison.
-func (r *ChaosResult) Table() *Table {
-	t := &Table{
-		Title: r.Name,
-		Columns: []string{"fault rate", "algorithm", "hardened", "failed %", "uptime %",
-			"mean response", "retries", "abandoned", "stale snaps"},
-	}
-	for _, o := range r.Outcomes {
-		hardened := "yes"
-		if !o.Hardened {
-			hardened = "no"
-		}
-		t.AddRow(
-			fmt.Sprintf("%.1f", o.FaultRate),
-			o.Algorithm,
-			hardened,
-			fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
-			fmt.Sprintf("%.2f", o.AvailabilityPercent),
-			fmtDur(o.Summary.MeanLatency),
-			fmt.Sprintf("%d", o.Actions.Retries),
-			fmt.Sprintf("%d", o.Actions.AbandonedActions),
-			fmt.Sprintf("%d", o.Actions.StaleSnapshots),
-		)
-	}
-	return t
+// chaosColumns price what the resilience machinery buys per algorithm;
+// uptime is the health probe's availability (see health.go).
+var chaosColumns = []column{
+	failedColumn,
+	availabilityColumn("uptime %"),
+	meanColumn,
+	cellf("retries", "%d", func(r *Row) uint64 { return r.Actions.Retries }),
+	cellf("abandoned", "%d", func(r *Row) uint64 { return r.Actions.AbandonedActions }),
+	cellf("stale snaps", "%d", func(r *Row) uint64 { return r.Actions.StaleSnapshots }),
 }
 
 // chaosCell parameterises one chaos run.
@@ -126,53 +79,27 @@ func (c chaosCell) compile(services []serviceLoad, base faults.Config, opts Opti
 	return spec
 }
 
-// runChaosCells compiles every cell up front, fans them through the
-// executor, and collects outcomes in cell order.
-func runChaosCells(name string, services []serviceLoad, cells []chaosCell, opts Options) (*ChaosResult, error) {
-	res := &ChaosResult{Name: name}
+// chaosGrid runs the Fig. 6b service set under each (fault rate, algorithm,
+// hardened) cell; rates are labelled "%.1f" and hardened "yes" or "no".
+func chaosGrid(title string, services []serviceLoad, cells [][]string, opts Options) (*Grid, error) {
 	base := ChaosFaults(opts.Seed + 1000)
-	specs := make([]runner.RunSpec, len(cells))
-	for i, cell := range cells {
-		specs[i] = cell.compile(services, base, opts)
-	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, cell := range cells {
-		r := results[i]
-		res.Outcomes = append(res.Outcomes, ChaosOutcome{
-			Algorithm:           cell.algorithm,
-			FaultRate:           cell.rate,
-			Hardened:            cell.hardened,
-			Summary:             r.Summary,
-			Actions:             r.Actions,
-			ConnFail:            r.ConnFail,
-			AvailabilityPercent: r.Extra[extraAvailability],
-		})
-	}
-	return res, nil
+	g := &Grid{Title: title, Axes: []string{"fault rate", "algorithm", "hardened"}, columns: chaosColumns}
+	return g.run(cells, func(l []string) runner.RunSpec {
+		// Rate labels are literals written in "%.1f" by the callers.
+		rate, _ := strconv.ParseFloat(l[0], 64)
+		return chaosCell{algorithm: l[1], rate: rate, hardened: l[2] == "yes"}.compile(services, base, opts)
+	}, opts)
 }
 
 // RunChaos replays Fig. 6b's high-burst CPU-bound workload under a fault
 // sweep (rates 0, 0.5, 1.0 with hardening on) plus an unhardened run at
 // rate 1.0 per algorithm, tabulating failed-request %, uptime and retry
 // volume.
-func RunChaos(opts Options) (*ChaosResult, error) {
+func RunChaos(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
 	algorithms := []string{"kubernetes", "hybrid", "hybridmem"}
-	var cells []chaosCell
-	for _, rate := range []float64{0, 0.5, 1.0} {
-		for _, a := range algorithms {
-			cells = append(cells, chaosCell{algorithm: a, rate: rate, hardened: true})
-		}
-	}
-	for _, a := range algorithms {
-		cells = append(cells, chaosCell{algorithm: a, rate: 1.0, hardened: false})
-	}
-	return runChaosCells(
-		"Chaos: CPU-bound high-burst under control-plane faults",
-		services, cells, opts,
-	)
+	cells := append(product([]string{"0.0", "0.5", "1.0"}, algorithms, []string{"yes"}),
+		product([]string{"1.0"}, algorithms, []string{"no"})...)
+	return chaosGrid("Chaos: CPU-bound high-burst under control-plane faults", services, cells, opts)
 }

@@ -17,15 +17,15 @@ func chaosServices(opts Options) []serviceLoad {
 // schedule with hardening off.
 func TestChaosHardeningReducesFailures(t *testing.T) {
 	opts := shapeOpts()
-	res, err := runChaosCells("hardening-vs-not", chaosServices(opts), []chaosCell{
-		{algorithm: "hybridmem", rate: 1.0, hardened: true},
-		{algorithm: "hybridmem", rate: 1.0, hardened: false},
+	res, err := chaosGrid("hardening-vs-not", chaosServices(opts), [][]string{
+		{"1.0", "hybridmem", "yes"},
+		{"1.0", "hybridmem", "no"},
 	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := res.Outcome("hybridmem", 1.0, true)
-	off := res.Outcome("hybridmem", 1.0, false)
+	on := res.Row("1.0", "hybridmem", "yes")
+	off := res.Row("1.0", "hybridmem", "no")
 	if on == nil || off == nil {
 		t.Fatal("missing outcomes")
 	}
@@ -51,19 +51,18 @@ func TestChaosHardeningReducesFailures(t *testing.T) {
 // health checks and health probe must be invisible.
 func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 	opts := shapeOpts()
-	res, err := runChaosCells("zero-rate", chaosServices(opts), []chaosCell{
-		{algorithm: "hybridmem", rate: 0, hardened: true},
+	res, err := chaosGrid("zero-rate", chaosServices(opts), [][]string{
+		{"0.0", "hybridmem", "yes"},
 	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := runMacro("baseline", "cpu-high-burst", chaosServices(opts),
-		[]string{"hybridmem"}, opts)
+	base, err := macroGrid("baseline", chaosServices(opts), algorithmRows("hybridmem"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.Outcome("hybridmem", 0, true)
-	want := base.Outcome("hybridmem")
+	got := res.Row("0.0", "hybridmem", "yes")
+	want := base.Row("hybridmem")
 	if got.Summary != want.Summary {
 		t.Errorf("zero-rate summary diverged from baseline:\n got %+v\nwant %+v",
 			got.Summary, want.Summary)
@@ -72,8 +71,8 @@ func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 		t.Errorf("zero-rate actions diverged from baseline:\n got %+v\nwant %+v",
 			got.Actions, want.Actions)
 	}
-	if got.AvailabilityPercent != 100 {
-		t.Errorf("availability = %.2f at zero rate, want 100", got.AvailabilityPercent)
+	if got.Extra[extraAvailability] != 100 {
+		t.Errorf("availability = %.2f at zero rate, want 100", got.Extra[extraAvailability])
 	}
 }
 
@@ -81,10 +80,10 @@ func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 func TestChaosDeterminism(t *testing.T) {
 	opts := Options{Seed: 5, Scale: 0.05}
 	run := func() string {
-		res, err := runChaosCells("det", chaosServices(opts), []chaosCell{
-			{algorithm: "kubernetes", rate: 1.0, hardened: true},
-			{algorithm: "hybridmem", rate: 0.5, hardened: true},
-			{algorithm: "hybridmem", rate: 1.0, hardened: false},
+		res, err := chaosGrid("det", chaosServices(opts), [][]string{
+			{"1.0", "kubernetes", "yes"},
+			{"0.5", "hybridmem", "yes"},
+			{"1.0", "hybridmem", "no"},
 		}, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -104,14 +103,14 @@ func TestRunChaosShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3 rates × 3 algorithms hardened + 3 unhardened at rate 1.0.
-	if len(res.Outcomes) != 12 {
-		t.Fatalf("outcomes = %d, want 12", len(res.Outcomes))
+	if len(res.Rows) != 12 {
+		t.Fatalf("outcomes = %d, want 12", len(res.Rows))
 	}
 	tab := res.Table()
 	if len(tab.Rows) != 12 || len(tab.Columns) != 9 {
 		t.Errorf("table shape = %dx%d, want 12x9", len(tab.Rows), len(tab.Columns))
 	}
-	if res.Outcome("hybrid", 0.5, true) == nil || res.Outcome("kubernetes", 1.0, false) == nil {
+	if res.Row("0.5", "hybrid", "yes") == nil || res.Row("1.0", "kubernetes", "no") == nil {
 		t.Error("expected cells missing")
 	}
 }

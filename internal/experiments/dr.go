@@ -6,7 +6,6 @@ import (
 
 	"hyscale/internal/faults"
 	"hyscale/internal/loadgen"
-	"hyscale/internal/metrics"
 	"hyscale/internal/monitor"
 	"hyscale/internal/platform"
 	"hyscale/internal/runner"
@@ -161,66 +160,13 @@ func drVariants() []drVariant {
 	}
 }
 
-// DROutcome is one (scenario, variant, algorithm) cell.
-type DROutcome struct {
-	Scenario  string
-	Variant   string
-	Algorithm string
-	// ReconvergeSeconds is the health probe's reconvergence time from the
-	// first zone failure (-1: never within the horizon — the cell did not
-	// survive).
-	ReconvergeSeconds float64
-	// AvailabilityPercent is the health probe's share of service-seconds up.
-	AvailabilityPercent float64
-	// Displaced / Spillover count replicas carried across a zone boundary
-	// by evacuation, and the subset placed beyond the primary target zone.
-	Displaced uint64
-	Spillover uint64
-	// CostDelta is this cell's total cost minus the matching no-evac
-	// cell's — what the recovery paid for in machine-hours and penalties.
-	CostDelta float64
-	Summary   metrics.Summary
-	Recovery  monitor.RecoveryCounts
-}
-
-// DRResult is the material behind the disaster-recovery comparison.
-type DRResult struct {
-	Name     string
-	Outcomes []DROutcome
-}
-
-// Outcome returns the cell for (scenario, variant, algorithm), or nil.
-func (r *DRResult) Outcome(scenario, variant, algorithm string) *DROutcome {
-	for i := range r.Outcomes {
-		o := &r.Outcomes[i]
-		if o.Scenario == scenario && o.Variant == variant && o.Algorithm == algorithm {
-			return o
-		}
+// drEvacCounts is the run's zone evacuation counters (zero when evacuation
+// is off).
+func drEvacCounts(r *Row) monitor.EvacCounts {
+	if r.ZoneEvac == nil {
+		return monitor.EvacCounts{}
 	}
-	return nil
-}
-
-// Table renders the scenario × variant × algorithm comparison.
-func (r *DRResult) Table() *Table {
-	t := &Table{
-		Title: r.Name,
-		Columns: []string{"scenario", "variant", "algorithm", "reconverge", "avail %",
-			"failed %", "displaced", "spillover", "cost Δ"},
-	}
-	for _, o := range r.Outcomes {
-		t.AddRow(
-			o.Scenario,
-			o.Variant,
-			o.Algorithm,
-			fmtRecovery(o.ReconvergeSeconds),
-			fmt.Sprintf("%.2f", o.AvailabilityPercent),
-			fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
-			fmt.Sprintf("%d", o.Displaced),
-			fmt.Sprintf("%d", o.Spillover),
-			fmt.Sprintf("%+.2f", o.CostDelta),
-		)
-	}
-	return t
+	return *r.ZoneEvac
 }
 
 // drCell parameterises one DR run.
@@ -260,71 +206,45 @@ func (c drCell) compile(nodes, zones, fillers, mammothReplicas int, opts Options
 }
 
 // runDRSized executes the DR grid on a cluster of the given size — the full
-// ISSUE-pinned grid for RunDR, a reduced one for the smoke tests.
-func runDRSized(opts Options, nodes, zones, fillers, mammothReplicas int, algorithms []string) (*DRResult, error) {
+// grid for RunDR, a reduced one for the smoke tests.
+func runDRSized(opts Options, nodes, zones, fillers, mammothReplicas int, algorithms []string) (*Grid, error) {
 	opts = opts.scaled()
-	var cells []drCell
-	for _, sc := range drScenarios() {
-		for _, v := range drVariants() {
-			for _, a := range algorithms {
-				cells = append(cells, drCell{scenario: sc, variant: v, algorithm: a})
+	scenarios, scenarioOf := axisOf(drScenarios(), func(s drScenario) string { return s.name })
+	variants, variantOf := axisOf(drVariants(), func(v drVariant) string { return v.name })
+	g := &Grid{
+		Title: "Disaster recovery: zone outage, evacuation and spillover",
+		Axes:  []string{"scenario", "variant", "algorithm"},
+	}
+	// Reconvergence is timed from the first zone failure ("-": the cell did
+	// not survive). Displaced counts replicas evacuation carried across a
+	// zone boundary, spillover the subset placed beyond the primary target
+	// zone. The cost delta is this cell's total cost minus the matching
+	// no-evac cell's — what the recovery paid for in machine-hours and
+	// penalties.
+	g.columns = []column{
+		reconvergeColumn,
+		availabilityColumn("avail %"),
+		failedColumn,
+		cellf("displaced", "%d", func(r *Row) uint64 { return drEvacCounts(r).ReplicasDisplaced }),
+		cellf("spillover", "%d", func(r *Row) uint64 { return drEvacCounts(r).SpilloverPlacements }),
+		cellf("cost Δ", "%+.2f", func(r *Row) float64 {
+			base := g.Row(r.Labels[0], "no-evac", r.Labels[2])
+			if base == nil {
+				return 0
 			}
-		}
+			return r.Cost.TotalCost - base.Cost.TotalCost
+		}),
 	}
-	specs := make([]runner.RunSpec, len(cells))
-	for i, cell := range cells {
-		specs[i] = cell.compile(nodes, zones, fillers, mammothReplicas, opts)
-	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &DRResult{Name: "Disaster recovery: zone outage, evacuation and spillover"}
-	for i, cell := range cells {
-		r := results[i]
-		o := DROutcome{
-			Scenario:            cell.scenario.name,
-			Variant:             cell.variant.name,
-			Algorithm:           cell.algorithm,
-			ReconvergeSeconds:   r.Extra[extraReconverge],
-			AvailabilityPercent: r.Extra[extraAvailability],
-			Summary:             r.Summary,
-			Recovery:            r.Recovery,
-		}
-		if r.ZoneEvac != nil {
-			o.Displaced = r.ZoneEvac.ReplicasDisplaced
-			o.Spillover = r.ZoneEvac.SpilloverPlacements
-		}
-		res.Outcomes = append(res.Outcomes, o)
-	}
-	// Cost deltas against the matching no-evac cell, computable only once
-	// every cell is in.
-	for i := range res.Outcomes {
-		o := &res.Outcomes[i]
-		base := res.Outcome(o.Scenario, "no-evac", o.Algorithm)
-		if base == nil {
-			continue
-		}
-		bi := results[drCellIndex(cells, o.Scenario, "no-evac", o.Algorithm)]
-		oi := results[i]
-		o.CostDelta = oi.Cost.TotalCost - bi.Cost.TotalCost
-	}
-	return res, nil
+	return g.run(product(scenarios, variants, algorithms), func(l []string) runner.RunSpec {
+		c := drCell{scenario: scenarioOf[l[0]], variant: variantOf[l[1]], algorithm: l[2]}
+		return c.compile(nodes, zones, fillers, mammothReplicas, opts)
+	}, opts)
 }
 
-func drCellIndex(cells []drCell, scenario, variant, algorithm string) int {
-	for i, c := range cells {
-		if c.scenario.name == scenario && c.variant.name == variant && c.algorithm == algorithm {
-			return i
-		}
-	}
-	return 0
-}
-
-// RunDR runs the zone disaster-recovery grid at the ISSUE-pinned scale —
+// RunDR runs the zone disaster-recovery grid at datacenter scale —
 // 1,000 nodes, ~500 services, 8 zones — under {outage, partition, rolling}
 // × {no-evac, evac, spill} × 3 algorithms (hyscale-bench -exp dr).
-func RunDR(opts Options) (*DRResult, error) {
+func RunDR(opts Options) (*Grid, error) {
 	return runDRSized(opts, drNodes, drZones, drFillers, drMammothReplicas,
 		[]string{"kubernetes", "hybrid", "hybridmem"})
 }

@@ -10,7 +10,7 @@ import (
 // 55-replica mammoth that fits a fresh zone's ~60 free CPU. The horizon at
 // scale 0.02 reaches the evacuation but not the heal — the full round trip
 // is covered by the platform-level conservation tests and the CI bench run.
-func drSmoke(t *testing.T, parallel int) *DRResult {
+func drSmoke(t *testing.T, parallel int) *Grid {
 	t.Helper()
 	res, err := runDRSized(Options{Seed: 1, Scale: 0.02, Parallel: parallel},
 		120, 4, 58, 55, []string{"hybridmem"})
@@ -28,33 +28,33 @@ func TestDRGridShape(t *testing.T) {
 		t.Skip("integration")
 	}
 	res := drSmoke(t, 0)
-	if len(res.Outcomes) != 9 {
-		t.Fatalf("outcomes = %d, want 3 scenarios x 3 variants", len(res.Outcomes))
+	if len(res.Rows) != 9 {
+		t.Fatalf("outcomes = %d, want 3 scenarios x 3 variants", len(res.Rows))
 	}
 	for _, scenario := range []string{"outage", "partition", "rolling"} {
 		for _, variant := range []string{"no-evac", "evac", "spill"} {
-			o := res.Outcome(scenario, variant, "hybridmem")
+			o := res.Row(scenario, variant, "hybridmem")
 			if o == nil {
 				t.Fatalf("missing outcome %s/%s", scenario, variant)
 			}
 			if variant == "no-evac" {
-				if o.Displaced != 0 || o.Spillover != 0 {
-					t.Errorf("%s/no-evac displaced %d replicas", scenario, o.Displaced)
+				if ev := drEvacCounts(o); ev.ReplicasDisplaced != 0 || ev.SpilloverPlacements != 0 {
+					t.Errorf("%s/no-evac displaced %d replicas", scenario, ev.ReplicasDisplaced)
 				}
 				continue
 			}
-			if o.Displaced == 0 {
+			if drEvacCounts(o).ReplicasDisplaced == 0 {
 				t.Errorf("%s/%s: zone death displaced no replicas", scenario, variant)
 			}
 		}
 	}
 	// The no-evac cell pays for the outage in availability; evacuation must
 	// not make it worse.
-	base := res.Outcome("outage", "no-evac", "hybridmem")
-	evac := res.Outcome("outage", "evac", "hybridmem")
-	if evac.AvailabilityPercent < base.AvailabilityPercent {
+	base := res.Row("outage", "no-evac", "hybridmem")
+	evac := res.Row("outage", "evac", "hybridmem")
+	if evac.Extra[extraAvailability] < base.Extra[extraAvailability] {
 		t.Errorf("outage availability: evac %.2f%% < no-evac %.2f%%",
-			evac.AvailabilityPercent, base.AvailabilityPercent)
+			evac.Extra[extraAvailability], base.Extra[extraAvailability])
 	}
 }
 

@@ -19,44 +19,30 @@ import (
 // node churn (the paper's dynamic-machine future work). They are indexed in
 // DESIGN.md §7.
 
-// CostTableFor renders a MacroResult with the cost columns appended.
-func CostTableFor(m *MacroResult) *Table {
-	t := &Table{
-		Title: m.Name,
-		Columns: []string{"algorithm", "mean response", "failed %", "machine-hours",
-			"sla-violation %", "total cost $"},
-	}
-	for _, o := range m.Outcomes {
-		t.AddRow(
-			o.Algorithm,
-			fmtDur(o.Summary.MeanLatency),
-			fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
-			fmt.Sprintf("%.2f", o.Cost.MachineHours),
-			fmt.Sprintf("%.2f", o.Cost.ViolationPercent()),
-			fmt.Sprintf("%.4f", o.Cost.TotalCost),
-		)
-	}
-	return t
+// costColumns price each row: machine-hours, SLA violations and dollars.
+var costColumns = []column{
+	meanColumn,
+	failedColumn,
+	machineHoursColumn,
+	cellf("sla-violation %", "%.2f", func(r *Row) float64 { return r.Cost.ViolationPercent() }),
+	cellf("total cost $", "%.4f", func(r *Row) float64 { return r.Cost.TotalCost }),
 }
+
+// CostTableFor renders a macro grid with the cost columns.
+func CostTableFor(g *Grid) *Table { return g.render(costColumns) }
 
 // RunAblation measures what each HyScale mechanism contributes: the full
 // HYSCALE_CPU+Mem against variants with reclamation disabled, vertical
 // scaling disabled (horizontal-only) and horizontal scaling disabled
 // (vertical-only), on the mixed high-burst workload where every mechanism
 // matters.
-func RunAblation(opts Options) (*MacroResult, error) {
+func RunAblation(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindMixed, 15, HighBurst, opts.Seed)
-	return runMacroSpecs(
+	return macroGrid(
 		"Ablation: HYSCALE_CPU+Mem mechanisms (mixed, high-burst)",
-		"ablation",
 		services,
-		[]macroRow{
-			{algorithm: "hybridmem"},
-			{algorithm: "hybridmem-noreclaim"},
-			{algorithm: "hybridmem-vertical-only"},
-			{algorithm: "hybridmem-horizontal-only"},
-		},
+		algorithmRows("hybridmem", "hybridmem-noreclaim", "hybridmem-vertical-only", "hybridmem-horizontal-only"),
 		opts,
 	)
 }
@@ -67,12 +53,11 @@ func RunAblation(opts Options) (*MacroResult, error) {
 // HYSCALE_CPU+Mem runs at 5 s and at a handicapped 30 s against the 5 s
 // Kubernetes baseline on CPU-bound high-burst load, quantifying how much of
 // the hybrid advantage survives slower decisions.
-func RunMonitorPeriodSensitivity(opts Options) (*MacroResult, error) {
+func RunMonitorPeriodSensitivity(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
-	return runMacroSpecs(
+	return macroGrid(
 		"Sensitivity: monitor period (CPU-bound, high-burst)",
-		"monitor-period",
 		services,
 		[]macroRow{
 			{label: "kubernetes@5s", algorithm: "kubernetes", monitorPeriod: 5 * time.Second},
@@ -87,12 +72,11 @@ func RunMonitorPeriodSensitivity(opts Options) (*MacroResult, error) {
 // RunPlacement compares the spread and bin-pack placement heuristics on
 // machines used versus performance — the §I trade-off between power savings
 // (fewer powered machines) and co-location contention.
-func RunPlacement(opts Options) (*MacroResult, error) {
+func RunPlacement(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, LowBurst, opts.Seed)
-	return runMacroSpecs(
+	return macroGrid(
 		"Placement: spread vs binpack (CPU-bound, low-burst)",
-		"placement",
 		services,
 		[]macroRow{
 			{label: "kubernetes/spread", algorithm: "kubernetes", placement: core.PlacementSpread},
@@ -112,7 +96,7 @@ func RunPlacement(opts Options) (*MacroResult, error) {
 // replica granularity leaves it accidentally over-provisioned between
 // bursts — and the harness records whichever way the trade-off falls (see
 // EXPERIMENTS.md).
-func RunStateful(opts Options) (*MacroResult, error) {
+func RunStateful(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
 	for i := range services {
@@ -122,15 +106,10 @@ func RunStateful(opts Options) (*MacroResult, error) {
 		// scaling is at least in the running against standing replicas.
 		services[i].pattern = loadgen.Scaled{Pattern: services[i].pattern, Factor: 0.55}
 	}
-	return runMacroSpecs(
+	return macroGrid(
 		"Stateful services: 2 GiB state sync per new replica (CPU-bound, high-burst)",
-		"stateful",
 		services,
-		[]macroRow{
-			{algorithm: "kubernetes"},
-			{algorithm: "hybrid"},
-			{algorithm: "hybridmem"},
-		},
+		algorithmRows("kubernetes", "hybrid", "hybridmem"),
 		opts,
 	)
 }
@@ -139,19 +118,13 @@ func RunStateful(opts Options) (*MacroResult, error) {
 // future work (§VII) in its simplest form: the same algorithms wrapped with
 // one-period linear usage extrapolation, on CPU-bound high-burst load where
 // reaction lag is what hurts.
-func RunPredictive(opts Options) (*MacroResult, error) {
+func RunPredictive(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
-	return runMacroSpecs(
+	return macroGrid(
 		"Predictive scaling: one-period usage extrapolation (CPU-bound, high-burst)",
-		"predictive",
 		services,
-		[]macroRow{
-			{algorithm: "kubernetes"},
-			{algorithm: "kubernetes-predictive"},
-			{algorithm: "hybridmem"},
-			{algorithm: "hybridmem-predictive"},
-		},
+		algorithmRows("kubernetes", "kubernetes-predictive", "hybridmem", "hybridmem-predictive"),
 		opts,
 	)
 }
@@ -160,12 +133,11 @@ func RunPredictive(opts Options) (*MacroResult, error) {
 // whose vertical scaling makes replica sizes heterogeneous: plain
 // least-outstanding treats a 3-CPU replica and a 0.25-CPU replica as equals,
 // while the weighted policy routes per unit of allocated CPU.
-func RunLBPolicy(opts Options) (*MacroResult, error) {
+func RunLBPolicy(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
-	return runMacroSpecs(
+	return macroGrid(
 		"Load balancing: least-outstanding vs weighted (hybridmem, CPU-bound, high-burst)",
-		"lbpolicy",
 		services,
 		[]macroRow{
 			{label: "hybridmem/least-outstanding", algorithm: "hybridmem", lbPolicy: lb.LeastOutstanding},
@@ -182,7 +154,7 @@ func RunLBPolicy(opts Options) (*MacroResult, error) {
 // machines join later. The algorithms' min-replica enforcement must
 // re-replicate the lost services — the fault-tolerance property hybrid
 // scaling shares with horizontal scaling (§I).
-func RunNodeChurn(opts Options) (*MacroResult, error) {
+func RunNodeChurn(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, LowBurst, opts.Seed)
 	dur := macroDuration(opts)
@@ -203,9 +175,8 @@ func RunNodeChurn(opts Options) (*MacroResult, error) {
 		})
 	}
 
-	return runMacroSpecs(
+	return macroGrid(
 		"Availability: node churn, 4 of 19 workers fail (CPU-bound, low-burst)",
-		"node-churn",
 		services,
 		[]macroRow{
 			{algorithm: "kubernetes", nodeFailures: failures, nodeRecoveries: recoveries},

@@ -6,11 +6,8 @@ import (
 	"time"
 
 	"hyscale/internal/core"
-	"hyscale/internal/cost"
 	"hyscale/internal/lb"
 	"hyscale/internal/loadgen"
-	"hyscale/internal/metrics"
-	"hyscale/internal/monitor"
 	"hyscale/internal/platform"
 	"hyscale/internal/runner"
 	"hyscale/internal/scalermgr"
@@ -39,62 +36,17 @@ func (l LoadShape) String() string {
 	return "low-burst"
 }
 
-// AlgoOutcome is one algorithm's aggregate result for one workload.
-type AlgoOutcome struct {
-	Algorithm string
-	Summary   metrics.Summary
-	Actions   monitor.ActionCounts
-	Cost      cost.Report
-}
-
-// MacroResult is the material behind one sub-figure (e.g. Fig. 6a).
-type MacroResult struct {
-	Name     string
-	Workload string
-	Outcomes []AlgoOutcome
-}
-
-// Outcome returns the named algorithm's outcome, or nil.
-func (m *MacroResult) Outcome(algorithm string) *AlgoOutcome {
-	for i := range m.Outcomes {
-		if m.Outcomes[i].Algorithm == algorithm {
-			return &m.Outcomes[i]
-		}
-	}
-	return nil
-}
-
-// Speedup returns mean-response-time speedup of algorithm b over a
-// (a_mean / b_mean), the paper's headline metric.
-func (m *MacroResult) Speedup(a, b string) float64 {
-	oa, ob := m.Outcome(a), m.Outcome(b)
-	if oa == nil || ob == nil || ob.Summary.MeanLatency <= 0 {
-		return 0
-	}
-	return float64(oa.Summary.MeanLatency) / float64(ob.Summary.MeanLatency)
-}
-
-// Table renders the request-statistics graph data (failed % split by class
-// plus mean response time per algorithm).
-func (m *MacroResult) Table() *Table {
-	t := &Table{
-		Title:   m.Name,
-		Columns: []string{"algorithm", "mean response", "p95", "failed %", "removal %", "connection %", "scale-outs", "scale-ins", "vertical ops"},
-	}
-	for _, o := range m.Outcomes {
-		t.AddRow(
-			o.Algorithm,
-			fmtDur(o.Summary.MeanLatency),
-			fmtDur(o.Summary.P95Latency),
-			fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
-			fmt.Sprintf("%.2f", o.Summary.RemovalFailedPercent()),
-			fmt.Sprintf("%.2f", o.Summary.ConnectionFailedPercent()),
-			fmt.Sprintf("%d", o.Actions.ScaleOuts),
-			fmt.Sprintf("%d", o.Actions.ScaleIns),
-			fmt.Sprintf("%d", o.Actions.Vertical),
-		)
-	}
-	return t
+// macroColumns render the request-statistics graph data (failed % split by
+// class plus mean response time per algorithm).
+var macroColumns = []column{
+	meanColumn,
+	p95Column,
+	failedColumn,
+	cellf("removal %", "%.2f", func(r *Row) float64 { return r.Summary.RemovalFailedPercent() }),
+	cellf("connection %", "%.2f", func(r *Row) float64 { return r.Summary.ConnectionFailedPercent() }),
+	scaleOutsColumn,
+	scaleInsColumn,
+	cellf("vertical ops", "%d", func(r *Row) uint64 { return r.Actions.Vertical }),
 }
 
 // serviceLoad couples a spec with its load pattern.
@@ -102,14 +54,6 @@ type serviceLoad struct {
 	spec    workload.ServiceSpec
 	target  float64
 	pattern loadgen.Pattern
-}
-
-// newAlgorithm instantiates a scaling algorithm by report name. Ablation
-// variants are spelled "<base>-noreclaim", "<base>-vertical-only" and
-// "<base>-horizontal-only". The mapping itself lives in runner.NewAlgorithm;
-// this wrapper keeps the historical package-local spelling.
-func newAlgorithm(name string) (core.Algorithm, error) {
-	return runner.NewAlgorithm(name, core.DefaultConfig())
 }
 
 // macroDuration returns the experiment horizon: one hour at Scale=1.
@@ -184,39 +128,23 @@ func (r macroRow) compile(name string, services []serviceLoad, opts Options) run
 	return spec
 }
 
-// runMacro runs the given service set under each algorithm and collects the
-// outcomes. The same seed is used for every algorithm so they face an
-// identical arrival sequence.
-func runMacro(name, workloadName string, services []serviceLoad, algorithms []string, opts Options) (*MacroResult, error) {
+// macroGrid runs one macro table: every row runs the same service set on
+// the "algorithm" axis, labelled by its rowLabel.
+func macroGrid(title string, services []serviceLoad, rows []macroRow, opts Options) (*Grid, error) {
+	labels, rowOf := axisOf(rows, macroRow.rowLabel)
+	g := &Grid{Title: title, Axes: []string{"algorithm"}, columns: macroColumns}
+	return g.run(product(labels), func(l []string) runner.RunSpec {
+		return rowOf[l[0]].compile(title, services, opts)
+	}, opts)
+}
+
+// algorithmRows returns one default row per algorithm.
+func algorithmRows(algorithms ...string) []macroRow {
 	rows := make([]macroRow, len(algorithms))
 	for i, a := range algorithms {
 		rows[i] = macroRow{algorithm: a}
 	}
-	return runMacroSpecs(name, workloadName, services, rows, opts)
-}
-
-// runMacroSpecs is the generalised macro runner behind runMacro and the
-// extension experiments (ablations, sensitivity, churn): it compiles every
-// row to a RunSpec and fans them through the deterministic executor.
-func runMacroSpecs(name, workloadName string, services []serviceLoad, rows []macroRow, opts Options) (*MacroResult, error) {
-	specs := make([]runner.RunSpec, len(rows))
-	for i, r := range rows {
-		specs[i] = r.compile(name, services, opts)
-	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &MacroResult{Name: name, Workload: workloadName}
-	for _, r := range results {
-		res.Outcomes = append(res.Outcomes, AlgoOutcome{
-			Algorithm: r.Spec.RowLabel(),
-			Summary:   r.Summary,
-			Actions:   r.Actions,
-			Cost:      r.Cost,
-		})
-	}
-	return res, nil
+	return rows
 }
 
 // patternFor builds the per-service load pattern. Services are phase
@@ -305,36 +233,34 @@ func makeServices(kind workload.Kind, n int, shape LoadShape, seed int64) []serv
 
 // RunFig6 reproduces Figure 6 (a: low-burst, b: high-burst): 15 CPU-bound
 // services; kubernetes vs hybrid vs hybridmem.
-func RunFig6(shape LoadShape, opts Options) (*MacroResult, error) {
+func RunFig6(shape LoadShape, opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, shape, opts.Seed)
 	sub := "6a"
 	if shape == HighBurst {
 		sub = "6b"
 	}
-	return runMacro(
+	return macroGrid(
 		fmt.Sprintf("Figure %s: CPU-bound, %s", sub, shape),
-		"cpu-"+shape.String(),
 		services,
-		[]string{"kubernetes", "hybrid", "hybridmem"},
+		algorithmRows("kubernetes", "hybrid", "hybridmem"),
 		opts,
 	)
 }
 
 // RunFig7 reproduces Figure 7 (a: low-burst, b: high-burst): 15 mixed
 // CPU+memory services; kubernetes vs hybrid vs hybridmem.
-func RunFig7(shape LoadShape, opts Options) (*MacroResult, error) {
+func RunFig7(shape LoadShape, opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindMixed, 15, shape, opts.Seed)
 	sub := "7a"
 	if shape == HighBurst {
 		sub = "7b"
 	}
-	return runMacro(
+	return macroGrid(
 		fmt.Sprintf("Figure %s: mixed CPU+memory, %s", sub, shape),
-		"mixed-"+shape.String(),
 		services,
-		[]string{"kubernetes", "hybrid", "hybridmem"},
+		algorithmRows("kubernetes", "hybrid", "hybridmem"),
 		opts,
 	)
 }
@@ -342,18 +268,17 @@ func RunFig7(shape LoadShape, opts Options) (*MacroResult, error) {
 // RunFig8 reproduces Figure 8 (a: low-burst, b: high-burst): 15
 // network-bound services; all four algorithms including the dedicated
 // network scaler.
-func RunFig8(shape LoadShape, opts Options) (*MacroResult, error) {
+func RunFig8(shape LoadShape, opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindNetworkBound, 15, shape, opts.Seed)
 	sub := "8a"
 	if shape == HighBurst {
 		sub = "8b"
 	}
-	return runMacro(
+	return macroGrid(
 		fmt.Sprintf("Figure %s: network-bound, %s", sub, shape),
-		"network-"+shape.String(),
 		services,
-		[]string{"kubernetes", "hybrid", "hybridmem", "network"},
+		algorithmRows("kubernetes", "hybrid", "hybridmem", "network"),
 		opts,
 	)
 }

@@ -6,7 +6,6 @@ import (
 
 	"hyscale/internal/faults"
 	"hyscale/internal/loadgen"
-	"hyscale/internal/metrics"
 	"hyscale/internal/monitor"
 	"hyscale/internal/platform"
 	"hyscale/internal/runner"
@@ -69,62 +68,17 @@ func recoveryServices(n int) []serviceLoad {
 	return out
 }
 
-// RecoveryOutcome is one (algorithm, variant) cell.
-type RecoveryOutcome struct {
-	Algorithm string
-	// Variant is one of no-heal|heal|crash-ckpt|crash-cold.
-	Variant string
-	// ReconvergeSeconds is the health probe's reconvergence time from the
-	// first node death (0: capacity never degraded; -1: never restored
-	// within the horizon).
-	ReconvergeSeconds float64
-	// AvailabilityPercent is the health probe's share of service-seconds up.
-	AvailabilityPercent float64
-	Summary             metrics.Summary
-	Recovery            monitor.RecoveryCounts
-	// MonitorCrashes counts poll periods lost to the monitor-crash window.
-	MonitorCrashes uint64
-}
-
-// RecoveryResult is the material behind the self-healing comparison.
-type RecoveryResult struct {
-	Name     string
-	Outcomes []RecoveryOutcome
-}
-
-// Outcome returns the cell for (algorithm, variant), or nil.
-func (r *RecoveryResult) Outcome(algorithm, variant string) *RecoveryOutcome {
-	for i := range r.Outcomes {
-		o := &r.Outcomes[i]
-		if o.Algorithm == algorithm && o.Variant == variant {
-			return o
-		}
-	}
-	return nil
-}
-
-// Table renders the per-algorithm recovery comparison.
-func (r *RecoveryResult) Table() *Table {
-	t := &Table{
-		Title: r.Name,
-		Columns: []string{"algorithm", "variant", "reconverge", "avail %", "failed %",
-			"lost", "replaced", "drained", "ckpt restores", "cold restarts"},
-	}
-	for _, o := range r.Outcomes {
-		t.AddRow(
-			o.Algorithm,
-			o.Variant,
-			fmtRecovery(o.ReconvergeSeconds),
-			fmt.Sprintf("%.2f", o.AvailabilityPercent),
-			fmt.Sprintf("%.2f", o.Summary.FailedPercent()),
-			fmt.Sprintf("%d", o.Recovery.ReplicasLost),
-			fmt.Sprintf("%d", o.Recovery.Replaced),
-			fmt.Sprintf("%d", o.Recovery.StaleDrained),
-			fmt.Sprintf("%d", o.Recovery.CheckpointRestores),
-			fmt.Sprintf("%d", o.Recovery.ColdRestarts),
-		)
-	}
-	return t
+// recoveryColumns report reconvergence and availability as the health probe
+// defines them, then the self-healing counters.
+var recoveryColumns = []column{
+	reconvergeColumn,
+	availabilityColumn("avail %"),
+	failedColumn,
+	cellf("lost", "%d", func(r *Row) uint64 { return r.Recovery.ReplicasLost }),
+	cellf("replaced", "%d", func(r *Row) uint64 { return r.Recovery.Replaced }),
+	cellf("drained", "%d", func(r *Row) uint64 { return r.Recovery.StaleDrained }),
+	cellf("ckpt restores", "%d", func(r *Row) uint64 { return r.Recovery.CheckpointRestores }),
+	cellf("cold restarts", "%d", func(r *Row) uint64 { return r.Recovery.ColdRestarts }),
 }
 
 // recoveryCell parameterises one recovery run.
@@ -191,37 +145,19 @@ func recoveryVariants() []recoveryCell {
 // algorithm and self-healing variant, the time to restore the pre-crash
 // capacity, availability, and the recovery counters (hyscale-bench -exp
 // recovery).
-func RunRecovery(opts Options) (*RecoveryResult, error) {
+func RunRecovery(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := recoveryServices(8)
-	algorithms := []string{"kubernetes", "hybrid", "hybridmem"}
-	var cells []recoveryCell
-	for _, a := range algorithms {
-		for _, v := range recoveryVariants() {
-			v.algorithm = a
-			cells = append(cells, v)
-		}
+	names, variants := axisOf(recoveryVariants(), func(c recoveryCell) string { return c.variant })
+	g := &Grid{
+		Title:   "Recovery: node death, reconciliation and monitor crash-restore",
+		Axes:    []string{"algorithm", "variant"},
+		columns: recoveryColumns,
 	}
-	specs := make([]runner.RunSpec, len(cells))
-	for i, cell := range cells {
-		specs[i] = cell.compile(services, opts)
-	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &RecoveryResult{Name: "Recovery: node death, reconciliation and monitor crash-restore"}
-	for i, cell := range cells {
-		r := results[i]
-		res.Outcomes = append(res.Outcomes, RecoveryOutcome{
-			Algorithm:           cell.algorithm,
-			Variant:             cell.variant,
-			ReconvergeSeconds:   r.Extra[extraReconverge],
-			AvailabilityPercent: r.Extra[extraAvailability],
-			Summary:             r.Summary,
-			Recovery:            r.Recovery,
-			MonitorCrashes:      r.MonitorCrashes,
-		})
-	}
-	return res, nil
+	cells := product([]string{"kubernetes", "hybrid", "hybridmem"}, names)
+	return g.run(cells, func(l []string) runner.RunSpec {
+		c := variants[l[1]]
+		c.algorithm = l[0]
+		return c.compile(services, opts)
+	}, opts)
 }

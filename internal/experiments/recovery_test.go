@@ -20,18 +20,18 @@ func TestRecoveryReconvergesWithinBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Outcomes) != 12 {
-		t.Fatalf("outcomes = %d, want 3 algorithms x 4 variants", len(res.Outcomes))
+	if len(res.Rows) != 12 {
+		t.Fatalf("outcomes = %d, want 3 algorithms x 4 variants", len(res.Rows))
 	}
 	for _, algo := range []string{"kubernetes", "hybrid", "hybridmem"} {
 		for _, variant := range []string{"heal", "crash-ckpt", "crash-cold"} {
-			o := res.Outcome(algo, variant)
+			o := res.Row(algo, variant)
 			if o == nil {
 				t.Fatalf("missing outcome %s/%s", algo, variant)
 			}
-			if o.ReconvergeSeconds < 0 || o.ReconvergeSeconds > recoveryBoundSeconds {
+			if secs := o.Extra[extraReconverge]; secs < 0 || secs > recoveryBoundSeconds {
 				t.Errorf("%s/%s: reconverge = %.0fs, want within [0, %ds]",
-					algo, variant, o.ReconvergeSeconds, recoveryBoundSeconds)
+					algo, variant, secs, recoveryBoundSeconds)
 			}
 			if o.Recovery.DeclaredDead != 2 {
 				t.Errorf("%s/%s: declared dead = %d, want 2", algo, variant, o.Recovery.DeclaredDead)
@@ -43,7 +43,7 @@ func TestRecoveryReconvergesWithinBound(t *testing.T) {
 
 		// Checkpointed restarts keep the reconcile plan; cold restarts lose
 		// it (the autoscaler alone recovers the count).
-		ckpt, cold := res.Outcome(algo, "crash-ckpt"), res.Outcome(algo, "crash-cold")
+		ckpt, cold := res.Row(algo, "crash-ckpt"), res.Row(algo, "crash-cold")
 		if ckpt.Recovery.CheckpointRestores != 1 || ckpt.Recovery.ColdRestarts != 0 {
 			t.Errorf("%s/crash-ckpt: restarts = %+v", algo, ckpt.Recovery)
 		}
@@ -59,7 +59,7 @@ func TestRecoveryReconvergesWithinBound(t *testing.T) {
 		}
 
 		// The legacy variant must not touch any self-healing machinery.
-		none := res.Outcome(algo, "no-heal")
+		none := res.Row(algo, "no-heal")
 		if none.Recovery != (monitor.RecoveryCounts{}) {
 			t.Errorf("%s/no-heal: recovery counters non-zero: %+v", algo, none.Recovery)
 		}

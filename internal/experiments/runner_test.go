@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hyscale/internal/core"
 	"hyscale/internal/platform"
 	"hyscale/internal/runner"
 	"hyscale/internal/workload"
@@ -60,7 +61,7 @@ func TestSpecMatchesLegacyExecution(t *testing.T) {
 		}
 
 		// Legacy path: the pre-RunSpec wiring, verbatim.
-		algo, err := newAlgorithm("hybridmem")
+		algo, err := runner.NewAlgorithm("hybridmem", core.DefaultConfig())
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

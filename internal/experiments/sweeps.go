@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hyscale/internal/cluster"
-	"hyscale/internal/metrics"
 	"hyscale/internal/platform"
 	"hyscale/internal/resources"
 	"hyscale/internal/runner"
@@ -125,73 +124,27 @@ func netSweepRunSpec(opts Options, replicas int, capEach, payloadMb, totalMbps f
 	return spec
 }
 
-// TargetUtilResult sweeps the utilization target — the one knob every
-// algorithm shares — showing the latency/efficiency trade-off.
-type TargetUtilResult struct {
-	Targets []float64
-	// PerAlgo maps algorithm -> mean latency per target.
-	PerAlgo map[string][]metrics.Summary
-	// MachineHours maps algorithm -> machine-hours per target.
-	MachineHours map[string][]float64
-	order        []string
-}
-
-// Table renders the sweep.
-func (r *TargetUtilResult) Table() *Table {
-	t := &Table{
-		Title:   "Sensitivity: utilization target sweep (CPU-bound, low-burst)",
-		Columns: []string{"algorithm", "target", "mean response", "failed %", "machine-hours"},
-	}
-	for _, algo := range r.order {
-		for i, target := range r.Targets {
-			s := r.PerAlgo[algo][i]
-			t.AddRow(
-				algo,
-				fmt.Sprintf("%.0f%%", target*100),
-				fmtDur(s.MeanLatency),
-				fmt.Sprintf("%.2f", s.FailedPercent()),
-				fmt.Sprintf("%.2f", r.MachineHours[algo][i]),
-			)
-		}
-	}
-	return t
-}
-
-// RunTargetUtilSweep runs kubernetes and hybridmem at 30/50/70 % targets —
-// six independent runs compiled up front and fanned through the executor.
-func RunTargetUtilSweep(opts Options) (*TargetUtilResult, error) {
+// RunTargetUtilSweep sweeps the utilization target — the one knob every
+// algorithm shares — showing the latency/efficiency trade-off: kubernetes
+// and hybridmem at 30/50/70 % targets, six independent runs compiled up
+// front and fanned through the executor.
+func RunTargetUtilSweep(opts Options) (*Grid, error) {
 	opts = opts.scaled()
-	res := &TargetUtilResult{
-		Targets:      []float64{0.3, 0.5, 0.7},
-		PerAlgo:      make(map[string][]metrics.Summary),
-		MachineHours: make(map[string][]float64),
-		order:        []string{"kubernetes", "hybridmem"},
+	targets := map[string]float64{"30%": 0.3, "50%": 0.5, "70%": 0.7}
+	g := &Grid{
+		Title:   "Sensitivity: utilization target sweep (CPU-bound, low-burst)",
+		Axes:    []string{"algorithm", "target"},
+		columns: []column{meanColumn, failedColumn, machineHoursColumn},
 	}
-	var specs []runner.RunSpec
-	for _, algoName := range res.order {
-		for _, target := range res.Targets {
-			services := makeServices(workload.KindCPUBound, 15, LowBurst, opts.Seed)
-			for i := range services {
-				services[i].target = target
-			}
-			row := macroRow{algorithm: algoName, label: fmt.Sprintf("%s@%.0f%%", algoName, target*100)}
-			specs = append(specs, row.compile("targetutil", services, opts))
+	cells := product([]string{"kubernetes", "hybridmem"}, []string{"30%", "50%", "70%"})
+	return g.run(cells, func(l []string) runner.RunSpec {
+		services := makeServices(workload.KindCPUBound, 15, LowBurst, opts.Seed)
+		for i := range services {
+			services[i].target = targets[l[1]]
 		}
-	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, algoName := range res.order {
-		for range res.Targets {
-			r := results[i]
-			i++
-			res.PerAlgo[algoName] = append(res.PerAlgo[algoName], r.Summary)
-			res.MachineHours[algoName] = append(res.MachineHours[algoName], r.Cost.MachineHours)
-		}
-	}
-	return res, nil
+		row := macroRow{algorithm: l[0], label: l[0] + "@" + l[1]}
+		return row.compile("targetutil", services, opts)
+	}, opts)
 }
 
 // HookHeteroBigNodes is the registered runner hook that converts a freshly
@@ -222,12 +175,11 @@ func init() {
 // RunHeterogeneous exercises the algorithms on a heterogeneous cluster —
 // half the machines twice as large — verifying placement respects per-node
 // capacities (§I: "most cloud clusters are heterogeneous").
-func RunHeterogeneous(opts Options) (*MacroResult, error) {
+func RunHeterogeneous(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
-	return runMacroSpecs(
+	return macroGrid(
 		"Heterogeneous cluster: 10 small + 9 double-size nodes (CPU-bound, high-burst)",
-		"heterogeneous",
 		services,
 		[]macroRow{
 			{algorithm: "kubernetes", hooks: []string{HookHeteroBigNodes}},

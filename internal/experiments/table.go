@@ -1,9 +1,10 @@
 // Package experiments contains one reproducible harness per table and
-// figure in the paper's evaluation (§III and §VI). Each experiment builds a
-// World, drives the paper's workload, and returns a typed result that can
-// render itself as the same rows/series the paper reports. The package is
-// the single source of truth mapping paper artefacts to code — see
-// DESIGN.md's per-experiment index.
+// figure in the paper's evaluation (§III and §VI) and per extension table.
+// Each experiment compiles its runs to runner.RunSpecs and returns a result
+// that renders itself as the same rows/series the paper reports; most are
+// one Grid (grid.go), and registry.go maps every hyscale-bench -exp id to
+// its tables. The package is the single source of truth mapping paper
+// artefacts to code — see DESIGN.md's per-experiment index.
 package experiments
 
 import (
