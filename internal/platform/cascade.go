@@ -1,13 +1,10 @@
 package platform
 
 import (
-	"errors"
 	"sort"
 	"time"
 
-	"hyscale/internal/cluster"
 	"hyscale/internal/container"
-	"hyscale/internal/lb"
 	"hyscale/internal/obs"
 	"hyscale/internal/resilience"
 	"hyscale/internal/sim"
@@ -19,8 +16,10 @@ import (
 // service spawn downstream calls along the graph's edges, parents wait on
 // their children (holding queue slots — back-pressure), failures cascade
 // upward with fail-fast semantics, and the resilience.Manager's breakers,
-// retry budgets, deadlines and shedding gate every hop. Worlds without a
-// graph never construct a graphRun and execute exactly the original code.
+// retry budgets, deadlines and shedding gate every hop. Admission and
+// outcome booking are the World's one request path (World.admit,
+// World.resolve); this layer adds the request tree around it. Worlds
+// without a graph never construct a graphRun.
 
 // EdgeStats counts one call-graph edge's traffic. Conservation invariant:
 // Issued == Delivered + Dropped at every instant (each issued attempt is
@@ -63,16 +62,6 @@ func (s CascadeStats) EdgeKeys() []string {
 	return keys
 }
 
-// outcome classifies how a tracked request resolved.
-type outcome int
-
-const (
-	outcomeCompleted outcome = iota
-	outcomeShed
-	outcomeDeadline
-	outcomeFailed
-)
-
 // callEdge is one call-graph edge compiled for the hot path when the World
 // starts: everything a call needs is resolved once, so issuing, admitting
 // and resolving a call costs no string building, hashing or map lookup.
@@ -108,7 +97,7 @@ type reqNode struct {
 	// after the request leaves the container.
 	cont    *container.Container
 	pending int
-	// refs counts the node's references: one for itself until finish, one
+	// refs counts the node's references: one for itself until settle, one
 	// per unreleased child, one per scheduled retry of one of its call
 	// slots, and the guard spawnChildren holds while it runs.
 	refs int32
@@ -134,13 +123,11 @@ type pendingRetry struct {
 	attempt int
 }
 
-// graphRun is a World's call-graph state: the live request tree, the
-// compiled edges with their counters, and the resilience manager (which may
-// be nil when only a graph, no defenses, is configured).
+// graphRun is a World's call-graph state: the live request tree and the
+// compiled edges with their counters.
 type graphRun struct {
 	w     *World
 	graph workload.CallGraph
-	res   *resilience.Manager
 
 	// chunks is the node slab: fixed-size chunks, so a node's address is
 	// stable while the slab grows. free lists the released nodes.
@@ -164,8 +151,8 @@ type graphRun struct {
 	rootFailed    uint64
 }
 
-func newGraphRun(w *World, graph workload.CallGraph, m *resilience.Manager) *graphRun {
-	g := &graphRun{w: w, graph: graph, res: m}
+func newGraphRun(w *World, graph workload.CallGraph) *graphRun {
+	g := &graphRun{w: w, graph: graph}
 	g.fire = g.fireRetry
 	return g
 }
@@ -193,15 +180,15 @@ func (g *graphRun) newNode(req *workload.Request, parent *reqNode, e *callEdge, 
 	return n
 }
 
-// nodeOf returns the unresolved node tracking r, or nil when r is
-// untracked.
+// nodeOf returns the node tracking r, or nil when r is untracked or the
+// world has no call graph.
 func (g *graphRun) nodeOf(r *workload.Request) *reqNode {
-	if r.Node == 0 {
+	if g == nil || r.Node == 0 {
 		return nil
 	}
 	h := r.Node - 1
 	n := &g.chunks[h>>nodeChunkBits][h&(nodeChunk-1)]
-	if n.req != r || n.resolved {
+	if n.req != r {
 		return nil
 	}
 	return n
@@ -251,7 +238,7 @@ func (g *graphRun) checkServices() error {
 		g.out[from] = append(g.out[from], &g.edges[i])
 		keys[i] = key
 	}
-	g.res.SetEdges(keys)
+	g.w.res.SetEdges(keys)
 	return nil
 }
 
@@ -262,15 +249,6 @@ func (g *graphRun) outEdges(ord int32) []*callEdge {
 		return nil
 	}
 	return g.out[ord]
-}
-
-// dropEdge books an admission-refused downstream attempt against its edge,
-// keeping the Issued == Delivered + Dropped invariant when admit refuses a
-// call (routing failure, black-holed backend, shed). Roots have no edge.
-func (g *graphRun) dropEdge(n *reqNode) {
-	if n.edge != nil {
-		n.edge.stats.Dropped++
-	}
 }
 
 // Stats snapshots the run's cascade counters.
@@ -291,68 +269,6 @@ func (g *graphRun) Stats() CascadeStats {
 		}
 	}
 	return s
-}
-
-// route enters one externally-generated (root) request into the graph.
-func (g *graphRun) route(req *workload.Request) {
-	g.rootGenerated++
-	g.admit(g.newNode(req, nil, nil, 0))
-}
-
-// admit routes a tracked request (root or child) to a replica, applying the
-// shedding and fault checks, and spawns its downstream calls on admission.
-func (g *graphRun) admit(n *reqNode) {
-	w := g.w
-	req := n.req
-	req.ExtraLatency += w.cfg.BaseLatency
-	now := w.engine.Now()
-
-	target, err := w.lb.RouteAt(now, req, w.ctl.RouteView(int(req.ServiceOrd), &w.replicaBuf))
-	if err != nil {
-		g.dropEdge(n)
-		switch {
-		case errors.Is(err, lb.ErrAllFull):
-			// Back-pressure: the saturated tier refuses the admission.
-			g.res.CountShed()
-			g.finish(n, outcomeShed, now, workload.FailureConnection)
-		case errors.Is(err, lb.ErrAllStarting):
-			w.connFail.Starting++
-			g.finish(n, outcomeFailed, now, workload.FailureConnection)
-		default:
-			w.connFail.Absent++
-			g.finish(n, outcomeFailed, now, workload.FailureConnection)
-		}
-		return
-	}
-	if w.faults.BackendDown(now, target.Service, target.ID) {
-		w.connFail.Unhealthy++
-		g.dropEdge(n)
-		g.finish(n, outcomeFailed, now, workload.FailureConnection)
-		return
-	}
-	// Adaptive shedding keys off active-queue occupancy, not CPU-over-
-	// allocation: replicas legitimately burst past their allocation when the
-	// node has slack, but an active queue deeper than the deadline can drain
-	// is doomed work whatever the CPU counters say. PhaseWait parents are
-	// excluded — they hold slots, not resources.
-	if lim := target.Spec.QueueLimit; lim > 0 {
-		occ := float64(target.ActiveInflight()) / float64(lim)
-		if g.res.ShouldShed(occ, target.ID, req.ID) {
-			g.dropEdge(n)
-			g.finish(n, outcomeShed, now, workload.FailureConnection)
-			return
-		}
-	}
-	if f := w.faults.SlowFactor(now, req.Service); f > 1 {
-		req.RemainingCPU *= f
-	}
-
-	n.cont = target
-	target.Enqueue(req)
-	if n.edge != nil {
-		n.edge.stats.Delivered++
-	}
-	g.spawnChildren(n)
 }
 
 // spawnChildren issues the node's downstream calls per its service's
@@ -387,10 +303,11 @@ calls:
 // issueCall issues attempt #attempt of one call slot (parent, edge, slot):
 // breaker gate, deadline math, then a fresh child request through admit.
 func (g *graphRun) issueCall(p *reqNode, e *callEdge, slot, attempt int) {
-	now := g.w.engine.Now()
+	w := g.w
+	now := w.engine.Now()
 	es := &e.stats
 
-	if !g.res.AllowCall(now, e.ord) {
+	if !w.res.AllowCall(now, e.ord) {
 		// Short-circuited by an open breaker: fail fast, never retried, and
 		// the downstream tier sees nothing.
 		es.Issued++
@@ -399,47 +316,34 @@ func (g *graphRun) issueCall(p *reqNode, e *callEdge, slot, attempt int) {
 		return
 	}
 	rt := e.to
-	deadline := g.res.ChildDeadline(now, p.req.Deadline, rt.spec.Timeout)
+	deadline := w.res.ChildDeadline(now, p.req.Deadline, rt.spec.Timeout)
 	if deadline <= now {
 		// The propagated deadline leaves no room: starting the call could
 		// never help the root request.
 		es.Issued++
 		es.Dropped++
-		g.res.CountDeadlineExceeded()
+		w.res.CountDeadlineExceeded()
 		g.failFast(p, now)
 		return
 	}
 	es.Issued++
-	g.res.RecordAttempt(int(p.req.ServiceOrd), attempt)
+	w.res.RecordAttempt(int(p.req.ServiceOrd), attempt)
 
-	req := g.w.reqs.New(g.w.ids.Next(), &rt.spec, rt.ord, now)
+	req := w.reqs.New(w.ids.Next(), &rt.spec, rt.ord, now)
 	req.Deadline = deadline
 	req.Attempt = attempt
-	g.admit(g.newNode(req, p, e, slot))
+	w.admit(req, g.newNode(req, p, e, slot))
 }
 
-// finish resolves one tracked request with a terminal outcome and drops
-// the node's own reference. Exactly one finish per request keeps the
-// recorder's conservation invariant intact; class selects the failure class
-// recorded for non-completions.
-func (g *graphRun) finish(n *reqNode, o outcome, at time.Duration, class workload.FailureClass) {
-	if n.resolved {
-		return
+// settle applies a resolved node's outcome to its tree once World.resolve
+// has booked it: a root's outcome counter, or a downstream attempt's edge
+// breaker and its parent's call slot. It then drops the node's own
+// reference.
+func (g *graphRun) settle(n *reqNode, o outcome, at time.Duration) {
+	n.cont = nil
+	if o == outcomeDeadline {
+		g.w.res.CountDeadlineExceeded()
 	}
-	n.resolved = true
-	w := g.w
-
-	if o == outcomeCompleted {
-		lat := at - n.req.Arrival + n.req.ExtraLatency
-		if lat < 0 {
-			lat = 0
-		}
-		w.recorder.RecordCompletion(w.statsOf(n.req), lat)
-		w.costs.ObserveCompletion(lat)
-	} else {
-		w.fail(n.req, class)
-	}
-
 	if n.parent == nil {
 		switch o {
 		case outcomeCompleted:
@@ -461,7 +365,7 @@ func (g *graphRun) finish(n *reqNode, o outcome, at time.Duration, class workloa
 		// defense-induced outage. Breakers react to genuine failures only:
 		// black-holed backends, timeouts, removals.
 		if o != outcomeShed {
-			g.res.RecordCallResult(at, n.edge.ord, o == outcomeCompleted)
+			g.w.res.RecordCallResult(at, n.edge.ord, o == outcomeCompleted)
 		}
 		if o == outcomeCompleted {
 			g.childSucceeded(n.parent, at)
@@ -484,10 +388,9 @@ func (g *graphRun) childSucceeded(p *reqNode, at time.Duration) {
 	if p.pending == 0 && p.req.Phase == workload.PhaseWait {
 		if p.cont != nil {
 			p.cont.Release(p.req, true)
-			p.cont = nil
 		}
 		p.req.Phase = workload.PhaseDone
-		g.finish(p, outcomeCompleted, at, workload.FailureNone)
+		g.w.resolve(p.req, p, outcomeCompleted, at, workload.FailureNone)
 	}
 }
 
@@ -498,8 +401,8 @@ func (g *graphRun) retryOrFail(p *reqNode, e *callEdge, slot, attempt int) {
 		return // orphan result; the parent already resolved another way
 	}
 	now := g.w.engine.Now()
-	maxAttempts, backoff := g.res.RetryPolicy()
-	if attempt < maxAttempts && g.res.AllowRetry(int(p.req.ServiceOrd)) {
+	maxAttempts, backoff := g.w.res.RetryPolicy()
+	if attempt < maxAttempts && g.w.res.AllowRetry(int(p.req.ServiceOrd)) {
 		var i int
 		if k := len(g.freeRetries); k > 0 {
 			i = g.freeRetries[k-1]
@@ -539,42 +442,8 @@ func (g *graphRun) failFast(p *reqNode, now time.Duration) {
 	}
 	if p.cont != nil {
 		p.cont.Release(p.req, false)
-		p.cont = nil
 	}
-	g.finish(p, outcomeFailed, now, workload.FailureConnection)
-}
-
-// afterAdvance consumes one physics tick's completions and timeouts.
-func (g *graphRun) afterAdvance(now time.Duration, res cluster.TickResult) {
-	for _, done := range res.Completed {
-		n := g.nodeOf(done.Request)
-		if n == nil {
-			continue
-		}
-		n.cont = nil
-		g.finish(n, outcomeCompleted, done.At, workload.FailureNone)
-	}
-	for _, r := range res.TimedOut {
-		n := g.nodeOf(r)
-		if n == nil {
-			continue
-		}
-		n.cont = nil // Advance already dropped it from the in-flight set
-		g.res.CountDeadlineExceeded()
-		g.finish(n, outcomeDeadline, now, workload.FailureConnection)
-	}
-}
-
-// onRemoval resolves a request killed by its container's removal.
-func (g *graphRun) onRemoval(r *workload.Request) {
-	n := g.nodeOf(r)
-	if n == nil {
-		// Untracked (already resolved); keep the legacy accounting.
-		g.w.fail(r, workload.FailureRemoval)
-		return
-	}
-	n.cont = nil
-	g.finish(n, outcomeFailed, g.w.engine.Now(), workload.FailureRemoval)
+	g.w.resolve(p.req, p, outcomeFailed, now, workload.FailureConnection)
 }
 
 // breakerEventKind maps a breaker transition to its journal event kind.

@@ -6,6 +6,7 @@ package platform
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -167,6 +168,13 @@ func TestWarmCallGraphAllocBound(t *testing.T) {
 			}
 			before, retriesBefore := issued(), w.Resilience().Counters().Retries
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			// Mallocs counts the runtime's own objects too. After a GC
+			// cycle the background scavenger returns free pages in bursts
+			// and re-arms its sleep timer between them, which can grow a
+			// P's timer heap by one object inside the window. FreeOSMemory
+			// completes a cycle and returns every free page itself, so the
+			// scavenger has nothing left to do when the window opens.
+			debug.FreeOSMemory()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			for i := 0; i < 200; i++ {

@@ -142,6 +142,76 @@ func TestCascadeConservation(t *testing.T) {
 	}
 }
 
+// TestCallGraphNodeFailureBooksOnce kills two of eight machines under
+// call-graph load with a slowed leaf, so the kills take roots, parents
+// waiting on children and children whose parents are still running. Every
+// request the run issued must be booked exactly once: the recorder's total
+// equals the roots plus every edge's issued attempts (no defense is on, so
+// every attempt is a request), roots are conserved, and once the load stops
+// and the tree drains no slab node is left live.
+func TestCallGraphNodeFailureBooksOnce(t *testing.T) {
+	graph, services := fanoutGraph()
+	cfg := DefaultConfig(5)
+	cfg.Nodes = 8
+	cfg.CallGraph = graph
+	cfg.Faults = faults.Config{Windows: []faults.Window{
+		{Kind: faults.KindSlowBackend, Target: "db", From: 0, To: time.Hour, Factor: 10},
+	}}
+	w, err := New(cfg, core.NewKubernetes(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range services {
+		var pattern loadgen.Pattern
+		if spec.Name == "gateway" {
+			pattern = loadgen.Func(func(at time.Duration) float64 {
+				if at < time.Minute {
+					return 20
+				}
+				return 0
+			})
+		}
+		if err := w.AddService(spec, 0.5, pattern); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"node-1", "node-2"} {
+		if err := w.ScheduleNodeFailure(30*time.Second, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Run(3 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+
+	s, sum := w.CascadeStats(), w.Summary()
+	issued := s.RootGenerated
+	for _, es := range s.Edges {
+		issued += es.Issued
+	}
+	if sum.Requests != issued {
+		t.Errorf("booked %d outcomes for %d issued requests", sum.Requests, issued)
+	}
+	if got := s.RootCompleted + s.RootShed + s.RootDeadline + s.RootFailed; got != s.RootGenerated {
+		t.Errorf("%d roots resolved != %d generated (%+v)", got, s.RootGenerated, s)
+	}
+	live := 0
+	for _, chunk := range w.graph.chunks {
+		for i := range chunk {
+			if chunk[i].req != nil {
+				live++
+			}
+		}
+	}
+	if live != 0 {
+		t.Errorf("%d slab nodes still live after the drain", live)
+	}
+	if sum.RemovalFailures == 0 {
+		t.Errorf("the node failures killed no request: %+v", sum)
+	}
+	t.Logf("%d issued, %d booked, %d removal failures, %d live nodes", issued, sum.Requests, sum.RemovalFailures, live)
+}
+
 // TestRetryBudgetStopsRetryStorm is the retry-storm regression: against a
 // black-holed downstream, naive clients with MaxAttempts 4 amplify every
 // call slot into ~4 attempts, while a 10% Finagle budget caps amplification
@@ -190,34 +260,61 @@ func TestRetryBudgetStopsRetryStorm(t *testing.T) {
 // TestPlainWorldSkipsCascadeMachinery guards the no-op contract: without a
 // callGraph or resilience block the world must never instantiate the
 // propagation layer, so the paper's original scenarios are bit-for-bit
-// unaffected by this subsystem's existence.
+// unaffected by this subsystem's existence. A plain request still takes the
+// one admission path, so a slow-backend window must slow it, and a tier
+// whose bounded queues are all full must refuse each request once, as a
+// connection failure that is not counted as an absent backend.
 func TestPlainWorldSkipsCascadeMachinery(t *testing.T) {
-	cfg := DefaultConfig(3)
-	cfg.Nodes = 4
-	w, err := New(cfg, core.NewKubernetes(core.DefaultConfig()))
-	if err != nil {
-		t.Fatal(err)
+	run := func(fc faults.Config, rps float64) *World {
+		cfg := DefaultConfig(3)
+		cfg.Nodes = 4
+		cfg.Faults = fc
+		w, err := New(cfg, core.NewKubernetes(core.DefaultConfig()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := cascadeTier("solo", 0.02, 10*time.Second)
+		spec.QueueLimit = 16
+		if err := w.AddService(spec, 0.5, loadgen.Constant{RPS: rps}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(2 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if w.HasCallGraph() {
+			t.Error("plain world reports a call graph")
+		}
+		if w.Resilience() != nil {
+			t.Error("plain world instantiated a resilience manager")
+		}
+		if s := w.CascadeStats(); s.RootGenerated != 0 || len(s.Edges) != 0 {
+			t.Errorf("plain world accumulated cascade stats: %+v", s)
+		}
+		if c := w.Resilience().Counters(); c != (resilience.Counters{}) {
+			t.Errorf("plain world accumulated resilience counters: %+v", c)
+		}
+		if s := w.Summary(); s.Completed == 0 {
+			t.Error("plain world completed nothing")
+		}
+		return w
 	}
-	spec := cascadeTier("solo", 0.02, 10*time.Second)
-	if err := w.AddService(spec, 0.5, loadgen.Constant{RPS: 20}); err != nil {
-		t.Fatal(err)
+
+	slowed := faults.Config{Windows: []faults.Window{
+		{Kind: faults.KindSlowBackend, Target: "solo", From: 30 * time.Second, To: 90 * time.Second, Factor: 20},
+	}}
+	if base, slow := run(faults.Config{}, 20), run(slowed, 20); slow.Summary() == base.Summary() {
+		t.Errorf("a x20 slow-backend window left the summary unchanged: %+v", slow.Summary())
 	}
-	if err := w.Run(2 * time.Minute); err != nil {
-		t.Fatal(err)
+
+	full := run(faults.Config{}, 400)
+	sum := full.Summary()
+	if sum.ConnectionFailures == 0 {
+		t.Errorf("the saturated tier refused nothing: %+v", sum)
 	}
-	if w.HasCallGraph() {
-		t.Error("plain world reports a call graph")
+	if issued, booked := full.ids.Next()-1, sum.Requests+uint64(full.inflight()); booked != issued {
+		t.Errorf("%d requests booked or in flight, %d issued", booked, issued)
 	}
-	if w.Resilience() != nil {
-		t.Error("plain world instantiated a resilience manager")
-	}
-	if s := w.CascadeStats(); s.RootGenerated != 0 || len(s.Edges) != 0 {
-		t.Errorf("plain world accumulated cascade stats: %+v", s)
-	}
-	if c := w.Resilience().Counters(); c != (resilience.Counters{}) {
-		t.Errorf("plain world accumulated resilience counters: %+v", c)
-	}
-	if s := w.Summary(); s.Completed == 0 {
-		t.Error("plain world completed nothing")
+	if c := full.ConnFailures(); c.Absent != 0 {
+		t.Errorf("full-queue refusals counted as absent backends: %+v", c)
 	}
 }

@@ -179,7 +179,9 @@ type ConnFailureBreakdown struct {
 	// Starting: replicas existed but all were still mid-start.
 	Starting uint64
 	// Absent: no viable replica at all (none exist, or every one was
-	// overloaded or health-ejected).
+	// overloaded or health-ejected). A tier whose bounded queues are all
+	// full (lb.ErrAllFull) sheds the request instead; that connection
+	// failure is not counted here.
 	Absent uint64
 	// Unhealthy: the balancer picked a backend that was black-holing
 	// connections (injected outage not yet detected by health probes).
@@ -219,6 +221,9 @@ type World struct {
 	// graph is the call-graph propagation layer, nil unless the config
 	// declares a CallGraph or any resilience defense.
 	graph *graphRun
+	// res is the run's resilience manager, nil unless a defense is
+	// enabled. Its methods are nil-safe, so admission calls it unguarded.
+	res *resilience.Manager
 
 	// ReplicaSeries records per-service replica counts at each monitor
 	// poll, for the resource-efficiency analyses.
@@ -231,11 +236,10 @@ type World struct {
 	// call; never retained, and never assigned a RouteView result.
 	replicaBuf []*container.Container
 
-	// reqs recycles the world's requests. In a plain world whoever books a
-	// request's final outcome (completion, timeout, routing failure, scale-in
-	// or node-failure removal) returns it. In a call-graph world parents and
-	// children read each other past that point, so only the release of a
-	// request's node returns it (graphRun.release).
+	// reqs recycles the world's requests. resolve returns a plain request
+	// right after booking its final outcome. In a call-graph world parents
+	// and children read each other past that point, so only the release of
+	// a request's node returns it (graphRun.release).
 	reqs *workload.RequestPool
 
 	stressIdx int
@@ -298,23 +302,16 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 			})
 		}
 	}
-	onRemoval := func(r *workload.Request) {
-		if w.graph != nil {
-			w.graph.onRemoval(r)
-			return
-		}
-		w.fail(r, workload.FailureRemoval)
-	}
 	for _, m := range w.ctl.Arbiters() {
 		m.Obs = w.journal
 		m.StartDelay = cfg.StartDelay
 		m.SelfHeal = cfg.SelfHealing
-		m.OnRemovalFailure = onRemoval
+		m.OnRemovalFailure = w.removed
 	}
 	if cfg.CallGraph.Enabled() || cfg.Resilience.Enabled() {
-		m := resilience.NewManager(cfg.Resilience, cfg.Seed)
-		if m != nil && cfg.Observe {
-			m.OnTransition = func(now time.Duration, edge string, from, to resilience.BreakerState) {
+		w.res = resilience.NewManager(cfg.Resilience, cfg.Seed)
+		if w.res != nil && cfg.Observe {
+			w.res.OnTransition = func(now time.Duration, edge string, from, to resilience.BreakerState) {
 				w.journal.Event(obs.Event{
 					At:     now,
 					Kind:   breakerEventKind(to),
@@ -322,7 +319,7 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 				})
 			}
 		}
-		w.graph = newGraphRun(w, cfg.CallGraph, m)
+		w.graph = newGraphRun(w, cfg.CallGraph)
 	}
 	w.faults = faults.New(cfg.Faults)
 	w.ctl.InstallZoneFaults(w.faults)
@@ -487,53 +484,117 @@ func (w *World) statsOf(r *workload.Request) *metrics.ServiceStats {
 	return s
 }
 
-// complete books a plain-world request's completion and recycles it.
-func (w *World) complete(r *workload.Request, at time.Duration) {
-	latency := at - r.Arrival + r.ExtraLatency
-	if latency < 0 {
-		latency = 0
-	}
-	w.recorder.RecordCompletion(w.statsOf(r), latency)
-	w.costs.ObserveCompletion(latency)
-	w.reqs.Put(r)
-}
+// outcome classifies how a request resolved.
+type outcome int
 
-// fail books a request's failure and, in a plain world, recycles it.
-func (w *World) fail(r *workload.Request, class workload.FailureClass) {
-	w.recorder.RecordFailure(w.statsOf(r), class)
-	w.costs.ObserveFailure()
-	if w.graph == nil {
-		w.reqs.Put(r)
-	}
-}
+const (
+	outcomeCompleted outcome = iota
+	// outcomeShed is a refusal by overload shedding or back-pressure.
+	outcomeShed
+	outcomeDeadline
+	outcomeFailed
+)
 
-// route sends one request through the load balancer. Call-graph worlds
-// divert to the propagation layer; plain worlds run the original path.
+// route admits one externally generated request: a plain request, or in a
+// call-graph world the root of a new request tree.
 func (w *World) route(req *workload.Request) {
-	if w.graph != nil {
-		w.graph.route(req)
-		return
+	var n *reqNode
+	if g := w.graph; g != nil {
+		g.rootGenerated++
+		n = g.newNode(req, nil, nil, 0)
 	}
+	w.admit(req, n)
+}
+
+// admit sends one request through the load balancer. n is the request's
+// call-graph node (a root or a downstream attempt), nil in a plain world.
+// A refused request is booked at once; an admitted node spawns its
+// downstream calls.
+func (w *World) admit(req *workload.Request, n *reqNode) {
 	req.ExtraLatency += w.cfg.BaseLatency
 	now := w.engine.Now()
 	target, err := w.lb.RouteAt(now, req, w.ctl.RouteView(int(req.ServiceOrd), &w.replicaBuf))
-	if err != nil {
-		if errors.Is(err, lb.ErrAllStarting) {
-			w.connFail.Starting++
-		} else {
-			w.connFail.Absent++
+	o := outcomeFailed
+	switch {
+	case err == nil:
+		if w.faults.BackendDown(now, target.Service, target.ID) {
+			// The chosen backend is black-holing connections — an outage
+			// the balancer's probes have not (or, unhardened, will never)
+			// notice.
+			w.connFail.Unhealthy++
+			break
 		}
-		w.fail(req, workload.FailureConnection)
+		// Adaptive shedding keys off active-queue occupancy, not CPU-over-
+		// allocation: replicas legitimately burst past their allocation
+		// when the node has slack, but an active queue deeper than the
+		// deadline can drain is doomed work whatever the CPU counters say.
+		// PhaseWait parents are excluded — they hold slots, not resources.
+		if lim := target.Spec.QueueLimit; lim > 0 &&
+			w.res.ShouldShed(float64(target.ActiveInflight())/float64(lim), target.ID, req.ID) {
+			o = outcomeShed
+			break
+		}
+		if f := w.faults.SlowFactor(now, req.Service); f > 1 {
+			req.RemainingCPU *= f
+		}
+		target.Enqueue(req)
+		if n != nil {
+			n.cont = target
+			if n.edge != nil {
+				n.edge.stats.Delivered++
+			}
+			w.graph.spawnChildren(n)
+		}
+		return
+	case errors.Is(err, lb.ErrAllFull):
+		// Back-pressure: the saturated tier refuses the admission.
+		w.res.CountShed()
+		o = outcomeShed
+	case errors.Is(err, lb.ErrAllStarting):
+		w.connFail.Starting++
+	default:
+		w.connFail.Absent++
+	}
+	if n != nil && n.edge != nil {
+		n.edge.stats.Dropped++
+	}
+	w.resolve(req, n, o, now, workload.FailureConnection)
+}
+
+// resolve books request r's final outcome: the recorder and the cost
+// tracker once, then a plain request goes back to the pool and a call-graph
+// node settles its tree. class is the failure class of a non-completion. In
+// a call-graph world an outcome for an untracked or already-resolved node
+// is stale and ignored.
+func (w *World) resolve(r *workload.Request, n *reqNode, o outcome, at time.Duration, class workload.FailureClass) {
+	if w.graph != nil {
+		if n == nil || n.resolved {
+			return
+		}
+		n.resolved = true
+	}
+	if o == outcomeCompleted {
+		latency := at - r.Arrival + r.ExtraLatency
+		if latency < 0 {
+			latency = 0
+		}
+		w.recorder.RecordCompletion(w.statsOf(r), latency)
+		w.costs.ObserveCompletion(latency)
+	} else {
+		w.recorder.RecordFailure(w.statsOf(r), class)
+		w.costs.ObserveFailure()
+	}
+	if n == nil {
+		w.reqs.Put(r)
 		return
 	}
-	if w.faults.BackendDown(now, target.Service, target.ID) {
-		// The chosen backend is black-holing connections — an outage the
-		// balancer's probes have not (or, unhardened, will never) notice.
-		w.connFail.Unhealthy++
-		w.fail(req, workload.FailureConnection)
-		return
-	}
-	target.Enqueue(req)
+	w.graph.settle(n, o, at)
+}
+
+// removed books a request killed with its container, by a scale-in or a
+// node failure.
+func (w *World) removed(r *workload.Request) {
+	w.resolve(r, w.graph.nodeOf(r), outcomeFailed, w.engine.Now(), workload.FailureRemoval)
 }
 
 // tick runs one physics step: generate arrivals, advance the cluster,
@@ -549,15 +610,11 @@ func (w *World) tick(e *sim.Engine) {
 	}
 
 	res := w.cluster.Advance(now, dt)
-	if w.graph != nil {
-		w.graph.afterAdvance(now+dt, res)
-	} else {
-		for _, done := range res.Completed {
-			w.complete(done.Request, done.At)
-		}
-		for _, r := range res.TimedOut {
-			w.fail(r, workload.FailureConnection)
-		}
+	for _, done := range res.Completed {
+		w.resolve(done.Request, w.graph.nodeOf(done.Request), outcomeCompleted, done.At, workload.FailureNone)
+	}
+	for _, r := range res.TimedOut {
+		w.resolve(r, w.graph.nodeOf(r), outcomeDeadline, now+dt, workload.FailureConnection)
 	}
 
 	// Machines hosting at least one container count as powered; idle ones
@@ -722,12 +779,7 @@ func (w *World) HasCallGraph() bool { return w.graph != nil }
 
 // Resilience returns the run's resilience manager, nil when no defense is
 // enabled. All Manager methods are nil-safe.
-func (w *World) Resilience() *resilience.Manager {
-	if w.graph == nil {
-		return nil
-	}
-	return w.graph.res
-}
+func (w *World) Resilience() *resilience.Manager { return w.res }
 
 // CostReport prices the run so far (machine-hours + SLA penalties).
 func (w *World) CostReport() cost.Report { return w.costs.Report() }
@@ -751,7 +803,7 @@ func (w *World) ScheduleNodeFailure(at time.Duration, nodeID string) error {
 			w.ctl.DetachNode(nodeID)
 		}
 		for _, r := range killed {
-			w.fail(r, workload.FailureRemoval)
+			w.removed(r)
 		}
 	})
 }
