@@ -240,7 +240,8 @@ type TickResult = container.AdvanceResult
 // completions and timeouts to res, with its working buffers in s:
 //
 //  1. Starting containers that reached their ready time become Running, and
-//     one pass over each container's in-flight requests takes its Tally.
+//     each container's Tally is read (kept current by the container, or
+//     one pass over its in-flight requests when a release voided it).
 //  2. CPU: weighted max-min fair processor sharing across CPU-active
 //     containers (weight = CPU request, i.e. Docker cpu-shares), with the
 //     node's deliverable CPU derated by co-location contention and each

@@ -87,13 +87,14 @@ type Container struct {
 	StressNetFlows int
 
 	inflight []*workload.Request
-	// residentMB caches Tally().MemMB while residentOK holds: Enqueue and
-	// AdvanceInto keep it current with Tally's left-to-right sum, Release
-	// and Remove clear residentOK, and the next Overloaded re-sums with
-	// Tally. Routing reads the verdict per replica per request; the cache
-	// makes that O(1) instead of a scan of the in-flight set.
-	residentMB float64
-	residentOK bool
+	// tally caches Tally() while tallyOK holds: Enqueue and AdvanceInto keep
+	// its counts current and its memory in Tally's left-to-right sum,
+	// Release and Remove clear tallyOK, and the next Tally re-scans.
+	// Routing reads the overload verdict per replica per request and the
+	// physics tick reads the tally per container; the cache makes both O(1)
+	// instead of a scan of the in-flight set.
+	tally   Tally
+	tallyOK bool
 
 	// lastUsage is the usage measured over the most recent physics tick; the
 	// node manager samples it to answer the Monitor's stats queries.
@@ -142,7 +143,7 @@ func (c *Container) Update(alloc resources.Vector) error {
 func (c *Container) Enqueue(r *workload.Request) {
 	c.inflight = append(c.inflight, r)
 	// Appending extends Tally's sum by one term, in Tally's order.
-	c.residentMB += r.MemFootprintMB
+	c.tally = c.tally.add(r)
 }
 
 // Inflight returns the number of requests currently being processed.
@@ -180,7 +181,7 @@ func (c *Container) Release(r *workload.Request, success bool) bool {
 	for i, held := range c.inflight {
 		if held == r {
 			c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
-			c.residentOK = false
+			c.tallyOK = false
 			if success {
 				c.completed++
 			}
@@ -198,8 +199,8 @@ func (c *Container) InflightRequests() []*workload.Request { return c.inflight }
 // finished successfully.
 func (c *Container) Completed() uint64 { return c.completed }
 
-// Tally is one container's physics inputs at one instant, gathered by a
-// single pass over its in-flight requests. Every physics quantity derived
+// Tally is one container's physics inputs at one instant: what a single
+// pass over its in-flight requests gathers. Every physics quantity derived
 // from the in-flight set (CPU demand, flow count, swap state, overload) is
 // defined on top of it, and nowhere else.
 type Tally struct {
@@ -213,17 +214,34 @@ type Tally struct {
 	MemMB float64
 }
 
-// Tally scans the in-flight requests once.
+// add returns t with one more in-flight request. It takes and returns the
+// tally by value so a loop keeps it in registers.
+func (t Tally) add(r *workload.Request) Tally {
+	switch r.Phase {
+	case workload.PhaseCPU:
+		t.CPUReqs++
+	case workload.PhaseNet:
+		t.NetReqs++
+	}
+	t.MemMB += r.MemFootprintMB
+	return t
+}
+
+// Tally returns the container's tally: the cached one when the in-flight
+// set has not changed since it was last taken or kept current, otherwise a
+// fresh scan.
 func (c *Container) Tally() Tally {
+	if !c.tallyOK {
+		c.tally, c.tallyOK = c.scan(), true
+	}
+	return c.tally
+}
+
+// scan tallies the in-flight requests in one pass.
+func (c *Container) scan() Tally {
 	t := Tally{MemMB: c.Spec.BaselineMemMB}
 	for _, r := range c.inflight {
-		switch r.Phase {
-		case workload.PhaseCPU:
-			t.CPUReqs++
-		case workload.PhaseNet:
-			t.NetReqs++
-		}
-		t.MemMB += r.MemFootprintMB
+		t = t.add(r)
 	}
 	return t
 }
@@ -271,10 +289,7 @@ func (c *Container) Overloaded() bool {
 	if c.Alloc.MemMB <= 0 {
 		return false
 	}
-	if !c.residentOK {
-		c.residentMB, c.residentOK = c.Tally().MemMB, true
-	}
-	return c.residentMB > 3*c.Alloc.MemMB
+	return c.Tally().MemMB > 3*c.Alloc.MemMB
 }
 
 // SetLastUsage records the usage measured over the latest physics tick.
@@ -351,9 +366,9 @@ func (c *Container) AdvanceInto(res *AdvanceResult, t Tally, now time.Duration, 
 		perReqNet = netRate / float64(netReqs)
 	}
 
-	// mem re-tallies resident memory over the kept requests, in Tally's
-	// order, for the end-of-tick usage sample.
-	mem := c.Spec.BaselineMemMB
+	// after re-tallies the kept requests, in Tally's order: its memory is
+	// the end-of-tick usage sample.
+	after := Tally{MemMB: c.Spec.BaselineMemMB}
 	kept := c.inflight[:0]
 	for _, r := range c.inflight {
 		finishedAt := now + dt
@@ -410,7 +425,7 @@ func (c *Container) AdvanceInto(res *AdvanceResult, t Tally, now time.Duration, 
 			res.TimedOut = append(res.TimedOut, r)
 		default:
 			kept = append(kept, r)
-			mem += r.MemFootprintMB
+			after = after.add(r)
 		}
 	}
 	// Zero the tail so dropped requests do not linger.
@@ -418,7 +433,7 @@ func (c *Container) AdvanceInto(res *AdvanceResult, t Tally, now time.Duration, 
 		c.inflight[i] = nil
 	}
 	c.inflight = kept
-	c.residentMB, c.residentOK = mem, true
+	c.tally, c.tallyOK = after, true
 
 	// Stress containers burn whatever they were granted even though they
 	// complete no requests.
@@ -437,7 +452,7 @@ func (c *Container) AdvanceInto(res *AdvanceResult, t Tally, now time.Duration, 
 
 	c.lastUsage = Usage{
 		CPU:     cpuConsumed / sec,
-		MemMB:   mem,
+		MemMB:   after.MemMB,
 		NetMbps: netConsumed / sec,
 	}
 }
@@ -447,7 +462,7 @@ func (c *Container) AdvanceInto(res *AdvanceResult, t Tally, now time.Duration, 
 func (c *Container) Remove() []*workload.Request {
 	killed := c.inflight
 	c.inflight = nil
-	c.residentOK = false
+	c.tallyOK = false
 	c.State = StateRemoved
 	return killed
 }

@@ -314,9 +314,9 @@ func TestOverloadedCacheMatchesTally(t *testing.T) {
 				op = "remove"
 				c.Remove()
 			}
-			want := c.Tally().MemMB
-			if c.residentOK && c.residentMB != want {
-				t.Fatalf("trial %d step %d (%s): cached resident %v, Tally %v", trial, step, op, c.residentMB, want)
+			want := refTally(c).MemMB
+			if c.tallyOK && c.tally.MemMB != want {
+				t.Fatalf("trial %d step %d (%s): cached resident %v, Tally %v", trial, step, op, c.tally.MemMB, want)
 			}
 			// Skipping some reads lets admissions land on a stale cache too.
 			if rng.Intn(3) == 0 {
@@ -324,6 +324,91 @@ func TestOverloadedCacheMatchesTally(t *testing.T) {
 			}
 			if got, want := c.Overloaded(), c.Alloc.MemMB > 0 && want > 3*c.Alloc.MemMB; got != want {
 				t.Fatalf("trial %d step %d (%s): Overloaded = %v, Tally says %v", trial, step, op, got, want)
+			}
+		}
+	}
+}
+
+// refTally tallies c's in-flight requests the direct way, for comparison
+// with the cached tally.
+func refTally(c *Container) Tally {
+	t := Tally{MemMB: c.Spec.BaselineMemMB}
+	for _, r := range c.InflightRequests() {
+		if r.Phase == workload.PhaseCPU {
+			t.CPUReqs++
+		}
+		if r.Phase == workload.PhaseNet {
+			t.NetReqs++
+		}
+		t.MemMB += r.MemFootprintMB
+	}
+	return t
+}
+
+// TestCachedTallyMatchesScan drives plain and call-graph containers through
+// random sequences of every in-flight-set change — admissions, physics ticks
+// that move requests to the network phase, complete them, time them out and
+// park PhaseWait parents, releases from the middle of the queue and removal
+// — and checks after each step that the cached tally, whenever it is held,
+// and Tally itself equal a fresh scan field for field, memory bit for bit.
+func TestCachedTallyMatchesScan(t *testing.T) {
+	for _, callGraph := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(17))
+		s := spec()
+		s.BaselineMemMB = 300.3
+		for trial := 0; trial < 50; trial++ {
+			c := newRunning(t, s, resources.Vector{CPU: 1, MemMB: 200})
+			now := time.Duration(0)
+			id := uint64(0)
+			var completed, timedOut int
+			for step := 0; step < 300; step++ {
+				var op string
+				switch k := rng.Intn(20); {
+				case k < 9:
+					op = "enqueue"
+					id++
+					r := workload.NewRequest(id, s, now)
+					r.MemFootprintMB = rng.Float64() * 80
+					r.RemainingCPU = rng.Float64() * 0.5
+					if rng.Intn(2) == 0 {
+						r.RemainingNetMb = rng.Float64() * 20
+					}
+					r.Deadline = now + time.Duration(rng.Intn(3000))*time.Millisecond
+					if callGraph && rng.Intn(3) == 0 {
+						r.PendingChildren = 1 + rng.Intn(2) // parks in PhaseWait when its own work ends
+					}
+					c.Enqueue(r)
+				case k < 12:
+					op = "release"
+					if held := c.InflightRequests(); len(held) > 0 {
+						c.Release(held[rng.Intn(len(held))], rng.Intn(2) == 0)
+					}
+				case k < 19:
+					op = "advance"
+					dt := 100 * time.Millisecond
+					var res AdvanceResult
+					c.AdvanceInto(&res, c.Tally(), now, dt, rng.Float64()*4, rng.Float64()*100)
+					completed += len(res.Completed)
+					timedOut += len(res.TimedOut)
+					now += dt
+				default:
+					op = "remove"
+					c.Remove()
+				}
+				want := refTally(c)
+				if c.tallyOK && c.tally != want {
+					t.Fatalf("callGraph=%v trial %d step %d (%s): cached tally %+v, scan %+v", callGraph, trial, step, op, c.tally, want)
+				}
+				// Skipping some reads lets admissions land on a stale cache too.
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				if got := c.Tally(); got != want {
+					t.Fatalf("callGraph=%v trial %d step %d (%s): Tally %+v, scan %+v", callGraph, trial, step, op, got, want)
+				}
+			}
+			if completed == 0 || timedOut == 0 {
+				t.Fatalf("callGraph=%v trial %d: %d completions and %d timeouts, want both", callGraph, trial, completed, timedOut)
 			}
 		}
 	}

@@ -15,6 +15,8 @@ package faults
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -92,9 +94,7 @@ type Window struct {
 
 // Contains reports whether the window forces kind on target at now.
 func (w Window) Contains(kind Kind, target string, now time.Duration) bool {
-	return w.Kind == kind &&
-		(w.Target == "" || w.Target == target) &&
-		now >= w.From && now < w.To
+	return w.Kind == kind && w.covers(target, now)
 }
 
 // Config parameterises an Injector. The zero value injects nothing.
@@ -219,6 +219,17 @@ func (c Config) Validate() error {
 // callers can wire it unconditionally.
 type Injector struct {
 	cfg Config
+	// kinds groups a copy of cfg.Windows by kind, configuration order kept
+	// within each group. The admission and probe paths ask about one kind
+	// per request, so a kind with no window costs a scan of these few
+	// groups instead of a copy and compare of every window.
+	kinds []kindWindows
+}
+
+// kindWindows is the run of an injector's windows that share one kind.
+type kindWindows struct {
+	kind    Kind
+	windows []Window
 }
 
 // New builds an injector. Returns nil when the config injects nothing, so
@@ -227,7 +238,34 @@ func New(cfg Config) *Injector {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &Injector{cfg: cfg}
+	i := &Injector{cfg: cfg}
+	sorted := slices.Clone(cfg.Windows)
+	slices.SortStableFunc(sorted, func(a, b Window) int { return strings.Compare(string(a.Kind), string(b.Kind)) })
+	for lo := 0; lo < len(sorted); {
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi].Kind == sorted[lo].Kind {
+			hi++
+		}
+		i.kinds = append(i.kinds, kindWindows{sorted[lo].Kind, sorted[lo:hi:hi]})
+		lo = hi
+	}
+	return i
+}
+
+// of returns the windows of one kind, in configuration order.
+func (i *Injector) of(kind Kind) []Window {
+	for k := range i.kinds {
+		if i.kinds[k].kind == kind {
+			return i.kinds[k].windows
+		}
+	}
+	return nil
+}
+
+// covers reports whether the window applies to target at now, whatever
+// its kind.
+func (w *Window) covers(target string, now time.Duration) bool {
+	return (w.Target == "" || w.Target == target) && now >= w.From && now < w.To
 }
 
 // Config returns the injector's configuration (zero for a nil injector).
@@ -269,8 +307,9 @@ func fnvMix(h uint64, data []byte) uint64 {
 }
 
 func (i *Injector) windowed(kind Kind, target string, now time.Duration) bool {
-	for _, w := range i.cfg.Windows {
-		if w.Contains(kind, target, now) {
+	ws := i.of(kind)
+	for k := range ws {
+		if ws[k].covers(target, now) {
 			return true
 		}
 	}
@@ -283,9 +322,9 @@ func (i *Injector) partitioned(direction, nodeID string, now time.Duration) bool
 	if i == nil {
 		return false
 	}
-	for _, w := range i.cfg.Windows {
-		if w.Contains(KindPartition, nodeID, now) &&
-			(w.Direction == "" || w.Direction == direction) {
+	ws := i.of(KindPartition)
+	for k := range ws {
+		if ws[k].covers(nodeID, now) && (ws[k].Direction == "" || ws[k].Direction == direction) {
 			return true
 		}
 	}
@@ -324,12 +363,7 @@ func (i *Injector) HasZoneWindows() bool {
 	if i == nil {
 		return false
 	}
-	for _, w := range i.cfg.Windows {
-		if w.Kind == KindZoneOutage || w.Kind == KindZonePartition {
-			return true
-		}
-	}
-	return false
+	return len(i.of(KindZoneOutage)) > 0 || len(i.of(KindZonePartition)) > 0
 }
 
 // zoneCut reports whether a zone-scoped window is black-holing the given
@@ -339,12 +373,12 @@ func (i *Injector) zoneCut(direction, zone string, now time.Duration) bool {
 	if i == nil {
 		return false
 	}
-	for _, w := range i.cfg.Windows {
-		if w.Contains(KindZoneOutage, zone, now) {
-			return true
-		}
-		if w.Contains(KindZonePartition, zone, now) &&
-			(w.Direction == "" || w.Direction == direction) {
+	if i.windowed(KindZoneOutage, zone, now) {
+		return true
+	}
+	ws := i.of(KindZonePartition)
+	for k := range ws {
+		if ws[k].covers(zone, now) && (ws[k].Direction == "" || ws[k].Direction == direction) {
 			return true
 		}
 	}
@@ -456,9 +490,10 @@ func (i *Injector) SlowFactor(now time.Duration, service string) float64 {
 		return 1
 	}
 	factor := 1.0
-	for _, w := range i.cfg.Windows {
-		if w.Contains(KindSlowBackend, service, now) && w.Factor > factor {
-			factor = w.Factor
+	ws := i.of(KindSlowBackend)
+	for k := range ws {
+		if ws[k].covers(service, now) && ws[k].Factor > factor {
+			factor = ws[k].Factor
 		}
 	}
 	return factor

@@ -81,7 +81,10 @@ func TestFoldMatchesRunLengthEncodedSort(t *testing.T) {
 
 // TestPendingBufferIsBounded checks that the shared buffer folds itself
 // when it fills, so unfolded samples never exceed pendingCap, and that the
-// fold loses nothing.
+// fold loses nothing. A second recorder moves its traffic from service to
+// service across folds — all of it on one, then on a few, then spread over
+// all of them, with summaries folding early now and then — and its buffer's
+// capacity must stay within a fixed multiple of pendingCap throughout.
 func TestPendingBufferIsBounded(t *testing.T) {
 	r := NewRecorder()
 	a, b := r.Stats("a"), r.Stats("b")
@@ -97,6 +100,45 @@ func TestPendingBufferIsBounded(t *testing.T) {
 	}
 	if len(a.vals) != 7 || len(b.vals) != 11 {
 		t.Errorf("distinct runs of %d and %d values, want 7 and 11", len(a.vals), len(b.vals))
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	r = NewRecorder()
+	cells := make([]*ServiceStats, 64)
+	for i := range cells {
+		cells[i] = r.Stats(fmt.Sprintf("svc-%02d", i))
+	}
+	recorded := 0
+	for phase := 0; phase < 40; phase++ {
+		var hot []*ServiceStats
+		switch phase % 3 {
+		case 0:
+			hot = cells[rng.Intn(len(cells)):][:1]
+		case 1:
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				hot = append(hot, cells[rng.Intn(len(cells))])
+			}
+		default:
+			hot = cells
+		}
+		for i, n := 0, pendingCap/2+rng.Intn(2*pendingCap); i < n; i++ {
+			r.RecordCompletion(hot[rng.Intn(len(hot))], time.Duration(rng.Intn(1000)))
+			recorded++
+			if rng.Intn(20000) == 0 {
+				r.Summarize()
+			}
+			if len(r.pending) >= pendingCap || cap(r.pending) > 2*pendingCap {
+				t.Fatalf("phase %d: %d samples pending in a buffer of %d, want < %d in at most %d",
+					phase, len(r.pending), cap(r.pending), pendingCap, 2*pendingCap)
+			}
+		}
+	}
+	folded := len(r.pending)
+	for _, s := range cells {
+		folded += s.count()
+	}
+	if folded != recorded {
+		t.Errorf("%d samples folded or pending, want %d", folded, recorded)
 	}
 }
 

@@ -2,6 +2,10 @@
 // paper reports: average response times, request failure percentages broken
 // down by class (removal vs connection failures), availability, and
 // time-series samples for plotting.
+//
+// A completion costs two counter updates and one append to a shared
+// buffer; sorting, run merging and the export histogram all happen later,
+// in bulk (see Recorder).
 package metrics
 
 import (
@@ -19,20 +23,22 @@ import (
 // It is not safe for concurrent use; the simulation is single-threaded.
 //
 // The recorder keeps every latency sample for exact percentiles (what the
-// experiment tables report) and, in parallel, a constant-memory log-bucket
-// histogram for long-lived deployments to export (see LatencyHistogram and
-// the /v1/latency endpoint in internal/httpapi).
+// experiment tables report); the log-bucket histogram long-lived
+// deployments export is derived from the same samples on read (see
+// LatencyHistogram and the /v1/latency endpoint in internal/httpapi).
 //
 // Each service keeps its latencies as a run of distinct values in ascending
 // order with cumulative counts: far fewer values than samples, and every
 // nearest-rank percentile stays exact. New samples wait in one bounded
-// buffer shared by all services and are folded into the runs when it fills
-// and before any summary. Cross-service percentiles are selected over the
-// per-service runs by rank, never by merging them into a second copy.
+// buffer shared by all services, each packed with its service's index into
+// 8 bytes, and are folded into the runs when it fills and before any
+// summary. Cross-service percentiles are selected over the per-service runs
+// by rank, never by merging them into a second copy.
 type Recorder struct {
 	services map[string]*ServiceStats
-	order    []string
-	hist     *stats.Histogram
+	// cells holds the services in first-seen order; a cell's index is its
+	// position.
+	cells []*ServiceStats
 
 	// svcScratch is Services' reusable result buffer — valid until the next
 	// Services call.
@@ -42,34 +48,49 @@ type Recorder struct {
 	runs []*ServiceStats
 
 	// pending holds the completions recorded since the last fold, at most
-	// pendingCap of them.
-	pending []sample
+	// pendingCap of them, each a pack of its cell index and latency.
+	pending []time.Duration
 	// touched and groups are fold's scratch: the services with pending
 	// samples, and the pending latencies grouped by service.
 	touched []*ServiceStats
 	groups  []time.Duration
 }
 
-// pendingCap bounds the shared buffer of unfolded samples (512 KiB).
-const pendingCap = 1 << 15
-
-// sample is one recorded completion waiting to be folded.
-type sample struct {
-	s   *ServiceStats
-	lat time.Duration
-}
+const (
+	// pendingCap bounds the shared buffer of unfolded samples (256 KiB, and
+	// as much again for fold's grouping scratch).
+	pendingCap = 1 << 15
+	// A pack is cell<<latBits | latency: a latency of up to about 4.9
+	// hours under a cell index small enough to keep the pack non-negative.
+	// A sample that does not fit, a negative or longer latency or a cell
+	// index from maxCells on, merges straight into its run instead.
+	latBits  = 44
+	latMask  = 1<<latBits - 1
+	maxCells = 1 << (63 - latBits)
+)
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		services: make(map[string]*ServiceStats),
-		hist:     stats.DefaultLatencyHistogram(),
-	}
+	return &Recorder{services: make(map[string]*ServiceStats)}
 }
 
-// LatencyHistogram returns the streaming latency histogram across all
-// services.
-func (r *Recorder) LatencyHistogram() *stats.Histogram { return r.hist }
+// LatencyHistogram returns the log-bucket histogram (stats.
+// DefaultLatencyHistogram) of every completion recorded so far across all
+// services. It is built on each call from the folded runs, each distinct
+// latency weighted by its count, so it equals a histogram that observed
+// every sample as it was recorded; the result is the caller's.
+func (r *Recorder) LatencyHistogram() *stats.Histogram {
+	r.fold()
+	h := stats.DefaultLatencyHistogram()
+	for _, s := range r.cells {
+		prev := 0
+		for i, v := range s.vals {
+			h.ObserveN(v, uint64(s.cum[i]-prev))
+			prev = s.cum[i]
+		}
+	}
+	return h
+}
 
 // ServiceStats holds the outcome counters and latency samples for one
 // microservice.
@@ -84,9 +105,10 @@ type ServiceStats struct {
 	// cum[i] the number of folded samples <= vals[i].
 	vals []time.Duration
 	cum  []int
-	// npend and end are fold's group size and group end for this service.
-	npend, end int
-	totalLat   time.Duration
+	// cell is the service's index in Recorder.cells; npend and end are
+	// fold's group size and group end for this service.
+	cell, npend, end int
+	totalLat         time.Duration
 }
 
 // fold moves the pending samples into their services' runs: it groups them
@@ -97,10 +119,11 @@ func (r *Recorder) fold() {
 	}
 	r.touched = r.touched[:0]
 	for _, p := range r.pending {
-		if p.s.npend == 0 {
-			r.touched = append(r.touched, p.s)
+		s := r.cells[p>>latBits]
+		if s.npend == 0 {
+			r.touched = append(r.touched, s)
 		}
-		p.s.npend++
+		s.npend++
 	}
 	off := 0
 	for _, s := range r.touched {
@@ -110,8 +133,9 @@ func (r *Recorder) fold() {
 	groups := slices.Grow(r.groups[:0], len(r.pending))[:len(r.pending)]
 	r.groups = groups
 	for _, p := range r.pending {
-		groups[p.s.end] = p.lat
-		p.s.end++
+		s := r.cells[p>>latBits]
+		groups[s.end] = p & latMask
+		s.end++
 	}
 	for _, s := range r.touched {
 		g := groups[s.end-s.npend : s.end]
@@ -196,9 +220,9 @@ func (s *ServiceStats) count() int {
 func (r *Recorder) Stats(name string) *ServiceStats {
 	s, ok := r.services[name]
 	if !ok {
-		s = &ServiceStats{Name: name}
+		s = &ServiceStats{Name: name, cell: len(r.cells)}
 		r.services[name] = s
-		r.order = append(r.order, name)
+		r.cells = append(r.cells, s)
 	}
 	return s
 }
@@ -208,8 +232,12 @@ func (r *Recorder) Stats(name string) *ServiceStats {
 func (r *Recorder) RecordCompletion(s *ServiceStats, latency time.Duration) {
 	s.Completed++
 	s.totalLat += latency
-	r.hist.Observe(latency)
-	r.pending = append(r.pending, sample{s, latency})
+	if latency < 0 || latency > latMask || s.cell >= maxCells {
+		one := [1]time.Duration{latency}
+		s.merge(one[:])
+		return
+	}
+	r.pending = append(r.pending, time.Duration(s.cell)<<latBits|latency)
 	if len(r.pending) == pendingCap {
 		r.fold()
 	}
@@ -230,10 +258,7 @@ func (r *Recorder) RecordFailure(s *ServiceStats, class workload.FailureClass) {
 // slice is a reused scratch buffer, valid until the next Services call; copy
 // it to keep it longer.
 func (r *Recorder) Services() []*ServiceStats {
-	r.svcScratch = r.svcScratch[:0]
-	for _, name := range r.order {
-		r.svcScratch = append(r.svcScratch, r.services[name])
-	}
+	r.svcScratch = append(r.svcScratch[:0], r.cells...)
 	return r.svcScratch
 }
 
@@ -325,8 +350,7 @@ func (r *Recorder) Summarize() Summary {
 	if samples > 0 {
 		r.runs = r.runs[:0]
 		lo, hi := time.Duration(math.MaxInt64), time.Duration(math.MinInt64)
-		for _, name := range r.order {
-			s := r.services[name]
+		for _, s := range r.cells {
 			if len(s.vals) == 0 {
 				continue
 			}

@@ -3,10 +3,12 @@ package metrics
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"hyscale/internal/stats"
 	"hyscale/internal/workload"
 )
 
@@ -234,5 +236,52 @@ func TestLatencyHistogramTracksCompletions(t *testing.T) {
 	ratio := float64(est) / float64(exact)
 	if ratio < 0.85 || ratio > 1.15 {
 		t.Errorf("histogram p95 %v vs exact %v (ratio %.2f)", est, exact, ratio)
+	}
+
+	// The histogram is derived from the folded runs on read; it must equal
+	// one fed every sample as it was recorded, bucket for bucket, read
+	// mid-stream and again after more recordings and folds. The latencies
+	// include zero, values below the first bucket and beyond the last, and
+	// heavy ties, and a few too long or negative to pack into the shared
+	// buffer.
+	rng := rand.New(rand.NewSource(5))
+	r = NewRecorder()
+	ref := stats.DefaultLatencyHistogram()
+	svcs := []string{"a", "b", "c"}
+	for i := 0; i < 3*pendingCap; i++ {
+		var lat time.Duration
+		switch rng.Intn(7) {
+		case 0:
+			lat = 0
+		case 6:
+			if lat = time.Duration(rng.Int63()); rng.Intn(2) == 0 {
+				lat = -lat
+			}
+		case 1:
+			lat = time.Duration(rng.Intn(int(time.Millisecond))) // below min
+		case 2:
+			lat = 10*time.Minute + time.Duration(rng.Int63n(int64(time.Hour))) // beyond the last bucket
+		case 3:
+			lat = time.Duration(1+rng.Intn(3)) * 100 * time.Millisecond // ties
+		default:
+			lat = time.Duration(rng.Int63n(int64(time.Minute)))
+		}
+		r.RecordCompletion(r.Stats(svcs[rng.Intn(len(svcs))]), lat)
+		ref.Observe(lat)
+		if rng.Intn(20000) == 0 || i == 3*pendingCap-1 {
+			h := r.LatencyHistogram()
+			if h.Count() != ref.Count() || h.Mean() != ref.Mean() || h.Max() != ref.Max() {
+				t.Fatalf("after %d samples: count/mean/max %d/%v/%v, per-sample %d/%v/%v",
+					i+1, h.Count(), h.Mean(), h.Max(), ref.Count(), ref.Mean(), ref.Max())
+			}
+			if got, want := h.Buckets(), ref.Buckets(); !slices.Equal(got, want) {
+				t.Fatalf("after %d samples: buckets %v, per-sample %v", i+1, got, want)
+			}
+			for _, q := range []float64{0.50, 0.95, 0.99} {
+				if got, want := h.Quantile(q), ref.Quantile(q); got != want {
+					t.Fatalf("after %d samples: p%v %v, per-sample %v", i+1, 100*q, got, want)
+				}
+			}
+		}
 	}
 }

@@ -1,0 +1,177 @@
+package monitor
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"hyscale/internal/cluster"
+	"hyscale/internal/faults"
+	"hyscale/internal/nodemanager"
+)
+
+// decisionState is a deep copy of everything a checkpoint holds, taken the
+// direct way — fresh maps and slices — as the reference a restore must
+// reproduce.
+type decisionState struct {
+	Retries     []pendingAction
+	Reports     map[string]cachedReport
+	NodeStates  map[string]nodeState
+	Lost        []lostReplica
+	ReplicaIDs  map[string][]string
+	ReplicaHome map[string]string
+}
+
+func captureState(m *Monitor) decisionState {
+	s := decisionState{
+		Retries:     append([]pendingAction(nil), m.retries...),
+		Reports:     map[string]cachedReport{},
+		NodeStates:  map[string]nodeState{},
+		Lost:        append([]lostReplica(nil), m.lost...),
+		ReplicaIDs:  map[string][]string{},
+		ReplicaHome: map[string]string{},
+	}
+	for k, v := range m.lastReports {
+		r := cachedReport{rep: v.rep, at: v.at}
+		r.rep.Containers = append([]nodemanager.ContainerStats(nil), v.rep.Containers...)
+		s.Reports[k] = r
+	}
+	for k, v := range m.nodeStates {
+		s.NodeStates[k] = *v
+	}
+	for _, st := range m.services {
+		s.ReplicaIDs[st.spec.Name] = append([]string(nil), st.replicaIDs...)
+	}
+	for k, v := range m.replicaHome {
+		s.ReplicaHome[k] = v
+	}
+	return s
+}
+
+// scribble mutates every part of the monitor's live decision state in
+// place — the buffers a checkpoint or a restore could alias — and grows
+// each.
+func scribble(m *Monitor) {
+	for _, r := range m.lastReports {
+		for i := range r.rep.Containers {
+			r.rep.Containers[i].Inflight += 1000
+			r.rep.Containers[i].ID = "scribbled"
+		}
+		r.rep.Containers = append(r.rep.Containers, nodemanager.ContainerStats{ID: "extra"})
+		r.at += time.Hour
+	}
+	for _, st := range m.nodeStates {
+		st.missed += 7
+		st.health = NodeDead
+	}
+	for _, st := range m.services {
+		for i := range st.replicaIDs {
+			st.replicaIDs[i] = "scribbled"
+		}
+		st.replicaIDs = append(st.replicaIDs, "extra")
+	}
+	for i := range m.retries {
+		m.retries[i].attempts += 5
+		m.retries[i].lostID = "scribbled"
+	}
+	m.retries = append(m.retries, pendingAction{lostID: "extra"})
+	for i := range m.lost {
+		m.lost[i].replaced = !m.lost[i].replaced
+	}
+	m.lost = append(m.lost, lostReplica{id: "extra"})
+	m.replicaHome["extra"] = "node-9"
+}
+
+// TestCheckpointIsolatedFromLiveState checkpoints a monitor with a pending
+// reconcile, a lost replica, suspect and dead nodes and cached reports,
+// scribbles over its live state and restarts it: the restored state must
+// equal a deep copy taken at checkpoint time. A second scribble and restart
+// checks that the restore copied out of the checkpoint, and a later
+// checkpoint after nodes and reports left checks that overwriting the
+// retained checkpoint in place drops their entries.
+func TestCheckpointIsolatedFromLiveState(t *testing.T) {
+	cl, m := healSetup(t)
+	if _, err := cl.RemoveNode("node-0"); err != nil {
+		t.Fatal(err)
+	}
+	// node-2 misses the polls from 10s on and turns suspect.
+	m.Faults = faultWindow(faults.KindStats, "node-2", 9*time.Second, time.Hour)
+	for _, at := range []time.Duration{5, 10, 15, 20} {
+		m.Poll(at * time.Second)
+		m.MaybeCheckpoint(at * time.Second)
+	}
+	if len(m.retries) == 0 || len(m.lost) == 0 || len(m.lastReports) == 0 || len(m.nodeStates) == 0 {
+		t.Fatalf("setup left retries=%d lost=%d reports=%d nodeStates=%d, want all non-empty",
+			len(m.retries), len(m.lost), len(m.lastReports), len(m.nodeStates))
+	}
+	want := captureState(m)
+	for i, at := range []time.Duration{22, 23} {
+		scribble(m)
+		m.Restart(at * time.Second)
+		if got := captureState(m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("restart %d: restored state differs from the checkpoint-time copy\n got %+v\nwant %+v", i+1, got, want)
+		}
+	}
+
+	// Overwrite the retained checkpoint after a node's report and detector
+	// record are gone and a service's replica set shrank.
+	delete(m.lastReports, firstKey(m.lastReports))
+	delete(m.nodeStates, firstKey(m.nodeStates))
+	m.services[0].replicaIDs = m.services[0].replicaIDs[:1]
+	m.retries = nil
+	m.CheckpointNow(24 * time.Second)
+	want = captureState(m)
+	scribble(m)
+	m.Restart(25 * time.Second)
+	if got := captureState(m); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restart from an overwritten checkpoint differs\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// firstKey returns m's least key.
+func firstKey[V any](m map[string]V) string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys[0]
+}
+
+// TestCheckpointPollAllocFree is TestPollSteadyStateAllocFree with
+// checkpointing on: a steady-state Sample+Poll cycle followed by the
+// every-poll checkpoint overwrites the retained checkpoint and allocates
+// nothing.
+func TestCheckpointPollAllocFree(t *testing.T) {
+	cl, err := cluster.NewHomogeneous(6, cluster.DefaultNodeConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(cl, staticAlgo{})
+	m.SelfHeal = DefaultSelfHealing()
+	for _, name := range []string{"a", "b", "c"} {
+		if err := m.AddService(spec(name), 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.DeployInitial(name, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := time.Duration(0)
+	cycle := func() {
+		now += time.Second
+		m.Sample()
+		m.Poll(now)
+		m.MaybeCheckpoint(now)
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("steady-state Sample+Poll+checkpoint allocates %.1f objects/cycle, want 0", allocs)
+	}
+	if m.lastCheckpoint == nil || m.lastCheckpointAt != now || len(m.lastCheckpoint.lastReports) == 0 {
+		t.Fatalf("no checkpoint of the last poll (at %v, want %v)", m.lastCheckpointAt, now)
+	}
+}

@@ -212,8 +212,12 @@ type Monitor struct {
 	// per-service resolved replica caches.
 	topoGen uint64
 
+	// lastCheckpoint is the checkpoint a restart restores, nil when there
+	// is none or a topology change voided it; checkpointBuf is the storage
+	// every checkpoint overwrites.
 	lastCheckpoint   *checkpoint
 	lastCheckpointAt time.Duration
+	checkpointBuf    *checkpoint
 
 	counts   ActionCounts
 	recovery RecoveryCounts

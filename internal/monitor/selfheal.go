@@ -18,6 +18,8 @@ package monitor
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -414,44 +416,85 @@ func (m *Monitor) finishLost(lostID string) {
 // detector, the lost-replica ledger, the desired replica sets, and the
 // last-known node reports.
 type checkpoint struct {
-	at          time.Duration
-	retries     []pendingAction
-	lastReports map[string]cachedReport
+	at      time.Duration
+	retries []pendingAction
+	// lastReports holds each node's report and its time; the host caches
+	// stay unset.
+	lastReports map[string]*cachedReport
 	nodeStates  map[string]nodeState
 	lost        []lostReplica
-	replicaIDs  map[string][]string
+	// replicaIDs holds each service's replica set, in m.services order.
+	replicaIDs  []serviceReplicas
 	replicaHome map[string]string
 }
 
-// CheckpointNow snapshots the Monitor's decision state unconditionally.
-// Node reports are deep-copied: the live cache entries reuse their Containers
-// buffers every poll, and a checkpoint must not see those later overwrites.
+// serviceReplicas is one service's replica IDs in a checkpoint.
+type serviceReplicas struct {
+	service string
+	ids     []string
+}
+
+// CheckpointNow snapshots the Monitor's decision state unconditionally. It
+// overwrites the monitor's one retained checkpoint in place — restore copies
+// everything out of it, so nothing else holds its buffers — and each node's
+// report and each service's replica IDs keep their buffers from one
+// checkpoint to the next. Node reports are deep-copied: the live cache
+// entries reuse their Containers buffers every poll, and a checkpoint must
+// not see those later overwrites.
 func (m *Monitor) CheckpointNow(now time.Duration) {
-	cp := &checkpoint{
-		at:          now,
-		retries:     append([]pendingAction(nil), m.retries...),
-		lastReports: make(map[string]cachedReport, len(m.lastReports)),
-		nodeStates:  make(map[string]nodeState, len(m.nodeStates)),
-		lost:        append([]lostReplica(nil), m.lost...),
-		replicaIDs:  make(map[string][]string, len(m.services)),
-		replicaHome: make(map[string]string, len(m.replicaHome)),
+	cp := m.checkpointBuf
+	if cp == nil {
+		cp = &checkpoint{
+			lastReports: make(map[string]*cachedReport, len(m.lastReports)),
+			nodeStates:  make(map[string]nodeState, len(m.nodeStates)),
+			replicaHome: make(map[string]string, len(m.replicaHome)),
+		}
+		m.checkpointBuf = cp
 	}
+	cp.at = now
+	cp.retries = append(cp.retries[:0], m.retries...)
+	cp.lost = append(cp.lost[:0], m.lost...)
 	for k, v := range m.lastReports {
-		frozen := cachedReport{rep: v.rep, at: v.at}
-		frozen.rep.Containers = append([]nodemanager.ContainerStats(nil), v.rep.Containers...)
-		cp.lastReports[k] = frozen
+		f := cp.lastReports[k]
+		if f == nil {
+			f = new(cachedReport)
+			cp.lastReports[k] = f
+		}
+		buf := f.rep.Containers[:0]
+		f.rep, f.at = v.rep, v.at
+		f.rep.Containers = append(buf, v.rep.Containers...)
 	}
+	dropStale(cp.lastReports, m.lastReports)
 	for k, v := range m.nodeStates {
 		cp.nodeStates[k] = *v
 	}
-	for _, st := range m.services {
-		cp.replicaIDs[st.spec.Name] = append([]string(nil), st.replicaIDs...)
+	dropStale(cp.nodeStates, m.nodeStates)
+	cp.replicaIDs = slices.Grow(cp.replicaIDs[:0], len(m.services))[:len(m.services)]
+	for i, st := range m.services {
+		e := &cp.replicaIDs[i]
+		e.service = st.spec.Name
+		e.ids = append(e.ids[:0], st.replicaIDs...)
 	}
-	for k, v := range m.replicaHome {
-		cp.replicaHome[k] = v
-	}
+	// Replica IDs come and go with every scale action, so this map is
+	// rebuilt rather than reconciled.
+	clear(cp.replicaHome)
+	maps.Copy(cp.replicaHome, m.replicaHome)
 	m.lastCheckpoint = cp
 	m.lastCheckpointAt = now
+}
+
+// dropStale deletes the keys of dst that live lacks. Once every key of live
+// has been written into dst, equal sizes mean equal key sets, so it costs a
+// length check unless nodes came or went.
+func dropStale[V, W any](dst map[string]V, live map[string]W) {
+	if len(dst) == len(live) {
+		return
+	}
+	for k := range dst {
+		if _, ok := live[k]; !ok {
+			delete(dst, k)
+		}
+	}
 }
 
 // MaybeCheckpoint snapshots decision state when checkpointing is enabled
@@ -497,8 +540,12 @@ func (m *Monitor) restore(cp *checkpoint, now time.Duration) {
 		m.nodeStates[k] = &st
 	}
 	m.lost = append([]lostReplica(nil), cp.lost...)
+	ids := make(map[string][]string, len(cp.replicaIDs))
+	for _, e := range cp.replicaIDs {
+		ids[e.service] = e.ids
+	}
 	for _, st := range m.services {
-		st.replicaIDs = append([]string(nil), cp.replicaIDs[st.spec.Name]...)
+		st.replicaIDs = append([]string(nil), ids[st.spec.Name]...)
 	}
 	m.replicaHome = make(map[string]string, len(cp.replicaHome))
 	for k, v := range cp.replicaHome {

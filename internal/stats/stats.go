@@ -1,9 +1,9 @@
 // Package stats provides streaming statistics: a log-bucketed latency
 // histogram with bounded relative error and O(1) memory, online
 // mean/variance (Welford), and exponentially weighted moving averages.
-// The exact-percentile recorder in internal/metrics stores every sample —
-// fine for experiments; the histogram here is what a long-lived deployment
-// (cmd/hyscale-server) exports without unbounded growth.
+// The exact-percentile recorder in internal/metrics stores every distinct
+// latency with its count and builds the histogram here from them on read
+// (ObserveN) for a long-lived deployment (cmd/hyscale-server) to export.
 package stats
 
 import (
@@ -58,22 +58,29 @@ func DefaultLatencyHistogram() *Histogram {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(d time.Duration) {
-	h.total++
-	h.sum += d
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n samples of the same value d, exactly as n calls to
+// Observe(d) would.
+func (h *Histogram) ObserveN(d time.Duration, n uint64) {
+	if n == 0 {
+		return
+	}
+	h.total += n
+	h.sum += d * time.Duration(n)
 	if d > h.max {
 		h.max = d
 	}
 	if d < h.min {
-		h.under++
+		h.under += n
 		return
 	}
 	i := int(math.Log(float64(d)/float64(h.min)) / h.logGrowth)
 	if i >= len(h.counts) {
-		h.over++
+		h.over += n
 		return
 	}
-	h.counts[i]++
+	h.counts[i] += n
 }
 
 // Count returns the number of observations.

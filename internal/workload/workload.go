@@ -306,7 +306,9 @@ func (p *RequestPool) New(id uint64, spec *ServiceSpec, ord int, arrival time.Du
 	r.Arrival = arrival
 	r.Deadline = arrival + spec.Timeout
 	r.Phase = PhaseCPU
-	r.RemainingCPU = spec.TotalCPUWork()
+	// TotalCPUWork's sum, read through the pointer: the value-receiver call
+	// would copy the whole spec.
+	r.RemainingCPU = spec.CPUPerRequest + spec.CPUOverheadPerRequest
 	r.RemainingNetMb = spec.NetPerRequest
 	r.MemFootprintMB = spec.MemPerRequest
 	r.ExtraLatency = 0
