@@ -31,7 +31,7 @@ import (
 type HyScale struct {
 	cfg      Config
 	memAware bool
-	gate     *intervalGate
+	gate     *Gate
 	name     string
 	opts     HyScaleOptions
 }
@@ -42,7 +42,7 @@ var _ Algorithm = (*HyScale)(nil)
 func NewHyScaleCPU(cfg Config) *HyScale {
 	return &HyScale{
 		cfg:  cfg,
-		gate: newIntervalGate(cfg.ScaleUpInterval, cfg.ScaleDownInterval),
+		gate: NewGate(cfg.ScaleUpInterval, cfg.ScaleDownInterval),
 		name: "hybrid",
 	}
 }
@@ -52,7 +52,7 @@ func NewHyScaleCPUMem(cfg Config) *HyScale {
 	return &HyScale{
 		cfg:      cfg,
 		memAware: true,
-		gate:     newIntervalGate(cfg.ScaleUpInterval, cfg.ScaleDownInterval),
+		gate:     NewGate(cfg.ScaleUpInterval, cfg.ScaleDownInterval),
 		name:     "hybridmem",
 	}
 }
@@ -67,99 +67,37 @@ type missing struct {
 	mem float64
 }
 
-// pendingAllocs tracks in-round vertical adjustments so the reclamation and
-// acquisition phases compose instead of overwriting each other with stale
-// snapshot values. One merged VerticalScale per touched container is emitted
-// at the end of the round.
-type pendingAllocs struct {
-	allocs map[string]resources.Vector
-	order  []string
-}
-
-func newPendingAllocs() *pendingAllocs {
-	return &pendingAllocs{allocs: make(map[string]resources.Vector)}
-}
-
-// current returns the replica's allocation as adjusted so far this round.
-func (p *pendingAllocs) current(r ReplicaStats) resources.Vector {
-	if a, ok := p.allocs[r.ContainerID]; ok {
-		return a
-	}
-	return r.Requested
-}
-
-// set records an adjusted allocation.
-func (p *pendingAllocs) set(id string, a resources.Vector) {
-	if _, seen := p.allocs[id]; !seen {
-		p.order = append(p.order, id)
-	}
-	p.allocs[id] = a
-}
-
-// emit appends one merged VerticalScale per touched container.
-func (p *pendingAllocs) emit(plan *Plan, removed map[string]bool) {
-	for _, id := range p.order {
-		if removed[id] {
-			continue
-		}
-		plan.Actions = append(plan.Actions, VerticalScale{ContainerID: id, NewAlloc: p.allocs[id]})
-	}
-}
-
 // Decide implements Algorithm.
 func (h *HyScale) Decide(snap Snapshot) Plan {
-	var plan Plan
-	avail := availableByNode(snap)
-	// hosted tracks service→nodes placement including tentative scale-outs
-	// made during this round.
-	hosted := make(map[string]map[string]bool)
-	for _, n := range snap.Nodes {
-		for _, s := range n.Hosts {
-			if hosted[s] == nil {
-				hosted[s] = make(map[string]bool)
-			}
-			hosted[s][n.ID] = true
-		}
-	}
-	// removed tracks containers scheduled for ScaleIn so later phases do not
-	// also emit vertical actions for them.
-	removed := make(map[string]bool)
-	// replicaCount tracks tentative replica counts.
-	replicaCount := make(map[string]int, len(snap.Services))
-
-	deficits := make(map[string]*missing, len(snap.Services))
-	for _, svc := range snap.Services {
-		replicaCount[svc.Info.Name] = len(svc.Replicas)
-		deficits[svc.Info.Name] = h.deficitOf(svc)
+	rd := NewRound(snap, h.cfg.Placement)
+	deficits := make([]missing, len(snap.Services))
+	for i, svc := range snap.Services {
+		deficits[i] = h.deficitOf(svc)
 	}
 
 	// Phase 0: fault-tolerance bounds.
-	for _, svc := range snap.Services {
-		h.enforceBounds(snap, svc, avail, hosted, removed, replicaCount, &plan)
+	for i := range snap.Services {
+		h.enforceBounds(rd, i)
 	}
-
-	pending := newPendingAllocs()
 
 	// Phase 1: reclamation frees resources on every node before anyone
 	// tries to acquire them.
-	for _, svc := range snap.Services {
-		h.reclaim(snap, svc, deficits[svc.Info.Name], avail, removed, replicaCount, pending, &plan)
+	for i := range snap.Services {
+		h.reclaim(rd, i, &deficits[i])
 	}
 
 	// Phase 2: acquisition — vertical first, horizontal as a fallback.
-	for _, svc := range snap.Services {
-		h.acquire(snap, svc, deficits[svc.Info.Name], avail, hosted, removed, replicaCount, pending, &plan)
+	for i := range snap.Services {
+		h.acquire(rd, i, &deficits[i])
 	}
-
-	pending.emit(&plan, removed)
-	return plan
+	return rd.Plan()
 }
 
 // deficitOf computes Missing_m for CPU (and memory when memory-aware).
-func (h *HyScale) deficitOf(svc ServiceStats) *missing {
+func (h *HyScale) deficitOf(svc ServiceStats) missing {
 	t := svc.Info.TargetUtil
 	if t <= 0 {
-		return &missing{}
+		return missing{}
 	}
 	var usageCPU, reqCPU, usageMem, reqMem float64
 	for _, r := range svc.Replicas {
@@ -168,7 +106,7 @@ func (h *HyScale) deficitOf(svc ServiceStats) *missing {
 		usageMem += r.Usage.MemMB
 		reqMem += r.Requested.MemMB
 	}
-	d := &missing{cpu: (usageCPU - reqCPU*t) / t}
+	d := missing{cpu: (usageCPU - reqCPU*t) / t}
 	if h.memAware {
 		d.mem = (usageMem - reqMem*t) / t
 	}
@@ -177,31 +115,29 @@ func (h *HyScale) deficitOf(svc ServiceStats) *missing {
 
 // enforceBounds starts replicas below MinReplicas and removes replicas above
 // MaxReplicas, bypassing the rescale gates (availability first).
-func (h *HyScale) enforceBounds(snap Snapshot, svc ServiceStats, avail map[string]resources.Vector,
-	hosted map[string]map[string]bool, removed map[string]bool, replicaCount map[string]int, plan *Plan) {
-
+func (h *HyScale) enforceBounds(rd *Round, i int) {
+	svc := rd.snap.Services[i]
 	info := svc.Info
-	for replicaCount[info.Name] < info.MinReplicas {
-		nodeID := h.pickScaleOutNode(snap, info, avail, hosted)
+	for rd.Count(i) < info.MinReplicas {
+		nodeID := h.scaleOutNode(rd, info)
 		if nodeID == "" {
 			return
 		}
-		h.emitScaleOut(info, nodeID, info.InitialAlloc, avail, hosted, replicaCount, plan)
+		rd.ScaleOut(i, nodeID, info.InitialAlloc)
 	}
-	for i := len(svc.Replicas) - 1; i >= 0 && replicaCount[info.Name] > info.MaxReplicas; i-- {
-		r := svc.Replicas[i]
-		if removed[r.ContainerID] {
+	for j := len(svc.Replicas) - 1; j >= 0 && rd.Count(i) > info.MaxReplicas; j-- {
+		r := svc.Replicas[j]
+		if rd.Removed(r.ContainerID) {
 			continue
 		}
-		h.emitScaleIn(info.Name, r, avail, removed, replicaCount, plan)
+		h.scaleIn(rd, i, r)
 	}
 }
 
 // reclaim performs downward vertical scaling on over-provisioned services
 // and removes replicas that shrink below the minimum thresholds.
-func (h *HyScale) reclaim(snap Snapshot, svc ServiceStats, def *missing, avail map[string]resources.Vector,
-	removed map[string]bool, replicaCount map[string]int, pending *pendingAllocs, plan *Plan) {
-
+func (h *HyScale) reclaim(rd *Round, i int, def *missing) {
+	svc := rd.snap.Services[i]
 	info := svc.Info
 	t := info.TargetUtil
 	if t <= 0 {
@@ -220,10 +156,10 @@ func (h *HyScale) reclaim(snap Snapshot, svc ServiceStats, def *missing, avail m
 	resizeAllowed := !h.opts.DisableVertical
 
 	for _, r := range svc.Replicas {
-		if removed[r.ContainerID] || !r.Routable {
+		if rd.Removed(r.ContainerID) || !r.Routable {
 			continue
 		}
-		cur := pending.current(r)
+		cur := rd.Allocation(r)
 		newAlloc := cur
 
 		// Desired requests at 90 % of target so the replica keeps headroom.
@@ -244,10 +180,10 @@ func (h *HyScale) reclaim(snap Snapshot, svc ServiceStats, def *missing, avail m
 		// interval like every other horizontal action (§IV-B1's thrash
 		// throttle); vertical reclamation below stays exempt.
 		removable := cpuIdle && (!h.memAware || memIdle)
-		if removable && replicaCount[info.Name] > info.MinReplicas && def.cpu < 0 &&
-			h.gate.canDown(info.Name, snap.Now) {
-			h.emitScaleIn(info.Name, r, avail, removed, replicaCount, plan)
-			h.gate.markDown(info.Name, snap.Now)
+		if removable && rd.Count(i) > info.MinReplicas && def.cpu < 0 &&
+			h.gate.CanDown(info.Name, rd.snap.Now) {
+			h.scaleIn(rd, i, r)
+			h.gate.MarkDown(info.Name, rd.snap.Now)
 			def.cpu += cur.CPU
 			if h.memAware {
 				def.mem += cur.MemMB
@@ -279,19 +215,16 @@ func (h *HyScale) reclaim(snap Snapshot, svc ServiceStats, def *missing, avail m
 			}
 		}
 		if changed {
-			freed := cur.Sub(newAlloc).ClampNonNegative()
-			avail[r.NodeID] = avail[r.NodeID].Add(freed)
-			pending.set(r.ContainerID, newAlloc)
+			rd.Credit(r.NodeID, cur.Sub(newAlloc).ClampNonNegative())
+			rd.Resize(r.ContainerID, newAlloc)
 		}
 	}
 }
 
 // acquire vertically scales starved replicas up using node headroom and
 // falls back to horizontal scale-out for whatever deficit remains.
-func (h *HyScale) acquire(snap Snapshot, svc ServiceStats, def *missing, avail map[string]resources.Vector,
-	hosted map[string]map[string]bool, removed map[string]bool, replicaCount map[string]int,
-	pending *pendingAllocs, plan *Plan) {
-
+func (h *HyScale) acquire(rd *Round, i int, def *missing) {
+	svc := rd.snap.Services[i]
 	info := svc.Info
 	t := info.TargetUtil
 	if t <= 0 {
@@ -308,13 +241,13 @@ func (h *HyScale) acquire(snap Snapshot, svc ServiceStats, def *missing, avail m
 		if h.opts.DisableVertical {
 			break
 		}
-		if removed[r.ContainerID] || !r.Routable {
+		if rd.Removed(r.ContainerID) || !r.Routable {
 			continue
 		}
-		a := avail[r.NodeID]
-		cur := pending.current(r)
+		a := rd.Available(r.NodeID)
+		cur := rd.Allocation(r)
 		newAlloc := cur
-		changed := false
+		var took resources.Vector
 
 		if needCPU {
 			// AcquiredCPUs_r = min(RequiredCPUs_r, AvailableCPUs_n).
@@ -323,9 +256,8 @@ func (h *HyScale) acquire(snap Snapshot, svc ServiceStats, def *missing, avail m
 				acquired := minf(required, a.CPU)
 				if acquired > 0 {
 					newAlloc.CPU += acquired
-					a.CPU -= acquired
+					took.CPU = acquired
 					def.cpu -= acquired
-					changed = true
 				}
 			}
 		}
@@ -335,15 +267,14 @@ func (h *HyScale) acquire(snap Snapshot, svc ServiceStats, def *missing, avail m
 				acquired := minf(required, a.MemMB)
 				if acquired > 0 {
 					newAlloc.MemMB += acquired
-					a.MemMB -= acquired
+					took.MemMB = acquired
 					def.mem -= acquired
-					changed = true
 				}
 			}
 		}
-		if changed {
-			avail[r.NodeID] = a
-			pending.set(r.ContainerID, newAlloc)
+		if !took.IsZero() {
+			rd.Debit(r.NodeID, took)
+			rd.Resize(r.ContainerID, newAlloc)
 		}
 	}
 
@@ -355,16 +286,16 @@ func (h *HyScale) acquire(snap Snapshot, svc ServiceStats, def *missing, avail m
 	if def.cpu <= eps && (!h.memAware || def.mem <= eps) {
 		return
 	}
-	if !h.gate.canUp(info.Name, snap.Now) {
+	if !h.gate.CanUp(info.Name, rd.snap.Now) {
 		return
 	}
 	placedAny := false
-	for (def.cpu > eps || (h.memAware && def.mem > eps)) && replicaCount[info.Name] < info.MaxReplicas {
-		nodeID := h.pickScaleOutNode(snap, info, avail, hosted)
+	for (def.cpu > eps || (h.memAware && def.mem > eps)) && rd.Count(i) < info.MaxReplicas {
+		nodeID := h.scaleOutNode(rd, info)
 		if nodeID == "" {
 			break
 		}
-		a := avail[nodeID]
+		a := rd.Available(nodeID)
 		allocCPU := maxf(def.cpu, h.cfg.MinScaleOutCPU)
 		allocCPU = minf(allocCPU, a.CPU)
 		allocMem := info.InitialAlloc.MemMB
@@ -373,7 +304,7 @@ func (h *HyScale) acquire(snap Snapshot, svc ServiceStats, def *missing, avail m
 		}
 		allocMem = minf(allocMem, a.MemMB)
 		alloc := resources.Vector{CPU: allocCPU, MemMB: allocMem, NetMbps: info.InitialAlloc.NetMbps}
-		h.emitScaleOut(info, nodeID, alloc, avail, hosted, replicaCount, plan)
+		rd.ScaleOut(i, nodeID, alloc)
 		def.cpu -= allocCPU
 		if h.memAware {
 			def.mem -= allocMem - info.BaselineMemMB
@@ -381,57 +312,24 @@ func (h *HyScale) acquire(snap Snapshot, svc ServiceStats, def *missing, avail m
 		placedAny = true
 	}
 	if placedAny {
-		h.gate.markUp(info.Name, snap.Now)
+		h.gate.MarkUp(info.Name, rd.snap.Now)
 	}
 }
 
-// pickScaleOutNode selects the node with the most available CPU that (a)
-// does not already host the service and (b) advertises at least the
-// service's baseline memory and the minimum scale-out CPU (§IV-B1).
-func (h *HyScale) pickScaleOutNode(snap Snapshot, info ServiceInfo, avail map[string]resources.Vector,
-	hosted map[string]map[string]bool) string {
-
+// scaleOutNode selects the node with the most available CPU that (a) does
+// not already host the service and (b) advertises at least the service's
+// baseline memory and the minimum scale-out CPU (§IV-B1).
+func (h *HyScale) scaleOutNode(rd *Round, info ServiceInfo) string {
 	need := resources.Vector{CPU: h.cfg.MinScaleOutCPU, MemMB: maxf(info.BaselineMemMB, info.InitialAlloc.MemMB)}
-	best := ""
-	bestCPU := 0.0
-	for _, n := range snap.Nodes {
-		if hosted[info.Name][n.ID] {
-			continue
-		}
-		a := avail[n.ID]
-		if !need.FitsIn(a) {
-			continue
-		}
-		better := best == "" ||
-			(h.cfg.Placement == PlacementBinPack && a.CPU < bestCPU) ||
-			(h.cfg.Placement != PlacementBinPack && a.CPU > bestCPU)
-		if better {
-			bestCPU = a.CPU
-			best = n.ID
-		}
-	}
-	return best
+	return rd.Pick(need, info.Name)
 }
 
-func (h *HyScale) emitScaleOut(info ServiceInfo, nodeID string, alloc resources.Vector,
-	avail map[string]resources.Vector, hosted map[string]map[string]bool, replicaCount map[string]int, plan *Plan) {
-
-	plan.Actions = append(plan.Actions, ScaleOut{Service: info.Name, NodeID: nodeID, Alloc: alloc})
-	avail[nodeID] = avail[nodeID].Sub(alloc).ClampNonNegative()
-	if hosted[info.Name] == nil {
-		hosted[info.Name] = make(map[string]bool)
-	}
-	hosted[info.Name][nodeID] = true
-	replicaCount[info.Name]++
-}
-
-func (h *HyScale) emitScaleIn(service string, r ReplicaStats, avail map[string]resources.Vector,
-	removed map[string]bool, replicaCount map[string]int, plan *Plan) {
-
-	plan.Actions = append(plan.Actions, ScaleIn{ContainerID: r.ContainerID})
-	removed[r.ContainerID] = true
-	avail[r.NodeID] = avail[r.NodeID].Add(r.Requested)
-	replicaCount[service]--
+// scaleIn removes the replica and, unlike Kubernetes and the manager,
+// credits its allocation back so services planned later in the round can
+// use it.
+func (h *HyScale) scaleIn(rd *Round, svc int, r ReplicaStats) {
+	rd.ScaleIn(svc, r.ContainerID)
+	rd.Credit(r.NodeID, r.Requested)
 }
 
 func minf(a, b float64) float64 {

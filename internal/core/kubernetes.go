@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"hyscale/internal/resources"
-)
+import "math"
 
 // Metric selects which resource dimension a horizontal autoscaler observes.
 type Metric int
@@ -27,7 +23,7 @@ const (
 type Kubernetes struct {
 	cfg    Config
 	metric Metric
-	gate   *intervalGate
+	gate   *Gate
 	name   string
 }
 
@@ -38,7 +34,7 @@ func NewKubernetes(cfg Config) *Kubernetes {
 	return &Kubernetes{
 		cfg:    cfg,
 		metric: MetricCPU,
-		gate:   newIntervalGate(cfg.ScaleUpInterval, cfg.ScaleDownInterval),
+		gate:   NewGate(cfg.ScaleUpInterval, cfg.ScaleDownInterval),
 		name:   "kubernetes",
 	}
 }
@@ -49,7 +45,7 @@ func NewNetworkHPA(cfg Config) *Kubernetes {
 	return &Kubernetes{
 		cfg:    cfg,
 		metric: MetricNet,
-		gate:   newIntervalGate(cfg.ScaleUpInterval, cfg.ScaleDownInterval),
+		gate:   NewGate(cfg.ScaleUpInterval, cfg.ScaleDownInterval),
 		name:   "network",
 	}
 }
@@ -59,15 +55,14 @@ func (k *Kubernetes) Name() string { return k.name }
 
 // Decide implements Algorithm.
 func (k *Kubernetes) Decide(snap Snapshot) Plan {
-	var plan Plan
-	// One availability ledger for the whole round: services planned later
-	// must see the placements of services planned earlier, or they all
-	// pile onto the same "emptiest" node.
-	avail := availableByNode(snap)
-	for _, svc := range snap.Services {
-		k.decideService(snap, svc, avail, &plan)
+	// One round for every service: services planned later must see the
+	// placements of services planned earlier, or they all pile onto the
+	// same "emptiest" node.
+	rd := NewRound(snap, k.cfg.Placement)
+	for i := range snap.Services {
+		k.decideService(rd, snap, i)
 	}
-	return plan
+	return rd.Plan()
 }
 
 func (k *Kubernetes) usage(r ReplicaStats) float64 {
@@ -84,17 +79,18 @@ func (k *Kubernetes) requested(r ReplicaStats) float64 {
 	return r.Requested.CPU
 }
 
-func (k *Kubernetes) decideService(snap Snapshot, svc ServiceStats, avail map[string]resources.Vector, plan *Plan) {
+func (k *Kubernetes) decideService(rd *Round, snap Snapshot, i int) {
+	svc := snap.Services[i]
 	info := svc.Info
 	cur := len(svc.Replicas)
 
 	// Fault-tolerance first: enforce the replica bounds unconditionally.
 	if cur < info.MinReplicas {
-		k.addReplicas(snap, info, info.MinReplicas-cur, avail, plan)
+		rd.AddReplicas(i, info.MinReplicas-cur)
 		return
 	}
 	if cur > info.MaxReplicas {
-		k.removeReplicas(svc, cur-info.MaxReplicas, plan)
+		rd.RemoveNewest(i, cur-info.MaxReplicas)
 		return
 	}
 	if cur == 0 {
@@ -131,97 +127,17 @@ func (k *Kubernetes) decideService(snap Snapshot, svc ServiceStats, avail map[st
 
 	switch {
 	case want > cur:
-		if !k.gate.canUp(info.Name, snap.Now) {
+		if !k.gate.CanUp(info.Name, snap.Now) {
 			return
 		}
-		if k.addReplicas(snap, info, want-cur, avail, plan) > 0 {
-			k.gate.markUp(info.Name, snap.Now)
+		if rd.AddReplicas(i, want-cur) > 0 {
+			k.gate.MarkUp(info.Name, snap.Now)
 		}
 	case want < cur:
-		if !k.gate.canDown(info.Name, snap.Now) {
+		if !k.gate.CanDown(info.Name, snap.Now) {
 			return
 		}
-		k.removeReplicas(svc, cur-want, plan)
-		k.gate.markDown(info.Name, snap.Now)
+		rd.RemoveNewest(i, cur-want)
+		k.gate.MarkDown(info.Name, snap.Now)
 	}
-}
-
-// addReplicas schedules up to n new replicas onto nodes chosen by the
-// configured placement heuristic, decrementing the shared availability
-// ledger. It returns how many were placed; placement can fall short when no
-// node fits the initial request.
-func (k *Kubernetes) addReplicas(snap Snapshot, info ServiceInfo, n int, avail map[string]resources.Vector, plan *Plan) int {
-	placed := 0
-	for i := 0; i < n; i++ {
-		nodeID := pickNode(snap.Nodes, avail, info.InitialAlloc, "", k.cfg.Placement)
-		if nodeID == "" {
-			break
-		}
-		plan.Actions = append(plan.Actions, ScaleOut{Service: info.Name, NodeID: nodeID, Alloc: info.InitialAlloc})
-		avail[nodeID] = avail[nodeID].Sub(info.InitialAlloc).ClampNonNegative()
-		placed++
-	}
-	return placed
-}
-
-// removeReplicas schedules the n newest replicas for removal (the oldest
-// replicas are the most established; removing the newest minimises churn).
-func (k *Kubernetes) removeReplicas(svc ServiceStats, n int, plan *Plan) {
-	for i := 0; i < n && i < len(svc.Replicas); i++ {
-		victim := svc.Replicas[len(svc.Replicas)-1-i]
-		plan.Actions = append(plan.Actions, ScaleIn{ContainerID: victim.ContainerID})
-	}
-}
-
-// AvailableByNode copies the advertised availability into a working map a
-// planner can decrement as it tentatively places replicas. External
-// algorithm packages (internal/scalermgr) share this ledger shape so their
-// placements compose with the heuristics here.
-func AvailableByNode(snap Snapshot) map[string]resources.Vector {
-	return availableByNode(snap)
-}
-
-// PickNodeFor exposes the shared placement heuristic: the best node that
-// fits alloc under the given placement policy, decrementable via the avail
-// ledger. Empty string means nothing fits.
-func PickNodeFor(nodes []NodeStats, avail map[string]resources.Vector, alloc resources.Vector,
-	excludeService string, placement Placement) string {
-	return pickNode(nodes, avail, alloc, excludeService, placement)
-}
-
-// availableByNode copies the advertised availability into a working map the
-// planner can decrement as it tentatively places replicas.
-func availableByNode(snap Snapshot) map[string]resources.Vector {
-	m := make(map[string]resources.Vector, len(snap.Nodes))
-	for _, n := range snap.Nodes {
-		m[n.ID] = n.Available
-	}
-	return m
-}
-
-// pickNode returns the ID of the best node that fits alloc under the given
-// placement heuristic, optionally excluding nodes already hosting
-// excludeService. Empty string means nothing fits.
-func pickNode(nodes []NodeStats, avail map[string]resources.Vector, alloc resources.Vector,
-	excludeService string, placement Placement) string {
-
-	best := ""
-	bestCPU := 0.0
-	for _, n := range nodes {
-		if excludeService != "" && n.HostsService(excludeService) {
-			continue
-		}
-		a := avail[n.ID]
-		if !alloc.FitsIn(a) {
-			continue
-		}
-		better := best == "" ||
-			(placement == PlacementBinPack && a.CPU < bestCPU) ||
-			(placement != PlacementBinPack && a.CPU > bestCPU)
-		if better {
-			bestCPU = a.CPU
-			best = n.ID
-		}
-	}
-	return best
 }

@@ -186,35 +186,3 @@ func DefaultConfig() Config {
 		MemHeadroom:       0.10,
 	}
 }
-
-// intervalGate tracks per-service horizontal rescale throttling.
-type intervalGate struct {
-	lastUp   map[string]time.Duration
-	lastDown map[string]time.Duration
-	upEvery  time.Duration
-	dnEvery  time.Duration
-}
-
-func newIntervalGate(up, down time.Duration) *intervalGate {
-	return &intervalGate{
-		lastUp:   make(map[string]time.Duration),
-		lastDown: make(map[string]time.Duration),
-		upEvery:  up,
-		dnEvery:  down,
-	}
-}
-
-// canUp reports whether a horizontal scale-up is allowed for the service.
-func (g *intervalGate) canUp(service string, now time.Duration) bool {
-	last, seen := g.lastUp[service]
-	return !seen || now-last >= g.upEvery
-}
-
-// canDown reports whether a horizontal scale-down is allowed.
-func (g *intervalGate) canDown(service string, now time.Duration) bool {
-	last, seen := g.lastDown[service]
-	return !seen || now-last >= g.dnEvery
-}
-
-func (g *intervalGate) markUp(service string, now time.Duration)   { g.lastUp[service] = now }
-func (g *intervalGate) markDown(service string, now time.Duration) { g.lastDown[service] = now }

@@ -144,9 +144,6 @@ type Options struct {
 	Observe bool
 }
 
-// DefaultOptions returns paper-sized settings.
-func DefaultOptions() Options { return Options{Seed: 1, Scale: 1.0} }
-
 func (o Options) scaled() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1

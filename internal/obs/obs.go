@@ -244,18 +244,6 @@ func (j *Journal) Events() []Event {
 	return j.events
 }
 
-// EventCounts tallies self-healing events by kind.
-func (j *Journal) EventCounts() map[EventKind]int {
-	if j == nil {
-		return nil
-	}
-	out := make(map[EventKind]int)
-	for _, e := range j.events {
-		out[e.Kind]++
-	}
-	return out
-}
-
 // Sample appends one per-service series point from cumulative counters,
 // computing the interval deltas against the service's previous sample.
 // No-op on a nil journal.

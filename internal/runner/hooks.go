@@ -50,14 +50,6 @@ func lookupHook(name string) (Hook, error) {
 	return h, nil
 }
 
-// HookNames lists the registered hooks, sorted — for error messages and CLI
-// help.
-func HookNames() []string {
-	hooksMu.RLock()
-	defer hooksMu.RUnlock()
-	return hookNamesLocked()
-}
-
 func hookNamesLocked() []string {
 	names := make([]string, 0, len(hooks))
 	for n := range hooks {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hyscale/internal/core"
-	"hyscale/internal/resources"
 )
 
 // Recommendation is one scaler's latest per-service recommendation, kept
@@ -53,10 +52,6 @@ type svcState struct {
 	// retention-period-aware scale-to-zero.
 	zeroSince    time.Duration
 	trackingZero bool
-
-	// gate state: per-service horizontal rescale throttling.
-	lastUp, lastDown time.Duration
-	didUp, didDown   bool
 }
 
 // Manager runs several scalers per service and merges their
@@ -68,6 +63,7 @@ type Manager struct {
 	cfg     Config
 	coreCfg core.Config
 	merge   MergeFunc
+	gate    *core.Gate
 
 	services map[string]*svcState
 
@@ -106,6 +102,7 @@ func New(coreCfg core.Config, cfg Config, costOptimal bool) (*Manager, error) {
 		cfg:      cfg,
 		coreCfg:  coreCfg,
 		merge:    fn,
+		gate:     core.NewGate(coreCfg.ScaleUpInterval, coreCfg.ScaleDownInterval),
 		services: make(map[string]*svcState),
 		recs:     make(map[string][]Recommendation),
 	}, nil
@@ -138,10 +135,14 @@ func (m *Manager) Recommendations() []Recommendation {
 
 // Decide implements core.Algorithm.
 func (m *Manager) Decide(snap core.Snapshot) core.Plan {
-	var plan core.Plan
-	// One availability ledger for the round, shared across services, so
-	// later placements see earlier ones.
-	avail := core.AvailableByNode(snap)
+	// One round shared across services, so later placements see earlier
+	// ones. The cost allocator forces binpack so emptied machines stay
+	// empty.
+	placement := m.coreCfg.Placement
+	if m.cost {
+		placement = core.PlacementBinPack
+	}
+	rd := core.NewRound(snap, placement)
 	// The cost allocator drains machines: replicas on the least-occupied
 	// nodes are removed first, so count residents per node once.
 	var nodeLoad map[string]int
@@ -153,10 +154,10 @@ func (m *Manager) Decide(snap core.Snapshot) core.Plan {
 			}
 		}
 	}
-	for _, svc := range snap.Services {
-		m.decideService(snap, svc, avail, nodeLoad, &plan)
+	for i := range snap.Services {
+		m.decideService(rd, snap, i, nodeLoad)
 	}
-	return plan
+	return rd.Plan()
 }
 
 // state returns (creating if needed) the per-service memory.
@@ -246,20 +247,19 @@ func need(agg, target float64) int {
 	return int(math.Ceil(agg / target))
 }
 
-func (m *Manager) decideService(snap core.Snapshot, svc core.ServiceStats,
-	avail map[string]resources.Vector, nodeLoad map[string]int, plan *core.Plan) {
-
+func (m *Manager) decideService(rd *core.Round, snap core.Snapshot, i int, nodeLoad map[string]int) {
+	svc := snap.Services[i]
 	info := svc.Info
 	cur := len(svc.Replicas)
 
 	// Bounds first, unconditionally — no allocator path may leave a
 	// service outside [MinReplicas, MaxReplicas].
 	if cur < info.MinReplicas {
-		m.addReplicas(snap, info, info.MinReplicas-cur, avail, plan)
+		rd.AddReplicas(i, info.MinReplicas-cur)
 		return
 	}
 	if cur > info.MaxReplicas {
-		m.removeReplicas(svc, cur-info.MaxReplicas, nodeLoad, plan)
+		m.removeReplicas(rd, i, svc, cur-info.MaxReplicas, nodeLoad)
 		return
 	}
 
@@ -328,18 +328,18 @@ func (m *Manager) decideService(snap core.Snapshot, svc core.ServiceStats,
 
 	switch {
 	case want > cur:
-		if !st.canUp(snap.Now, m.coreCfg.ScaleUpInterval) {
+		if !m.gate.CanUp(info.Name, snap.Now) {
 			return
 		}
-		if m.addReplicas(snap, info, want-cur, avail, plan) > 0 {
-			st.markUp(snap.Now)
+		if rd.AddReplicas(i, want-cur) > 0 {
+			m.gate.MarkUp(info.Name, snap.Now)
 		}
 	case want < cur:
-		if !st.canDown(snap.Now, m.coreCfg.ScaleDownInterval) {
+		if !m.gate.CanDown(info.Name, snap.Now) {
 			return
 		}
-		m.removeReplicas(svc, cur-want, nodeLoad, plan)
-		st.markDown(snap.Now)
+		m.removeReplicas(rd, i, svc, cur-want, nodeLoad)
+		m.gate.MarkDown(info.Name, snap.Now)
 	}
 }
 
@@ -394,57 +394,21 @@ func (m *Manager) costWant(st *svcState, info core.ServiceInfo, cur, merged int,
 	return want
 }
 
-// canUp / canDown / markUp / markDown implement the per-service rescale
-// interval gate (paper: 3 s up, 50 s down).
-func (st *svcState) canUp(now time.Duration, every time.Duration) bool {
-	return !st.didUp || now-st.lastUp >= every
-}
-func (st *svcState) canDown(now time.Duration, every time.Duration) bool {
-	return !st.didDown || now-st.lastDown >= every
-}
-func (st *svcState) markUp(now time.Duration)   { st.didUp, st.lastUp = true, now }
-func (st *svcState) markDown(now time.Duration) { st.didDown, st.lastDown = true, now }
-
-// addReplicas schedules up to n new replicas, decrementing the shared
-// ledger; the cost allocator forces binpack so emptied machines stay empty.
-func (m *Manager) addReplicas(snap core.Snapshot, info core.ServiceInfo, n int,
-	avail map[string]resources.Vector, plan *core.Plan) int {
-
-	placement := m.coreCfg.Placement
-	if m.cost {
-		placement = core.PlacementBinPack
-	}
-	placed := 0
-	for i := 0; i < n; i++ {
-		nodeID := core.PickNodeFor(snap.Nodes, avail, info.InitialAlloc, "", placement)
-		if nodeID == "" {
-			break
-		}
-		plan.Actions = append(plan.Actions, core.ScaleOut{Service: info.Name, NodeID: nodeID, Alloc: info.InitialAlloc})
-		avail[nodeID] = avail[nodeID].Sub(info.InitialAlloc).ClampNonNegative()
-		placed++
-	}
-	return placed
-}
-
 // removeReplicas schedules n removals. The plain manager removes the
 // newest replicas (least established, minimal churn); the cost allocator
 // removes from the least-occupied nodes first — draining machines down to
 // empty stops their machine-hour accrual — breaking ties newest-first.
-func (m *Manager) removeReplicas(svc core.ServiceStats, n int, nodeLoad map[string]int, plan *core.Plan) {
+func (m *Manager) removeReplicas(rd *core.Round, i int, svc core.ServiceStats, n int, nodeLoad map[string]int) {
+	if nodeLoad == nil {
+		rd.RemoveNewest(i, n)
+		return
+	}
 	if n > len(svc.Replicas) {
 		n = len(svc.Replicas)
 	}
-	if nodeLoad == nil {
-		for i := 0; i < n; i++ {
-			victim := svc.Replicas[len(svc.Replicas)-1-i]
-			plan.Actions = append(plan.Actions, core.ScaleIn{ContainerID: victim.ContainerID})
-		}
-		return
-	}
 	order := make([]int, len(svc.Replicas))
-	for i := range order {
-		order[i] = i
+	for j := range order {
+		order[j] = j
 	}
 	sort.Slice(order, func(a, b int) bool {
 		la := nodeLoad[svc.Replicas[order[a]].NodeID]
@@ -454,9 +418,9 @@ func (m *Manager) removeReplicas(svc core.ServiceStats, n int, nodeLoad map[stri
 		}
 		return order[a] > order[b]
 	})
-	for i := 0; i < n; i++ {
-		victim := svc.Replicas[order[i]]
-		plan.Actions = append(plan.Actions, core.ScaleIn{ContainerID: victim.ContainerID})
+	for _, j := range order[:n] {
+		victim := svc.Replicas[j]
+		rd.ScaleIn(i, victim.ContainerID)
 		nodeLoad[victim.NodeID]--
 	}
 }

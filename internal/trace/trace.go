@@ -60,18 +60,6 @@ func (s Series) MaxCPU() float64 {
 	return m
 }
 
-// MeanCPU returns the average CPU sample, or 0 when empty.
-func (s Series) MeanCPU() float64 {
-	if len(s.CPUPercent) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.CPUPercent {
-		sum += v
-	}
-	return sum / float64(len(s.CPUPercent))
-}
-
 // Trace is a collection of VM series with a common interval — the shape of
 // the Bitbrains `Rnd` dataset (500 VMs).
 type Trace struct {
