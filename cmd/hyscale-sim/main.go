@@ -22,7 +22,8 @@ import (
 
 	"hyscale"
 	"hyscale/internal/loadgen"
-	"hyscale/internal/monitor"
+	"hyscale/internal/obs"
+	"hyscale/internal/platform"
 	"hyscale/internal/scenario"
 	"hyscale/internal/workload"
 )
@@ -107,11 +108,7 @@ func main() {
 			fmt.Printf("%-8s %s  replicas=%d\n", name, s, res.World.Control().ReplicaCount(name))
 		}
 		fmt.Printf("\nTOTAL    %s\n", res.Summary)
-		a := res.Actions
-		fmt.Printf("actions: scale-outs=%d scale-ins=%d vertical=%d placement-failures=%d\n",
-			a.ScaleOuts, a.ScaleIns, a.Vertical, a.PlacementFailures)
-		printZones(res.Zones, res.CrossZone)
-		printEvac(res.ZoneEvac)
+		printMetrics(res.World)
 		if res.ClampedEvents > 0 {
 			fmt.Printf("warning: %d events clamped to now (stale-timestamp scheduling)\n", res.ClampedEvents)
 		}
@@ -152,56 +149,15 @@ func runScenario(path string) {
 	}
 	fmt.Printf("\nTOTAL      %s\n", w.Summary())
 	fmt.Printf("cost: %s\n", w.CostReport())
-	if w.HasCallGraph() {
-		cs := w.CascadeStats()
-		rc := w.Resilience().Counters()
-		fmt.Printf("cascade: roots=%d completed=%d shed=%d deadline-exceeded=%d failed=%d retried=%d retries-denied=%d short-circuited=%d breaker-opens=%d amplification=%.2fx\n",
-			cs.RootGenerated, cs.RootCompleted, cs.RootShed, cs.RootDeadline, cs.RootFailed,
-			rc.Retries, rc.RetriesDenied, rc.ShortCircuited, rc.BreakerOpens, rc.Amplification())
-		for _, key := range cs.EdgeKeys() {
-			e := cs.Edges[key]
-			fmt.Printf("  edge %-20s issued=%d delivered=%d dropped=%d\n", key, e.Issued, e.Delivered, e.Dropped)
-		}
-	}
-	if rec := w.Control().Recovery(); rec != (monitor.RecoveryCounts{}) || w.MonitorCrashes() > 0 {
-		fmt.Printf("self-heal: suspected=%d dead=%d recovered=%d lost=%d replaced=%d readopted=%d drained=%d ckpt-restores=%d cold-restarts=%d monitor-crash-periods=%d\n",
-			rec.Suspected, rec.DeclaredDead, rec.Recovered, rec.ReplicasLost, rec.Replaced,
-			rec.Readopted, rec.StaleDrained, rec.CheckpointRestores, rec.ColdRestarts, w.MonitorCrashes())
-	}
-	if zs := w.Control().ZoneSummaries(); zs != nil {
-		cz := w.Control().Cross()
-		printZones(zs, &cz)
-		printEvac(w.Control().Evac())
-	}
+	printMetrics(w)
 }
 
-// printZones writes one summary line per zone arbiter plus the global
-// allocator's cross-zone counters (no-op for single-zone runs).
-func printZones(zones []monitor.ZoneSummary, cross *monitor.CrossZoneCounts) {
-	if len(zones) == 0 {
-		return
+// printMetrics writes the run's metric list, one line per family with a
+// non-zero sample (obs.TextLines).
+func printMetrics(w *platform.World) {
+	for _, line := range obs.TextLines(w.Metrics()) {
+		fmt.Println(line)
 	}
-	for _, z := range zones {
-		evac := ""
-		if z.Evacuated {
-			evac = " EVACUATED"
-		}
-		fmt.Printf("zone %d: nodes=%d services=%d replicas=%d scale-outs=%d scale-ins=%d vertical=%d%s\n",
-			z.Zone, z.Nodes, z.Services, z.Replicas, z.Counts.ScaleOuts, z.Counts.ScaleIns, z.Counts.Vertical, evac)
-	}
-	if cross != nil {
-		fmt.Printf("cross-zone: node-leases=%d lease-failures=%d\n", cross.NodeLeases, cross.LeaseFailures)
-	}
-}
-
-// printEvac writes the zone disaster-recovery summary line. No-op unless
-// evacuation was enabled and did something.
-func printEvac(ev *monitor.EvacCounts) {
-	if ev == nil || *ev == (monitor.EvacCounts{}) {
-		return
-	}
-	fmt.Printf("zone-dr: zones-evacuated=%d services-evacuated=%d replicas-displaced=%d spillover-placements=%d zones-readopted=%d services-readopted=%d\n",
-		ev.ZonesEvacuated, ev.ServicesEvacuated, ev.ReplicasDisplaced, ev.SpilloverPlacements, ev.ZonesReadopted, ev.ServicesReadopted)
 }
 
 func fatal(err error) {

@@ -107,24 +107,7 @@ func (t *Table) CSV() string {
 }
 
 // Slug returns a filesystem-friendly name derived from the title.
-func (t *Table) Slug() string {
-	s := strings.ToLower(t.Title)
-	var b strings.Builder
-	dash := false
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-			dash = false
-		default:
-			if !dash && b.Len() > 0 {
-				b.WriteByte('-')
-				dash = true
-			}
-		}
-	}
-	return strings.TrimSuffix(b.String(), "-")
-}
+func (t *Table) Slug() string { return obs.Slug(t.Title) }
 
 // Options tunes experiment size so `go test -bench` stays quick while
 // cmd/hyscale-bench can run paper-sized experiments.
@@ -170,8 +153,9 @@ func execute(specs []runner.RunSpec, opts Options) ([]runner.Result, error) {
 	timingsMu.Lock()
 	timings = append(timings, ts...)
 	if opts.Observe {
-		// Keep only the lightweight journal + summary, not the Result's
-		// *World — a paper-sized -all batch must not retain every world.
+		// Keep only the lightweight journal, summary and metric list, not
+		// the Result's *World — a paper-sized -all batch must not retain
+		// every world.
 		for _, r := range results {
 			if r.Journal == nil {
 				continue
@@ -184,7 +168,7 @@ func execute(specs []runner.RunSpec, opts Options) ([]runner.Result, error) {
 				Duration:  r.Spec.Duration,
 				Summary:   r.Summary,
 				Journal:   r.Journal,
-				Counters:  runCounters(r),
+				Metrics:   r.World.Metrics(),
 			})
 		}
 	}
@@ -193,52 +177,6 @@ func execute(specs []runner.RunSpec, opts Options) ([]runner.Result, error) {
 		return nil, err
 	}
 	return results, nil
-}
-
-// runCounters flattens one run's control-plane counters — hardening,
-// fault-injection fallout and self-healing recovery — into the ordered
-// name/value pairs the Markdown report renders. The order is fixed so report
-// bytes stay deterministic.
-func runCounters(r runner.Result) []obs.Counter {
-	a, rec := r.Actions, r.Recovery
-	out := []obs.Counter{
-		{Name: "retries", Value: a.Retries},
-		{Name: "abandoned actions", Value: a.AbandonedActions},
-		{Name: "stale snapshots", Value: a.StaleSnapshots},
-		{Name: "placement failures", Value: a.PlacementFailures},
-		{Name: "pending retries (end of run)", Value: uint64(r.PendingRetries)},
-		{Name: "monitor crash periods", Value: r.MonitorCrashes},
-		{Name: "nodes suspected", Value: rec.Suspected},
-		{Name: "nodes declared dead", Value: rec.DeclaredDead},
-		{Name: "nodes recovered", Value: rec.Recovered},
-		{Name: "replicas lost", Value: rec.ReplicasLost},
-		{Name: "replicas replaced", Value: rec.Replaced},
-		{Name: "replicas re-adopted", Value: rec.Readopted},
-		{Name: "stale replicas drained", Value: rec.StaleDrained},
-		{Name: "reconciles cancelled", Value: rec.ReconcileCancelled},
-		{Name: "checkpoint restores", Value: rec.CheckpointRestores},
-		{Name: "cold restarts", Value: rec.ColdRestarts},
-	}
-	// Call-graph runs append the cascade-defense counters; runs without a
-	// graph keep the exact pre-resilience counter list, so existing report
-	// artifacts are byte-identical.
-	if r.Cascade != nil && r.Resilience != nil {
-		cs, rc := r.Cascade, r.Resilience
-		out = append(out,
-			obs.Counter{Name: "roots generated", Value: cs.RootGenerated},
-			obs.Counter{Name: "roots completed", Value: cs.RootCompleted},
-			obs.Counter{Name: "roots shed", Value: cs.RootShed},
-			obs.Counter{Name: "roots deadline-exceeded", Value: cs.RootDeadline},
-			obs.Counter{Name: "roots failed", Value: cs.RootFailed},
-			obs.Counter{Name: "requests shed", Value: rc.Shed},
-			obs.Counter{Name: "call retries issued", Value: rc.Retries},
-			obs.Counter{Name: "call retries denied (budget)", Value: rc.RetriesDenied},
-			obs.Counter{Name: "call deadline misses", Value: rc.DeadlineExceeded},
-			obs.Counter{Name: "breaker short-circuits", Value: rc.ShortCircuited},
-			obs.Counter{Name: "breaker opens", Value: rc.BreakerOpens},
-		)
-	}
-	return out
 }
 
 // TakeTimings drains the per-run wall-clock timings accumulated since the

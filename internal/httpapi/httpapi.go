@@ -12,8 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -205,32 +203,10 @@ func (s *Server) serviceDTO(name string) ServiceDTO {
 	return dto
 }
 
-func (s *Server) serviceNames() []string {
-	names := make([]string, 0)
-	for _, ss := range s.world.Recorder().Services() {
-		names = append(names, ss.Name)
-	}
-	// Services with no traffic yet still exist; derive from the cluster.
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		seen[n] = true
-	}
-	for _, node := range s.world.Cluster().Nodes() {
-		for _, c := range node.Containers() {
-			if !seen[c.Service] && !strings.HasPrefix(c.Service, "stress-") {
-				seen[c.Service] = true
-				names = append(names, c.Service)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 func (s *Server) handleServices(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	out := make([]ServiceDTO, 0)
-	for _, name := range s.serviceNames() {
+	for _, name := range s.world.ServiceNames() {
 		out = append(out, s.serviceDTO(name))
 	}
 	s.mu.Unlock()
@@ -466,163 +442,13 @@ func (s *Server) handleZones(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, out)
 }
 
-// handleMetrics renders a Prometheus-style text exposition of the key
-// series: request counters, per-service replica gauges and per-node
-// allocation gauges.
+// handleMetrics renders the world's metric list (platform.World.Metrics)
+// in the Prometheus text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	series := s.world.Metrics()
+	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-
-	sum := s.world.Summary()
-	fmt.Fprintf(w, "# TYPE hyscale_requests_total counter\nhyscale_requests_total %d\n", sum.Requests)
-	fmt.Fprintf(w, "# TYPE hyscale_completed_total counter\nhyscale_completed_total %d\n", sum.Completed)
-	fmt.Fprintf(w, "# TYPE hyscale_failures_total counter\n")
-	fmt.Fprintf(w, "hyscale_failures_total{class=\"removal\"} %d\n", sum.RemovalFailures)
-	fmt.Fprintf(w, "hyscale_failures_total{class=\"connection\"} %d\n", sum.ConnectionFailures)
-
-	fmt.Fprintf(w, "# TYPE hyscale_service_replicas gauge\n")
-	for _, name := range s.serviceNames() {
-		fmt.Fprintf(w, "hyscale_service_replicas{service=%q} %d\n", name, len(s.world.Control().Replicas(name)))
-	}
-
-	fmt.Fprintf(w, "# TYPE hyscale_node_cpu_allocated gauge\n")
-	for _, n := range s.world.Cluster().Nodes() {
-		fmt.Fprintf(w, "hyscale_node_cpu_allocated{node=%q} %.3f\n", n.ID(), n.Allocated().CPU)
-	}
-
-	c := s.world.Control().Counts()
-	fmt.Fprintf(w, "# TYPE hyscale_scaling_actions_total counter\n")
-	fmt.Fprintf(w, "hyscale_scaling_actions_total{kind=\"vertical\"} %d\n", c.Vertical)
-	fmt.Fprintf(w, "hyscale_scaling_actions_total{kind=\"scale_out\"} %d\n", c.ScaleOuts)
-	fmt.Fprintf(w, "hyscale_scaling_actions_total{kind=\"scale_in\"} %d\n", c.ScaleIns)
-
-	fmt.Fprintf(w, "# TYPE hyscale_control_retries_total counter\nhyscale_control_retries_total %d\n", c.Retries)
-	fmt.Fprintf(w, "# TYPE hyscale_control_abandoned_total counter\nhyscale_control_abandoned_total %d\n", c.AbandonedActions)
-	fmt.Fprintf(w, "# TYPE hyscale_control_stale_snapshots_total counter\nhyscale_control_stale_snapshots_total %d\n", c.StaleSnapshots)
-	fmt.Fprintf(w, "# TYPE hyscale_control_placement_failures_total counter\nhyscale_control_placement_failures_total %d\n", c.PlacementFailures)
-	fmt.Fprintf(w, "# TYPE hyscale_control_pending_retries gauge\nhyscale_control_pending_retries %d\n", s.world.Control().PendingRetries())
-
-	rec := s.world.Control().Recovery()
-	fmt.Fprintf(w, "# TYPE hyscale_selfheal_nodes_suspected_total counter\nhyscale_selfheal_nodes_suspected_total %d\n", rec.Suspected)
-	fmt.Fprintf(w, "# TYPE hyscale_selfheal_nodes_dead_total counter\nhyscale_selfheal_nodes_dead_total %d\n", rec.DeclaredDead)
-	fmt.Fprintf(w, "# TYPE hyscale_selfheal_nodes_recovered_total counter\nhyscale_selfheal_nodes_recovered_total %d\n", rec.Recovered)
-	fmt.Fprintf(w, "# TYPE hyscale_selfheal_replicas_lost_total counter\nhyscale_selfheal_replicas_lost_total %d\n", rec.ReplicasLost)
-	fmt.Fprintf(w, "# TYPE hyscale_selfheal_replicas_replaced_total counter\nhyscale_selfheal_replicas_replaced_total %d\n", rec.Replaced)
-	fmt.Fprintf(w, "# TYPE hyscale_selfheal_replicas_readopted_total counter\nhyscale_selfheal_replicas_readopted_total %d\n", rec.Readopted)
-	fmt.Fprintf(w, "# TYPE hyscale_selfheal_replicas_drained_total counter\nhyscale_selfheal_replicas_drained_total %d\n", rec.StaleDrained)
-	fmt.Fprintf(w, "# TYPE hyscale_selfheal_reconciles_cancelled_total counter\nhyscale_selfheal_reconciles_cancelled_total %d\n", rec.ReconcileCancelled)
-	fmt.Fprintf(w, "# TYPE hyscale_selfheal_checkpoint_restores_total counter\nhyscale_selfheal_checkpoint_restores_total %d\n", rec.CheckpointRestores)
-	fmt.Fprintf(w, "# TYPE hyscale_selfheal_cold_restarts_total counter\nhyscale_selfheal_cold_restarts_total %d\n", rec.ColdRestarts)
-
-	fmt.Fprintf(w, "# TYPE hyscale_node_health gauge\n")
-	for _, nc := range s.world.Control().NodeConditions() {
-		fmt.Fprintf(w, "hyscale_node_health{node=%q,state=%q} %d\n", nc.Node, nc.Health.String(), int(nc.Health))
-	}
-
-	// Zone series only exist on zoned worlds, keeping the single-monitor
-	// exposition byte-identical to before the sharded control plane.
-	if zs := s.world.Control().ZoneSummaries(); zs != nil {
-		fmt.Fprintf(w, "# TYPE hyscale_zone_nodes gauge\n")
-		for _, z := range zs {
-			fmt.Fprintf(w, "hyscale_zone_nodes{zone=\"%d\"} %d\n", z.Zone, z.Nodes)
-		}
-		fmt.Fprintf(w, "# TYPE hyscale_zone_services gauge\n")
-		for _, z := range zs {
-			fmt.Fprintf(w, "hyscale_zone_services{zone=\"%d\"} %d\n", z.Zone, z.Services)
-		}
-		fmt.Fprintf(w, "# TYPE hyscale_zone_replicas gauge\n")
-		for _, z := range zs {
-			fmt.Fprintf(w, "hyscale_zone_replicas{zone=\"%d\"} %d\n", z.Zone, z.Replicas)
-		}
-		fmt.Fprintf(w, "# TYPE hyscale_zone_scaling_actions_total counter\n")
-		for _, z := range zs {
-			fmt.Fprintf(w, "hyscale_zone_scaling_actions_total{zone=\"%d\",kind=\"vertical\"} %d\n", z.Zone, z.Counts.Vertical)
-			fmt.Fprintf(w, "hyscale_zone_scaling_actions_total{zone=\"%d\",kind=\"scale_out\"} %d\n", z.Zone, z.Counts.ScaleOuts)
-			fmt.Fprintf(w, "hyscale_zone_scaling_actions_total{zone=\"%d\",kind=\"scale_in\"} %d\n", z.Zone, z.Counts.ScaleIns)
-		}
-		fmt.Fprintf(w, "# TYPE hyscale_zone_lease_failures_total counter\n")
-		for _, z := range zs {
-			fmt.Fprintf(w, "hyscale_zone_lease_failures_total{zone=\"%d\"} %d\n", z.Zone, z.LeaseFailures)
-		}
-		fmt.Fprintf(w, "# TYPE hyscale_zone_evacuated gauge\n")
-		for _, z := range zs {
-			v := 0
-			if z.Evacuated {
-				v = 1
-			}
-			fmt.Fprintf(w, "hyscale_zone_evacuated{zone=\"%d\"} %d\n", z.Zone, v)
-		}
-		cz := s.world.Control().Cross()
-		fmt.Fprintf(w, "# TYPE hyscale_cross_zone_node_leases_total counter\nhyscale_cross_zone_node_leases_total %d\n", cz.NodeLeases)
-		fmt.Fprintf(w, "# TYPE hyscale_cross_zone_lease_failures_total counter\nhyscale_cross_zone_lease_failures_total %d\n", cz.LeaseFailures)
-		if ev := s.world.Control().Evac(); ev != nil {
-			fmt.Fprintf(w, "# TYPE hyscale_zone_evac_zones_total counter\n")
-			fmt.Fprintf(w, "hyscale_zone_evac_zones_total{phase=\"evacuated\"} %d\n", ev.ZonesEvacuated)
-			fmt.Fprintf(w, "hyscale_zone_evac_zones_total{phase=\"readopted\"} %d\n", ev.ZonesReadopted)
-			fmt.Fprintf(w, "# TYPE hyscale_zone_evac_services_total counter\n")
-			fmt.Fprintf(w, "hyscale_zone_evac_services_total{phase=\"evacuated\"} %d\n", ev.ServicesEvacuated)
-			fmt.Fprintf(w, "hyscale_zone_evac_services_total{phase=\"readopted\"} %d\n", ev.ServicesReadopted)
-			fmt.Fprintf(w, "# TYPE hyscale_zone_evac_replicas_displaced_total counter\nhyscale_zone_evac_replicas_displaced_total %d\n", ev.ReplicasDisplaced)
-			fmt.Fprintf(w, "# TYPE hyscale_zone_evac_spillover_placements_total counter\nhyscale_zone_evac_spillover_placements_total %d\n", ev.SpilloverPlacements)
-		}
-	}
-
-	// Manager series only exist when the multi-metric scaler manager is the
-	// running algorithm, keeping every other exposition byte-identical.
-	if recs := s.world.ManagerRecommendations(); recs != nil {
-		fmt.Fprintf(w, "# TYPE hyscale_manager_scaler_desired gauge\n")
-		for _, r := range recs {
-			fmt.Fprintf(w, "hyscale_manager_scaler_desired{service=%q,scaler=%q} %d\n", r.Service, r.Scaler, r.Desired)
-		}
-		fmt.Fprintf(w, "# TYPE hyscale_manager_merged_desired gauge\n")
-		last := ""
-		for _, r := range recs {
-			if r.Service == last {
-				continue
-			}
-			last = r.Service
-			fmt.Fprintf(w, "hyscale_manager_merged_desired{service=%q} %d\n", r.Service, r.Merged)
-		}
-	}
-
-	cf := s.world.ConnFailures()
-	fmt.Fprintf(w, "# TYPE hyscale_connection_failures_total counter\n")
-	fmt.Fprintf(w, "hyscale_connection_failures_total{cause=\"starting\"} %d\n", cf.Starting)
-	fmt.Fprintf(w, "hyscale_connection_failures_total{cause=\"absent\"} %d\n", cf.Absent)
-	fmt.Fprintf(w, "hyscale_connection_failures_total{cause=\"unhealthy\"} %d\n", cf.Unhealthy)
-
-	// Resilience series only exist on call-graph worlds, so the exposition of
-	// every pre-existing scenario is byte-identical to before the layer.
-	if s.world.HasCallGraph() {
-		res := s.world.Resilience()
-		rc := res.Counters()
-		fmt.Fprintf(w, "# TYPE hyscale_shed_total counter\nhyscale_shed_total %d\n", rc.Shed)
-		fmt.Fprintf(w, "# TYPE hyscale_retries_issued_total counter\nhyscale_retries_issued_total %d\n", rc.Retries)
-		fmt.Fprintf(w, "# TYPE hyscale_retries_denied_total counter\nhyscale_retries_denied_total %d\n", rc.RetriesDenied)
-		fmt.Fprintf(w, "# TYPE hyscale_deadline_exceeded_total counter\nhyscale_deadline_exceeded_total %d\n", rc.DeadlineExceeded)
-		fmt.Fprintf(w, "# TYPE hyscale_breaker_short_circuits_total counter\nhyscale_breaker_short_circuits_total %d\n", rc.ShortCircuited)
-		fmt.Fprintf(w, "# TYPE hyscale_breaker_opens_total counter\nhyscale_breaker_opens_total %d\n", rc.BreakerOpens)
-
-		fmt.Fprintf(w, "# TYPE hyscale_breaker_state gauge\n")
-		states := res.BreakerStates(s.world.Engine().Now())
-		for _, edge := range res.BreakerEdges() {
-			fmt.Fprintf(w, "hyscale_breaker_state{edge=%q} %d\n", edge, int(states[edge]))
-		}
-
-		cs := s.world.CascadeStats()
-		fmt.Fprintf(w, "# TYPE hyscale_cascade_roots_total counter\n")
-		fmt.Fprintf(w, "hyscale_cascade_roots_total{outcome=\"generated\"} %d\n", cs.RootGenerated)
-		fmt.Fprintf(w, "hyscale_cascade_roots_total{outcome=\"completed\"} %d\n", cs.RootCompleted)
-		fmt.Fprintf(w, "hyscale_cascade_roots_total{outcome=\"shed\"} %d\n", cs.RootShed)
-		fmt.Fprintf(w, "hyscale_cascade_roots_total{outcome=\"deadline\"} %d\n", cs.RootDeadline)
-		fmt.Fprintf(w, "hyscale_cascade_roots_total{outcome=\"failed\"} %d\n", cs.RootFailed)
-
-		fmt.Fprintf(w, "# TYPE hyscale_edge_calls_total counter\n")
-		for _, key := range cs.EdgeKeys() {
-			e := cs.Edges[key]
-			fmt.Fprintf(w, "hyscale_edge_calls_total{edge=%q,result=\"delivered\"} %d\n", key, e.Delivered)
-			fmt.Fprintf(w, "hyscale_edge_calls_total{edge=%q,result=\"dropped\"} %d\n", key, e.Dropped)
-		}
-	}
+	// A failed write means the client went away; no one is left to tell.
+	_ = obs.WritePrometheus(w, series)
 }

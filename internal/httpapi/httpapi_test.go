@@ -200,6 +200,42 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	checkExposition(t, body)
+}
+
+// checkExposition checks the exposition's structure: each family's # HELP
+// and # TYPE lines appear exactly once, directly before its samples, which
+// are contiguous, and no (name, labels) pair repeats.
+func checkExposition(t *testing.T, body string) {
+	t.Helper()
+	headed := make(map[string]bool)
+	seen := make(map[string]bool)
+	family := ""
+	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
+	for i := 0; i < len(lines); i++ {
+		line := lines[i]
+		if name, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			if headed[name] {
+				t.Errorf("family %s headed twice", name)
+			}
+			headed[name], family = true, name
+			if i+1 >= len(lines) || !strings.HasPrefix(lines[i+1], "# TYPE "+name+" ") {
+				t.Errorf("# HELP %s not followed by its # TYPE", name)
+			}
+			i++
+			continue
+		}
+		key, _, _ := strings.Cut(line, " ")
+		name, _, _ := strings.Cut(key, "{")
+		if name != family {
+			t.Errorf("sample %q outside its family's block (current family %q)", line, family)
+		}
+		if seen[key] {
+			t.Errorf("series %s repeats", key)
+		}
+		seen[key] = true
+	}
 }
 
 func TestCostAndActions(t *testing.T) {
@@ -462,4 +498,5 @@ func TestMetricsZoneSeries(t *testing.T) {
 			t.Errorf("metrics missing %s", want)
 		}
 	}
+	checkExposition(t, out)
 }

@@ -355,15 +355,8 @@ type RunReport struct {
 	Summary metrics.Summary
 	// Journal is the run's decision trace and series (may be nil).
 	Journal *Journal
-	// Counters are the run's control-plane counters (hardening, faults and
-	// self-healing recovery), in a fixed render order. Kept as plain pairs
-	// so obs stays import-free of the monitor package.
-	Counters []Counter
-}
-
-// Counter is one named cumulative control-plane counter attached to a run
-// report.
-type Counter struct {
-	Name  string
-	Value uint64
+	// Metrics is the run's metric list (platform.World.Metrics) at the end
+	// of the run; the report's control-plane line renders it with
+	// TextLines.
+	Metrics []Series
 }

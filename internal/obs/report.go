@@ -226,7 +226,10 @@ func renderRun(b *strings.Builder, r RunReport) {
 	fmt.Fprintf(b, "requests %d · completed %d · **failed %.2f %%** (removal %.2f %%, connection %.2f %%) · mean %s · p95 %s\n\n",
 		s.Requests, s.Completed, s.FailedPercent(), s.RemovalFailedPercent(),
 		s.ConnectionFailedPercent(), fmtMs(s.MeanLatency), fmtMs(s.P95Latency))
-	renderCounters(b, r.Counters)
+	// The run's non-zero metrics, by the text sinks' rule (TextLines).
+	if lines := TextLines(r.Metrics); len(lines) > 0 {
+		fmt.Fprintf(b, "control plane: %s\n\n", strings.Join(lines, " · "))
+	}
 
 	if rows := clusterSeries(r.Journal); len(rows) > 0 {
 		b.WriteString("### Cluster time series\n\n")
@@ -247,23 +250,6 @@ func renderRun(b *strings.Builder, r RunReport) {
 	}
 	renderEvents(b, r.Journal)
 	renderTimeline(b, r)
-}
-
-// renderCounters prints the run's control-plane counters — hardening
-// (retries, abandoned actions, stale snapshots, pending retries), fault
-// fallout and self-healing recovery — as one compact line. Zero counters are
-// elided; a run with nothing to report prints nothing.
-func renderCounters(b *strings.Builder, counters []Counter) {
-	var parts []string
-	for _, c := range counters {
-		if c.Value != 0 {
-			parts = append(parts, fmt.Sprintf("%s %d", c.Name, c.Value))
-		}
-	}
-	if len(parts) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "control plane: %s\n\n", strings.Join(parts, " · "))
 }
 
 // eventRows caps the self-healing event table per run.

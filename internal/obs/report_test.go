@@ -105,9 +105,12 @@ func TestRenderReportGolden(t *testing.T) {
 }
 
 func TestRenderReportSections(t *testing.T) {
-	out := RenderReport("cmd", fixtureRuns())
+	runs := fixtureRuns()
+	runs[0].Metrics = sampleSeries
+	out := RenderReport("cmd", runs)
 	for _, want := range []string{
 		"## Run index",
+		`control plane: a_total 3 · b_total kind="y" 2 · f zone="0" 1.5, zone="1" 2`,
 		"### Cluster time series",
 		"### Per-service failure-rate trajectories (worst services)",
 		"### Decision timeline",

@@ -57,7 +57,7 @@ type Config struct {
 	// (default 15 s). The burst signal drives scale-up responsiveness.
 	BurstWindow time.Duration `json:"burstWindow,omitempty"`
 	// MergePolicy names the recommendation merge: "max" (default) or
-	// "weighted", plus anything added via RegisterMergePolicy.
+	// "weighted".
 	MergePolicy string `json:"mergePolicy,omitempty"`
 	// Scalers lists the per-service scalers. Empty means all four built-ins
 	// (cpu, memory, net, queue) at weight 1.

@@ -3,8 +3,7 @@
 // memory, network bandwidth, and queue depth), every scaler aggregates its
 // signal over a stable (average) and a burst (max) sliding window, and the
 // Manager merges the per-scaler replica recommendations under a pluggable
-// merge policy — max-wins by default, demand-weighted as an alternative
-// (RegisterMergePolicy adds more).
+// merge policy — max-wins by default, demand-weighted as an alternative.
 //
 // The package ships two algorithm spellings, both resolved through
 // runner.NewAlgorithm:

@@ -21,16 +21,6 @@ var mergeRegistry = map[string]MergeFunc{
 	"weighted": mergeWeighted,
 }
 
-// RegisterMergePolicy installs a named merge policy; it panics on a
-// duplicate name so accidental shadowing of a built-in fails loudly at
-// init time.
-func RegisterMergePolicy(name string, fn MergeFunc) {
-	if _, dup := mergeRegistry[name]; dup {
-		panic("scalermgr: duplicate merge policy " + name)
-	}
-	mergeRegistry[name] = fn
-}
-
 // mergePolicy resolves a policy by name.
 func mergePolicy(name string) (MergeFunc, bool) {
 	fn, ok := mergeRegistry[name]

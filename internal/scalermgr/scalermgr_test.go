@@ -126,15 +126,6 @@ func TestUnknownMergePolicyRejected(t *testing.T) {
 	}
 }
 
-func TestRegisterMergePolicyDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("re-registering a built-in policy did not panic")
-		}
-	}()
-	RegisterMergePolicy("max", mergeMax)
-}
-
 // --- cost allocator bounds property ------------------------------------
 
 // TestCostAllocatorRespectsMinReplicas drives the cost-optimal manager over

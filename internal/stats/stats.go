@@ -1,6 +1,5 @@
-// Package stats provides streaming statistics: a log-bucketed latency
-// histogram with bounded relative error and O(1) memory, online
-// mean/variance (Welford), and exponentially weighted moving averages.
+// Package stats provides a streaming statistic: a log-bucketed latency
+// histogram with bounded relative error and O(1) memory.
 // The exact-percentile recorder in internal/metrics stores every distinct
 // latency with its count and builds the histogram here from them on read
 // (ObserveN) for a long-lived deployment (cmd/hyscale-server) to export.
@@ -165,66 +164,3 @@ func (h *Histogram) String() string {
 		h.max.Round(time.Millisecond))
 	return b.String()
 }
-
-// Welford tracks online mean and variance without storing samples.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Observe records one value.
-func (w *Welford) Observe(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// Count returns the number of observations.
-func (w *Welford) Count() uint64 { return w.n }
-
-// Mean returns the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (0 for n < 2).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// EWMA is an exponentially weighted moving average: each Observe folds the
-// new value in with weight alpha. The zero value with a zero alpha is not
-// useful; construct with NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA builds an EWMA with smoothing factor alpha in (0, 1]; larger
-// alpha follows the signal more closely.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("stats: EWMA alpha must be in (0,1], got %v", alpha)
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
-// Observe folds in a new value; the first observation seeds the average.
-func (e *EWMA) Observe(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }

@@ -126,90 +126,3 @@ func TestQuickQuantileMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 {
-		t.Error("empty Welford not zero")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Observe(x)
-	}
-	if w.Count() != 8 {
-		t.Errorf("Count = %d", w.Count())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", w.Mean())
-	}
-	// Sample variance of that classic set is 32/7.
-	if math.Abs(w.Variance()-32.0/7) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", w.Variance(), 32.0/7)
-	}
-}
-
-// Property: Welford matches the two-pass computation.
-func TestQuickWelfordMatchesTwoPass(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(100)
-		var w Welford
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
-			w.Observe(xs[i])
-		}
-		var mean float64
-		for _, x := range xs {
-			mean += x
-		}
-		mean /= float64(n)
-		var ss float64
-		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
-		}
-		variance := ss / float64(n-1)
-		return math.Abs(w.Mean()-mean) < 1e-9 && math.Abs(w.Variance()-variance) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	if _, err := NewEWMA(0); err == nil {
-		t.Error("alpha 0 accepted")
-	}
-	if _, err := NewEWMA(1.5); err == nil {
-		t.Error("alpha > 1 accepted")
-	}
-	e, err := NewEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Value() != 0 {
-		t.Error("unseeded EWMA not zero")
-	}
-	e.Observe(10) // seeds
-	if e.Value() != 10 {
-		t.Errorf("seed = %v", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Errorf("after 20 = %v, want 15", e.Value())
-	}
-	e.Observe(15)
-	if e.Value() != 15 {
-		t.Errorf("after 15 = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e, _ := NewEWMA(0.2)
-	e.Observe(0)
-	for i := 0; i < 100; i++ {
-		e.Observe(42)
-	}
-	if math.Abs(e.Value()-42) > 1e-6 {
-		t.Errorf("EWMA did not converge: %v", e.Value())
-	}
-}
