@@ -357,8 +357,8 @@ func (i *Injector) ActionBlackout(now time.Duration, nodeID string) bool {
 }
 
 // HasZoneWindows reports whether any zone-outage or zone-partition window is
-// configured — a cheap gate so the per-node fault hooks on a zoned control
-// plane stay out of the hot path when no zone can ever fail.
+// configured — a cheap gate so a zoned control plane skips its per-node zone
+// lookup when no zone can ever fail.
 func (i *Injector) HasZoneWindows() bool {
 	if i == nil {
 		return false

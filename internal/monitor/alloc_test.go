@@ -30,7 +30,7 @@ func TestPollSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(cl, staticAlgo{})
+	m := newMonitor(cl, staticAlgo{})
 	for _, name := range []string{"a", "b", "c"} {
 		if err := m.AddService(spec(name), 0.5); err != nil {
 			t.Fatal(err)
@@ -94,7 +94,7 @@ func TestApplyVerticalAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(cl, nil)
+		m := newMonitor(cl, nil)
 		var ids []string
 		for i := 0; i < nodes/2; i++ {
 			name := fmt.Sprintf("s%d", i)
@@ -139,7 +139,7 @@ func BenchmarkApplyVertical(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m := New(cl, staticAlgo{})
+			m := newMonitor(cl, staticAlgo{})
 			var ids []string
 			for i, n := range cl.Nodes() {
 				name := fmt.Sprintf("s%d", i)

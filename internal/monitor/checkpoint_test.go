@@ -96,7 +96,7 @@ func TestCheckpointIsolatedFromLiveState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// node-2 misses the polls from 10s on and turns suspect.
-	m.Faults = faultWindow(faults.KindStats, "node-2", 9*time.Second, time.Hour)
+	m.faults = faultWindow(faults.KindStats, "node-2", 9*time.Second, time.Hour)
 	for _, at := range []time.Duration{5, 10, 15, 20} {
 		m.Poll(at * time.Second)
 		m.MaybeCheckpoint(at * time.Second)
@@ -148,8 +148,8 @@ func TestCheckpointPollAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(cl, staticAlgo{})
-	m.SelfHeal = DefaultSelfHealing()
+	m := newMonitor(cl, staticAlgo{})
+	m.selfHeal = DefaultSelfHealing()
 	for _, name := range []string{"a", "b", "c"} {
 		if err := m.AddService(spec(name), 0.5); err != nil {
 			t.Fatal(err)

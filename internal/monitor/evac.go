@@ -83,7 +83,7 @@ func (p *Plane) evacTick(now time.Duration) {
 // zone's own failure detector. An empty zone (possible only transiently) is
 // not collapsed — there is nothing to evacuate from it.
 func (p *Plane) zoneCollapsed(z *zoneArbiter) bool {
-	nodes := z.view.Nodes()
+	nodes := z.mon.cluster.Nodes()
 	if len(nodes) == 0 {
 		return false
 	}
@@ -98,7 +98,7 @@ func (p *Plane) zoneCollapsed(z *zoneArbiter) bool {
 // zoneAllHealthy reports whether every node of the zone has a clean detector
 // record — the re-adoption gate, stricter than "not collapsed".
 func (p *Plane) zoneAllHealthy(z *zoneArbiter) bool {
-	nodes := z.view.Nodes()
+	nodes := z.mon.cluster.Nodes()
 	if len(nodes) == 0 {
 		return false
 	}
@@ -120,8 +120,8 @@ func (p *Plane) zoneUsable(z *zoneArbiter) bool {
 // entries and lost-replica ledgers.
 func (p *Plane) evacuateZone(z *zoneArbiter, now time.Duration) {
 	p.gen++ // services re-home, spill and drop guest shards below
-	work := len(z.services) + len(z.guests)
-	for _, s := range append([]string(nil), z.guests...) {
+	work := len(z.mon.services)
+	for _, s := range z.names(true) {
 		home := p.home(s)
 		if home == nil || home == z {
 			continue
@@ -145,11 +145,12 @@ type zoneShare struct {
 // assigned (in registration order), so services evacuated in the same tick
 // spread instead of piling onto the zone that looked roomiest first.
 func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
-	if len(z.services) == 0 {
+	names := z.names(false)
+	if len(names) == 0 {
 		return
 	}
 	free := p.freeCapacity(z)
-	for _, s := range append([]string(nil), z.services...) {
+	for _, s := range names {
 		st := z.mon.byName[s]
 		if st == nil {
 			continue
@@ -176,9 +177,10 @@ func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
 		if _, already := p.evacHome[s]; !already {
 			p.evacHome[s] = z.idx // first home wins across chained evacuations
 		}
+		// A primary already hosting a spill shard of s (a second
+		// evacuation) folds it into the arriving home state.
 		moveServiceState(z.mon, primary.mon, s)
-		z.removeService(s)
-		primary.services = append(primary.services, s)
+		p.removeSpill(s, primary.idx)
 		p.zoneOfService[s] = primary.idx
 		// Lost-replica ledger entries follow their pending to whichever
 		// monitor executes the replacement, so finishLost resolves locally;
@@ -222,8 +224,8 @@ func (p *Plane) freeCapacity(exclude *zoneArbiter) [][]resources.Vector {
 			continue
 		}
 		var nodes []resources.Vector
-		for _, n := range z.view.Nodes() {
-			if st := z.mon.nodeStates[n.ID()]; st != nil && (st.missed > 0 || st.health != NodeHealthy) {
+		for _, n := range z.mon.cluster.Nodes() {
+			if !z.mon.nodeClean(n.ID()) {
 				continue
 			}
 			nodes = append(nodes, n.Available())
@@ -334,7 +336,6 @@ func (p *Plane) ensureGuest(za *zoneArbiter, home *serviceState, reserve int) {
 	home.nextIdx += reserve
 	za.mon.services = append(za.mon.services, g)
 	za.mon.byName[name] = g
-	za.guests = append(za.guests, name)
 	za.mon.topoGen++
 	za.mon.lastCheckpoint = nil // a restore must not resurrect a pre-shard view
 }
@@ -359,14 +360,7 @@ func (p *Plane) dropGuest(za *zoneArbiter, s string, dest *zoneArbiter, now time
 	g.replicaIDs = g.replicaIDs[:0]
 	movePendings(za.mon, dest.mon, s)
 	moveLost(za.mon, dest.mon, s)
-	delete(za.mon.byName, s)
-	for i, st := range za.mon.services {
-		if st == g {
-			za.mon.services = append(za.mon.services[:i], za.mon.services[i+1:]...)
-			break
-		}
-	}
-	za.guests = removeString(za.guests, s)
+	za.mon.unregister(g)
 	p.removeSpill(s, za.idx)
 	za.mon.topoGen++
 	za.mon.lastCheckpoint = nil
@@ -386,7 +380,7 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 	// Deterministic service order: scan zones/services, not the evacHome map.
 	var names []string
 	for _, zz := range p.zones {
-		for _, s := range zz.services {
+		for _, s := range zz.names(false) {
 			if home, ok := p.evacHome[s]; ok && home == z.idx {
 				names = append(names, s)
 			}
@@ -419,12 +413,11 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 		}
 		st.replicaIDs = st.replicaIDs[:0]
 		moveServiceState(cur.mon, z.mon, s)
-		cur.removeService(s)
-		z.services = append(z.services, s)
 		p.zoneOfService[s] = z.idx
 		movePendings(cur.mon, z.mon, s)
 		moveLost(cur.mon, z.mon, s)
-		p.resolveLostHome(z, s, now)
+		// Settle the ledger against what survived the outage here.
+		z.mon.settleLost(now, func(l lostReplica) bool { return l.service == s })
 		for _, a := range allocs {
 			z.mon.retries = append(z.mon.retries, pendingAction{
 				action: core.ScaleOut{Service: s, Alloc: a}, notBefore: now,
@@ -448,62 +441,12 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 	}
 }
 
-// resolveLostHome settles the re-homed service's lost-replica ledger against
-// what physically survived the outage in the home zone: un-replaced
-// survivors are re-adopted (and any still-queued replacement cancelled),
-// replaced survivors are drained as stale, vanished replicas are forgotten.
-func (p *Plane) resolveLostHome(z *zoneArbiter, s string, now time.Duration) {
-	st := z.mon.byName[s]
-	if st == nil {
-		return
-	}
-	remaining := z.mon.lost[:0]
-	for _, l := range z.mon.lost {
-		if l.service != s {
-			remaining = append(remaining, l)
-			continue
-		}
-		c, node := z.mon.findReplica(l.id)
-		alive := c != nil && c.State != container.StateRemoved
-		switch {
-		case !alive:
-		case l.replaced:
-			z.mon.removeFrom(node, l.id)
-			z.mon.recovery.StaleDrained++
-			z.mon.event(now, obs.EventStaleDrained, l.node, s, l.id, "")
-		default:
-			st.replicaIDs = append(st.replicaIDs, l.id)
-			z.mon.replicaHome[l.id] = c.NodeID
-			z.mon.recovery.Readopted++
-			z.mon.event(now, obs.EventReadopted, c.NodeID, s, l.id, "")
-			cancelPendingFor(z.mon, l.id, now)
-		}
-	}
-	z.mon.lost = remaining
-	z.mon.topoGen++
-}
-
-// cancelPendingFor drops the queued replacement for one re-adopted replica.
-func cancelPendingFor(m *Monitor, lostID string, now time.Duration) {
-	for i, pa := range m.retries {
-		if pa.lostID != lostID || pa.lostID == "" {
-			continue
-		}
-		m.recovery.ReconcileCancelled++
-		if act, ok := pa.action.(core.ScaleOut); ok {
-			m.event(now, obs.EventReconcileCancel, pa.reconcileNode, act.Service, lostID, "replica readopted")
-		}
-		m.retries = append(m.retries[:i], m.retries[i+1:]...)
-		return
-	}
-}
-
 // sweepOrphans drains containers on the zone's nodes that no arbiter owns —
 // lost originals whose service's ledger entry was dropped while the zone was
 // unreachable (e.g. a spillover shard's host zone died and the replacement
 // resolved elsewhere). Their lost entries, wherever they ended up, go too.
 func (p *Plane) sweepOrphans(z *zoneArbiter, now time.Duration) {
-	for _, n := range z.view.Nodes() {
+	for _, n := range z.mon.cluster.Nodes() {
 		var orphans []string
 		for _, c := range n.Containers() {
 			if c.State == container.StateRemoved {
@@ -559,34 +502,21 @@ func (p *Plane) removeSpill(s string, zi int) {
 	}
 }
 
-// removeService drops a service from the arbiter's home-service list.
-func (z *zoneArbiter) removeService(s string) {
-	z.services = removeString(z.services, s)
-}
-
-func removeString(xs []string, s string) []string {
-	for i, x := range xs {
-		if x == s {
-			return append(xs[:i], xs[i+1:]...)
-		}
-	}
-	return xs
-}
-
 // moveServiceState transfers a service's decision state between monitors.
-// Both monitors' topologies change and neither's checkpoint may survive — a
-// restore would otherwise resurrect the service in its old zone.
+// When to hosts a spillover shard of the service, the shard folds into the
+// arriving state: its replicas join the home's, so a monitor never holds two
+// states for one name. Both monitors' topologies change and neither's
+// checkpoint may survive — a restore would otherwise resurrect the service in
+// its old zone.
 func moveServiceState(from, to *Monitor, s string) {
 	st := from.byName[s]
 	if st == nil {
 		return
 	}
-	delete(from.byName, s)
-	for i, x := range from.services {
-		if x == st {
-			from.services = append(from.services[:i], from.services[i+1:]...)
-			break
-		}
+	from.unregister(st)
+	if g := to.byName[s]; g != nil && g.guest {
+		st.replicaIDs = append(st.replicaIDs, g.replicaIDs...)
+		to.unregister(g)
 	}
 	st.guest = false
 	st.resolved = st.resolved[:0]

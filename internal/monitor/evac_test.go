@@ -21,14 +21,11 @@ func evacPlane(t *testing.T, nodes, zones, spillover int, outage faults.Window) 
 	p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{
 		Zones: zones, Evacuate: true, SpilloverZones: spillover,
 		ReadoptAfter: 20 * time.Second,
-	})
+		StartDelay:   time.Second, SelfHealing: DefaultSelfHealing(),
+	}, faults.New(faults.Config{Windows: []faults.Window{outage}}), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range p.Arbiters() {
-		m.SelfHeal = DefaultSelfHealing()
-	}
-	p.InstallZoneFaults(faults.New(faults.Config{Windows: []faults.Window{outage}}))
 	return p
 }
 
@@ -169,16 +166,14 @@ func TestZoneOutageWithoutEvacuationStaysPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{Zones: 4})
+	p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{
+		Zones: 4, StartDelay: time.Second, SelfHealing: DefaultSelfHealing(),
+	}, faults.New(faults.Config{Windows: []faults.Window{
+		{Kind: faults.KindZoneOutage, Target: "0", From: 4 * time.Second, To: time.Hour},
+	}}), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range p.Arbiters() {
-		m.SelfHeal = DefaultSelfHealing()
-	}
-	p.InstallZoneFaults(faults.New(faults.Config{Windows: []faults.Window{
-		{Kind: faults.KindZoneOutage, Target: "0", From: 4 * time.Second, To: time.Hour},
-	}}))
 	if err := p.AddService(planeSpec("a", 1, 2, 2), 0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +212,7 @@ func TestSampleVisitsOccupiedNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	victim := p.zones[1].view.Occupied()[0].ID()
+	victim := p.zones[1].mon.cluster.Occupied()[0].ID()
 	for now := 5 * time.Second; now <= 200*time.Second; now += 5 * time.Second {
 		switch now {
 		case 30 * time.Second:
@@ -235,13 +230,13 @@ func TestSampleVisitsOccupiedNodes(t *testing.T) {
 		p.Sample()
 		for _, z := range p.zones {
 			var nodes []*cluster.Node
-			for _, n := range z.view.Nodes() {
+			for _, n := range z.mon.cluster.Nodes() {
 				if len(n.Containers()) > 0 {
 					nodes = append(nodes, n)
 				}
 			}
-			if !slices.Equal(z.view.Occupied(), nodes) {
-				t.Fatalf("t=%v zone %d: Occupied lists %d nodes, a scan finds %d", now, z.idx, len(z.view.Occupied()), len(nodes))
+			if !slices.Equal(z.mon.cluster.Occupied(), nodes) {
+				t.Fatalf("t=%v zone %d: Occupied lists %d nodes, a scan finds %d", now, z.idx, len(z.mon.cluster.Occupied()), len(nodes))
 			}
 			var nms []*nodemanager.Manager
 			for _, nm := range z.mon.nms {
@@ -256,5 +251,78 @@ func TestSampleVisitsOccupiedNodes(t *testing.T) {
 	}
 	if ev := p.Evac(); ev.ZonesEvacuated == 0 || ev.ZonesReadopted == 0 || ev.SpilloverPlacements == 0 {
 		t.Errorf("outage never ran the evacuate → spill → readopt round trip: %+v", ev)
+	}
+}
+
+// TestZoneSecondEvacuationFoldsSpillShard evacuates a spilled service a
+// second time, into the zone holding its spill shard: the first outage homes
+// a in zone 1 with a shard in zone 2, and the second re-homes it into zone 2.
+// The shard must fold into the arriving home state — one state per name in
+// every arbiter, no replica routed twice, and the zone ledgers owning exactly
+// the replicas the plane routes to.
+func TestZoneSecondEvacuationFoldsSpillShard(t *testing.T) {
+	cl, err := cluster.NewHomogeneous(16, cluster.DefaultNodeConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{
+		Zones: 4, Evacuate: true, SpilloverZones: 2, ReadoptAfter: 20 * time.Second,
+		StartDelay: time.Second, SelfHealing: DefaultSelfHealing(),
+	}, faults.New(faults.Config{Windows: []faults.Window{
+		{Kind: faults.KindZoneOutage, Target: "0", From: 4 * time.Second, To: time.Hour},
+		{Kind: faults.KindZoneOutage, Target: "1", From: 100 * time.Second, To: time.Hour},
+	}}), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"a", "b", "c", "d"}
+	for _, name := range names {
+		n := 4
+		if name == "a" {
+			n = 6
+		}
+		if err := p.AddService(planeSpec(name, 2, n, n), 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.DeployInitial(name, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rehomed := false
+	for now := 5 * time.Second; now <= 250*time.Second; now += 5 * time.Second {
+		p.Poll(now)
+		if now == 95*time.Second && (p.ZoneOfService("a") != 1 || !slices.Equal(p.spills["a"], []int{2})) {
+			t.Fatalf("first evacuation homed a in zone %d with spills %v, want zone 1 with a shard in zone 2",
+				p.ZoneOfService("a"), p.spills["a"])
+		}
+		rehomed = rehomed || p.ZoneOfService("a") == 2
+		for _, z := range p.zones {
+			seen := map[string]bool{}
+			for _, st := range z.mon.services {
+				if seen[st.spec.Name] {
+					t.Fatalf("t=%v zone %d holds two states for %q", now, z.idx, st.spec.Name)
+				}
+				seen[st.spec.Name] = true
+			}
+		}
+		routed := map[string]bool{}
+		for _, name := range names {
+			for _, c := range p.Replicas(name) {
+				if routed[c.ID] {
+					t.Fatalf("t=%v replica %s routed twice (spills %v)", now, c.ID, p.spills[name])
+				}
+				routed[c.ID] = true
+			}
+		}
+		owned := 0
+		for _, zs := range p.ZoneSummaries() {
+			owned += zs.Replicas
+		}
+		if owned != len(routed) {
+			t.Fatalf("t=%v zone ledgers own %d replicas, the plane routes to %d", now, owned, len(routed))
+		}
+	}
+	if !rehomed {
+		t.Error("the second outage never re-homed a into its spill zone")
 	}
 }

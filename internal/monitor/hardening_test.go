@@ -24,7 +24,7 @@ func TestVerticalRetrySucceedsAfterTransientFault(t *testing.T) {
 
 	rep := m.Replicas("a")[0]
 	// The update fails until t=12s; the retry at t=15s lands after recovery.
-	m.Faults = faultWindow(faults.KindVertical, rep.ID, 0, 12*time.Second)
+	m.faults = faultWindow(faults.KindVertical, rep.ID, 0, 12*time.Second)
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
@@ -62,7 +62,7 @@ func TestRetryAbandonedAfterMaxAttempts(t *testing.T) {
 	cl.Advance(time.Second, 100*time.Millisecond)
 
 	rep := m.Replicas("a")[0]
-	m.Faults = faultWindow(faults.KindVertical, rep.ID, 0, time.Hour) // never recovers
+	m.faults = faultWindow(faults.KindVertical, rep.ID, 0, time.Hour) // never recovers
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
@@ -92,13 +92,13 @@ func TestRetryAbandonedAfterMaxAttempts(t *testing.T) {
 
 func TestHardeningDisabledDropsFailedActions(t *testing.T) {
 	cl, m := setup(t, nil)
-	m.Hardening.Enabled = false
+	m.hardeningOff = true
 	_ = m.AddService(spec("a"), 0.5)
 	_ = m.DeployInitial("a", 0)
 	cl.Advance(time.Second, 100*time.Millisecond)
 
 	rep := m.Replicas("a")[0]
-	m.Faults = faultWindow(faults.KindVertical, rep.ID, 0, time.Hour)
+	m.faults = faultWindow(faults.KindVertical, rep.ID, 0, time.Hour)
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
@@ -121,7 +121,7 @@ func TestStaleSnapshotServedWithinBound(t *testing.T) {
 	m.Sample()
 
 	// node-0's manager is unreachable from t=4s to t=30s.
-	m.Faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, 30*time.Second)
+	m.faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, 30*time.Second)
 
 	if got := len(m.Snapshot(0).Nodes); got != 3 {
 		t.Fatalf("nodes before outage = %d, want 3", got)
@@ -149,12 +149,12 @@ func TestStaleSnapshotServedWithinBound(t *testing.T) {
 
 func TestStaleSnapshotDisabledDropsNodeImmediately(t *testing.T) {
 	cl, m := setup(t, nil)
-	m.Hardening.Enabled = false
+	m.hardeningOff = true
 	_ = m.AddService(spec("a"), 0.5)
 	_ = m.DeployInitial("a", 0)
 	cl.Advance(time.Second, 100*time.Millisecond)
 
-	m.Faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, 30*time.Second)
+	m.faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, 30*time.Second)
 	_ = m.Snapshot(0) // cache would be warm, but hardening is off
 	if got := len(m.Snapshot(5 * time.Second).Nodes); got != 2 {
 		t.Errorf("unhardened nodes during outage = %d, want 2", got)
@@ -211,7 +211,7 @@ func TestRetriedScaleOutRespectsMaxReplicas(t *testing.T) {
 	cl.Advance(time.Second, 100*time.Millisecond)
 
 	// The start fails once; while it waits, a manual start fills the ceiling.
-	m.Faults = faultWindow(faults.KindStart, "", 0, 12*time.Second)
+	m.faults = faultWindow(faults.KindStart, "", 0, 12*time.Second)
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
 		core.ScaleOut{Service: "a", NodeID: "node-2", Alloc: resources.Vector{CPU: 1, MemMB: 512}},
@@ -233,12 +233,12 @@ func TestRetriedScaleOutRespectsMaxReplicas(t *testing.T) {
 
 func TestSlowStartStretchesReadiness(t *testing.T) {
 	cl, m := setup(t, nil)
-	m.StartDelay = time.Second
+	m.startDelay = time.Second
 	_ = m.AddService(spec("a"), 0.5)
 	_ = m.DeployInitial("a", 0)
 	cl.Advance(time.Second, 100*time.Millisecond)
 
-	m.Faults = faults.New(faults.Config{
+	m.faults = faults.New(faults.Config{
 		StartSlowProb: 1, StartSlowBy: 7 * time.Second,
 	})
 	algo := m.algo.(*recordingAlgo)

@@ -15,6 +15,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,39 +48,15 @@ type ActionCounts struct {
 	StaleSnapshots uint64
 }
 
-// Hardening configures the Monitor's resilience to control-plane faults.
-type Hardening struct {
-	// Enabled turns on retry/backoff, placement-failure requeue and
-	// stale-snapshot degradation. Disabled reproduces the legacy behaviour:
-	// failed actions are dropped and lost stats queries blank the node out
-	// of the snapshot.
-	Enabled bool
-	// RetryBackoffBase is the delay before the first retry; each further
-	// retry doubles it.
-	RetryBackoffBase time.Duration
-	// RetryBackoffMax caps the exponential backoff.
-	RetryBackoffMax time.Duration
-	// MaxAttempts bounds total executions of one action (first try
-	// included) before it is abandoned.
-	MaxAttempts int
-	// StalenessBound is how old a cached node report may be and still
-	// stand in for a lost stats query.
-	StalenessBound time.Duration
-}
-
-// DefaultHardening returns the default resilience settings: retries start
-// one monitor period (5 s) after the failure, back off to 40 s, give up
-// after 4 attempts, and snapshots tolerate 15 s (three periods) of
-// staleness.
-func DefaultHardening() Hardening {
-	return Hardening{
-		Enabled:          true,
-		RetryBackoffBase: 5 * time.Second,
-		RetryBackoffMax:  40 * time.Second,
-		MaxAttempts:      4,
-		StalenessBound:   15 * time.Second,
-	}
-}
+// Hardening constants: retries start one monitor period (5 s) after the
+// failure, back off to 40 s and give up after 4 executions; a cached report
+// stands in for a lost stats query for up to 15 s (three periods).
+const (
+	retryBackoffBase = 5 * time.Second
+	retryBackoffMax  = 40 * time.Second
+	maxAttempts      = 4
+	stalenessBound   = 15 * time.Second
+)
 
 // serviceState tracks a registered microservice.
 type serviceState struct {
@@ -155,49 +132,42 @@ type Monitor struct {
 	// nothing when idle (always, outside zone readoptions).
 	held int
 
-	// StartDelay is the container start latency applied to scale-outs.
-	StartDelay time.Duration
+	// startDelay is the container start latency applied to scale-outs.
+	startDelay time.Duration
 
-	// OnRemovalFailure is invoked for every in-flight request killed by a
+	// onRemoval is invoked for every in-flight request killed by a
 	// scale-in. Nil is allowed.
-	OnRemovalFailure func(*workload.Request)
+	onRemoval func(*workload.Request)
 
-	// Faults injects control-plane failures; nil injects nothing.
-	Faults *faults.Injector
+	// faults injects control-plane failures; nil injects nothing.
+	faults *faults.Injector
 
-	// Hardening configures retry/backoff and graceful degradation.
-	Hardening Hardening
+	// hardeningOff disables retry/backoff, placement-failure requeue and
+	// stale-snapshot degradation: failed actions are dropped and lost stats
+	// queries blank the node out of the snapshot.
+	hardeningOff bool
 
-	// SelfHeal configures the failure detector, desired-state reconciler and
+	// selfHeal configures the failure detector, desired-state reconciler and
 	// checkpoint/restore (see selfheal.go). Zero value: disabled.
-	SelfHeal SelfHealing
+	selfHeal SelfHealing
 
-	// Obs, when non-nil, journals every action attempt with the observed
+	// journal, when non-nil, records every action attempt with the observed
 	// service inputs that motivated it (the decision-trace observability
-	// layer). Nil — the default — keeps the hot path untouched.
-	Obs *obs.Journal
+	// layer). Nil keeps the hot path untouched.
+	journal *obs.Journal
 
-	// OutOfCapacity, when non-nil, is consulted after a placement finds no
-	// fitting node: it may add capacity (the zoned control plane leases an
-	// idle machine from another zone) and returns whether it did, in which
-	// case the placement is retried once. Nil — the single-arbiter default —
-	// leaves every placement path byte-identical to the unsharded monitor.
-	OutOfCapacity func(alloc resources.Vector) bool
-
-	// StatsCut / ActionsCut, when non-nil, report an additional sustained
-	// blackout of a node's stats answers / control actions beyond what the
-	// node-keyed fault injector knows. The zoned control plane installs
-	// these so zone-outage and zone-partition windows — keyed by zone index,
-	// which only the plane's zone map can resolve — reach the per-zone
-	// monitors. Nil (the default) keeps every fault path byte-identical.
-	StatsCut   func(now time.Duration, nodeID string) bool
-	ActionsCut func(now time.Duration, nodeID string) bool
+	// plane is the zoned control plane this arbiter belongs to and zone its
+	// index there. The arbiter asks it to lease capacity after a placement
+	// finds no fitting node, and whether a zone-outage or zone-partition
+	// window cuts a node. Nil for a bare Monitor, which has neither.
+	plane *Plane
+	zone  int
 
 	retries     []pendingAction
 	lastReports map[string]*cachedReport
 	// lastObs caches each service's aggregate observed usage from the most
 	// recent snapshot, attached to journaled decisions. Only maintained when
-	// Obs is set.
+	// journal is set.
 	lastObs map[string]obs.ServiceObserved
 
 	// nodeStates is the failure detector's per-node record; replicaHome maps
@@ -240,16 +210,16 @@ type Monitor struct {
 	sampleGen uint64
 }
 
-// New wires a monitor to the cluster, creating one node manager per node,
-// and installs the scaling algorithm. Hardening defaults on.
-func New(cl *cluster.Cluster, algo core.Algorithm) *Monitor {
+// newMonitor wires a monitor to the cluster, creating one node manager per
+// node, and installs the scaling algorithm: a 1 s start delay, hardening on,
+// self-healing off and no plane. NewPlane sets the rest of an arbiter.
+func newMonitor(cl *cluster.Cluster, algo core.Algorithm) *Monitor {
 	m := &Monitor{
 		cluster:     cl,
 		nmByID:      make(map[string]*nodemanager.Manager),
 		algo:        algo,
 		byName:      make(map[string]*serviceState),
-		StartDelay:  time.Second,
-		Hardening:   DefaultHardening(),
+		startDelay:  time.Second,
 		lastReports: make(map[string]*cachedReport),
 		lastObs:     make(map[string]obs.ServiceObserved),
 		nodeStates:  make(map[string]*nodeState),
@@ -337,6 +307,12 @@ func (m *Monitor) AddService(spec workload.ServiceSpec, targetUtil float64) erro
 	return nil
 }
 
+// unregister drops st from the service list and the name index.
+func (m *Monitor) unregister(st *serviceState) {
+	delete(m.byName, st.spec.Name)
+	m.services = slices.DeleteFunc(m.services, func(x *serviceState) bool { return x == st })
+}
+
 // DeployInitial starts the service's minimum replica count, spreading
 // across the least-loaded nodes. Initial deployments are warm: the replicas
 // are ready immediately, modelling services already running before the
@@ -350,7 +326,7 @@ func (m *Monitor) DeployInitial(service string, now time.Duration) error {
 	}
 	for len(st.replicaIDs) < st.spec.MinReplicas {
 		nodeID := m.leastLoadedNode(st.info.InitialAlloc)
-		if nodeID == "" && m.OutOfCapacity != nil && m.OutOfCapacity(st.info.InitialAlloc) {
+		if nodeID == "" && m.lease(st.info.InitialAlloc) {
 			nodeID = m.leastLoadedNode(st.info.InitialAlloc)
 		}
 		if nodeID == "" {
@@ -427,6 +403,11 @@ func (m *Monitor) ReplicaCount(service string) int {
 	if !ok {
 		return 0
 	}
+	return m.liveReplicas(st)
+}
+
+// liveReplicas counts st's replicas a scale-in has not removed.
+func (m *Monitor) liveReplicas(st *serviceState) int {
 	n := 0
 	for _, c := range m.resolvedFor(st) {
 		if c.State != container.StateRemoved {
@@ -557,12 +538,12 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 			continue
 		}
 		var cached *cachedReport
-		if m.Faults.StatsDropped(now, id) || m.Faults.StatsBlackout(now, id) ||
-			(m.StatsCut != nil && m.StatsCut(now, id)) {
+		if m.faults.StatsDropped(now, id) || m.faults.StatsBlackout(now, id) ||
+			(m.plane != nil && m.plane.statsCut(now, id)) {
 			nm.NoteMissedQuery()
 			m.noteMissedPoll(id, now)
 			cached = m.lastReports[id]
-			if !m.Hardening.Enabled || cached == nil || now-cached.at > m.Hardening.StalenessBound {
+			if m.hardeningOff || cached == nil || now-cached.at > stalenessBound {
 				// No usable data: the node vanishes from this snapshot.
 				continue
 			}
@@ -613,7 +594,7 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 	// A node both ruled dead and gone from the cluster can never answer
 	// under this identity again; stop tracking it. Done outside the node
 	// loop so the slice is not mutated mid-iteration.
-	if m.SelfHeal.Enabled {
+	if m.selfHeal.Enabled {
 		detach := m.detachBuf[:0]
 		for _, nm := range m.nms {
 			if id := nm.NodeID(); m.nodeDead(id) && m.cluster.Node(id) == nil {
@@ -670,7 +651,7 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 			m.topoGen++ // pruned vanished replicas from the desired set
 		}
 		st.replicaIDs = live
-		if m.Obs != nil {
+		if m.journal != nil {
 			ob := obs.ServiceObserved{Replicas: len(ss.Replicas)}
 			for _, r := range ss.Replicas {
 				ob.CPU += r.Usage.CPU
@@ -759,9 +740,9 @@ func serviceOf(id string, c *container.Container) string {
 // inputs from the snapshot that motivated it. createdID names the replica a
 // successful scale-out started; target is the container a vertical or
 // scale-in action resolved to (nil when it is gone), so the journal never
-// looks it up again. No-op unless Obs is set.
+// looks it up again. No-op unless journal is set.
 func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome obs.Outcome, createdID string, target *container.Container) {
-	if m.Obs == nil {
+	if m.journal == nil {
 		return
 	}
 	d := obs.Decision{At: now, Attempt: attempt, Outcome: outcome}
@@ -787,7 +768,7 @@ func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome
 		}
 	}
 	d.Observed = m.lastObs[d.Service]
-	m.Obs.Decision(d)
+	m.journal.Decision(d)
 }
 
 // Apply executes a plan action-by-action. Actions against services under a
@@ -819,11 +800,18 @@ func (m *Monitor) actionService(a core.Action) string {
 }
 
 // actionsCut reports whether control actions towards nodeID are black-holed
-// at now — by a node-keyed partition window or by the plane-installed
-// zone-fault hook.
+// at now — by a node-keyed partition window or by a zone window on the node's
+// current zone.
 func (m *Monitor) actionsCut(now time.Duration, nodeID string) bool {
-	return m.Faults.ActionBlackout(now, nodeID) ||
-		(m.ActionsCut != nil && m.ActionsCut(now, nodeID))
+	return m.faults.ActionBlackout(now, nodeID) || (m.plane != nil && m.plane.actionsCut(now, nodeID))
+}
+
+// lease asks the plane for one more machine after a placement of alloc found
+// no fitting node, and reports whether one arrived (the placement is then
+// retried once). A bare Monitor has no plane and a one-zone plane no donor,
+// so both answer no without scanning.
+func (m *Monitor) lease(alloc resources.Vector) bool {
+	return m.plane != nil && len(m.plane.zones) > 1 && m.plane.leaseInto(m.zone, alloc)
 }
 
 // execute runs one attempt of a queued action; p.attempts counts prior
@@ -843,7 +831,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", c)
 			return
 		}
-		if m.actionsCut(now, c.NodeID) || m.Faults.VerticalFails(now, act.ContainerID) {
+		if m.actionsCut(now, c.NodeID) || m.faults.VerticalFails(now, act.ContainerID) {
 			m.observe(a, now, p.attempts, m.requeue(p, now), "", c)
 			return
 		}
@@ -874,7 +862,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 		// capacity at execution time, not at enqueue time.
 		if act.NodeID == "" {
 			act.NodeID = m.leastLoadedNode(act.Alloc)
-			if act.NodeID == "" && m.OutOfCapacity != nil && m.OutOfCapacity(act.Alloc) {
+			if act.NodeID == "" && m.lease(act.Alloc) {
 				act.NodeID = m.leastLoadedNode(act.Alloc)
 			}
 			a = act
@@ -889,7 +877,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 			return
 		}
 		key := fmt.Sprintf("%s/%d", act.Service, st.nextIdx)
-		fail, slowBy := m.Faults.StartFault(now, key)
+		fail, slowBy := m.faults.StartFault(now, key)
 		if fail {
 			m.observe(a, now, p.attempts, m.requeue(p, now), "", nil)
 			return
@@ -904,7 +892,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 				err = m.startReplica(st, alt, act.Alloc, now, slowBy)
 			}
 		}
-		if err != nil && m.OutOfCapacity != nil && m.OutOfCapacity(act.Alloc) {
+		if err != nil && m.lease(act.Alloc) {
 			if alt := m.leastLoadedNode(act.Alloc); alt != "" && alt != act.NodeID {
 				act.NodeID = alt
 				a = act
@@ -945,23 +933,12 @@ func (m *Monitor) execute(p pendingAction, now time.Duration) {
 // can still cancel the re-placement mid-backoff.
 func (m *Monitor) requeue(p pendingAction, now time.Duration) obs.Outcome {
 	executed := p.attempts + 1
-	if !m.Hardening.Enabled || executed >= m.Hardening.MaxAttempts {
+	if m.hardeningOff || executed >= maxAttempts {
 		m.counts.AbandonedActions++
 		return obs.OutcomeAbandoned
 	}
-	backoff := m.Hardening.RetryBackoffBase
-	for i := 1; i < executed; i++ {
-		backoff *= 2
-		if backoff >= m.Hardening.RetryBackoffMax {
-			backoff = m.Hardening.RetryBackoffMax
-			break
-		}
-	}
-	if backoff > m.Hardening.RetryBackoffMax {
-		backoff = m.Hardening.RetryBackoffMax
-	}
 	p.attempts = executed
-	p.notBefore = now + backoff
+	p.notBefore = now + min(retryBackoffBase<<(executed-1), retryBackoffMax)
 	m.retries = append(m.retries, p)
 	return obs.OutcomeRequeued
 }
@@ -970,7 +947,7 @@ func (m *Monitor) startReplica(st *serviceState, nodeID string, alloc resources.
 	// Stateful services pay the state-transfer time on top of the container
 	// start latency (§IV-B's motivation for preferring vertical scaling);
 	// injected slow starts stretch readiness further.
-	return m.startReplicaWithReady(st, nodeID, alloc, now+m.StartDelay+st.spec.SyncDelay()+slowBy, false)
+	return m.startReplicaWithReady(st, nodeID, alloc, now+m.startDelay+st.spec.SyncDelay()+slowBy, false)
 }
 
 // startReplicaAt starts a replica that is ready immediately (warm initial
@@ -1012,9 +989,9 @@ func (m *Monitor) removeFrom(node *cluster.Node, containerID string) {
 	killed := node.RemoveContainer(containerID)
 	delete(m.replicaHome, containerID)
 	m.counts.ScaleIns++
-	if m.OnRemovalFailure != nil {
+	if m.onRemoval != nil {
 		for _, r := range killed {
-			m.OnRemovalFailure(r)
+			m.onRemoval(r)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func setup(t *testing.T, algo core.Algorithm) (*cluster.Cluster, *Monitor) {
 	if algo == nil {
 		algo = &recordingAlgo{}
 	}
-	return cl, New(cl, algo)
+	return cl, newMonitor(cl, algo)
 }
 
 func TestAddServiceValidation(t *testing.T) {
@@ -82,7 +82,7 @@ func TestDeployInitialSpreadsReplicas(t *testing.T) {
 
 func TestInitialDeploymentIsWarm(t *testing.T) {
 	_, m := setup(t, nil)
-	m.StartDelay = 2 * time.Second
+	m.startDelay = 2 * time.Second
 	_ = m.AddService(spec("a"), 0.5)
 	_ = m.DeployInitial("a", 0)
 	for _, r := range m.Replicas("a") {
@@ -94,7 +94,7 @@ func TestInitialDeploymentIsWarm(t *testing.T) {
 
 func TestScaleOutReplicasPayStartDelay(t *testing.T) {
 	cl, m := setup(t, nil)
-	m.StartDelay = 2 * time.Second
+	m.startDelay = 2 * time.Second
 	_ = m.AddService(spec("a"), 0.5)
 	_ = m.DeployInitial("a", 0)
 
@@ -189,7 +189,7 @@ func TestScaleInReportsRemovalFailures(t *testing.T) {
 	cl.Advance(time.Second, 100*time.Millisecond)
 
 	var killed []*workload.Request
-	m.OnRemovalFailure = func(r *workload.Request) { killed = append(killed, r) }
+	m.onRemoval = func(r *workload.Request) { killed = append(killed, r) }
 
 	victim := m.Replicas("a")[0]
 	victim.Enqueue(workload.NewRequest(1, spec("a"), 0))
@@ -314,7 +314,7 @@ func TestSnapshotUsageComesFromSamples(t *testing.T) {
 
 func TestStatefulScaleOutPaysSyncDelay(t *testing.T) {
 	_, m := setup(t, nil)
-	m.StartDelay = time.Second
+	m.startDelay = time.Second
 	stateful := spec("a")
 	stateful.StateSyncMB = 250 // 10s at 200 Mbps
 	_ = m.AddService(stateful, 0.5)
@@ -359,7 +359,7 @@ func TestDetachAttachNode(t *testing.T) {
 // "<service>-<idx>" ID and Node is empty.
 func TestJournalResolvesActionTargets(t *testing.T) {
 	cl, m := setup(t, nil)
-	m.Obs = obs.NewJournal()
+	m.journal = obs.NewJournal()
 	_ = m.AddService(spec("a"), 0.5)
 	_ = m.DeployInitial("a", 0)
 	// A container placed behind the monitor's back is absent from the
@@ -393,7 +393,7 @@ func TestJournalResolvesActionTargets(t *testing.T) {
 		{Kind: obs.KindVertical, Container: victim.ID, Service: "a", Node: "", Outcome: obs.OutcomeMoot},
 		{Kind: obs.KindScaleIn, Container: victim.ID, Service: "a", Node: "", Outcome: obs.OutcomeMoot},
 	}
-	got := m.Obs.Decisions()
+	got := m.journal.Decisions()
 	if len(got) != len(want) {
 		t.Fatalf("journaled %d decisions, want %d", len(got), len(want))
 	}

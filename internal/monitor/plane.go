@@ -31,13 +31,27 @@ import (
 	"hyscale/internal/container"
 	"hyscale/internal/core"
 	"hyscale/internal/faults"
+	"hyscale/internal/obs"
 	"hyscale/internal/resources"
 	"hyscale/internal/workload"
 )
 
-// PlaneConfig parameterises the zoned control plane. platform.Config embeds
-// it, and platform.Config.Validate holds every rule on its fields.
+// PlaneConfig parameterises the control plane and every arbiter in it.
+// platform.Config embeds it, and platform.Config.Validate holds every rule on
+// its fields.
 type PlaneConfig struct {
+	// StartDelay is container start latency for scale-outs.
+	StartDelay time.Duration
+	// HardeningOff disables the control plane's resilience mechanisms
+	// (retry/backoff, stale-snapshot degradation, and the platform's LB
+	// health checks) so experiments can measure what the hardening buys.
+	HardeningOff bool
+	// SelfHealing configures each arbiter's failure detector, desired-state
+	// reconciler and checkpoint/restore. The zero value disables all three,
+	// reproducing the legacy behaviour where node failures are reported
+	// out-of-band and lost replicas are never re-placed.
+	SelfHealing SelfHealing
+
 	// Zones is the number of zone arbiters. 0 or 1 runs the single central
 	// arbiter; more than the node count is rejected, since a zone with no
 	// nodes could never host a service.
@@ -106,16 +120,13 @@ type ZoneSummary struct {
 	Evacuated bool `json:"evacuated,omitempty"`
 }
 
-// zoneArbiter couples one zone's cluster view with the Monitor that owns it.
+// zoneArbiter couples one zone with the Monitor that owns it. The zone's
+// nodes are the Monitor's cluster view; its home services and spillover
+// shards (see evac.go) are the Monitor's non-guest and guest services.
 type zoneArbiter struct {
-	idx      int
-	name     string // decimal zone index, the target key of zone fault windows
-	view     *cluster.Cluster
-	mon      *Monitor
-	services []string
-	// guests lists services whose home is another zone but which keep a
-	// bounded spillover shard of replicas here (see evac.go).
-	guests []string
+	idx  int
+	name string // decimal zone index, the target key of zone fault windows
+	mon  *Monitor
 
 	// leaseFailures counts failed lease attempts initiated on this zone's
 	// behalf.
@@ -157,17 +168,25 @@ type Plane struct {
 	routes []routeSlot
 	gen    uint64
 
+	// zoneFaults is the fault injector when it has zone-outage or
+	// zone-partition windows, nil otherwise, so arbiters skip the node→zone
+	// lookup when no zone can fail.
+	zoneFaults *faults.Injector
+
 	cross CrossZoneCounts
 	evac  EvacCounts
 }
 
 // NewPlane partitions the cluster's nodes into contiguous zones and builds
-// one arbiter per zone; Zones <= 1 builds the single central arbiter. The
-// algorithm instance is shared by all arbiters: every algorithm in
+// one arbiter per zone; Zones <= 1 builds the single central arbiter. Every
+// arbiter gets cfg's start delay, hardening and self-healing, the fault
+// injector inj, the decision journal (nil journals nothing) and onRemoval,
+// which receives every in-flight request a scale-in kills (nil allowed).
+// The algorithm instance is shared by all arbiters: every algorithm in
 // internal/core keys its state per service name, services are assigned to
 // exactly one zone, and zones decide sequentially, so no state crosses zone
 // boundaries.
-func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig) (*Plane, error) {
+func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig, inj *faults.Injector, journal *obs.Journal, onRemoval func(*workload.Request)) (*Plane, error) {
 	nodes := cl.Nodes()
 	k := min(cfg.Zones, len(nodes))
 	if k <= 1 {
@@ -184,6 +203,9 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig) (*Plane
 		spills:        make(map[string][]int),
 		gen:           1, // above the zero gen of an unresolved route slot
 	}
+	if inj.HasZoneWindows() {
+		p.zoneFaults = inj
+	}
 	for z := 0; z < k; z++ {
 		view, err := cluster.New()
 		if err != nil {
@@ -196,51 +218,57 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig) (*Plane
 			}
 			p.zoneOfNode[n.ID()] = z
 		}
-		za := &zoneArbiter{
-			idx: z, name: strconv.Itoa(z), view: view, mon: New(view, algo),
-			healthyAt: -1,
-		}
-		if k > 1 {
-			zi := z
-			za.mon.OutOfCapacity = func(alloc resources.Vector) bool {
-				return p.leaseInto(zi, alloc)
-			}
-		}
-		p.zones = append(p.zones, za)
+		mon := newMonitor(view, algo)
+		mon.startDelay, mon.hardeningOff, mon.selfHeal = cfg.StartDelay, cfg.HardeningOff, cfg.SelfHealing
+		mon.faults, mon.journal, mon.onRemoval = inj, journal, onRemoval
+		mon.plane, mon.zone = p, z
+		p.zones = append(p.zones, &zoneArbiter{idx: z, name: strconv.Itoa(z), mon: mon, healthyAt: -1})
 	}
 	return p, nil
 }
 
-// InstallZoneFaults wires zone-outage / zone-partition windows into every
-// arbiter: the injector is keyed by zone index, which only the plane's node→
-// zone map can resolve, and a leased node answers for whichever zone it is in
-// *now*. No-op (hooks stay nil, hot path untouched) when the config has no
-// zone windows.
-func (p *Plane) InstallZoneFaults(inj *faults.Injector) {
-	if !inj.HasZoneWindows() {
-		return
+// statsCut / actionsCut report whether a zone-outage or zone-partition
+// window cuts nodeID's stats answers / control actions at now. The windows
+// are keyed by zone index, and a node answers for whichever zone it is in
+// now: a retried action can name a node since leased to another zone. False
+// without zone windows.
+func (p *Plane) statsCut(now time.Duration, nodeID string) bool {
+	if p.zoneFaults == nil {
+		return false
 	}
-	stats := func(now time.Duration, nodeID string) bool {
-		zi, ok := p.zoneOfNode[nodeID]
-		return ok && inj.ZoneStatsCut(now, p.zones[zi].name)
-	}
-	actions := func(now time.Duration, nodeID string) bool {
-		zi, ok := p.zoneOfNode[nodeID]
-		return ok && inj.ZoneActionsCut(now, p.zones[zi].name)
-	}
-	for _, z := range p.zones {
-		z.mon.StatsCut = stats
-		z.mon.ActionsCut = actions
-	}
+	zi, ok := p.zoneOfNode[nodeID]
+	return ok && p.zoneFaults.ZoneStatsCut(now, p.zones[zi].name)
 }
 
-// Arbiters returns the zone monitors in zone order, so the platform can
-// apply shared configuration (faults, hardening, self-healing, obs) and
-// tests can inspect per-zone ledgers.
-func (p *Plane) Arbiters() []*Monitor {
-	out := make([]*Monitor, len(p.zones))
-	for i, z := range p.zones {
-		out[i] = z.mon
+func (p *Plane) actionsCut(now time.Duration, nodeID string) bool {
+	if p.zoneFaults == nil {
+		return false
+	}
+	zi, ok := p.zoneOfNode[nodeID]
+	return ok && p.zoneFaults.ZoneActionsCut(now, p.zones[zi].name)
+}
+
+// homeServices counts the services homed in the zone, spillover shards
+// excluded.
+func (z *zoneArbiter) homeServices() int {
+	n := 0
+	for _, st := range z.mon.services {
+		if !st.guest {
+			n++
+		}
+	}
+	return n
+}
+
+// names returns the names of the zone's home services (guest false) or of
+// its spillover shards (guest true) in registration order. The slice is a
+// copy, so callers may move services while ranging over it.
+func (z *zoneArbiter) names(guest bool) []string {
+	var out []string
+	for _, st := range z.mon.services {
+		if st.guest == guest {
+			out = append(out, st.spec.Name)
+		}
 	}
 	return out
 }
@@ -266,19 +294,16 @@ func (p *Plane) ZoneSummaries() []ZoneSummary {
 	for i, z := range p.zones {
 		s := ZoneSummary{
 			Zone:           z.idx,
-			Nodes:          len(z.view.Nodes()),
-			Services:       len(z.services),
+			Nodes:          len(z.mon.cluster.Nodes()),
+			Services:       z.homeServices(),
 			Counts:         z.mon.Counts(),
 			Recovery:       z.mon.Recovery(),
 			PendingRetries: z.mon.PendingRetries(),
 			LeaseFailures:  z.leaseFailures,
 			Evacuated:      z.down,
 		}
-		for _, name := range z.services {
-			s.Replicas += z.mon.ReplicaCount(name)
-		}
-		for _, name := range z.guests {
-			s.Replicas += z.mon.ReplicaCount(name)
+		for _, st := range z.mon.services {
+			s.Replicas += z.mon.liveReplicas(st)
 		}
 		out[i] = s
 	}
@@ -317,15 +342,13 @@ func (p *Plane) AddService(spec workload.ServiceSpec, targetUtil float64) error 
 	}
 	best := 0
 	for i := 1; i < len(p.zones); i++ {
-		if len(p.zones[i].services) < len(p.zones[best].services) {
+		if p.zones[i].homeServices() < p.zones[best].homeServices() {
 			best = i
 		}
 	}
-	za := p.zones[best]
-	if err := za.mon.AddService(spec, targetUtil); err != nil {
+	if err := p.zones[best].mon.AddService(spec, targetUtil); err != nil {
 		return err
 	}
-	za.services = append(za.services, spec.Name)
 	p.zoneOfService[spec.Name] = best
 	p.routes = append(p.routes, routeSlot{name: spec.Name})
 	return nil
@@ -373,7 +396,7 @@ func (p *Plane) RouteView(ord int, scratch *[]*container.Container) []*container
 }
 
 // DeployInitial forwards to the service's home arbiter; a full home zone
-// leases capacity through the arbiter's OutOfCapacity hook.
+// leases capacity through the plane.
 func (p *Plane) DeployInitial(service string, now time.Duration) error {
 	za := p.home(service)
 	if za == nil {
@@ -415,19 +438,18 @@ func (p *Plane) Poll(now time.Duration) {
 	}
 	lease := len(p.zones) > 1
 	for _, z := range p.zones {
-		if lease && len(z.services) > 0 && p.starved(z) {
+		if lease && z.homeServices() > 0 && p.starved(z) {
 			p.leaseInto(z.idx, p.cfg.headroom())
 		}
 		z.mon.Poll(now)
 	}
 }
 
-// healthyNodes counts the zone's nodes with a clean detector record (never
-// missed a poll, ruled healthy).
+// healthyNodes counts the zone's nodes with a clean detector record.
 func (p *Plane) healthyNodes(z *zoneArbiter) int {
 	n := 0
-	for _, node := range z.view.Nodes() {
-		if st := z.mon.nodeStates[node.ID()]; st == nil || (st.missed == 0 && st.health == NodeHealthy) {
+	for _, node := range z.mon.cluster.Nodes() {
+		if z.mon.nodeClean(node.ID()) {
 			n++
 		}
 	}
@@ -438,7 +460,7 @@ func (p *Plane) healthyNodes(z *zoneArbiter) int {
 // headroom free (dead nodes excluded).
 func (p *Plane) starved(z *zoneArbiter) bool {
 	need := p.cfg.headroom()
-	for _, n := range z.view.Nodes() {
+	for _, n := range z.mon.cluster.Nodes() {
 		if z.mon.nodeDead(n.ID()) {
 			continue
 		}
@@ -462,11 +484,11 @@ func (p *Plane) leaseInto(zi int, alloc resources.Vector) bool {
 		if z.idx == zi || p.healthyNodes(z) < 2 {
 			continue
 		}
-		for _, n := range z.view.Nodes() {
+		for _, n := range z.mon.cluster.Nodes() {
 			if len(n.Containers()) != 0 {
 				continue
 			}
-			if st := z.mon.nodeStates[n.ID()]; st != nil && (st.missed > 0 || st.health != NodeHealthy) {
+			if !z.mon.nodeClean(n.ID()) {
 				// Unreachable machines don't move: the borrower would inherit
 				// a node its fresh detector state knows nothing about.
 				continue
@@ -485,10 +507,10 @@ func (p *Plane) leaseInto(zi int, alloc resources.Vector) bool {
 		return false
 	}
 	id := pick.ID()
-	donor.view.ReleaseNode(id)
+	donor.mon.cluster.ReleaseNode(id)
 	donor.mon.DetachNode(id)
 	borrower := p.zones[zi]
-	if err := borrower.view.AdoptNode(pick); err != nil {
+	if err := borrower.mon.cluster.AdoptNode(pick); err != nil {
 		return false // unreachable: zones are disjoint
 	}
 	borrower.mon.AttachNode(pick)
@@ -657,7 +679,7 @@ func (p *Plane) DetachNode(nodeID string) {
 	if !ok {
 		return
 	}
-	p.zones[z].view.ReleaseNode(nodeID) // nil when NoteNodeRemoved already ran
+	p.zones[z].mon.cluster.ReleaseNode(nodeID) // nil when NoteNodeRemoved already ran
 	p.zones[z].mon.DetachNode(nodeID)
 	delete(p.zoneOfNode, nodeID)
 }
@@ -669,17 +691,17 @@ func (p *Plane) DetachNode(nodeID string) {
 func (p *Plane) AttachNode(n *cluster.Node) {
 	best, known := p.zoneOfNode[n.ID()]
 	if known {
-		if p.zones[best].view.Node(n.ID()) != nil {
+		if p.zones[best].mon.cluster.Node(n.ID()) != nil {
 			return
 		}
 	} else {
 		for i := 1; i < len(p.zones); i++ {
-			if len(p.zones[i].view.Nodes()) < len(p.zones[best].view.Nodes()) {
+			if len(p.zones[i].mon.cluster.Nodes()) < len(p.zones[best].mon.cluster.Nodes()) {
 				best = i
 			}
 		}
 	}
-	if err := p.zones[best].view.AdoptNode(n); err != nil {
+	if err := p.zones[best].mon.cluster.AdoptNode(n); err != nil {
 		return
 	}
 	p.zones[best].mon.AttachNode(n)
@@ -692,6 +714,6 @@ func (p *Plane) AttachNode(n *cluster.Node) {
 // does when the platform removes a node under self-healing.
 func (p *Plane) NoteNodeRemoved(nodeID string) {
 	if z, ok := p.zoneOfNode[nodeID]; ok {
-		p.zones[z].view.ReleaseNode(nodeID)
+		p.zones[z].mon.cluster.ReleaseNode(nodeID)
 	}
 }

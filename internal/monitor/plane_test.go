@@ -32,7 +32,7 @@ func newTestPlane(t *testing.T, nodes, zones int) (*Plane, *cluster.Cluster) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{Zones: zones})
+	p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{Zones: zones, StartDelay: time.Second}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +198,10 @@ func TestPlaneReattachReplacedNode(t *testing.T) {
 		}
 		p.AttachNode(cl.Node("node-3"))
 		z := p.zones[p.zoneOfNode["node-3"]]
-		if got := z.view.Node("node-3"); got != cl.Node("node-3") {
+		if got := z.mon.cluster.Node("node-3"); got != cl.Node("node-3") {
 			t.Errorf("zones=%d: zone %d view holds %p for node-3, want the re-added node %p", zones, z.idx, got, cl.Node("node-3"))
 		}
-		if got := len(z.view.Nodes()); got != 4/zones {
+		if got := len(z.mon.cluster.Nodes()); got != 4/zones {
 			t.Errorf("zones=%d: zone %d view has %d nodes, want %d", zones, z.idx, got, 4/zones)
 		}
 	}
@@ -237,9 +237,8 @@ func TestPlaneApplyRoutesContainerActions(t *testing.T) {
 	if b.Alloc != grow || stray.Alloc != grow {
 		t.Fatalf("allocs = %v, %v; want both %v", b.Alloc, stray.Alloc, grow)
 	}
-	arbs := p.Arbiters()
 	for z, want := range []uint64{0, 1, 1} {
-		if got := arbs[z].Counts().Vertical; got != want {
+		if got := p.zones[z].mon.Counts().Vertical; got != want {
 			t.Errorf("zone %d applied %d vertical actions, want %d", z, got, want)
 		}
 	}
@@ -250,10 +249,14 @@ func TestPlaneApplyRoutesContainerActions(t *testing.T) {
 // Monitor journals it, at one zone and at several.
 func TestPlaneApplyJournalsUnownedActionsMoot(t *testing.T) {
 	for _, zones := range []int{1, 3} {
-		p, _ := newTestPlane(t, 6, zones)
+		cl, err := cluster.NewHomogeneous(6, cluster.DefaultNodeConfig(""))
+		if err != nil {
+			t.Fatal(err)
+		}
 		j := obs.NewJournal()
-		for _, m := range p.Arbiters() {
-			m.Obs = j
+		p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{Zones: zones, StartDelay: time.Second}, nil, j, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := p.AddService(planeSpec("a", 1, 1, 4), 0.5); err != nil {
 			t.Fatal(err)
@@ -269,6 +272,37 @@ func TestPlaneApplyJournalsUnownedActionsMoot(t *testing.T) {
 		for i, want := range []string{"ghost-0", "ghost-1"} {
 			if got[i].Container != want || got[i].Outcome != obs.OutcomeMoot {
 				t.Errorf("zones=%d: decision %d = {%s %v}, want {%s moot}", zones, i, got[i].Container, got[i].Outcome, want)
+			}
+		}
+	}
+}
+
+// TestPlaneArbitersPayConfiguredStartDelay: PlaneConfig.StartDelay reaches
+// every arbiter, at one zone and at several — a scale-out applied at 10 s
+// becomes ready 7 s later, not after the bare Monitor's 1 s default.
+func TestPlaneArbitersPayConfiguredStartDelay(t *testing.T) {
+	for _, zones := range []int{1, 3} {
+		cl, err := cluster.NewHomogeneous(6, cluster.DefaultNodeConfig(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{Zones: zones, StartDelay: 7 * time.Second}, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b", "c"} {
+			if err := p.AddService(planeSpec(name, 1, 1, 4), 0.5); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.DeployInitial(name, 0); err != nil {
+				t.Fatal(err)
+			}
+			p.Apply(core.Plan{Actions: []core.Action{
+				core.ScaleOut{Service: name, Alloc: resources.Vector{CPU: 1, MemMB: 256}},
+			}}, 10*time.Second)
+			reps := p.Replicas(name)
+			if len(reps) != 2 || reps[1].ReadyAt != 17*time.Second {
+				t.Fatalf("zones=%d service %s: replicas %d, scale-out ready at %v; want 2, 17s", zones, name, len(reps), reps[len(reps)-1].ReadyAt)
 			}
 		}
 	}

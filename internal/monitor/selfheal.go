@@ -168,7 +168,7 @@ type NodeCondition struct {
 func (m *Monitor) Recovery() RecoveryCounts { return m.recovery }
 
 // NodeConditions returns the detector state of every attached node in
-// attachment order. Nodes are healthy until the detector (SelfHeal.Enabled)
+// attachment order. Nodes are healthy until the detector (selfHeal.Enabled)
 // observes a missed poll.
 func (m *Monitor) NodeConditions() []NodeCondition {
 	out := make([]NodeCondition, 0, len(m.nms))
@@ -183,17 +183,17 @@ func (m *Monitor) NodeConditions() []NodeCondition {
 	return out
 }
 
-// event journals one self-healing event. No-op unless Obs is set.
+// event journals one self-healing event. No-op unless journal is set.
 func (m *Monitor) event(now time.Duration, kind obs.EventKind, node, service, cid, detail string) {
-	if m.Obs == nil {
+	if m.journal == nil {
 		return
 	}
-	m.Obs.Event(obs.Event{At: now, Kind: kind, Node: node, Service: service, Container: cid, Detail: detail})
+	m.journal.Event(obs.Event{At: now, Kind: kind, Node: node, Service: service, Container: cid, Detail: detail})
 }
 
 // noteMissedPoll advances the failure detector after a failed stats query.
 func (m *Monitor) noteMissedPoll(nodeID string, now time.Duration) {
-	if !m.SelfHeal.Enabled {
+	if !m.selfHeal.Enabled {
 		return
 	}
 	st := m.nodeStates[nodeID]
@@ -205,12 +205,12 @@ func (m *Monitor) noteMissedPoll(nodeID string, now time.Duration) {
 		return // already ruled; nothing further to detect
 	}
 	st.missed++
-	if st.health == NodeHealthy && st.missed >= m.SelfHeal.suspectAfter() {
+	if st.health == NodeHealthy && st.missed >= m.selfHeal.suspectAfter() {
 		st.health = NodeSuspect
 		m.recovery.Suspected++
 		m.event(now, obs.EventNodeSuspect, nodeID, "", "", fmt.Sprintf("%d missed polls", st.missed))
 	}
-	if st.health == NodeSuspect && st.missed >= m.SelfHeal.deadAfter() {
+	if st.health == NodeSuspect && st.missed >= m.selfHeal.deadAfter() {
 		st.health = NodeDead
 		m.declareDead(nodeID, now)
 	}
@@ -219,7 +219,7 @@ func (m *Monitor) noteMissedPoll(nodeID string, now time.Duration) {
 // notePollOK resets the detector after a successful stats query, recovering
 // a suspect or dead node.
 func (m *Monitor) notePollOK(nodeID string, now time.Duration) {
-	if !m.SelfHeal.Enabled {
+	if !m.selfHeal.Enabled {
 		return
 	}
 	st := m.nodeStates[nodeID]
@@ -239,6 +239,13 @@ func (m *Monitor) notePollOK(nodeID string, now time.Duration) {
 	}
 }
 
+// nodeClean reports whether nodeID's detector record is clean: no missed
+// poll outstanding, ruled healthy.
+func (m *Monitor) nodeClean(nodeID string) bool {
+	st := m.nodeStates[nodeID]
+	return st == nil || (st.missed == 0 && st.health == NodeHealthy)
+}
+
 // nodeDead reports whether the detector has ruled nodeID dead.
 func (m *Monitor) nodeDead(nodeID string) bool {
 	st := m.nodeStates[nodeID]
@@ -251,7 +258,7 @@ func (m *Monitor) nodeDead(nodeID string) bool {
 // cached stats) so the algorithm does not double-provision before the
 // detector decides.
 func (m *Monitor) limboHome(id string) string {
-	if !m.SelfHeal.Enabled {
+	if !m.selfHeal.Enabled {
 		return ""
 	}
 	home, ok := m.replicaHome[id]
@@ -300,7 +307,7 @@ func (m *Monitor) declareDead(nodeID string, now time.Duration) {
 	m.recovery.DeclaredDead++
 	m.event(now, obs.EventNodeDead, nodeID, "", "", "")
 
-	notBefore := now + m.SelfHeal.cooldown()
+	notBefore := now + m.selfHeal.cooldown()
 	for _, st := range m.services {
 		kept := st.replicaIDs[:0]
 		for _, id := range st.replicaIDs {
@@ -332,7 +339,7 @@ func (m *Monitor) declareDead(nodeID string, now time.Duration) {
 				reconcileNode: nodeID,
 				lostID:        id,
 			})
-			m.event(now, obs.EventReconcileEnqueue, nodeID, st.spec.Name, id, "replace after "+m.SelfHeal.cooldown().String())
+			m.event(now, obs.EventReconcileEnqueue, nodeID, st.spec.Name, id, "replace after "+m.selfHeal.cooldown().String())
 		}
 		for i := len(kept); i < len(st.replicaIDs); i++ {
 			st.replicaIDs[i] = ""
@@ -363,9 +370,19 @@ func (m *Monitor) reconcileRecovery(nodeID string, now time.Duration) {
 	}
 	m.retries = kept
 
+	m.settleLost(now, func(l lostReplica) bool { return l.node == nodeID })
+}
+
+// settleLost settles the lost-ledger entries match selects against what
+// physically survived the outage: vanished replicas are forgotten, survivors
+// whose replacement already ran are drained as stale, and the rest are
+// re-adopted, any replacement still queued for them cancelled. A recovered
+// node's own replacements are cancelled before this runs; a re-homed
+// service's may still be queued.
+func (m *Monitor) settleLost(now time.Duration, match func(lostReplica) bool) {
 	remaining := m.lost[:0]
 	for _, l := range m.lost {
-		if l.node != nodeID {
+		if !match(l) {
 			remaining = append(remaining, l)
 			continue
 		}
@@ -378,18 +395,34 @@ func (m *Monitor) reconcileRecovery(nodeID string, now time.Duration) {
 		case l.replaced:
 			m.removeFrom(node, l.id)
 			m.recovery.StaleDrained++
-			m.event(now, obs.EventStaleDrained, nodeID, l.service, l.id, "")
+			m.event(now, obs.EventStaleDrained, l.node, l.service, l.id, "")
 		default:
 			if st, ok := m.byName[l.service]; ok {
 				st.replicaIDs = append(st.replicaIDs, l.id)
-				m.replicaHome[l.id] = nodeID
+				m.replicaHome[l.id] = l.node
 				m.recovery.Readopted++
-				m.event(now, obs.EventReadopted, nodeID, l.service, l.id, "")
+				m.event(now, obs.EventReadopted, l.node, l.service, l.id, "")
+				m.cancelPendingFor(l.id, now)
 			}
 		}
 	}
 	m.lost = remaining
 	m.topoGen++ // re-adoptions and stale drains changed the replica sets
+}
+
+// cancelPendingFor drops the queued replacement for one re-adopted replica.
+func (m *Monitor) cancelPendingFor(lostID string, now time.Duration) {
+	for i, pa := range m.retries {
+		if pa.lostID != lostID || pa.lostID == "" {
+			continue
+		}
+		m.recovery.ReconcileCancelled++
+		if act, ok := pa.action.(core.ScaleOut); ok {
+			m.event(now, obs.EventReconcileCancel, pa.reconcileNode, act.Service, lostID, "replica readopted")
+		}
+		m.retries = append(m.retries[:i], m.retries[i+1:]...)
+		return
+	}
 }
 
 // finishLost marks a lost replica's replacement as done. When the dead node
@@ -501,11 +534,11 @@ func dropStale[V, W any](dst map[string]V, live map[string]W) {
 // and CheckpointEvery has elapsed since the last snapshot (zero spacing
 // checkpoints every call). The platform calls this after each poll.
 func (m *Monitor) MaybeCheckpoint(now time.Duration) {
-	if !m.SelfHeal.Checkpoint {
+	if !m.selfHeal.Checkpoint {
 		return
 	}
-	if m.lastCheckpoint != nil && m.SelfHeal.CheckpointEvery > 0 &&
-		now-m.lastCheckpointAt < m.SelfHeal.CheckpointEvery {
+	if m.lastCheckpoint != nil && m.selfHeal.CheckpointEvery > 0 &&
+		now-m.lastCheckpointAt < m.selfHeal.CheckpointEvery {
 		return
 	}
 	m.CheckpointNow(now)
@@ -516,7 +549,7 @@ func (m *Monitor) MaybeCheckpoint(now time.Duration) {
 // retry queue, detector state and lost-replica ledger are gone, and the
 // desired replica sets are rediscovered from whatever containers still run.
 func (m *Monitor) Restart(now time.Duration) {
-	if m.SelfHeal.Checkpoint && m.lastCheckpoint != nil {
+	if m.selfHeal.Checkpoint && m.lastCheckpoint != nil {
 		m.restore(m.lastCheckpoint, now)
 		return
 	}

@@ -15,7 +15,7 @@ import (
 func healSetup(t *testing.T) (*cluster.Cluster, *Monitor) {
 	t.Helper()
 	cl, m := setup(t, nil)
-	m.SelfHeal = DefaultSelfHealing()
+	m.selfHeal = DefaultSelfHealing()
 	if err := m.AddService(spec("a"), 0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestDetectorTransitionsAndRecovery(t *testing.T) {
 	cl, m := healSetup(t)
 	_ = cl
 	// node-0's manager is unreachable for four consecutive polls.
-	m.Faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, 22*time.Second)
+	m.faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, 22*time.Second)
 
 	m.Poll(5 * time.Second)
 	if got := health(m, "node-0"); got != NodeHealthy {
@@ -75,7 +75,7 @@ func TestDetectorDisabledNeverSuspects(t *testing.T) {
 	_ = m.AddService(spec("a"), 0.5)
 	_ = m.DeployInitial("a", 0)
 	cl.Advance(time.Second, 100*time.Millisecond)
-	m.Faults = faultWindow(faults.KindStats, "node-0", 0, time.Hour)
+	m.faults = faultWindow(faults.KindStats, "node-0", 0, time.Hour)
 
 	for _, at := range []time.Duration{5, 10, 15, 20, 25} {
 		m.Poll(at * time.Second)
@@ -93,7 +93,7 @@ func TestDetectorDisabledNeverSuspects(t *testing.T) {
 func TestLimboReplicasStayInSnapshot(t *testing.T) {
 	_, m := healSetup(t)
 	m.Sample()
-	m.Faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, time.Hour)
+	m.faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, time.Hour)
 
 	algo := m.algo.(*recordingAlgo)
 	m.Poll(5 * time.Second)  // miss 1
@@ -173,7 +173,7 @@ func TestAntiFlapCancelsQueuedReconcile(t *testing.T) {
 	_, m := healSetup(t)
 	// Unreachable long enough to be declared dead (20s), back before the
 	// 10s cooldown expires at 30s.
-	m.Faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, 22*time.Second)
+	m.faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, 22*time.Second)
 
 	for _, at := range []time.Duration{5, 10, 15, 20} {
 		m.Poll(at * time.Second)
@@ -205,7 +205,7 @@ func TestStaleReplicaDrainedAfterReplacement(t *testing.T) {
 	_, m := healSetup(t)
 	// Unreachable past the cooldown: dead at 20s, re-placed at 30s, back
 	// at 35s.
-	m.Faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, 32*time.Second)
+	m.faults = faultWindow(faults.KindStats, "node-0", 4*time.Second, 32*time.Second)
 
 	for _, at := range []time.Duration{5, 10, 15, 20, 25, 30} {
 		m.Poll(at * time.Second)
@@ -265,7 +265,7 @@ func TestCheckpointRestoreKeepsReconcilePlan(t *testing.T) {
 // the lost replica is never replaced.
 func TestColdRestartLosesReconcilePlan(t *testing.T) {
 	cl, m := healSetup(t)
-	m.SelfHeal.Checkpoint = false
+	m.selfHeal.Checkpoint = false
 	if _, err := cl.RemoveNode("node-0"); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestColdRestartLosesReconcilePlan(t *testing.T) {
 // monitor (missed polls accumulate) but actions still go through.
 func TestPartitionStatsDirectionOnly(t *testing.T) {
 	_, m := healSetup(t)
-	m.Faults = faults.New(faults.Config{Windows: []faults.Window{{
+	m.faults = faults.New(faults.Config{Windows: []faults.Window{{
 		Kind: faults.KindPartition, Target: "node-0",
 		Direction: faults.DirectionStats, From: 0, To: time.Hour,
 	}}})
@@ -327,7 +327,7 @@ func TestPartitionStatsDirectionOnly(t *testing.T) {
 // flowing — the detector never fires.
 func TestPartitionActionsDirectionOnly(t *testing.T) {
 	_, m := healSetup(t)
-	m.Faults = faults.New(faults.Config{Windows: []faults.Window{{
+	m.faults = faults.New(faults.Config{Windows: []faults.Window{{
 		Kind: faults.KindPartition, Target: "node-0",
 		Direction: faults.DirectionActions, From: 0, To: 12 * time.Second,
 	}}})
@@ -362,7 +362,7 @@ func TestReconcileSkipsDeadNodes(t *testing.T) {
 	_, m := healSetup(t)
 	// node-2 hosts nothing but is unreachable — it must not attract the
 	// replacement for node-0's lost replica.
-	m.Faults = faults.New(faults.Config{Windows: []faults.Window{
+	m.faults = faults.New(faults.Config{Windows: []faults.Window{
 		{Kind: faults.KindStats, Target: "node-0", From: 4 * time.Second, To: time.Hour},
 		{Kind: faults.KindStats, Target: "node-2", From: 4 * time.Second, To: time.Hour},
 	}})

@@ -40,8 +40,6 @@ type Config struct {
 	Tick time.Duration
 	// MonitorPeriod is the stats-query/decision period (paper: 5 s).
 	MonitorPeriod time.Duration
-	// StartDelay is container start latency for scale-outs.
-	StartDelay time.Duration
 	// LBPolicy selects the load-balancer routing policy.
 	LBPolicy lb.Policy
 	// DistributionOverhead is the per-log2(replicas) latency the balancer
@@ -59,15 +57,6 @@ type Config struct {
 	// Faults configures control-plane fault injection; the zero value
 	// injects nothing and leaves every hot path untouched.
 	Faults faults.Config
-	// HardeningOff disables the control plane's resilience mechanisms
-	// (Monitor retry/backoff, stale-snapshot degradation, LB health checks)
-	// so experiments can measure what the hardening buys.
-	HardeningOff bool
-	// SelfHealing configures the Monitor's failure detector, desired-state
-	// reconciler and checkpoint/restore. The zero value disables all three,
-	// reproducing the legacy behaviour where node failures are reported
-	// out-of-band and lost replicas are never re-placed.
-	SelfHealing monitor.SelfHealing
 	// Observe enables the decision-trace observability layer: the World owns
 	// an obs.Journal that records every Monitor decision and per-service
 	// time series sampled each monitor period. Off (the default) costs
@@ -81,10 +70,11 @@ type Config struct {
 	// retry budgets, deadline propagation, load shedding) on the call
 	// graph's traffic. The zero value disables everything.
 	Resilience resilience.Config
-	// PlaneConfig shapes the control plane: the zone count (0 or 1, the
-	// default, runs the single central arbiter with byte-identical output to
-	// every release before zoning existed), cross-zone leasing and zone
-	// evacuation. See monitor.PlaneConfig.
+	// PlaneConfig shapes the control plane: the arbiters' start delay,
+	// hardening and self-healing, the zone count (0 or 1, the default, runs
+	// the single central arbiter with byte-identical output to every release
+	// before zoning existed), cross-zone leasing and zone evacuation. See
+	// monitor.PlaneConfig.
 	monitor.PlaneConfig
 }
 
@@ -154,7 +144,7 @@ func DefaultConfig(seed int64) Config {
 		NodeTemplate:         cluster.DefaultNodeConfig(""),
 		Tick:                 100 * time.Millisecond,
 		MonitorPeriod:        5 * time.Second,
-		StartDelay:           time.Second,
+		PlaneConfig:          monitor.PlaneConfig{StartDelay: time.Second},
 		LBPolicy:             lb.LeastOutstanding,
 		DistributionOverhead: 25 * time.Millisecond,
 		BaseLatency:          75 * time.Millisecond,
@@ -278,12 +268,13 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 	if algo == nil {
 		algo = noopAlgorithm{}
 	}
-	w.ctl, err = monitor.NewPlane(cl, algo, cfg.PlaneConfig)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Observe {
 		w.journal = obs.NewJournal()
+	}
+	w.faults = faults.New(cfg.Faults)
+	w.ctl, err = monitor.NewPlane(cl, algo, cfg.PlaneConfig, w.faults, w.journal, w.removed)
+	if err != nil {
+		return nil, err
 	}
 	w.algo = algo
 	// Multi-metric manager observability: a structural assertion (rather
@@ -302,12 +293,6 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 			})
 		}
 	}
-	for _, m := range w.ctl.Arbiters() {
-		m.Obs = w.journal
-		m.StartDelay = cfg.StartDelay
-		m.SelfHeal = cfg.SelfHealing
-		m.OnRemovalFailure = w.removed
-	}
 	if cfg.CallGraph.Enabled() || cfg.Resilience.Enabled() {
 		w.res = resilience.NewManager(cfg.Resilience, cfg.Seed)
 		if w.res != nil && cfg.Observe {
@@ -320,14 +305,6 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 			}
 		}
 		w.graph = newGraphRun(w, cfg.CallGraph)
-	}
-	w.faults = faults.New(cfg.Faults)
-	w.ctl.InstallZoneFaults(w.faults)
-	for _, m := range w.ctl.Arbiters() {
-		m.Faults = w.faults
-		if cfg.HardeningOff {
-			m.Hardening.Enabled = false
-		}
 	}
 	if !cfg.HardeningOff && w.faults.Enabled() {
 		// The hardened balancer probes backends against the injected outage

@@ -70,30 +70,43 @@ func TestParseFaultsValidation(t *testing.T) {
 	}
 }
 
+// TestBuildWiresFaultsAndHardening runs the faulted scenario, with every
+// `docker update` failing for the first minute, hardened (the default) and
+// with "hardening": false. Hardened arbiters retry failed actions and serve
+// stale snapshots for lost stats queries; unhardened ones abandon every
+// failed action at once and never serve a stale report.
 func TestBuildWiresFaultsAndHardening(t *testing.T) {
-	sc, err := Parse(strings.NewReader(withFaults))
+	updatesFail := strings.Replace(withFaults, `"windows": [`, `"windows": [
+      {"kind": "vertical", "from": "0s", "to": "60s"},`, 1)
+	sc, err := Parse(strings.NewReader(updatesFail))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := build(t, sc)
-	inj := w.FaultInjector()
-	if inj == nil || !inj.Enabled() {
+	if inj := build(t, sc).FaultInjector(); inj == nil || !inj.Enabled() {
 		t.Fatal("built world has no fault injector")
 	}
-	if !w.Control().Arbiters()[0].Hardening.Enabled {
-		t.Error("hardening should default to enabled")
+	w, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := w.Control().Counts(); c.Retries == 0 || c.StaleSnapshots == 0 {
+		t.Errorf("hardened run: retries %d, stale snapshots %d; want both > 0", c.Retries, c.StaleSnapshots)
 	}
 
 	// An explicit "hardening": false flips the switch.
-	off := strings.Replace(withFaults, `"faults": {`, `"faults": {
+	off := strings.Replace(updatesFail, `"faults": {`, `"faults": {
     "hardening": false,`, 1)
 	sc2, err := Parse(strings.NewReader(off))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2 := build(t, sc2)
-	if w2.Control().Arbiters()[0].Hardening.Enabled {
-		t.Error("hardening: false not honoured")
+	w2, err := sc2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := w2.Control().Counts(); c.Retries != 0 || c.StaleSnapshots != 0 || c.AbandonedActions == 0 {
+		t.Errorf("hardening: false not honoured: retries %d, stale snapshots %d, abandoned %d; want 0, 0, > 0",
+			c.Retries, c.StaleSnapshots, c.AbandonedActions)
 	}
 }
 
