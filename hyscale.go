@@ -325,11 +325,14 @@ type RunEvent = obs.Event
 func (s *Simulation) Journal() *RunJournal { return s.world.Journal() }
 
 // Decisions returns every journaled scaling decision in simulated-time order
-// (empty unless SimConfig.Observe was set).
+// (empty unless SimConfig.Observe was set). The journal stores compact
+// records, so each call builds a fresh slice: the caller owns it, and a
+// loop should call Decisions once, not per element.
 func (s *Simulation) Decisions() []ScalingDecision { return s.world.Journal().Decisions() }
 
 // Samples returns every journaled per-service time-series point in
-// simulated-time order (empty unless SimConfig.Observe was set).
+// simulated-time order (empty unless SimConfig.Observe was set). Like
+// Decisions, each call builds a fresh slice from the journal's records.
 func (s *Simulation) Samples() []ServiceSample { return s.world.Journal().Samples() }
 
 // Events returns every journaled self-healing event in simulated-time order

@@ -407,13 +407,13 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		Outcomes:  make(map[obs.Outcome]int),
 		Events:    []timelineEvent{},
 	}
-	for _, d := range j.Decisions() {
-		if service != "" && d.Service != service {
-			continue
+	j.EachDecision(func(d obs.Decision) bool {
+		if service == "" || d.Service == service {
+			out.Decisions = append(out.Decisions, timelineDecision{T: d.At.Seconds(), Decision: d})
+			out.Outcomes[d.Outcome]++
 		}
-		out.Decisions = append(out.Decisions, timelineDecision{T: d.At.Seconds(), Decision: d})
-		out.Outcomes[d.Outcome]++
-	}
+		return true
+	})
 	for _, e := range j.Events() {
 		if service != "" && e.Service != service {
 			continue

@@ -274,13 +274,12 @@ func (r *Recorder) Reserve(service string, n int) {
 	r.groups = slices.Grow(r.groups[:0], cap(r.pending))
 }
 
-// ServiceCounters returns one service's cumulative outcome counters and
-// total completed-request latency — the cheap O(1) accessors the
-// observability layer samples each monitor period (unknown services return
-// zeros).
-func (r *Recorder) ServiceCounters(name string) (completed, removalFailed, connFailed uint64, totalLatency time.Duration) {
-	s, ok := r.services[name]
-	if !ok {
+// Counters returns the service's cumulative outcome counters and total
+// completed-request latency, the values the observability layer samples
+// each monitor period. A nil cell (a service with no recorded outcome)
+// reads as zeros.
+func (s *ServiceStats) Counters() (completed, removalFailed, connFailed uint64, totalLatency time.Duration) {
+	if s == nil {
 		return 0, 0, 0, 0
 	}
 	return s.Completed, s.RemovalFailures, s.ConnectionFailures, s.totalLat

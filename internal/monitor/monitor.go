@@ -86,6 +86,17 @@ type serviceState struct {
 	// this instead of re-resolving IDs through three map lookups each.
 	resolved    []*container.Container
 	resolvedGen uint64
+
+	// name is the service's Name in the journal, interned on the first
+	// snapshot that journals it (0 until then, and without a journal).
+	name obs.Name
+}
+
+// observation is a service's aggregate usage in the latest snapshot, with
+// the service's journal Name.
+type observation struct {
+	usage obs.ServiceObserved
+	name  obs.Name
 }
 
 // pendingAction is one queued action awaiting its deadline: a failed action
@@ -165,10 +176,10 @@ type Monitor struct {
 
 	retries     []pendingAction
 	lastReports map[string]*cachedReport
-	// lastObs caches each service's aggregate observed usage from the most
-	// recent snapshot, attached to journaled decisions. Only maintained when
-	// journal is set.
-	lastObs map[string]obs.ServiceObserved
+	// lastObs caches each service's observation from the most recent
+	// snapshot: its usage is attached to journaled decisions, and its Name
+	// spares the journal a lookup. Only maintained when journal is set.
+	lastObs map[string]observation
 
 	// nodeStates is the failure detector's per-node record; replicaHome maps
 	// every live replica to its host node; lost is the reconciler's ledger of
@@ -221,7 +232,7 @@ func newMonitor(cl *cluster.Cluster, algo core.Algorithm) *Monitor {
 		byName:      make(map[string]*serviceState),
 		startDelay:  time.Second,
 		lastReports: make(map[string]*cachedReport),
-		lastObs:     make(map[string]obs.ServiceObserved),
+		lastObs:     make(map[string]observation),
 		nodeStates:  make(map[string]*nodeState),
 		replicaHome: make(map[string]string),
 		statsByID:   make(map[string]nodemanager.ContainerStats),
@@ -659,7 +670,10 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 				ob.NetMbps += r.Usage.NetMbps
 				ob.RequestedCPU += r.Requested.CPU
 			}
-			m.lastObs[st.spec.Name] = ob
+			if st.name == 0 {
+				st.name = m.journal.Intern(st.spec.Name)
+			}
+			m.lastObs[st.spec.Name] = observation{usage: ob, name: st.name}
 		}
 	}
 	snap.Services = m.snapServices
@@ -767,8 +781,12 @@ func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome
 			d.Node = target.NodeID
 		}
 	}
-	d.Observed = m.lastObs[d.Service]
-	m.journal.Decision(d)
+	o, ok := m.lastObs[d.Service]
+	if !ok {
+		o.name = m.journal.Intern(d.Service)
+	}
+	d.Observed = o.usage
+	m.journal.DecisionFor(o.name, d)
 }
 
 // Apply executes a plan action-by-action. Actions against services under a

@@ -28,10 +28,13 @@ type decisionDTO struct {
 func (j *Journal) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, d := range j.Decisions() {
-		if err := enc.Encode(decisionDTO{T: d.At.Seconds(), Decision: d}); err != nil {
-			return err
-		}
+	var err error
+	j.EachDecision(func(d Decision) bool {
+		err = enc.Encode(decisionDTO{T: d.At.Seconds(), Decision: d})
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -63,16 +66,18 @@ func (j *Journal) WriteSeriesCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(bw, seriesHeader); err != nil {
 		return err
 	}
-	for _, s := range j.Samples() {
-		_, err := fmt.Fprintf(bw, "%s,%s,%d,%s,%s,%s,%d,%d,%s,%s,%s\n",
+	var err error
+	j.EachSample(func(s Sample) bool {
+		_, err = fmt.Fprintf(bw, "%s,%s,%d,%s,%s,%s,%d,%d,%s,%s,%s\n",
 			secs(s.At), s.Service, s.Replicas,
 			fmtF(s.CPUShares), fmtF(s.CPUUsage), fmtF(s.NetMbps),
 			s.IntervalCompleted, s.IntervalFailed,
 			fmtF(float64(s.IntervalMean)/float64(time.Millisecond)),
 			fmtF(s.IntervalFailedPct()), fmtF(s.CumFailedPct))
-		if err != nil {
-			return err
-		}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }

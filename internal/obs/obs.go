@@ -192,152 +192,6 @@ func (s Sample) IntervalFailedPct() float64 {
 	return 100 * float64(s.IntervalFailed) / float64(total)
 }
 
-// svcCounters tracks a service's previous cumulative counters so samples can
-// report interval deltas.
-type svcCounters struct {
-	completed uint64
-	failed    uint64
-	totalLat  time.Duration
-}
-
-// Journal is one run's decision trace and time series. It is not safe for
-// concurrent use (the simulation is single-threaded); every run owns its
-// own instance. All methods tolerate a nil receiver, which is the entire
-// disabled path.
-type Journal struct {
-	decisions []Decision
-	samples   []Sample
-	events    []Event
-	prev      map[string]svcCounters
-}
-
-// NewJournal returns an empty journal.
-func NewJournal() *Journal {
-	return &Journal{prev: make(map[string]svcCounters)}
-}
-
-// Enabled reports whether the journal is live (non-nil).
-func (j *Journal) Enabled() bool { return j != nil }
-
-// Decision appends one action-attempt record. No-op on a nil journal.
-func (j *Journal) Decision(d Decision) {
-	if j == nil {
-		return
-	}
-	j.decisions = append(j.decisions, d)
-}
-
-// Event appends one self-healing event record. No-op on a nil journal.
-func (j *Journal) Event(e Event) {
-	if j == nil {
-		return
-	}
-	j.events = append(j.events, e)
-}
-
-// Events returns the journal's self-healing events in emission order (nil
-// journal: none).
-func (j *Journal) Events() []Event {
-	if j == nil {
-		return nil
-	}
-	return j.events
-}
-
-// Sample appends one per-service series point from cumulative counters,
-// computing the interval deltas against the service's previous sample.
-// No-op on a nil journal.
-func (j *Journal) Sample(at time.Duration, service string, replicas int,
-	cpuShares, cpuUsage, netMbps float64,
-	completed, failed uint64, totalLat time.Duration) {
-	if j == nil {
-		return
-	}
-	p := j.prev[service]
-	s := Sample{
-		At:        at,
-		Service:   service,
-		Replicas:  replicas,
-		CPUShares: cpuShares,
-		CPUUsage:  cpuUsage,
-		NetMbps:   netMbps,
-	}
-	if completed >= p.completed {
-		s.IntervalCompleted = completed - p.completed
-	}
-	if failed >= p.failed {
-		s.IntervalFailed = failed - p.failed
-	}
-	if s.IntervalCompleted > 0 && totalLat >= p.totalLat {
-		s.IntervalMean = (totalLat - p.totalLat) / time.Duration(s.IntervalCompleted)
-	}
-	if total := completed + failed; total > 0 {
-		s.CumFailedPct = 100 * float64(failed) / float64(total)
-	}
-	j.prev[service] = svcCounters{completed: completed, failed: failed, totalLat: totalLat}
-	j.samples = append(j.samples, s)
-}
-
-// Decisions returns the journal's decision records in emission order (nil
-// journal: none).
-func (j *Journal) Decisions() []Decision {
-	if j == nil {
-		return nil
-	}
-	return j.decisions
-}
-
-// Samples returns the journal's series samples in emission order (nil
-// journal: none).
-func (j *Journal) Samples() []Sample {
-	if j == nil {
-		return nil
-	}
-	return j.samples
-}
-
-// Services returns the distinct sampled service names in first-seen order.
-func (j *Journal) Services() []string {
-	if j == nil {
-		return nil
-	}
-	var names []string
-	seen := make(map[string]bool)
-	for _, s := range j.samples {
-		if !seen[s.Service] {
-			seen[s.Service] = true
-			names = append(names, s.Service)
-		}
-	}
-	return names
-}
-
-// ServiceSamples returns the samples of one service in time order.
-func (j *Journal) ServiceSamples(service string) []Sample {
-	if j == nil {
-		return nil
-	}
-	var out []Sample
-	for _, s := range j.samples {
-		if s.Service == service {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// OutcomeCounts tallies decisions by outcome.
-func (j *Journal) OutcomeCounts() map[Outcome]int {
-	if j == nil {
-		return nil
-	}
-	out := make(map[Outcome]int)
-	for _, d := range j.decisions {
-		out[d.Outcome]++
-	}
-	return out
-}
-
 // RunReport couples one run's identity and aggregate summary with its
 // journal — the unit WriteReportDir renders.
 type RunReport struct {

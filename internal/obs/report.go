@@ -101,10 +101,6 @@ type seriesRow struct {
 // clusterSeries folds the per-service samples into cluster-wide series, one
 // point per distinct sample time.
 func clusterSeries(j *Journal) []seriesRow {
-	samples := j.Samples()
-	if len(samples) == 0 {
-		return nil
-	}
 	type agg struct {
 		replicas  float64
 		shares    float64
@@ -115,7 +111,7 @@ func clusterSeries(j *Journal) []seriesRow {
 	}
 	var times []time.Duration
 	byTime := make(map[time.Duration]*agg)
-	for _, s := range samples {
+	j.EachSample(func(s Sample) bool {
 		a, ok := byTime[s.At]
 		if !ok {
 			a = &agg{}
@@ -128,6 +124,10 @@ func clusterSeries(j *Journal) []seriesRow {
 		a.completed += s.IntervalCompleted
 		a.failed += s.IntervalFailed
 		a.latSum += s.IntervalMean * time.Duration(s.IntervalCompleted)
+		return true
+	})
+	if len(times) == 0 {
+		return nil
 	}
 	rows := []seriesRow{
 		{label: "replicas (total)", unit: ""},
@@ -192,7 +192,7 @@ func RenderReport(generatedBy string, runs []RunReport) string {
 		fmt.Fprintf(&b, "| [%s](#%s) | %s | %d | %.2f | %s | %s | %d |\n",
 			r.Name, Slug(r.Name), algoLabel(r.Algorithm), r.Summary.Requests,
 			r.Summary.FailedPercent(), fmtMs(r.Summary.MeanLatency),
-			fmtMs(r.Summary.P95Latency), len(r.Journal.Decisions()))
+			fmtMs(r.Summary.P95Latency), r.Journal.NumDecisions())
 	}
 	b.WriteString("\n")
 
@@ -288,18 +288,21 @@ func renderTrajectories(b *strings.Builder, j *Journal) {
 		finalPct float64
 		rates    []float64
 	}
+	// One pass groups the samples by service, in first-seen order.
 	var trajs []svcTraj
-	for _, name := range j.Services() {
-		samples := j.ServiceSamples(name)
-		if len(samples) == 0 {
-			continue
+	index := make(map[string]int)
+	j.EachSample(func(s Sample) bool {
+		k, ok := index[s.Service]
+		if !ok {
+			k = len(trajs)
+			index[s.Service] = k
+			trajs = append(trajs, svcTraj{name: s.Service})
 		}
-		t := svcTraj{name: name, finalPct: samples[len(samples)-1].CumFailedPct}
-		for _, s := range samples {
-			t.rates = append(t.rates, s.IntervalFailedPct())
-		}
-		trajs = append(trajs, t)
-	}
+		t := &trajs[k]
+		t.finalPct = s.CumFailedPct
+		t.rates = append(t.rates, s.IntervalFailedPct())
+		return true
+	})
 	sort.SliceStable(trajs, func(i, k int) bool { return trajs[i].finalPct > trajs[k].finalPct })
 	if len(trajs) == 0 || trajs[0].finalPct == 0 {
 		return
@@ -320,12 +323,13 @@ func renderTrajectories(b *strings.Builder, j *Journal) {
 // renderTimeline renders the first timelineRows decisions plus the outcome
 // tally, pointing at the JSONL artifact for the remainder.
 func renderTimeline(b *strings.Builder, r RunReport) {
-	decisions := r.Journal.Decisions()
-	if len(decisions) == 0 {
+	j := r.Journal
+	total := j.NumDecisions()
+	if total == 0 {
 		return
 	}
 	b.WriteString("### Decision timeline\n\n")
-	counts := r.Journal.OutcomeCounts()
+	counts := j.OutcomeCounts()
 	var parts []string
 	for _, o := range []Outcome{OutcomeApplied, OutcomeRequeued, OutcomeAbandoned,
 		OutcomeRejected, OutcomeOvertaken, OutcomeMoot} {
@@ -333,14 +337,12 @@ func renderTimeline(b *strings.Builder, r RunReport) {
 			parts = append(parts, fmt.Sprintf("%s %d", o, n))
 		}
 	}
-	fmt.Fprintf(b, "%d decisions: %s\n\n", len(decisions), strings.Join(parts, " · "))
+	fmt.Fprintf(b, "%d decisions: %s\n\n", total, strings.Join(parts, " · "))
 	b.WriteString("| t | service | action | target | alloc (cpu/memMB/Mbps) | observed (cpu/memMB/Mbps ×replicas) | attempt | outcome |\n")
 	b.WriteString("|---|---|---|---|---|---|---|---|\n")
-	n := len(decisions)
-	if n > timelineRows {
-		n = timelineRows
-	}
-	for _, d := range decisions[:n] {
+	n := min(total, timelineRows)
+	for i := range n {
+		d := j.decision(i)
 		target := d.Container
 		if target == "" {
 			target = d.Node
@@ -351,7 +353,7 @@ func renderTimeline(b *strings.Builder, r RunReport) {
 			fmtF(d.Observed.CPU), fmtF(d.Observed.MemMB), fmtF(d.Observed.NetMbps),
 			d.Observed.Replicas, d.Attempt, d.Outcome)
 	}
-	if rest := len(decisions) - n; rest > 0 {
+	if rest := total - n; rest > 0 {
 		fmt.Fprintf(b, "\n… %d more decisions in `decisions/%s.jsonl`.\n", rest, Slug(r.Name))
 	}
 	b.WriteString("\n")

@@ -161,6 +161,8 @@ type serviceRuntime struct {
 	ord int
 	// replicas is the service's ReplicaSeries entry.
 	replicas *metrics.TimeSeries
+	// name is the service's Name in the journal (0 when journaling is off).
+	name obs.Name
 }
 
 // ConnFailureBreakdown attributes connection failures recorded at routing
@@ -366,7 +368,8 @@ func (w *World) AddService(spec workload.ServiceSpec, targetUtil float64, patter
 	if err := w.ctl.AddService(spec, targetUtil); err != nil {
 		return err
 	}
-	rt := &serviceRuntime{spec: spec, ord: ord, replicas: &metrics.TimeSeries{Name: spec.Name + "-replicas"}}
+	rt := &serviceRuntime{spec: spec, ord: ord, replicas: &metrics.TimeSeries{Name: spec.Name + "-replicas"},
+		name: w.journal.Intern(spec.Name)}
 	if pattern != nil {
 		gen := loadgen.NewGenerator(spec, pattern, &w.ids)
 		gen.Poisson = w.cfg.PoissonArrivals
@@ -647,8 +650,7 @@ func (w *World) poll(e *sim.Engine) {
 		// Per-service time-series samples, in service registration order so
 		// artifact bytes are deterministic.
 		for _, rt := range w.services {
-			name := rt.spec.Name
-			w.replicaBuf = w.ctl.AppendReplicas(w.replicaBuf[:0], name)
+			w.replicaBuf = w.ctl.AppendReplicas(w.replicaBuf[:0], rt.spec.Name)
 			replicas := w.replicaBuf
 			var cpuShares, cpuUsage, netMbps float64
 			for _, c := range replicas {
@@ -657,8 +659,9 @@ func (w *World) poll(e *sim.Engine) {
 				cpuUsage += u.CPU
 				netMbps += u.NetMbps
 			}
-			completed, removal, conn, totalLat := w.recorder.ServiceCounters(name)
-			w.journal.Sample(now, name, len(replicas), cpuShares, cpuUsage, netMbps,
+			// A service with no recorded outcome yet has a nil cell: zeros.
+			completed, removal, conn, totalLat := w.stats[rt.ord].Counters()
+			w.journal.SampleFor(now, rt.name, len(replicas), cpuShares, cpuUsage, netMbps,
 				completed, removal+conn, totalLat)
 		}
 	}
