@@ -54,7 +54,9 @@ func TestFig2TableGolden(t *testing.T) {
 // TestExperimentTableGoldens pins the rendered tables of every experiment
 // that reports availability or recovery: chaos, cascade and recovery at
 // Scale 0.05 and the reduced DR grid. They all read the shared health
-// probe, so a change to its definitions shows up here as a table diff.
+// probe, so a change to its definitions shows up here as a table diff. It
+// also pins the §III memory, Fig. 3 and Fig. 3 sweep tables and Fig. 9 at
+// Scale 0.05, and the cluster-size sweep at Scale 0.02.
 //
 // Four more goldens are checked on the render of a test that already runs
 // the same grid, so no grid runs twice:
@@ -96,6 +98,41 @@ func TestExperimentTableGoldens(t *testing.T) {
 		}},
 		{"recovery", func(*testing.T) (*Table, error) {
 			r, err := RunRecovery(opts)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"mem", func(*testing.T) (*Table, error) {
+			r, err := RunMemScaling(opts)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"fig3", func(*testing.T) (*Table, error) {
+			r, err := RunFig3(opts)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"fig3sweep", func(*testing.T) (*Table, error) {
+			r, err := RunFig3Sweep(opts)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"fig9", func(*testing.T) (*Table, error) {
+			r, err := RunFig9(nil, opts)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"scale", func(*testing.T) (*Table, error) {
+			r, err := RunScale(Options{Seed: 1, Scale: 0.02})
 			if err != nil {
 				return nil, err
 			}
