@@ -17,6 +17,7 @@ package hyscale
 //	BenchmarkFig10Bitbrains       — §VI-B   (Fig. 10)
 
 import (
+	"strconv"
 	"testing"
 
 	"hyscale/internal/experiments"
@@ -30,8 +31,11 @@ func BenchmarkFig2HorizontalCPU(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.ContentionOverheadPercent(), "contention-%")
-		b.ReportMetric(float64(r.HorizontalMean[len(r.HorizontalMean)-1])/float64(r.HorizontalMean[0]), "slowdown-16x")
+		horizontal := func(replicas string) float64 {
+			return float64(r.Row("horizontal + stress", replicas).Summary.MeanLatency)
+		}
+		b.ReportMetric(experiments.ContentionOverheadPercent(r), "contention-%")
+		b.ReportMetric(horizontal("16")/horizontal("1"), "slowdown-16x")
 	}
 }
 
@@ -41,7 +45,7 @@ func BenchmarkMemScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(r.Mean[2])/float64(r.Mean[0]), "swap-cliff-x")
+		b.ReportMetric(r.Speedup("4x128MB", "1x512MB"), "swap-cliff-x")
 	}
 }
 
@@ -51,7 +55,10 @@ func BenchmarkFig3HorizontalNet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(r.HorizontalMean[0])/float64(r.HorizontalMean[3]), "gain-at-8x")
+		horizontal := func(replicas string) float64 {
+			return float64(r.Row("horizontal + stress", replicas).Summary.MeanLatency)
+		}
+		b.ReportMetric(horizontal("1")/horizontal("8"), "gain-at-8x")
 	}
 }
 
@@ -99,8 +106,20 @@ func BenchmarkFig9TraceShape(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(r.Mean.CPUPercent[0], "cpu-%-t0")
-		b.ReportMetric(r.Mean.MaxCPU(), "cpu-%-peak")
+		// The plotted points: time, avg CPU %, avg mem %.
+		var first, peak float64
+		for i, row := range r.Table().Rows {
+			cpu, err := strconv.ParseFloat(row[1], 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if i == 0 {
+				first = cpu
+			}
+			peak = max(peak, cpu)
+		}
+		b.ReportMetric(first, "cpu-%-t0")
+		b.ReportMetric(peak, "cpu-%-peak")
 	}
 }
 

@@ -112,32 +112,40 @@ func realMain() int {
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
 
-	var tables []*experiments.Table
+	var (
+		tables  []*experiments.Table
+		reports []obs.RunReport
+	)
 	start := time.Now()
 	for i, id := range ids {
 		expStart := time.Now()
-		ts, err := runs[i](opts)
+		grids, err := runs[i](opts)
 		if err != nil {
 			out.Flush()
 			fmt.Fprintf(os.Stderr, "hyscale-bench: %s: %v\n", id, err)
 			return 1
 		}
-		var block strings.Builder
-		for _, t := range ts {
+		var (
+			block    strings.Builder
+			runCount int
+			runTotal time.Duration
+		)
+		for _, g := range grids {
+			t := g.Table()
 			block.WriteString(t.String())
 			block.WriteByte('\n')
 			tables = append(tables, t)
+			reports = append(reports, g.Reports...)
+			runCount += len(g.Rows)
+			for _, r := range g.Rows {
+				runTotal += r.Elapsed
+			}
 		}
 		// Timing is measurement metadata, printed to stdout only: tables and
 		// the -md report stay byte-identical across -parallel settings.
-		runTimings := experiments.TakeTimings()
 		if *timing {
-			var runTotal time.Duration
-			for _, rt := range runTimings {
-				runTotal += rt.Elapsed
-			}
 			fmt.Fprintf(&block, "%s: %d runs, %v run-time in %v wall\n\n",
-				id, len(runTimings), runTotal.Round(time.Millisecond),
+				id, runCount, runTotal.Round(time.Millisecond),
 				time.Since(expStart).Round(time.Millisecond))
 		}
 		out.WriteString(block.String())
@@ -179,12 +187,11 @@ func realMain() int {
 	}
 
 	if *report != "" {
-		runs := experiments.TakeArtifacts()
-		if err := obs.WriteReportDir(*report, reproduceCommand(*all, ids, *scale, *seed, *report), runs); err != nil {
+		if err := obs.WriteReportDir(*report, reproduceCommand(*all, ids, *scale, *seed, *report), reports); err != nil {
 			fmt.Fprintf(os.Stderr, "hyscale-bench: report: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(out, "wrote report for %d runs to %s\n", len(runs), *report)
+		fmt.Fprintf(out, "wrote report for %d runs to %s\n", len(reports), *report)
 		out.Flush()
 	}
 	return 0

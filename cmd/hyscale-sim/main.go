@@ -95,7 +95,7 @@ func main() {
 		specs = append(specs, spec)
 	}
 
-	results, timings, err := hyscale.ExecuteSpecs(*parallel, *seed, specs)
+	results, err := hyscale.ExecuteSpecs(*parallel, *seed, specs)
 	if err != nil {
 		fatal(err)
 	}
@@ -112,7 +112,7 @@ func main() {
 		if res.ClampedEvents > 0 {
 			fmt.Printf("warning: %d events clamped to now (stale-timestamp scheduling)\n", res.ClampedEvents)
 		}
-		fmt.Printf("wall time: %v\n", timings[i].Elapsed.Round(time.Millisecond))
+		fmt.Printf("wall time: %v\n", res.Elapsed.Round(time.Millisecond))
 		if i < len(results)-1 {
 			fmt.Println()
 		}

@@ -101,7 +101,7 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 			_, _, err = runner.Build(spec)
 			check("runner.Build", err, spec.Name+": ")
 			if tt.services {
-				_, _, err = ExecuteSpecs(1, 1, []RunSpec{spec})
+				_, err = ExecuteSpecs(1, 1, []RunSpec{spec})
 				check("ExecuteSpecs", err, spec.Name+": ")
 			} else {
 				cfg := SimConfig{PlatformConfig: spec.Platform,

@@ -354,9 +354,6 @@ type ServiceRun = runner.ServiceRun
 // LoadSpec is the declarative form of a load pattern.
 type LoadSpec = runner.LoadSpec
 
-// RunTiming is one run's wall-clock cost, reported by ExecuteSpecs.
-type RunTiming = runner.Timing
-
 // LoadSpecFor reflects a concrete load pattern into its declarative spec.
 func LoadSpecFor(p loadgen.Pattern) LoadSpec { return runner.FromPattern(p) }
 
@@ -369,18 +366,18 @@ func LoadSpecFor(p loadgen.Pattern) LoadSpec { return runner.FromPattern(p) }
 //		Target: 0.5,
 //		Load:   hyscale.LoadSpecFor(hyscale.WaveLoad(12, 0.3, 8*time.Minute)),
 //	})
-//	results, timings, err := hyscale.ExecuteSpecs(0, 1, []hyscale.RunSpec{spec})
+//	results, err := hyscale.ExecuteSpecs(0, 1, []hyscale.RunSpec{spec})
 func NewRunSpec(name string, cfg SimConfig, duration time.Duration) RunSpec {
 	return RunSpec{Name: name, Seed: cfg.Seed, Platform: cfg.PlatformConfig,
 		Algorithm: string(cfg.Algorithm), Manager: cfg.Manager, Duration: duration}
 }
 
 // ExecuteSpecs fans independent RunSpecs across a bounded worker pool
-// (workers <= 0 uses GOMAXPROCS) and returns results in spec order. Output
-// is bit-identical for any worker count: each run is an isolated world, and
-// specs with Seed zero get a seed derived from (rootSeed, spec name) before
-// any worker starts.
-func ExecuteSpecs(workers int, rootSeed int64, specs []RunSpec) ([]RunResult, []RunTiming, error) {
+// (workers <= 0 uses GOMAXPROCS) and returns results in spec order, each
+// with its wall-clock Elapsed. Output is bit-identical for any worker count:
+// each run is an isolated world, and specs with Seed zero get a seed derived
+// from (rootSeed, spec name) before any worker starts.
+func ExecuteSpecs(workers int, rootSeed int64, specs []RunSpec) ([]RunResult, error) {
 	return runner.Execute(workers, rootSeed, specs)
 }
 

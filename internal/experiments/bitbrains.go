@@ -5,51 +5,49 @@ import (
 	"time"
 
 	"hyscale/internal/loadgen"
+	"hyscale/internal/runner"
 	"hyscale/internal/trace"
 	"hyscale/internal/workload"
 )
 
-// Fig9Result holds the Bitbrains Rnd trace shape (Figure 9): CPU and memory
-// usage averaged over all VMs/microservices.
-type Fig9Result struct {
-	Mean trace.Series
+// rndTrace returns tr, or for nil the synthetic twin of the Bitbrains Rnd
+// trace over the macro horizon (see DESIGN.md substitutions).
+func rndTrace(tr *trace.Trace, opts Options) *trace.Trace {
+	if tr != nil {
+		return tr
+	}
+	cfg := trace.DefaultRndConfig(opts.Seed)
+	cfg.Duration = macroDuration(opts)
+	return trace.GenerateRnd(cfg)
 }
 
-// Table renders a down-sampled view of the averaged trace.
-func (r *Fig9Result) Table() *Table {
-	t := &Table{
-		Title:   "Figure 9: Bitbrains Rnd trace, CPU and memory usage averaged over all series",
-		Columns: []string{"time", "avg CPU %", "avg mem %"},
-	}
-	n := r.Mean.Len()
-	step := n / 12
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i < n; i += step {
-		t.AddRow(
-			(time.Duration(i) * r.Mean.Interval).String(),
-			fmt.Sprintf("%.1f", r.Mean.CPUPercent[i]),
-			fmt.Sprintf("%.1f", r.Mean.MemPercent[i]),
-		)
-	}
-	return t
-}
-
-// RunFig9 generates (or, via tr, replays) the Rnd trace and returns the
-// across-series average — what Figure 9 plots. Pass nil to use the
-// synthetic twin (see DESIGN.md substitutions).
-func RunFig9(tr *trace.Trace, opts Options) (*Fig9Result, error) {
+// RunFig9 generates (or, via tr, replays) the Rnd trace and renders what
+// Figure 9 plots: CPU and memory usage averaged over all VMs/microservices,
+// down-sampled to about a dozen points. It runs no simulation, so its grid
+// has no rows. Pass nil to use the synthetic twin.
+func RunFig9(tr *trace.Trace, opts Options) (*Grid, error) {
 	opts = opts.scaled()
-	if tr == nil {
-		cfg := trace.DefaultRndConfig(opts.Seed)
-		cfg.Duration = macroDuration(opts)
-		tr = trace.GenerateRnd(cfg)
-	}
+	tr = rndTrace(tr, opts)
 	if len(tr.Series) == 0 {
 		return nil, fmt.Errorf("fig9: trace has no series")
 	}
-	return &Fig9Result{Mean: tr.Mean()}, nil
+	mean := tr.Mean()
+	return &Grid{
+		Title: "Figure 9: Bitbrains Rnd trace, CPU and memory usage averaged over all series",
+		table: func(g *Grid) *Table {
+			t := &Table{Title: g.Title, Columns: []string{"time", "avg CPU %", "avg mem %"}}
+			n := mean.Len()
+			step := max(n/12, 1)
+			for i := 0; i < n; i += step {
+				t.AddRow(
+					(time.Duration(i) * mean.Interval).String(),
+					fmt.Sprintf("%.1f", mean.CPUPercent[i]),
+					fmt.Sprintf("%.1f", mean.MemPercent[i]),
+				)
+			}
+			return t
+		},
+	}, nil
 }
 
 // RunFig10 reproduces Figure 10: the Bitbrains Rnd trace re-purposed as
@@ -61,32 +59,23 @@ func RunFig9(tr *trace.Trace, opts Options) (*Fig9Result, error) {
 // synthetic twin.
 func RunFig10(tr *trace.Trace, opts Options) (*Grid, error) {
 	opts = opts.scaled()
-	if tr == nil {
-		cfg := trace.DefaultRndConfig(opts.Seed)
-		cfg.Duration = macroDuration(opts)
-		tr = trace.GenerateRnd(cfg)
-	}
 	const nServices = 15
-	parts := tr.Partition(nServices)
-
-	services := make([]serviceLoad, 0, nServices)
 	// Reuse the mixed-service parameterisation so Fig. 10 is comparable to
 	// Fig. 7, exactly as the paper observes.
-	mixed := makeServices(workload.KindMixed, nServices, LowBurst, opts.Seed)
-	for i, part := range parts {
-		spec := mixed[i].spec
+	services := makeServices(workload.KindMixed, nServices, LowBurst, opts.Seed)
+	for i, part := range rndTrace(tr, opts).Partition(nServices) {
 		// Demand follows the partition's combined CPU+memory usage,
 		// normalised so a 100 % busy partition drives ~2x the base rate.
 		s := part
 		base := 14.0
-		pattern := loadgen.Func(func(at time.Duration) float64 {
+		services[i].Load = runner.FromPattern(loadgen.Func(func(at time.Duration) float64 {
 			cpu, mem := s.At(at)
 			return base * (0.6*cpu + 0.4*mem) / 40.0
-		})
-		services = append(services, serviceLoad{spec: spec, target: 0.5, pattern: pattern})
+		}))
 	}
 	return macroGrid(
 		"Figure 10: Bitbrains Rnd replay (mixed services)",
+		macroColumns,
 		services,
 		algorithmRows("kubernetes", "hybrid", "hybridmem"),
 		opts,

@@ -55,7 +55,7 @@ type chaosCell struct {
 
 // compile turns a cell into a RunSpec: the Fig. 6b workload plus a scaled
 // fault mix, optional hardening kill-switch, and the health probe hook.
-func (c chaosCell) compile(services []serviceLoad, base faults.Config, opts Options) runner.RunSpec {
+func (c chaosCell) compile(services []runner.ServiceRun, base faults.Config, opts Options) runner.RunSpec {
 	cfg := platform.DefaultConfig(opts.Seed)
 	cfg.Faults = base.Scaled(c.rate)
 	cfg.HardeningOff = !c.hardened
@@ -63,25 +63,20 @@ func (c chaosCell) compile(services []serviceLoad, base faults.Config, opts Opti
 	if !c.hardened {
 		hardened = "unhardened"
 	}
-	spec := runner.RunSpec{
+	return runner.RunSpec{
 		Name:      fmt.Sprintf("chaos/%s-r%.1f-%s", c.algorithm, c.rate, hardened),
 		Seed:      opts.Seed,
 		Platform:  cfg,
 		Algorithm: c.algorithm,
 		Duration:  macroDuration(opts),
+		Services:  services,
 		Hooks:     []string{HookHealth},
 	}
-	for _, s := range services {
-		spec.Services = append(spec.Services, runner.ServiceRun{
-			Spec: s.spec, Target: s.target, Load: runner.FromPattern(s.pattern),
-		})
-	}
-	return spec
 }
 
 // chaosGrid runs the Fig. 6b service set under each (fault rate, algorithm,
 // hardened) cell; rates are labelled "%.1f" and hardened "yes" or "no".
-func chaosGrid(title string, services []serviceLoad, cells [][]string, opts Options) (*Grid, error) {
+func chaosGrid(title string, services []runner.ServiceRun, cells [][]string, opts Options) (*Grid, error) {
 	base := ChaosFaults(opts.Seed + 1000)
 	g := &Grid{Title: title, Axes: []string{"fault rate", "algorithm", "hardened"}, columns: chaosColumns}
 	return g.run(cells, func(l []string) runner.RunSpec {

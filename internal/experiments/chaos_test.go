@@ -3,11 +3,12 @@ package experiments
 import (
 	"testing"
 
+	"hyscale/internal/runner"
 	"hyscale/internal/workload"
 )
 
 // chaosServices is the Fig. 6b service set at test scale.
-func chaosServices(opts Options) []serviceLoad {
+func chaosServices(opts Options) []runner.ServiceRun {
 	return makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
 }
 
@@ -57,7 +58,7 @@ func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := macroGrid("baseline", chaosServices(opts), algorithmRows("hybridmem"), opts)
+	base, err := macroGrid("baseline", macroColumns, chaosServices(opts), algorithmRows("hybridmem"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ const (
 // mammoths. Mammoths are registered first: the plane's fewest-services
 // assignment then homes them in zones 0 and 1 — exactly the zones the
 // rolling outage kills.
-func drServices(fillers, mammoths, mammothReplicas int) []serviceLoad {
-	out := make([]serviceLoad, 0, fillers+mammoths)
+func drServices(fillers, mammoths, mammothReplicas int) []runner.ServiceRun {
+	out := make([]runner.ServiceRun, 0, fillers+mammoths)
 	for i := 0; i < mammoths; i++ {
 		spec := workload.ServiceSpec{
 			Name: fmt.Sprintf("mammoth-%d", i), Kind: workload.KindCPUBound,
@@ -80,7 +80,7 @@ func drServices(fillers, mammoths, mammothReplicas int) []serviceLoad {
 		// repaired by re-placing the replicas somewhere — not by the
 		// surviving home growing or vertically squeezing its way back — which
 		// is exactly the placement problem spillover exists to solve.
-		out = append(out, serviceLoad{spec: spec, target: 0.5, pattern: loadgen.Constant{RPS: float64(mammothReplicas)}})
+		out = append(out, runner.ServiceRun{Spec: spec, Target: 0.5, Load: runner.FromPattern(loadgen.Constant{RPS: float64(mammothReplicas)})})
 	}
 	for i := 0; i < fillers; i++ {
 		spec := workload.ServiceSpec{
@@ -97,7 +97,7 @@ func drServices(fillers, mammoths, mammothReplicas int) []serviceLoad {
 		}
 		// 3.5 rps × 0.5 CPU/req = 1.75 CPU demand → a stable 4 replicas
 		// (mid-interval, same reasoning as the mammoths).
-		out = append(out, serviceLoad{spec: spec, target: 0.5, pattern: loadgen.Constant{RPS: 3.5}})
+		out = append(out, runner.ServiceRun{Spec: spec, Target: 0.5, Load: runner.FromPattern(loadgen.Constant{RPS: 3.5})})
 	}
 	return out
 }
@@ -188,21 +188,16 @@ func (c drCell) compile(nodes, zones, fillers, mammothReplicas int, opts Options
 		Seed:    opts.Seed + 3000,
 		Windows: c.scenario.windows(d),
 	}
-	spec := runner.RunSpec{
+	return runner.RunSpec{
 		Name:      fmt.Sprintf("dr/%s-%s-%s", c.scenario.name, c.variant.name, c.algorithm),
 		Label:     fmt.Sprintf("%s %s %s", c.scenario.name, c.variant.name, c.algorithm),
 		Seed:      opts.Seed,
 		Platform:  cfg,
 		Algorithm: c.algorithm,
 		Duration:  d,
+		Services:  drServices(fillers, c.scenario.mammoths, mammothReplicas),
 		Hooks:     []string{HookHealth},
 	}
-	for _, s := range drServices(fillers, c.scenario.mammoths, mammothReplicas) {
-		spec.Services = append(spec.Services, runner.ServiceRun{
-			Spec: s.spec, Target: s.target, Load: runner.FromPattern(s.pattern),
-		})
-	}
-	return spec
 }
 
 // runDRSized executes the DR grid on a cluster of the given size — the full

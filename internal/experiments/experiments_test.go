@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -42,25 +43,36 @@ func TestFig2Shape(t *testing.T) {
 	}
 	// §III-A: the vertical scenario pays the co-location contention over
 	// the solo baseline — the paper measured 17 %.
-	oh := r.ContentionOverheadPercent()
+	oh := ContentionOverheadPercent(r)
 	if oh < 8 || oh > 30 {
 		t.Errorf("contention overhead = %.1f%%, want ~17%%", oh)
 	}
 	// Horizontal response time rises monotonically with replica count and
 	// 1 replica ≈ vertical.
-	if len(r.HorizontalMean) != len(r.Replicas) {
-		t.Fatal("ragged result")
+	replicas := microReplicas()
+	horizontal := make([]time.Duration, len(replicas))
+	for i, n := range replicas {
+		row := r.Row(horizontalStress, n)
+		if row == nil {
+			t.Fatalf("no horizontal row at %s replicas", n)
+		}
+		horizontal[i] = row.Summary.MeanLatency
 	}
-	for i := 1; i < len(r.HorizontalMean); i++ {
-		if r.HorizontalMean[i] <= r.HorizontalMean[i-1] {
-			t.Errorf("horizontal RT not increasing at %d replicas: %v", r.Replicas[i], r.HorizontalMean)
+	for i := 1; i < len(horizontal); i++ {
+		if horizontal[i] <= horizontal[i-1] {
+			t.Errorf("horizontal RT not increasing at %s replicas: %v", replicas[i], horizontal)
 		}
 	}
-	if d := r.HorizontalMean[0] - r.VerticalMean; d < -50*time.Millisecond || d > 50*time.Millisecond {
-		t.Errorf("1-replica horizontal (%v) should equal vertical (%v)", r.HorizontalMean[0], r.VerticalMean)
+	vertical := r.Row(fig2Vertical, "1").Summary.MeanLatency
+	if d := horizontal[0] - vertical; d < -50*time.Millisecond || d > 50*time.Millisecond {
+		t.Errorf("1-replica horizontal (%v) should equal vertical (%v)", horizontal[0], vertical)
 	}
-	if got := r.Table().String(); !strings.Contains(got, "Figure 2") {
+	tab := r.Table()
+	if !strings.Contains(tab.String(), "Figure 2") {
 		t.Error("table title missing")
+	}
+	if last := tab.Rows[len(tab.Rows)-1]; last[0] != "contention overhead" {
+		t.Errorf("last row = %q, want the contention overhead", last)
 	}
 }
 
@@ -72,16 +84,17 @@ func TestMemScalingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Scenarios) != 3 {
-		t.Fatalf("scenarios = %v", r.Scenarios)
+	if len(r.Rows) != 3 {
+		t.Fatalf("scenarios = %d, want 3", len(r.Rows))
 	}
+	mean := func(scenario string) time.Duration { return r.Row(scenario).Summary.MeanLatency }
 	// §III-B: vertical ≈ horizontal until the split forces swapping; the
 	// 4x128MB split swaps (each replica pays the baseline again).
-	if r.Mean[1] > 3*r.Mean[0] {
-		t.Errorf("2x256 (%v) should be near 1x512 (%v)", r.Mean[1], r.Mean[0])
+	if mean("2x256MB") > 3*mean("1x512MB") {
+		t.Errorf("2x256 (%v) should be near 1x512 (%v)", mean("2x256MB"), mean("1x512MB"))
 	}
-	if r.Mean[2] < 3*r.Mean[0] {
-		t.Errorf("4x128 (%v) should be drastically worse than 1x512 (%v) — swap cliff", r.Mean[2], r.Mean[0])
+	if mean("4x128MB") < 3*mean("1x512MB") {
+		t.Errorf("4x128 (%v) should be drastically worse than 1x512 (%v) — swap cliff", mean("4x128MB"), mean("1x512MB"))
 	}
 }
 
@@ -93,13 +106,16 @@ func TestFig3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	horizontal := func(replicas string) time.Duration {
+		return r.Row(horizontalStress, replicas).Summary.MeanLatency
+	}
 	// §III-C: large decrease in execution time with more replicas,
 	// tapering off at around 8.
-	if r.HorizontalMean[1] >= r.HorizontalMean[0] {
-		t.Errorf("2 replicas (%v) not faster than 1 (%v)", r.HorizontalMean[1], r.HorizontalMean[0])
+	if horizontal("2") >= horizontal("1") {
+		t.Errorf("2 replicas (%v) not faster than 1 (%v)", horizontal("2"), horizontal("1"))
 	}
-	gainEarly := float64(r.HorizontalMean[0]) / float64(r.HorizontalMean[2]) // 1 -> 4
-	gainLate := float64(r.HorizontalMean[3]) / float64(r.HorizontalMean[4])  // 8 -> 16
+	gainEarly := float64(horizontal("1")) / float64(horizontal("4"))
+	gainLate := float64(horizontal("8")) / float64(horizontal("16"))
 	if gainEarly < 1.3 {
 		t.Errorf("early horizontal gain = %.2fx, want > 1.3x", gainEarly)
 	}
@@ -107,8 +123,8 @@ func TestFig3Shape(t *testing.T) {
 		t.Errorf("late gain 8->16 = %.2fx, want taper (~1x)", gainLate)
 	}
 	// Vertical (re-splitting tc on one machine) equals 1-replica horizontal.
-	if r.VerticalMean != r.HorizontalMean[0] {
-		t.Errorf("vertical %v != 1-replica %v", r.VerticalMean, r.HorizontalMean[0])
+	if vertical := r.Row(fig3Vertical, "1").Summary.MeanLatency; vertical != horizontal("1") {
+		t.Errorf("vertical %v != 1-replica %v", vertical, horizontal("1"))
 	}
 }
 
@@ -225,14 +241,18 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := r.Mean
-	if m.Len() == 0 {
+	if len(r.Rows) != 0 {
+		t.Errorf("fig9 ran %d simulations, want none", len(r.Rows))
+	}
+	tab := r.Table()
+	if len(tab.Rows) == 0 {
 		t.Fatal("empty mean series")
 	}
 	var minC, maxC float64
-	for i, v := range m.CPUPercent {
-		if v < 0 || v > 100 {
-			t.Fatal("CPU% out of range")
+	for i, row := range tab.Rows {
+		v, err := strconv.ParseFloat(row[1], 64)
+		if err != nil || v < 0 || v > 100 {
+			t.Fatalf("CPU%% %q out of range", row[1])
 		}
 		if i == 0 || v < minC {
 			minC = v
@@ -245,7 +265,7 @@ func TestFig9Shape(t *testing.T) {
 	if maxC/minC < 1.15 {
 		t.Errorf("trace too flat: min=%.1f max=%.1f", minC, maxC)
 	}
-	if !strings.Contains(r.Table().String(), "Figure 9") {
+	if !strings.Contains(tab.String(), "Figure 9") {
 		t.Error("table title missing")
 	}
 }
@@ -273,7 +293,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestRunMacroUnknownAlgorithm(t *testing.T) {
-	if _, err := macroGrid("x", nil, algorithmRows("nope"), Options{Seed: 1, Scale: 0.01}); err == nil {
+	if _, err := macroGrid("x", macroColumns, nil, algorithmRows("nope"), Options{Seed: 1, Scale: 0.01}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }

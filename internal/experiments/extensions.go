@@ -7,7 +7,6 @@ import (
 	"hyscale/internal/cluster"
 	"hyscale/internal/core"
 	"hyscale/internal/lb"
-	"hyscale/internal/loadgen"
 	"hyscale/internal/runner"
 	"hyscale/internal/workload"
 )
@@ -19,7 +18,8 @@ import (
 // node churn (the paper's dynamic-machine future work). They are indexed in
 // DESIGN.md §7.
 
-// costColumns price each row: machine-hours, SLA violations and dollars.
+// costColumns price each row of the extension tables: machine-hours, SLA
+// violations and dollars.
 var costColumns = []column{
 	meanColumn,
 	failedColumn,
@@ -27,9 +27,6 @@ var costColumns = []column{
 	cellf("sla-violation %", "%.2f", func(r *Row) float64 { return r.Cost.ViolationPercent() }),
 	cellf("total cost $", "%.4f", func(r *Row) float64 { return r.Cost.TotalCost }),
 }
-
-// CostTableFor renders a macro grid with the cost columns.
-func CostTableFor(g *Grid) *Table { return g.render(costColumns) }
 
 // RunAblation measures what each HyScale mechanism contributes: the full
 // HYSCALE_CPU+Mem against variants with reclamation disabled, vertical
@@ -41,6 +38,7 @@ func RunAblation(opts Options) (*Grid, error) {
 	services := makeServices(workload.KindMixed, 15, HighBurst, opts.Seed)
 	return macroGrid(
 		"Ablation: HYSCALE_CPU+Mem mechanisms (mixed, high-burst)",
+		costColumns,
 		services,
 		algorithmRows("hybridmem", "hybridmem-noreclaim", "hybridmem-vertical-only", "hybridmem-horizontal-only"),
 		opts,
@@ -58,6 +56,7 @@ func RunMonitorPeriodSensitivity(opts Options) (*Grid, error) {
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
 	return macroGrid(
 		"Sensitivity: monitor period (CPU-bound, high-burst)",
+		costColumns,
 		services,
 		[]macroRow{
 			{label: "kubernetes@5s", algorithm: "kubernetes", monitorPeriod: 5 * time.Second},
@@ -77,6 +76,7 @@ func RunPlacement(opts Options) (*Grid, error) {
 	services := makeServices(workload.KindCPUBound, 15, LowBurst, opts.Seed)
 	return macroGrid(
 		"Placement: spread vs binpack (CPU-bound, low-burst)",
+		costColumns,
 		services,
 		[]macroRow{
 			{label: "kubernetes/spread", algorithm: "kubernetes", placement: core.PlacementSpread},
@@ -100,14 +100,16 @@ func RunStateful(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
 	for i := range services {
-		services[i].spec.StateSyncMB = 2048
-		services[i].spec.StateSyncMbps = 200
+		services[i].Spec.StateSyncMB = 2048
+		services[i].Spec.StateSyncMbps = 200
 		// Keep the burst within one machine's vertical headroom so vertical
 		// scaling is at least in the running against standing replicas.
-		services[i].pattern = loadgen.Scaled{Pattern: services[i].pattern, Factor: 0.55}
+		inner := services[i].Load
+		services[i].Load = runner.LoadSpec{Type: "scaled", Factor: 0.55, Inner: &inner}
 	}
 	return macroGrid(
 		"Stateful services: 2 GiB state sync per new replica (CPU-bound, high-burst)",
+		costColumns,
 		services,
 		algorithmRows("kubernetes", "hybrid", "hybridmem"),
 		opts,
@@ -123,6 +125,7 @@ func RunPredictive(opts Options) (*Grid, error) {
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
 	return macroGrid(
 		"Predictive scaling: one-period usage extrapolation (CPU-bound, high-burst)",
+		costColumns,
 		services,
 		algorithmRows("kubernetes", "kubernetes-predictive", "hybridmem", "hybridmem-predictive"),
 		opts,
@@ -138,6 +141,7 @@ func RunLBPolicy(opts Options) (*Grid, error) {
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
 	return macroGrid(
 		"Load balancing: least-outstanding vs weighted (hybridmem, CPU-bound, high-burst)",
+		costColumns,
 		services,
 		[]macroRow{
 			{label: "hybridmem/least-outstanding", algorithm: "hybridmem", lbPolicy: lb.LeastOutstanding},
@@ -177,6 +181,7 @@ func RunNodeChurn(opts Options) (*Grid, error) {
 
 	return macroGrid(
 		"Availability: node churn, 4 of 19 workers fail (CPU-bound, low-burst)",
+		costColumns,
 		services,
 		[]macroRow{
 			{algorithm: "kubernetes", nodeFailures: failures, nodeRecoveries: recoveries},

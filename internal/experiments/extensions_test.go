@@ -36,7 +36,7 @@ func TestAblationShape(t *testing.T) {
 		t.Errorf("full failures (%.2f%%) not below vertical-only (%.2f%%)",
 			full.FailedPercent(), vertOnly.FailedPercent())
 	}
-	tab := CostTableFor(r)
+	tab := r.Table()
 	if !strings.Contains(tab.String(), "total cost") {
 		t.Error("cost table missing cost column")
 	}

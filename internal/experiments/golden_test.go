@@ -64,7 +64,7 @@ func TestFig2TableGolden(t *testing.T) {
 //   - manager (Seed 1, Scale 0.02): TestManagerParallelInvariance's
 //     -parallel 1 render;
 //   - Fig. 6b (RunFig6(HighBurst, shapeOpts())): TestFig6FailureOrdering;
-//   - ablation via CostTableFor (shapeOpts()): TestAblationShape;
+//   - ablation (shapeOpts()): TestAblationShape;
 //   - targetutil (shapeOpts()): TestTargetUtilSweepShape.
 //
 // Regenerate deliberately with:

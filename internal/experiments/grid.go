@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"slices"
+	"time"
 
+	"hyscale/internal/obs"
 	"hyscale/internal/runner"
 )
 
@@ -11,7 +13,9 @@ import (
 // dimensions — algorithm, fault rate, defense level, workload — whose
 // labels expand to cells; each cell compiles to one runner.RunSpec, and each
 // executed cell becomes one Row. The axis labels are the table's leading
-// columns; the grid's columns render the rest from each row's result.
+// columns; the grid's columns render the rest from each row's result. Every
+// experiment returns Grids, so a caller reads every run — its result,
+// wall-clock Elapsed and, when observed, its report — from them.
 type Grid struct {
 	// Title names the paper artefact or extension table.
 	Title string
@@ -19,8 +23,15 @@ type Grid struct {
 	Axes []string
 	// Rows holds one executed cell per row, in cell order.
 	Rows []Row
+	// Reports holds one obs.RunReport per row, in row order, when the grid
+	// ran with Options.Observe.
+	Reports []obs.RunReport
 
 	columns []column
+	// table, when set, renders the grid in place of its labels and columns:
+	// for a table whose rows combine cells (Fig. 2's overhead row, the Fig. 3
+	// sweep's ratios) or come from no run at all (Fig. 9).
+	table func(g *Grid) *Table
 }
 
 // Row is one executed cell: its labels, one per axis, and the run's result.
@@ -69,21 +80,52 @@ func axisOf[T any](items []T, name func(T) string) ([]string, map[string]T) {
 	return labels, byLabel
 }
 
-// run compiles every cell, fans the specs through the executor and keeps one
-// row per cell, in cell order.
+// run compiles every cell, fans the specs through runner.Execute with the
+// experiment's parallelism and keeps one row per cell, in cell order. With
+// Options.Observe every run is journaled, and its report is built here,
+// while the run's World still exists to list its metrics.
 func (g *Grid) run(cells [][]string, compile func(labels []string) runner.RunSpec, opts Options) (*Grid, error) {
 	specs := make([]runner.RunSpec, len(cells))
 	for i, c := range cells {
 		specs[i] = compile(c)
+		if opts.Observe {
+			specs[i].Observe = true
+		}
 	}
-	results, err := execute(specs, opts)
+	results, err := runner.Execute(opts.Parallel, opts.Seed, specs)
 	if err != nil {
 		return nil, err
 	}
 	g.Rows = make([]Row, len(results))
 	for i, r := range results {
+		if r.Journal != nil {
+			g.Reports = append(g.Reports, obs.RunReport{
+				Name:      r.Spec.Name,
+				Label:     r.Spec.RowLabel(),
+				Algorithm: r.Spec.Algorithm,
+				Seed:      r.Spec.Seed,
+				Duration:  r.Spec.Duration,
+				Summary:   r.Summary,
+				Journal:   r.Journal,
+				Metrics:   r.World.Metrics(),
+			})
+		}
 		r.World = nil
 		g.Rows[i] = Row{Labels: cells[i], Result: r}
+	}
+	return g, nil
+}
+
+// requireCompleted fails a run grid in which some row completed no request
+// — a §III table whose means would be meaningless.
+func requireCompleted(g *Grid, err error) (*Grid, error) {
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range g.Rows {
+		if r.Summary.Completed == 0 {
+			return nil, fmt.Errorf("%s: no requests completed", r.Spec.Name)
+		}
 	}
 	return g, nil
 }
@@ -109,26 +151,35 @@ func (g *Grid) Speedup(a, b string) float64 {
 	return float64(ra.Summary.MeanLatency) / float64(rb.Summary.MeanLatency)
 }
 
-// Table renders the grid with its own columns.
-func (g *Grid) Table() *Table { return g.render(g.columns) }
+// Table renders the grid: through its table hook when it has one,
+// otherwise as its rows.
+func (g *Grid) Table() *Table {
+	if g.table != nil {
+		return g.table(g)
+	}
+	return g.render()
+}
 
 // render lays the rows out as a table: the axis labels, then one cell per
 // column.
-func (g *Grid) render(cols []column) *Table {
+func (g *Grid) render() *Table {
 	t := &Table{Title: g.Title, Columns: slices.Clone(g.Axes)}
-	for _, c := range cols {
+	for _, c := range g.columns {
 		t.Columns = append(t.Columns, c.header)
 	}
 	for i := range g.Rows {
 		r := &g.Rows[i]
 		cells := slices.Clone(r.Labels)
-		for _, c := range cols {
+		for _, c := range g.columns {
 			cells = append(cells, c.render(r))
 		}
 		t.AddRow(cells...)
 	}
 	return t
 }
+
+// fmtDur renders a latency for a table, to the millisecond.
+func fmtDur(d time.Duration) string { return d.Round(time.Millisecond).String() }
 
 // Columns shared by several tables.
 var (

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -64,5 +67,67 @@ func TestGridSpeedup(t *testing.T) {
 	}
 	if g.Speedup("a", "c") != 0 || g.Speedup("c", "b") != 0 {
 		t.Error("Speedup with a missing row should be 0")
+	}
+}
+
+// TestGridCarriesRunReports: an observed grid carries one run report per
+// row, in cell order, at any parallelism, and concurrent experiments never
+// see each other's reports.
+func TestGridCarriesRunReports(t *testing.T) {
+	checkReports := func(name string, g *Grid) {
+		t.Helper()
+		if len(g.Reports) != len(g.Rows) {
+			t.Fatalf("%s: %d reports for %d rows", name, len(g.Reports), len(g.Rows))
+		}
+		for i, rep := range g.Reports {
+			if rep.Name != g.Rows[i].Spec.Name {
+				t.Errorf("%s: report %d is %q, want row %q", name, i, rep.Name, g.Rows[i].Spec.Name)
+			}
+			if rep.Journal == nil || len(rep.Metrics) == 0 {
+				t.Errorf("%s: report %q has no journal or metrics", name, rep.Name)
+			}
+		}
+	}
+	for _, parallel := range []int{1, 4} {
+		opts := Options{Seed: 1, Scale: 0.01, Parallel: parallel, Observe: true}
+		g, err := RunRecovery(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReports(fmt.Sprintf("recovery at parallel %d", parallel), g)
+	}
+
+	opts := Options{Seed: 1, Scale: 0.01, Parallel: 2, Observe: true}
+	var (
+		wg           sync.WaitGroup
+		mem, fig3    *Grid
+		memErr, fErr error
+	)
+	wg.Add(2)
+	go func() { defer wg.Done(); mem, memErr = RunMemScaling(opts) }()
+	go func() { defer wg.Done(); fig3, fErr = RunFig3(opts) }()
+	wg.Wait()
+	if memErr != nil || fErr != nil {
+		t.Fatal(memErr, fErr)
+	}
+	checkReports("mem", mem)
+	checkReports("fig3", fig3)
+	for _, rep := range mem.Reports {
+		if !strings.HasPrefix(rep.Name, "mem/") {
+			t.Errorf("mem grid holds report %q", rep.Name)
+		}
+	}
+	for _, rep := range fig3.Reports {
+		if !strings.HasPrefix(rep.Name, "fig3/") {
+			t.Errorf("fig3 grid holds report %q", rep.Name)
+		}
+	}
+
+	unobserved, err := RunMemScaling(Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unobserved.Reports) != 0 {
+		t.Errorf("unobserved grid carries %d reports", len(unobserved.Reports))
 	}
 }

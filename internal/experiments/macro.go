@@ -49,13 +49,6 @@ var macroColumns = []column{
 	cellf("vertical ops", "%d", func(r *Row) uint64 { return r.Actions.Vertical }),
 }
 
-// serviceLoad couples a spec with its load pattern.
-type serviceLoad struct {
-	spec    workload.ServiceSpec
-	target  float64
-	pattern loadgen.Pattern
-}
-
 // macroDuration returns the experiment horizon: one hour at Scale=1.
 func macroDuration(opts Options) time.Duration {
 	return time.Duration(float64(time.Hour) * opts.Scale)
@@ -97,7 +90,7 @@ func (r macroRow) rowLabel() string {
 // compile lowers a row to a self-contained RunSpec. Every row of a macro
 // experiment pins the SAME seed (opts.Seed) so all algorithms face an
 // identical arrival sequence — the paper's comparison discipline.
-func (r macroRow) compile(name string, services []serviceLoad, opts Options) runner.RunSpec {
+func (r macroRow) compile(name string, services []runner.ServiceRun, opts Options) runner.RunSpec {
 	cfg := platform.DefaultConfig(opts.Seed)
 	if r.monitorPeriod > 0 {
 		cfg.MonitorPeriod = r.monitorPeriod
@@ -107,7 +100,7 @@ func (r macroRow) compile(name string, services []serviceLoad, opts Options) run
 	}
 	algoCfg := core.DefaultConfig()
 	algoCfg.Placement = r.placement
-	spec := runner.RunSpec{
+	return runner.RunSpec{
 		Name:           name + "/" + r.rowLabel(),
 		Label:          r.rowLabel(),
 		Seed:           opts.Seed,
@@ -119,20 +112,15 @@ func (r macroRow) compile(name string, services []serviceLoad, opts Options) run
 		NodeFailures:   r.nodeFailures,
 		NodeRecoveries: r.nodeRecoveries,
 		Hooks:          r.hooks,
+		Services:       services,
 	}
-	for _, s := range services {
-		spec.Services = append(spec.Services, runner.ServiceRun{
-			Spec: s.spec, Target: s.target, Load: runner.FromPattern(s.pattern),
-		})
-	}
-	return spec
 }
 
-// macroGrid runs one macro table: every row runs the same service set on
-// the "algorithm" axis, labelled by its rowLabel.
-func macroGrid(title string, services []serviceLoad, rows []macroRow, opts Options) (*Grid, error) {
+// macroGrid runs one macro table with the given columns: every row runs the
+// same service set on the "algorithm" axis, labelled by its rowLabel.
+func macroGrid(title string, columns []column, services []runner.ServiceRun, rows []macroRow, opts Options) (*Grid, error) {
 	labels, rowOf := axisOf(rows, macroRow.rowLabel)
-	g := &Grid{Title: title, Axes: []string{"algorithm"}, columns: macroColumns}
+	g := &Grid{Title: title, Axes: []string{"algorithm"}, columns: columns}
 	return g.run(product(labels), func(l []string) runner.RunSpec {
 		return rowOf[l[0]].compile(title, services, opts)
 	}, opts)
@@ -173,9 +161,9 @@ func patternFor(shape LoadShape, baseRPS float64, idx, total int) loadgen.Patter
 
 // makeServices builds the paper's 15 emulated microservices of one kind,
 // with per-service parameter variation drawn deterministically from seed.
-func makeServices(kind workload.Kind, n int, shape LoadShape, seed int64) []serviceLoad {
+func makeServices(kind workload.Kind, n int, shape LoadShape, seed int64) []runner.ServiceRun {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]serviceLoad, 0, n)
+	out := make([]runner.ServiceRun, 0, n)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("%s-%02d", kind, i)
 		spec := workload.ServiceSpec{
@@ -222,10 +210,10 @@ func makeServices(kind workload.Kind, n int, shape LoadShape, seed int64) []serv
 			spec.InitialReplicaMemMB = 640
 			baseRPS = 8 + rng.Float64()*4
 		}
-		out = append(out, serviceLoad{
-			spec:    spec,
-			target:  0.5,
-			pattern: patternFor(shape, baseRPS, i, n),
+		out = append(out, runner.ServiceRun{
+			Spec:   spec,
+			Target: 0.5,
+			Load:   runner.FromPattern(patternFor(shape, baseRPS, i, n)),
 		})
 	}
 	return out
@@ -242,6 +230,7 @@ func RunFig6(shape LoadShape, opts Options) (*Grid, error) {
 	}
 	return macroGrid(
 		fmt.Sprintf("Figure %s: CPU-bound, %s", sub, shape),
+		macroColumns,
 		services,
 		algorithmRows("kubernetes", "hybrid", "hybridmem"),
 		opts,
@@ -259,6 +248,7 @@ func RunFig7(shape LoadShape, opts Options) (*Grid, error) {
 	}
 	return macroGrid(
 		fmt.Sprintf("Figure %s: mixed CPU+memory, %s", sub, shape),
+		macroColumns,
 		services,
 		algorithmRows("kubernetes", "hybrid", "hybridmem"),
 		opts,
@@ -277,6 +267,7 @@ func RunFig8(shape LoadShape, opts Options) (*Grid, error) {
 	}
 	return macroGrid(
 		fmt.Sprintf("Figure %s: network-bound, %s", sub, shape),
+		macroColumns,
 		services,
 		algorithmRows("kubernetes", "hybrid", "hybridmem", "network"),
 		opts,

@@ -46,7 +46,7 @@ func managerAlgorithms() []string {
 func RunManager(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	// Macro workloads: the Fig. 6/7 service mixes under both load shapes.
-	macro := map[string][]serviceLoad{
+	macro := map[string][]runner.ServiceRun{
 		"mixed-high-burst": makeServices(workload.KindMixed, 15, HighBurst, opts.Seed),
 		"mixed-low-burst":  makeServices(workload.KindMixed, 15, LowBurst, opts.Seed),
 		"cpu-high-burst":   makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed),

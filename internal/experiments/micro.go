@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"hyscale/internal/lb"
@@ -20,49 +21,58 @@ import (
 // microRequests matches the paper's fixed client load of 640 requests.
 const microRequests = 640
 
-// Fig2Result holds the CPU scaling comparison (§III-A, Figure 2).
-type Fig2Result struct {
-	// BaselineMean is the solo service on a full node (no contender).
-	BaselineMean time.Duration
-	// VerticalMean is one replica holding half the node next to a stress
-	// contender — the vertically-scaled scenario.
-	VerticalMean time.Duration
-	// Replicas and HorizontalMean are parallel: HorizontalMean[i] is the
-	// mean response time with Replicas[i] replicas over Replicas[i]
-	// machines, equal total CPU.
-	Replicas       []int
-	HorizontalMean []time.Duration
+// Scenario labels of the Fig. 2 and Fig. 3 tables.
+const (
+	fig2Baseline     = "baseline (solo, full node)"
+	fig2Vertical     = "vertical (half node + stress)"
+	fig3Vertical     = "vertical (single machine)"
+	horizontalStress = "horizontal + stress"
+)
+
+// microReplicas labels the horizontal replica counts of Fig. 2 and Fig. 3.
+func microReplicas() []string { return []string{"1", "2", "4", "8", "16"} }
+
+// microRunSpec compiles one §III scenario. The service's replica 0 lands on
+// node-0 (where AddService deploys it) and replicas 1..n−1 are pinned one
+// per node at the service's initial allocation; a copy of stress, when set,
+// runs on every machine. The paper's fixed 640-request client injects over
+// window after a 2 s warm-up, and drain lets the tail finish. The platform
+// has one node per replica, no autoscaling (fixed allocations) and no base
+// latency, since §III measures microservice execution time directly; callers
+// set any other platform field on the returned spec.
+func microRunSpec(opts Options, name string, svc workload.ServiceSpec, replicas int, window, drain time.Duration, stress *runner.StressSpec) runner.RunSpec {
+	cfg := platform.DefaultConfig(opts.Seed)
+	cfg.Nodes = replicas
+	cfg.MonitorPeriod = 0
+	cfg.BaseLatency = 0
+	spec := runner.RunSpec{
+		Name:       name,
+		Seed:       opts.Seed,
+		Platform:   cfg,
+		Duration:   window + 2*time.Second,
+		DrainExtra: drain,
+		Services:   []runner.ServiceRun{{Spec: svc}},
+		Inject:     []runner.InjectSpec{{At: 2 * time.Second, Window: window, Service: svc.Name, Count: microRequests}},
+	}
+	alloc := resources.Vector{CPU: svc.InitialReplicaCPU, MemMB: svc.InitialReplicaMemMB, NetMbps: svc.InitialReplicaNetMbps}
+	for i := 1; i < replicas; i++ {
+		spec.Pinned = append(spec.Pinned, runner.PinnedReplica{
+			Service: svc.Name, Node: fmt.Sprintf("node-%d", i), Alloc: alloc,
+		})
+	}
+	if stress != nil {
+		for i := 0; i < replicas; i++ {
+			s := *stress
+			s.Node = fmt.Sprintf("node-%d", i)
+			spec.Stress = append(spec.Stress, s)
+		}
+	}
+	return spec
 }
 
-// ContentionOverheadPercent is the §III-A headline: the response-time
-// increase of the vertical scenario over the uncontended baseline (the
-// paper measured 17 %).
-func (r *Fig2Result) ContentionOverheadPercent() float64 {
-	if r.BaselineMean <= 0 {
-		return 0
-	}
-	return 100 * (float64(r.VerticalMean)/float64(r.BaselineMean) - 1)
-}
-
-// Table renders Figure 2.
-func (r *Fig2Result) Table() *Table {
-	t := &Table{
-		Title:   "Figure 2: response times of horizontal scaling for the CPU tests (equal total CPU)",
-		Columns: []string{"scenario", "replicas", "mean response"},
-	}
-	t.AddRow("baseline (solo, full node)", "1", fmtDur(r.BaselineMean))
-	t.AddRow("vertical (half node + stress)", "1", fmtDur(r.VerticalMean))
-	for i, n := range r.Replicas {
-		t.AddRow("horizontal + stress", fmt.Sprintf("%d", n), fmtDur(r.HorizontalMean[i]))
-	}
-	t.AddRow("contention overhead", "-", fmt.Sprintf("%.1f%%", r.ContentionOverheadPercent()))
-	return t
-}
-
-func fmtDur(d time.Duration) string { return d.Round(time.Millisecond).String() }
-
-// cpuMicroSpec is the CPU-bound emulated microservice of §III-A.
-func cpuMicroSpec() workload.ServiceSpec {
+// cpuMicroSpec is the CPU-bound emulated microservice of §III-A, with
+// cpuEach cores per replica.
+func cpuMicroSpec(cpuEach float64) workload.ServiceSpec {
 	return workload.ServiceSpec{
 		Name: "cpu-micro", Kind: workload.KindCPUBound,
 		CPUPerRequest:         0.25,
@@ -70,289 +80,157 @@ func cpuMicroSpec() workload.ServiceSpec {
 		BackgroundCPU:         0.015,
 		MemPerRequest:         2,
 		BaselineMemMB:         300,
-		InitialReplicaCPU:     2, InitialReplicaMemMB: 1024,
+		InitialReplicaCPU:     cpuEach, InitialReplicaMemMB: 1024,
 		MinReplicas: 1, MaxReplicas: 16,
 		Timeout: 10 * time.Minute,
 	}
 }
 
+// ContentionOverheadPercent is the §III-A headline of a Fig. 2 grid: the
+// response-time increase of the vertical scenario over the uncontended
+// baseline (the paper measured 17 %).
+func ContentionOverheadPercent(fig2 *Grid) float64 {
+	base, vertical := fig2.Row(fig2Baseline, "1"), fig2.Row(fig2Vertical, "1")
+	if base == nil || vertical == nil || base.Summary.MeanLatency <= 0 {
+		return 0
+	}
+	return 100 * (float64(vertical.Summary.MeanLatency)/float64(base.Summary.MeanLatency) - 1)
+}
+
 // RunFig2 reproduces Figure 2: 640 requests against a CPU-bound service
 // with equal total CPU (half of one node's cores) split across 1..16
 // replicas on as many machines, each machine shared with a CPU stress
-// container holding the remaining shares. All seven scenarios compile to
-// RunSpecs up front and fan through the executor.
-func RunFig2(opts Options) (*Fig2Result, error) {
+// container holding the remaining shares. The table closes with the
+// contention overhead row.
+func RunFig2(opts Options) (*Grid, error) {
 	opts = opts.scaled()
-	specs, res := fig2Specs(opts)
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res, fig2Collect(res, results)
+	g, cells, compile := fig2Grid(opts)
+	return requireCompleted(g.run(cells, compile, opts))
 }
 
-// fig2Specs compiles the seven Fig-2 scenarios. Baseline: whole node to
+// fig2Grid lays out the seven Fig-2 scenarios. Baseline: whole node to
 // itself. Vertical: half the node, stress takes the other half. Horizontal:
 // the same 2 cores split over R machines; on each machine the stress
 // container holds the remaining shares so the service's total CPU access
 // time stays constant (the paper's share arithmetic).
-func fig2Specs(opts Options) ([]runner.RunSpec, *Fig2Result) {
-	res := &Fig2Result{Replicas: []int{1, 2, 4, 8, 16}}
-	specs := []runner.RunSpec{
-		cpuMicroRunSpec(opts, "fig2/baseline", 1, 4, 0),
-		cpuMicroRunSpec(opts, "fig2/vertical", 1, 2, 2),
+func fig2Grid(opts Options) (*Grid, [][]string, func([]string) runner.RunSpec) {
+	g := &Grid{
+		Title:   "Figure 2: response times of horizontal scaling for the CPU tests (equal total CPU)",
+		Axes:    []string{"scenario", "replicas"},
+		columns: []column{meanColumn},
+		table: func(g *Grid) *Table {
+			t := g.render()
+			t.AddRow("contention overhead", "-", fmt.Sprintf("%.1f%%", ContentionOverheadPercent(g)))
+			return t
+		},
 	}
-	for _, r := range res.Replicas {
-		perReplica := 2.0 / float64(r)
-		specs = append(specs, cpuMicroRunSpec(opts, fmt.Sprintf("fig2/horizontal-%d", r), r, perReplica, 4-perReplica))
-	}
-	return specs, res
-}
-
-// fig2Collect harvests the executed specs into the result, in spec order.
-func fig2Collect(res *Fig2Result, results []runner.Result) error {
-	for _, r := range results {
-		if r.Summary.Completed == 0 {
-			return fmt.Errorf("%s: no requests completed", r.Spec.Name)
+	cells := append([][]string{{fig2Baseline, "1"}, {fig2Vertical, "1"}},
+		product([]string{horizontalStress}, microReplicas())...)
+	return g, cells, func(l []string) runner.RunSpec {
+		name, replicas, cpuEach, stressCPU := "baseline", 1, 4.0, 0.0
+		switch l[0] {
+		case fig2Vertical:
+			name, cpuEach, stressCPU = "vertical", 2, 2
+		case horizontalStress:
+			replicas, _ = strconv.Atoi(l[1])
+			cpuEach = 2.0 / float64(replicas)
+			name, stressCPU = "horizontal-"+l[1], 4-cpuEach
 		}
-	}
-	res.BaselineMean = results[0].Summary.MeanLatency
-	res.VerticalMean = results[1].Summary.MeanLatency
-	for i := range res.Replicas {
-		res.HorizontalMean = append(res.HorizontalMean, results[2+i].Summary.MeanLatency)
-	}
-	return nil
-}
-
-// cpuMicroRunSpec compiles one Fig-2 scenario: replicas pinned one per node
-// with equal CPU shares, an optional stress contender on every machine, and
-// the paper's fixed 640-request client.
-func cpuMicroRunSpec(opts Options, name string, replicas int, cpuEach, stressCPU float64) runner.RunSpec {
-	cfg := platform.DefaultConfig(opts.Seed)
-	cfg.Nodes = replicas
-	cfg.MonitorPeriod = 0 // no autoscaling: fixed allocations
-	cfg.BaseLatency = 0   // Section III measures microservice execution time directly
-	cfg.LBPolicy = lb.LeastOutstanding
-	svc := cpuMicroSpec()
-	svc.InitialReplicaCPU = cpuEach
-	// 640 requests at ~85 % of the vertical scenario's service capacity.
-	window := 120 * time.Second
-	spec := runner.RunSpec{
-		Name:       name,
-		Seed:       opts.Seed,
-		Platform:   cfg,
-		Duration:   window + 2*time.Second,
-		DrainExtra: 15 * time.Minute,
-		Services:   []runner.ServiceRun{{Spec: svc}},
-		Inject:     []runner.InjectSpec{{At: 2 * time.Second, Window: window, Service: svc.Name, Count: microRequests}},
-	}
-	// AddService deploys replica 0 on node-0; pin the rest one per node.
-	for i := 1; i < replicas; i++ {
-		spec.Pinned = append(spec.Pinned, runner.PinnedReplica{
-			Service: svc.Name, Node: fmt.Sprintf("node-%d", i),
-			Alloc: resources.Vector{CPU: cpuEach, MemMB: svc.InitialReplicaMemMB},
-		})
-	}
-	if stressCPU > 0 {
-		for i := 0; i < replicas; i++ {
-			spec.Stress = append(spec.Stress, runner.StressSpec{
-				Node: fmt.Sprintf("node-%d", i), Alloc: resources.Vector{CPU: stressCPU, MemMB: 64},
-				CPUDemand: 4,
-			})
+		var stress *runner.StressSpec
+		if stressCPU > 0 {
+			stress = &runner.StressSpec{Alloc: resources.Vector{CPU: stressCPU, MemMB: 64}, CPUDemand: 4}
 		}
+		// 640 requests at ~85 % of the vertical scenario's service capacity.
+		spec := microRunSpec(opts, "fig2/"+name, cpuMicroSpec(cpuEach), replicas, 120*time.Second, 15*time.Minute, stress)
+		spec.Platform.LBPolicy = lb.LeastOutstanding
+		return spec
 	}
-	return spec
-}
-
-// MemResult holds the §III-B memory scaling comparison.
-type MemResult struct {
-	// Scenarios are labels like "1x512MB"; Mean and SwapShare are parallel.
-	Scenarios []string
-	Mean      []time.Duration
-	// FailedPercent is the share of requests that timed out (deep swap).
-	FailedPercent []float64
-}
-
-// Table renders the §III-B result rows.
-func (r *MemResult) Table() *Table {
-	t := &Table{
-		Title:   "§III-B: memory scaling, equal total memory (vertical vs horizontal)",
-		Columns: []string{"scenario", "mean response", "failed %"},
-	}
-	for i, s := range r.Scenarios {
-		t.AddRow(s, fmtDur(r.Mean[i]), fmt.Sprintf("%.2f", r.FailedPercent[i]))
-	}
-	return t
 }
 
 // RunMemScaling reproduces the §III-B experiment: a memory-bound service
 // with equal TOTAL memory in every scenario (one 512 MB container ≡ two
 // 256 MB containers, and so on). Horizontal replicas each pay the
 // application's baseline memory again, so they hit the swap cliff earlier —
-// the paper's key memory observation.
-func RunMemScaling(opts Options) (*MemResult, error) {
+// the paper's key memory observation. Deep swap can time every request out;
+// the table then reports a 0 mean with the failure share rather than
+// erroring (the cliff IS the result).
+func RunMemScaling(opts Options) (*Grid, error) {
 	opts = opts.scaled()
-	res := &MemResult{}
-	type scenario struct {
+	type split struct {
 		replicas int
 		memEach  float64
 	}
-	scenarios := []scenario{{1, 512}, {2, 256}, {4, 128}}
-	var specs []runner.RunSpec
-	for _, sc := range scenarios {
-		specs = append(specs, memMicroRunSpec(opts, sc.replicas, sc.memEach))
+	labels, splitOf := axisOf([]split{{1, 512}, {2, 256}, {4, 128}}, func(s split) string {
+		return fmt.Sprintf("%dx%.0fMB", s.replicas, s.memEach)
+	})
+	g := &Grid{
+		Title:   "§III-B: memory scaling, equal total memory (vertical vs horizontal)",
+		Axes:    []string{"scenario"},
+		columns: []column{meanColumn, failedColumn},
 	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range scenarios {
-		sum := results[i].Summary
-		res.Scenarios = append(res.Scenarios, fmt.Sprintf("%dx%.0fMB", sc.replicas, sc.memEach))
-		// Deep swap can time every request out; report mean 0 with the
-		// failure share rather than erroring (the cliff IS the result).
-		mean := time.Duration(0)
-		if sum.Completed > 0 {
-			mean = sum.MeanLatency
+	return g.run(product(labels), func(l []string) runner.RunSpec {
+		s := splitOf[l[0]]
+		svc := workload.ServiceSpec{
+			Name: "mem-micro", Kind: workload.KindMemoryBound,
+			CPUPerRequest:         0.05,
+			CPUOverheadPerRequest: 0.01,
+			MemPerRequest:         24,
+			BaselineMemMB:         110,
+			InitialReplicaCPU:     2, InitialReplicaMemMB: s.memEach,
+			MinReplicas: 1, MaxReplicas: 8,
+			Timeout: 60 * time.Second,
 		}
-		res.Mean = append(res.Mean, mean)
-		res.FailedPercent = append(res.FailedPercent, sum.FailedPercent())
-	}
-	return res, nil
+		return microRunSpec(opts, "mem/"+l[0], svc, s.replicas, 60*time.Second, 15*time.Minute, nil)
+	}, opts)
 }
 
-// memMicroRunSpec compiles one §III-B scenario: equal total memory split
-// across replicas pinned one per node.
-func memMicroRunSpec(opts Options, replicas int, memEach float64) runner.RunSpec {
-	cfg := platform.DefaultConfig(opts.Seed)
-	cfg.Nodes = replicas
-	cfg.MonitorPeriod = 0
-	cfg.BaseLatency = 0 // Section III measures microservice execution time directly
-	svc := workload.ServiceSpec{
-		Name: "mem-micro", Kind: workload.KindMemoryBound,
-		CPUPerRequest:         0.05,
-		CPUOverheadPerRequest: 0.01,
-		MemPerRequest:         24,
-		BaselineMemMB:         110,
-		InitialReplicaCPU:     2, InitialReplicaMemMB: memEach,
-		MinReplicas: 1, MaxReplicas: 8,
-		Timeout: 60 * time.Second,
-	}
-	window := 60 * time.Second
-	spec := runner.RunSpec{
-		Name:       fmt.Sprintf("mem/%dx%.0fMB", replicas, memEach),
-		Seed:       opts.Seed,
-		Platform:   cfg,
-		Duration:   window + 2*time.Second,
-		DrainExtra: 15 * time.Minute,
-		Services:   []runner.ServiceRun{{Spec: svc}},
-		Inject:     []runner.InjectSpec{{At: 2 * time.Second, Window: window, Service: svc.Name, Count: microRequests}},
-	}
-	for i := 1; i < replicas; i++ {
-		spec.Pinned = append(spec.Pinned, runner.PinnedReplica{
-			Service: svc.Name, Node: fmt.Sprintf("node-%d", i),
-			Alloc: resources.Vector{CPU: 2, MemMB: memEach},
-		})
-	}
-	return spec
-}
-
-// Fig3Result holds the network scaling comparison (§III-C, Figure 3).
-type Fig3Result struct {
-	// VerticalMean is the single-machine scenario with the full 100 Mbps tc
-	// cap (re-splitting the cap on one machine changes nothing, per §III-C).
-	VerticalMean time.Duration
-	// Replicas and HorizontalMean are parallel: a total of 100 Mbps split
-	// across R machines, each shared with a network+CPU stress hog.
-	Replicas       []int
-	HorizontalMean []time.Duration
-}
-
-// Table renders Figure 3.
-func (r *Fig3Result) Table() *Table {
-	t := &Table{
-		Title:   "Figure 3: response times of horizontal scaling for the network tests (100 Mbps total)",
-		Columns: []string{"scenario", "replicas", "mean response"},
-	}
-	t.AddRow("vertical (single machine)", "1", fmtDur(r.VerticalMean))
-	for i, n := range r.Replicas {
-		t.AddRow("horizontal + stress", fmt.Sprintf("%d", n), fmtDur(r.HorizontalMean[i]))
-	}
-	return t
-}
-
-// RunFig3 reproduces Figure 3: an iperf-like service with a 100 Mbps total
-// egress allocation split across 1..16 machines, each machine also hosting
-// a stress container that floods the NIC and hogs CPU. Horizontal scaling
-// relieves per-node tx-queue contention until the per-replica tc slice
-// becomes the bottleneck (~8 replicas).
-func RunFig3(opts Options) (*Fig3Result, error) {
-	opts = opts.scaled()
-	res := &Fig3Result{Replicas: []int{1, 2, 4, 8, 16}}
-
-	specs := []runner.RunSpec{netMicroRunSpec(opts, "fig3/vertical", 1, 100)}
-	for _, r := range res.Replicas {
-		specs = append(specs, netMicroRunSpec(opts, fmt.Sprintf("fig3/horizontal-%d", r), r, 100/float64(r)))
-	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
-		if r.Summary.Completed == 0 {
-			return nil, fmt.Errorf("%s: no requests completed", r.Spec.Name)
-		}
-	}
-	res.VerticalMean = results[0].Summary.MeanLatency
-	for i := range res.Replicas {
-		res.HorizontalMean = append(res.HorizontalMean, results[1+i].Summary.MeanLatency)
-	}
-	return res, nil
-}
-
-// netMicroRunSpec compiles one §III-C scenario: a 100 Mbps total egress
-// allocation split across replicas pinned one per node, a flooding stress
-// hog (CPU + 32 egress flows) on every machine, and the fixed 640-request
-// client.
-func netMicroRunSpec(opts Options, name string, replicas int, capEach float64) runner.RunSpec {
-	cfg := platform.DefaultConfig(opts.Seed)
-	cfg.Nodes = replicas
-	cfg.MonitorPeriod = 0
-	cfg.BaseLatency = 0          // Section III measures microservice execution time directly
-	cfg.DistributionOverhead = 0 // the paper's iperf test measures pure transfer
-	svc := workload.ServiceSpec{
-		Name: "net-micro", Kind: workload.KindNetworkBound,
+// netMicroSpec is the iperf-like network-bound service of §III-C: payloadMb
+// megabits per request under a tc cap of capEach Mbps per replica.
+func netMicroSpec(name string, payloadMb, capEach float64) workload.ServiceSpec {
+	return workload.ServiceSpec{
+		Name: name, Kind: workload.KindNetworkBound,
 		CPUPerRequest:         0.005,
 		CPUOverheadPerRequest: 0.005,
 		MemPerRequest:         1,
-		NetPerRequest:         10, // megabits per request
+		NetPerRequest:         payloadMb,
 		BaselineMemMB:         80,
 		InitialReplicaCPU:     0.5, InitialReplicaMemMB: 256,
 		InitialReplicaNetMbps: capEach,
 		MinReplicas:           1, MaxReplicas: 16,
 		Timeout: 10 * time.Minute,
 	}
-	window := 160 * time.Second
-	spec := runner.RunSpec{
-		Name:       name,
-		Seed:       opts.Seed,
-		Platform:   cfg,
-		Duration:   window + 2*time.Second,
-		DrainExtra: 20 * time.Minute,
-		Services:   []runner.ServiceRun{{Spec: svc}},
-		Inject:     []runner.InjectSpec{{At: 2 * time.Second, Window: window, Service: svc.Name, Count: microRequests}},
+}
+
+// netStress is the §III-C contender on every machine: it floods the NIC
+// with 32 egress flows and hogs CPU.
+func netStress() *runner.StressSpec {
+	return &runner.StressSpec{Alloc: resources.Vector{CPU: 2, MemMB: 64}, CPUDemand: 2, NetFlows: 32}
+}
+
+// RunFig3 reproduces Figure 3: an iperf-like service with a 100 Mbps total
+// egress allocation split across 1..16 machines, each machine also hosting
+// a stress container that floods the NIC and hogs CPU. Horizontal scaling
+// relieves per-node tx-queue contention until the per-replica tc slice
+// becomes the bottleneck (~8 replicas). The vertical scenario keeps the
+// full cap on one machine (re-splitting it there changes nothing, per
+// §III-C).
+func RunFig3(opts Options) (*Grid, error) {
+	opts = opts.scaled()
+	g := &Grid{
+		Title:   "Figure 3: response times of horizontal scaling for the network tests (100 Mbps total)",
+		Axes:    []string{"scenario", "replicas"},
+		columns: []column{meanColumn},
 	}
-	for i := 1; i < replicas; i++ {
-		spec.Pinned = append(spec.Pinned, runner.PinnedReplica{
-			Service: svc.Name, Node: fmt.Sprintf("node-%d", i),
-			Alloc: resources.Vector{CPU: 0.5, MemMB: 256, NetMbps: capEach},
-		})
-	}
-	for i := 0; i < replicas; i++ {
-		spec.Stress = append(spec.Stress, runner.StressSpec{
-			Node: fmt.Sprintf("node-%d", i), Alloc: resources.Vector{CPU: 2, MemMB: 64},
-			CPUDemand: 2, NetFlows: 32,
-		})
-	}
-	return spec
+	cells := append([][]string{{fig3Vertical, "1"}}, product([]string{horizontalStress}, microReplicas())...)
+	return requireCompleted(g.run(cells, func(l []string) runner.RunSpec {
+		name, replicas := "fig3/vertical", 1
+		if l[0] == horizontalStress {
+			replicas, _ = strconv.Atoi(l[1])
+			name = "fig3/horizontal-" + l[1]
+		}
+		svc := netMicroSpec("net-micro", 10, 100/float64(replicas))
+		spec := microRunSpec(opts, name, svc, replicas, 160*time.Second, 20*time.Minute, netStress())
+		spec.Platform.DistributionOverhead = 0 // the paper's iperf test measures pure transfer
+		return spec
+	}, opts))
 }

@@ -48,8 +48,8 @@ const (
 // recoveryServices builds a CPU-bound constant-load service set whose
 // pre-crash capacity is stable, so the health probe's pre-onset baseline is
 // a well-defined reconvergence target.
-func recoveryServices(n int) []serviceLoad {
-	out := make([]serviceLoad, 0, n)
+func recoveryServices(n int) []runner.ServiceRun {
+	out := make([]runner.ServiceRun, 0, n)
 	for i := 0; i < n; i++ {
 		spec := workload.ServiceSpec{
 			Name: fmt.Sprintf("svc-%02d", i), Kind: workload.KindCPUBound,
@@ -63,7 +63,7 @@ func recoveryServices(n int) []serviceLoad {
 			MaxReplicas:           8,
 			Timeout:               30 * time.Second,
 		}
-		out = append(out, serviceLoad{spec: spec, target: 0.5, pattern: loadgen.Constant{RPS: 12}})
+		out = append(out, runner.ServiceRun{Spec: spec, Target: 0.5, Load: runner.FromPattern(loadgen.Constant{RPS: 12})})
 	}
 	return out
 }
@@ -92,7 +92,7 @@ type recoveryCell struct {
 // compile turns a cell into a RunSpec: the constant-load service set, two
 // node deaths shortly after failAt, the optional monitor-crash window, and
 // the health probe hook.
-func (c recoveryCell) compile(services []serviceLoad, opts Options) runner.RunSpec {
+func (c recoveryCell) compile(services []runner.ServiceRun, opts Options) runner.RunSpec {
 	failAt := recoveryFailAt(opts)
 	cfg := platform.DefaultConfig(opts.Seed)
 	cfg.SelfHealing = c.selfHeal
@@ -106,7 +106,7 @@ func (c recoveryCell) compile(services []serviceLoad, opts Options) runner.RunSp
 			}},
 		}
 	}
-	spec := runner.RunSpec{
+	return runner.RunSpec{
 		Name:      fmt.Sprintf("recovery/%s-%s", c.algorithm, c.variant),
 		Label:     fmt.Sprintf("%s %s", c.algorithm, c.variant),
 		Seed:      opts.Seed,
@@ -117,14 +117,9 @@ func (c recoveryCell) compile(services []serviceLoad, opts Options) runner.RunSp
 			{At: failAt, Node: "node-0"},
 			{At: failAt + time.Second, Node: "node-1"},
 		},
-		Hooks: []string{HookHealth},
+		Services: services,
+		Hooks:    []string{HookHealth},
 	}
-	for _, s := range services {
-		spec.Services = append(spec.Services, runner.ServiceRun{
-			Spec: s.spec, Target: s.target, Load: runner.FromPattern(s.pattern),
-		})
-	}
-	return spec
 }
 
 // recoveryVariants returns the four self-healing variants every algorithm

@@ -31,7 +31,6 @@ func TestParallelDeterminism(t *testing.T) {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
 		out += f2.Table().String()
-		TakeTimings() // drain: timings are wall-clock and must not leak anywhere
 		return out
 	}
 	serial := render(1)
@@ -72,7 +71,12 @@ func TestSpecMatchesLegacyExecution(t *testing.T) {
 			return false
 		}
 		for _, s := range services {
-			if err := w.AddService(s.spec, s.target, s.pattern); err != nil {
+			pattern, err := s.Load.Pattern()
+			if err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			if err := w.AddService(s.Spec, s.Target, pattern); err != nil {
 				t.Logf("seed %d: %v", seed, err)
 				return false
 			}

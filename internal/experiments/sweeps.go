@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"hyscale/internal/cluster"
@@ -16,112 +17,53 @@ import (
 // target-utilization sensitivity of the algorithms, and heterogeneous
 // clusters (§I notes most clouds are heterogeneous).
 
-// Fig3SweepResult verifies the Fig. 3 trend across total-bandwidth and
+// RunFig3Sweep verifies the Fig. 3 trend across total-bandwidth and
 // request-size settings: horizontal network scaling keeps helping, tapering
-// around 8 replicas, in every configuration.
-type Fig3SweepResult struct {
-	// Configs labels each sweep point ("100Mbps/10Mb" etc.).
-	Configs []string
-	// GainAt8 is the 1→8 replica speedup per config.
-	GainAt8 []float64
-	// TaperRatio is the 8→16 replica speedup per config (≈1 means taper).
-	TaperRatio []float64
+// around 8 replicas, in every configuration. It runs the Fig. 3 scenario
+// over {50,100,200} Mbps total bandwidth and {5,10,20} Mb payloads at 1, 8
+// and 16 replicas — 27 independent runs — and reports one row per
+// configuration.
+func RunFig3Sweep(opts Options) (*Grid, error) {
+	opts = opts.scaled()
+	g := &Grid{
+		Title: "§III-C sweep: network scaling trend across bandwidth and request size",
+		Axes:  []string{"total Mbps", "payload Mb", "replicas"},
+		table: fig3SweepTable,
+	}
+	cells := product([]string{"50", "100", "200"}, []string{"5", "10", "20"}, []string{"1", "8", "16"})
+	return requireCompleted(g.run(cells, func(l []string) runner.RunSpec {
+		totalMbps, _ := strconv.ParseFloat(l[0], 64)
+		payloadMb, _ := strconv.ParseFloat(l[1], 64)
+		replicas, _ := strconv.Atoi(l[2])
+		// Offered load ≈ 40 % of the total cap, matching the base Fig. 3 run.
+		window := time.Duration(float64(microRequests) * payloadMb / (totalMbps * 0.4) * float64(time.Second))
+		name := fmt.Sprintf("fig3sweep/%.0fMbps-%.0fMb-x%d", totalMbps, payloadMb, replicas)
+		svc := netMicroSpec("net-sweep", payloadMb, totalMbps/float64(replicas))
+		spec := microRunSpec(opts, name, svc, replicas, window, 30*time.Minute, netStress())
+		spec.Platform.DistributionOverhead = 0
+		return spec
+	}, opts))
 }
 
-// Table renders the sweep.
-func (r *Fig3SweepResult) Table() *Table {
-	t := &Table{
-		Title:   "§III-C sweep: network scaling trend across bandwidth and request size",
-		Columns: []string{"config", "gain 1->8 replicas", "ratio 8->16 (taper)"},
+// fig3SweepRatios returns one sweep configuration's 1→8 replica speedup and
+// its 8→16 replica speedup (≈1 means the gain tapers).
+func fig3SweepRatios(g *Grid, totalMbps, payloadMb string) (gainAt8, taper float64) {
+	mean := func(replicas string) float64 {
+		return float64(g.Row(totalMbps, payloadMb, replicas).Summary.MeanLatency)
 	}
-	for i, c := range r.Configs {
-		t.AddRow(c, fmt.Sprintf("%.2fx", r.GainAt8[i]), fmt.Sprintf("%.2fx", r.TaperRatio[i]))
+	return mean("1") / mean("8"), mean("8") / mean("16")
+}
+
+// fig3SweepTable folds each configuration's three runs into its ratio row.
+func fig3SweepTable(g *Grid) *Table {
+	t := &Table{Title: g.Title, Columns: []string{"config", "gain 1->8 replicas", "ratio 8->16 (taper)"}}
+	for _, r := range g.Rows {
+		if l := r.Labels; l[2] == "1" {
+			gain, taper := fig3SweepRatios(g, l[0], l[1])
+			t.AddRow(l[0]+"Mbps/"+l[1]+"Mb", fmt.Sprintf("%.2fx", gain), fmt.Sprintf("%.2fx", taper))
+		}
 	}
 	return t
-}
-
-// RunFig3Sweep runs the Fig. 3 scenario grid over {50,100,200} Mbps total
-// bandwidth and {5,10,20} Mb payloads — 27 independent runs compiled up
-// front and fanned through the executor.
-func RunFig3Sweep(opts Options) (*Fig3SweepResult, error) {
-	opts = opts.scaled()
-	res := &Fig3SweepResult{}
-	bandwidths := []float64{50, 100, 200}
-	payloads := []float64{5, 10, 20}
-	replicaGrid := []int{1, 8, 16}
-
-	var specs []runner.RunSpec
-	for _, totalMbps := range bandwidths {
-		for _, payloadMb := range payloads {
-			for _, replicas := range replicaGrid {
-				specs = append(specs, netSweepRunSpec(opts, replicas, totalMbps/float64(replicas), payloadMb, totalMbps))
-			}
-		}
-	}
-	results, err := execute(specs, opts)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, totalMbps := range bandwidths {
-		for _, payloadMb := range payloads {
-			means := make(map[int]time.Duration)
-			for _, replicas := range replicaGrid {
-				sum := results[i].Summary
-				if sum.Completed == 0 {
-					return nil, fmt.Errorf("fig3 sweep %v/%v x%d: no requests completed", totalMbps, payloadMb, replicas)
-				}
-				means[replicas] = sum.MeanLatency
-				i++
-			}
-			res.Configs = append(res.Configs, fmt.Sprintf("%.0fMbps/%.0fMb", totalMbps, payloadMb))
-			res.GainAt8 = append(res.GainAt8, float64(means[1])/float64(means[8]))
-			res.TaperRatio = append(res.TaperRatio, float64(means[8])/float64(means[16]))
-		}
-	}
-	return res, nil
-}
-
-// netSweepRunSpec compiles the §III-C scenario with configurable payload and
-// bandwidth; the injection window keeps offered load at ~80 % of the total
-// bandwidth like the base experiment.
-func netSweepRunSpec(opts Options, replicas int, capEach, payloadMb, totalMbps float64) runner.RunSpec {
-	cfg := platform.DefaultConfig(opts.Seed)
-	cfg.Nodes = replicas
-	cfg.MonitorPeriod = 0
-	cfg.BaseLatency = 0
-	cfg.DistributionOverhead = 0
-	svc := workload.ServiceSpec{
-		Name: "net-sweep", Kind: workload.KindNetworkBound,
-		CPUPerRequest: 0.005, CPUOverheadPerRequest: 0.005,
-		MemPerRequest: 1, NetPerRequest: payloadMb, BaselineMemMB: 80,
-		InitialReplicaCPU: 0.5, InitialReplicaMemMB: 256, InitialReplicaNetMbps: capEach,
-		MinReplicas: 1, MaxReplicas: 16, Timeout: 10 * time.Minute,
-	}
-	// Offered load ≈ 40 % of the total cap, matching the base Fig. 3 run.
-	window := time.Duration(float64(microRequests) * payloadMb / (totalMbps * 0.4) * float64(time.Second))
-	spec := runner.RunSpec{
-		Name:       fmt.Sprintf("fig3sweep/%.0fMbps-%.0fMb-x%d", totalMbps, payloadMb, replicas),
-		Seed:       opts.Seed,
-		Platform:   cfg,
-		Duration:   window + 2*time.Second,
-		DrainExtra: 30 * time.Minute,
-		Services:   []runner.ServiceRun{{Spec: svc}},
-		Inject:     []runner.InjectSpec{{At: 2 * time.Second, Window: window, Service: svc.Name, Count: microRequests}},
-	}
-	for i := 1; i < replicas; i++ {
-		spec.Pinned = append(spec.Pinned, runner.PinnedReplica{
-			Service: svc.Name, Node: fmt.Sprintf("node-%d", i),
-			Alloc: resources.Vector{CPU: 0.5, MemMB: 256, NetMbps: capEach},
-		})
-	}
-	for i := 0; i < replicas; i++ {
-		spec.Stress = append(spec.Stress, runner.StressSpec{
-			Node: fmt.Sprintf("node-%d", i), Alloc: resources.Vector{CPU: 2, MemMB: 64},
-			CPUDemand: 2, NetFlows: 32,
-		})
-	}
-	return spec
 }
 
 // RunTargetUtilSweep sweeps the utilization target — the one knob every
@@ -140,7 +82,7 @@ func RunTargetUtilSweep(opts Options) (*Grid, error) {
 	return g.run(cells, func(l []string) runner.RunSpec {
 		services := makeServices(workload.KindCPUBound, 15, LowBurst, opts.Seed)
 		for i := range services {
-			services[i].target = targets[l[1]]
+			services[i].Target = targets[l[1]]
 		}
 		row := macroRow{algorithm: l[0], label: l[0] + "@" + l[1]}
 		return row.compile("targetutil", services, opts)
@@ -180,6 +122,7 @@ func RunHeterogeneous(opts Options) (*Grid, error) {
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
 	return macroGrid(
 		"Heterogeneous cluster: 10 small + 9 double-size nodes (CPU-bound, high-burst)",
+		costColumns,
 		services,
 		[]macroRow{
 			{algorithm: "kubernetes", hooks: []string{HookHeteroBigNodes}},

@@ -13,20 +13,29 @@ func TestFig3SweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Configs) != 9 {
-		t.Fatalf("configs = %d, want 9", len(r.Configs))
+	if len(r.Rows) != 27 {
+		t.Fatalf("runs = %d, want 27", len(r.Rows))
+	}
+	tab := r.Table()
+	if len(tab.Rows) != 9 {
+		t.Fatalf("configs = %d, want 9", len(tab.Rows))
 	}
 	// §III-C: "the results followed the same general trends" — horizontal
 	// helps in every configuration and the gains taper at high counts.
-	for i, c := range r.Configs {
-		if r.GainAt8[i] < 1.1 {
-			t.Errorf("%s: gain 1->8 = %.2fx, want > 1.1x", c, r.GainAt8[i])
+	for _, row := range r.Rows {
+		l := row.Labels
+		if l[2] != "1" {
+			continue
 		}
-		if r.TaperRatio[i] > 1.6 {
-			t.Errorf("%s: 8->16 ratio = %.2fx, want taper", c, r.TaperRatio[i])
+		gain, taper := fig3SweepRatios(r, l[0], l[1])
+		if gain < 1.1 {
+			t.Errorf("%sMbps/%sMb: gain 1->8 = %.2fx, want > 1.1x", l[0], l[1], gain)
+		}
+		if taper > 1.6 {
+			t.Errorf("%sMbps/%sMb: 8->16 ratio = %.2fx, want taper", l[0], l[1], taper)
 		}
 	}
-	if !strings.Contains(r.Table().String(), "sweep") {
+	if !strings.Contains(tab.String(), "sweep") {
 		t.Error("table title missing")
 	}
 }

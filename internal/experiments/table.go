@@ -1,19 +1,17 @@
 // Package experiments contains one reproducible harness per table and
 // figure in the paper's evaluation (§III and §VI) and per extension table.
-// Each experiment compiles its runs to runner.RunSpecs and returns a result
-// that renders itself as the same rows/series the paper reports; most are
-// one Grid (grid.go), and registry.go maps every hyscale-bench -exp id to
-// its tables. The package is the single source of truth mapping paper
-// artefacts to code — see DESIGN.md's per-experiment index.
+// Each experiment compiles its runs to runner.RunSpecs and returns a Grid
+// (grid.go) that renders itself as the same rows/series the paper reports,
+// and registry.go maps every hyscale-bench -exp id to its Grids. The
+// package is the single source of truth mapping paper artefacts to code —
+// see DESIGN.md's per-experiment index.
 package experiments
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"hyscale/internal/obs"
-	"hyscale/internal/runner"
 )
 
 // Table is a rendered experiment artefact: the rows behind one paper figure
@@ -122,8 +120,8 @@ type Options struct {
 	// isolated world with a seed fixed at compile time.
 	Parallel int
 	// Observe journals every run's scaling decisions and per-service time
-	// series (see internal/obs); TakeArtifacts drains the collected
-	// run reports. cmd/hyscale-bench -report sets this.
+	// series (see internal/obs); each Grid then carries its runs' reports.
+	// cmd/hyscale-bench -report sets this.
 	Observe bool
 }
 
@@ -132,73 +130,4 @@ func (o Options) scaled() Options {
 		o.Scale = 1
 	}
 	return o
-}
-
-var (
-	timingsMu sync.Mutex
-	timings   []runner.Timing
-	artifacts []obs.RunReport
-)
-
-// execute fans the compiled specs through the runner with the experiment's
-// parallelism, accumulating per-run wall-clock timings for TakeTimings and —
-// when Options.Observe is set — per-run journals for TakeArtifacts.
-func execute(specs []runner.RunSpec, opts Options) ([]runner.Result, error) {
-	if opts.Observe {
-		for i := range specs {
-			specs[i].Observe = true
-		}
-	}
-	results, ts, err := runner.Execute(opts.Parallel, opts.Seed, specs)
-	timingsMu.Lock()
-	timings = append(timings, ts...)
-	if opts.Observe {
-		// Keep only the lightweight journal, summary and metric list, not
-		// the Result's *World — a paper-sized -all batch must not retain
-		// every world.
-		for _, r := range results {
-			if r.Journal == nil {
-				continue
-			}
-			artifacts = append(artifacts, obs.RunReport{
-				Name:      r.Spec.Name,
-				Label:     r.Spec.RowLabel(),
-				Algorithm: r.Spec.Algorithm,
-				Seed:      r.Spec.Seed,
-				Duration:  r.Spec.Duration,
-				Summary:   r.Summary,
-				Journal:   r.Journal,
-				Metrics:   r.World.Metrics(),
-			})
-		}
-	}
-	timingsMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// TakeTimings drains the per-run wall-clock timings accumulated since the
-// last call — cmd/hyscale-bench prints them in its report footer. Timings
-// are measurement metadata: they never appear in experiment tables, so
-// rendered reports stay byte-identical across parallelism settings.
-func TakeTimings() []runner.Timing {
-	timingsMu.Lock()
-	defer timingsMu.Unlock()
-	out := timings
-	timings = nil
-	return out
-}
-
-// TakeArtifacts drains the run reports journaled since the last call (empty
-// unless experiments ran with Options.Observe). Reports come back in spec
-// order per experiment, so a -report directory's artifact set is
-// deterministic for any parallelism.
-func TakeArtifacts() []obs.RunReport {
-	timingsMu.Lock()
-	defer timingsMu.Unlock()
-	out := artifacts
-	artifacts = nil
-	return out
 }

@@ -53,6 +53,7 @@ func TestZonedHooks(t *testing.T) {
 				Seed:      1,
 				Algorithm: "hybrid",
 				Duration:  2 * time.Minute,
+				Services:  services,
 				Hooks:     []string{hook},
 			}
 			spec.Platform = platform.DefaultConfig(1)
@@ -67,11 +68,6 @@ func TestZonedHooks(t *testing.T) {
 				if tc.chaos {
 					spec.Platform.Faults = ChaosFaults(1001)
 				}
-			}
-			for _, s := range services {
-				spec.Services = append(spec.Services, runner.ServiceRun{
-					Spec: s.spec, Target: s.target, Load: runner.FromPattern(s.pattern),
-				})
 			}
 			res, err := runner.Run(spec)
 			if err != nil {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hyscale/internal/runner"
 )
 
 // TestFig2TableGoldenZonesOne is the sharded-control-plane equivalence
@@ -23,18 +25,17 @@ func TestFig2TableGoldenZonesOne(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		opts := shapeOpts().scaled()
 		opts.Parallel = workers
-		specs, res := fig2Specs(opts)
-		for i := range specs {
-			specs[i].Platform.Zones = 1
-		}
-		results, err := execute(specs, opts)
+		g, cells, compile := fig2Grid(opts)
+		_, err := requireCompleted(g.run(cells, func(l []string) runner.RunSpec {
+			spec := compile(l)
+			spec.Platform.Zones = 1
+			return spec
+		}, opts))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if err := fig2Collect(res, results); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := res.Table().String() + res.Table().CSV()
+		tab := g.Table()
+		got := tab.String() + tab.CSV()
 		if string(want) != got {
 			t.Fatalf("workers=%d: zones=1 fig2 table diverged from pre-refactor golden:\n--- want ---\n%s\n--- got ---\n%s",
 				workers, want, got)

@@ -67,7 +67,7 @@ func artifactBytes(t *testing.T, results []runner.Result) []byte {
 func TestParallelJournalDeterminism(t *testing.T) {
 	var golden []byte
 	for _, workers := range []int{1, 2, 4} {
-		results, _, err := runner.Execute(workers, 1, observedSpecs())
+		results, err := runner.Execute(workers, 1, observedSpecs())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -99,7 +99,7 @@ func TestParallelJournalDeterminism(t *testing.T) {
 func TestUnobservedRunHasNoJournal(t *testing.T) {
 	specs := observedSpecs()[:1]
 	specs[0].Observe = false
-	results, _, err := runner.Execute(1, 1, specs)
+	results, err := runner.Execute(1, 1, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestUnobservedRunHasNoJournal(t *testing.T) {
 
 // TestJSONLRoundTrip checks ParseJSONL inverts WriteJSONL.
 func TestJSONLRoundTrip(t *testing.T) {
-	results, _, err := runner.Execute(1, 1, observedSpecs()[:1])
+	results, err := runner.Execute(1, 1, observedSpecs()[:1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestReportGolden(t *testing.T) {
 	goldenPath := filepath.Join("testdata", "golden_report_artifacts.txt")
 	var firstRun []byte
 	for _, workers := range []int{1, 4, 8} {
-		results, _, err := runner.Execute(workers, 1, observedSpecs())
+		results, err := runner.Execute(workers, 1, observedSpecs())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -29,7 +29,7 @@ func TestReportGoldenZonesOne(t *testing.T) {
 			cfg.Observe = true
 			specs[i].Platform = cfg
 		}
-		results, _, err := runner.Execute(workers, 1, specs)
+		results, err := runner.Execute(workers, 1, specs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

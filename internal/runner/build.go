@@ -58,7 +58,7 @@ type Result struct {
 	// from the experiments' health probe).
 	Extra map[string]float64 `json:"extra,omitempty"`
 
-	// Elapsed is the wall-clock time the run took, filled by the Executor.
+	// Elapsed is the wall-clock time the run took, filled by Execute.
 	Elapsed time.Duration `json:"elapsed"`
 
 	// World is the simulated world after the run, for post-processing

@@ -7,18 +7,6 @@ import (
 	"time"
 )
 
-// Executor fans a batch of RunSpecs across a bounded worker pool. Results
-// come back in spec order and are bit-identical for any worker count: each
-// spec runs in its own isolated world whose seed is fixed before any worker
-// starts (explicit spec seed, or derived from RootSeed and the spec name),
-// so scheduling order between workers cannot leak into the measurements.
-type Executor struct {
-	// Workers bounds concurrency; <=0 means GOMAXPROCS.
-	Workers int
-	// RootSeed seeds specs that do not pin their own Seed, via DeriveSeed.
-	RootSeed int64
-}
-
 // DeriveSeed mixes a root seed with a spec name (FNV-1a) into a per-run
 // seed. The same (root, name) pair always yields the same seed, so a batch
 // is reproducible while distinct runs stay decorrelated.
@@ -32,18 +20,16 @@ func DeriveSeed(root int64, name string) int64 {
 	return seed
 }
 
-// Timing records how long one run took, for the CLI's per-run report.
-type Timing struct {
-	Name    string
-	Elapsed time.Duration
-}
-
-// Execute runs every spec and returns the results in spec order. The first
-// error (earliest spec index) is returned after all in-flight runs finish;
-// remaining specs are still attempted so timing stays comparable. Timings
-// are returned in spec order alongside the results.
-func (x *Executor) Execute(specs []RunSpec) ([]Result, []Timing, error) {
-	workers := x.Workers
+// Execute fans a batch of RunSpecs across at most workers goroutines (<=0
+// means GOMAXPROCS) and returns the results in spec order, each with its
+// wall-clock Elapsed. Results are bit-identical for any worker count: each
+// spec runs in its own isolated world whose seed is fixed before any worker
+// starts (explicit spec seed, or derived from rootSeed and the spec name),
+// so scheduling order between workers cannot leak into the measurements.
+// The first error (earliest spec index) is returned after all in-flight
+// runs finish; remaining specs are still attempted so timing stays
+// comparable.
+func Execute(workers int, rootSeed int64, specs []RunSpec) ([]Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -59,13 +45,12 @@ func (x *Executor) Execute(specs []RunSpec) ([]Result, []Timing, error) {
 	resolved := make([]RunSpec, len(specs))
 	for i, s := range specs {
 		if s.Seed == 0 {
-			s.Seed = DeriveSeed(x.RootSeed, s.Name)
+			s.Seed = DeriveSeed(rootSeed, s.Name)
 		}
 		resolved[i] = s
 	}
 
 	results := make([]Result, len(resolved))
-	timings := make([]Timing, len(resolved))
 	errs := make([]error, len(resolved))
 
 	var wg sync.WaitGroup
@@ -79,7 +64,6 @@ func (x *Executor) Execute(specs []RunSpec) ([]Result, []Timing, error) {
 				res, err := Run(resolved[i])
 				res.Elapsed = time.Since(start)
 				results[i], errs[i] = res, err
-				timings[i] = Timing{Name: resolved[i].Name, Elapsed: res.Elapsed}
 			}
 		}()
 	}
@@ -91,15 +75,8 @@ func (x *Executor) Execute(specs []RunSpec) ([]Result, []Timing, error) {
 
 	for _, err := range errs {
 		if err != nil {
-			return results, timings, err
+			return results, err
 		}
 	}
-	return results, timings, nil
-}
-
-// Execute runs specs with the given worker bound and root seed — the
-// package-level convenience most call sites use.
-func Execute(workers int, rootSeed int64, specs []RunSpec) ([]Result, []Timing, error) {
-	x := &Executor{Workers: workers, RootSeed: rootSeed}
-	return x.Execute(specs)
+	return results, nil
 }

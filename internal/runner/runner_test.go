@@ -55,11 +55,11 @@ func TestExecuteOrderAndDeterminism(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		specs = append(specs, smokeSpec(fmt.Sprintf("run-%d", i), int64(i+1)))
 	}
-	serial, _, err := Execute(1, 1, specs)
+	serial, err := Execute(1, 1, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, _, err := Execute(4, 1, specs)
+	parallel, err := Execute(4, 1, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestExecuteOrderAndDeterminism(t *testing.T) {
 func TestExecuteDerivesSeeds(t *testing.T) {
 	a := smokeSpec("same-config-a", 0)
 	b := smokeSpec("same-config-b", 0)
-	results, _, err := Execute(2, 7, []RunSpec{a, b})
+	results, err := Execute(2, 7, []RunSpec{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestExecuteErrorPropagation(t *testing.T) {
 	good := smokeSpec("good", 1)
 	bad := smokeSpec("bad", 1)
 	bad.Algorithm = "no-such-algorithm"
-	_, _, err := Execute(2, 1, []RunSpec{good, bad})
+	_, err := Execute(2, 1, []RunSpec{good, bad})
 	if err == nil || !strings.Contains(err.Error(), "bad") {
 		t.Fatalf("want error naming the failing spec, got %v", err)
 	}

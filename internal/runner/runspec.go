@@ -4,7 +4,7 @@
 // algorithm, services with declarative load shapes, pinned replicas, stress
 // contenders, fixed-count injections, machine churn schedules, and named
 // setup hooks. The experiment harness, the scenario layer and the public
-// facade all COMPILE to RunSpecs; the Executor fans independent specs out
+// facade all COMPILE to RunSpecs; Execute fans independent specs out
 // across a bounded worker pool and returns results in spec order with
 // bit-identical output for any worker count, because each run builds its own
 // isolated World whose RNG derives from (root seed, spec name) rather than
@@ -177,15 +177,15 @@ type NodeRecovery struct {
 
 // RunSpec is a complete, self-contained description of one simulation run.
 // Everything every harness in the repository used to wire by hand lives
-// here; Build materialises it and the Executor runs batches of them.
+// here; Build materialises it and Execute runs batches of them.
 type RunSpec struct {
 	// Name identifies the run (used for timing, errors and seed derivation);
 	// it should be unique within a batch.
 	Name string `json:"name"`
 	// Label is the report row label; defaults to Name.
 	Label string `json:"label,omitempty"`
-	// Seed drives all of the run's randomness. Zero means "derive from the
-	// Executor's root seed and Name", which decorrelates runs in a batch
+	// Seed drives all of the run's randomness. Zero means "derive from
+	// Execute's root seed and Name", which decorrelates runs in a batch
 	// without any shared RNG state.
 	Seed int64 `json:"seed,omitempty"`
 	// Platform configures the world; a zero Nodes and Tick means
