@@ -17,10 +17,11 @@ package hyscale
 //	BenchmarkFig10Bitbrains       — §VI-B   (Fig. 10)
 
 import (
-	"strconv"
 	"testing"
+	"time"
 
 	"hyscale/internal/experiments"
+	"hyscale/internal/trace"
 )
 
 func benchOpts() experiments.Options { return experiments.Options{Seed: 1, Scale: 0.2} }
@@ -101,25 +102,19 @@ func BenchmarkFig8NetworkBoundHighBurst(b *testing.B) {
 }
 
 func BenchmarkFig9TraceShape(b *testing.B) {
+	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFig9(nil, benchOpts())
-		if err != nil {
+		// RunFig9's synthetic twin: the Rnd trace over the macro horizon
+		// (an hour × Scale). The metrics read its full averaged series.
+		cfg := trace.DefaultRndConfig(opts.Seed)
+		cfg.Duration = time.Duration(float64(time.Hour) * opts.Scale)
+		tr := trace.GenerateRnd(cfg)
+		if _, err := experiments.RunFig9(tr, opts); err != nil {
 			b.Fatal(err)
 		}
-		// The plotted points: time, avg CPU %, avg mem %.
-		var first, peak float64
-		for i, row := range r.Table().Rows {
-			cpu, err := strconv.ParseFloat(row[1], 64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				first = cpu
-			}
-			peak = max(peak, cpu)
-		}
-		b.ReportMetric(first, "cpu-%-t0")
-		b.ReportMetric(peak, "cpu-%-peak")
+		mean := tr.Mean()
+		b.ReportMetric(mean.CPUPercent[0], "cpu-%-t0")
+		b.ReportMetric(mean.MaxCPU(), "cpu-%-peak")
 	}
 }
 

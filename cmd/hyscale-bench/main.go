@@ -135,7 +135,7 @@ func realMain() int {
 			block.WriteString(t.String())
 			block.WriteByte('\n')
 			tables = append(tables, t)
-			reports = append(reports, g.Reports...)
+			reports = append(reports, g.Reports()...)
 			runCount += len(g.Rows)
 			for _, r := range g.Rows {
 				runTotal += r.Elapsed

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -241,18 +240,16 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 0 {
-		t.Errorf("fig9 ran %d simulations, want none", len(r.Rows))
-	}
-	tab := r.Table()
-	if len(tab.Rows) == 0 {
+	// The averaged series the table samples: every point, not only the
+	// plotted ones, must be a percentage.
+	m := rndTrace(nil, shapeOpts().scaled()).Mean()
+	if m.Len() == 0 {
 		t.Fatal("empty mean series")
 	}
 	var minC, maxC float64
-	for i, row := range tab.Rows {
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil || v < 0 || v > 100 {
-			t.Fatalf("CPU%% %q out of range", row[1])
+	for i, v := range m.CPUPercent {
+		if v < 0 || v > 100 {
+			t.Fatal("CPU% out of range")
 		}
 		if i == 0 || v < minC {
 			minC = v
@@ -264,6 +261,13 @@ func TestFig9Shape(t *testing.T) {
 	// The trace must be wave-like, not flat (Fig. 9's visible bursts).
 	if maxC/minC < 1.15 {
 		t.Errorf("trace too flat: min=%.1f max=%.1f", minC, maxC)
+	}
+	if len(r.Rows) != 0 {
+		t.Errorf("fig9 ran %d simulations, want none", len(r.Rows))
+	}
+	tab := r.Table()
+	if len(tab.Rows) == 0 {
+		t.Error("empty table")
 	}
 	if !strings.Contains(tab.String(), "Figure 9") {
 		t.Error("table title missing")

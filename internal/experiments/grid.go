@@ -15,7 +15,8 @@ import (
 // executed cell becomes one Row. The axis labels are the table's leading
 // columns; the grid's columns render the rest from each row's result. Every
 // experiment returns Grids, so a caller reads every run — its result,
-// wall-clock Elapsed and, when observed, its report — from them.
+// wall-clock Elapsed and, when observed, its journal and metrics — from
+// them.
 type Grid struct {
 	// Title names the paper artefact or extension table.
 	Title string
@@ -23,9 +24,6 @@ type Grid struct {
 	Axes []string
 	// Rows holds one executed cell per row, in cell order.
 	Rows []Row
-	// Reports holds one obs.RunReport per row, in row order, when the grid
-	// ran with Options.Observe.
-	Reports []obs.RunReport
 
 	columns []column
 	// table, when set, renders the grid in place of its labels and columns:
@@ -36,10 +34,11 @@ type Grid struct {
 
 // Row is one executed cell: its labels, one per axis, and the run's result.
 // The result's World is dropped — a paper-sized -all batch must not retain
-// every world.
+// every world — so an observed run keeps the world's metric list in Metrics.
 type Row struct {
 	Labels []string
 	runner.Result
+	Metrics []obs.Series
 }
 
 // column is one rendered table column after the axis labels.
@@ -82,8 +81,8 @@ func axisOf[T any](items []T, name func(T) string) ([]string, map[string]T) {
 
 // run compiles every cell, fans the specs through runner.Execute with the
 // experiment's parallelism and keeps one row per cell, in cell order. With
-// Options.Observe every run is journaled, and its report is built here,
-// while the run's World still exists to list its metrics.
+// Options.Observe every run is journaled, and its metric list is read here,
+// while the run's World still exists.
 func (g *Grid) run(cells [][]string, compile func(labels []string) runner.RunSpec, opts Options) (*Grid, error) {
 	specs := make([]runner.RunSpec, len(cells))
 	for i, c := range cells {
@@ -98,22 +97,35 @@ func (g *Grid) run(cells [][]string, compile func(labels []string) runner.RunSpe
 	}
 	g.Rows = make([]Row, len(results))
 	for i, r := range results {
-		if r.Journal != nil {
-			g.Reports = append(g.Reports, obs.RunReport{
-				Name:      r.Spec.Name,
-				Label:     r.Spec.RowLabel(),
-				Algorithm: r.Spec.Algorithm,
-				Seed:      r.Spec.Seed,
-				Duration:  r.Spec.Duration,
-				Summary:   r.Summary,
-				Journal:   r.Journal,
-				Metrics:   r.World.Metrics(),
-			})
-		}
-		r.World = nil
 		g.Rows[i] = Row{Labels: cells[i], Result: r}
+		if r.Journal != nil {
+			g.Rows[i].Metrics = r.World.Metrics()
+		}
+		g.Rows[i].World = nil
 	}
 	return g, nil
+}
+
+// Reports returns one obs.RunReport per journaled row, in row order: every
+// row when the grid ran with Options.Observe, none otherwise.
+func (g *Grid) Reports() []obs.RunReport {
+	var reports []obs.RunReport
+	for _, r := range g.Rows {
+		if r.Journal == nil {
+			continue
+		}
+		reports = append(reports, obs.RunReport{
+			Name:      r.Spec.Name,
+			Label:     r.Spec.RowLabel(),
+			Algorithm: r.Spec.Algorithm,
+			Seed:      r.Spec.Seed,
+			Duration:  r.Spec.Duration,
+			Summary:   r.Summary,
+			Journal:   r.Journal,
+			Metrics:   r.Metrics,
+		})
+	}
+	return reports
 }
 
 // requireCompleted fails a run grid in which some row completed no request

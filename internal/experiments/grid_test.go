@@ -76,10 +76,11 @@ func TestGridSpeedup(t *testing.T) {
 func TestGridCarriesRunReports(t *testing.T) {
 	checkReports := func(name string, g *Grid) {
 		t.Helper()
-		if len(g.Reports) != len(g.Rows) {
-			t.Fatalf("%s: %d reports for %d rows", name, len(g.Reports), len(g.Rows))
+		reports := g.Reports()
+		if len(reports) != len(g.Rows) {
+			t.Fatalf("%s: %d reports for %d rows", name, len(reports), len(g.Rows))
 		}
-		for i, rep := range g.Reports {
+		for i, rep := range reports {
 			if rep.Name != g.Rows[i].Spec.Name {
 				t.Errorf("%s: report %d is %q, want row %q", name, i, rep.Name, g.Rows[i].Spec.Name)
 			}
@@ -112,12 +113,12 @@ func TestGridCarriesRunReports(t *testing.T) {
 	}
 	checkReports("mem", mem)
 	checkReports("fig3", fig3)
-	for _, rep := range mem.Reports {
+	for _, rep := range mem.Reports() {
 		if !strings.HasPrefix(rep.Name, "mem/") {
 			t.Errorf("mem grid holds report %q", rep.Name)
 		}
 	}
-	for _, rep := range fig3.Reports {
+	for _, rep := range fig3.Reports() {
 		if !strings.HasPrefix(rep.Name, "fig3/") {
 			t.Errorf("fig3 grid holds report %q", rep.Name)
 		}
@@ -127,7 +128,7 @@ func TestGridCarriesRunReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(unobserved.Reports) != 0 {
-		t.Errorf("unobserved grid carries %d reports", len(unobserved.Reports))
+	if n := len(unobserved.Reports()); n != 0 {
+		t.Errorf("unobserved grid carries %d reports", n)
 	}
 }

@@ -43,7 +43,9 @@ func TestParallelDeterminism(t *testing.T) {
 // TestSpecMatchesLegacyExecution is the refactor's equivalence property:
 // compiling a macro row to a RunSpec and running it through the executor
 // yields exactly the measurements the old hand-wired harness produced. The
-// legacy path is reconstructed inline; testing/quick drives the seed.
+// legacy path is reconstructed inline; it builds each service's pattern from
+// the ServiceRun's LoadSpec (TestLoadSpecRoundTrip pins that conversion for
+// both makeServices shapes). testing/quick drives the seed.
 func TestSpecMatchesLegacyExecution(t *testing.T) {
 	property := func(seed16 uint16) bool {
 		seed := int64(seed16) + 1
@@ -59,7 +61,8 @@ func TestSpecMatchesLegacyExecution(t *testing.T) {
 			return false
 		}
 
-		// Legacy path: the pre-RunSpec wiring, verbatim.
+		// Legacy path: the pre-RunSpec wiring, with each pattern built
+		// from the ServiceRun's LoadSpec.
 		algo, err := runner.NewAlgorithm("hybridmem", core.DefaultConfig())
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)

@@ -112,7 +112,7 @@ func TestLoadSpecRoundTrip(t *testing.T) {
 	patterns := []loadgen.Pattern{
 		loadgen.Constant{RPS: 12},
 		loadgen.Wave{Base: 10, Amplitude: 0.3, Period: 8 * time.Minute, PhaseShift: time.Minute},
-		loadgen.Burst{Base: 5, Peak: 20, Period: 10 * time.Minute, BurstLen: 2 * time.Minute},
+		loadgen.Burst{Base: 5, Peak: 20, Period: 10 * time.Minute, BurstLen: 2 * time.Minute, PhaseShift: 3 * time.Minute},
 		loadgen.Ramp{Start: 1, End: 9, Duration: 5 * time.Minute},
 		loadgen.Diurnal{Base: 8, DayAmplitude: 0.5, Day: 24 * time.Hour, RippleAmplitude: 0.1, Ripple: time.Hour},
 		loadgen.FlashCrowd{Base: 4, Peak: 40, Start: time.Minute, RampUp: 30 * time.Second, Hold: 2 * time.Minute, Decay: time.Minute},
