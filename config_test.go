@@ -16,7 +16,8 @@ import (
 // every entry point that accepts one — the scenario parser, the public facade
 // and runner.Build — and requires all of them to reject it with the same
 // message, up to the entry point's own prefix. The facade entry point is
-// NewSimulation, or ExecuteSpecs when the rule needs declared services.
+// NewSimulation, or ExecuteSpecs when the rule reads more than the platform:
+// the declared services or the churn schedule.
 func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 	zoned := func(sc *scenario.Scenario) { sc.Zones = &scenario.Zones{Count: 2} }
 	selfHealing := func(sc *scenario.Scenario) { sc.SelfHealing = &scenario.SelfHealing{Enabled: true} }
@@ -28,11 +29,16 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 			}}}
 		}
 	}
+	failure := func(node string, at time.Duration) func(*scenario.Scenario) {
+		return func(sc *scenario.Scenario) {
+			sc.Failures = []scenario.NodeFailure{{Node: node, At: scenario.Duration(at)}}
+		}
+	}
 	tests := []struct {
-		name     string
-		mutate   []func(*scenario.Scenario)
-		services bool // the rule is about declared services
-		want     string
+		name   string
+		mutate []func(*scenario.Scenario)
+		spec   bool // the rule reads more than the platform
+		want   string
 	}{
 		{"negative spillover", []func(*scenario.Scenario){zoned, func(sc *scenario.Scenario) {
 			sc.DR = &scenario.DR{SpilloverZones: -1}
@@ -69,6 +75,10 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 		{"call-graph endpoint names no service", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
 			sc.CallGraph = &workload.CallGraph{Edges: []workload.CallEdge{{From: "api", To: "ghost", Calls: 1}}}
 		}}, true, `workload: callGraph.edges[0]: unknown service "ghost"`},
+		{"failure names no node", []func(*scenario.Scenario){failure("node-4", time.Minute)},
+			true, `runner: node failure names unknown node "node-4"`},
+		{"negative failure time", []func(*scenario.Scenario){failure("node-0", -time.Second)},
+			true, `runner: node failure "node-0" at -1s, want >= 0`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -100,7 +110,7 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 			check("scenario.Parse", err, "scenario: ")
 			_, _, err = runner.Build(spec)
 			check("runner.Build", err, spec.Name+": ")
-			if tt.services {
+			if tt.spec {
 				_, err = ExecuteSpecs(1, 1, []RunSpec{spec})
 				check("ExecuteSpecs", err, spec.Name+": ")
 			} else {

@@ -222,8 +222,8 @@ func cascadeDefenseCounts(r *Row) resilience.Counters {
 }
 
 // cascadeColumns report goodput, tail latency, retry amplification (total
-// call attempts / first attempts) and the health probe's goodput recovery
-// from the fault onset (see goodputRecovery in health.go): defended
+// call attempts / first attempts) and the health signal's goodput recovery
+// from the fault onset (see goodputRecovery in platform/health.go): defended
 // configurations recover while the fault is still active, an undefended
 // collapse only after it clears. "degraded" counts the seconds the
 // per-second goodput rate spent below 80% of its pre-fault mean — the total
@@ -237,8 +237,8 @@ var cascadeColumns = []column{
 		}
 		return r.Resilience.Amplification()
 	}),
-	{"recovery", func(r *Row) string { return fmtRecovery(r.Extra[extraGoodputRecovery]) }},
-	cellf("degraded", "%.0fs", func(r *Row) float64 { return r.Extra[extraDegraded] }),
+	{"recovery", func(r *Row) string { return fmtRecovery(r.health(platform.SeriesGoodputRecovery)) }},
+	cellf("degraded", "%.0fs", func(r *Row) float64 { return r.health(platform.SeriesDegraded) }),
 	cellf("shed", "%d", func(r *Row) uint64 { return cascadeDefenseCounts(r).Shed }),
 	cellf("short-circuits", "%d", func(r *Row) uint64 { return cascadeDefenseCounts(r).ShortCircuited }),
 	cellf("deadline-miss", "%d", func(r *Row) uint64 { return cascadeDefenseCounts(r).DeadlineExceeded }),
@@ -270,7 +270,6 @@ func (c cascadeCell) compile(opts Options) runner.RunSpec {
 		Platform:  cfg,
 		Algorithm: c.algorithm,
 		Duration:  dur,
-		Hooks:     []string{HookHealth},
 	}
 	roots := make(map[string]bool)
 	for _, r := range c.topology.graph.Roots() {

@@ -36,10 +36,11 @@ func ChaosFaults(seed int64) faults.Config {
 }
 
 // chaosColumns price what the resilience machinery buys per algorithm;
-// uptime is the health probe's availability (see health.go).
+// uptime is the health signal's availability (see platform/health.go): 100
+// at rate 0, where nothing can fail and nothing is sampled.
 var chaosColumns = []column{
 	failedColumn,
-	availabilityColumn("uptime %"),
+	cellf("uptime %", "%.2f", (*Row).availability),
 	meanColumn,
 	cellf("retries", "%d", func(r *Row) uint64 { return r.Actions.Retries }),
 	cellf("abandoned", "%d", func(r *Row) uint64 { return r.Actions.AbandonedActions }),
@@ -54,7 +55,7 @@ type chaosCell struct {
 }
 
 // compile turns a cell into a RunSpec: the Fig. 6b workload plus a scaled
-// fault mix, optional hardening kill-switch, and the health probe hook.
+// fault mix and optional hardening kill-switch.
 func (c chaosCell) compile(services []runner.ServiceRun, base faults.Config, opts Options) runner.RunSpec {
 	cfg := platform.DefaultConfig(opts.Seed)
 	cfg.Faults = base.Scaled(c.rate)
@@ -70,7 +71,6 @@ func (c chaosCell) compile(services []runner.ServiceRun, base faults.Config, opt
 		Algorithm: c.algorithm,
 		Duration:  macroDuration(opts),
 		Services:  services,
-		Hooks:     []string{HookHealth},
 	}
 }
 

@@ -72,8 +72,8 @@ func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 		t.Errorf("zero-rate actions diverged from baseline:\n got %+v\nwant %+v",
 			got.Actions, want.Actions)
 	}
-	if got.Extra[extraAvailability] != 100 {
-		t.Errorf("availability = %.2f at zero rate, want 100", got.Extra[extraAvailability])
+	if av := got.availability(); av != 100 {
+		t.Errorf("availability = %.2f at zero rate, want 100", av)
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 //	spill   — evacuation plus spillover across up to 3 zones.
 //
 // and three algorithms. The table reports availability and
-// time-to-reconverge as the health probe defines them (health.go),
+// time-to-reconverge as the health signal defines them (platform/health.go),
 // cross-zone replica displacement, and the cost delta against the matching
 // no-evac cell.
 
@@ -196,7 +196,6 @@ func (c drCell) compile(nodes, zones, fillers, mammothReplicas int, opts Options
 		Algorithm: c.algorithm,
 		Duration:  d,
 		Services:  drServices(fillers, c.scenario.mammoths, mammothReplicas),
-		Hooks:     []string{HookHealth},
 	}
 }
 
@@ -218,7 +217,7 @@ func runDRSized(opts Options, nodes, zones, fillers, mammothReplicas int, algori
 	// penalties.
 	g.columns = []column{
 		reconvergeColumn,
-		availabilityColumn("avail %"),
+		cellf("avail %", "%.2f", (*Row).availability),
 		failedColumn,
 		cellf("displaced", "%d", func(r *Row) uint64 { return drEvacCounts(r).ReplicasDisplaced }),
 		cellf("spillover", "%d", func(r *Row) uint64 { return drEvacCounts(r).SpilloverPlacements }),

@@ -52,9 +52,9 @@ func TestDRGridShape(t *testing.T) {
 	// not make it worse.
 	base := res.Row("outage", "no-evac", "hybridmem")
 	evac := res.Row("outage", "evac", "hybridmem")
-	if evac.Extra[extraAvailability] < base.Extra[extraAvailability] {
+	if evac.availability() < base.availability() {
 		t.Errorf("outage availability: evac %.2f%% < no-evac %.2f%%",
-			evac.Extra[extraAvailability], base.Extra[extraAvailability])
+			evac.availability(), base.availability())
 	}
 }
 

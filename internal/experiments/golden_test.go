@@ -53,10 +53,11 @@ func TestFig2TableGolden(t *testing.T) {
 
 // TestExperimentTableGoldens pins the rendered tables of every experiment
 // that reports availability or recovery: chaos, cascade and recovery at
-// Scale 0.05 and the reduced DR grid. They all read the shared health
-// probe, so a change to its definitions shows up here as a table diff. It
-// also pins the §III memory, Fig. 3 and Fig. 3 sweep tables and Fig. 9 at
-// Scale 0.05, and the cluster-size sweep at Scale 0.02.
+// Scale 0.05 and the reduced DR grid. They all read the world's health
+// signal, so a change to its definitions shows up here as a table diff. It
+// also pins the §III memory, Fig. 3 and Fig. 3 sweep tables, Fig. 9 and the
+// heterogeneous cluster at Scale 0.05, and the cluster-size sweep at Scale
+// 0.02.
 //
 // Four more goldens are checked on the render of a test that already runs
 // the same grid, so no grid runs twice:
@@ -126,6 +127,13 @@ func TestExperimentTableGoldens(t *testing.T) {
 		}},
 		{"fig9", func(*testing.T) (*Table, error) {
 			r, err := RunFig9(nil, opts)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"hetero", func(*testing.T) (*Table, error) {
+			r, err := RunHeterogeneous(opts)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hyscale/internal/obs"
+	"hyscale/internal/platform"
 	"hyscale/internal/runner"
 )
 
@@ -14,8 +15,8 @@ import (
 // labels expand to cells; each cell compiles to one runner.RunSpec, and each
 // executed cell becomes one Row. The axis labels are the table's leading
 // columns; the grid's columns render the rest from each row's result. Every
-// experiment returns Grids, so a caller reads every run — its result,
-// wall-clock Elapsed and, when observed, its journal and metrics — from
+// experiment returns Grids, so a caller reads every run — its result and
+// metric list, wall-clock Elapsed and, when observed, its journal — from
 // them.
 type Grid struct {
 	// Title names the paper artefact or extension table.
@@ -34,11 +35,10 @@ type Grid struct {
 
 // Row is one executed cell: its labels, one per axis, and the run's result.
 // The result's World is dropped — a paper-sized -all batch must not retain
-// every world — so an observed run keeps the world's metric list in Metrics.
+// every world — and its Metrics keep the world's metric list.
 type Row struct {
 	Labels []string
 	runner.Result
-	Metrics []obs.Series
 }
 
 // column is one rendered table column after the axis labels.
@@ -81,8 +81,7 @@ func axisOf[T any](items []T, name func(T) string) ([]string, map[string]T) {
 
 // run compiles every cell, fans the specs through runner.Execute with the
 // experiment's parallelism and keeps one row per cell, in cell order. With
-// Options.Observe every run is journaled, and its metric list is read here,
-// while the run's World still exists.
+// Options.Observe every run is journaled.
 func (g *Grid) run(cells [][]string, compile func(labels []string) runner.RunSpec, opts Options) (*Grid, error) {
 	specs := make([]runner.RunSpec, len(cells))
 	for i, c := range cells {
@@ -98,9 +97,6 @@ func (g *Grid) run(cells [][]string, compile func(labels []string) runner.RunSpe
 	g.Rows = make([]Row, len(results))
 	for i, r := range results {
 		g.Rows[i] = Row{Labels: cells[i], Result: r}
-		if r.Journal != nil {
-			g.Rows[i].Metrics = r.World.Metrics()
-		}
 		g.Rows[i].World = nil
 	}
 	return g, nil
@@ -203,10 +199,30 @@ var (
 	scaleOutsColumn    = cellf("scale-outs", "%d", func(r *Row) uint64 { return r.Actions.ScaleOuts })
 	scaleInsColumn     = cellf("scale-ins", "%d", func(r *Row) uint64 { return r.Actions.ScaleIns })
 
-	reconvergeColumn = column{"reconverge", func(r *Row) string { return fmtRecovery(r.Extra[extraReconverge]) }}
+	reconvergeColumn = column{"reconverge", func(r *Row) string { return fmtRecovery(r.health(platform.SeriesReconverge)) }}
 )
 
-// availabilityColumn renders the health probe's availability under header.
-func availabilityColumn(header string) column {
-	return cellf(header, "%.2f", func(r *Row) float64 { return r.Extra[extraAvailability] })
+// availability is the run's share of service-seconds up, in percent: 100
+// on a world that never sampled its health.
+func (r *Row) availability() float64 {
+	sampled := r.health(platform.SeriesAvailabilitySampled)
+	if sampled == 0 {
+		return 100
+	}
+	return 100 * r.health(platform.SeriesAvailabilityUp) / sampled
+}
+
+// health reads one of the run's unlabelled health series (see
+// platform.SeriesReconverge and its siblings); 0 on a world without it.
+func (r *Row) health(series string) float64 {
+	v, _ := obs.Lookup(r.Metrics, series, "")
+	return v
+}
+
+// fmtRecovery renders a recovery time for a table: "-" for never.
+func fmtRecovery(seconds float64) string {
+	if seconds < 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.0fs", seconds)
 }

@@ -55,9 +55,9 @@ func macroDuration(opts Options) time.Duration {
 }
 
 // macroRow parameterises one algorithm run inside a macro experiment beyond
-// the algorithm itself: decision period, placement heuristic, churn schedule
-// and named setup hooks. Each row COMPILES to a runner.RunSpec — the macro
-// experiments are spec compilers, not executors.
+// the algorithm itself: decision period, placement heuristic and churn
+// schedule. Each row COMPILES to a runner.RunSpec — the macro experiments
+// are spec compilers, not executors.
 type macroRow struct {
 	// label names the row in the result table; defaults to algorithm.
 	label string
@@ -72,9 +72,6 @@ type macroRow struct {
 	// nodeFailures / nodeRecoveries schedule machine churn.
 	nodeFailures   []runner.NodeFailure
 	nodeRecoveries []runner.NodeRecovery
-	// hooks names registered runner hooks (world mutations a declarative
-	// field cannot express, e.g. the heterogeneous node swap).
-	hooks []string
 	// manager carries the multi-metric manager configuration for
 	// "manager"/"manager-cost" rows; nil rows use defaults.
 	manager *scalermgr.Config
@@ -111,7 +108,6 @@ func (r macroRow) compile(name string, services []runner.ServiceRun, opts Option
 		Duration:       macroDuration(opts),
 		NodeFailures:   r.nodeFailures,
 		NodeRecoveries: r.nodeRecoveries,
-		Hooks:          r.hooks,
 		Services:       services,
 	}
 }

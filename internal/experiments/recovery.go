@@ -16,8 +16,8 @@ import (
 // end: two worker machines die mid-run, and the table reports how long each
 // algorithm takes to restore its pre-crash provisioned capacity
 // (time-to-reconverge from the moment of the first node death) and the
-// availability over the run, both as the health probe defines them
-// (health.go). Four variants per algorithm isolate each layer's
+// availability over the run, both as the world's health signal defines
+// them (platform/health.go). Four variants per algorithm isolate each layer's
 // contribution:
 //
 //	no-heal    — legacy behaviour: the dead nodes' replicas are never
@@ -46,7 +46,7 @@ const (
 )
 
 // recoveryServices builds a CPU-bound constant-load service set whose
-// pre-crash capacity is stable, so the health probe's pre-onset baseline is
+// pre-crash capacity is stable, so the health signal's pre-onset baseline is
 // a well-defined reconvergence target.
 func recoveryServices(n int) []runner.ServiceRun {
 	out := make([]runner.ServiceRun, 0, n)
@@ -68,11 +68,11 @@ func recoveryServices(n int) []runner.ServiceRun {
 	return out
 }
 
-// recoveryColumns report reconvergence and availability as the health probe
+// recoveryColumns report reconvergence and availability as the health signal
 // defines them, then the self-healing counters.
 var recoveryColumns = []column{
 	reconvergeColumn,
-	availabilityColumn("avail %"),
+	cellf("avail %", "%.2f", (*Row).availability),
 	failedColumn,
 	cellf("lost", "%d", func(r *Row) uint64 { return r.Recovery.ReplicasLost }),
 	cellf("replaced", "%d", func(r *Row) uint64 { return r.Recovery.Replaced }),
@@ -90,8 +90,8 @@ type recoveryCell struct {
 }
 
 // compile turns a cell into a RunSpec: the constant-load service set, two
-// node deaths shortly after failAt, the optional monitor-crash window, and
-// the health probe hook.
+// node deaths shortly after failAt (which make the world sample its health),
+// and the optional monitor-crash window.
 func (c recoveryCell) compile(services []runner.ServiceRun, opts Options) runner.RunSpec {
 	failAt := recoveryFailAt(opts)
 	cfg := platform.DefaultConfig(opts.Seed)
@@ -118,7 +118,6 @@ func (c recoveryCell) compile(services []runner.ServiceRun, opts Options) runner
 			{At: failAt + time.Second, Node: "node-1"},
 		},
 		Services: services,
-		Hooks:    []string{HookHealth},
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hyscale/internal/monitor"
+	"hyscale/internal/platform"
 )
 
 // recoveryBoundSeconds is the reconvergence acceptance bound: 20 default
@@ -29,7 +30,7 @@ func TestRecoveryReconvergesWithinBound(t *testing.T) {
 			if o == nil {
 				t.Fatalf("missing outcome %s/%s", algo, variant)
 			}
-			if secs := o.Extra[extraReconverge]; secs < 0 || secs > recoveryBoundSeconds {
+			if secs := o.health(platform.SeriesReconverge); secs < 0 || secs > recoveryBoundSeconds {
 				t.Errorf("%s/%s: reconverge = %.0fs, want within [0, %ds]",
 					algo, variant, secs, recoveryBoundSeconds)
 			}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hyscale/internal/cluster"
-	"hyscale/internal/platform"
 	"hyscale/internal/resources"
 	"hyscale/internal/runner"
 	"hyscale/internal/workload"
@@ -89,46 +88,29 @@ func RunTargetUtilSweep(opts Options) (*Grid, error) {
 	}, opts)
 }
 
-// HookHeteroBigNodes is the registered runner hook that converts a freshly
-// built world into the heterogeneous cluster of RunHeterogeneous.
-const HookHeteroBigNodes = "hetero-big-nodes"
-
-func init() {
-	runner.RegisterHook(HookHeteroBigNodes, func(w *platform.World, _ runner.RunSpec) (runner.Finalizer, error) {
-		// Replace the last 9 uniform nodes with big 8-core/16GiB machines.
-		for i := 10; i < 19; i++ {
-			id := fmt.Sprintf("node-%d", i)
-			if _, err := w.Cluster().RemoveNode(id); err != nil {
-				return nil, err
-			}
-			w.Control().DetachNode(id)
-			big := cluster.DefaultNodeConfig(fmt.Sprintf("big-%d", i))
-			big.Capacity = resources.Vector{CPU: 8, MemMB: 16384, NetMbps: 2000}
-			big.Net.CapacityMbps = 2000
-			if err := w.Cluster().AddNode(big); err != nil {
-				return nil, err
-			}
-			w.Control().AttachNode(w.Cluster().Node(big.ID))
-		}
-		return nil, nil
-	})
-}
-
 // RunHeterogeneous exercises the algorithms on a heterogeneous cluster —
 // half the machines twice as large — verifying placement respects per-node
 // capacities (§I: "most cloud clusters are heterogeneous").
 func RunHeterogeneous(opts Options) (*Grid, error) {
 	opts = opts.scaled()
 	services := makeServices(workload.KindCPUBound, 15, HighBurst, opts.Seed)
-	return macroGrid(
-		"Heterogeneous cluster: 10 small + 9 double-size nodes (CPU-bound, high-burst)",
-		costColumns,
-		services,
-		[]macroRow{
-			{algorithm: "kubernetes", hooks: []string{HookHeteroBigNodes}},
-			{algorithm: "hybrid", hooks: []string{HookHeteroBigNodes}},
-			{algorithm: "hybridmem", hooks: []string{HookHeteroBigNodes}},
-		},
-		opts,
-	)
+	title := "Heterogeneous cluster: 10 small + 9 double-size nodes (CPU-bound, high-burst)"
+	g := &Grid{Title: title, Axes: []string{"algorithm"}, columns: costColumns}
+	return g.run(product([]string{"kubernetes", "hybrid", "hybridmem"}), func(l []string) runner.RunSpec {
+		return heterogeneous(macroRow{algorithm: l[0]}.compile(title, services, opts))
+	}, opts)
+}
+
+// heterogeneous declares spec's cluster as ten default machines plus nine
+// 8-core/16GiB ones, big-10 .. big-18, that join at time zero: Build adds
+// them before any service deploys.
+func heterogeneous(spec runner.RunSpec) runner.RunSpec {
+	spec.Platform.Nodes = 10
+	for i := 10; i < 19; i++ {
+		nc := cluster.DefaultNodeConfig(fmt.Sprintf("big-%d", i))
+		nc.Capacity = resources.Vector{CPU: 8, MemMB: 16384, NetMbps: 2000}
+		nc.Net.CapacityMbps = 2000
+		spec.NodeRecoveries = append(spec.NodeRecoveries, runner.NodeRecovery{At: 0, Config: nc})
+	}
+	return spec
 }

@@ -31,6 +31,17 @@ type Series struct {
 	Value  float64
 }
 
+// Lookup returns the value of the series with this name and exactly these
+// labels, and whether series holds one.
+func Lookup(series []Series, name, labels string) (float64, bool) {
+	for _, s := range series {
+		if s.Name == name && s.Labels == labels {
+			return s.Value, true
+		}
+	}
+	return 0, false
+}
+
 // WritePrometheus writes series in the Prometheus text exposition format:
 // each family's # HELP and # TYPE lines once, before its first sample.
 func WritePrometheus(w io.Writer, series []Series) error {

@@ -1,52 +1,112 @@
-package experiments
+package platform
 
 import (
-	"fmt"
 	"time"
 
 	"hyscale/internal/container"
 	"hyscale/internal/faults"
-	"hyscale/internal/platform"
-	"hyscale/internal/runner"
+	"hyscale/internal/obs"
 	"hyscale/internal/sim"
 )
 
-// HookHealth is the registered runner hook attaching the health probe: the
-// one definition of availability and recovery every experiment reports. It
-// samples once per simulated second, measuring from the fault onset (the
-// earliest scheduled node failure or fault window; see faultOnset), and its
-// finalizer fills these Result.Extra keys:
-//
-//   - availabilityPercent: the share of service-seconds up, where a
-//     service is up when at least one replica is routable and not inside
-//     an injected backend outage (100 when never sampled).
-//   - reconvergeSeconds: onset to the last return of every service to its
-//     pre-onset provisioned CPU (see reconvergence); 0 when never
-//     degraded, -1 when never restored.
-//   - goodputRecoverySeconds and degradedSeconds, on call-graph worlds
-//     only: root goodput against its pre-onset rate (see goodputRecovery).
-const HookHealth = "health"
-
+// The health signal's series in World.Metrics, published only by a world
+// that can fail (see startHealth). Availability is two counters, the
+// service-seconds up and sampled, so a reader recomputes 100*up/sampled
+// exactly. Reconvergence (see reconvergence) and, on call-graph worlds only,
+// goodput recovery and degraded time (see goodputRecovery) are seconds.
 const (
-	extraAvailability    = "availabilityPercent"
-	extraReconverge      = "reconvergeSeconds"
-	extraGoodputRecovery = "goodputRecoverySeconds"
-	extraDegraded        = "degradedSeconds"
+	SeriesAvailabilityUp      = "hyscale_availability_up_service_seconds_total"
+	SeriesAvailabilitySampled = "hyscale_availability_sampled_service_seconds_total"
+	SeriesReconverge          = "hyscale_reconverge_seconds"
+	SeriesGoodputRecovery     = "hyscale_goodput_recovery_seconds"
+	SeriesDegraded            = "hyscale_degraded_seconds"
 )
 
+// health is the world's one definition of availability and recovery,
+// sampled once per simulated second from the fault onset's point of view.
+type health struct {
+	onset    time.Duration
+	capacity *reconvergence
+	goodput  *goodputRecovery // nil without a call graph
+	// up and sampled count service-seconds.
+	up, sampled uint64
+	// cpu holds one sample's provisioned CPU per service, by ordinal; buf is
+	// the replica-lookup buffer. Both are reused, so a sample allocates
+	// nothing.
+	cpu []float64
+	buf []*container.Container
+}
+
+// startHealth schedules the per-second health sampler if the world can
+// fail: its fault injection is enabled or a node failure is scheduled. A
+// world that cannot fail schedules nothing. Run calls it before it schedules
+// the tick, so at a shared instant the sampler reads state before the tick
+// changes it. It samples the services registered by then.
+func (w *World) startHealth() error {
+	if !w.cfg.Faults.Enabled() && len(w.failures) == 0 {
+		return nil
+	}
+	onset := faultOnset(w.failures, w.cfg.Faults.Windows)
+	w.health = &health{
+		onset:    onset,
+		capacity: newReconvergence(onset, len(w.services)),
+		cpu:      make([]float64, len(w.services)),
+	}
+	if w.graph != nil {
+		w.health.goodput = &goodputRecovery{onset: onset, recovered: -1}
+	}
+	return w.engine.SchedulePeriodic(time.Second, time.Second, w.sampleHealth)
+}
+
+// sampleHealth takes one second's sample: each service's availability and
+// the provisioned CPU of its live replicas, in creation order.
+func (w *World) sampleHealth(e *sim.Engine) {
+	h, now := w.health, e.Now()
+	for i, rt := range w.services[:len(h.cpu)] {
+		// The route view may still hold removed replicas; they are never
+		// routable, and carry no provisioned CPU here.
+		view := w.ctl.RouteView(rt.ord, &h.buf)
+		h.sampled++
+		if serviceUp(now, w.faults, view) {
+			h.up++
+		}
+		h.cpu[i] = 0
+		for _, c := range view {
+			if c.State != container.StateRemoved {
+				h.cpu[i] += c.Alloc.CPU
+			}
+		}
+	}
+	h.capacity.sample(now, h.cpu)
+	if h.goodput != nil {
+		h.goodput.sample(now, w.graph.rootCompleted)
+	}
+}
+
+// metrics appends the health series to l.
+func (h *health) metrics(l *seriesList) {
+	l.counter(SeriesAvailabilityUp, "Service-seconds with a routable replica outside an injected backend outage.", h.up)
+	l.counter(SeriesAvailabilitySampled, "Service-seconds the health signal sampled.", h.sampled)
+	l.family(obs.TypeGauge, SeriesReconverge, "Seconds from the fault onset until provisioned CPU last returned to baseline (0 never degraded, -1 never restored).")("", h.capacity.seconds())
+	if g := h.goodput; g != nil {
+		l.family(obs.TypeGauge, SeriesGoodputRecovery, "Seconds from the fault onset until root goodput sustainably regained 80% of its pre-onset rate (0 never degraded, -1 never recovered).")("", sinceOnset(g.degraded, g.recovered, h.onset))
+		l.family(obs.TypeGauge, SeriesDegraded, "Seconds after the fault onset with root goodput below 80% of its pre-onset rate.")("", float64(g.degradedSeconds))
+	}
+}
+
 // faultOnset returns the earliest scheduled node failure or fault window
-// opening in the spec, or -1 when it schedules neither.
-func faultOnset(spec runner.RunSpec) time.Duration {
+// opening, or -1 when there is neither.
+func faultOnset(failures []time.Duration, windows []faults.Window) time.Duration {
 	onset := time.Duration(-1)
 	earliest := func(at time.Duration) {
 		if onset < 0 || at < onset {
 			onset = at
 		}
 	}
-	for _, f := range spec.NodeFailures {
-		earliest(f.At)
+	for _, at := range failures {
+		earliest(at)
 	}
-	for _, w := range spec.Platform.Faults.Windows {
+	for _, w := range windows {
 		earliest(w.From)
 	}
 	return onset
@@ -73,7 +133,7 @@ func serviceUp(now time.Duration, inj *faults.Injector, replicas []*container.Co
 // from re-arming a cell that has genuinely recovered.
 type reconvergence struct {
 	onset     time.Duration // -1: no fault, never degraded
-	base      []float64     // per service, in spec order
+	base      []float64     // per service, by ordinal
 	baselined bool
 	degraded  bool
 	restored  time.Duration // last return to baseline; -1 while degraded
@@ -135,7 +195,7 @@ type goodputRecovery struct {
 	last            uint64
 	preSum          float64
 	preCount        int
-	window          []float64 // the last 5 per-second rates since the onset
+	window          []float64 // the last 5 per-second rates since the onset, oldest first
 	recovered       time.Duration
 	degraded        bool
 	degradedSeconds int // samples below the 80% bar over the whole run
@@ -155,10 +215,11 @@ func (g *goodputRecovery) sample(now time.Duration, completed uint64) {
 		g.degraded = true
 		g.degradedSeconds++
 	}
-	g.window = append(g.window, rate)
-	if len(g.window) > 5 {
-		g.window = g.window[1:]
+	if len(g.window) == 5 {
+		// Shift in place: the window keeps its backing array.
+		g.window = append(g.window[:0], g.window[1:]...)
 	}
+	g.window = append(g.window, rate)
 	var sum float64
 	for _, r := range g.window {
 		sum += r
@@ -187,63 +248,3 @@ func sinceOnset(degraded bool, recovered, onset time.Duration) float64 {
 	}
 	return (recovered - onset).Seconds()
 }
-
-// fmtRecovery renders a recovery time for a table: "-" for never.
-func fmtRecovery(seconds float64) string {
-	if seconds < 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.0fs", seconds)
-}
-
-// attachHealth schedules the health probe's per-second sampler over the
-// spec's services.
-func attachHealth(w *platform.World, spec runner.RunSpec) (runner.Finalizer, error) {
-	onset := faultOnset(spec)
-	capacity := newReconvergence(onset, len(spec.Services))
-	var goodput *goodputRecovery
-	if w.HasCallGraph() {
-		goodput = &goodputRecovery{onset: onset, recovered: -1}
-	}
-	ctl, inj := w.Control(), w.FaultInjector()
-	var total, up uint64
-	var buf []*container.Container
-	cpu := make([]float64, len(spec.Services))
-	err := w.Engine().SchedulePeriodic(time.Second, time.Second, func(e *sim.Engine) {
-		now := e.Now()
-		for i, s := range spec.Services {
-			buf = ctl.AppendReplicas(buf[:0], s.Spec.Name)
-			total++
-			if serviceUp(now, inj, buf) {
-				up++
-			}
-			cpu[i] = 0
-			for _, c := range buf {
-				cpu[i] += c.Alloc.CPU
-			}
-		}
-		capacity.sample(now, cpu)
-		if goodput != nil {
-			goodput.sample(now, w.CascadeStats().RootCompleted)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return func(res *runner.Result) {
-		if res.Extra == nil {
-			res.Extra = make(map[string]float64)
-		}
-		res.Extra[extraAvailability] = 100
-		if total > 0 {
-			res.Extra[extraAvailability] = 100 * float64(up) / float64(total)
-		}
-		res.Extra[extraReconverge] = capacity.seconds()
-		if goodput != nil {
-			res.Extra[extraGoodputRecovery] = sinceOnset(goodput.degraded, goodput.recovered, onset)
-			res.Extra[extraDegraded] = float64(goodput.degradedSeconds)
-		}
-	}, nil
-}
-
-func init() { runner.RegisterHook(HookHealth, attachHealth) }

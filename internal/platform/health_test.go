@@ -1,4 +1,4 @@
-package experiments
+package platform
 
 import (
 	"testing"
@@ -6,8 +6,9 @@ import (
 
 	"hyscale/internal/container"
 	"hyscale/internal/faults"
+	"hyscale/internal/loadgen"
+	"hyscale/internal/obs"
 	"hyscale/internal/resources"
-	"hyscale/internal/runner"
 	"hyscale/internal/workload"
 )
 
@@ -82,17 +83,19 @@ func TestReconvergenceDefinition(t *testing.T) {
 // TestFaultOnset: the onset is the earliest node failure or fault window,
 // whichever kind comes first.
 func TestFaultOnset(t *testing.T) {
-	var spec runner.RunSpec
-	if got := faultOnset(spec); got != -1 {
-		t.Errorf("empty spec: onset = %v, want -1", got)
+	if got := faultOnset(nil, nil); got != -1 {
+		t.Errorf("no failure or window: onset = %v, want -1", got)
 	}
-	spec.NodeFailures = []runner.NodeFailure{{At: 40 * time.Second, Node: "node-0"}}
-	spec.Platform.Faults.Windows = []faults.Window{
+	failures := []time.Duration{40 * time.Second}
+	windows := []faults.Window{
 		{Kind: faults.KindMonitorCrash, From: 60 * time.Second, To: 90 * time.Second},
 		{Kind: faults.KindBackend, From: 30 * time.Second, To: 35 * time.Second},
 	}
-	if got := faultOnset(spec); got != 30*time.Second {
+	if got := faultOnset(failures, windows); got != 30*time.Second {
 		t.Errorf("onset = %v, want 30s", got)
+	}
+	if got := faultOnset(failures, windows[:1]); got != 40*time.Second {
+		t.Errorf("failure first: onset = %v, want 40s", got)
 	}
 }
 
@@ -133,5 +136,100 @@ func TestAvailabilityExcludesBlackHoledReplica(t *testing.T) {
 	// A nil injector (no faults configured) black-holes nothing.
 	if !serviceUp(in, nil, []*container.Container{holed}) {
 		t.Error("nil injector: running replica reported down")
+	}
+}
+
+// healthWorld runs a small world for a minute with the given faults and
+// node failures.
+func healthWorld(t *testing.T, fc faults.Config, failAt ...time.Duration) *World {
+	t.Helper()
+	cfg := smallConfig(1)
+	cfg.Faults = fc
+	w, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := w.AddService(cpuSpec(name), 0.5, loadgen.Constant{RPS: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, at := range failAt {
+		if err := w.ScheduleNodeFailure(at, "node-0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestNoHealthWithoutFaults: a world that cannot fail schedules no health
+// sampler and publishes no health series; a scheduled node failure or any
+// enabled fault injection makes it sample once per simulated second.
+func TestNoHealthWithoutFaults(t *testing.T) {
+	healthSeries := []string{SeriesAvailabilityUp, SeriesAvailabilitySampled, SeriesReconverge,
+		SeriesGoodputRecovery, SeriesDegraded}
+	w := healthWorld(t, faults.Config{})
+	if w.health != nil {
+		t.Error("a fault-free world scheduled the health sampler")
+	}
+	for _, name := range healthSeries {
+		if _, ok := obs.Lookup(w.Metrics(), name, ""); ok {
+			t.Errorf("a fault-free world publishes %s", name)
+		}
+	}
+	for name, w := range map[string]*World{
+		"node failure":    healthWorld(t, faults.Config{}, 30*time.Second),
+		"fault injection": healthWorld(t, faults.Config{Seed: 1, StatsDropProb: 0.1}),
+	} {
+		sampled, ok := obs.Lookup(w.Metrics(), SeriesAvailabilitySampled, "")
+		if !ok || sampled != 2*60 {
+			t.Errorf("%s: %v service-seconds sampled (present %v), want 120", name, sampled, ok)
+		}
+		if _, ok := obs.Lookup(w.Metrics(), SeriesGoodputRecovery, ""); ok {
+			t.Errorf("%s: goodput recovery published on a world without a call graph", name)
+		}
+	}
+}
+
+// TestHealthSampleAllocFree: a warm health sample allocates nothing, on a
+// call-graph world where goodput recovery runs too.
+func TestHealthSampleAllocFree(t *testing.T) {
+	graph, services := fanoutGraph()
+	cfg := smallConfig(1)
+	cfg.CallGraph = graph
+	cfg.Faults = faults.Config{Seed: 1, Windows: []faults.Window{
+		{Kind: faults.KindBackend, Target: "db", From: 20 * time.Second, To: 30 * time.Second},
+	}}
+	w, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range services {
+		var pattern loadgen.Pattern
+		if spec.Name == "gateway" {
+			pattern = loadgen.Constant{RPS: 10}
+		}
+		if err := w.AddService(spec, 0.5, pattern); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Run(40 * time.Second); err != nil { // past the onset: the goodput window is full
+		t.Fatal(err)
+	}
+	if w.health == nil || w.health.goodput == nil || len(w.health.goodput.window) != 5 {
+		t.Fatal("the world is not sampling goodput recovery")
+	}
+	// AllocsPerRun truncates its average, so each run takes several
+	// samples: an occasional allocation still shows.
+	allocs := testing.AllocsPerRun(100, func() {
+		for range 16 {
+			w.sampleHealth(w.Engine())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("16 health samples allocate %.2f objects, want 0", allocs)
 	}
 }

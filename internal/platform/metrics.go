@@ -31,7 +31,8 @@ func (l *seriesList) counter(name, help string, v uint64) {
 // already keep, so no hot path pays for it. Families stay conditional on
 // the world's shape: zone and evacuation series exist only on zoned worlds,
 // manager series only under the scaler manager, and resilience and cascade
-// series only on call-graph worlds.
+// series only on call-graph worlds, and the health series only on worlds
+// that can fail.
 func (w *World) Metrics() []obs.Series {
 	var l seriesList
 	sum := w.Summary()
@@ -165,6 +166,9 @@ func (w *World) Metrics() []obs.Series {
 			calls(fmt.Sprintf("edge=%q,result=\"delivered\"", key), float64(e.Delivered))
 			calls(fmt.Sprintf("edge=%q,result=\"dropped\"", key), float64(e.Dropped))
 		}
+	}
+	if w.health != nil {
+		w.health.metrics(&l)
 	}
 	return l
 }

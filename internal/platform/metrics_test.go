@@ -120,6 +120,8 @@ func TestMetricsMatchAccessors(t *testing.T) {
 		`hyscale_cascade_roots_total{outcome="shed"}`:          cs.RootShed,
 		`hyscale_cascade_roots_total{outcome="deadline"}`:      cs.RootDeadline,
 		`hyscale_cascade_roots_total{outcome="failed"}`:        cs.RootFailed,
+		SeriesAvailabilityUp:                                   w.health.up,
+		SeriesAvailabilitySampled:                              w.health.sampled,
 	}
 	for _, z := range ctl.ZoneSummaries() {
 		want[fmt.Sprintf(`hyscale_zone_scaling_actions_total{zone="%d",kind="vertical"}`, z.Zone)] = z.Counts.Vertical
@@ -161,7 +163,8 @@ func TestMetricsMatchAccessors(t *testing.T) {
 		t.Errorf("accessor field %s missing from Metrics", key)
 	}
 	for _, name := range []string{"hyscale_manager_scaler_desired", "hyscale_manager_merged_desired",
-		"hyscale_retry_amplification_ratio", "hyscale_breaker_state", "hyscale_zone_evacuated"} {
+		"hyscale_retry_amplification_ratio", "hyscale_breaker_state", "hyscale_zone_evacuated",
+		SeriesReconverge, SeriesGoodputRecovery, SeriesDegraded} {
 		if !families[name] {
 			t.Errorf("family %s missing from Metrics", name)
 		}

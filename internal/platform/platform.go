@@ -242,6 +242,13 @@ type World struct {
 	monitorDown bool
 	// monitorCrashes counts poll periods lost to monitor-crash windows.
 	monitorCrashes uint64
+
+	// failures holds the instants of the scheduled node failures, for the
+	// health signal's fault onset.
+	failures []time.Duration
+	// health is the per-second availability and recovery signal, nil on a
+	// world that cannot fail.
+	health *health
 }
 
 // New builds a world. algo may be nil for experiments with no autoscaler
@@ -677,6 +684,9 @@ func (w *World) Run(horizon time.Duration) error {
 				return err
 			}
 		}
+		if err := w.startHealth(); err != nil {
+			return err
+		}
 		if err := w.engine.SchedulePeriodic(w.cfg.Tick, w.cfg.Tick, w.tick); err != nil {
 			return err
 		}
@@ -729,7 +739,7 @@ func (w *World) Summary() metrics.Summary { return w.recorder.Summarize() }
 func (w *World) ClampedEvents() uint64 { return w.engine.Clamped() }
 
 // FaultInjector exposes the fault-injection layer (nil when faults are
-// disabled) — experiments probe it for uptime accounting.
+// disabled).
 func (w *World) FaultInjector() *faults.Injector { return w.faults }
 
 // ConnFailures returns the routing-time connection-failure breakdown.
@@ -767,8 +777,10 @@ func (w *World) CostReport() cost.Report { return w.costs.Report() }
 // ScheduleNodeFailure schedules machine nodeID to fail at the given
 // simulated time: every container on it dies (in-flight requests are
 // recorded as removal failures) and the Monitor stops querying it. Used by
-// the availability-under-churn experiments.
+// the availability-under-churn experiments. A failure scheduled before the
+// clock starts also makes the world sample its health signal.
 func (w *World) ScheduleNodeFailure(at time.Duration, nodeID string) error {
+	w.failures = append(w.failures, at)
 	return w.engine.Schedule(at, func(e *sim.Engine) {
 		killed, err := w.cluster.RemoveNode(nodeID)
 		if err != nil {
@@ -792,9 +804,17 @@ func (w *World) ScheduleNodeFailure(at time.Duration, nodeID string) error {
 // given simulated time (the paper's dynamic machine-addition future work).
 func (w *World) ScheduleNodeRecovery(at time.Duration, cfg cluster.NodeConfig) error {
 	return w.engine.Schedule(at, func(e *sim.Engine) {
-		if err := w.cluster.AddNode(cfg); err != nil {
-			return // duplicate ID
-		}
-		w.ctl.AttachNode(w.cluster.Node(cfg.ID))
+		_ = w.AddNode(cfg) // a duplicate ID joins nothing
 	})
+}
+
+// AddNode adds a machine to the cluster now and attaches it to the control
+// plane. Added before any service deploys, it is part of the starting
+// cluster.
+func (w *World) AddNode(cfg cluster.NodeConfig) error {
+	if err := w.cluster.AddNode(cfg); err != nil {
+		return err
+	}
+	w.ctl.AttachNode(w.cluster.Node(cfg.ID))
+	return nil
 }

@@ -54,9 +54,10 @@ type Result struct {
 	// the spec enabled Platform.Evacuate on a zoned run).
 	ZoneEvac *monitor.EvacCounts `json:"zoneEvac,omitempty"`
 
-	// Extra holds hook-harvested measurements (e.g. "availabilityPercent"
-	// from the experiments' health probe).
-	Extra map[string]float64 `json:"extra,omitempty"`
+	// Metrics is the world's metric list (platform.World.Metrics) at the
+	// end of the run, read while the World still exists: the health signal
+	// and every other published series. Never serialized.
+	Metrics []obs.Series `json:"-"`
 
 	// Elapsed is the wall-clock time the run took, filled by Execute.
 	Elapsed time.Duration `json:"elapsed"`
@@ -71,9 +72,16 @@ type Result struct {
 	Journal *obs.Journal `json:"-"`
 }
 
-// Build validates a spec and materialises it into a ready-to-run world plus
-// the finalizers of its hooks. Callers that just want the measurements should
-// use Run.
+// Finalizer is the type of Build's second result, which is always nil.
+//
+// Deprecated: runs have no finalizers; the type stays only while
+// simbench/rep.go reads Build's three results.
+type Finalizer func(res *Result)
+
+// Build validates a spec and materialises it into a ready-to-run world.
+// Machines that recover at time zero join before any service deploys: they
+// are part of the starting cluster. The second result is always nil.
+// Callers that just want the measurements should use Run.
 func Build(spec RunSpec) (*platform.World, []Finalizer, error) {
 	cfg, algo, err := spec.resolve()
 	if err != nil {
@@ -82,6 +90,13 @@ func Build(spec RunSpec) (*platform.World, []Finalizer, error) {
 	w, err := platform.New(cfg, algo)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
+	}
+	for _, r := range spec.NodeRecoveries {
+		if r.At == 0 {
+			if err := w.AddNode(r.Config); err != nil {
+				return nil, nil, fmt.Errorf("%s: node recovery %s: %w", spec.Name, r.Config.ID, err)
+			}
+		}
 	}
 	for _, s := range spec.Services {
 		pattern, _ := s.Load.Pattern() // checked by resolve
@@ -110,31 +125,20 @@ func Build(spec RunSpec) (*platform.World, []Finalizer, error) {
 		}
 	}
 	for _, r := range spec.NodeRecoveries {
+		if r.At == 0 {
+			continue
+		}
 		if err := w.ScheduleNodeRecovery(r.At, r.Config); err != nil {
 			return nil, nil, fmt.Errorf("%s: node recovery %s: %w", spec.Name, r.Config.ID, err)
 		}
 	}
-	var fins []Finalizer
-	for _, name := range spec.Hooks {
-		h, err := lookupHook(name)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
-		}
-		fin, err := h(w, spec)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: hook %s: %w", spec.Name, name, err)
-		}
-		if fin != nil {
-			fins = append(fins, fin)
-		}
-	}
-	return w, fins, nil
+	return w, nil, nil
 }
 
 // Run builds and executes one spec to completion, harvesting the standard
-// measurements plus any hook finalizer output.
+// measurements and the world's metric list.
 func Run(spec RunSpec) (Result, error) {
-	w, fins, err := Build(spec)
+	w, _, err := Build(spec)
 	if err != nil {
 		return Result{}, err
 	}
@@ -162,6 +166,7 @@ func Run(spec RunSpec) (Result, error) {
 		ClampedEvents:  w.ClampedEvents(),
 		World:          w,
 		Journal:        w.Journal(),
+		Metrics:        w.Metrics(),
 	}
 	if zs := ctl.ZoneSummaries(); zs != nil {
 		res.Zones = zs
@@ -174,9 +179,6 @@ func Run(spec RunSpec) (Result, error) {
 		rc := w.Resilience().Counters()
 		res.Cascade = &cs
 		res.Resilience = &rc
-	}
-	for _, fin := range fins {
-		fin(&res)
 	}
 	return res, nil
 }

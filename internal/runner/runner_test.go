@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hyscale/internal/cluster"
 	"hyscale/internal/core"
 	"hyscale/internal/loadgen"
 	"hyscale/internal/platform"
@@ -190,46 +191,6 @@ func TestNewAlgorithmNaming(t *testing.T) {
 	}
 }
 
-func TestHooksRegistry(t *testing.T) {
-	ran := false
-	RegisterHook("runner-test-probe", func(w *platform.World, spec RunSpec) (Finalizer, error) {
-		ran = true
-		return func(res *Result) {
-			if res.Extra == nil {
-				res.Extra = make(map[string]float64)
-			}
-			res.Extra["probe"] = 42
-		}, nil
-	})
-
-	spec := smokeSpec("hooked", 1)
-	spec.Hooks = []string{"runner-test-probe"}
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Error("hook did not run")
-	}
-	if res.Extra["probe"] != 42 {
-		t.Errorf("finalizer output missing: %v", res.Extra)
-	}
-
-	// Unknown hooks fail the build with the available names listed.
-	spec.Hooks = []string{"no-such-hook"}
-	if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "runner-test-probe") {
-		t.Errorf("want unknown-hook error listing registered names, got %v", err)
-	}
-
-	// Duplicate registration panics.
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate RegisterHook should panic")
-		}
-	}()
-	RegisterHook("runner-test-probe", func(w *platform.World, spec RunSpec) (Finalizer, error) { return nil, nil })
-}
-
 func TestRunRejectsZeroDuration(t *testing.T) {
 	spec := smokeSpec("no-duration", 1)
 	spec.Duration = 0
@@ -257,6 +218,25 @@ func TestValidate(t *testing.T) {
 		{"invalid service spec", func(s *RunSpec) { s.Services[0].Spec.MaxReplicas = 0 }, `service "svc"`},
 		{"unknown load", func(s *RunSpec) { s.Services[0].Load.Type = "sawtooth" }, `unknown load type "sawtooth"`},
 		{"unknown algorithm", func(s *RunSpec) { s.Algorithm = "bogus" }, `unknown algorithm "bogus"`},
+		{"failure names no node", func(s *RunSpec) {
+			s.NodeFailures = []NodeFailure{{At: time.Second, Node: "node-3"}}
+		}, `node failure names unknown node "node-3"`},
+		{"negative failure time", func(s *RunSpec) {
+			s.NodeFailures = []NodeFailure{{At: -time.Second, Node: "node-0"}}
+		}, `node failure "node-0" at -1s, want >= 0`},
+		{"recovery without ID", func(s *RunSpec) {
+			s.NodeRecoveries = []NodeRecovery{{At: time.Second}}
+		}, "node recovery with empty ID"},
+		{"negative recovery time", func(s *RunSpec) {
+			s.NodeRecoveries = []NodeRecovery{{At: -time.Second, Config: cluster.DefaultNodeConfig("spare")}}
+		}, `node recovery "spare" at -1s, want >= 0`},
+		{"duplicate recovery", func(s *RunSpec) {
+			spare := NodeRecovery{At: time.Second, Config: cluster.DefaultNodeConfig("spare")}
+			s.NodeRecoveries = []NodeRecovery{spare, spare}
+		}, `node recovery "spare" names a machine that already exists`},
+		{"recovery reuses a platform node", func(s *RunSpec) {
+			s.NodeRecoveries = []NodeRecovery{{At: time.Second, Config: cluster.DefaultNodeConfig("node-2")}}
+		}, `node recovery "node-2" names a machine that already exists`},
 	}
 	for _, tt := range tests {
 		spec := smokeSpec("bad", 1)
@@ -269,5 +249,38 @@ func TestValidate(t *testing.T) {
 		if _, _, berr := Build(spec); berr == nil || berr.Error() != "bad: "+err.Error() {
 			t.Errorf("%s: Build error %v, want %q", tt.name, berr, "bad: "+err.Error())
 		}
+	}
+
+	// A failure may name a platform node or a machine a recovery adds.
+	spec := smokeSpec("churn", 1)
+	spec.NodeRecoveries = []NodeRecovery{{At: time.Second, Config: cluster.DefaultNodeConfig("spare")}}
+	spec.NodeFailures = []NodeFailure{{At: 0, Node: "node-2"}, {At: 2 * time.Second, Node: "spare"}}
+	if err := spec.Validate(); err != nil {
+		t.Errorf("valid churn schedule: %v", err)
+	}
+}
+
+// TestDefaultedPlatformKeepsSeedAndObserve: a defaulted platform may set only
+// Seed and Observe, so the build keeps both; a non-zero RunSpec.Seed still
+// overrides Platform.Seed.
+func TestDefaultedPlatformKeepsSeedAndObserve(t *testing.T) {
+	spec := RunSpec{Name: "defaulted", Platform: platform.Config{Observe: true, Seed: 9}}
+	cfg, err := spec.platformConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cfg.Observe || cfg.Seed != 9 || cfg.Nodes != platform.DefaultConfig(9).Nodes {
+		t.Errorf("defaulted platform: observe=%v seed=%d nodes=%d, want true, 9 and the defaults' nodes", cfg.Observe, cfg.Seed, cfg.Nodes)
+	}
+	w, _, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Journal() == nil {
+		t.Error("Platform.Observe on a defaulted platform built no journal")
+	}
+	spec.Seed = 5
+	if cfg, _ := spec.platformConfig(); cfg.Seed != 5 {
+		t.Errorf("RunSpec.Seed 5 with Platform.Seed 9: seed %d, want 5", cfg.Seed)
 	}
 }

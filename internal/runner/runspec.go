@@ -2,18 +2,19 @@
 // scenario and CLI run in this repository. A RunSpec is a self-contained,
 // serializable description of one simulation run — platform configuration,
 // algorithm, services with declarative load shapes, pinned replicas, stress
-// contenders, fixed-count injections, machine churn schedules, and named
-// setup hooks. The experiment harness, the scenario layer and the public
-// facade all COMPILE to RunSpecs; Execute fans independent specs out
-// across a bounded worker pool and returns results in spec order with
-// bit-identical output for any worker count, because each run builds its own
-// isolated World whose RNG derives from (root seed, spec name) rather than
-// sharing state.
+// contenders, fixed-count injections and machine churn schedules. The
+// experiment harness, the scenario layer and the public facade all COMPILE
+// to RunSpecs; Execute fans independent specs out across a bounded worker
+// pool and returns results in spec order with bit-identical output for any
+// worker count, because each run builds its own isolated World whose RNG
+// derives from (root seed, spec name) rather than sharing state.
 package runner
 
 import (
 	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"time"
 
 	"hyscale/internal/cluster"
@@ -169,7 +170,9 @@ type NodeFailure struct {
 	Node string        `json:"node"`
 }
 
-// NodeRecovery schedules a fresh machine joining the cluster.
+// NodeRecovery schedules a fresh machine joining the cluster. One that joins
+// at time zero is part of the starting cluster: Build adds it before any
+// service deploys.
 type NodeRecovery struct {
 	At     time.Duration      `json:"at"`
 	Config cluster.NodeConfig `json:"config"`
@@ -189,8 +192,8 @@ type RunSpec struct {
 	// without any shared RNG state.
 	Seed int64 `json:"seed,omitempty"`
 	// Platform configures the world; a zero Nodes and Tick means
-	// platform.DefaultConfig(Seed), and then no field other than Seed and
-	// Observe may be set. Platform.Seed is overridden by Seed.
+	// platform.DefaultConfig, and then no field other than Seed and Observe
+	// may be set. A non-zero Seed overrides Platform.Seed.
 	Platform platform.Config `json:"platform"`
 	// Algorithm names the autoscaler, with ablation suffixes and the
 	// "-predictive" wrapper ("hybridmem-noreclaim", "kubernetes-predictive",
@@ -218,15 +221,9 @@ type RunSpec struct {
 	NodeFailures   []NodeFailure  `json:"nodeFailures,omitempty"`
 	NodeRecoveries []NodeRecovery `json:"nodeRecoveries,omitempty"`
 
-	// Hooks names registered setup functions (RegisterHook) that run after
-	// services are deployed and before the clock starts — the extension
-	// point for world mutations a declarative field cannot express.
-	Hooks []string `json:"hooks,omitempty"`
-
 	// Observe enables the decision-trace journal for this run (see
 	// internal/obs). Each run owns an isolated journal, so parallel executor
-	// batches stay deterministic. Equivalent to setting Platform.Observe but
-	// also applies when Platform is defaulted.
+	// batches stay deterministic. Equivalent to setting Platform.Observe.
 	Observe bool `json:"observe,omitempty"`
 }
 
@@ -239,9 +236,10 @@ func (s RunSpec) RowLabel() string {
 }
 
 // platformConfig returns the platform configuration the spec builds: Platform,
-// or platform.DefaultConfig(Seed) when Platform leaves both Nodes and Tick
-// zero, with Seed and Observe applied. A defaulted Platform that sets any
-// other field is an error: the defaults would silently drop it.
+// or platform.DefaultConfig with Platform's Seed and Observe when Platform
+// leaves both Nodes and Tick zero, with Seed and Observe applied. A
+// defaulted Platform that sets any other field is an error: the defaults
+// would silently drop it.
 func (s RunSpec) platformConfig() (platform.Config, error) {
 	cfg := s.Platform
 	if cfg.Nodes == 0 && cfg.Tick == 0 {
@@ -250,7 +248,8 @@ func (s RunSpec) platformConfig() (platform.Config, error) {
 		if !reflect.ValueOf(rest).IsZero() {
 			return cfg, fmt.Errorf("runner: a platform with zero nodes and tick takes the defaults, so it may set only seed and observe")
 		}
-		cfg = platform.DefaultConfig(s.Seed)
+		cfg = platform.DefaultConfig(s.Platform.Seed)
+		cfg.Observe = s.Platform.Observe
 	}
 	if s.Seed != 0 {
 		cfg.Seed = s.Seed
@@ -263,8 +262,9 @@ func (s RunSpec) platformConfig() (platform.Config, error) {
 
 // Validate checks everything Build would reject before it builds anything:
 // the effective platform configuration (platform.Config.Validate), the
-// algorithm name, the manager configuration, and the services — non-empty
-// unique names, valid specs and load shapes. When the spec declares
+// algorithm name, the manager configuration, the machine churn schedule (see
+// checkChurn), and the services — non-empty unique names, valid specs and
+// load shapes. When the spec declares
 // services, call-graph endpoints and manager targets must name one of them.
 // Duration is not checked: a spec built for stepping by hand may leave it
 // zero, and Run rejects a non-positive one. Errors carry no spec-name
@@ -295,6 +295,9 @@ func (s RunSpec) resolve() (platform.Config, core.Algorithm, error) {
 	}
 	algo, err := NewAlgorithmManaged(s.Algorithm, algoCfg, s.Manager)
 	if err != nil {
+		return cfg, nil, err
+	}
+	if err := s.checkChurn(cfg.Nodes); err != nil {
 		return cfg, nil, err
 	}
 	if len(s.Services) == 0 {
@@ -328,4 +331,39 @@ func (s RunSpec) resolve() (platform.Config, core.Algorithm, error) {
 		}
 	}
 	return cfg, algo, nil
+}
+
+// checkChurn validates the machine churn schedule against the platform's
+// nodes node-0 .. node-(nodes-1): every instant is >= 0, every recovery
+// brings a machine with a non-empty ID that no platform node or other
+// recovery has, and every failure names a platform node or a recovery.
+func (s RunSpec) checkChurn(nodes int) error {
+	joins := make(map[string]bool, len(s.NodeRecoveries))
+	for _, r := range s.NodeRecoveries {
+		switch id := r.Config.ID; {
+		case id == "":
+			return fmt.Errorf("runner: node recovery with empty ID")
+		case r.At < 0:
+			return fmt.Errorf("runner: node recovery %q at %v, want >= 0", id, r.At)
+		case joins[id] || platformNode(id, nodes):
+			return fmt.Errorf("runner: node recovery %q names a machine that already exists", id)
+		}
+		joins[r.Config.ID] = true
+	}
+	for _, f := range s.NodeFailures {
+		switch {
+		case f.At < 0:
+			return fmt.Errorf("runner: node failure %q at %v, want >= 0", f.Node, f.At)
+		case !joins[f.Node] && !platformNode(f.Node, nodes):
+			return fmt.Errorf("runner: node failure names unknown node %q", f.Node)
+		}
+	}
+	return nil
+}
+
+// platformNode reports whether id is one of the platform's nodes, which
+// platform.New names node-0 .. node-(nodes-1).
+func platformNode(id string, nodes int) bool {
+	i, err := strconv.Atoi(strings.TrimPrefix(id, "node-"))
+	return err == nil && i >= 0 && i < nodes && id == fmt.Sprintf("node-%d", i)
 }
