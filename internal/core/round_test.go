@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -58,5 +59,71 @@ func TestRoundCreditAsymmetry(t *testing.T) {
 		if got := c.algo.Decide(snap).Actions; !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: plan %+v, want %+v", c.algo.Name(), got, c.want)
 		}
+	}
+}
+
+// absentHostSnapshot builds the snapshot TestRoundAbsentHostLedger plans:
+// every replica runs on a host the snapshot does not list (a stale, blanked
+// or limbo node). Service a's replica and service b's replica share host
+// "ghost"; service c's replica runs alone on host "void". Node n1, the only
+// listed node, already hosts b and c, so neither may scale out onto it.
+func absentHostSnapshot() core.Snapshot {
+	info := func(name string) core.ServiceInfo {
+		return core.ServiceInfo{Name: name, MinReplicas: 1, MaxReplicas: 3, TargetUtil: 0.5,
+			BaselineMemMB: 100, InitialAlloc: resources.Vector{CPU: 0.5, MemMB: 512}}
+	}
+	replica := func(id, node string, reqCPU, useCPU float64) core.ReplicaStats {
+		return core.ReplicaStats{ContainerID: id, NodeID: node, Routable: true,
+			Requested: resources.Vector{CPU: reqCPU, MemMB: 512},
+			Usage:     resources.Vector{CPU: useCPU, MemMB: 256}}
+	}
+	return core.Snapshot{
+		Now: 10 * time.Second,
+		Services: []core.ServiceStats{
+			{Info: info("a"), Replicas: []core.ReplicaStats{replica("a-0", "ghost", 3, 0.45)}},
+			{Info: info("b"), Replicas: []core.ReplicaStats{replica("b-0", "ghost", 0.5, 0.9)}},
+			{Info: info("c"), Replicas: []core.ReplicaStats{replica("c-0", "void", 0.5, 0.9)}},
+		},
+		Nodes: []core.NodeStats{{
+			ID:        "n1",
+			Capacity:  resources.Vector{CPU: 8, MemMB: 8192, NetMbps: 1000},
+			Available: resources.Vector{CPU: 4, MemMB: 4096, NetMbps: 1000},
+			Hosts:     []string{"b", "c"},
+		}},
+	}
+}
+
+// planLines renders a plan one action per line.
+func planLines(p core.Plan) []string {
+	var out []string
+	for _, a := range p.Actions {
+		switch a := a.(type) {
+		case core.ScaleOut:
+			out = append(out, fmt.Sprintf("out %s -> %s %v", a.Service, a.NodeID, a.Alloc))
+		case core.ScaleIn:
+			out = append(out, "in "+a.ContainerID)
+		case core.VerticalScale:
+			out = append(out, fmt.Sprintf("vertical %s %v", a.ContainerID, a.NewAlloc))
+		}
+	}
+	return out
+}
+
+// TestRoundAbsentHostLedger pins the ledger rule for hosts a snapshot does
+// not list. Such a host starts at zero availability, and credits to it are
+// visible to later reads of the same host within the round. HyScale's
+// reclamation shrinks a-0 from 3 to 1 CPU and credits 2 CPUs to "ghost";
+// acquisition then grows b-0, on the same host, by the 1.5 CPUs it needs
+// out of that credit. c-0 is as starved as b-0, but its host "void" was never
+// credited, so it reads zero and stays as it is; n1's free capacity never
+// leaks to either absent host.
+func TestRoundAbsentHostLedger(t *testing.T) {
+	want := []string{
+		"vertical a-0 " + resources.Vector{CPU: 1, MemMB: 512}.String(),
+		"vertical b-0 " + resources.Vector{CPU: 2, MemMB: 512}.String(),
+	}
+	got := planLines(core.NewHyScaleCPU(core.DefaultConfig()).Decide(absentHostSnapshot()))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("plan %q, want %q", got, want)
 	}
 }
