@@ -65,7 +65,7 @@ func (c *Cluster) AddNode(cfg NodeConfig) error {
 	if err != nil {
 		return err
 	}
-	n.pool = c.pool
+	n.pool, n.ord = c.pool, c.pool.takeOrd()
 	c.nodes = append(c.nodes, n)
 	c.byID[cfg.ID] = n
 	c.pool.gen++

@@ -69,6 +69,8 @@ type Node struct {
 	// creating cluster's pool, or a private one for a node built outside
 	// any cluster.
 	pool *pool
+	// ord is the node's ordinal in its pool (see Ord).
+	ord int
 
 	// memo remembers the last fully computed idle tick (see advance).
 	memo idleMemo
@@ -117,7 +119,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	case cfg.CPUContention < 0:
 		return nil, fmt.Errorf("cluster: node %q has negative CPUContention", cfg.ID)
 	}
-	return &Node{cfg: cfg, byID: make(map[string]*container.Container), pool: newPool()}, nil
+	n := &Node{cfg: cfg, byID: make(map[string]*container.Container), pool: newPool()}
+	n.ord = n.pool.takeOrd()
+	return n, nil
 }
 
 // pool is the state a cluster shares with every node it creates and with
@@ -129,6 +133,8 @@ type pool struct {
 	next int
 	free []int
 	gen  uint64
+	// ords counts the node ordinals issued.
+	ords int
 }
 
 // newPool starts gen at 1, above the zero gen of a never-built cache.
@@ -146,8 +152,19 @@ func (p *pool) take() int {
 
 func (p *pool) release(s int) { p.free = append(p.free, s) }
 
+// takeOrd issues the next node ordinal. Ordinals are never reused.
+func (p *pool) takeOrd() int {
+	p.ords++
+	return p.ords - 1
+}
+
 // ID returns the node identifier.
 func (n *Node) ID() string { return n.cfg.ID }
+
+// Ord returns the node's ordinal: dense and unique among the nodes of its
+// pool, so among every node of one cluster and of the views that adopt its
+// nodes, and never reused. A control plane indexes per-node tables by it.
+func (n *Node) Ord() int { return n.ord }
 
 // Capacity returns the node's total resources.
 func (n *Node) Capacity() resources.Vector { return n.cfg.Capacity }

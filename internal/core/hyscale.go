@@ -34,6 +34,10 @@ type HyScale struct {
 	gate     *Gate
 	name     string
 	opts     HyScaleOptions
+
+	// rd and deficits are Decide's scratch, reused every round.
+	rd       Round
+	deficits []missing
 }
 
 var _ Algorithm = (*HyScale)(nil)
@@ -69,8 +73,10 @@ type missing struct {
 
 // Decide implements Algorithm.
 func (h *HyScale) Decide(snap Snapshot) Plan {
-	rd := NewRound(snap, h.cfg.Placement)
-	deficits := make([]missing, len(snap.Services))
+	rd := &h.rd
+	rd.Reset(snap, h.cfg.Placement)
+	deficits := resize(h.deficits, len(snap.Services))
+	h.deficits = deficits
 	for i, svc := range snap.Services {
 		deficits[i] = h.deficitOf(svc)
 	}
@@ -119,18 +125,17 @@ func (h *HyScale) enforceBounds(rd *Round, i int) {
 	svc := rd.snap.Services[i]
 	info := svc.Info
 	for rd.Count(i) < info.MinReplicas {
-		nodeID := h.scaleOutNode(rd, info)
-		if nodeID == "" {
+		node := h.scaleOutNode(rd, info)
+		if node < 0 {
 			return
 		}
-		rd.ScaleOut(i, nodeID, info.InitialAlloc)
+		rd.ScaleOut(i, node, info.InitialAlloc)
 	}
 	for j := len(svc.Replicas) - 1; j >= 0 && rd.Count(i) > info.MaxReplicas; j-- {
-		r := svc.Replicas[j]
-		if rd.Removed(r.ContainerID) {
+		if rd.Removed(i, j) {
 			continue
 		}
-		h.scaleIn(rd, i, r)
+		h.scaleIn(rd, i, j)
 	}
 }
 
@@ -155,11 +160,11 @@ func (h *HyScale) reclaim(rd *Round, i int, def *missing) {
 	// not resize them.
 	resizeAllowed := !h.opts.DisableVertical
 
-	for _, r := range svc.Replicas {
-		if rd.Removed(r.ContainerID) || !r.Routable {
+	for j, r := range svc.Replicas {
+		if rd.Removed(i, j) || !r.Routable {
 			continue
 		}
-		cur := rd.Allocation(r)
+		cur := rd.Allocation(i, j)
 		newAlloc := cur
 
 		// Desired requests at 90 % of target so the replica keeps headroom.
@@ -182,7 +187,7 @@ func (h *HyScale) reclaim(rd *Round, i int, def *missing) {
 		removable := cpuIdle && (!h.memAware || memIdle)
 		if removable && rd.Count(i) > info.MinReplicas && def.cpu < 0 &&
 			h.gate.CanDown(info.Name, rd.snap.Now) {
-			h.scaleIn(rd, i, r)
+			h.scaleIn(rd, i, j)
 			h.gate.MarkDown(info.Name, rd.snap.Now)
 			def.cpu += cur.CPU
 			if h.memAware {
@@ -215,8 +220,8 @@ func (h *HyScale) reclaim(rd *Round, i int, def *missing) {
 			}
 		}
 		if changed {
-			rd.Credit(r.NodeID, cur.Sub(newAlloc).ClampNonNegative())
-			rd.Resize(r.ContainerID, newAlloc)
+			rd.Credit(r.Slot, cur.Sub(newAlloc).ClampNonNegative())
+			rd.Resize(i, j, newAlloc)
 		}
 	}
 }
@@ -237,15 +242,15 @@ func (h *HyScale) acquire(rd *Round, i int, def *missing) {
 		return
 	}
 
-	for _, r := range svc.Replicas {
+	for j, r := range svc.Replicas {
 		if h.opts.DisableVertical {
 			break
 		}
-		if rd.Removed(r.ContainerID) || !r.Routable {
+		if rd.Removed(i, j) || !r.Routable {
 			continue
 		}
-		a := rd.Available(r.NodeID)
-		cur := rd.Allocation(r)
+		a := rd.Available(r.Slot)
+		cur := rd.Allocation(i, j)
 		newAlloc := cur
 		var took resources.Vector
 
@@ -273,8 +278,8 @@ func (h *HyScale) acquire(rd *Round, i int, def *missing) {
 			}
 		}
 		if !took.IsZero() {
-			rd.Debit(r.NodeID, took)
-			rd.Resize(r.ContainerID, newAlloc)
+			rd.Debit(r.Slot, took)
+			rd.Resize(i, j, newAlloc)
 		}
 	}
 
@@ -291,11 +296,11 @@ func (h *HyScale) acquire(rd *Round, i int, def *missing) {
 	}
 	placedAny := false
 	for (def.cpu > eps || (h.memAware && def.mem > eps)) && rd.Count(i) < info.MaxReplicas {
-		nodeID := h.scaleOutNode(rd, info)
-		if nodeID == "" {
+		node := h.scaleOutNode(rd, info)
+		if node < 0 {
 			break
 		}
-		a := rd.Available(nodeID)
+		a := rd.Available(node)
 		allocCPU := maxf(def.cpu, h.cfg.MinScaleOutCPU)
 		allocCPU = minf(allocCPU, a.CPU)
 		allocMem := info.InitialAlloc.MemMB
@@ -304,7 +309,7 @@ func (h *HyScale) acquire(rd *Round, i int, def *missing) {
 		}
 		allocMem = minf(allocMem, a.MemMB)
 		alloc := resources.Vector{CPU: allocCPU, MemMB: allocMem, NetMbps: info.InitialAlloc.NetMbps}
-		rd.ScaleOut(i, nodeID, alloc)
+		rd.ScaleOut(i, node, alloc)
 		def.cpu -= allocCPU
 		if h.memAware {
 			def.mem -= allocMem - info.BaselineMemMB
@@ -318,18 +323,20 @@ func (h *HyScale) acquire(rd *Round, i int, def *missing) {
 
 // scaleOutNode selects the node with the most available CPU that (a) does
 // not already host the service and (b) advertises at least the service's
-// baseline memory and the minimum scale-out CPU (§IV-B1).
-func (h *HyScale) scaleOutNode(rd *Round, info ServiceInfo) string {
+// baseline memory and the minimum scale-out CPU (§IV-B1). It returns the
+// node's index in the snapshot, or -1.
+func (h *HyScale) scaleOutNode(rd *Round, info ServiceInfo) int {
 	need := resources.Vector{CPU: h.cfg.MinScaleOutCPU, MemMB: maxf(info.BaselineMemMB, info.InitialAlloc.MemMB)}
 	return rd.Pick(need, info.Name)
 }
 
-// scaleIn removes the replica and, unlike Kubernetes and the manager,
-// credits its allocation back so services planned later in the round can
-// use it.
-func (h *HyScale) scaleIn(rd *Round, svc int, r ReplicaStats) {
-	rd.ScaleIn(svc, r.ContainerID)
-	rd.Credit(r.NodeID, r.Requested)
+// scaleIn removes replica j of snap.Services[svc] and, unlike Kubernetes
+// and the manager, credits its allocation back so services planned later in
+// the round can use it.
+func (h *HyScale) scaleIn(rd *Round, svc, j int) {
+	r := rd.snap.Services[svc].Replicas[j]
+	rd.ScaleIn(svc, j)
+	rd.Credit(r.Slot, r.Requested)
 }
 
 func minf(a, b float64) float64 {

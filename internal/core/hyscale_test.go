@@ -33,6 +33,7 @@ func hySnapshot(now time.Duration, in ServiceInfo, replicas []ReplicaStats, node
 			}
 		}
 	}
+	snap.IndexHosts()
 	return snap
 }
 
@@ -56,13 +57,13 @@ func rep(id, node string, reqCPU, useCPU, reqMem, useMem float64) ReplicaStats {
 	}
 }
 
-func findVertical(p Plan, id string) (VerticalScale, bool) {
+func findVertical(p Plan, id string) (Action, bool) {
 	for _, a := range p.Actions {
-		if v, ok := a.(VerticalScale); ok && v.ContainerID == id {
+		if v := a; v.Kind == VerticalScale && v.ContainerID == id {
 			return v, true
 		}
 	}
-	return VerticalScale{}, false
+	return Action{}, false
 }
 
 func TestHyScaleVerticalAcquisition(t *testing.T) {
@@ -79,8 +80,8 @@ func TestHyScaleVerticalAcquisition(t *testing.T) {
 		t.Fatalf("no vertical action: %+v", plan.Actions)
 	}
 	want := 1 + (1.0/(0.5*0.9) - 1)
-	if math.Abs(v.NewAlloc.CPU-want) > 1e-9 {
-		t.Errorf("NewAlloc.CPU = %v, want %v", v.NewAlloc.CPU, want)
+	if math.Abs(v.Alloc.CPU-want) > 1e-9 {
+		t.Errorf("Alloc.CPU = %v, want %v", v.Alloc.CPU, want)
 	}
 	outs, ins, _ := countActions(plan)
 	if outs != 0 || ins != 0 {
@@ -100,8 +101,8 @@ func TestHyScaleAcquisitionCappedByNodeAvailability(t *testing.T) {
 	if !ok {
 		t.Fatalf("no vertical action: %+v", plan.Actions)
 	}
-	if math.Abs(v.NewAlloc.CPU-1.4) > 1e-9 {
-		t.Errorf("NewAlloc.CPU = %v, want 1.4 (AvailableCPUs bound)", v.NewAlloc.CPU)
+	if math.Abs(v.Alloc.CPU-1.4) > 1e-9 {
+		t.Errorf("Alloc.CPU = %v, want 1.4 (AvailableCPUs bound)", v.Alloc.CPU)
 	}
 }
 
@@ -121,7 +122,7 @@ func TestHyScaleHorizontalFallbackToNonHostingNode(t *testing.T) {
 		t.Fatalf("outs = %d, want 1; plan %+v", outs, plan.Actions)
 	}
 	for _, a := range plan.Actions {
-		if so, ok := a.(ScaleOut); ok {
+		if so := a; so.Kind == ScaleOut {
 			if so.NodeID != "B" {
 				t.Errorf("scale-out to %s, want B (A already hosts)", so.NodeID)
 			}
@@ -180,8 +181,8 @@ func TestHyScaleReclamation(t *testing.T) {
 	// Reclaimable = 2 − 0.2/0.45 = 1.556, but bounded by the deficit
 	// −Missing = (2*0.5 − 0.2)/0.5 = 1.6 → reclaim 1.556.
 	want := 0.2 / 0.45
-	if math.Abs(v.NewAlloc.CPU-want) > 1e-9 {
-		t.Errorf("NewAlloc.CPU = %v, want %v", v.NewAlloc.CPU, want)
+	if math.Abs(v.Alloc.CPU-want) > 1e-9 {
+		t.Errorf("Alloc.CPU = %v, want %v", v.Alloc.CPU, want)
 	}
 }
 
@@ -198,7 +199,7 @@ func TestHyScaleRemovesTinyReplica(t *testing.T) {
 	plan := h.Decide(snap)
 	removed := false
 	for _, a := range plan.Actions {
-		if si, ok := a.(ScaleIn); ok && si.ContainerID == "r1" {
+		if si := a; si.Kind == ScaleIn && si.ContainerID == "r1" {
 			removed = true
 		}
 	}
@@ -233,7 +234,7 @@ func TestHyScaleCPUMemRemovalRequiresBothThresholds(t *testing.T) {
 		map[string]resources.Vector{"A": {CPU: 2, MemMB: 7000}, "B": {CPU: 2, MemMB: 7000}})
 	plan := h.Decide(snap)
 	for _, a := range plan.Actions {
-		if si, ok := a.(ScaleIn); ok && si.ContainerID == "r1" {
+		if si := a; si.Kind == ScaleIn && si.ContainerID == "r1" {
 			t.Fatal("memory-busy replica removed by CPU+Mem variant")
 		}
 	}
@@ -243,7 +244,7 @@ func TestHyScaleCPUMemRemovalRequiresBothThresholds(t *testing.T) {
 	plan = hc.Decide(snap)
 	removed := false
 	for _, a := range plan.Actions {
-		if si, ok := a.(ScaleIn); ok && si.ContainerID == "r1" {
+		if si := a; si.Kind == ScaleIn && si.ContainerID == "r1" {
 			removed = true
 		}
 	}
@@ -264,8 +265,8 @@ func TestHyScaleCPUMemVerticalMemoryAcquisition(t *testing.T) {
 	if !ok {
 		t.Fatalf("no vertical action: %+v", plan.Actions)
 	}
-	if v.NewAlloc.MemMB <= 512 {
-		t.Errorf("memory not scaled up: %v", v.NewAlloc.MemMB)
+	if v.Alloc.MemMB <= 512 {
+		t.Errorf("memory not scaled up: %v", v.Alloc.MemMB)
 	}
 }
 
@@ -276,8 +277,8 @@ func TestHyScaleCPUIgnoresMemory(t *testing.T) {
 		[]ReplicaStats{rep("r0", "A", 1, 0.45, 512, 5000)}, // deep memory pressure
 		map[string]resources.Vector{"A": {CPU: 3, MemMB: 7000}})
 	plan := h.Decide(snap)
-	if v, ok := findVertical(plan, "r0"); ok && v.NewAlloc.MemMB != 512 {
-		t.Errorf("CPU-only variant changed memory: %v", v.NewAlloc.MemMB)
+	if v, ok := findVertical(plan, "r0"); ok && v.Alloc.MemMB != 512 {
+		t.Errorf("CPU-only variant changed memory: %v", v.Alloc.MemMB)
 	}
 }
 
@@ -294,9 +295,9 @@ func TestHyScaleMemReclamationFloorsAtBaseline(t *testing.T) {
 	plan := h.Decide(snap)
 	floor := 300 * (1 + h.cfg.MemHeadroom)
 	for _, a := range plan.Actions {
-		if v, ok := a.(VerticalScale); ok {
-			if v.NewAlloc.MemMB < floor-1e-9 {
-				t.Errorf("memory reclaimed below baseline floor: %v < %v", v.NewAlloc.MemMB, floor)
+		if v := a; v.Kind == VerticalScale {
+			if v.Alloc.MemMB < floor-1e-9 {
+				t.Errorf("memory reclaimed below baseline floor: %v < %v", v.Alloc.MemMB, floor)
 			}
 		}
 	}
@@ -425,9 +426,9 @@ func TestQuickHyScalePlanInvariants(t *testing.T) {
 			plan := h.Decide(snap)
 			removals := 0
 			for _, a := range plan.Actions {
-				switch act := a.(type) {
+				switch act := a; act.Kind {
 				case VerticalScale:
-					if !act.NewAlloc.NonNegative() {
+					if !act.Alloc.NonNegative() {
 						return false
 					}
 				case ScaleOut:

@@ -25,6 +25,9 @@ type Kubernetes struct {
 	metric Metric
 	gate   *Gate
 	name   string
+
+	// rd is Decide's scratch, reused every round.
+	rd Round
 }
 
 var _ Algorithm = (*Kubernetes)(nil)
@@ -58,7 +61,8 @@ func (k *Kubernetes) Decide(snap Snapshot) Plan {
 	// One round for every service: services planned later must see the
 	// placements of services planned earlier, or they all pile onto the
 	// same "emptiest" node.
-	rd := NewRound(snap, k.cfg.Placement)
+	rd := &k.rd
+	rd.Reset(snap, k.cfg.Placement)
 	for i := range snap.Services {
 		k.decideService(rd, snap, i)
 	}

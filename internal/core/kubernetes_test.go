@@ -34,6 +34,7 @@ func makeSnapshot(now time.Duration, info ServiceInfo, utils []float64) Snapshot
 		}
 		snap.Nodes = append(snap.Nodes, ns)
 	}
+	snap.IndexHosts()
 	return snap
 }
 
@@ -49,7 +50,7 @@ func info() ServiceInfo {
 
 func countActions(p Plan) (outs, ins, verts int) {
 	for _, a := range p.Actions {
-		switch a.(type) {
+		switch a.Kind {
 		case ScaleOut:
 			outs++
 		case ScaleIn:
@@ -82,7 +83,7 @@ func TestK8sScalesDownOnLowUtilization(t *testing.T) {
 		t.Fatalf("actions = %d out / %d in, want 0/3", outs, ins)
 	}
 	// Victims are the newest replicas (last in creation order).
-	if si, ok := plan.Actions[0].(ScaleIn); !ok || si.ContainerID != "svc-D" {
+	if si := plan.Actions[0]; si.Kind != ScaleIn || si.ContainerID != "svc-D" {
 		t.Errorf("first victim = %+v, want newest (svc-D)", plan.Actions[0])
 	}
 }
@@ -167,7 +168,7 @@ func TestK8sPlacesOnEmptiestNode(t *testing.T) {
 	if len(plan.Actions) == 0 {
 		t.Fatal("no actions")
 	}
-	if so, ok := plan.Actions[0].(ScaleOut); !ok || so.NodeID != "H" {
+	if so := plan.Actions[0]; so.Kind != ScaleOut || so.NodeID != "H" {
 		t.Errorf("first placement = %+v, want node H", plan.Actions[0])
 	}
 }

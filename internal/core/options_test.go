@@ -54,10 +54,10 @@ func TestNoReclaimVariantNeverScalesDown(t *testing.T) {
 		map[string]resources.Vector{"A": {CPU: 1, MemMB: 7000}})
 	plan := h.Decide(snap)
 	for _, a := range plan.Actions {
-		if v, ok := a.(VerticalScale); ok && v.NewAlloc.CPU < 3 {
+		if v := a; v.Kind == VerticalScale && v.Alloc.CPU < 3 {
 			t.Errorf("noreclaim variant reclaimed CPU: %+v", v)
 		}
-		if _, ok := a.(ScaleIn); ok {
+		if a.Kind == ScaleIn {
 			t.Error("noreclaim variant removed a replica")
 		}
 	}
@@ -75,7 +75,7 @@ func TestHorizontalOnlyVariantNeverResizes(t *testing.T) {
 	plan := h.Decide(snap)
 	outs := 0
 	for _, a := range plan.Actions {
-		switch a.(type) {
+		switch a.Kind {
 		case VerticalScale:
 			t.Errorf("horizontal-only variant resized: %+v", a)
 		case ScaleOut:
@@ -98,7 +98,7 @@ func TestVerticalOnlyVariantNeverScalesOut(t *testing.T) {
 		})
 	plan := h.Decide(snap)
 	for _, a := range plan.Actions {
-		if _, ok := a.(ScaleOut); ok {
+		if a.Kind == ScaleOut {
 			t.Errorf("vertical-only variant scaled out: %+v", a)
 		}
 	}
@@ -121,7 +121,7 @@ func TestBinPackPlacementPicksFullestNode(t *testing.T) {
 	if len(plan.Actions) == 0 {
 		t.Fatal("no actions")
 	}
-	if so, ok := plan.Actions[0].(ScaleOut); !ok || so.NodeID != "H" {
+	if so := plan.Actions[0]; so.Kind != ScaleOut || so.NodeID != "H" {
 		t.Errorf("binpack placed on %+v, want the fullest fitting node H", plan.Actions[0])
 	}
 }
@@ -134,7 +134,7 @@ func TestBinPackSkipsNodesThatDoNotFit(t *testing.T) {
 	snap.Nodes[7].Available = resources.Vector{CPU: 0.5, MemMB: 100} // fullest but too small
 	plan := k.Decide(snap)
 	for _, a := range plan.Actions {
-		if so, ok := a.(ScaleOut); ok && so.NodeID == "H" {
+		if so := a; so.Kind == ScaleOut && so.NodeID == "H" {
 			t.Error("binpack placed on a node that does not fit")
 		}
 	}
@@ -154,7 +154,7 @@ func TestHyScaleBinPackPlacement(t *testing.T) {
 	plan := h.Decide(snap)
 	var outs []string
 	for _, a := range plan.Actions {
-		if so, ok := a.(ScaleOut); ok {
+		if so := a; so.Kind == ScaleOut {
 			outs = append(outs, so.NodeID)
 		}
 	}

@@ -18,7 +18,7 @@ func (c *captureAlgo) Decide(s Snapshot) Plan {
 }
 
 func snapWithUsage(now time.Duration, cpu float64) Snapshot {
-	return Snapshot{
+	snap := Snapshot{
 		Now: now,
 		Services: []ServiceStats{{
 			Info: info(),
@@ -31,6 +31,8 @@ func snapWithUsage(now time.Duration, cpu float64) Snapshot {
 		Nodes: []NodeStats{{ID: "A", Capacity: resources.Vector{CPU: 4, MemMB: 8192},
 			Available: resources.Vector{CPU: 3, MemMB: 7000}, Hosts: []string{"svc"}}},
 	}
+	snap.IndexHosts()
+	return snap
 }
 
 func TestPredictiveExtrapolatesRisingUsage(t *testing.T) {

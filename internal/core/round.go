@@ -9,128 +9,163 @@ import (
 
 // Round is one decision round's planning state, shared by every algorithm:
 // the plan under construction, the node-availability ledger, tentative
-// replica counts, the containers scheduled for removal and pending
-// vertical allocations. An algorithm builds one per Decide call with
-// NewRound and ends it with Plan; nothing in it outlives the call. DESIGN.md
-// §5 states the ledger's rules; the asymmetry that matters is that ScaleIn
+// replica counts, the replicas scheduled for removal and pending vertical
+// allocations. Everything is indexed by ordinal: a node by its ledger slot
+// (ReplicaStats.Slot, or its index in Snapshot.Nodes), a replica by service
+// index and position, (svc, j). An algorithm keeps one Round, resets it at
+// the start of each Decide and ends it with Plan; its slices are reused from
+// round to round, so a steady-state round allocates nothing. DESIGN.md §5
+// states the ledger's rules; the asymmetry that matters is that ScaleIn
 // never credits a node, so only an algorithm that calls Credit (HyScale)
 // lets later services reuse capacity freed within the round.
 type Round struct {
 	snap      Snapshot
 	placement Placement
-	plan      Plan
-	avail     map[string]resources.Vector
-	count     []int
-	removed   map[string]bool
-	resized   map[string]resources.Vector
-	// resizeOrder lists resized containers in first-resize order, the
-	// order Plan emits their VerticalScale actions in.
-	resizeOrder []string
+	plan      []Action
+	// avail is the ledger, indexed by slot.
+	avail []resources.Vector
+	count []int
+	// base[svc] is the flat ordinal of snap.Services[svc].Replicas[0]; the
+	// per-replica slices below are indexed by flat ordinal.
+	base    []int
+	removed []bool
+	resized []bool
+	alloc   []resources.Vector
+	// resizeOrder lists resized replicas, as (svc, j), in first-resize
+	// order, the order Plan emits their VerticalScale actions in.
+	resizeOrder [][2]int
 	// placed is reused by every Pick call: the nodes this round has
 	// already scaled the avoided service out onto.
-	placed []string
+	placed []int
 }
 
-// NewRound starts a round over snap. placement selects the node-choice
-// heuristic Pick applies.
-func NewRound(snap Snapshot, placement Placement) *Round {
-	r := &Round{
-		snap:      snap,
-		placement: placement,
-		avail:     make(map[string]resources.Vector, len(snap.Nodes)),
-		count:     make([]int, len(snap.Services)),
+// Reset starts a round over snap, dropping the previous round's state.
+// placement selects the node-choice heuristic Pick applies. The plan the
+// previous round returned is overwritten.
+func (r *Round) Reset(snap Snapshot, placement Placement) {
+	r.snap = snap
+	r.placement = placement
+	r.plan = r.plan[:0]
+	r.placed = r.placed[:0]
+	r.resizeOrder = r.resizeOrder[:0]
+	r.avail = resize(r.avail, snap.Slots)
+	for i, n := range snap.Nodes {
+		r.avail[i] = n.Available
 	}
-	for _, n := range snap.Nodes {
-		r.avail[n.ID] = n.Available
-	}
+	clear(r.avail[len(snap.Nodes):])
+	r.count = resize(r.count, len(snap.Services))
+	r.base = resize(r.base, len(snap.Services))
+	flat := 0
 	for i, s := range snap.Services {
 		r.count[i] = len(s.Replicas)
+		r.base[i] = flat
+		flat += len(s.Replicas)
 	}
-	return r
+	r.removed = resize(r.removed, flat)
+	clear(r.removed)
+	r.resized = resize(r.resized, flat)
+	clear(r.resized)
+	r.alloc = resize(r.alloc, flat)
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Plan ends the round. It appends one merged VerticalScale per resized
-// container that is not also being removed, after every horizontal action,
-// and returns the plan.
+// replica that is not also being removed, after every horizontal action,
+// and returns the plan. The plan aliases the round's storage: it is valid
+// until the next Reset.
 func (r *Round) Plan() Plan {
-	for _, id := range r.resizeOrder {
-		if !r.removed[id] {
-			r.plan.Actions = append(r.plan.Actions, VerticalScale{ContainerID: id, NewAlloc: r.resized[id]})
+	for _, sj := range r.resizeOrder {
+		svc, j := sj[0], sj[1]
+		if k := r.base[svc] + j; !r.removed[k] {
+			a := Resize(r.snap.Services[svc].Replicas[j].ContainerID, r.alloc[k])
+			a.Replica = int32(k + 1)
+			r.plan = append(r.plan, a)
 		}
 	}
-	return r.plan
+	return Plan{Actions: r.plan, Epoch: r.snap.Epoch}
 }
 
 // Count returns the tentative replica count of snap.Services[svc].
 func (r *Round) Count(svc int) int { return r.count[svc] }
 
-// Removed reports whether this round scales the container in.
-func (r *Round) Removed(containerID string) bool { return r.removed[containerID] }
+// Removed reports whether this round scales replica j of
+// snap.Services[svc] in.
+func (r *Round) Removed(svc, j int) bool { return r.removed[r.base[svc]+j] }
 
-// Available returns the node's availability as planned so far.
-func (r *Round) Available(nodeID string) resources.Vector { return r.avail[nodeID] }
+// Available returns the availability of ledger slot as planned so far.
+func (r *Round) Available(slot int) resources.Vector { return r.avail[slot] }
 
-// Credit returns v to the node's availability.
-func (r *Round) Credit(nodeID string, v resources.Vector) {
-	r.avail[nodeID] = r.avail[nodeID].Add(v)
+// Credit returns v to ledger slot's availability.
+func (r *Round) Credit(slot int, v resources.Vector) {
+	r.avail[slot] = r.avail[slot].Add(v)
 }
 
-// Debit takes v from the node's availability without a floor, for growth
-// that never takes more than Available reports.
-func (r *Round) Debit(nodeID string, v resources.Vector) {
-	r.avail[nodeID] = r.avail[nodeID].Sub(v)
+// Debit takes v from ledger slot's availability without a floor, for
+// growth that never takes more than Available reports.
+func (r *Round) Debit(slot int, v resources.Vector) {
+	r.avail[slot] = r.avail[slot].Sub(v)
 }
 
-// Pick returns the ID of the node in snapshot order whose availability fits
+// Pick returns the index in snap.Nodes of the node whose availability fits
 // need and is best under the round's placement: the most available CPU for
 // spread, the least for binpack, the first such node on a tie. A non-empty
-// avoid skips nodes hosting that service. Empty string means nothing fits.
-func (r *Round) Pick(need resources.Vector, avoid string) string {
+// avoid skips nodes hosting that service. -1 means nothing fits.
+func (r *Round) Pick(need resources.Vector, avoid string) int {
 	if avoid != "" {
 		r.placed = r.placed[:0]
-		for _, a := range r.plan.Actions {
-			if out, ok := a.(ScaleOut); ok && out.Service == avoid {
-				r.placed = append(r.placed, out.NodeID)
+		for _, a := range r.plan {
+			if a.Kind == ScaleOut && a.Service == avoid {
+				r.placed = append(r.placed, int(a.Node-1))
 			}
 		}
 	}
-	best := ""
+	best := -1
 	bestCPU := 0.0
-	for _, n := range r.snap.Nodes {
-		if avoid != "" && (n.HostsService(avoid) || slices.Contains(r.placed, n.ID)) {
+	for i, n := range r.snap.Nodes {
+		if avoid != "" && (n.HostsService(avoid) || slices.Contains(r.placed, i)) {
 			continue
 		}
-		a := r.avail[n.ID]
+		a := r.avail[i]
 		if !need.FitsIn(a) {
 			continue
 		}
-		better := best == "" ||
+		better := best < 0 ||
 			(r.placement == PlacementBinPack && a.CPU < bestCPU) ||
 			(r.placement != PlacementBinPack && a.CPU > bestCPU)
 		if better {
 			bestCPU = a.CPU
-			best = n.ID
+			best = i
 		}
 	}
 	return best
 }
 
-// ScaleOut starts a replica of snap.Services[svc] on the node with the given
-// allocation, debiting the node.
-func (r *Round) ScaleOut(svc int, nodeID string, alloc resources.Vector) {
-	r.plan.Actions = append(r.plan.Actions, ScaleOut{Service: r.snap.Services[svc].Info.Name, NodeID: nodeID, Alloc: alloc})
-	r.avail[nodeID] = r.avail[nodeID].Sub(alloc).ClampNonNegative()
+// ScaleOut starts a replica of snap.Services[svc] on snap.Nodes[node] with
+// the given allocation, debiting the node.
+func (r *Round) ScaleOut(svc, node int, alloc resources.Vector) {
+	a := StartOn(r.snap.Services[svc].Info.Name, r.snap.Nodes[node].ID, alloc)
+	a.Node = int32(node + 1)
+	r.plan = append(r.plan, a)
+	r.avail[node] = r.avail[node].Sub(alloc).ClampNonNegative()
 	r.count[svc]++
 }
 
-// ScaleIn removes one of snap.Services[svc]'s replicas. It does not credit
-// the replica's node; see Credit.
-func (r *Round) ScaleIn(svc int, containerID string) {
-	r.plan.Actions = append(r.plan.Actions, ScaleIn{ContainerID: containerID})
-	if r.removed == nil {
-		r.removed = make(map[string]bool)
-	}
-	r.removed[containerID] = true
+// ScaleIn removes replica j of snap.Services[svc]. It does not credit the
+// replica's node; see Credit.
+func (r *Round) ScaleIn(svc, j int) {
+	k := r.base[svc] + j
+	a := Remove(r.snap.Services[svc].Replicas[j].ContainerID)
+	a.Replica = int32(k + 1)
+	r.plan = append(r.plan, a)
+	r.removed[k] = true
 	r.count[svc]--
 }
 
@@ -141,11 +176,11 @@ func (r *Round) AddReplicas(svc, n int) int {
 	alloc := r.snap.Services[svc].Info.InitialAlloc
 	placed := 0
 	for ; placed < n; placed++ {
-		nodeID := r.Pick(alloc, "")
-		if nodeID == "" {
+		node := r.Pick(alloc, "")
+		if node < 0 {
 			break
 		}
-		r.ScaleOut(svc, nodeID, alloc)
+		r.ScaleOut(svc, node, alloc)
 	}
 	return placed
 }
@@ -155,28 +190,29 @@ func (r *Round) AddReplicas(svc, n int) int {
 func (r *Round) RemoveNewest(svc, n int) {
 	reps := r.snap.Services[svc].Replicas
 	for i := 0; i < n && i < len(reps); i++ {
-		r.ScaleIn(svc, reps[len(reps)-1-i].ContainerID)
+		r.ScaleIn(svc, len(reps)-1-i)
 	}
 }
 
-// Allocation returns the replica's allocation as resized so far this round.
-func (r *Round) Allocation(rep ReplicaStats) resources.Vector {
-	if a, ok := r.resized[rep.ContainerID]; ok {
-		return a
+// Allocation returns the allocation of replica j of snap.Services[svc] as
+// resized so far this round.
+func (r *Round) Allocation(svc, j int) resources.Vector {
+	if k := r.base[svc] + j; r.resized[k] {
+		return r.alloc[k]
 	}
-	return rep.Requested
+	return r.snap.Services[svc].Replicas[j].Requested
 }
 
-// Resize sets the container's allocation for the rest of the round, so
-// later phases build on it instead of the snapshot's stale value.
-func (r *Round) Resize(containerID string, alloc resources.Vector) {
-	if r.resized == nil {
-		r.resized = make(map[string]resources.Vector)
+// Resize sets the allocation of replica j of snap.Services[svc] for the rest
+// of the round, so later phases build on it instead of the snapshot's stale
+// value.
+func (r *Round) Resize(svc, j int, alloc resources.Vector) {
+	k := r.base[svc] + j
+	if !r.resized[k] {
+		r.resized[k] = true
+		r.resizeOrder = append(r.resizeOrder, [2]int{svc, j})
 	}
-	if _, seen := r.resized[containerID]; !seen {
-		r.resizeOrder = append(r.resizeOrder, containerID)
-	}
-	r.resized[containerID] = alloc
+	r.alloc[k] = alloc
 }
 
 // Gate is the per-service horizontal rescale-interval throttle (paper: 3 s

@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,7 +43,13 @@ func TestRoundCreditAsymmetry(t *testing.T) {
 			Hosts:     []string{"a"},
 		}},
 	}
-	scaleIn := core.ScaleIn{ContainerID: "a-1"}
+	snap.IndexHosts()
+	// a-1 is the snapshot's second replica and n1 its first node; a planned
+	// action carries those ordinals.
+	scaleIn := core.Remove("a-1")
+	scaleIn.Replica = 2
+	scaleOut := core.StartOn("b", "n1", alloc)
+	scaleOut.Node = 1
 	cfg := core.DefaultConfig()
 	mgr, err := scalermgr.New(cfg, scalermgr.Config{}, false)
 	if err != nil {
@@ -53,7 +61,7 @@ func TestRoundCreditAsymmetry(t *testing.T) {
 	}{
 		{core.NewKubernetes(cfg), []core.Action{scaleIn}},
 		{mgr, []core.Action{scaleIn}},
-		{core.NewHyScaleCPU(cfg), []core.Action{scaleIn, core.ScaleOut{Service: "b", NodeID: "n1", Alloc: alloc}}},
+		{core.NewHyScaleCPU(cfg), []core.Action{scaleIn, scaleOut}},
 	}
 	for _, c := range cases {
 		if got := c.algo.Decide(snap).Actions; !reflect.DeepEqual(got, c.want) {
@@ -77,7 +85,7 @@ func absentHostSnapshot() core.Snapshot {
 			Requested: resources.Vector{CPU: reqCPU, MemMB: 512},
 			Usage:     resources.Vector{CPU: useCPU, MemMB: 256}}
 	}
-	return core.Snapshot{
+	snap := core.Snapshot{
 		Now: 10 * time.Second,
 		Services: []core.ServiceStats{
 			{Info: info("a"), Replicas: []core.ReplicaStats{replica("a-0", "ghost", 3, 0.45)}},
@@ -91,19 +99,21 @@ func absentHostSnapshot() core.Snapshot {
 			Hosts:     []string{"b", "c"},
 		}},
 	}
+	snap.IndexHosts()
+	return snap
 }
 
 // planLines renders a plan one action per line.
 func planLines(p core.Plan) []string {
 	var out []string
 	for _, a := range p.Actions {
-		switch a := a.(type) {
+		switch a.Kind {
 		case core.ScaleOut:
 			out = append(out, fmt.Sprintf("out %s -> %s %v", a.Service, a.NodeID, a.Alloc))
 		case core.ScaleIn:
 			out = append(out, "in "+a.ContainerID)
 		case core.VerticalScale:
-			out = append(out, fmt.Sprintf("vertical %s %v", a.ContainerID, a.NewAlloc))
+			out = append(out, fmt.Sprintf("vertical %s %v", a.ContainerID, a.Alloc))
 		}
 	}
 	return out
@@ -125,5 +135,277 @@ func TestRoundAbsentHostLedger(t *testing.T) {
 	got := planLines(core.NewHyScaleCPU(core.DefaultConfig()).Decide(absentHostSnapshot()))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("plan %q, want %q", got, want)
+	}
+}
+
+// refRound is a name-keyed reference ledger: the planning round as it was
+// before ordinals, keyed by node and container ID. TestRoundMatchesReference
+// drives it and core.Round with the same operations.
+type refRound struct {
+	snap        core.Snapshot
+	binpack     bool
+	plan        []core.Action
+	avail       map[string]resources.Vector
+	count       []int
+	removed     map[string]bool
+	resized     map[string]resources.Vector
+	resizeOrder []string
+}
+
+func newRefRound(snap core.Snapshot, binpack bool) *refRound {
+	r := &refRound{snap: snap, binpack: binpack, avail: make(map[string]resources.Vector),
+		removed: make(map[string]bool), resized: make(map[string]resources.Vector)}
+	for _, n := range snap.Nodes {
+		r.avail[n.ID] = n.Available
+	}
+	for _, s := range snap.Services {
+		r.count = append(r.count, len(s.Replicas))
+	}
+	return r
+}
+
+func (r *refRound) pick(need resources.Vector, avoid string) string {
+	var placed []string
+	for _, a := range r.plan {
+		if avoid != "" && a.Kind == core.ScaleOut && a.Service == avoid {
+			placed = append(placed, a.NodeID)
+		}
+	}
+	best, bestCPU := "", 0.0
+	for _, n := range r.snap.Nodes {
+		if avoid != "" && (n.HostsService(avoid) || slices.Contains(placed, n.ID)) {
+			continue
+		}
+		a := r.avail[n.ID]
+		if !need.FitsIn(a) {
+			continue
+		}
+		if best == "" || (r.binpack && a.CPU < bestCPU) || (!r.binpack && a.CPU > bestCPU) {
+			best, bestCPU = n.ID, a.CPU
+		}
+	}
+	return best
+}
+
+func (r *refRound) scaleOut(svc int, nodeID string, alloc resources.Vector) {
+	r.plan = append(r.plan, core.StartOn(r.snap.Services[svc].Info.Name, nodeID, alloc))
+	r.avail[nodeID] = r.avail[nodeID].Sub(alloc).ClampNonNegative()
+	r.count[svc]++
+}
+
+func (r *refRound) scaleIn(svc int, id string) {
+	r.plan = append(r.plan, core.Remove(id))
+	r.removed[id] = true
+	r.count[svc]--
+}
+
+func (r *refRound) allocation(rep core.ReplicaStats) resources.Vector {
+	if a, ok := r.resized[rep.ContainerID]; ok {
+		return a
+	}
+	return rep.Requested
+}
+
+func (r *refRound) resize(id string, alloc resources.Vector) {
+	if _, seen := r.resized[id]; !seen {
+		r.resizeOrder = append(r.resizeOrder, id)
+	}
+	r.resized[id] = alloc
+}
+
+func (r *refRound) finish() []core.Action {
+	for _, id := range r.resizeOrder {
+		if !r.removed[id] {
+			r.plan = append(r.plan, core.Resize(id, r.resized[id]))
+		}
+	}
+	return r.plan
+}
+
+// randomRoundSnapshot builds a snapshot whose replicas run on listed nodes,
+// on unlisted hosts several replicas share, and on unlisted hosts of their
+// own; some listed nodes host nothing and some are unlisted by the time the
+// snapshot is taken.
+func randomRoundSnapshot(rng *rand.Rand) core.Snapshot {
+	vec := func() resources.Vector {
+		return resources.Vector{CPU: float64(rng.Intn(9)) / 2, MemMB: float64(256 * rng.Intn(9)), NetMbps: float64(100 * rng.Intn(4))}
+	}
+	snap := core.Snapshot{Now: time.Duration(rng.Intn(100)) * time.Second}
+	hosts := []string{"lost-a", "lost-b"}
+	listed := map[string]bool{}
+	for i := 0; i < 1+rng.Intn(6); i++ {
+		id := fmt.Sprintf("n%d", i)
+		hosts = append(hosts, id)
+		if rng.Intn(5) == 0 {
+			continue // the host exists but the snapshot leaves it out
+		}
+		listed[id] = true
+		snap.Nodes = append(snap.Nodes, core.NodeStats{ID: id, Capacity: resources.Vector{CPU: 8, MemMB: 8192}, Available: vec()})
+	}
+	for s := 0; s < 1+rng.Intn(5); s++ {
+		name := fmt.Sprintf("s%d", s)
+		svc := core.ServiceStats{Info: core.ServiceInfo{Name: name, MinReplicas: 1, MaxReplicas: 6,
+			TargetUtil: 0.5, InitialAlloc: vec()}}
+		for j := 0; j < rng.Intn(5); j++ {
+			host := hosts[rng.Intn(len(hosts))]
+			if rng.Intn(6) == 0 {
+				host = fmt.Sprintf("alone-%s-%d", name, j)
+			}
+			svc.Replicas = append(svc.Replicas, core.ReplicaStats{ContainerID: fmt.Sprintf("%s-%d", name, j),
+				NodeID: host, Requested: vec(), Routable: true})
+			if listed[host] {
+				for i := range snap.Nodes {
+					if snap.Nodes[i].ID == host && !snap.Nodes[i].HostsService(name) {
+						snap.Nodes[i].Hosts = append(snap.Nodes[i].Hosts, name)
+					}
+				}
+			}
+		}
+		snap.Services = append(snap.Services, svc)
+	}
+	snap.IndexHosts()
+	return snap
+}
+
+// TestRoundMatchesReference drives the ordinal Round and the name-keyed
+// reference through the same random sequences of Credit, Debit, Resize,
+// ScaleIn, ScaleOut, AddReplicas, RemoveNewest and Pick (with and without
+// avoid, under spread and binpack), over snapshots with unlisted and shared
+// unlisted hosts. After every operation each ledger read, count, removal
+// and allocation must agree, and the plans must agree action for action,
+// with every ordinal naming the action's target. One Round serves every
+// sequence, as one algorithm's does.
+func TestRoundMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	var rd core.Round
+	for seq := 0; seq < 400; seq++ {
+		snap := randomRoundSnapshot(rng)
+		binpack := rng.Intn(2) == 0
+		placement := core.PlacementSpread
+		if binpack {
+			placement = core.PlacementBinPack
+		}
+		rd.Reset(snap, placement)
+		ref := newRefRound(snap, binpack)
+		type pos struct{ svc, j int }
+		var reps []pos
+		for i, s := range snap.Services {
+			for j := range s.Replicas {
+				reps = append(reps, pos{i, j})
+			}
+		}
+		vec := func() resources.Vector {
+			return resources.Vector{CPU: float64(rng.Intn(5)) / 4, MemMB: float64(128 * rng.Intn(5))}
+		}
+		for op := 0; op < 60; op++ {
+			svc := rng.Intn(len(snap.Services))
+			var p pos
+			var rep core.ReplicaStats
+			if len(reps) > 0 {
+				p = reps[rng.Intn(len(reps))]
+				rep = snap.Services[p.svc].Replicas[p.j]
+			}
+			switch k := rng.Intn(8); {
+			case k == 0 && len(reps) > 0:
+				v := vec()
+				rd.Credit(rep.Slot, v)
+				ref.avail[rep.NodeID] = ref.avail[rep.NodeID].Add(v)
+			case k == 1 && len(reps) > 0:
+				v := vec()
+				rd.Debit(rep.Slot, v)
+				ref.avail[rep.NodeID] = ref.avail[rep.NodeID].Sub(v)
+			case k == 2 && len(reps) > 0:
+				v := vec()
+				rd.Resize(p.svc, p.j, v)
+				ref.resize(rep.ContainerID, v)
+			case k == 3 && len(reps) > 0 && !rd.Removed(p.svc, p.j):
+				rd.ScaleIn(p.svc, p.j)
+				ref.scaleIn(p.svc, rep.ContainerID)
+			case k == 4:
+				avoid := ""
+				if rng.Intn(2) == 0 {
+					avoid = snap.Services[svc].Info.Name
+				}
+				need := vec()
+				node := rd.Pick(need, avoid)
+				want := ref.pick(need, avoid)
+				if (node < 0 && want != "") || (node >= 0 && snap.Nodes[node].ID != want) {
+					t.Fatalf("seq %d op %d: Pick(%v, %q) = %d, reference %q", seq, op, need, avoid, node, want)
+				}
+				if node >= 0 && rng.Intn(2) == 0 {
+					alloc := vec()
+					rd.ScaleOut(svc, node, alloc)
+					ref.scaleOut(svc, want, alloc)
+				}
+			case k == 5:
+				n := rng.Intn(3)
+				placed := rd.AddReplicas(svc, n)
+				want := 0
+				for ; want < n; want++ {
+					id := ref.pick(snap.Services[svc].Info.InitialAlloc, "")
+					if id == "" {
+						break
+					}
+					ref.scaleOut(svc, id, snap.Services[svc].Info.InitialAlloc)
+				}
+				if placed != want {
+					t.Fatalf("seq %d op %d: AddReplicas placed %d, reference %d", seq, op, placed, want)
+				}
+			case k == 6 && rng.Intn(4) == 0:
+				n := rng.Intn(2)
+				rd.RemoveNewest(svc, n)
+				reps := snap.Services[svc].Replicas
+				for i := 0; i < n && i < len(reps); i++ {
+					ref.scaleIn(svc, reps[len(reps)-1-i].ContainerID)
+				}
+			}
+			for i, n := range snap.Nodes {
+				if got, want := rd.Available(i), ref.avail[n.ID]; got != want {
+					t.Fatalf("seq %d op %d: node %s available %v, reference %v", seq, op, n.ID, got, want)
+				}
+			}
+			for _, q := range reps {
+				r := snap.Services[q.svc].Replicas[q.j]
+				if got, want := rd.Available(r.Slot), ref.avail[r.NodeID]; got != want {
+					t.Fatalf("seq %d op %d: host %s of %s available %v, reference %v", seq, op, r.NodeID, r.ContainerID, got, want)
+				}
+				if rd.Removed(q.svc, q.j) != ref.removed[r.ContainerID] {
+					t.Fatalf("seq %d op %d: %s removed %v, reference %v", seq, op, r.ContainerID, rd.Removed(q.svc, q.j), ref.removed[r.ContainerID])
+				}
+				if got, want := rd.Allocation(q.svc, q.j), ref.allocation(r); got != want {
+					t.Fatalf("seq %d op %d: %s allocation %v, reference %v", seq, op, r.ContainerID, got, want)
+				}
+			}
+			for i := range snap.Services {
+				if rd.Count(i) != ref.count[i] {
+					t.Fatalf("seq %d op %d: service %d count %d, reference %d", seq, op, i, rd.Count(i), ref.count[i])
+				}
+			}
+		}
+		got, want := rd.Plan().Actions, ref.finish()
+		if len(got) != len(want) {
+			t.Fatalf("seq %d: plan has %d actions, reference %d", seq, len(got), len(want))
+		}
+		for i, a := range got {
+			named := a
+			named.Replica, named.Node = 0, 0
+			if named != want[i] {
+				t.Fatalf("seq %d: action %d is %+v, reference %+v", seq, i, a, want[i])
+			}
+			switch a.Kind {
+			case core.ScaleOut:
+				if a.Node < 1 || snap.Nodes[a.Node-1].ID != a.NodeID {
+					t.Fatalf("seq %d: scale-out to %s carries node ordinal %d", seq, a.NodeID, a.Node)
+				}
+			default:
+				if a.Replica < 1 || int(a.Replica) > len(reps) {
+					t.Fatalf("seq %d: action on %s carries replica ordinal %d", seq, a.ContainerID, a.Replica)
+				}
+				q := reps[a.Replica-1]
+				if id := snap.Services[q.svc].Replicas[q.j].ContainerID; id != a.ContainerID {
+					t.Fatalf("seq %d: action on %s carries the ordinal of %s", seq, a.ContainerID, id)
+				}
+			}
+		}
 	}
 }

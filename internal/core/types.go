@@ -44,6 +44,10 @@ type ReplicaStats struct {
 	ContainerID string
 	// NodeID is the hosting machine.
 	NodeID string
+	// Slot is the host's ledger slot: its index in Snapshot.Nodes when the
+	// snapshot lists it, else a slot at or past len(Nodes) that every
+	// replica on the same unlisted host shares. IndexHosts fills it.
+	Slot int
 	// Requested is the replica's current resource allocation (CPU request /
 	// memory limit / tc cap). Vertical scaling rewrites it.
 	Requested resources.Vector
@@ -95,43 +99,122 @@ type Snapshot struct {
 	Now time.Duration
 	// Services holds per-service stats in deterministic order.
 	Services []ServiceStats
-	// Nodes holds per-node stats in deterministic order.
+	// Nodes holds per-node stats in deterministic order, one per node ID.
 	Nodes []NodeStats
+	// Slots is the size of the node-availability ledger: len(Nodes) plus
+	// one slot per distinct host that replicas name but Nodes does not
+	// list (see ReplicaStats.Slot).
+	Slots int
+	// Epoch identifies the producer's snapshot, nonzero when its replica
+	// and node ordinals can be resolved back by the producer. Plans carry
+	// it back (Plan.Epoch). Zero for a hand-built snapshot.
+	Epoch uint64
 }
 
-// Action is one scaling decision. Exactly one of the concrete types below.
-type Action interface{ isAction() }
-
-// VerticalScale adjusts a container's allocation in place — the simulated
-// `docker update`. Vertical actions are exempt from rescale-interval
-// throttling (§IV-B1).
-type VerticalScale struct {
-	ContainerID string
-	// NewAlloc replaces the container's requested resources.
-	NewAlloc resources.Vector
+// IndexHosts fills every replica's Slot and the snapshot's Slots from the
+// node IDs: a listed host's slot is its index in Nodes, and unlisted hosts
+// get slots past the end in order of first appearance. A producer that
+// tracks its hosts by ordinal fills them itself; hand-built snapshots call
+// this once.
+func (s *Snapshot) IndexHosts() {
+	slot := make(map[string]int, len(s.Nodes))
+	for i, n := range s.Nodes {
+		if _, dup := slot[n.ID]; !dup {
+			slot[n.ID] = i
+		}
+	}
+	s.Slots = len(s.Nodes)
+	for i := range s.Services {
+		reps := s.Services[i].Replicas
+		for j := range reps {
+			k, ok := slot[reps[j].NodeID]
+			if !ok {
+				k = s.Slots
+				slot[reps[j].NodeID] = k
+				s.Slots++
+			}
+			reps[j].Slot = k
+		}
+	}
 }
 
-// ScaleOut starts a new replica of Service on Node with the given initial
-// allocation.
-type ScaleOut struct {
+// ActionKind tells the scaling actions apart.
+type ActionKind uint8
+
+// Action kinds.
+const (
+	// VerticalScale adjusts a container's allocation in place — the
+	// simulated `docker update`. Vertical actions are exempt from
+	// rescale-interval throttling (§IV-B1).
+	VerticalScale ActionKind = iota + 1
+	// ScaleOut starts a new replica of a service on a node.
+	ScaleOut
+	// ScaleIn removes a container (killing its in-flight requests).
+	ScaleIn
+)
+
+// String implements fmt.Stringer.
+func (k ActionKind) String() string {
+	switch k {
+	case VerticalScale:
+		return "vertical"
+	case ScaleOut:
+		return "scale-out"
+	case ScaleIn:
+		return "scale-in"
+	default:
+		return "unknown"
+	}
+}
+
+// Action is one scaling decision, a plain value: Kind says which fields
+// apply. A one-byte reason code would fit beside Kind.
+type Action struct {
+	Kind ActionKind
+	// Service is the service a ScaleOut starts a replica of.
 	Service string
-	NodeID  string
-	Alloc   resources.Vector
-}
-
-// ScaleIn removes the container (killing its in-flight requests).
-type ScaleIn struct {
+	// ContainerID is the replica a VerticalScale resizes or a ScaleIn
+	// removes.
 	ContainerID string
+	// NodeID is the node a ScaleOut places the replica on.
+	NodeID string
+	// Alloc is a VerticalScale's new allocation, replacing the container's
+	// requested resources, or a ScaleOut's initial allocation.
+	Alloc resources.Vector
+	// Replica is 1 + the target's flat ordinal in the snapshot the action
+	// was planned from (its position among every service's replicas, in
+	// order), for a VerticalScale or ScaleIn. Node is 1 + a ScaleOut's
+	// node index in that snapshot's Nodes. Zero when the action was not
+	// planned from a snapshot: it resolves by name.
+	Replica, Node int32
 }
 
-func (VerticalScale) isAction() {}
-func (ScaleOut) isAction()      {}
-func (ScaleIn) isAction()       {}
+// Resize builds a vertical action that sets the container's allocation.
+func Resize(containerID string, alloc resources.Vector) Action {
+	return Action{Kind: VerticalScale, ContainerID: containerID, Alloc: alloc}
+}
+
+// StartOn builds a scale-out that starts a replica of service on node
+// nodeID with the given allocation. An empty nodeID leaves the placement
+// to the executor.
+func StartOn(service, nodeID string, alloc resources.Vector) Action {
+	return Action{Kind: ScaleOut, Service: service, NodeID: nodeID, Alloc: alloc}
+}
+
+// Remove builds a scale-in of the container.
+func Remove(containerID string) Action {
+	return Action{Kind: ScaleIn, ContainerID: containerID}
+}
 
 // Plan is an ordered list of actions; the Monitor applies them in order so
-// resources freed early in the plan can be consumed later in it.
+// resources freed early in the plan can be consumed later in it. A plan an
+// algorithm returns from Decide may alias the algorithm's scratch: it is
+// valid until that algorithm's next Decide, the same contract the Monitor
+// gives its Snapshot.
 type Plan struct {
 	Actions []Action
+	// Epoch is the Epoch of the snapshot the plan was decided from.
+	Epoch uint64
 }
 
 // Empty reports whether the plan does nothing.

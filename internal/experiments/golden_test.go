@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hyscale/internal/monitor"
 )
 
 // checkGolden compares rendered table bytes against testdata/<file>, or
@@ -75,8 +77,52 @@ func TestExperimentTableGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment grids")
 	}
+	for _, c := range tableGoldens() {
+		t.Run(c.name, func(t *testing.T) {
+			tab, err := c.run(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "golden_"+c.name+"_table.txt", tab)
+		})
+	}
+}
+
+// TestOrdinalResolutionMatchesFindReplica reruns the goldens of every
+// experiment that fails, recovers, evacuates or cascades (chaos, cascade,
+// the reduced DR grid and recovery) with the monitor's ordinal self-check
+// on: every snapshot replica and every action the monitor resolves by
+// ordinal is re-resolved by name, through findReplica, and any difference
+// panics. The tables must still match their goldens.
+func TestOrdinalResolutionMatchesFindReplica(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment grids")
+	}
+	defer monitor.VerifyOrdinals(monitor.VerifyOrdinals(true))
+	for _, c := range tableGoldens() {
+		switch c.name {
+		case "chaos", "cascade", "dr_smoke", "recovery":
+		default:
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			tab, err := c.run(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "golden_"+c.name+"_table.txt", tab)
+		})
+	}
+}
+
+// tableGoldens lists TestExperimentTableGoldens' tables: each golden's name
+// and the run that renders it.
+func tableGoldens() []struct {
+	name string
+	run  func(t *testing.T) (*Table, error)
+} {
 	opts := Options{Seed: 1, Scale: 0.05}
-	for _, c := range []struct {
+	return []struct {
 		name string
 		run  func(t *testing.T) (*Table, error)
 	}{
@@ -146,13 +192,5 @@ func TestExperimentTableGoldens(t *testing.T) {
 			}
 			return r.Table(), nil
 		}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			tab, err := c.run(t)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "golden_"+c.name+"_table.txt", tab)
-		})
 	}
 }

@@ -263,11 +263,11 @@ func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
 				http.Error(w, "no node fits a new replica", http.StatusConflict)
 				return
 			}
-			plan.Actions = append(plan.Actions, core.ScaleOut{Service: name, NodeID: nodeID, Alloc: alloc})
+			plan.Actions = append(plan.Actions, core.StartOn(name, nodeID, alloc))
 		}
 	case req.Replicas < len(reps):
 		for i := len(reps) - 1; i >= req.Replicas; i-- {
-			plan.Actions = append(plan.Actions, core.ScaleIn{ContainerID: reps[i].ID})
+			plan.Actions = append(plan.Actions, core.Remove(reps[i].ID))
 		}
 	}
 	s.world.Control().Apply(plan, now)

@@ -161,8 +161,8 @@ func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
 		pend := extractPendings(z.mon, s)
 		allocs := make([]resources.Vector, len(pend))
 		for i, pa := range pend {
-			if act, ok := pa.action.(core.ScaleOut); ok {
-				allocs[i] = act.Alloc
+			if pa.action.Kind == core.ScaleOut {
+				allocs[i] = pa.action.Alloc
 			}
 		}
 		shares := p.splitAcrossZones(free, allocs)
@@ -420,7 +420,7 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 		z.mon.settleLost(now, func(l lostReplica) bool { return l.service == s })
 		for _, a := range allocs {
 			z.mon.retries = append(z.mon.retries, pendingAction{
-				action: core.ScaleOut{Service: s, Alloc: a}, notBefore: now,
+				action: core.StartOn(s, "", a), notBefore: now,
 			})
 		}
 		// Every replica the service now has was started this instant with
@@ -535,7 +535,7 @@ func extractPendings(m *Monitor, s string) []pendingAction {
 	var out []pendingAction
 	kept := m.retries[:0]
 	for _, pa := range m.retries {
-		if act, ok := pa.action.(core.ScaleOut); ok && act.Service == s {
+		if pa.action.Kind == core.ScaleOut && pa.action.Service == s {
 			out = append(out, pa)
 			continue
 		}

@@ -28,7 +28,7 @@ func TestVerticalRetrySucceedsAfterTransientFault(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.VerticalScale{ContainerID: rep.ID, NewAlloc: resources.Vector{CPU: 2.5, MemMB: 600}},
+		core.Resize(rep.ID, resources.Vector{CPU: 2.5, MemMB: 600}),
 	}}
 	m.Poll(10 * time.Second)
 	algo.plan = core.Plan{}
@@ -66,7 +66,7 @@ func TestRetryAbandonedAfterMaxAttempts(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.VerticalScale{ContainerID: rep.ID, NewAlloc: resources.Vector{CPU: 2, MemMB: 600}},
+		core.Resize(rep.ID, resources.Vector{CPU: 2, MemMB: 600}),
 	}}
 	m.Poll(10 * time.Second)
 	algo.plan = core.Plan{}
@@ -102,7 +102,7 @@ func TestHardeningDisabledDropsFailedActions(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.VerticalScale{ContainerID: rep.ID, NewAlloc: resources.Vector{CPU: 2, MemMB: 600}},
+		core.Resize(rep.ID, resources.Vector{CPU: 2, MemMB: 600}),
 	}}
 	m.Poll(10 * time.Second)
 
@@ -175,7 +175,7 @@ func TestPlacementFailureRequeuedAndRepicked(t *testing.T) {
 	// the only way a scale-out placement fails.
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.ScaleOut{Service: "a", NodeID: "gone-node", Alloc: resources.Vector{CPU: 1, MemMB: 512}},
+		core.StartOn("a", "gone-node", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 	algo.plan = core.Plan{}
@@ -214,7 +214,7 @@ func TestRetriedScaleOutRespectsMaxReplicas(t *testing.T) {
 	m.faults = faultWindow(faults.KindStart, "", 0, 12*time.Second)
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.ScaleOut{Service: "a", NodeID: "node-2", Alloc: resources.Vector{CPU: 1, MemMB: 512}},
+		core.StartOn("a", "node-2", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 	algo.plan = core.Plan{}
@@ -243,7 +243,7 @@ func TestSlowStartStretchesReadiness(t *testing.T) {
 	})
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.ScaleOut{Service: "a", NodeID: "node-2", Alloc: resources.Vector{CPU: 1, MemMB: 512}},
+		core.StartOn("a", "node-2", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 

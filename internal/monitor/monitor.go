@@ -81,19 +81,34 @@ type serviceState struct {
 	// arrive first. Reconciler retries are unaffected.
 	holdPolls int
 
-	// resolved caches replicaIDs resolved to container pointers, valid
-	// while resolvedGen matches Monitor.topoGen. Per-request routing walks
-	// this instead of re-resolving IDs through three map lookups each.
+	// locs caches replicaIDs resolved to their containers and host nodes,
+	// index for index, and resolved the containers that resolve, in order;
+	// both are valid while resolvedGen matches Monitor.topoGen. Per-request
+	// routing walks resolved and Snapshot walks locs instead of re-resolving
+	// IDs through three map lookups each.
+	locs        []replicaLoc
 	resolved    []*container.Container
 	resolvedGen uint64
 
 	// name is the service's Name in the journal, interned on the first
 	// snapshot that journals it (0 until then, and without a journal).
 	name obs.Name
+
+	// obs is the service's observation in the latest snapshot that
+	// journaled it, taken by obsBy. Only maintained when journal is set.
+	obs   observation
+	obsBy *Monitor
 }
 
-// observation is a service's aggregate usage in the latest snapshot, with
-// the service's journal Name.
+// replicaLoc is one replica ID resolved by findReplica: its container and
+// host node, both nil when it did not resolve.
+type replicaLoc struct {
+	c    *container.Container
+	node *cluster.Node
+}
+
+// observation is a service's aggregate usage in a snapshot, with the
+// service's journal Name.
 type observation struct {
 	usage obs.ServiceObserved
 	name  obs.Name
@@ -176,10 +191,11 @@ type Monitor struct {
 
 	retries     []pendingAction
 	lastReports map[string]*cachedReport
-	// lastObs caches each service's observation from the most recent
-	// snapshot: its usage is attached to journaled decisions, and its Name
-	// spares the journal a lookup. Only maintained when journal is set.
-	lastObs map[string]observation
+	// departed keeps, for each service that left this monitor after one of
+	// its snapshots journaled it, that last observation: a decision about
+	// a service this monitor no longer observes still reports what it last
+	// saw here (see observation). Only maintained when journal is set.
+	departed map[string]observation
 
 	// nodeStates is the failure detector's per-node record; replicaHome maps
 	// every live replica to its host node; lost is the reconciler's ledger of
@@ -207,7 +223,9 @@ type Monitor struct {
 	// allocates nothing (see Snapshot). The snapshot handed to the algorithm
 	// aliases these buffers and is valid until the next Snapshot call — every
 	// consumer (Poll → Decide → Apply) runs synchronously inside that window.
-	statsByID    map[string]nodemanager.ContainerStats
+	// scratch holds the ordinal tables; a Plane shares one across its
+	// arbiters.
+	scratch      *pollScratch
 	seenGen      map[string]uint64
 	gen          uint64
 	snapNodes    []core.NodeStats
@@ -232,10 +250,9 @@ func newMonitor(cl *cluster.Cluster, algo core.Algorithm) *Monitor {
 		byName:      make(map[string]*serviceState),
 		startDelay:  time.Second,
 		lastReports: make(map[string]*cachedReport),
-		lastObs:     make(map[string]observation),
 		nodeStates:  make(map[string]*nodeState),
 		replicaHome: make(map[string]string),
-		statsByID:   make(map[string]nodemanager.ContainerStats),
+		scratch:     &pollScratch{},
 		seenGen:     make(map[string]uint64),
 		topoGen:     1, // above the zero resolvedGen, so fresh services resolve
 	}
@@ -318,8 +335,15 @@ func (m *Monitor) AddService(spec workload.ServiceSpec, targetUtil float64) erro
 	return nil
 }
 
-// unregister drops st from the service list and the name index.
+// unregister drops st from the service list and the name index. A service
+// this monitor's snapshots journaled leaves its last observation behind.
 func (m *Monitor) unregister(st *serviceState) {
+	if st.obsBy == m {
+		if m.departed == nil {
+			m.departed = make(map[string]observation)
+		}
+		m.departed[st.spec.Name] = st.obs
+	}
 	delete(m.byName, st.spec.Name)
 	m.services = slices.DeleteFunc(m.services, func(x *serviceState) bool { return x == st })
 }
@@ -434,15 +458,33 @@ func (m *Monitor) liveReplicas(st *serviceState) int {
 // StateRemoved without a topology bump, and the pointer check is free.
 func (m *Monitor) resolvedFor(st *serviceState) []*container.Container {
 	if st.resolvedGen != m.topoGen {
-		st.resolved = st.resolved[:0]
-		for _, id := range st.replicaIDs {
-			if c, _ := m.findReplica(id); c != nil {
-				st.resolved = append(st.resolved, c)
-			}
-		}
-		st.resolvedGen = m.topoGen
+		m.resolve(st)
 	}
 	return st.resolved
+}
+
+// locate returns st's replica IDs resolved as findReplica resolves them,
+// index for index. A container a scale-in removed since reads as
+// StateRemoved, where findReplica would no longer find it.
+func (m *Monitor) locate(st *serviceState) []replicaLoc {
+	if st.resolvedGen != m.topoGen || len(st.locs) != len(st.replicaIDs) {
+		m.resolve(st)
+	}
+	return st.locs
+}
+
+// resolve rebuilds st's resolution caches.
+func (m *Monitor) resolve(st *serviceState) {
+	st.resolved = st.resolved[:0]
+	st.locs = st.locs[:0]
+	for _, id := range st.replicaIDs {
+		c, n := m.findReplica(id)
+		st.locs = append(st.locs, replicaLoc{c: c, node: n})
+		if c != nil {
+			st.resolved = append(st.resolved, c)
+		}
+	}
+	st.resolvedGen = m.topoGen
 }
 
 // Sample forwards a stats-sampling tick to every node manager of an
@@ -515,7 +557,7 @@ func (m *Monitor) drainRetries(now time.Duration) {
 		if p.attempts > 0 {
 			m.counts.Retries++
 		}
-		m.execute(p, now)
+		m.execute(p, now, nil)
 	}
 }
 
@@ -527,12 +569,17 @@ func (m *Monitor) drainRetries(now time.Duration) {
 // The returned snapshot aliases per-Monitor scratch buffers: it is valid
 // until the next Snapshot call, which is exactly the Poll→Decide→Apply
 // window. In steady state (no container churn, no faults) assembling it
-// allocates nothing — maps are cleared and slices resliced, never remade.
+// allocates nothing and looks nothing up by name: replicas resolve through
+// the service's cached locations, their stats by container slot and their
+// hosts' ledger slots by node ordinal. It fills every ordinal the algorithm
+// plans with (ReplicaStats.Slot, Snapshot.Slots and Epoch), and records
+// what each replica resolved to, so Apply resolves the plan's actions by
+// ordinal too.
 func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
-	snap := core.Snapshot{Now: now}
+	ps := m.scratch
+	snap := core.Snapshot{Now: now, Epoch: ps.begin(m)}
 
 	// One report per node; index container stats for replica lookup.
-	clear(m.statsByID)
 	m.snapNodes = m.snapNodes[:0]
 	m.snapServices = m.snapServices[:0]
 	for _, nm := range m.nms {
@@ -548,6 +595,7 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 			m.noteMissedPoll(id, now)
 			continue
 		}
+		ps.noteNode(node, nm, -1)
 		var cached *cachedReport
 		if m.faults.StatsDropped(now, id) || m.faults.StatsBlackout(now, id) ||
 			(m.plane != nil && m.plane.statsCut(now, id)) {
@@ -576,8 +624,8 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 			cached.at = now
 			m.notePollOK(id, now)
 		}
-		for _, cs := range cached.rep.Containers {
-			m.statsByID[cs.ID] = cs
+		for i := range cached.rep.Containers {
+			ps.putStats(&cached.rep.Containers[i])
 		}
 		// The deduplicated hosts list only changes when containers are placed
 		// or removed; key it on the node's version so unchanged nodes skip
@@ -594,6 +642,7 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 			cached.hostsVer = v
 			cached.hostsOK = true
 		}
+		ps.noteNode(node, nm, len(m.snapNodes))
 		ns := growNodeStats(&m.snapNodes)
 		ns.ID = cached.rep.NodeID
 		ns.Capacity = cached.rep.Capacity
@@ -601,6 +650,7 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 		ns.Hosts = append(ns.Hosts[:0], cached.hosts...)
 	}
 	snap.Nodes = m.snapNodes
+	ps.slots = len(snap.Nodes)
 
 	// A node both ruled dead and gone from the cluster can never answer
 	// under this identity again; stop tracking it. Done outside the node
@@ -628,9 +678,10 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 		ss := growServiceStats(&m.snapServices)
 		ss.Info = st.info
 		ss.Replicas = ss.Replicas[:0]
+		locs := m.locate(st)
 		live := st.replicaIDs[:0]
-		for _, id := range st.replicaIDs {
-			c, node := m.findReplica(id)
+		for k, id := range st.replicaIDs {
+			c, node := locs[k].c, locs[k].node
 			if c == nil || c.State == container.StateRemoved {
 				// A replica that vanished with an unreachable-but-undecided
 				// node stays in the snapshot on last-known data, so the
@@ -638,25 +689,24 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 				// rules the node dead or recovered.
 				if home := m.limboHome(id); home != "" {
 					live = append(live, id)
-					ss.Replicas = append(ss.Replicas, m.lastKnownReplica(id, home, st))
+					rs := m.lastKnownReplica(id, home, st)
+					rs.Slot = ps.slotOf(m.cluster.Node(home), home)
+					ss.Replicas = append(ss.Replicas, rs)
+					ps.reps = append(ps.reps, replicaRef{st: st})
 				} else {
 					delete(m.replicaHome, id)
 				}
 				continue
 			}
 			live = append(live, id)
-			cs, ok := m.statsByID[id]
-			if !ok {
-				cs = nodemanager.ContainerStats{ID: id, Service: st.spec.Name, Requested: c.Alloc, Routable: c.Routable()}
+			rs := core.ReplicaStats{ContainerID: id, NodeID: node.ID(), Slot: ps.slotOf(node, node.ID())}
+			if cs := ps.statsOf(c); cs != nil {
+				rs.Requested, rs.Usage, rs.Routable, rs.Inflight = cs.Requested, cs.Usage, cs.Routable, cs.Inflight
+			} else {
+				rs.Requested, rs.Routable = c.Alloc, c.Routable()
 			}
-			ss.Replicas = append(ss.Replicas, core.ReplicaStats{
-				ContainerID: id,
-				NodeID:      node.ID(),
-				Requested:   cs.Requested,
-				Usage:       cs.Usage,
-				Routable:    cs.Routable,
-				Inflight:    cs.Inflight,
-			})
+			ss.Replicas = append(ss.Replicas, rs)
+			ps.reps = append(ps.reps, replicaRef{c: c, node: node, nm: ps.managerOf(node), st: st})
 		}
 		if len(live) != len(st.replicaIDs) {
 			m.topoGen++ // pruned vanished replicas from the desired set
@@ -673,10 +723,14 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 			if st.name == 0 {
 				st.name = m.journal.Intern(st.spec.Name)
 			}
-			m.lastObs[st.spec.Name] = observation{usage: ob, name: st.name}
+			st.obs, st.obsBy = observation{usage: ob, name: st.name}, m
 		}
 	}
 	snap.Services = m.snapServices
+	snap.Slots = ps.slots
+	if verifyOrdinals.Load() {
+		m.verifySnapshot(snap)
+	}
 	return snap
 }
 
@@ -750,71 +804,100 @@ func serviceOf(id string, c *container.Container) string {
 	return id
 }
 
+// target is what an action's container resolved to: the container and its
+// host node (both nil when it is gone) and, for an action resolved by
+// ordinal, the snapshot's service state.
+type target struct {
+	c    *container.Container
+	node *cluster.Node
+	st   *serviceState
+}
+
 // observe journals one action attempt with its outcome and the observed
 // inputs from the snapshot that motivated it. createdID names the replica a
-// successful scale-out started; target is the container a vertical or
-// scale-in action resolved to (nil when it is gone), so the journal never
-// looks it up again. No-op unless journal is set.
-func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome obs.Outcome, createdID string, target *container.Container) {
+// successful scale-out started; t is what a vertical or scale-in action
+// resolved to, so the journal never looks it up again. No-op unless journal
+// is set.
+func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome obs.Outcome, createdID string, t target) {
 	if m.journal == nil {
 		return
 	}
-	d := obs.Decision{At: now, Attempt: attempt, Outcome: outcome}
-	switch act := a.(type) {
-	case core.VerticalScale:
-		d.Kind = obs.KindVertical
-		d.Container = act.ContainerID
-		d.Alloc = act.NewAlloc
+	j, ps := m.journal, m.scratch
+	d := obs.Decision{At: now, Attempt: attempt, Outcome: outcome, Alloc: a.Alloc}
+	var o observation
+	var container, node obs.Name
+	switch a.Kind {
 	case core.ScaleOut:
 		d.Kind = obs.KindScaleOut
-		d.Service = act.Service
-		d.Node = act.NodeID
-		d.Alloc = act.Alloc
-		d.Container = createdID
-	case core.ScaleIn:
-		d.Kind = obs.KindScaleIn
-		d.Container = act.ContainerID
-	}
-	if d.Kind != obs.KindScaleOut {
-		d.Service = serviceOf(d.Container, target)
-		if target != nil {
-			d.Node = target.NodeID
+		o = m.observation(a.Service, nil)
+		container, node = j.Intern(createdID), j.Intern(a.NodeID)
+	default:
+		d.Kind = obs.KindVertical
+		if a.Kind == core.ScaleIn {
+			d.Kind, d.Alloc = obs.KindScaleIn, resources.Vector{}
+		}
+		o = m.observation(serviceOf(a.ContainerID, t.c), t.st)
+		if t.c != nil {
+			container, node = ps.containerName(j, t.c), ps.nodeName(j, t.node)
+		} else {
+			container = j.Intern(a.ContainerID)
 		}
 	}
-	o, ok := m.lastObs[d.Service]
-	if !ok {
-		o.name = m.journal.Intern(d.Service)
-	}
 	d.Observed = o.usage
-	m.journal.DecisionFor(o.name, d)
+	j.DecisionFor(o.name, container, node, d)
+}
+
+// observation returns the observation a decision about the service reports:
+// that of the latest snapshot of this monitor that journaled the service.
+// st, when set, is the service's state in the snapshot just taken, which
+// journaled it. A service that never showed in one reports none, under its
+// interned name.
+func (m *Monitor) observation(service string, st *serviceState) observation {
+	if st == nil {
+		st = m.byName[service]
+	}
+	if st != nil && st.obsBy == m {
+		return st.obs
+	}
+	if o, ok := m.departed[service]; ok {
+		return o
+	}
+	return observation{name: m.journal.Intern(service)}
 }
 
 // Apply executes a plan action-by-action. Actions against services under a
 // decision hold (freshly readopted, see serviceState.holdPolls) are dropped:
 // the algorithm decided off zero-usage stats for replicas placed this very
-// period.
+// period. A plan decided from this monitor's latest snapshot resolves its
+// actions by the replica ordinals they carry; any other plan resolves them
+// by name.
 func (m *Monitor) Apply(plan core.Plan, now time.Duration) {
+	ps := m.scratch
+	ordinals := ps.owns(m, plan.Epoch)
+	verify := ordinals && verifyOrdinals.Load()
 	for _, a := range plan.Actions {
 		if m.held > 0 {
 			if st := m.byName[m.actionService(a)]; st != nil && st.holdPolls > 0 {
 				continue
 			}
 		}
-		m.execute(pendingAction{action: a}, now)
+		var ref *replicaRef
+		if ordinals && a.Replica > 0 && int(a.Replica) <= len(ps.reps) {
+			ref = &ps.reps[a.Replica-1]
+		}
+		if verify {
+			m.verifyAction(a, ref)
+		}
+		m.execute(pendingAction{action: a}, now, ref)
 	}
 }
 
 // actionService resolves the service an action targets.
 func (m *Monitor) actionService(a core.Action) string {
-	switch act := a.(type) {
-	case core.ScaleOut:
-		return act.Service
-	case core.ScaleIn:
-		return m.serviceOfContainer(act.ContainerID)
-	case core.VerticalScale:
-		return m.serviceOfContainer(act.ContainerID)
+	if a.Kind == core.ScaleOut {
+		return a.Service
 	}
-	return ""
+	return m.serviceOfContainer(a.ContainerID)
 }
 
 // actionsCut reports whether control actions towards nodeID are black-holed
@@ -832,115 +915,127 @@ func (m *Monitor) lease(alloc resources.Vector) bool {
 	return m.plane != nil && len(m.plane.zones) > 1 && m.plane.leaseInto(m.zone, alloc)
 }
 
+// resolveTarget resolves a vertical or scale-in action's container: through
+// ref, what the snapshot resolved it to, when the action carries a replica
+// ordinal of it, else by name. It also returns the container's node
+// manager, nil when none is attached.
+func (m *Monitor) resolveTarget(id string, ref *replicaRef) (target, *nodemanager.Manager) {
+	if ref == nil {
+		c, node := m.findReplica(id)
+		if c == nil {
+			return target{}, nil
+		}
+		return target{c: c, node: node}, m.nmByID[c.NodeID]
+	}
+	if ref.c == nil || ref.c.State == container.StateRemoved {
+		return target{st: ref.st}, nil
+	}
+	return target{c: ref.c, node: ref.node, st: ref.st}, ref.nm
+}
+
 // execute runs one attempt of a queued action; p.attempts counts prior
-// executions. Faulted, black-holed or placement-failed attempts are requeued
-// with backoff (when hardening is enabled) or abandoned.
-func (m *Monitor) execute(p pendingAction, now time.Duration) {
+// executions. ref is what the snapshot resolved the action's replica to, nil
+// to resolve it by name. Faulted, black-holed or placement-failed attempts
+// are requeued with backoff (when hardening is enabled) or abandoned.
+func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 	a := p.action
-	switch act := a.(type) {
+	switch a.Kind {
 	case core.VerticalScale:
-		c, _ := m.findReplica(act.ContainerID)
-		if c == nil || c.State == container.StateRemoved {
-			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", c)
+		t, nm := m.resolveTarget(a.ContainerID, ref)
+		c := t.c
+		if c == nil || nm == nil {
+			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", t)
 			return // target gone; the action is moot, not failed
 		}
-		nm := m.nmByID[c.NodeID]
-		if nm == nil {
-			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", c)
+		if m.actionsCut(now, c.NodeID) || m.faults.VerticalFails(now, a.ContainerID) {
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", t)
 			return
 		}
-		if m.actionsCut(now, c.NodeID) || m.faults.VerticalFails(now, act.ContainerID) {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", c)
-			return
-		}
-		if err := nm.ApplyVertical(act.ContainerID, act.NewAlloc); err == nil {
+		if err := nm.ApplyVertical(c, a.Alloc); err == nil {
 			m.counts.Vertical++
-			m.observe(a, now, p.attempts, obs.OutcomeApplied, "", c)
+			m.observe(a, now, p.attempts, obs.OutcomeApplied, "", t)
 		} else {
-			m.observe(a, now, p.attempts, obs.OutcomeRejected, "", c)
+			m.observe(a, now, p.attempts, obs.OutcomeRejected, "", t)
 		}
 	case core.ScaleOut:
-		st, ok := m.byName[act.Service]
+		st, ok := m.byName[a.Service]
 		if !ok {
 			return
 		}
 		// A queued scale-out (retry or reconciler re-placement) may have
 		// been overtaken by the algorithm's own fresh decisions; never push
 		// past the replica ceiling.
-		if (p.attempts > 0 || p.lostID != "") && m.ReplicaCount(act.Service) >= st.spec.MaxReplicas {
+		if (p.attempts > 0 || p.lostID != "") && m.ReplicaCount(a.Service) >= st.spec.MaxReplicas {
 			if p.lostID != "" {
 				// The ceiling already covers the lost capacity; treat the
 				// original as superseded so a recovery drains it.
 				m.finishLost(p.lostID)
 			}
-			m.observe(a, now, p.attempts, obs.OutcomeOvertaken, "", nil)
+			m.observe(a, now, p.attempts, obs.OutcomeOvertaken, "", target{})
 			return
 		}
 		// Reconciler re-placements carry no node: resolve against live
 		// capacity at execution time, not at enqueue time.
-		if act.NodeID == "" {
-			act.NodeID = m.leastLoadedNode(act.Alloc)
-			if act.NodeID == "" && m.lease(act.Alloc) {
-				act.NodeID = m.leastLoadedNode(act.Alloc)
+		if a.NodeID == "" {
+			a.NodeID = m.leastLoadedNode(a.Alloc)
+			if a.NodeID == "" && m.lease(a.Alloc) {
+				a.NodeID = m.leastLoadedNode(a.Alloc)
 			}
-			a = act
-			if act.NodeID == "" {
+			if a.NodeID == "" {
 				m.counts.PlacementFailures++
-				m.observe(a, now, p.attempts, m.requeue(p, now), "", nil)
+				m.observe(a, now, p.attempts, m.requeue(p, now), "", target{})
 				return
 			}
 		}
-		if m.actionsCut(now, act.NodeID) {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", nil)
+		if m.actionsCut(now, a.NodeID) {
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", target{})
 			return
 		}
-		key := fmt.Sprintf("%s/%d", act.Service, st.nextIdx)
+		key := fmt.Sprintf("%s/%d", a.Service, st.nextIdx)
 		fail, slowBy := m.faults.StartFault(now, key)
 		if fail {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", nil)
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", target{})
 			return
 		}
-		err := m.startReplica(st, act.NodeID, act.Alloc, now, slowBy)
+		err := m.startReplica(st, a.NodeID, a.Alloc, now, slowBy)
 		if err != nil && p.attempts > 0 {
 			// The originally chosen node filled up while the action waited;
 			// fall back to the best currently fitting node.
-			if alt := m.leastLoadedNode(act.Alloc); alt != "" && alt != act.NodeID {
-				act.NodeID = alt
-				a = act
-				err = m.startReplica(st, alt, act.Alloc, now, slowBy)
+			if alt := m.leastLoadedNode(a.Alloc); alt != "" && alt != a.NodeID {
+				a.NodeID = alt
+				err = m.startReplica(st, alt, a.Alloc, now, slowBy)
 			}
 		}
-		if err != nil && m.lease(act.Alloc) {
-			if alt := m.leastLoadedNode(act.Alloc); alt != "" && alt != act.NodeID {
-				act.NodeID = alt
-				a = act
-				err = m.startReplica(st, alt, act.Alloc, now, slowBy)
+		if err != nil && m.lease(a.Alloc) {
+			if alt := m.leastLoadedNode(a.Alloc); alt != "" && alt != a.NodeID {
+				a.NodeID = alt
+				err = m.startReplica(st, alt, a.Alloc, now, slowBy)
 			}
 		}
 		if err != nil {
 			m.counts.PlacementFailures++
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", nil)
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", target{})
 		} else {
 			created := st.replicaIDs[len(st.replicaIDs)-1]
 			if p.lostID != "" {
 				m.finishLost(p.lostID)
 				m.recovery.Replaced++
-				m.event(now, obs.EventReplicaReplaced, act.NodeID, act.Service, created, "replaces "+p.lostID)
+				m.event(now, obs.EventReplicaReplaced, a.NodeID, a.Service, created, "replaces "+p.lostID)
 			}
-			m.observe(a, now, p.attempts, obs.OutcomeApplied, created, nil)
+			m.observe(a, now, p.attempts, obs.OutcomeApplied, created, target{})
 		}
 	case core.ScaleIn:
-		c, node := m.findReplica(act.ContainerID)
-		if node == nil {
-			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", nil)
+		t, _ := m.resolveTarget(a.ContainerID, ref)
+		if t.node == nil {
+			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", t)
 			return
 		}
-		if m.actionsCut(now, node.ID()) {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", c)
+		if m.actionsCut(now, t.node.ID()) {
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", t)
 			return
 		}
-		m.observe(a, now, p.attempts, obs.OutcomeApplied, "", c)
-		m.removeFrom(node, act.ContainerID)
+		m.observe(a, now, p.attempts, obs.OutcomeApplied, "", t)
+		m.removeFrom(t.node, a.ContainerID)
 	}
 }
 

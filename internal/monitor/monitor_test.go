@@ -100,7 +100,7 @@ func TestScaleOutReplicasPayStartDelay(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.ScaleOut{Service: "a", NodeID: "node-2", Alloc: resources.Vector{CPU: 1, MemMB: 512}},
+		core.StartOn("a", "node-2", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 	algo.plan = core.Plan{}
@@ -165,8 +165,8 @@ func TestPollAppliesPlan(t *testing.T) {
 	rep := m.Replicas("a")[0]
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.VerticalScale{ContainerID: rep.ID, NewAlloc: resources.Vector{CPU: 2.5, MemMB: 600}},
-		core.ScaleOut{Service: "a", NodeID: "node-2", Alloc: resources.Vector{CPU: 1, MemMB: 512}},
+		core.Resize(rep.ID, resources.Vector{CPU: 2.5, MemMB: 600}),
+		core.StartOn("a", "node-2", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 
@@ -196,7 +196,7 @@ func TestScaleInReportsRemovalFailures(t *testing.T) {
 	victim.Enqueue(workload.NewRequest(2, spec("a"), 0))
 
 	algo := m.algo.(*recordingAlgo)
-	algo.plan = core.Plan{Actions: []core.Action{core.ScaleIn{ContainerID: victim.ID}}}
+	algo.plan = core.Plan{Actions: []core.Action{core.Remove(victim.ID)}}
 	m.Poll(10 * time.Second)
 
 	if len(killed) != 2 {
@@ -218,10 +218,10 @@ func TestApplyIgnoresBogusActions(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.VerticalScale{ContainerID: "ghost", NewAlloc: resources.Vector{CPU: 1}},
-		core.ScaleOut{Service: "ghost", NodeID: "node-0", Alloc: resources.Vector{CPU: 1, MemMB: 10}},
-		core.ScaleOut{Service: "a", NodeID: "ghost-node", Alloc: resources.Vector{CPU: 1, MemMB: 10}},
-		core.ScaleIn{ContainerID: "ghost"},
+		core.Resize("ghost", resources.Vector{CPU: 1}),
+		core.StartOn("ghost", "node-0", resources.Vector{CPU: 1, MemMB: 10}),
+		core.StartOn("a", "ghost-node", resources.Vector{CPU: 1, MemMB: 10}),
+		core.Remove("ghost"),
 	}}
 	m.Poll(10 * time.Second) // must not panic
 	if m.Counts().PlacementFailures != 1 {
@@ -268,10 +268,10 @@ func TestReplicaIDsAreUniqueAcrossRestart(t *testing.T) {
 
 	first := m.Replicas("a")[0].ID
 	algo := m.algo.(*recordingAlgo)
-	algo.plan = core.Plan{Actions: []core.Action{core.ScaleIn{ContainerID: first}}}
+	algo.plan = core.Plan{Actions: []core.Action{core.Remove(first)}}
 	m.Poll(5 * time.Second)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.ScaleOut{Service: "a", NodeID: "node-0", Alloc: resources.Vector{CPU: 1, MemMB: 512}},
+		core.StartOn("a", "node-0", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 
@@ -322,7 +322,7 @@ func TestStatefulScaleOutPaysSyncDelay(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.ScaleOut{Service: "a", NodeID: "node-2", Alloc: resources.Vector{CPU: 1, MemMB: 512}},
+		core.StartOn("a", "node-2", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(0)
 
@@ -378,12 +378,12 @@ func TestJournalResolvesActionTargets(t *testing.T) {
 
 	grow := resources.Vector{CPU: 1.5, MemMB: 512}
 	m.Apply(core.Plan{Actions: []core.Action{
-		core.VerticalScale{ContainerID: keep.ID, NewAlloc: grow},
-		core.VerticalScale{ContainerID: stray.ID, NewAlloc: grow},
-		core.ScaleIn{ContainerID: victim.ID},
+		core.Resize(keep.ID, grow),
+		core.Resize(stray.ID, grow),
+		core.Remove(victim.ID),
 		// The victim is gone by now: both follow-ups are moot.
-		core.VerticalScale{ContainerID: victim.ID, NewAlloc: grow},
-		core.ScaleIn{ContainerID: victim.ID},
+		core.Resize(victim.ID, grow),
+		core.Remove(victim.ID),
 	}}, 5*time.Second)
 
 	want := []obs.Decision{

@@ -1,0 +1,338 @@
+package monitor
+
+import (
+	"fmt"
+	"sync/atomic"
+
+	"hyscale/internal/cluster"
+	"hyscale/internal/container"
+	"hyscale/internal/core"
+	"hyscale/internal/nodemanager"
+	"hyscale/internal/obs"
+)
+
+// pollScratch is one poll's ordinal state: the tables Snapshot resolves
+// replicas and nodes through, and what it resolved each snapshot replica to,
+// kept for Apply. Arbiters poll one at a time, so a Plane shares one
+// pollScratch across all of them, sized once to the Plane's node and
+// container population; a bare Monitor owns one. DESIGN.md §12 walks the
+// poll path it serves.
+type pollScratch struct {
+	// epoch numbers the snapshots taken with this scratch, and owner took
+	// the latest. A table entry stamped with an older epoch is stale.
+	epoch uint64
+	owner *Monitor
+
+	// nodes is indexed by cluster.Node.Ord: each polled node's manager and
+	// ledger slot, -1 for a polled node the snapshot leaves out.
+	nodes []nodeRef
+	// stats indexes the snapshot's container stats by their Slot. A stale
+	// cached report can list a removed container whose slot a live container
+	// now holds: the first entry keeps the slot, and another ID listed at a
+	// taken slot goes to extra, which is empty otherwise.
+	stats []statRef
+	extra map[string]*nodemanager.ContainerStats
+	// absent issues ledger slots past the end of the snapshot's nodes to the
+	// hosts it leaves out, keyed by node ID as the name-keyed ledger was;
+	// slots counts every slot issued.
+	absent map[string]int
+	slots  int
+
+	// reps is indexed by flat replica ordinal (core.Action.Replica - 1) of
+	// the latest snapshot: what Snapshot resolved each replica to.
+	reps []replicaRef
+
+	// Journal Names for journal, cached so a decision costs no name lookup:
+	// containers by Container.Slot, checked against the ID since slots are
+	// reissued, and nodes by Node.Ord.
+	journal        *obs.Journal
+	containerNames []containerName
+	nodeNames      []obs.Name
+}
+
+// nodeRef is one polled node's entry in pollScratch.nodes.
+type nodeRef struct {
+	epoch uint64
+	slot  int
+	nm    *nodemanager.Manager
+}
+
+// statRef is one container's entry in pollScratch.stats; cs points into a
+// cached report, which stays put until the node's next report.
+type statRef struct {
+	epoch uint64
+	cs    *nodemanager.ContainerStats
+}
+
+// replicaRef is what Snapshot resolved one snapshot replica to: its
+// container and host node (nil for a replica served from last-known data,
+// whose container is gone), the host's node manager and the replica's
+// service. Within one Apply it stays what findReplica would return: the only
+// topology changes there are scale-ins and scale-outs, and a plan never acts
+// on a replica after scaling it in.
+type replicaRef struct {
+	c    *container.Container
+	node *cluster.Node
+	nm   *nodemanager.Manager
+	st   *serviceState
+}
+
+// containerName is one container's cached journal Name.
+type containerName struct {
+	id   string
+	name obs.Name
+}
+
+// begin starts a snapshot for m and returns its epoch.
+func (ps *pollScratch) begin(m *Monitor) uint64 {
+	ps.epoch++
+	ps.owner = m
+	ps.reps = ps.reps[:0]
+	if len(ps.extra) > 0 {
+		clear(ps.extra)
+	}
+	if len(ps.absent) > 0 {
+		clear(ps.absent)
+	}
+	ps.slots = 0
+	return ps.epoch
+}
+
+// owns reports whether a plan decided from snapshot epoch can be resolved
+// by ordinal on m: the latest snapshot taken with this scratch is that one,
+// and m took it.
+func (ps *pollScratch) owns(m *Monitor, epoch uint64) bool {
+	return epoch != 0 && epoch == ps.epoch && ps.owner == m
+}
+
+// noteNode records a polled node's manager and ledger slot.
+func (ps *pollScratch) noteNode(n *cluster.Node, nm *nodemanager.Manager, slot int) {
+	ord := n.Ord()
+	if ord >= len(ps.nodes) {
+		ps.nodes = append(ps.nodes, make([]nodeRef, ord+1-len(ps.nodes))...)
+	}
+	ps.nodes[ord] = nodeRef{epoch: ps.epoch, slot: slot, nm: nm}
+}
+
+// polled returns n's entry when this snapshot polled it, else nil.
+func (ps *pollScratch) polled(n *cluster.Node) *nodeRef {
+	if ord := n.Ord(); ord < len(ps.nodes) && ps.nodes[ord].epoch == ps.epoch {
+		return &ps.nodes[ord]
+	}
+	return nil
+}
+
+// slotOf returns the ledger slot of the host named id, resolved to n (nil
+// when the node is gone from the cluster view): its snapshot index when the
+// snapshot lists it, else the absent slot every replica on that host shares.
+func (ps *pollScratch) slotOf(n *cluster.Node, id string) int {
+	if n != nil {
+		if r := ps.polled(n); r != nil && r.slot >= 0 {
+			return r.slot
+		}
+	}
+	if s, ok := ps.absent[id]; ok {
+		return s
+	}
+	if ps.absent == nil {
+		ps.absent = make(map[string]int)
+	}
+	s := ps.slots
+	ps.absent[id] = s
+	ps.slots++
+	return s
+}
+
+// managerOf returns the manager of n when this snapshot polled it. A node
+// in the view that was not polled has no manager attached.
+func (ps *pollScratch) managerOf(n *cluster.Node) *nodemanager.Manager {
+	if r := ps.polled(n); r != nil {
+		return r.nm
+	}
+	return nil
+}
+
+// putStats indexes one reported container's stats.
+func (ps *pollScratch) putStats(cs *nodemanager.ContainerStats) {
+	if cs.Slot >= len(ps.stats) {
+		ps.stats = append(ps.stats, make([]statRef, cs.Slot+1-len(ps.stats))...)
+	}
+	e := &ps.stats[cs.Slot]
+	switch {
+	case e.epoch != ps.epoch:
+		*e = statRef{epoch: ps.epoch, cs: cs}
+	case e.cs.ID == cs.ID:
+		e.cs = cs
+	default:
+		if ps.extra == nil {
+			ps.extra = make(map[string]*nodemanager.ContainerStats)
+		}
+		ps.extra[cs.ID] = cs
+	}
+}
+
+// statsOf returns c's stats in this snapshot, or nil when no report lists
+// it.
+func (ps *pollScratch) statsOf(c *container.Container) *nodemanager.ContainerStats {
+	if c.Slot < len(ps.stats) {
+		if e := ps.stats[c.Slot]; e.epoch == ps.epoch && e.cs.ID == c.ID {
+			return e.cs
+		}
+	}
+	if len(ps.extra) > 0 {
+		return ps.extra[c.ID]
+	}
+	return nil
+}
+
+// names readies the journal Name caches for j.
+func (ps *pollScratch) names(j *obs.Journal) {
+	if ps.journal != j {
+		ps.journal = j
+		clear(ps.containerNames)
+		clear(ps.nodeNames)
+	}
+}
+
+// containerName returns c's journal Name, interning it on first use.
+func (ps *pollScratch) containerName(j *obs.Journal, c *container.Container) obs.Name {
+	ps.names(j)
+	if c.Slot >= len(ps.containerNames) {
+		ps.containerNames = append(ps.containerNames, make([]containerName, c.Slot+1-len(ps.containerNames))...)
+	}
+	e := &ps.containerNames[c.Slot]
+	if e.name == 0 || e.id != c.ID {
+		*e = containerName{id: c.ID, name: j.Intern(c.ID)}
+	}
+	return e.name
+}
+
+// nodeName returns n's journal Name, interning it on first use.
+func (ps *pollScratch) nodeName(j *obs.Journal, n *cluster.Node) obs.Name {
+	ps.names(j)
+	ord := n.Ord()
+	if ord >= len(ps.nodeNames) {
+		ps.nodeNames = append(ps.nodeNames, make([]obs.Name, ord+1-len(ps.nodeNames))...)
+	}
+	if ps.nodeNames[ord] == 0 {
+		ps.nodeNames[ord] = j.Intern(n.ID())
+	}
+	return ps.nodeNames[ord]
+}
+
+// verifyOrdinals, when set, makes every Snapshot and every action resolved
+// by ordinal check its resolution against the name-keyed one and panic on
+// any difference. It costs one atomic load per snapshot and per plan when
+// off. Tests set it through VerifyOrdinals.
+var verifyOrdinals atomic.Bool
+
+// VerifyOrdinals turns the ordinal-resolution self-check on or off and
+// returns the previous setting. It exists for tests: the check re-resolves
+// every snapshot replica and every ordinal-resolved action by name.
+func VerifyOrdinals(on bool) bool { return verifyOrdinals.Swap(on) }
+
+// verifySnapshot checks every ordinal snap carries, and everything Snapshot
+// resolved, against a resolution by name: each replica's container, node,
+// node manager and stats against findReplica, nmByID and a stats map built
+// from the snapshot's reports as the name-keyed Snapshot built it, and each
+// replica's ledger slot against its host's place in snap.Nodes. It panics
+// on the first difference.
+func (m *Monitor) verifySnapshot(snap core.Snapshot) {
+	ps := m.scratch
+	stats := make(map[string]nodemanager.ContainerStats)
+	index := make(map[string]int, len(snap.Nodes))
+	for i, n := range snap.Nodes {
+		index[n.ID] = i
+		for _, cs := range m.lastReports[n.ID].rep.Containers {
+			stats[cs.ID] = cs
+		}
+	}
+	absent := make(map[string]int)
+	slotHost := make(map[int]string)
+	k := 0
+	for _, ss := range snap.Services {
+		for _, rs := range ss.Replicas {
+			ref := ps.reps[k]
+			k++
+			if ref.st == nil || ref.st.spec.Name != ss.Info.Name {
+				panic(fmt.Sprintf("monitor: replica %s: ordinal resolves to the wrong service", rs.ContainerID))
+			}
+			c, node := m.findReplica(rs.ContainerID)
+			if ref.c == nil || ref.c.State == container.StateRemoved {
+				if c != nil {
+					panic(fmt.Sprintf("monitor: replica %s: ordinal finds no container, findReplica finds one", rs.ContainerID))
+				}
+			} else {
+				if ref.c != c || ref.node != node {
+					panic(fmt.Sprintf("monitor: replica %s: ordinal resolves to %p on %p, findReplica to %p on %p",
+						rs.ContainerID, ref.c, ref.node, c, node))
+				}
+				if ref.nm != m.nmByID[c.NodeID] {
+					panic(fmt.Sprintf("monitor: replica %s: ordinal resolves a different node manager", rs.ContainerID))
+				}
+				want := core.ReplicaStats{ContainerID: rs.ContainerID, NodeID: node.ID(), Slot: rs.Slot,
+					Requested: c.Alloc, Routable: c.Routable()}
+				if cs, ok := stats[rs.ContainerID]; ok {
+					want.Requested, want.Usage, want.Routable, want.Inflight = cs.Requested, cs.Usage, cs.Routable, cs.Inflight
+				}
+				if rs != want {
+					panic(fmt.Sprintf("monitor: replica %s: stats %+v, by name %+v", rs.ContainerID, rs, want))
+				}
+			}
+			if i, listed := index[rs.NodeID]; listed {
+				if rs.Slot != i {
+					panic(fmt.Sprintf("monitor: replica %s: slot %d, its host %s is node %d", rs.ContainerID, rs.Slot, rs.NodeID, i))
+				}
+				continue
+			}
+			if s, seen := absent[rs.NodeID]; seen && s != rs.Slot {
+				panic(fmt.Sprintf("monitor: replica %s: unlisted host %s has slots %d and %d", rs.ContainerID, rs.NodeID, s, rs.Slot))
+			}
+			if h, seen := slotHost[rs.Slot]; (seen && h != rs.NodeID) || rs.Slot < len(snap.Nodes) || rs.Slot >= snap.Slots {
+				panic(fmt.Sprintf("monitor: replica %s: unlisted host %s has slot %d", rs.ContainerID, rs.NodeID, rs.Slot))
+			}
+			absent[rs.NodeID], slotHost[rs.Slot] = rs.Slot, rs.NodeID
+		}
+	}
+	if k != len(ps.reps) || snap.Slots != len(snap.Nodes)+len(absent) {
+		panic(fmt.Sprintf("monitor: snapshot has %d replicas and %d slots, resolved %d and issued %d",
+			k, len(snap.Nodes)+len(absent), len(ps.reps), snap.Slots))
+	}
+}
+
+// verifyAction checks an action's ordinals against the latest snapshot and
+// what ref resolves it to against findReplica and nmByID, just before the
+// action executes. It panics on the first difference.
+func (m *Monitor) verifyAction(a core.Action, ref *replicaRef) {
+	if a.Node > 0 {
+		if n := m.snapNodes[a.Node-1]; n.ID != a.NodeID {
+			panic(fmt.Sprintf("monitor: scale-out to %s carries the ordinal of node %s", a.NodeID, n.ID))
+		}
+	}
+	if a.Replica == 0 {
+		return
+	}
+	if ref == nil {
+		panic(fmt.Sprintf("monitor: action on %s carries replica ordinal %d past the snapshot", a.ContainerID, a.Replica))
+	}
+	k := int(a.Replica - 1)
+	for _, ss := range m.snapServices {
+		if k < len(ss.Replicas) {
+			if id := ss.Replicas[k].ContainerID; id != a.ContainerID {
+				panic(fmt.Sprintf("monitor: action on %s carries the ordinal of replica %s", a.ContainerID, id))
+			}
+			break
+		}
+		k -= len(ss.Replicas)
+	}
+	t, nm := m.resolveTarget(a.ContainerID, ref)
+	c, node := m.findReplica(a.ContainerID)
+	var want *nodemanager.Manager
+	if c != nil {
+		want = m.nmByID[c.NodeID]
+	}
+	if t.c != c || t.node != node || nm != want {
+		panic(fmt.Sprintf("monitor: action on %s: ordinal resolves to %p on %p, findReplica to %p on %p",
+			a.ContainerID, t.c, t.node, c, node))
+	}
+}

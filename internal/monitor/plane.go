@@ -185,7 +185,9 @@ type Plane struct {
 // The algorithm instance is shared by all arbiters: every algorithm in
 // internal/core keys its state per service name, services are assigned to
 // exactly one zone, and zones decide sequentially, so no state crosses zone
-// boundaries.
+// boundaries; one planning round serves them all. For the same reason the
+// arbiters share one poll scratch, whose ordinal tables are sized to the
+// whole plane once instead of once per zone.
 func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig, inj *faults.Injector, journal *obs.Journal, onRemoval func(*workload.Request)) (*Plane, error) {
 	nodes := cl.Nodes()
 	k := min(cfg.Zones, len(nodes))
@@ -206,6 +208,7 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig, inj *fa
 	if inj.HasZoneWindows() {
 		p.zoneFaults = inj
 	}
+	scratch := &pollScratch{}
 	for z := 0; z < k; z++ {
 		view, err := cluster.New()
 		if err != nil {
@@ -221,7 +224,7 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig, inj *fa
 		mon := newMonitor(view, algo)
 		mon.startDelay, mon.hardeningOff, mon.selfHeal = cfg.StartDelay, cfg.HardeningOff, cfg.SelfHealing
 		mon.faults, mon.journal, mon.onRemoval = inj, journal, onRemoval
-		mon.plane, mon.zone = p, z
+		mon.plane, mon.zone, mon.scratch = p, z, scratch
 		p.zones = append(p.zones, &zoneArbiter{idx: z, name: strconv.Itoa(z), mon: mon, healthyAt: -1})
 	}
 	return p, nil
@@ -528,13 +531,11 @@ func (p *Plane) leaseInto(zi int, alloc resources.Vector) bool {
 func (p *Plane) Apply(plan core.Plan, now time.Duration) {
 	for _, a := range plan.Actions {
 		var za *zoneArbiter
-		switch act := a.(type) {
+		switch a.Kind {
 		case core.ScaleOut:
-			za = p.home(act.Service)
-		case core.VerticalScale:
-			za = p.owner(act.ContainerID)
-		case core.ScaleIn:
-			za = p.owner(act.ContainerID)
+			za = p.home(a.Service)
+		case core.VerticalScale, core.ScaleIn:
+			za = p.owner(a.ContainerID)
 		}
 		if za == nil {
 			za = p.zones[0]

@@ -229,9 +229,9 @@ func TestPlaneApplyRoutesContainerActions(t *testing.T) {
 	b := p.Replicas("b")[0]
 	grow := resources.Vector{CPU: 1.5, MemMB: 256}
 	p.Apply(core.Plan{Actions: []core.Action{
-		core.VerticalScale{ContainerID: b.ID, NewAlloc: grow},
-		core.VerticalScale{ContainerID: stray.ID, NewAlloc: grow},
-		core.VerticalScale{ContainerID: "ghost-0", NewAlloc: grow},
+		core.Resize(b.ID, grow),
+		core.Resize(stray.ID, grow),
+		core.Resize("ghost-0", grow),
 	}}, time.Second)
 
 	if b.Alloc != grow || stray.Alloc != grow {
@@ -262,8 +262,8 @@ func TestPlaneApplyJournalsUnownedActionsMoot(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Apply(core.Plan{Actions: []core.Action{
-			core.VerticalScale{ContainerID: "ghost-0", NewAlloc: resources.Vector{CPU: 2, MemMB: 256}},
-			core.ScaleIn{ContainerID: "ghost-1"},
+			core.Resize("ghost-0", resources.Vector{CPU: 2, MemMB: 256}),
+			core.Remove("ghost-1"),
 		}}, time.Second)
 		got := j.Decisions()
 		if len(got) != 2 {
@@ -298,7 +298,7 @@ func TestPlaneArbitersPayConfiguredStartDelay(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.Apply(core.Plan{Actions: []core.Action{
-				core.ScaleOut{Service: name, Alloc: resources.Vector{CPU: 1, MemMB: 256}},
+				core.StartOn(name, "", resources.Vector{CPU: 1, MemMB: 256}),
 			}}, 10*time.Second)
 			reps := p.Replicas(name)
 			if len(reps) != 2 || reps[1].ReadyAt != 17*time.Second {

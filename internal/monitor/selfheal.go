@@ -334,7 +334,7 @@ func (m *Monitor) declareDead(nodeID string, now time.Duration) {
 			// NodeID is left empty: the placement is resolved against live
 			// capacity when the action finally executes, not now.
 			m.retries = append(m.retries, pendingAction{
-				action:        core.ScaleOut{Service: st.spec.Name, Alloc: alloc},
+				action:        core.StartOn(st.spec.Name, "", alloc),
 				notBefore:     notBefore,
 				reconcileNode: nodeID,
 				lostID:        id,
@@ -361,8 +361,8 @@ func (m *Monitor) reconcileRecovery(nodeID string, now time.Duration) {
 			continue
 		}
 		m.recovery.ReconcileCancelled++
-		if act, ok := p.action.(core.ScaleOut); ok {
-			m.event(now, obs.EventReconcileCancel, nodeID, act.Service, p.lostID, "node recovered")
+		if p.action.Kind == core.ScaleOut {
+			m.event(now, obs.EventReconcileCancel, nodeID, p.action.Service, p.lostID, "node recovered")
 		}
 	}
 	for i := len(kept); i < len(m.retries); i++ {
@@ -417,8 +417,8 @@ func (m *Monitor) cancelPendingFor(lostID string, now time.Duration) {
 			continue
 		}
 		m.recovery.ReconcileCancelled++
-		if act, ok := pa.action.(core.ScaleOut); ok {
-			m.event(now, obs.EventReconcileCancel, pa.reconcileNode, act.Service, lostID, "replica readopted")
+		if pa.action.Kind == core.ScaleOut {
+			m.event(now, obs.EventReconcileCancel, pa.reconcileNode, pa.action.Service, lostID, "replica readopted")
 		}
 		m.retries = append(m.retries[:i], m.retries[i+1:]...)
 		return

@@ -313,7 +313,7 @@ func TestPartitionStatsDirectionOnly(t *testing.T) {
 	// An action aimed at the partitioned node still executes.
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.ScaleOut{Service: "a", NodeID: "node-0", Alloc: resources.Vector{CPU: 1, MemMB: 512}},
+		core.StartOn("a", "node-0", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(15 * time.Second)
 	algo.plan = core.Plan{}
@@ -334,7 +334,7 @@ func TestPartitionActionsDirectionOnly(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.ScaleOut{Service: "a", NodeID: "node-0", Alloc: resources.Vector{CPU: 1, MemMB: 512}},
+		core.StartOn("a", "node-0", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 	algo.plan = core.Plan{}

@@ -9,6 +9,7 @@ package nodemanager
 
 import (
 	"fmt"
+	"slices"
 
 	"hyscale/internal/cluster"
 	"hyscale/internal/container"
@@ -20,6 +21,9 @@ import (
 type ContainerStats struct {
 	ID      string
 	Service string
+	// Slot is the container's Container.Slot at report time. A cached
+	// report can outlive the container, and the slot may then be reissued.
+	Slot int
 	// Requested is the container's current allocation.
 	Requested resources.Vector
 	// Usage is the mean measured usage since the previous report.
@@ -151,6 +155,7 @@ func (m *Manager) Report() Report {
 		m.containers = append(m.containers, ContainerStats{
 			ID:        c.ID,
 			Service:   c.Service,
+			Slot:      c.Slot,
 			Requested: c.Alloc,
 			Usage:     usage,
 			Routable:  c.Routable(),
@@ -171,11 +176,12 @@ func (m *Manager) NoteMissedQuery() { m.missedQueries++ }
 // MissedQueries returns how many stats queries were dropped in transit.
 func (m *Manager) MissedQueries() uint64 { return m.missedQueries }
 
-// ApplyVertical executes a `docker update` on a hosted container.
-func (m *Manager) ApplyVertical(containerID string, alloc resources.Vector) error {
-	c := m.node.Container(containerID)
-	if c == nil {
-		return fmt.Errorf("nodemanager %s: unknown container %q", m.node.ID(), containerID)
+// ApplyVertical executes a `docker update` on c, which must be hosted on
+// the managed node. The caller has already resolved c, so the check is a
+// scan of the node's few containers, not a lookup by name.
+func (m *Manager) ApplyVertical(c *container.Container, alloc resources.Vector) error {
+	if !slices.Contains(m.node.Containers(), c) {
+		return fmt.Errorf("nodemanager %s: unknown container %q", m.node.ID(), c.ID)
 	}
 	return c.Update(alloc)
 }

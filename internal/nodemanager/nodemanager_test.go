@@ -105,18 +105,23 @@ func TestStartingContainersNotSampled(t *testing.T) {
 }
 
 func TestApplyVertical(t *testing.T) {
-	_, nm, c := setup(t)
-	if err := nm.ApplyVertical("c-0", resources.Vector{CPU: 3, MemMB: 1024}); err != nil {
+	n, nm, c := setup(t)
+	if err := nm.ApplyVertical(c, resources.Vector{CPU: 3, MemMB: 1024}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Alloc.CPU != 3 || c.Alloc.MemMB != 1024 {
 		t.Errorf("alloc = %v after update", c.Alloc)
 	}
-	if err := nm.ApplyVertical("nope", resources.Vector{CPU: 1}); err == nil {
-		t.Error("unknown container accepted")
+	stranger := container.New("nope", spec(), "node-1", resources.Vector{CPU: 1, MemMB: 512}, 0)
+	if err := nm.ApplyVertical(stranger, resources.Vector{CPU: 1}); err == nil {
+		t.Error("container on another node accepted")
 	}
-	if err := nm.ApplyVertical("c-0", resources.Vector{CPU: -1}); err == nil {
+	if err := nm.ApplyVertical(c, resources.Vector{CPU: -1}); err == nil {
 		t.Error("negative allocation accepted")
+	}
+	n.RemoveContainer(c.ID)
+	if err := nm.ApplyVertical(c, resources.Vector{CPU: 1, MemMB: 512}); err == nil {
+		t.Error("removed container accepted")
 	}
 }
 

@@ -171,13 +171,17 @@ func (j *Journal) Intern(name string) Name {
 
 // Decision appends one action-attempt record. No-op on a nil journal.
 func (j *Journal) Decision(d Decision) {
-	j.DecisionFor(j.Intern(d.Service), d)
+	service := j.Intern(d.Service)
+	container := j.Intern(d.Container)
+	j.DecisionFor(service, container, j.Intern(d.Node), d)
 }
 
-// DecisionFor is Decision for a producer that holds the service's Name:
-// the record's service is the one service names, and d.Service is ignored.
-// No-op on a nil journal.
-func (j *Journal) DecisionFor(service Name, d Decision) {
+// DecisionFor is Decision for a producer that holds the Names of the
+// decision's service, container and node: the record names those, and
+// d.Service, d.Container and d.Node are ignored. A producer that journals
+// the same names repeatedly interns each once and keeps its Name, so a
+// record costs no name lookup. No-op on a nil journal.
+func (j *Journal) DecisionFor(service, container, node Name, d Decision) {
 	if j == nil {
 		return
 	}
@@ -187,8 +191,8 @@ func (j *Journal) DecisionFor(service Name, d Decision) {
 		observed:  d.Observed,
 		attempt:   d.Attempt,
 		service:   service,
-		container: j.Intern(d.Container),
-		node:      j.Intern(d.Node),
+		container: container,
+		node:      node,
 		kind:      codeOf(kindCodes[:], d.Kind),
 		outcome:   codeOf(outcomeCodes[:], d.Outcome),
 	}

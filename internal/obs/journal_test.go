@@ -164,8 +164,10 @@ func (p *journalPair) decision(at time.Duration) {
 		return
 	}
 	svc := p.j.Intern(d.Service)
-	d.Service = "ignored"
-	p.j.DecisionFor(svc, d)
+	ctr := p.j.Intern(d.Container)
+	node := p.j.Intern(d.Node)
+	d.Service, d.Container, d.Node = "ignored", "ignored", "ignored"
+	p.j.DecisionFor(svc, ctr, node, d)
 }
 
 func (p *journalPair) sample(at time.Duration, service string) {
@@ -332,10 +334,10 @@ func TestJournalRecordsHoldNoPointers(t *testing.T) {
 	const n = 10000
 	fill := func() *Journal {
 		j := NewJournal()
-		api := j.Intern("api")
+		api, api0, node1 := j.Intern("api"), j.Intern("api-0"), j.Intern("node-1")
 		for i := range n {
 			at := time.Duration(i) * time.Second
-			j.DecisionFor(api, Decision{At: at, Kind: KindVertical, Container: "api-0", Node: "node-1",
+			j.DecisionFor(api, api0, node1, Decision{At: at, Kind: KindVertical,
 				Alloc: resources.Vector{CPU: 1}, Outcome: OutcomeApplied})
 			j.SampleFor(at, api, 1, 1, 0.5, 0, uint64(i), 0, at)
 		}

@@ -164,7 +164,7 @@ func (c *churner) Decide(snap core.Snapshot) core.Plan {
 	var plan core.Plan
 	for _, s := range snap.Services {
 		if c.polls%2 == 1 || len(s.Replicas) < 2 {
-			plan.Actions = append(plan.Actions, core.ScaleOut{Service: s.Info.Name, Alloc: s.Info.InitialAlloc})
+			plan.Actions = append(plan.Actions, core.StartOn(s.Info.Name, "", s.Info.InitialAlloc))
 			continue
 		}
 		busiest := s.Replicas[0]
@@ -173,7 +173,7 @@ func (c *churner) Decide(snap core.Snapshot) core.Plan {
 				busiest = r
 			}
 		}
-		plan.Actions = append(plan.Actions, core.ScaleIn{ContainerID: busiest.ContainerID})
+		plan.Actions = append(plan.Actions, core.Remove(busiest.ContainerID))
 	}
 	return plan
 }

@@ -148,7 +148,7 @@ func (s *scaleInOnce) Decide(snap core.Snapshot) core.Plan {
 	}
 	s.done = true
 	return core.Plan{Actions: []core.Action{
-		core.ScaleIn{ContainerID: snap.Services[0].Replicas[0].ContainerID},
+		core.Remove(snap.Services[0].Replicas[0].ContainerID),
 	}}
 }
 

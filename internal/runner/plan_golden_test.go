@@ -91,15 +91,15 @@ func TestPlanGoldens(t *testing.T) {
 func writePlan(b *strings.Builder, now time.Duration, p core.Plan) {
 	fmt.Fprintf(b, "t=%v actions=%d\n", now, len(p.Actions))
 	for _, a := range p.Actions {
-		switch a := a.(type) {
+		switch a.Kind {
 		case core.ScaleOut:
 			fmt.Fprintf(b, "  out %s -> %s %s\n", a.Service, a.NodeID, exact(a.Alloc))
 		case core.ScaleIn:
 			fmt.Fprintf(b, "  in %s\n", a.ContainerID)
 		case core.VerticalScale:
-			fmt.Fprintf(b, "  vertical %s %s\n", a.ContainerID, exact(a.NewAlloc))
+			fmt.Fprintf(b, "  vertical %s %s\n", a.ContainerID, exact(a.Alloc))
 		default:
-			fmt.Fprintf(b, "  unknown %T\n", a)
+			fmt.Fprintf(b, "  unknown %v\n", a.Kind)
 		}
 	}
 }
@@ -216,6 +216,7 @@ func planSnapshots() []core.Snapshot {
 				Hosts:     hosts[i],
 			})
 		}
+		snap.IndexHosts()
 		out = append(out, snap)
 	}
 	return out

@@ -75,6 +75,9 @@ type Manager struct {
 	// which the merged recommendation differs from the current replica
 	// count. Wired to the obs journal by the platform.
 	observer func(at time.Duration, service, detail string)
+
+	// rd is Decide's planning round, reused every round.
+	rd core.Round
 }
 
 var _ core.Algorithm = (*Manager)(nil)
@@ -142,7 +145,8 @@ func (m *Manager) Decide(snap core.Snapshot) core.Plan {
 	if m.cost {
 		placement = core.PlacementBinPack
 	}
-	rd := core.NewRound(snap, placement)
+	rd := &m.rd
+	rd.Reset(snap, placement)
 	// The cost allocator drains machines: replicas on the least-occupied
 	// nodes are removed first, so count residents per node once.
 	var nodeLoad map[string]int
@@ -419,9 +423,8 @@ func (m *Manager) removeReplicas(rd *core.Round, i int, svc core.ServiceStats, n
 		return order[a] > order[b]
 	})
 	for _, j := range order[:n] {
-		victim := svc.Replicas[j]
-		rd.ScaleIn(i, victim.ContainerID)
-		nodeLoad[victim.NodeID]--
+		rd.ScaleIn(i, j)
+		nodeLoad[svc.Replicas[j].NodeID]--
 	}
 }
 

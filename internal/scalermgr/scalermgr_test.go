@@ -202,12 +202,13 @@ func TestCostAllocatorRespectsMinReplicas(t *testing.T) {
 						Available: resources.Vector{CPU: 4, MemMB: 8192, NetMbps: 500},
 					})
 				}
+				snap.IndexHosts()
 
 				plan := mgr.Decide(snap)
 
 				// Apply the plan to the synthetic cluster.
 				for _, a := range plan.Actions {
-					switch act := a.(type) {
+					switch act := a; act.Kind {
 					case core.ScaleOut:
 						for _, s := range services {
 							if s.info.Name == act.Service {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyscale/internal/monitor"
 	"hyscale/internal/runner"
 )
 
@@ -30,27 +31,50 @@ func TestShippedScenarioGoldens(t *testing.T) {
 	}
 	for _, path := range paths {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
-		t.Run(name, func(t *testing.T) {
-			got := renderScenario(t, path)
-			goldenPath := filepath.Join("testdata", "golden_"+name+".json")
-			if os.Getenv("UPDATE_GOLDEN") != "" {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
-				return
-			}
-			want, err := os.ReadFile(goldenPath)
-			if err != nil {
-				t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if string(want) != string(got) {
-				t.Fatalf("%s diverged from its golden:\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkScenarioGolden(t, name) })
+	}
+}
+
+// TestShippedScenarioOrdinals reruns the shipped scenarios that lose nodes,
+// zones or requests (zone outage, node crash and recovery, chaos, the zoned
+// datacenter and the cascade retry storm) with the monitor's ordinal
+// self-check on: every snapshot replica and every action the monitor
+// resolves by ordinal is re-resolved by name, through findReplica, and any
+// difference panics. The results must still match their goldens.
+func TestShippedScenarioOrdinals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs shipped scenarios")
+	}
+	defer monitor.VerifyOrdinals(monitor.VerifyOrdinals(true))
+	for _, name := range []string{"zone-outage", "node-crash-recovery", "mixed-burst-chaos",
+		"datacenter-zones", "cascade-retry-storm"} {
+		t.Run(name, func(t *testing.T) { checkScenarioGolden(t, name) })
+	}
+}
+
+// checkScenarioGolden runs the shipped scenario name and compares its
+// rendered result with testdata/golden_<name>.json, or rewrites the golden
+// when UPDATE_GOLDEN is set.
+func checkScenarioGolden(t *testing.T, name string) {
+	t.Helper()
+	got := renderScenario(t, filepath.Join("..", "..", "scenarios", name+".json"))
+	goldenPath := filepath.Join("testdata", "golden_"+name+".json")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if string(want) != string(got) {
+		t.Fatalf("%s diverged from its golden:\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
 	}
 }
 
