@@ -3,10 +3,12 @@ package hyscale
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"hyscale/internal/cluster"
 	"hyscale/internal/runner"
 	"hyscale/internal/scenario"
 	"hyscale/internal/workload"
@@ -79,6 +81,9 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 			true, `runner: node failure names unknown node "node-4"`},
 		{"negative failure time", []func(*scenario.Scenario){failure("node-0", -time.Second)},
 			true, `runner: node failure "node-0" at -1s, want >= 0`},
+		{"negative background CPU", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
+			sc.Services[0].BackgroundCPU = -2
+		}}, true, `runner: service "api": workload: service "api" has negative background CPU -2`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -119,6 +124,66 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 				_, err = NewSimulation(cfg)
 				check("NewSimulation", err, "hyscale: simulation: ")
 			}
+		})
+	}
+	t.Run("compiled spec", specRejectedAtEveryEntryPoint)
+}
+
+// specRejectedAtEveryEntryPoint covers the rules the scenario form cannot
+// reach: JSON has no NaN or infinity, and a scenario declares no recovery
+// machine. Each bad spec is compiled from the valid base scenario, mutated,
+// and must be rejected with the same message by runner.Build and
+// ExecuteSpecs.
+func specRejectedAtEveryEntryPoint(t *testing.T) {
+	service := func(mutate func(*workload.ServiceSpec)) func(*RunSpec) {
+		return func(spec *RunSpec) { mutate(&spec.Services[0].Spec) }
+	}
+	recovery := func(mutate func(*cluster.NodeConfig)) func(*RunSpec) {
+		return func(spec *RunSpec) {
+			cfg := cluster.DefaultNodeConfig("spare")
+			mutate(&cfg)
+			spec.NodeRecoveries = []runner.NodeRecovery{{At: time.Minute, Config: cfg}}
+		}
+	}
+	tests := []struct {
+		name   string
+		mutate func(*RunSpec)
+		want   string
+	}{
+		{"NaN background CPU", service(func(s *workload.ServiceSpec) { s.BackgroundCPU = math.NaN() }),
+			`runner: service "api": workload: service "api" has non-finite BackgroundCPU NaN`},
+		{"NaN CPU per request", service(func(s *workload.ServiceSpec) { s.CPUPerRequest = math.NaN() }),
+			`runner: service "api": workload: service "api" has non-finite CPUPerRequest NaN`},
+		{"NaN initial CPU", service(func(s *workload.ServiceSpec) { s.InitialReplicaCPU = math.NaN() }),
+			`runner: service "api": workload: service "api" has non-finite InitialReplicaCPU NaN`},
+		{"infinite initial memory", service(func(s *workload.ServiceSpec) { s.InitialReplicaMemMB = math.Inf(1) }),
+			`runner: service "api": workload: service "api" has non-finite InitialReplicaMemMB +Inf`},
+		{"NaN baseline memory", service(func(s *workload.ServiceSpec) { s.BaselineMemMB = math.NaN() }),
+			`runner: service "api": workload: service "api" has non-finite BaselineMemMB NaN`},
+		{"recovery machine without CPU", recovery(func(c *cluster.NodeConfig) { c.Capacity.CPU = 0 }),
+			`runner: node recovery "spare": cluster: node "spare" needs positive CPU and memory capacity`},
+		{"recovery machine with swap penalty below 1", recovery(func(c *cluster.NodeConfig) { c.SwapPenalty = 0.5 }),
+			`runner: node recovery "spare": cluster: node "spare" needs SwapPenalty >= 1, got 0.5`},
+		{"recovery machine with negative contention", recovery(func(c *cluster.NodeConfig) { c.CPUContention = -1 }),
+			`runner: node recovery "spare": cluster: node "spare" has negative CPUContention`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			spec, err := baseScenario(t).Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tt.mutate(&spec)
+			check := func(entry string, err error) {
+				t.Helper()
+				if want := spec.Name + ": " + tt.want; err == nil || err.Error() != want {
+					t.Errorf("%s: error %v, want %q", entry, err, want)
+				}
+			}
+			_, _, err = runner.Build(spec)
+			check("runner.Build", err)
+			_, err = ExecuteSpecs(1, 1, []RunSpec{spec})
+			check("ExecuteSpecs", err)
 		})
 	}
 }

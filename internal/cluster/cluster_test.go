@@ -54,15 +54,23 @@ func TestNewNodeValidation(t *testing.T) {
 		{"zero mem", func(c *NodeConfig) { c.Capacity.MemMB = 0 }},
 		{"swap penalty < 1", func(c *NodeConfig) { c.SwapPenalty = 0.5 }},
 		{"negative contention", func(c *NodeConfig) { c.CPUContention = -1 }},
+		{"NaN cpu", func(c *NodeConfig) { c.Capacity.CPU = math.NaN() }},
+		{"NaN swap penalty", func(c *NodeConfig) { c.SwapPenalty = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := DefaultNodeConfig("n")
 			tt.mutate(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Error("Validate accepted an invalid config")
+			}
 			if _, err := NewNode(cfg); err == nil {
 				t.Error("invalid config accepted")
 			}
 		})
+	}
+	if err := DefaultNodeConfig("n").Validate(); err != nil {
+		t.Errorf("Validate rejected the default config: %v", err)
 	}
 }
 

@@ -107,17 +107,27 @@ type memoEntry struct {
 	usage container.Usage
 }
 
-// NewNode builds a node from cfg.
-func NewNode(cfg NodeConfig) (*Node, error) {
+// Validate reports whether cfg describes a machine NewNode can build: an
+// ID, positive CPU and memory capacity, a SwapPenalty of at least 1 and
+// non-negative CPU contention.
+func (cfg NodeConfig) Validate() error {
 	switch {
 	case cfg.ID == "":
-		return nil, fmt.Errorf("cluster: node needs an ID")
-	case cfg.Capacity.CPU <= 0 || cfg.Capacity.MemMB <= 0:
-		return nil, fmt.Errorf("cluster: node %q needs positive CPU and memory capacity", cfg.ID)
-	case cfg.SwapPenalty < 1:
-		return nil, fmt.Errorf("cluster: node %q needs SwapPenalty >= 1, got %v", cfg.ID, cfg.SwapPenalty)
-	case cfg.CPUContention < 0:
-		return nil, fmt.Errorf("cluster: node %q has negative CPUContention", cfg.ID)
+		return fmt.Errorf("cluster: node needs an ID")
+	case !(cfg.Capacity.CPU > 0) || !(cfg.Capacity.MemMB > 0):
+		return fmt.Errorf("cluster: node %q needs positive CPU and memory capacity", cfg.ID)
+	case !(cfg.SwapPenalty >= 1):
+		return fmt.Errorf("cluster: node %q needs SwapPenalty >= 1, got %v", cfg.ID, cfg.SwapPenalty)
+	case !(cfg.CPUContention >= 0):
+		return fmt.Errorf("cluster: node %q has negative CPUContention", cfg.ID)
+	}
+	return nil
+}
+
+// NewNode builds a node from cfg, which must pass Validate.
+func NewNode(cfg NodeConfig) (*Node, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	n := &Node{cfg: cfg, byID: make(map[string]*container.Container), pool: newPool()}
 	n.ord = n.pool.takeOrd()

@@ -7,6 +7,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -290,6 +291,46 @@ func TestIntegrationNodeRecoveryExpandsCluster(t *testing.T) {
 	}
 	if onExtra == 0 {
 		t.Error("no replicas placed on dynamically added machines")
+	}
+}
+
+// TestScheduleNodeRecoveryRejectsBadMachine checks a recovery machine that
+// cluster.NewNode would refuse is rejected when it is scheduled, instead of
+// silently joining nothing when the join fires. A machine whose ID is taken
+// by the time it joins is still a no-op at fire time.
+func TestScheduleNodeRecoveryRejectsBadMachine(t *testing.T) {
+	cfg := DefaultConfig(7)
+	cfg.Nodes = 2
+	w, err := New(cfg, core.NewKubernetes(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []func(*cluster.NodeConfig){
+		func(c *cluster.NodeConfig) { c.Capacity.CPU = 0 },
+		func(c *cluster.NodeConfig) { c.Capacity.MemMB = -1 },
+		func(c *cluster.NodeConfig) { c.SwapPenalty = 0.5 },
+		func(c *cluster.NodeConfig) { c.CPUContention = -0.1 },
+	} {
+		nc := cluster.DefaultNodeConfig("spare")
+		bad(&nc)
+		if err := w.ScheduleNodeRecovery(time.Minute, nc); err == nil {
+			t.Errorf("scheduled a recovery of %+v", nc)
+		}
+	}
+	for _, id := range []string{"spare", "node-0"} {
+		if err := w.ScheduleNodeRecovery(time.Minute, cluster.DefaultNodeConfig(id)); err != nil {
+			t.Fatalf("recovery of %s: %v", id, err)
+		}
+	}
+	if err := w.Run(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, n := range w.Cluster().Nodes() {
+		ids = append(ids, n.ID())
+	}
+	if want := []string{"node-0", "node-1", "spare"}; !slices.Equal(ids, want) {
+		t.Errorf("nodes after the joins %v, want %v", ids, want)
 	}
 }
 

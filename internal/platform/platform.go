@@ -802,7 +802,12 @@ func (w *World) ScheduleNodeFailure(at time.Duration, nodeID string) error {
 
 // ScheduleNodeRecovery schedules a fresh machine to join the cluster at the
 // given simulated time (the paper's dynamic machine-addition future work).
+// A machine config cluster.NewNode would reject is rejected now, so it
+// cannot vanish silently when the join fires.
 func (w *World) ScheduleNodeRecovery(at time.Duration, cfg cluster.NodeConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	return w.engine.Schedule(at, func(e *sim.Engine) {
 		_ = w.AddNode(cfg) // a duplicate ID joins nothing
 	})

@@ -335,8 +335,9 @@ func (s RunSpec) resolve() (platform.Config, core.Algorithm, error) {
 
 // checkChurn validates the machine churn schedule against the platform's
 // nodes node-0 .. node-(nodes-1): every instant is >= 0, every recovery
-// brings a machine with a non-empty ID that no platform node or other
-// recovery has, and every failure names a platform node or a recovery.
+// brings a machine cluster.NewNode accepts, with a non-empty ID that no
+// platform node or other recovery has, and every failure names a platform
+// node or a recovery.
 func (s RunSpec) checkChurn(nodes int) error {
 	joins := make(map[string]bool, len(s.NodeRecoveries))
 	for _, r := range s.NodeRecoveries {
@@ -347,6 +348,9 @@ func (s RunSpec) checkChurn(nodes int) error {
 			return fmt.Errorf("runner: node recovery %q at %v, want >= 0", id, r.At)
 		case joins[id] || platformNode(id, nodes):
 			return fmt.Errorf("runner: node recovery %q names a machine that already exists", id)
+		}
+		if err := r.Config.Validate(); err != nil {
+			return fmt.Errorf("runner: node recovery %q: %w", r.Config.ID, err)
 		}
 		joins[r.Config.ID] = true
 	}

@@ -125,17 +125,38 @@ func (s ServiceSpec) SyncDelay() time.Duration {
 	return time.Duration(seconds * float64(time.Second))
 }
 
-// Validate reports a descriptive error when the spec is not usable.
+// Validate reports a descriptive error when the spec is not usable. Every
+// numeric field must be finite, demands and background CPU non-negative, the
+// initial request positive and the replica bounds ordered.
 func (s ServiceSpec) Validate() error {
 	switch {
 	case s.Name == "":
 		return fmt.Errorf("workload: service spec has empty name")
 	case s.Kind == KindUnknown:
 		return fmt.Errorf("workload: service %q has unknown kind", s.Name)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"CPUPerRequest", s.CPUPerRequest}, {"CPUOverheadPerRequest", s.CPUOverheadPerRequest},
+		{"MemPerRequest", s.MemPerRequest}, {"NetPerRequest", s.NetPerRequest},
+		{"BaselineMemMB", s.BaselineMemMB}, {"BackgroundCPU", s.BackgroundCPU},
+		{"InitialReplicaCPU", s.InitialReplicaCPU}, {"InitialReplicaMemMB", s.InitialReplicaMemMB},
+		{"InitialReplicaNetMbps", s.InitialReplicaNetMbps},
+		{"StateSyncMB", s.StateSyncMB}, {"StateSyncMbps", s.StateSyncMbps},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: service %q has non-finite %s %v", s.Name, f.name, f.v)
+		}
+	}
+	switch {
 	case s.CPUPerRequest < 0 || s.CPUOverheadPerRequest < 0 || s.MemPerRequest < 0 || s.NetPerRequest < 0:
 		return fmt.Errorf("workload: service %q has negative per-request demand", s.Name)
 	case s.BaselineMemMB < 0:
 		return fmt.Errorf("workload: service %q has negative baseline memory", s.Name)
+	case s.BackgroundCPU < 0:
+		return fmt.Errorf("workload: service %q has negative background CPU %v", s.Name, s.BackgroundCPU)
 	case s.InitialReplicaCPU <= 0:
 		return fmt.Errorf("workload: service %q needs a positive initial CPU request", s.Name)
 	case s.InitialReplicaMemMB <= 0:

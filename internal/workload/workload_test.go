@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,13 @@ func TestValidateRejections(t *testing.T) {
 		{"zero min replicas", func(s *ServiceSpec) { s.MinReplicas = 0 }, "MinReplicas"},
 		{"max < min", func(s *ServiceSpec) { s.MaxReplicas = 0 }, "MaxReplicas"},
 		{"zero timeout", func(s *ServiceSpec) { s.Timeout = 0 }, "timeout"},
+		{"negative background cpu", func(s *ServiceSpec) { s.BackgroundCPU = -1 }, "negative background CPU -1"},
+		{"NaN background cpu", func(s *ServiceSpec) { s.BackgroundCPU = math.NaN() }, "non-finite BackgroundCPU NaN"},
+		{"NaN cpu", func(s *ServiceSpec) { s.CPUPerRequest = math.NaN() }, "non-finite CPUPerRequest NaN"},
+		{"NaN initial cpu", func(s *ServiceSpec) { s.InitialReplicaCPU = math.NaN() }, "non-finite InitialReplicaCPU NaN"},
+		{"infinite initial mem", func(s *ServiceSpec) { s.InitialReplicaMemMB = math.Inf(1) }, "non-finite InitialReplicaMemMB +Inf"},
+		{"NaN baseline", func(s *ServiceSpec) { s.BaselineMemMB = math.NaN() }, "non-finite BaselineMemMB NaN"},
+		{"infinite sync", func(s *ServiceSpec) { s.StateSyncMB = math.Inf(-1) }, "non-finite StateSyncMB -Inf"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
