@@ -43,6 +43,9 @@ type Round struct {
 // placement selects the node-choice heuristic Pick applies. The plan the
 // previous round returned is overwritten.
 func (r *Round) Reset(snap Snapshot, placement Placement) {
+	if snap.Slots < len(snap.Nodes) {
+		panic("core: snapshot without ledger slots; fill them with IndexHosts")
+	}
 	r.snap = snap
 	r.placement = placement
 	r.plan = r.plan[:0]

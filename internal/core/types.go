@@ -153,20 +153,6 @@ const (
 	ScaleIn
 )
 
-// String implements fmt.Stringer.
-func (k ActionKind) String() string {
-	switch k {
-	case VerticalScale:
-		return "vertical"
-	case ScaleOut:
-		return "scale-out"
-	case ScaleIn:
-		return "scale-in"
-	default:
-		return "unknown"
-	}
-}
-
 // Action is one scaling decision, a plain value: Kind says which fields
 // apply. A one-byte reason code would fit beside Kind.
 type Action struct {

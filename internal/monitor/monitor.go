@@ -569,9 +569,9 @@ func (m *Monitor) drainRetries(now time.Duration) {
 // The returned snapshot aliases per-Monitor scratch buffers: it is valid
 // until the next Snapshot call, which is exactly the Poll→Decide→Apply
 // window. In steady state (no container churn, no faults) assembling it
-// allocates nothing and looks nothing up by name: replicas resolve through
-// the service's cached locations, their stats by container slot and their
-// hosts' ledger slots by node ordinal. It fills every ordinal the algorithm
+// allocates nothing and looks up no replica by name: replicas resolve
+// through the service's cached locations, their stats by container slot and
+// their hosts' ledger slots by node ordinal. It fills every ordinal the algorithm
 // plans with (ReplicaStats.Slot, Snapshot.Slots and Epoch), and records
 // what each replica resolved to, so Apply resolves the plan's actions by
 // ordinal too.

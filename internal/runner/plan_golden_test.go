@@ -99,7 +99,7 @@ func writePlan(b *strings.Builder, now time.Duration, p core.Plan) {
 		case core.VerticalScale:
 			fmt.Fprintf(b, "  vertical %s %s\n", a.ContainerID, exact(a.Alloc))
 		default:
-			fmt.Fprintf(b, "  unknown %v\n", a.Kind)
+			fmt.Fprintf(b, "  unknown kind %d\n", a.Kind)
 		}
 	}
 }
