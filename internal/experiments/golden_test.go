@@ -77,14 +77,8 @@ func TestExperimentTableGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment grids")
 	}
-	for _, c := range tableGoldens() {
-		t.Run(c.name, func(t *testing.T) {
-			tab, err := c.run(t)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "golden_"+c.name+"_table.txt", tab)
-		})
+	for _, g := range tableGoldens() {
+		t.Run(g.name, g.check)
 	}
 }
 
@@ -99,33 +93,34 @@ func TestOrdinalResolutionMatchesFindReplica(t *testing.T) {
 		t.Skip("experiment grids")
 	}
 	defer monitor.VerifyOrdinals(monitor.VerifyOrdinals(true))
-	for _, c := range tableGoldens() {
-		switch c.name {
+	for _, g := range tableGoldens() {
+		switch g.name {
 		case "chaos", "cascade", "dr_smoke", "recovery":
-		default:
-			continue
+			t.Run(g.name, g.check)
 		}
-		t.Run(c.name, func(t *testing.T) {
-			tab, err := c.run(t)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "golden_"+c.name+"_table.txt", tab)
-		})
 	}
 }
 
-// tableGoldens lists TestExperimentTableGoldens' tables: each golden's name
-// and the run that renders it.
-func tableGoldens() []struct {
+// goldenTable is one table TestExperimentTableGoldens pins: its golden's
+// name and the run that renders it.
+type goldenTable struct {
 	name string
 	run  func(t *testing.T) (*Table, error)
-} {
+}
+
+// check renders the table and compares it with its golden.
+func (g goldenTable) check(t *testing.T) {
+	tab, err := g.run(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "golden_"+g.name+"_table.txt", tab)
+}
+
+// tableGoldens lists TestExperimentTableGoldens' tables.
+func tableGoldens() []goldenTable {
 	opts := Options{Seed: 1, Scale: 0.05}
-	return []struct {
-		name string
-		run  func(t *testing.T) (*Table, error)
-	}{
+	return []goldenTable{
 		{"chaos", func(*testing.T) (*Table, error) {
 			r, err := RunChaos(opts)
 			if err != nil {
