@@ -48,9 +48,13 @@ func main() {
 		}
 
 		r := sim.Report()
-		a := sim.Actions()
-		fmt.Printf("%-12s %-14v %-10.2f %d/%d/%d\n",
+		m := sim.Metrics()
+		actions := func(kind string) float64 {
+			v, _ := hyscale.Lookup(m, "hyscale_scaling_actions_total", `kind="`+kind+`"`)
+			return v
+		}
+		fmt.Printf("%-12s %-14v %-10.2f %.0f/%.0f/%.0f\n",
 			algo, r.MeanLatency.Round(time.Millisecond), r.FailedPercent(),
-			a.Vertical, a.ScaleOuts, a.ScaleIns)
+			actions("vertical"), actions("scale_out"), actions("scale_in"))
 	}
 }

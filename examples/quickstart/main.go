@@ -35,7 +35,11 @@ func main() {
 
 	fmt.Println("aggregate:", sim.Report())
 	fmt.Println("replicas at end:", sim.Replicas("api"))
-	a := sim.Actions()
-	fmt.Printf("scaling actions: %d vertical, %d scale-outs, %d scale-ins\n",
-		a.Vertical, a.ScaleOuts, a.ScaleIns)
+	m := sim.Metrics()
+	actions := func(kind string) float64 {
+		v, _ := hyscale.Lookup(m, "hyscale_scaling_actions_total", `kind="`+kind+`"`)
+		return v
+	}
+	fmt.Printf("scaling actions: %.0f vertical, %.0f scale-outs, %.0f scale-ins\n",
+		actions("vertical"), actions("scale_out"), actions("scale_in"))
 }

@@ -121,10 +121,6 @@ type FaultWindow = faults.Window
 // reconciler and checkpoint/restore.
 type SelfHealingConfig = monitor.SelfHealing
 
-// RecoveryCounts tallies the self-healing layer's activity: detector
-// transitions, lost/replaced/re-adopted replicas and monitor restarts.
-type RecoveryCounts = monitor.RecoveryCounts
-
 // NodeCondition is one node's failure-detector state.
 type NodeCondition = monitor.NodeCondition
 
@@ -168,19 +164,6 @@ func (s *Simulation) ServiceReport(name string) metrics.Summary {
 	return s.world.Recorder().SummarizeService(name)
 }
 
-// Actions returns the cumulative scaling-operation counters, summed across
-// zone arbiters when the control plane is zoned.
-func (s *Simulation) Actions() monitor.ActionCounts { return s.world.Control().Counts() }
-
-// ConnFailures breaks connection failures down by cause (all replicas
-// starting, no backend at all, injected backend outage).
-func (s *Simulation) ConnFailures() platform.ConnFailureBreakdown { return s.world.ConnFailures() }
-
-// Recovery returns the self-healing counters: detector transitions,
-// lost/replaced/re-adopted replicas and monitor restarts. All zero unless
-// SimConfig.SelfHealing enabled the layer.
-func (s *Simulation) Recovery() RecoveryCounts { return s.world.Control().Recovery() }
-
 // NodeConditions returns every attached node's failure-detector state.
 func (s *Simulation) NodeConditions() []NodeCondition { return s.world.Control().NodeConditions() }
 
@@ -188,29 +171,6 @@ func (s *Simulation) NodeConditions() []NodeCondition { return s.world.Control()
 func (s *Simulation) Replicas(service string) int {
 	return s.world.Control().ReplicaCount(service)
 }
-
-// ZoneSummary is one zone arbiter's merged ledger (nodes, services, replicas,
-// action and recovery counters).
-type ZoneSummary = monitor.ZoneSummary
-
-// CrossZoneCounts tallies the global allocator's cross-zone activity.
-type CrossZoneCounts = monitor.CrossZoneCounts
-
-// ZoneSummaries returns one ledger per zone arbiter, in zone order; nil when
-// the control plane is not zoned (SimConfig.Zones <= 1).
-func (s *Simulation) ZoneSummaries() []ZoneSummary { return s.world.Control().ZoneSummaries() }
-
-// CrossZone returns the global allocator's node-lease counters (all zero
-// when the control plane is not zoned).
-func (s *Simulation) CrossZone() CrossZoneCounts { return s.world.Control().Cross() }
-
-// EvacCounts tallies zone evacuations, re-adoptions, displaced replicas and
-// spillover placements (the disaster-recovery path).
-type EvacCounts = monitor.EvacCounts
-
-// ZoneEvac returns the zone disaster-recovery counters, nil unless the
-// control plane is zoned and SimConfig.Evacuate was set.
-func (s *Simulation) ZoneEvac() *EvacCounts { return s.world.Control().Evac() }
 
 // ClampedEvents counts simulator events that had to be clamped to "now"
 // because a component scheduled them in the past. Non-zero values flag
@@ -273,28 +233,8 @@ type DeadlineConfig = resilience.DeadlineConfig
 // (ResilienceConfig.Shedding).
 type ShedConfig = resilience.ShedConfig
 
-// ResilienceCounters tallies the defense layer's activity: shed requests,
-// retries issued and denied, deadline misses, breaker short-circuits and
-// opens.
-type ResilienceCounters = resilience.Counters
-
 // BreakerState is one circuit breaker's position (closed, open, half-open).
 type BreakerState = resilience.BreakerState
-
-// CascadeStats aggregates a call-graph run's root-request outcomes and
-// per-edge traffic accounting.
-type CascadeStats = platform.CascadeStats
-
-// CascadeStats returns the call-graph accounting: root-request outcomes and
-// per-edge issued/delivered/dropped counts. Zero unless SimConfig.CallGraph
-// was set.
-func (s *Simulation) CascadeStats() CascadeStats { return s.world.CascadeStats() }
-
-// ResilienceCounters returns the defense layer's cumulative counters. Zero
-// unless SimConfig.Resilience enabled a defense.
-func (s *Simulation) ResilienceCounters() ResilienceCounters {
-	return s.world.Resilience().Counters()
-}
 
 // BreakerStates returns every call-graph edge's current breaker state (empty
 // unless breakers are enabled).
@@ -303,6 +243,27 @@ func (s *Simulation) BreakerStates() map[string]BreakerState {
 }
 
 // --- Observability ----------------------------------------------------------
+
+// Series is one sample of a run's metric list: a family name, its type and
+// help, the rendered labels and the value.
+type Series = obs.Series
+
+// Metrics returns every series the run reports, in one deterministic order —
+// the list /metrics and hyscale-sim render. It carries every counter a
+// run keeps: scaling actions (hyscale_scaling_actions_total{kind}), control
+// retries, self-healing (hyscale_selfheal_*), connection failures by cause,
+// zone ledgers and evacuation (on zoned worlds), call-graph outcomes and
+// defenses (with a call graph) and the health signal (on worlds that can
+// fail). Read one series with Lookup.
+func (s *Simulation) Metrics() []Series { return s.world.Metrics() }
+
+// Lookup returns the value of the series with this family name and exactly
+// these rendered labels, and whether series holds one:
+//
+//	v, _ := hyscale.Lookup(sim.Metrics(), "hyscale_scaling_actions_total", `kind="vertical"`)
+func Lookup(series []Series, name, labels string) (float64, bool) {
+	return obs.Lookup(series, name, labels)
+}
 
 // RunJournal is the decision-trace journal recorded when SimConfig.Observe is
 // set: every scaling decision with its observed inputs and outcome, plus

@@ -1,6 +1,7 @@
 package hyscale
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -98,11 +99,39 @@ func TestSimulationEndToEnd(t *testing.T) {
 	if sr.Completed != r.Completed {
 		t.Error("single-service report should equal aggregate")
 	}
-	if sim.Actions().Vertical == 0 {
+	if v, _ := Lookup(sim.Metrics(), "hyscale_scaling_actions_total", `kind="vertical"`); v == 0 {
 		t.Error("hybridmem issued no vertical actions under load")
 	}
 	if sim.World() == nil {
 		t.Error("World() nil")
+	}
+}
+
+// TestSimulationMetricsMatchWorld: the facade's metric list is the world's,
+// series for series, and Lookup reads it.
+func TestSimulationMetricsMatchWorld(t *testing.T) {
+	cfg := DefaultSimConfig(1)
+	cfg.Nodes = 4
+	cfg.SelfHealing = DefaultSelfHealing()
+	sim, err := NewSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.AddService(CPUBoundService("api", 0.1), 0.5, ConstantLoad(10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	got, want := sim.Metrics(), sim.World().Metrics()
+	if len(got) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("Simulation.Metrics() diverges from World().Metrics():\n  %+v\n  %+v", got, want)
+	}
+	if v, ok := Lookup(got, "hyscale_requests_total", ""); !ok || v != float64(sim.Report().Requests) {
+		t.Errorf("hyscale_requests_total = %v (present %v), want %d", v, ok, sim.Report().Requests)
+	}
+	if _, ok := Lookup(got, "hyscale_requests_total", `kind="bogus"`); ok {
+		t.Error("Lookup matched a series whose labels differ")
 	}
 }
 
@@ -170,9 +199,11 @@ func TestSimulationAlgoNone(t *testing.T) {
 	if err := sim.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	a := sim.Actions()
-	if a.Vertical != 0 || a.ScaleIns != 0 {
-		t.Errorf("AlgoNone scaled: %+v", a)
+	m := sim.Metrics()
+	for _, kind := range []string{"vertical", "scale_in"} {
+		if v, ok := Lookup(m, "hyscale_scaling_actions_total", `kind="`+kind+`"`); !ok || v != 0 {
+			t.Errorf("AlgoNone %s actions = %v (present %v), want 0", kind, v, ok)
+		}
 	}
 }
 

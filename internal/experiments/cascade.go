@@ -204,23 +204,6 @@ func cascadeDefenses(shedThreshold float64) []cascadeDefense {
 	}
 }
 
-// cascadeGoodputPercent is roots completed / roots offered.
-func cascadeGoodputPercent(r *Row) float64 {
-	if r.Cascade == nil || r.Cascade.RootGenerated == 0 {
-		return 0
-	}
-	return 100 * float64(r.Cascade.RootCompleted) / float64(r.Cascade.RootGenerated)
-}
-
-// cascadeDefenseCounts is the run's cascade-defense counters (zero without a
-// call graph).
-func cascadeDefenseCounts(r *Row) resilience.Counters {
-	if r.Resilience == nil {
-		return resilience.Counters{}
-	}
-	return *r.Resilience
-}
-
 // cascadeColumns report goodput, tail latency, retry amplification (total
 // call attempts / first attempts) and the health signal's goodput recovery
 // from the fault onset (see goodputRecovery in platform/health.go): defended
@@ -229,20 +212,27 @@ func cascadeDefenseCounts(r *Row) resilience.Counters {
 // per-second goodput rate spent below 80% of its pre-fault mean — the total
 // outage, wherever it fell.
 var cascadeColumns = []column{
-	cellf("goodput %", "%.2f", cascadeGoodputPercent),
-	{"p99", func(r *Row) string { return fmtDur(r.Summary.P99Latency) }},
-	cellf("amplif.", "%.2fx", func(r *Row) float64 {
-		if r.Resilience == nil {
-			return 0
+	{header: "goodput %", reads: []seriesKey{rootsGenerated, rootsCompleted}, render: func(r *Row) string {
+		var goodput float64
+		if offered := r.series(rootsGenerated.name, rootsGenerated.labels); offered > 0 {
+			goodput = 100 * r.series(rootsCompleted.name, rootsCompleted.labels) / offered
 		}
-		return r.Resilience.Amplification()
-	}),
-	{"recovery", func(r *Row) string { return fmtRecovery(r.health(platform.SeriesGoodputRecovery)) }},
-	cellf("degraded", "%.0fs", func(r *Row) float64 { return r.health(platform.SeriesDegraded) }),
-	cellf("shed", "%d", func(r *Row) uint64 { return cascadeDefenseCounts(r).Shed }),
-	cellf("short-circuits", "%d", func(r *Row) uint64 { return cascadeDefenseCounts(r).ShortCircuited }),
-	cellf("deadline-miss", "%d", func(r *Row) uint64 { return cascadeDefenseCounts(r).DeadlineExceeded }),
+		return fmt.Sprintf("%.2f", goodput)
+	}},
+	{header: "p99", render: func(r *Row) string { return fmtDur(r.Summary.P99Latency) }},
+	seriesf("amplif.", "%.2fx", "hyscale_retry_amplification_ratio", ""),
+	seriesColumn("recovery", platform.SeriesGoodputRecovery, "", fmtRecovery),
+	seriesf("degraded", "%.0fs", platform.SeriesDegraded, ""),
+	seriesf("shed", "%.0f", "hyscale_shed_total", ""),
+	seriesf("short-circuits", "%.0f", "hyscale_breaker_short_circuits_total", ""),
+	seriesf("deadline-miss", "%.0f", "hyscale_deadline_exceeded_total", ""),
 }
+
+// The root-outcome series goodput divides: roots completed / roots offered.
+var (
+	rootsGenerated = seriesKey{"hyscale_cascade_roots_total", `outcome="generated"`}
+	rootsCompleted = seriesKey{"hyscale_cascade_roots_total", `outcome="completed"`}
+)
 
 // cascadeCell parameterises one run of the comparison.
 type cascadeCell struct {

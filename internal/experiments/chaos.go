@@ -40,11 +40,11 @@ func ChaosFaults(seed int64) faults.Config {
 // at rate 0, where nothing can fail and nothing is sampled.
 var chaosColumns = []column{
 	failedColumn,
-	cellf("uptime %", "%.2f", (*Row).availability),
+	availabilityColumn("uptime %"),
 	meanColumn,
-	cellf("retries", "%d", func(r *Row) uint64 { return r.Actions.Retries }),
-	cellf("abandoned", "%d", func(r *Row) uint64 { return r.Actions.AbandonedActions }),
-	cellf("stale snaps", "%d", func(r *Row) uint64 { return r.Actions.StaleSnapshots }),
+	seriesf("retries", "%.0f", "hyscale_control_retries_total", ""),
+	seriesf("abandoned", "%.0f", "hyscale_control_abandoned_total", ""),
+	seriesf("stale snaps", "%.0f", "hyscale_control_stale_snapshots_total", ""),
 }
 
 // chaosCell parameterises one chaos run.

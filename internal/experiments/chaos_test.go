@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"hyscale/internal/runner"
@@ -35,14 +36,16 @@ func TestChaosHardeningReducesFailures(t *testing.T) {
 			on.Summary.FailedPercent(), off.Summary.FailedPercent())
 	}
 	// The hardened run visibly exercises its machinery...
-	if on.Actions.Retries == 0 || on.Actions.StaleSnapshots == 0 {
-		t.Errorf("hardened run shows no resilience activity: %+v", on.Actions)
+	retries := func(r *Row) float64 { return r.series("hyscale_control_retries_total", "") }
+	stale := func(r *Row) float64 { return r.series("hyscale_control_stale_snapshots_total", "") }
+	if retries(on) == 0 || stale(on) == 0 {
+		t.Errorf("hardened run shows no resilience activity: %.0f retries, %.0f stale snapshots", retries(on), stale(on))
 	}
 	// ...while the unhardened one drops failed actions on the floor.
-	if off.Actions.Retries != 0 || off.Actions.StaleSnapshots != 0 {
-		t.Errorf("unhardened run used hardening machinery: %+v", off.Actions)
+	if retries(off) != 0 || stale(off) != 0 {
+		t.Errorf("unhardened run used hardening machinery: %.0f retries, %.0f stale snapshots", retries(off), stale(off))
 	}
-	if off.Actions.AbandonedActions == 0 {
+	if off.series("hyscale_control_abandoned_total", "") == 0 {
 		t.Error("unhardened run abandoned nothing despite injected faults")
 	}
 }
@@ -68,9 +71,9 @@ func TestChaosZeroRateMatchesBaseline(t *testing.T) {
 		t.Errorf("zero-rate summary diverged from baseline:\n got %+v\nwant %+v",
 			got.Summary, want.Summary)
 	}
-	if got.Actions != want.Actions {
-		t.Errorf("zero-rate actions diverged from baseline:\n got %+v\nwant %+v",
-			got.Actions, want.Actions)
+	if !slices.Equal(got.Metrics, want.Metrics) {
+		t.Errorf("zero-rate metric list diverged from baseline:\n got %+v\nwant %+v",
+			got.Metrics, want.Metrics)
 	}
 	if av := got.availability(); av != 100 {
 		t.Errorf("availability = %.2f at zero rate, want 100", av)

@@ -160,15 +160,6 @@ func drVariants() []drVariant {
 	}
 }
 
-// drEvacCounts is the run's zone evacuation counters (zero when evacuation
-// is off).
-func drEvacCounts(r *Row) monitor.EvacCounts {
-	if r.ZoneEvac == nil {
-		return monitor.EvacCounts{}
-	}
-	return *r.ZoneEvac
-}
-
 // drCell parameterises one DR run.
 type drCell struct {
 	scenario  drScenario
@@ -217,10 +208,10 @@ func runDRSized(opts Options, nodes, zones, fillers, mammothReplicas int, algori
 	// penalties.
 	g.columns = []column{
 		reconvergeColumn,
-		cellf("avail %", "%.2f", (*Row).availability),
+		availabilityColumn("avail %"),
 		failedColumn,
-		cellf("displaced", "%d", func(r *Row) uint64 { return drEvacCounts(r).ReplicasDisplaced }),
-		cellf("spillover", "%d", func(r *Row) uint64 { return drEvacCounts(r).SpilloverPlacements }),
+		seriesf("displaced", "%.0f", "hyscale_zone_evac_replicas_displaced_total", ""),
+		seriesf("spillover", "%.0f", "hyscale_zone_evac_spillover_placements_total", ""),
 		cellf("cost Δ", "%+.2f", func(r *Row) float64 {
 			base := g.Row(r.Labels[0], "no-evac", r.Labels[2])
 			if base == nil {

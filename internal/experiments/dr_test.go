@@ -28,6 +28,7 @@ func TestDRGridShape(t *testing.T) {
 		t.Skip("integration")
 	}
 	res := drSmoke(t, 0)
+	displaced := func(r *Row) float64 { return r.series("hyscale_zone_evac_replicas_displaced_total", "") }
 	if len(res.Rows) != 9 {
 		t.Fatalf("outcomes = %d, want 3 scenarios x 3 variants", len(res.Rows))
 	}
@@ -38,12 +39,12 @@ func TestDRGridShape(t *testing.T) {
 				t.Fatalf("missing outcome %s/%s", scenario, variant)
 			}
 			if variant == "no-evac" {
-				if ev := drEvacCounts(o); ev.ReplicasDisplaced != 0 || ev.SpilloverPlacements != 0 {
-					t.Errorf("%s/no-evac displaced %d replicas", scenario, ev.ReplicasDisplaced)
+				if displaced(o) != 0 || o.series("hyscale_zone_evac_spillover_placements_total", "") != 0 {
+					t.Errorf("%s/no-evac displaced %.0f replicas", scenario, displaced(o))
 				}
 				continue
 			}
-			if drEvacCounts(o).ReplicasDisplaced == 0 {
+			if displaced(o) == 0 {
 				t.Errorf("%s/%s: zone death displaced no replicas", scenario, variant)
 			}
 		}

@@ -3,9 +3,11 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hyscale/internal/monitor"
+	"hyscale/internal/obs"
 )
 
 // checkGolden compares rendered table bytes against testdata/<file>, or
@@ -102,90 +104,84 @@ func TestOrdinalResolutionMatchesFindReplica(t *testing.T) {
 }
 
 // goldenTable is one table TestExperimentTableGoldens pins: its golden's
-// name and the run that renders it.
+// name and the run that builds its grid.
 type goldenTable struct {
 	name string
-	run  func(t *testing.T) (*Table, error)
+	run  func(t *testing.T) (*Grid, error)
 }
 
-// check renders the table and compares it with its golden.
+// check renders the grid and compares its table with its golden.
 func (g goldenTable) check(t *testing.T) {
-	tab, err := g.run(t)
+	grid, err := g.run(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "golden_"+g.name+"_table.txt", tab)
+	checkGolden(t, "golden_"+g.name+"_table.txt", grid.Table())
 }
 
 // tableGoldens lists TestExperimentTableGoldens' tables.
 func tableGoldens() []goldenTable {
 	opts := Options{Seed: 1, Scale: 0.05}
+	at := func(run func(Options) (*Grid, error), opts Options) func(*testing.T) (*Grid, error) {
+		return func(*testing.T) (*Grid, error) { return run(opts) }
+	}
 	return []goldenTable{
-		{"chaos", func(*testing.T) (*Table, error) {
-			r, err := RunChaos(opts)
+		{"chaos", at(RunChaos, opts)},
+		{"cascade", at(RunCascade, opts)},
+		{"dr_smoke", func(t *testing.T) (*Grid, error) { return drSmoke(t, 0), nil }},
+		{"recovery", at(RunRecovery, opts)},
+		{"mem", at(RunMemScaling, opts)},
+		{"fig3", at(RunFig3, opts)},
+		{"fig3sweep", at(RunFig3Sweep, opts)},
+		{"fig9", func(*testing.T) (*Grid, error) { return RunFig9(nil, opts) }},
+		{"hetero", at(RunHeterogeneous, opts)},
+		{"scale", at(RunScale, Options{Seed: 1, Scale: 0.02})},
+	}
+}
+
+// TestSeriesColumnsNamePublishedSeries: every series a column of a goldened
+// grid reads is published by at least one of the grid's rows. A column
+// whose family or labels were misspelled would print 0 on every row
+// without an error; here it fails. It covers the grids whose columns read
+// the metric list: chaos, recovery, cascade, the reduced DR grid and the
+// cluster-size sweep at their golden options, and the manager and Fig. 6b
+// grids at the options of the tests that pin them.
+func TestSeriesColumnsNamePublishedSeries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment grids")
+	}
+	grids := []goldenTable{
+		{"manager", func(*testing.T) (*Grid, error) { return RunManager(Options{Seed: 1, Scale: 0.02}) }},
+		{"fig6b", func(*testing.T) (*Grid, error) { return RunFig6(HighBurst, shapeOpts()) }},
+	}
+	for _, g := range tableGoldens() {
+		switch g.name {
+		case "chaos", "recovery", "cascade", "dr_smoke", "scale":
+			grids = append(grids, g)
+		}
+	}
+	for _, g := range grids {
+		t.Run(g.name, func(t *testing.T) {
+			grid, err := g.run(t)
 			if err != nil {
-				return nil, err
+				t.Fatal(err)
 			}
-			return r.Table(), nil
-		}},
-		{"cascade", func(*testing.T) (*Table, error) {
-			r, err := RunCascade(opts)
-			if err != nil {
-				return nil, err
+			reads := 0
+			for _, c := range grid.columns {
+				for _, k := range c.reads {
+					reads++
+					published := slices.ContainsFunc(grid.Rows, func(r Row) bool {
+						_, ok := obs.Lookup(r.Metrics, k.name, k.labels)
+						return ok
+					})
+					if !published {
+						t.Errorf("column %q reads %s{%s}, which no row publishes", c.header, k.name, k.labels)
+					}
+				}
 			}
-			return r.Table(), nil
-		}},
-		{"dr_smoke", func(t *testing.T) (*Table, error) {
-			return drSmoke(t, 0).Table(), nil
-		}},
-		{"recovery", func(*testing.T) (*Table, error) {
-			r, err := RunRecovery(opts)
-			if err != nil {
-				return nil, err
+			if reads == 0 {
+				t.Error("no column reads the metric list")
 			}
-			return r.Table(), nil
-		}},
-		{"mem", func(*testing.T) (*Table, error) {
-			r, err := RunMemScaling(opts)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"fig3", func(*testing.T) (*Table, error) {
-			r, err := RunFig3(opts)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"fig3sweep", func(*testing.T) (*Table, error) {
-			r, err := RunFig3Sweep(opts)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"fig9", func(*testing.T) (*Table, error) {
-			r, err := RunFig9(nil, opts)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"hetero", func(*testing.T) (*Table, error) {
-			r, err := RunHeterogeneous(opts)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
-		{"scale", func(*testing.T) (*Table, error) {
-			r, err := RunScale(Options{Seed: 1, Scale: 0.02})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table(), nil
-		}},
+		})
 	}
 }

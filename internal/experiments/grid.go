@@ -41,15 +41,36 @@ type Row struct {
 	runner.Result
 }
 
-// column is one rendered table column after the axis labels.
+// column is one rendered table column after the axis labels. A column
+// computed from the run's metric list names the series it reads.
 type column struct {
 	header string
 	render func(r *Row) string
+	reads  []seriesKey
 }
+
+// seriesKey names one series of a run's metric list: its family and its
+// rendered labels (see obs.Series).
+type seriesKey struct{ name, labels string }
 
 // cellf is a column that formats one value of each row with a fmt verb.
 func cellf[T any](header, format string, value func(r *Row) T) column {
-	return column{header, func(r *Row) string { return fmt.Sprintf(format, value(r)) }}
+	return column{header: header, render: func(r *Row) string { return fmt.Sprintf(format, value(r)) }}
+}
+
+// seriesColumn renders one series of each row's metric list with format.
+func seriesColumn(header, name, labels string, format func(v float64) string) column {
+	return column{
+		header: header,
+		render: func(r *Row) string { return format(r.series(name, labels)) },
+		reads:  []seriesKey{{name, labels}},
+	}
+}
+
+// seriesf is a series column formatted with a fmt verb. A counter renders
+// with "%.0f": every counter is below 2^53, so it prints as its integer.
+func seriesf(header, verb, name, labels string) column {
+	return seriesColumn(header, name, labels, func(v float64) string { return fmt.Sprintf(verb, v) })
 }
 
 // product expands axes' labels to cells, the first axis outermost.
@@ -191,31 +212,40 @@ func fmtDur(d time.Duration) string { return d.Round(time.Millisecond).String() 
 
 // Columns shared by several tables.
 var (
-	meanColumn   = column{"mean response", func(r *Row) string { return fmtDur(r.Summary.MeanLatency) }}
-	p95Column    = column{"p95", func(r *Row) string { return fmtDur(r.Summary.P95Latency) }}
+	meanColumn   = column{header: "mean response", render: func(r *Row) string { return fmtDur(r.Summary.MeanLatency) }}
+	p95Column    = column{header: "p95", render: func(r *Row) string { return fmtDur(r.Summary.P95Latency) }}
 	failedColumn = cellf("failed %", "%.2f", func(r *Row) float64 { return r.Summary.FailedPercent() })
 
 	machineHoursColumn = cellf("machine-hours", "%.2f", func(r *Row) float64 { return r.Cost.MachineHours })
-	scaleOutsColumn    = cellf("scale-outs", "%d", func(r *Row) uint64 { return r.Actions.ScaleOuts })
-	scaleInsColumn     = cellf("scale-ins", "%d", func(r *Row) uint64 { return r.Actions.ScaleIns })
+	scaleOutsColumn    = seriesf("scale-outs", "%.0f", "hyscale_scaling_actions_total", `kind="scale_out"`)
+	scaleInsColumn     = seriesf("scale-ins", "%.0f", "hyscale_scaling_actions_total", `kind="scale_in"`)
 
-	reconvergeColumn = column{"reconverge", func(r *Row) string { return fmtRecovery(r.health(platform.SeriesReconverge)) }}
+	reconvergeColumn = seriesColumn("reconverge", platform.SeriesReconverge, "", fmtRecovery)
 )
+
+// availabilityColumn renders the run's availability under header.
+func availabilityColumn(header string) column {
+	c := cellf(header, "%.2f", (*Row).availability)
+	c.reads = []seriesKey{{platform.SeriesAvailabilityUp, ""}, {platform.SeriesAvailabilitySampled, ""}}
+	return c
+}
 
 // availability is the run's share of service-seconds up, in percent: 100
 // on a world that never sampled its health.
 func (r *Row) availability() float64 {
-	sampled := r.health(platform.SeriesAvailabilitySampled)
+	sampled := r.series(platform.SeriesAvailabilitySampled, "")
 	if sampled == 0 {
 		return 100
 	}
-	return 100 * r.health(platform.SeriesAvailabilityUp) / sampled
+	return 100 * r.series(platform.SeriesAvailabilityUp, "") / sampled
 }
 
-// health reads one of the run's unlabelled health series (see
-// platform.SeriesReconverge and its siblings); 0 on a world without it.
-func (r *Row) health(series string) float64 {
-	v, _ := obs.Lookup(r.Metrics, series, "")
+// series reads the series with this family name and these labels from the
+// run's metric list; 0 when the world did not publish it, as a zoneless
+// world publishes no evacuation counters and a world that cannot fail no
+// health series.
+func (r *Row) series(name, labels string) float64 {
+	v, _ := obs.Lookup(r.Metrics, name, labels)
 	return v
 }
 

@@ -46,7 +46,7 @@ var macroColumns = []column{
 	cellf("connection %", "%.2f", func(r *Row) float64 { return r.Summary.ConnectionFailedPercent() }),
 	scaleOutsColumn,
 	scaleInsColumn,
-	cellf("vertical ops", "%d", func(r *Row) uint64 { return r.Actions.Vertical }),
+	seriesf("vertical ops", "%.0f", "hyscale_scaling_actions_total", `kind="vertical"`),
 }
 
 // macroDuration returns the experiment horizon: one hour at Scale=1.

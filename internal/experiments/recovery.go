@@ -72,13 +72,13 @@ func recoveryServices(n int) []runner.ServiceRun {
 // defines them, then the self-healing counters.
 var recoveryColumns = []column{
 	reconvergeColumn,
-	cellf("avail %", "%.2f", (*Row).availability),
+	availabilityColumn("avail %"),
 	failedColumn,
-	cellf("lost", "%d", func(r *Row) uint64 { return r.Recovery.ReplicasLost }),
-	cellf("replaced", "%d", func(r *Row) uint64 { return r.Recovery.Replaced }),
-	cellf("drained", "%d", func(r *Row) uint64 { return r.Recovery.StaleDrained }),
-	cellf("ckpt restores", "%d", func(r *Row) uint64 { return r.Recovery.CheckpointRestores }),
-	cellf("cold restarts", "%d", func(r *Row) uint64 { return r.Recovery.ColdRestarts }),
+	seriesf("lost", "%.0f", "hyscale_selfheal_replicas_lost_total", ""),
+	seriesf("replaced", "%.0f", "hyscale_selfheal_replicas_replaced_total", ""),
+	seriesf("drained", "%.0f", "hyscale_selfheal_replicas_drained_total", ""),
+	seriesf("ckpt restores", "%.0f", "hyscale_selfheal_checkpoint_restores_total", ""),
+	seriesf("cold restarts", "%.0f", "hyscale_selfheal_cold_restarts_total", ""),
 }
 
 // recoveryCell parameterises one recovery run.

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"hyscale/internal/monitor"
 	"hyscale/internal/platform"
 )
 
@@ -30,14 +29,14 @@ func TestRecoveryReconvergesWithinBound(t *testing.T) {
 			if o == nil {
 				t.Fatalf("missing outcome %s/%s", algo, variant)
 			}
-			if secs := o.health(platform.SeriesReconverge); secs < 0 || secs > recoveryBoundSeconds {
+			if secs := o.series(platform.SeriesReconverge, ""); secs < 0 || secs > recoveryBoundSeconds {
 				t.Errorf("%s/%s: reconverge = %.0fs, want within [0, %ds]",
 					algo, variant, secs, recoveryBoundSeconds)
 			}
-			if o.Recovery.DeclaredDead != 2 {
-				t.Errorf("%s/%s: declared dead = %d, want 2", algo, variant, o.Recovery.DeclaredDead)
+			if dead := o.series("hyscale_selfheal_nodes_dead_total", ""); dead != 2 {
+				t.Errorf("%s/%s: declared dead = %.0f, want 2", algo, variant, dead)
 			}
-			if o.Recovery.ReplicasLost == 0 {
+			if o.series("hyscale_selfheal_replicas_lost_total", "") == 0 {
 				t.Errorf("%s/%s: no replicas recorded lost", algo, variant)
 			}
 		}
@@ -45,27 +44,33 @@ func TestRecoveryReconvergesWithinBound(t *testing.T) {
 		// Checkpointed restarts keep the reconcile plan; cold restarts lose
 		// it (the autoscaler alone recovers the count).
 		ckpt, cold := res.Row(algo, "crash-ckpt"), res.Row(algo, "crash-cold")
-		if ckpt.Recovery.CheckpointRestores != 1 || ckpt.Recovery.ColdRestarts != 0 {
-			t.Errorf("%s/crash-ckpt: restarts = %+v", algo, ckpt.Recovery)
+		restarts := func(r *Row) (float64, float64) {
+			return r.series("hyscale_selfheal_checkpoint_restores_total", ""), r.series("hyscale_selfheal_cold_restarts_total", "")
 		}
-		if cold.Recovery.ColdRestarts != 1 || cold.Recovery.CheckpointRestores != 0 {
-			t.Errorf("%s/crash-cold: restarts = %+v", algo, cold.Recovery)
+		if c, k := restarts(ckpt); c != 1 || k != 0 {
+			t.Errorf("%s/crash-ckpt: checkpoint restores %.0f, cold restarts %.0f", algo, c, k)
 		}
-		if ckpt.Recovery.Replaced == 0 {
+		if c, k := restarts(cold); c != 0 || k != 1 {
+			t.Errorf("%s/crash-cold: checkpoint restores %.0f, cold restarts %.0f", algo, c, k)
+		}
+		if ckpt.series("hyscale_selfheal_replicas_replaced_total", "") == 0 {
 			t.Errorf("%s/crash-ckpt: checkpointed restart replaced nothing", algo)
 		}
-		if ckpt.MonitorCrashes == 0 || cold.MonitorCrashes == 0 {
-			t.Errorf("%s: crash variants lost no poll periods (ckpt=%d cold=%d)",
-				algo, ckpt.MonitorCrashes, cold.MonitorCrashes)
+		crashes := func(r *Row) float64 { return r.series("hyscale_monitor_crash_periods_total", "") }
+		if crashes(ckpt) == 0 || crashes(cold) == 0 {
+			t.Errorf("%s: crash variants lost no poll periods (ckpt=%.0f cold=%.0f)",
+				algo, crashes(ckpt), crashes(cold))
 		}
 
 		// The legacy variant must not touch any self-healing machinery.
 		none := res.Row(algo, "no-heal")
-		if none.Recovery != (monitor.RecoveryCounts{}) {
-			t.Errorf("%s/no-heal: recovery counters non-zero: %+v", algo, none.Recovery)
+		for _, s := range none.Metrics {
+			if strings.HasPrefix(s.Name, "hyscale_selfheal_") && s.Value != 0 {
+				t.Errorf("%s/no-heal: recovery counter %s = %.0f, want 0", algo, s.Name, s.Value)
+			}
 		}
-		if none.MonitorCrashes != 0 {
-			t.Errorf("%s/no-heal: monitor crashed %d times", algo, none.MonitorCrashes)
+		if crashes(none) != 0 {
+			t.Errorf("%s/no-heal: monitor crashed %.0f times", algo, crashes(none))
 		}
 	}
 }

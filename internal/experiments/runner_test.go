@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -93,8 +94,8 @@ func TestSpecMatchesLegacyExecution(t *testing.T) {
 			t.Logf("seed %d: summaries diverge:\n  spec   %+v\n  legacy %+v", seed, res.Summary, w.Summary())
 			return false
 		}
-		if res.Actions != w.Control().Counts() {
-			t.Logf("seed %d: action counts diverge", seed)
+		if !slices.Equal(res.Metrics, w.Metrics()) {
+			t.Logf("seed %d: metric lists diverge:\n  spec   %+v\n  legacy %+v", seed, res.Metrics, w.Metrics())
 			return false
 		}
 		if res.Cost != w.CostReport() {

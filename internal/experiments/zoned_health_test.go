@@ -73,7 +73,7 @@ func TestHealthOnZonedWorlds(t *testing.T) {
 			if av := row.availability(); av <= 0 || av > 100 {
 				t.Errorf("availability = %v, want (0, 100]", av)
 			}
-			if sampled := row.health(platform.SeriesAvailabilitySampled); sampled != 4*120 {
+			if sampled := row.series(platform.SeriesAvailabilitySampled, ""); sampled != 4*120 {
 				t.Errorf("%v service-seconds sampled, want 4 services x 120 s", sampled)
 			}
 			rc, ok := obs.Lookup(res.Metrics, platform.SeriesReconverge, "")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"hyscale/internal/monitor"
 	"hyscale/internal/obs"
@@ -174,8 +173,8 @@ func (w *World) Metrics() []obs.Series {
 }
 
 // ServiceNames returns every service the world knows, sorted: the services
-// with recorded traffic plus any service with a container in the cluster
-// (stress contenders excluded).
+// with recorded traffic plus any registered service with a container in the
+// cluster. Stress contenders are containers of no registered service.
 func (w *World) ServiceNames() []string {
 	names := make([]string, 0)
 	for _, ss := range w.recorder.Services() {
@@ -188,7 +187,7 @@ func (w *World) ServiceNames() []string {
 	}
 	for _, node := range w.cluster.Nodes() {
 		for _, c := range node.Containers() {
-			if !seen[c.Service] && !strings.HasPrefix(c.Service, "stress-") {
+			if _, registered := w.byName[c.Service]; registered && !seen[c.Service] {
 				seen[c.Service] = true
 				names = append(names, c.Service)
 			}

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"hyscale/internal/monitor"
 	"hyscale/internal/obs"
 	"hyscale/internal/resilience"
+	"hyscale/internal/resources"
 	"hyscale/internal/scalermgr"
 )
 
@@ -71,9 +73,9 @@ func TestMetricsMatchAccessors(t *testing.T) {
 	ctl := w.Control()
 	sum, c, rec, cf, cz := w.Summary(), ctl.Counts(), ctl.Recovery(), w.ConnFailures(), ctl.Cross()
 	ev, rc, cs := ctl.Evac(), w.Resilience().Counters(), w.CascadeStats()
-	if ev == nil || ev.ZonesEvacuated == 0 || w.MonitorCrashes() == 0 || rc.Retries == 0 || rec.DeclaredDead == 0 {
+	if ev == nil || ev.ZonesEvacuated == 0 || w.monitorCrashes == 0 || rc.Retries == 0 || rec.DeclaredDead == 0 {
 		t.Fatalf("world too quiet to check parity: evac %+v, crashes %d, retries %d, dead %d",
-			ev, w.MonitorCrashes(), rc.Retries, rec.DeclaredDead)
+			ev, w.monitorCrashes, rc.Retries, rec.DeclaredDead)
 	}
 	want := map[string]uint64{
 		"hyscale_requests_total":                               sum.Requests,
@@ -97,7 +99,7 @@ func TestMetricsMatchAccessors(t *testing.T) {
 		"hyscale_selfheal_reconciles_cancelled_total":          rec.ReconcileCancelled,
 		"hyscale_selfheal_checkpoint_restores_total":           rec.CheckpointRestores,
 		"hyscale_selfheal_cold_restarts_total":                 rec.ColdRestarts,
-		"hyscale_monitor_crash_periods_total":                  w.MonitorCrashes(),
+		"hyscale_monitor_crash_periods_total":                  w.monitorCrashes,
 		"hyscale_cross_zone_node_leases_total":                 cz.NodeLeases,
 		"hyscale_cross_zone_lease_failures_total":              cz.LeaseFailures,
 		`hyscale_zone_evac_zones_total{phase="evacuated"}`:     ev.ZonesEvacuated,
@@ -168,5 +170,36 @@ func TestMetricsMatchAccessors(t *testing.T) {
 		if !families[name] {
 			t.Errorf("family %s missing from Metrics", name)
 		}
+	}
+}
+
+// TestServiceNamesKeepsStressPrefixedServices: a registered service whose
+// name starts with "stress-" is listed and published like any other, while a
+// stress contender, a container of no registered service, is not.
+func TestServiceNamesKeepsStressPrefixedServices(t *testing.T) {
+	w, err := New(smallConfig(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"stress-api", "api"} {
+		if err := w.AddService(cpuSpec(name), 0.5, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.AddStressContainer("node-1", resources.Vector{CPU: 1, MemMB: 64}, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.ServiceNames(), []string{"api", "stress-api"}; !slices.Equal(got, want) {
+		t.Errorf("ServiceNames() = %v, want %v", got, want)
+	}
+	m := w.Metrics()
+	if v, ok := obs.Lookup(m, "hyscale_service_replicas", `service="stress-api"`); !ok || v != 1 {
+		t.Errorf(`hyscale_service_replicas{service="stress-api"} = %v (present %v), want 1`, v, ok)
+	}
+	if _, ok := obs.Lookup(m, "hyscale_service_replicas", `service="stress-1"`); ok {
+		t.Error("the stress contender is published as a service")
 	}
 }

@@ -750,10 +750,6 @@ func (w *World) ConnFailures() ConnFailureBreakdown { return w.connFail }
 // unconditionally.
 func (w *World) Journal() *obs.Journal { return w.journal }
 
-// MonitorCrashes returns how many poll periods were lost to monitor-crash
-// fault windows.
-func (w *World) MonitorCrashes() uint64 { return w.monitorCrashes }
-
 // CascadeStats returns the call-graph run's root-outcome and per-edge
 // counters (zero when no call graph is configured).
 func (w *World) CascadeStats() CascadeStats {

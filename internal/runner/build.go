@@ -6,10 +6,8 @@ import (
 
 	"hyscale/internal/cost"
 	"hyscale/internal/metrics"
-	"hyscale/internal/monitor"
 	"hyscale/internal/obs"
 	"hyscale/internal/platform"
-	"hyscale/internal/resilience"
 )
 
 // Result is what one RunSpec produces: the aggregate measurements every
@@ -17,46 +15,19 @@ import (
 type Result struct {
 	Spec RunSpec `json:"spec"`
 
-	Summary  metrics.Summary               `json:"summary"`
-	Actions  monitor.ActionCounts          `json:"actions"`
-	Recovery monitor.RecoveryCounts        `json:"recovery"`
-	Cost     cost.Report                   `json:"cost"`
-	ConnFail platform.ConnFailureBreakdown `json:"connFail"`
-
-	// MonitorCrashes counts poll periods lost to monitor-crash fault windows.
-	MonitorCrashes uint64 `json:"monitorCrashes,omitempty"`
-
-	// PendingRetries is the retry-queue depth at the end of the run.
-	PendingRetries int `json:"pendingRetries,omitempty"`
+	Summary metrics.Summary `json:"summary"`
+	Cost    cost.Report     `json:"cost"`
 
 	// ClampedEvents counts events the engine had to clamp to "now" because a
 	// component scheduled them in the past — the scheduling errors that used
 	// to be silently dropped. Non-zero values flag stale-timestamp bugs.
 	ClampedEvents uint64 `json:"clampedEvents"`
 
-	// Cascade holds the call-graph run's root-outcome and per-edge
-	// accounting (nil unless the spec configured a call graph).
-	Cascade *platform.CascadeStats `json:"cascade,omitempty"`
-
-	// Resilience holds the cascade-defense counters: shed, retries, retry
-	// denials, deadline misses, breaker short-circuits and opens (nil unless
-	// the spec configured a call graph).
-	Resilience *resilience.Counters `json:"resilience,omitempty"`
-
-	// Zones holds per-zone merged ledgers when the spec ran a zoned control
-	// plane (Platform.Zones > 1); nil for single-zone runs.
-	Zones []monitor.ZoneSummary `json:"zones,omitempty"`
-
-	// CrossZone holds the global allocator's counters for zoned runs.
-	CrossZone *monitor.CrossZoneCounts `json:"crossZone,omitempty"`
-
-	// ZoneEvac holds the zone evacuation / re-adoption counters (nil unless
-	// the spec enabled Platform.Evacuate on a zoned run).
-	ZoneEvac *monitor.EvacCounts `json:"zoneEvac,omitempty"`
-
 	// Metrics is the world's metric list (platform.World.Metrics) at the
-	// end of the run, read while the World still exists: the health signal
-	// and every other published series. Never serialized.
+	// end of the run, read while the World still exists: every counter the
+	// run kept — scaling actions, self-healing, zones, evacuation,
+	// connection failures, call-graph outcomes and defenses — and the
+	// health signal. Read one series with obs.Lookup. Never serialized.
 	Metrics []obs.Series `json:"-"`
 
 	// Elapsed is the wall-clock time the run took, filled by Execute.
@@ -153,32 +124,13 @@ func Run(spec RunSpec) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	ctl := w.Control()
-	res := Result{
-		Spec:           spec,
-		Summary:        w.Summary(),
-		Actions:        ctl.Counts(),
-		Recovery:       ctl.Recovery(),
-		Cost:           w.CostReport(),
-		ConnFail:       w.ConnFailures(),
-		MonitorCrashes: w.MonitorCrashes(),
-		PendingRetries: ctl.PendingRetries(),
-		ClampedEvents:  w.ClampedEvents(),
-		World:          w,
-		Journal:        w.Journal(),
-		Metrics:        w.Metrics(),
-	}
-	if zs := ctl.ZoneSummaries(); zs != nil {
-		res.Zones = zs
-		cz := ctl.Cross()
-		res.CrossZone = &cz
-		res.ZoneEvac = ctl.Evac()
-	}
-	if w.HasCallGraph() {
-		cs := w.CascadeStats()
-		rc := w.Resilience().Counters()
-		res.Cascade = &cs
-		res.Resilience = &rc
-	}
-	return res, nil
+	return Result{
+		Spec:          spec,
+		Summary:       w.Summary(),
+		Cost:          w.CostReport(),
+		ClampedEvents: w.ClampedEvents(),
+		World:         w,
+		Journal:       w.Journal(),
+		Metrics:       w.Metrics(),
+	}, nil
 }

@@ -3,6 +3,7 @@ package runner
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,8 +76,12 @@ func TestExecuteOrderAndDeterminism(t *testing.T) {
 			t.Errorf("run %s: summary differs between 1 and 4 workers:\n  %+v\n  %+v",
 				specs[i].Name, serial[i].Summary, parallel[i].Summary)
 		}
-		if serial[i].Actions != parallel[i].Actions {
-			t.Errorf("run %s: action counts differ between 1 and 4 workers", specs[i].Name)
+		if len(serial[i].Metrics) == 0 {
+			t.Errorf("run %s: empty metric list", specs[i].Name)
+		}
+		if !slices.Equal(serial[i].Metrics, parallel[i].Metrics) {
+			t.Errorf("run %s: metric lists differ between 1 and 4 workers:\n  %+v\n  %+v",
+				specs[i].Name, serial[i].Metrics, parallel[i].Metrics)
 		}
 		if serial[i].Summary.Completed == 0 {
 			t.Errorf("run %s completed no requests", specs[i].Name)

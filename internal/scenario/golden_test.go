@@ -8,13 +8,15 @@ import (
 	"testing"
 
 	"hyscale/internal/monitor"
+	"hyscale/internal/platform"
+	"hyscale/internal/resilience"
 	"hyscale/internal/runner"
 )
 
 // TestShippedScenarioGoldens runs every shipped scenario end to end and pins
-// the measurements its runner.Result carries (summary, actions, recovery,
-// cost, connection failures, zone ledgers, cross-zone and evacuation
-// counters, cascade and resilience accounting) against committed goldens.
+// its measurements against committed goldens: the runner.Result's summary
+// and cost, and the world's action, recovery, connection-failure, zone,
+// cross-zone, evacuation, cascade and resilience counters.
 // Any change to how a scenario is parsed, compiled, validated or built that
 // moves a single number fails here.
 //
@@ -99,6 +101,26 @@ func renderScenario(t *testing.T, path string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The counters come from the world's struct accessors, in the shape
+	// the goldens were written in: the zone blocks are null on a one-zone
+	// world and the call-graph blocks null without a call graph.
+	w := res.World
+	ctl := w.Control()
+	var (
+		zones     []monitor.ZoneSummary
+		crossZone *monitor.CrossZoneCounts
+		zoneEvac  *monitor.EvacCounts
+		cascade   *platform.CascadeStats
+		defenses  *resilience.Counters
+	)
+	if zones = ctl.ZoneSummaries(); zones != nil {
+		cz := ctl.Cross()
+		crossZone, zoneEvac = &cz, ctl.Evac()
+	}
+	if w.HasCallGraph() {
+		cs, rc := w.CascadeStats(), w.Resilience().Counters()
+		cascade, defenses = &cs, &rc
+	}
 	out, err := json.MarshalIndent(struct {
 		Summary    any `json:"summary"`
 		Actions    any `json:"actions"`
@@ -110,8 +132,8 @@ func renderScenario(t *testing.T, path string) []byte {
 		ZoneEvac   any `json:"zoneEvac"`
 		Cascade    any `json:"cascade"`
 		Resilience any `json:"resilience"`
-	}{res.Summary, res.Actions, res.Recovery, res.Cost, res.ConnFail,
-		res.Zones, res.CrossZone, res.ZoneEvac, res.Cascade, res.Resilience}, "", "  ")
+	}{res.Summary, ctl.Counts(), ctl.Recovery(), res.Cost, w.ConnFailures(),
+		zones, crossZone, zoneEvac, cascade, defenses}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
