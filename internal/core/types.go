@@ -169,9 +169,11 @@ type Action struct {
 	Alloc resources.Vector
 	// Replica is 1 + the target's flat ordinal in the snapshot the action
 	// was planned from (its position among every service's replicas, in
-	// order), for a VerticalScale or ScaleIn. Node is 1 + a ScaleOut's
-	// node index in that snapshot's Nodes. Zero when the action was not
-	// planned from a snapshot: it resolves by name.
+	// order), for a VerticalScale or ScaleIn: the monitor applies a plan's
+	// vertical and scale-in actions only through it. Node is 1 + a
+	// ScaleOut's node index in that snapshot's Nodes, zero for a scale-out
+	// placed when it executes. Queued work (retries, re-placements)
+	// outlives its snapshot, so the monitor resolves it by name instead.
 	Replica, Node int32
 }
 
@@ -213,7 +215,8 @@ type Algorithm interface {
 	// Name returns a short identifier used in reports ("kubernetes",
 	// "hybrid", "hybridmem", "network").
 	Name() string
-	// Decide computes the scaling plan for the snapshot.
+	// Decide computes the scaling plan for the snapshot. The plan carries
+	// snap's Epoch, and each vertical and scale-in its Replica ordinal.
 	Decide(snap Snapshot) Plan
 }
 

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"hyscale/internal/container"
-	"hyscale/internal/core"
 	"hyscale/internal/obs"
 	"hyscale/internal/platform"
 	"hyscale/internal/resilience"
@@ -216,9 +215,10 @@ func (s *Server) handleServices(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleService(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	s.mu.Lock()
+	known := s.world.Control().Registered(name)
 	dto := s.serviceDTO(name)
 	s.mu.Unlock()
-	if len(dto.Replicas) == 0 && dto.Completed == 0 {
+	if !known {
 		http.Error(w, fmt.Sprintf("unknown service %q", name), http.StatusNotFound)
 		return
 	}
@@ -244,45 +244,17 @@ func (s *Server) handleScale(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	reps := s.world.Control().Replicas(name)
-	if len(reps) == 0 {
+	ctl := s.world.Control()
+	if !ctl.Registered(name) {
 		http.Error(w, fmt.Sprintf("unknown service %q", name), http.StatusNotFound)
 		return
 	}
-	now := s.world.Engine().Now()
-	var plan core.Plan
-	switch {
-	case req.Replicas > len(reps):
-		// Place additional replicas on the emptiest nodes, cloning the
-		// first replica's allocation.
-		alloc := reps[0].Alloc
-		for i := len(reps); i < req.Replicas; i++ {
-			nodeID := s.pickNode(alloc)
-			if nodeID == "" {
-				http.Error(w, "no node fits a new replica", http.StatusConflict)
-				return
-			}
-			plan.Actions = append(plan.Actions, core.StartOn(name, nodeID, alloc))
-		}
-	case req.Replicas < len(reps):
-		for i := len(reps) - 1; i >= req.Replicas; i-- {
-			plan.Actions = append(plan.Actions, core.Remove(reps[i].ID))
-		}
+	actions := req.Replicas - ctl.ReplicaCount(name)
+	if err := ctl.Scale(name, req.Replicas, s.world.Engine().Now()); err != nil {
+		http.Error(w, err.Error(), http.StatusConflict)
+		return
 	}
-	s.world.Control().Apply(plan, now)
-	s.writeJSON(w, map[string]any{"service": name, "replicas": req.Replicas, "actions": len(plan.Actions)})
-}
-
-func (s *Server) pickNode(alloc resources.Vector) string {
-	best, bestCPU := "", -1.0
-	for _, n := range s.world.Cluster().Nodes() {
-		a := n.Available()
-		if alloc.FitsIn(a) && a.CPU > bestCPU {
-			best, bestCPU = n.ID(), a.CPU
-		}
-	}
-	return best
+	s.writeJSON(w, map[string]any{"service": name, "replicas": req.Replicas, "actions": max(actions, -actions)})
 }
 
 // NodeDTO is the JSON form of one machine.

@@ -177,6 +177,123 @@ func TestManualScaleValidation(t *testing.T) {
 	}
 }
 
+// replicaSpec is a one-core service of n replicas that never grows past 8.
+func replicaSpec(name string, n int) workload.ServiceSpec {
+	return workload.ServiceSpec{
+		Name: name, Kind: workload.KindCPUBound,
+		CPUPerRequest: 0.05, MemPerRequest: 2, BaselineMemMB: 100,
+		InitialReplicaCPU: 1, InitialReplicaMemMB: 512,
+		MinReplicas: n, MaxReplicas: 8, Timeout: 10 * time.Second,
+	}
+}
+
+// scaleWorld builds a world of 4-core nodes split into zones, deploys the
+// services in order and never runs it, so only manual scaling moves them.
+func scaleWorld(t *testing.T, nodes, zones int, specs ...workload.ServiceSpec) *platform.World {
+	t.Helper()
+	cfg := platform.DefaultConfig(1)
+	cfg.Nodes, cfg.Zones = nodes, zones
+	w, err := platform.New(cfg, core.NewKubernetes(core.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		if err := w.AddService(spec, 0.5, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
+func postScale(srv *Server, name string, replicas int) *httptest.ResponseRecorder {
+	body, _ := json.Marshal(scaleRequest{Replicas: replicas})
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/services/"+name+"/scale", bytes.NewReader(body)))
+	return rec
+}
+
+// TestManualScaleSpreadsReplicas: each new replica is placed when it
+// starts, on the node that is emptiest then, so the replicas of one
+// scale-up spread instead of piling onto the node that was emptiest before
+// the first of them started.
+func TestManualScaleSpreadsReplicas(t *testing.T) {
+	w := scaleWorld(t, 6, 1, replicaSpec("api", 1))
+	if rec := postScale(New(w), "api", 4); rec.Code != http.StatusOK {
+		t.Fatalf("scale up status = %d: %s", rec.Code, rec.Body)
+	}
+	reps := w.Control().Replicas("api")
+	if len(reps) != 4 {
+		t.Fatalf("replicas = %d after scale-up, want 4", len(reps))
+	}
+	nodes := map[string]bool{}
+	for _, c := range reps {
+		nodes[c.NodeID] = true
+	}
+	if len(nodes) != 4 {
+		t.Errorf("4 replicas on %d distinct nodes of 6, want 4", len(nodes))
+	}
+}
+
+// TestManualScaleZonedStaysHome: on a zoned plane a manual scale-up places
+// its replicas in the service's home zone, which has room, without leasing a
+// machine from another zone or counting a placement failure.
+func TestManualScaleZonedStaysHome(t *testing.T) {
+	// api and c are homed in zone 0 (node-0, node-1), b in zone 1.
+	w := scaleWorld(t, 4, 2, replicaSpec("api", 1), replicaSpec("b", 1), replicaSpec("c", 3))
+	ctl := w.Control()
+	leases := ctl.Cross().NodeLeases
+	if rec := postScale(New(w), "api", 2); rec.Code != http.StatusOK {
+		t.Fatalf("scale up status = %d: %s", rec.Code, rec.Body)
+	}
+	if got := ctl.ReplicaCount("api"); got != 2 {
+		t.Errorf("replicas = %d after scale-up, want 2", got)
+	}
+	if got := ctl.Cross().NodeLeases; got != leases {
+		t.Errorf("NodeLeases = %d, want %d: the home zone had room", got, leases)
+	}
+	if got := ctl.Counts().PlacementFailures; got != 0 {
+		t.Errorf("PlacementFailures = %d, want 0", got)
+	}
+}
+
+// TestManualScaleZeroIsNotUnknown: a service scaled to zero replicas is
+// still a service. The scale and detail endpoints answer 404 only for names
+// never registered, and the scale endpoint 409 only when no node fits the
+// first new replica, changing nothing.
+func TestManualScaleZeroIsNotUnknown(t *testing.T) {
+	big := replicaSpec("big", 1)
+	big.InitialReplicaCPU = 3
+	// node-0 holds api-0 and big-0, node-1 api-1: 3 cores free.
+	w := scaleWorld(t, 2, 1, replicaSpec("api", 2), big)
+	srv := New(w)
+	if rec := postScale(srv, "big", 2); rec.Code != http.StatusOK {
+		t.Fatalf("scale big to 2 status = %d: %s", rec.Code, rec.Body)
+	}
+	before := w.Control().Counts()
+	if rec := postScale(srv, "big", 3); rec.Code != http.StatusConflict {
+		t.Errorf("scale with no fitting node: status = %d, want 409", rec.Code)
+	}
+	if got := w.Control().ReplicaCount("big"); got != 2 || w.Control().Counts() != before {
+		t.Errorf("a rejected scale acted: big has %d replicas, counts %+v -> %+v", got, before, w.Control().Counts())
+	}
+
+	if rec := postScale(srv, "api", 0); rec.Code != http.StatusOK {
+		t.Fatalf("scale to 0 status = %d: %s", rec.Code, rec.Body)
+	}
+	if rec := get(t, srv, "/v1/services/api"); rec.Code != http.StatusOK {
+		t.Errorf("detail of a service at 0 replicas: status = %d, want 200", rec.Code)
+	}
+	if rec := postScale(srv, "api", 2); rec.Code != http.StatusOK {
+		t.Fatalf("scale from 0 status = %d: %s", rec.Code, rec.Body)
+	}
+	if got := w.Control().ReplicaCount("api"); got != 2 {
+		t.Errorf("replicas = %d after scaling back up, want 2", got)
+	}
+	if rec := get(t, srv, "/v1/services/ghost"); rec.Code != http.StatusNotFound {
+		t.Errorf("detail of an unknown service: status = %d, want 404", rec.Code)
+	}
+}
+
 func TestMetricsExposition(t *testing.T) {
 	srv := New(testWorld(t))
 	rec := get(t, srv, "/metrics")

@@ -64,8 +64,9 @@ func TestPollSteadyStateAllocFree(t *testing.T) {
 }
 
 // verticalAlgo resizes every replica every poll, alternating between two
-// allocations. Both plans are boxed once up front, so Decide itself allocates
-// nothing and the measurement sees only the monitor's apply path.
+// allocations. Both plans are boxed once up front and Decide fills their
+// ordinals in place, so Decide itself allocates nothing and the measurement
+// sees only the monitor's apply path.
 type verticalAlgo struct {
 	plans [2]core.Plan
 	polls int
@@ -82,9 +83,9 @@ func newVerticalAlgo(ids []string) *verticalAlgo {
 }
 
 func (a *verticalAlgo) Name() string { return "vertical" }
-func (a *verticalAlgo) Decide(core.Snapshot) core.Plan {
+func (a *verticalAlgo) Decide(snap core.Snapshot) core.Plan {
 	a.polls++
-	return a.plans[a.polls%2]
+	return fillOrdinals(snap, a.plans[a.polls%2])
 }
 
 // TestApplyVerticalAllocFree pins the apply path: resolving each vertical
@@ -134,7 +135,7 @@ func TestApplyVerticalAllocFree(t *testing.T) {
 
 // BenchmarkApplyVertical times one vertical action through Apply on a
 // cluster of one replica per node. The action resolves its target through
-// the replica index, so ns/op stays flat as the cluster grows.
+// its replica ordinal, so ns/op stays flat as the cluster grows.
 func BenchmarkApplyVertical(b *testing.B) {
 	for _, nodes := range []int{100, 1000, 5000} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
@@ -154,11 +155,14 @@ func BenchmarkApplyVertical(b *testing.B) {
 				}
 				ids = append(ids, m.Replicas(name)[0].ID)
 			}
-			// One single-action plan per replica and allocation, boxed up front.
+			// One single-action plan per replica and allocation, boxed up
+			// front and decided from one snapshot.
+			snap := m.Snapshot(time.Second)
 			var plans [2][]core.Plan
 			for k, cpu := range []float64{1.5, 1} {
 				for _, id := range ids {
-					plans[k] = append(plans[k], core.Plan{Actions: []core.Action{core.Resize(id, resources.Vector{CPU: cpu, MemMB: 512})}})
+					plan := core.Plan{Actions: []core.Action{core.Resize(id, resources.Vector{CPU: cpu, MemMB: 512})}}
+					plans[k] = append(plans[k], fillOrdinals(snap, plan))
 				}
 			}
 			b.ReportAllocs()

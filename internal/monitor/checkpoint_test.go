@@ -120,7 +120,7 @@ func TestCheckpointIsolatedFromLiveState(t *testing.T) {
 	delete(m.nodeStates, firstKey(m.nodeStates))
 	m.services[0].replicaIDs = m.services[0].replicaIDs[:1]
 	m.retries = nil
-	m.CheckpointNow(24 * time.Second)
+	m.checkpointNow(24 * time.Second)
 	want = captureState(m)
 	scribble(m)
 	m.Restart(25 * time.Second)

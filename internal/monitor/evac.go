@@ -19,6 +19,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hyscale/internal/container"
@@ -119,14 +120,9 @@ func (p *Plane) zoneUsable(z *zoneArbiter) bool {
 // assigned to surviving zones capacity-aware and moved with their retry-queue
 // entries and lost-replica ledgers.
 func (p *Plane) evacuateZone(z *zoneArbiter, now time.Duration) {
-	p.gen++ // services re-home, spill and drop guest shards below
 	work := len(z.mon.services)
-	for _, s := range z.names(true) {
-		home := p.home(s)
-		if home == nil || home == z {
-			continue
-		}
-		p.dropGuest(z, s, home, now)
+	for _, g := range z.states(true) {
+		p.dropGuest(&p.services[g.ord], z, now)
 	}
 	p.rehomeServices(z, now)
 	if work > 0 {
@@ -145,16 +141,13 @@ type zoneShare struct {
 // assigned (in registration order), so services evacuated in the same tick
 // spread instead of piling onto the zone that looked roomiest first.
 func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
-	names := z.names(false)
-	if len(names) == 0 {
+	states := z.states(false)
+	if len(states) == 0 {
 		return
 	}
 	free := p.freeCapacity(z)
-	for _, s := range names {
-		st := z.mon.byName[s]
-		if st == nil {
-			continue
-		}
+	for _, st := range states {
+		e, s := &p.services[st.ord], st.spec.Name
 		// The service's queued re-placements are the demand to fit: every
 		// replica the detector excised has a ScaleOut waiting in the retry
 		// queue (already-abandoned ones are gone for good either way).
@@ -174,14 +167,13 @@ func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
 			continue
 		}
 		primary := p.zones[shares[0].zone]
-		if _, already := p.evacHome[s]; !already {
-			p.evacHome[s] = z.idx // first home wins across chained evacuations
+		if e.origin == nil {
+			e.origin = z // first home wins across chained evacuations
 		}
 		// A primary already hosting a spill shard of s (a second
 		// evacuation) folds it into the arriving home state.
-		moveServiceState(z.mon, primary.mon, s)
-		p.removeSpill(s, primary.idx)
-		p.zoneOfService[s] = primary.idx
+		moveServiceState(z.mon, primary.mon, st, e.removeSpill(primary))
+		e.home = primary
 		// Lost-replica ledger entries follow their pending to whichever
 		// monitor executes the replacement, so finishLost resolves locally;
 		// entries with no pending left (replacement already ran or
@@ -190,8 +182,7 @@ func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
 		for si, share := range shares {
 			dest := p.zones[share.zone]
 			if si > 0 && share.count > 0 {
-				p.ensureGuest(dest, primary.mon.byName[s], share.count)
-				p.addSpill(s, dest.idx)
+				e.ensureGuest(dest, share.count)
 				p.evac.SpilloverPlacements += uint64(share.count)
 			}
 			for k := 0; k < share.count && idx < len(pend); k++ {
@@ -319,35 +310,52 @@ func fitCount(nodes []resources.Vector, allocs []resources.Vector, commit bool) 
 	return fit
 }
 
-// ensureGuest registers (or refreshes) a spillover shard of the home service
-// in the destination zone, reserving a replica-index range on the home state
+// ensureGuest registers (or refreshes) a spillover shard of the service in
+// the destination zone, reserving a replica-index range on the home state
 // so the two monitors never mint colliding container IDs.
-func (p *Plane) ensureGuest(za *zoneArbiter, home *serviceState, reserve int) {
-	if home == nil {
-		return
+func (e *planeService) ensureGuest(za *zoneArbiter, reserve int) {
+	home := e.st
+	for _, sh := range e.spills {
+		if sh.za == za {
+			sh.st.nextIdx = home.nextIdx
+			home.nextIdx += reserve
+			return
+		}
 	}
-	name := home.spec.Name
-	if g, ok := za.mon.byName[name]; ok && g.guest {
-		g.nextIdx = home.nextIdx
-		home.nextIdx += reserve
-		return
-	}
-	g := &serviceState{spec: home.spec, info: home.info, guest: true, nextIdx: home.nextIdx}
+	g := &serviceState{spec: home.spec, info: home.info, ord: home.ord, guest: true, nextIdx: home.nextIdx}
 	home.nextIdx += reserve
 	za.mon.services = append(za.mon.services, g)
-	za.mon.byName[name] = g
+	za.mon.byName[e.name] = g
 	za.mon.topoGen++
 	za.mon.lastCheckpoint = nil // a restore must not resurrect a pre-shard view
+	k := 0
+	for k < len(e.spills) && e.spills[k].za.idx < za.idx {
+		k++
+	}
+	e.spills = slices.Insert(e.spills, k, shard{za: za, st: g})
 }
 
-// dropGuest tears a spillover shard out of a zone: live shard replicas are
-// drained (their allocations returned so the caller can re-place them), and
-// the shard's queued re-placements and lost-ledger entries move to dest —
-// the service's current home. Used both when a guest's host zone dies (no
-// live replicas remain then) and when the service migrates home.
-func (p *Plane) dropGuest(za *zoneArbiter, s string, dest *zoneArbiter, now time.Duration) []resources.Vector {
-	g := za.mon.byName[s]
-	if g == nil || !g.guest {
+// removeSpill forgets the service's spillover shard in za and returns its
+// state, nil when it has none there.
+func (e *planeService) removeSpill(za *zoneArbiter) *serviceState {
+	for i, sh := range e.spills {
+		if sh.za == za {
+			e.spills = slices.Delete(e.spills, i, i+1)
+			return sh.st
+		}
+	}
+	return nil
+}
+
+// dropGuest tears the service's spillover shard out of zone za: live shard
+// replicas are drained (their allocations returned so the caller can
+// re-place them), and the shard's queued re-placements and lost-ledger
+// entries move to the service's current home. Used both when a guest's
+// host zone dies (no live replicas remain then) and when the service
+// migrates home.
+func (p *Plane) dropGuest(e *planeService, za *zoneArbiter, now time.Duration) []resources.Vector {
+	g := e.removeSpill(za)
+	if g == nil {
 		return nil
 	}
 	var allocs []resources.Vector
@@ -358,13 +366,12 @@ func (p *Plane) dropGuest(za *zoneArbiter, s string, dest *zoneArbiter, now time
 		}
 	}
 	g.replicaIDs = g.replicaIDs[:0]
-	movePendings(za.mon, dest.mon, s)
-	moveLost(za.mon, dest.mon, s)
+	movePendings(za.mon, e.home.mon, e.name)
+	moveLost(za.mon, e.home.mon, e.name)
 	za.mon.unregister(g)
-	p.removeSpill(s, za.idx)
 	za.mon.topoGen++
 	za.mon.lastCheckpoint = nil
-	dest.mon.lastCheckpoint = nil
+	e.home.mon.lastCheckpoint = nil
 	return allocs
 }
 
@@ -376,35 +383,29 @@ func (p *Plane) dropGuest(za *zoneArbiter, s string, dest *zoneArbiter, now time
 // any orphan container left on the zone's nodes by work that resolved while
 // the zone was unreachable.
 func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
-	p.gen++ // services move home and drop their spill shards below
-	// Deterministic service order: scan zones/services, not the evacHome map.
-	var names []string
+	// The DR goldens pin the service order: zone by zone, in each arbiter's
+	// list order, not in table order.
+	var moving []*planeService
 	for _, zz := range p.zones {
-		for _, s := range zz.names(false) {
-			if home, ok := p.evacHome[s]; ok && home == z.idx {
-				names = append(names, s)
+		for _, st := range zz.mon.services {
+			if e := &p.services[st.ord]; !st.guest && e.origin == z {
+				moving = append(moving, e)
 			}
 		}
 	}
-	for _, s := range names {
-		cur := p.zones[p.zoneOfService[s]]
+	for _, e := range moving {
+		cur, st, s := e.home, e.st, e.name
+		e.origin = nil
 		if cur == z {
-			delete(p.evacHome, s)
-			continue
-		}
-		st := cur.mon.byName[s]
-		if st == nil {
-			delete(p.evacHome, s)
 			continue
 		}
 		// Collapse spillover shards into the current home first, then drain
 		// the home's own replicas: every displaced replica's allocation ends
 		// up in allocs for re-placement back here.
 		var allocs []resources.Vector
-		for _, zi := range append([]int(nil), p.spills[s]...) {
-			allocs = append(allocs, p.dropGuest(p.zones[zi], s, cur, now)...)
+		for len(e.spills) > 0 {
+			allocs = append(allocs, p.dropGuest(e, e.spills[0].za, now)...)
 		}
-		delete(p.spills, s)
 		for _, id := range append([]string(nil), st.replicaIDs...) {
 			if c, _ := cur.mon.findReplica(id); c != nil && c.State != container.StateRemoved {
 				allocs = append(allocs, c.Alloc)
@@ -412,8 +413,8 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 			}
 		}
 		st.replicaIDs = st.replicaIDs[:0]
-		moveServiceState(cur.mon, z.mon, s)
-		p.zoneOfService[s] = z.idx
+		moveServiceState(cur.mon, z.mon, st, nil)
+		e.home = z
 		movePendings(cur.mon, z.mon, s)
 		moveLost(cur.mon, z.mon, s)
 		// Settle the ledger against what survived the outage here.
@@ -426,17 +427,16 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 		// Every replica the service now has was started this instant with
 		// zero observed usage; hold the algorithm off for one poll so it
 		// does not trim them to the minimum before stats arrive.
-		if home := z.mon.byName[s]; home != nil && home.holdPolls == 0 {
-			home.holdPolls = 1
+		if st.holdPolls == 0 {
+			st.holdPolls = 1
 			z.mon.held++
 		}
-		delete(p.evacHome, s)
 		p.evac.ServicesReadopted++
 		z.mon.event(now, obs.EventZoneReadopt, "", s, "",
 			fmt.Sprintf("zone %d -> zone %d", cur.idx, z.idx))
 	}
 	p.sweepOrphans(z, now)
-	if len(names) > 0 {
+	if len(moving) > 0 {
 		p.evac.ZonesReadopted++
 	}
 }
@@ -478,51 +478,22 @@ func (p *Plane) dropLostEverywhere(id string) {
 	}
 }
 
-// addSpill records that a service keeps a spillover shard in zone zi.
-func (p *Plane) addSpill(s string, zi int) {
-	for _, z := range p.spills[s] {
-		if z == zi {
-			return
-		}
-	}
-	p.spills[s] = append(p.spills[s], zi)
-}
-
-// removeSpill forgets a service's spillover shard in zone zi.
-func (p *Plane) removeSpill(s string, zi int) {
-	zs := p.spills[s]
-	for i, z := range zs {
-		if z == zi {
-			p.spills[s] = append(zs[:i], zs[i+1:]...)
-			if len(p.spills[s]) == 0 {
-				delete(p.spills, s)
-			}
-			return
-		}
-	}
-}
-
-// moveServiceState transfers a service's decision state between monitors.
-// When to hosts a spillover shard of the service, the shard folds into the
-// arriving state: its replicas join the home's, so a monitor never holds two
-// states for one name. Both monitors' topologies change and neither's
-// checkpoint may survive — a restore would otherwise resurrect the service in
-// its old zone.
-func moveServiceState(from, to *Monitor, s string) {
-	st := from.byName[s]
-	if st == nil {
-		return
-	}
+// moveServiceState transfers a service's decision state st between
+// monitors. g, when not nil, is the service's spillover shard in to: it
+// folds into the arriving state, its replicas joining the home's, so a
+// monitor never holds two states for one name. Both monitors' topologies
+// change and neither's checkpoint may survive — a restore would otherwise
+// resurrect the service in its old zone.
+func moveServiceState(from, to *Monitor, st, g *serviceState) {
 	from.unregister(st)
-	if g := to.byName[s]; g != nil && g.guest {
+	if g != nil {
 		st.replicaIDs = append(st.replicaIDs, g.replicaIDs...)
 		to.unregister(g)
 	}
-	st.guest = false
 	st.resolved = st.resolved[:0]
 	st.resolvedGen = 0 // topoGen starts at 1, so 0 always misses the cache
 	to.services = append(to.services, st)
-	to.byName[s] = st
+	to.byName[st.spec.Name] = st
 	from.topoGen++
 	to.topoGen++
 	from.lastCheckpoint = nil

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hyscale/internal/cluster"
+	"hyscale/internal/container"
 	"hyscale/internal/faults"
 	"hyscale/internal/nodemanager"
 )
@@ -47,7 +48,7 @@ func TestZoneEvacuateReadoptRoundTrip(t *testing.T) {
 		if err := p.AddService(planeSpec(name, 1, 2, 2), 0.5); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.DeployInitial(name, 0); err != nil {
+		if err := p.DeployInitial(p.ordOf[name], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,7 +125,7 @@ func TestZoneEvacuationSpillover(t *testing.T) {
 			if err := p.AddService(planeSpec(s.name, 2, s.replicas, s.replicas), 0.5); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.DeployInitial(s.name, 0); err != nil {
+			if err := p.DeployInitial(p.ordOf[s.name], 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -142,6 +143,17 @@ func TestZoneEvacuationSpillover(t *testing.T) {
 	}
 	if got := withSpill.ReplicaCount("a"); got != 6 {
 		t.Errorf("with spillover: replicas = %d, want all 6 re-placed", got)
+	}
+	// A manual scale-in removes the newest replicas first: the spill
+	// shard's, then the home's.
+	a := &withSpill.services[0]
+	home := a.home.mon.appendLive(nil, a.st)
+	if err := withSpill.Scale("a", 3, 125*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := withSpill.Replicas("a"); len(a.spills) != 1 || a.spills[0].za.mon.liveReplicas(a.spills[0].st) != 0 ||
+		!slices.Equal(got, home[:3]) {
+		t.Errorf("after scaling to 3: replicas %d, want the home's first 3 and an empty shard", len(got))
 	}
 
 	plain := build(0)
@@ -177,7 +189,7 @@ func TestZoneOutageWithoutEvacuationStaysPut(t *testing.T) {
 	if err := p.AddService(planeSpec("a", 1, 2, 2), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.DeployInitial("a", 0); err != nil {
+	if err := p.DeployInitial(p.ordOf["a"], 0); err != nil {
 		t.Fatal(err)
 	}
 	pollRange(p, 5*time.Second, 120*time.Second)
@@ -208,7 +220,7 @@ func TestSampleVisitsOccupiedNodes(t *testing.T) {
 		if err := p.AddService(planeSpec(s.name, 2, s.replicas, s.replicas), 0.5); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.DeployInitial(s.name, 0); err != nil {
+		if err := p.DeployInitial(p.ordOf[s.name], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,16 +296,16 @@ func TestZoneSecondEvacuationFoldsSpillShard(t *testing.T) {
 		if err := p.AddService(planeSpec(name, 2, n, n), 0.5); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.DeployInitial(name, 0); err != nil {
+		if err := p.DeployInitial(p.ordOf[name], 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rehomed := false
 	for now := 5 * time.Second; now <= 250*time.Second; now += 5 * time.Second {
 		p.Poll(now)
-		if now == 95*time.Second && (p.ZoneOfService("a") != 1 || !slices.Equal(p.spills["a"], []int{2})) {
+		if now == 95*time.Second && (p.ZoneOfService("a") != 1 || !slices.Equal(p.spillZones("a"), []int{2})) {
 			t.Fatalf("first evacuation homed a in zone %d with spills %v, want zone 1 with a shard in zone 2",
-				p.ZoneOfService("a"), p.spills["a"])
+				p.ZoneOfService("a"), p.spillZones("a"))
 		}
 		rehomed = rehomed || p.ZoneOfService("a") == 2
 		for _, z := range p.zones {
@@ -309,7 +321,7 @@ func TestZoneSecondEvacuationFoldsSpillShard(t *testing.T) {
 		for _, name := range names {
 			for _, c := range p.Replicas(name) {
 				if routed[c.ID] {
-					t.Fatalf("t=%v replica %s routed twice (spills %v)", now, c.ID, p.spills[name])
+					t.Fatalf("t=%v replica %s routed twice (spills %v)", now, c.ID, p.spillZones(name))
 				}
 				routed[c.ID] = true
 			}
@@ -324,5 +336,107 @@ func TestZoneSecondEvacuationFoldsSpillShard(t *testing.T) {
 	}
 	if !rehomed {
 		t.Error("the second outage never re-homed a into its spill zone")
+	}
+}
+
+// checkTable compares every entry of the plane's service table with a scan
+// of the arbiters' service lists: the home is the arbiter holding the
+// service's non-guest state, the spills are the zones holding a guest state,
+// in zone order, and RouteView routes to the replicas the scan finds.
+func checkTable(t *testing.T, p *Plane, when string) {
+	t.Helper()
+	if len(p.ordOf) != len(p.services) {
+		t.Fatalf("%s: %d names resolve to ordinals, the table has %d entries", when, len(p.ordOf), len(p.services))
+	}
+	var scratch []*container.Container
+	for ord, e := range p.services {
+		sc := p.scan(e.name)
+		if p.ordOf[e.name] != ord || e.st.ord != ord {
+			t.Fatalf("%s: %s is entry %d, its name resolves to %d and its state says %d", when, e.name, ord, p.ordOf[e.name], e.st.ord)
+		}
+		if e.home.idx != sc.home || e.home.mon.byName[e.name] != e.st || e.st.guest {
+			t.Fatalf("%s: %s homed in zone %d, the scan finds its state in zone %d", when, e.name, e.home.idx, sc.home)
+		}
+		var spills []int
+		for _, sh := range e.spills {
+			spills = append(spills, sh.za.idx)
+			if sh.za.mon.byName[e.name] != sh.st || !sh.st.guest {
+				t.Fatalf("%s: %s's shard in zone %d is not that arbiter's guest state", when, e.name, sh.za.idx)
+			}
+		}
+		if !slices.Equal(spills, sc.spills) {
+			t.Fatalf("%s: %s spills into zones %v, the scan finds guests in %v", when, e.name, spills, sc.spills)
+		}
+		var live []*container.Container
+		for _, c := range p.RouteView(ord, &scratch) {
+			if c.State != container.StateRemoved {
+				live = append(live, c)
+			}
+		}
+		if !slices.Equal(live, sc.replicas) {
+			t.Fatalf("%s: %s routes to %d replicas, the scan finds %d", when, e.name, len(live), len(sc.replicas))
+		}
+	}
+}
+
+// TestServiceTableMatchesArbiters checks the plane's service table against
+// a scan of the arbiters after a deployment that leases a machine, and
+// after registration and every poll through an evacuation with spillover
+// (a, out of zone 0), a second one that re-homes a spilled service into its
+// shard's zone and one that needs no spillover (a and b, out of zone 1),
+// and a's readoption into zone 0.
+func TestServiceTableMatchesArbiters(t *testing.T) {
+	leased, _ := newTestPlane(t, 4, 2)
+	if err := leased.AddService(planeSpec("web", 3, 3, 6), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := leased.deployAll(0); err != nil || leased.Cross().NodeLeases != 1 {
+		t.Fatalf("deploying web leased %d machines (%v), want 1", leased.Cross().NodeLeases, err)
+	}
+	checkTable(t, leased, "lease")
+
+	cl, err := cluster.NewHomogeneous(16, cluster.DefaultNodeConfig(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{
+		Zones: 4, Evacuate: true, SpilloverZones: 2, ReadoptAfter: 20 * time.Second,
+		StartDelay: time.Second, SelfHealing: DefaultSelfHealing(),
+	}, faults.New(faults.Config{Windows: []faults.Window{
+		{Kind: faults.KindZoneOutage, Target: "0", From: 4 * time.Second, To: 150 * time.Second},
+		{Kind: faults.KindZoneOutage, Target: "1", From: 100 * time.Second, To: time.Hour},
+	}}), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c", "d"} {
+		n := 4
+		if name == "a" {
+			n = 6
+		}
+		if err := p.AddService(planeSpec(name, 2, n, n), 0.5); err != nil {
+			t.Fatal(err)
+		}
+		checkTable(t, p, "add "+name)
+	}
+	if err := p.deployAll(0); err != nil {
+		t.Fatal(err)
+	}
+	checkTable(t, p, "deploy")
+
+	a, b := &p.services[0], &p.services[1]
+	spilled, folded, readopted := false, false, false
+	for now := 5 * time.Second; now <= 250*time.Second; now += 5 * time.Second {
+		p.Poll(now)
+		checkTable(t, p, now.String())
+		spilled = spilled || (a.home.idx == 1 && len(a.spills) == 1 && a.origin == p.zones[0])
+		folded = folded || (spilled && a.home.idx == 2 && len(a.spills) == 0 && b.home.idx != 1 && len(b.spills) == 0)
+		readopted = readopted || (folded && a.home.idx == 0 && a.origin == nil)
+	}
+	if !spilled || !folded || !readopted {
+		t.Errorf("missed a stage: spilled %v, folded %v, readopted %v", spilled, folded, readopted)
+	}
+	if b.origin != p.zones[1] {
+		t.Errorf("b's origin = %v, want zone 1, still down", b.origin)
 	}
 }

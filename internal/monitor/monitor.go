@@ -62,6 +62,9 @@ const (
 type serviceState struct {
 	spec workload.ServiceSpec
 	info core.ServiceInfo
+	// ord is the service's registration ordinal, its index in the plane's
+	// service table; a spillover shard carries its home's.
+	ord int
 	// replicaIDs lists live container IDs in creation order.
 	replicaIDs []string
 	nextIdx    int
@@ -264,9 +267,6 @@ func newMonitor(cl *cluster.Cluster, algo core.Algorithm) *Monitor {
 	return m
 }
 
-// Algorithm returns the installed scaling algorithm.
-func (m *Monitor) Algorithm() core.Algorithm { return m.algo }
-
 // Counts returns the cumulative action counters.
 func (m *Monitor) Counts() ActionCounts { return m.counts }
 
@@ -305,15 +305,15 @@ func (m *Monitor) AttachNode(n *cluster.Node) {
 	m.topoGen++ // replicas unfindable while detached may resolve again
 }
 
-// AddService registers a microservice with its scaling target. No replicas
-// are created; call DeployInitial (or let the algorithm's min-replica
-// enforcement do it).
-func (m *Monitor) AddService(spec workload.ServiceSpec, targetUtil float64) error {
+// addService registers a microservice with its scaling target and returns
+// its state. No replicas are created; call deployInitial (or let the
+// algorithm's min-replica enforcement do it).
+func (m *Monitor) addService(spec workload.ServiceSpec, targetUtil float64) (*serviceState, error) {
 	if err := spec.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if _, dup := m.byName[spec.Name]; dup {
-		return fmt.Errorf("monitor: duplicate service %q", spec.Name)
+		return nil, fmt.Errorf("monitor: duplicate service %q", spec.Name)
 	}
 	st := &serviceState{
 		spec: spec,
@@ -332,7 +332,7 @@ func (m *Monitor) AddService(spec workload.ServiceSpec, targetUtil float64) erro
 	}
 	m.services = append(m.services, st)
 	m.byName[spec.Name] = st
-	return nil
+	return st, nil
 }
 
 // unregister drops st from the service list and the name index. A service
@@ -348,24 +348,17 @@ func (m *Monitor) unregister(st *serviceState) {
 	m.services = slices.DeleteFunc(m.services, func(x *serviceState) bool { return x == st })
 }
 
-// DeployInitial starts the service's minimum replica count, spreading
+// deployInitial starts the service's minimum replica count, spreading
 // across the least-loaded nodes. Initial deployments are warm: the replicas
 // are ready immediately, modelling services already running before the
 // experiment's measurement window opens (only autoscaler-initiated
 // scale-outs pay the container start latency, and only those see injected
 // faults).
-func (m *Monitor) DeployInitial(service string, now time.Duration) error {
-	st, ok := m.byName[service]
-	if !ok {
-		return fmt.Errorf("monitor: unknown service %q", service)
-	}
+func (m *Monitor) deployInitial(st *serviceState, now time.Duration) error {
 	for len(st.replicaIDs) < st.spec.MinReplicas {
-		nodeID := m.leastLoadedNode(st.info.InitialAlloc)
-		if nodeID == "" && m.lease(st.info.InitialAlloc) {
-			nodeID = m.leastLoadedNode(st.info.InitialAlloc)
-		}
+		nodeID := m.place(st.info.InitialAlloc)
 		if nodeID == "" {
-			return fmt.Errorf("monitor: no node fits initial replica of %q", service)
+			return fmt.Errorf("monitor: no node fits initial replica of %q", st.spec.Name)
 		}
 		if err := m.startReplicaAt(st, nodeID, st.info.InitialAlloc, now); err != nil {
 			return err
@@ -374,15 +367,14 @@ func (m *Monitor) DeployInitial(service string, now time.Duration) error {
 	return nil
 }
 
-// StartReplica manually starts one replica of the service on the given node
-// with the given allocation — used by experiments that pin placement (the
-// §III microbenchmarks) and by initial deployments.
-func (m *Monitor) StartReplica(service, nodeID string, alloc resources.Vector, now time.Duration) error {
-	st, ok := m.byName[service]
-	if !ok {
-		return fmt.Errorf("monitor: unknown service %q", service)
+// place picks the node for a new replica of alloc: the least-loaded
+// fitting node, leasing one more machine when none fits. "" when none fits
+// even then.
+func (m *Monitor) place(alloc resources.Vector) string {
+	if id := m.leastLoadedNode(alloc); id != "" || !m.lease(alloc) {
+		return id
 	}
-	return m.startReplica(st, nodeID, alloc, now, 0)
+	return m.leastLoadedNode(alloc)
 }
 
 // leastLoadedNode returns the node with the most available CPU that fits
@@ -408,37 +400,15 @@ func (m *Monitor) leastLoadedNode(alloc resources.Vector) string {
 	return best
 }
 
-// Replicas returns the live replicas of a service in creation order. It
-// allocates a fresh slice the caller may keep; hot paths that route every
-// request should use AppendReplicas with a reusable buffer instead.
-func (m *Monitor) Replicas(service string) []*container.Container {
-	return m.AppendReplicas(nil, service)
-}
-
-// AppendReplicas appends the live replicas of a service, in creation order,
-// to buf and returns the extended slice — the zero-allocation variant of
-// Replicas for per-request routing.
-func (m *Monitor) AppendReplicas(buf []*container.Container, service string) []*container.Container {
-	st, ok := m.byName[service]
-	if !ok {
-		return buf
-	}
+// appendLive appends st's live replicas, in creation order, to buf and
+// returns the extended slice.
+func (m *Monitor) appendLive(buf []*container.Container, st *serviceState) []*container.Container {
 	for _, c := range m.resolvedFor(st) {
 		if c.State != container.StateRemoved {
 			buf = append(buf, c)
 		}
 	}
 	return buf
-}
-
-// ReplicaCount returns the number of live replicas of a service without
-// materialising the slice.
-func (m *Monitor) ReplicaCount(service string) int {
-	st, ok := m.byName[service]
-	if !ok {
-		return 0
-	}
-	return m.liveReplicas(st)
 }
 
 // liveReplicas counts st's replicas a scale-in has not removed.
@@ -765,15 +735,6 @@ func growServiceStats(s *[]core.ServiceStats) *core.ServiceStats {
 // monitor's only container-by-ID lookup: every action, journal entry and
 // self-heal transition resolves through it.
 func (m *Monitor) findReplica(id string) (*container.Container, *cluster.Node) {
-	if c, n := m.indexedReplica(id); c != nil {
-		return c, n
-	}
-	return m.cluster.FindContainer(id)
-}
-
-// indexedReplica is findReplica without the scan: it answers only from the
-// replicaHome index and returns nils on a miss.
-func (m *Monitor) indexedReplica(id string) (*container.Container, *cluster.Node) {
 	if home, ok := m.replicaHome[id]; ok {
 		if n := m.cluster.Node(home); n != nil {
 			if c := n.Container(id); c != nil {
@@ -781,7 +742,7 @@ func (m *Monitor) indexedReplica(id string) (*container.Container, *cluster.Node
 			}
 		}
 	}
-	return nil, nil
+	return m.cluster.FindContainer(id)
 }
 
 // serviceOfContainer maps a container ID back to its service, falling back
@@ -865,39 +826,44 @@ func (m *Monitor) observation(service string, st *serviceState) observation {
 	return observation{name: m.journal.Intern(service)}
 }
 
-// Apply executes a plan action-by-action. Actions against services under a
-// decision hold (freshly readopted, see serviceState.holdPolls) are dropped:
-// the algorithm decided off zero-usage stats for replicas placed this very
-// period. A plan decided from this monitor's latest snapshot resolves its
-// actions by the replica ordinals they carry; any other plan resolves them
-// by name.
+// Apply executes a plan decided from this monitor's latest snapshot, action
+// by action, resolving each vertical and scale-in through the replica
+// ordinal it carries. Actions against services under a decision hold
+// (freshly readopted, see serviceState.holdPolls) are dropped: the
+// algorithm decided off zero-usage stats for replicas placed this very
+// period. A plan from any other snapshot, or an action whose ordinal is not
+// one of its replicas, is a caller bug and panics.
 func (m *Monitor) Apply(plan core.Plan, now time.Duration) {
+	if len(plan.Actions) == 0 {
+		return
+	}
 	ps := m.scratch
-	ordinals := ps.owns(m, plan.Epoch)
-	verify := ordinals && verifyOrdinals.Load()
+	if !ps.owns(m, plan.Epoch) {
+		panic(fmt.Sprintf("monitor: zone %d: plan from snapshot %d, not this arbiter's latest (%d)", m.zone, plan.Epoch, ps.epoch))
+	}
+	verify := verifyOrdinals.Load()
 	for _, a := range plan.Actions {
+		var ref *replicaRef
+		if a.Kind != core.ScaleOut {
+			if a.Replica <= 0 || int(a.Replica) > len(ps.reps) {
+				panic(fmt.Sprintf("monitor: action on %s carries replica ordinal %d of a %d-replica snapshot", a.ContainerID, a.Replica, len(ps.reps)))
+			}
+			ref = &ps.reps[a.Replica-1]
+		}
 		if m.held > 0 {
-			if st := m.byName[m.actionService(a)]; st != nil && st.holdPolls > 0 {
+			st := m.byName[a.Service]
+			if ref != nil {
+				st = ref.st
+			}
+			if st != nil && st.holdPolls > 0 {
 				continue
 			}
-		}
-		var ref *replicaRef
-		if ordinals && a.Replica > 0 && int(a.Replica) <= len(ps.reps) {
-			ref = &ps.reps[a.Replica-1]
 		}
 		if verify {
 			m.verifyAction(a, ref)
 		}
 		m.execute(pendingAction{action: a}, now, ref)
 	}
-}
-
-// actionService resolves the service an action targets.
-func (m *Monitor) actionService(a core.Action) string {
-	if a.Kind == core.ScaleOut {
-		return a.Service
-	}
-	return m.serviceOfContainer(a.ContainerID)
 }
 
 // actionsCut reports whether control actions towards nodeID are black-holed
@@ -916,8 +882,8 @@ func (m *Monitor) lease(alloc resources.Vector) bool {
 }
 
 // resolveTarget resolves a vertical or scale-in action's container: through
-// ref, what the snapshot resolved it to, when the action carries a replica
-// ordinal of it, else by name. It also returns the container's node
+// ref, what the snapshot resolved it to, for an action of the latest plan,
+// else by name (queued work). It also returns the container's node
 // manager, nil when none is attached.
 func (m *Monitor) resolveTarget(id string, ref *replicaRef) (target, *nodemanager.Manager) {
 	if ref == nil {
@@ -933,7 +899,7 @@ func (m *Monitor) resolveTarget(id string, ref *replicaRef) (target, *nodemanage
 	return target{c: ref.c, node: ref.node, st: ref.st}, ref.nm
 }
 
-// execute runs one attempt of a queued action; p.attempts counts prior
+// execute runs one attempt of an action; p.attempts counts prior
 // executions. ref is what the snapshot resolved the action's replica to, nil
 // to resolve it by name. Faulted, black-holed or placement-failed attempts
 // are requeued with backoff (when hardening is enabled) or abandoned.
@@ -965,7 +931,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 		// A queued scale-out (retry or reconciler re-placement) may have
 		// been overtaken by the algorithm's own fresh decisions; never push
 		// past the replica ceiling.
-		if (p.attempts > 0 || p.lostID != "") && m.ReplicaCount(a.Service) >= st.spec.MaxReplicas {
+		if (p.attempts > 0 || p.lostID != "") && m.liveReplicas(st) >= st.spec.MaxReplicas {
 			if p.lostID != "" {
 				// The ceiling already covers the lost capacity; treat the
 				// original as superseded so a recovery drains it.
@@ -977,11 +943,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 		// Reconciler re-placements carry no node: resolve against live
 		// capacity at execution time, not at enqueue time.
 		if a.NodeID == "" {
-			a.NodeID = m.leastLoadedNode(a.Alloc)
-			if a.NodeID == "" && m.lease(a.Alloc) {
-				a.NodeID = m.leastLoadedNode(a.Alloc)
-			}
-			if a.NodeID == "" {
+			if a.NodeID = m.place(a.Alloc); a.NodeID == "" {
 				m.counts.PlacementFailures++
 				m.observe(a, now, p.attempts, m.requeue(p, now), "", target{})
 				return

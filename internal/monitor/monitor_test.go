@@ -21,7 +21,8 @@ func spec(name string) workload.ServiceSpec {
 	}
 }
 
-// recordingAlgo returns a fixed plan and captures the snapshots it saw.
+// recordingAlgo returns a fixed plan, its ordinals filled from each
+// snapshot, and captures the snapshots it saw.
 type recordingAlgo struct {
 	plan  core.Plan
 	snaps []core.Snapshot
@@ -30,7 +31,33 @@ type recordingAlgo struct {
 func (r *recordingAlgo) Name() string { return "recording" }
 func (r *recordingAlgo) Decide(s core.Snapshot) core.Plan {
 	r.snaps = append(r.snaps, s)
-	return r.plan
+	return fillOrdinals(s, r.plan)
+}
+
+// fillOrdinals stamps plan, in place, as a planner stamps the plans it
+// decides from snap: with snap's Epoch, and each vertical and scale-in with
+// the flat ordinal of its container among snap's replicas (left 0 when snap
+// does not list it).
+func fillOrdinals(snap core.Snapshot, plan core.Plan) core.Plan {
+	plan.Epoch = snap.Epoch
+	for i := range plan.Actions {
+		a := &plan.Actions[i]
+		if a.Kind == core.ScaleOut {
+			continue
+		}
+		k := int32(0)
+	find:
+		for _, ss := range snap.Services {
+			for _, rs := range ss.Replicas {
+				k++
+				if rs.ContainerID == a.ContainerID {
+					a.Replica = k
+					break find
+				}
+			}
+		}
+	}
+	return plan
 }
 
 func setup(t *testing.T, algo core.Algorithm) (*cluster.Cluster, *Monitor) {
@@ -218,14 +245,45 @@ func TestApplyIgnoresBogusActions(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.Resize("ghost", resources.Vector{CPU: 1}),
 		core.StartOn("ghost", "node-0", resources.Vector{CPU: 1, MemMB: 10}),
 		core.StartOn("a", "ghost-node", resources.Vector{CPU: 1, MemMB: 10}),
-		core.Remove("ghost"),
 	}}
 	m.Poll(10 * time.Second) // must not panic
 	if m.Counts().PlacementFailures != 1 {
 		t.Errorf("PlacementFailures = %d, want 1 (unknown node)", m.Counts().PlacementFailures)
+	}
+}
+
+// TestApplyRejectsForeignPlans: Apply resolves a vertical or scale-in only
+// through the replica ordinal it carries, so a plan not decided from the
+// monitor's latest snapshot, or an action on a container that snapshot
+// does not list, is a caller bug and panics.
+func TestApplyRejectsForeignPlans(t *testing.T) {
+	_, m := setup(t, nil)
+	_ = m.AddService(spec("a"), 0.5)
+	_ = m.DeployInitial("a", 0)
+	rep := m.Replicas("a")[0]
+	grow := resources.Vector{CPU: 2, MemMB: 512}
+	mustPanic := func(what string, plan core.Plan) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: Apply did not panic", what)
+			}
+		}()
+		m.Apply(plan, time.Second)
+	}
+	mustPanic("hand-built plan", core.Plan{Actions: []core.Action{core.Resize(rep.ID, grow)}})
+	stale := fillOrdinals(m.Snapshot(time.Second), core.Plan{Actions: []core.Action{core.Resize(rep.ID, grow)}})
+	snap := m.Snapshot(2 * time.Second)
+	mustPanic("plan from an older snapshot", stale)
+	mustPanic("container the snapshot does not list", fillOrdinals(snap, core.Plan{Actions: []core.Action{core.Remove("ghost")}}))
+	if rep.Alloc == grow || m.Counts() != (ActionCounts{ScaleOuts: 2}) {
+		t.Errorf("a rejected plan acted: alloc %v, counts %+v", rep.Alloc, m.Counts())
+	}
+	m.Apply(fillOrdinals(snap, core.Plan{Actions: []core.Action{core.Resize(rep.ID, grow)}}), 2*time.Second)
+	if rep.Alloc != grow {
+		t.Errorf("plan from the latest snapshot not applied: alloc %v", rep.Alloc)
 	}
 }
 
@@ -353,22 +411,14 @@ func TestDetachAttachNode(t *testing.T) {
 
 // TestJournalResolvesActionTargets pins what vertical and scale-in decisions
 // journal as their Service and Node: the target's own service and host while
-// it lives, resolved once per action through the replica index or, for a
-// container the index never saw, through the cluster-wide fallback. Once
-// the container is gone (the moot case), Service comes from the
+// it lives, resolved once per action through its replica ordinal. Once the
+// container is gone (the moot case), Service comes from the
 // "<service>-<idx>" ID and Node is empty.
 func TestJournalResolvesActionTargets(t *testing.T) {
-	cl, m := setup(t, nil)
+	_, m := setup(t, nil)
 	m.journal = obs.NewJournal()
 	_ = m.AddService(spec("a"), 0.5)
 	_ = m.DeployInitial("a", 0)
-	// A container placed behind the monitor's back is absent from the
-	// replica index; only the fallback scan can resolve it.
-	stray := container.New("x-7", spec("x"), "node-2", resources.Vector{CPU: 1, MemMB: 256}, 0)
-	stray.MaybeStart(0)
-	if err := cl.Node("node-2").AddContainer(stray); err != nil {
-		t.Fatal(err)
-	}
 	reps := m.Replicas("a")
 	keep, victim := reps[0], reps[1]
 	keepNode, victimNode := keep.NodeID, victim.NodeID
@@ -377,18 +427,16 @@ func TestJournalResolvesActionTargets(t *testing.T) {
 	}
 
 	grow := resources.Vector{CPU: 1.5, MemMB: 512}
-	m.Apply(core.Plan{Actions: []core.Action{
+	m.Apply(fillOrdinals(m.Snapshot(5*time.Second), core.Plan{Actions: []core.Action{
 		core.Resize(keep.ID, grow),
-		core.Resize(stray.ID, grow),
 		core.Remove(victim.ID),
 		// The victim is gone by now: both follow-ups are moot.
 		core.Resize(victim.ID, grow),
 		core.Remove(victim.ID),
-	}}, 5*time.Second)
+	}}), 5*time.Second)
 
 	want := []obs.Decision{
 		{Kind: obs.KindVertical, Container: keep.ID, Service: "a", Node: keepNode, Outcome: obs.OutcomeApplied},
-		{Kind: obs.KindVertical, Container: "x-7", Service: "x", Node: "node-2", Outcome: obs.OutcomeApplied},
 		{Kind: obs.KindScaleIn, Container: victim.ID, Service: "a", Node: victimNode, Outcome: obs.OutcomeApplied},
 		{Kind: obs.KindVertical, Container: victim.ID, Service: "a", Node: "", Outcome: obs.OutcomeMoot},
 		{Kind: obs.KindScaleIn, Container: victim.ID, Service: "a", Node: "", Outcome: obs.OutcomeMoot},
@@ -404,7 +452,7 @@ func TestJournalResolvesActionTargets(t *testing.T) {
 				i, g.Kind, g.Container, g.Service, g.Node, g.Outcome, w.Kind, w.Container, w.Service, w.Node, w.Outcome)
 		}
 	}
-	if stray.Alloc != grow {
-		t.Errorf("unindexed container alloc = %v, want %v", stray.Alloc, grow)
+	if keep.Alloc != grow {
+		t.Errorf("resized replica alloc = %v, want %v", keep.Alloc, grow)
 	}
 }

@@ -220,8 +220,8 @@ func (ps *pollScratch) nodeName(j *obs.Journal, n *cluster.Node) obs.Name {
 	return ps.nodeNames[ord]
 }
 
-// verifyOrdinals, when set, makes every Snapshot and every action resolved
-// by ordinal check its resolution against the name-keyed one and panic on
+// verifyOrdinals, when set, makes every Snapshot and every action of a plan
+// check its resolution against the name-keyed one and panic on
 // any difference. It costs one atomic load per snapshot and per plan when
 // off. Tests set it through VerifyOrdinals.
 var verifyOrdinals atomic.Bool
@@ -309,11 +309,8 @@ func (m *Monitor) verifyAction(a core.Action, ref *replicaRef) {
 			panic(fmt.Sprintf("monitor: scale-out to %s carries the ordinal of node %s", a.NodeID, n.ID))
 		}
 	}
-	if a.Replica == 0 {
-		return
-	}
 	if ref == nil {
-		panic(fmt.Sprintf("monitor: action on %s carries replica ordinal %d past the snapshot", a.ContainerID, a.Replica))
+		return
 	}
 	k := int(a.Replica - 1)
 	for _, ss := range m.snapServices {

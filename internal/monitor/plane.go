@@ -148,25 +148,15 @@ type Plane struct {
 	cfg    PlaneConfig
 	algo   core.Algorithm
 
-	zones         []*zoneArbiter
-	zoneOfNode    map[string]int
-	zoneOfService map[string]int
+	zones      []*zoneArbiter
+	zoneOfNode map[string]int
 
-	// evacHome remembers an evacuated service's original zone, so it
-	// migrates home when that zone heals; spills lists the zones holding a
-	// service's spillover shards beyond its (current) home.
-	evacHome map[string]int
-	spills   map[string][]int
-
-	// routes holds one route slot per service, indexed by registration
-	// ordinal (see RouteView). gen versions service placement, and a slot
-	// resolved at an older gen re-resolves on its next use. A new service's
-	// slot starts unresolved (gen 0). After registration only evacuateZone
-	// and readoptZone change zoneOfService, spills or an arbiter's byName —
-	// spill shards and guests come and go inside them — so they are the two
-	// places that move gen.
-	routes []routeSlot
-	gen    uint64
+	// services is the service table, indexed by registration ordinal
+	// (Request.ServiceOrd): where each service lives. Evacuation, spillover
+	// and readoption edit entries in place. ordOf resolves a name to its
+	// ordinal, read only by the by-name methods, where a name enters.
+	services []planeService
+	ordOf    map[string]int
 
 	// zoneFaults is the fault injector when it has zone-outage or
 	// zone-partition windows, nil otherwise, so arbiters skip the node→zone
@@ -196,14 +186,11 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig, inj *fa
 		k, cfg.Evacuate = 1, false
 	}
 	p := &Plane{
-		global:        cl,
-		cfg:           cfg,
-		algo:          algo,
-		zoneOfNode:    make(map[string]int, len(nodes)),
-		zoneOfService: make(map[string]int),
-		evacHome:      make(map[string]int),
-		spills:        make(map[string][]int),
-		gen:           1, // above the zero gen of an unresolved route slot
+		global:     cl,
+		cfg:        cfg,
+		algo:       algo,
+		zoneOfNode: make(map[string]int, len(nodes)),
+		ordOf:      make(map[string]int),
 	}
 	if inj.HasZoneWindows() {
 		p.zoneFaults = inj
@@ -263,25 +250,17 @@ func (z *zoneArbiter) homeServices() int {
 	return n
 }
 
-// names returns the names of the zone's home services (guest false) or of
-// its spillover shards (guest true) in registration order. The slice is a
-// copy, so callers may move services while ranging over it.
-func (z *zoneArbiter) names(guest bool) []string {
-	var out []string
+// states returns the zone's home service states (guest false) or its
+// spillover shards (guest true) in list order. The slice is a copy, so
+// callers may move services while ranging over it.
+func (z *zoneArbiter) states(guest bool) []*serviceState {
+	var out []*serviceState
 	for _, st := range z.mon.services {
 		if st.guest == guest {
-			out = append(out, st.spec.Name)
+			out = append(out, st)
 		}
 	}
 	return out
-}
-
-// ZoneOfService returns the zone a service was assigned to, or -1.
-func (p *Plane) ZoneOfService(name string) int {
-	if z, ok := p.zoneOfService[name]; ok {
-		return z
-	}
-	return -1
 }
 
 // Cross returns the global allocator's cumulative counters.
@@ -323,24 +302,33 @@ func (p *Plane) Evac() *EvacCounts {
 	return &ec
 }
 
-// home returns the arbiter owning a service, or nil. The single central
-// arbiter owns every service, so one zone skips the map lookup.
-func (p *Plane) home(service string) *zoneArbiter {
-	if len(p.zones) == 1 {
-		return p.zones[0]
-	}
-	z, ok := p.zoneOfService[service]
-	if !ok {
-		return nil
-	}
-	return p.zones[z]
+// planeService is one service's entry in the plane's table.
+type planeService struct {
+	name string
+	// home is the arbiter holding st, the service's decision state. st
+	// stays the same object for the service's lifetime: evacuation and
+	// readoption move it between arbiters.
+	home *zoneArbiter
+	st   *serviceState
+	// spills lists the service's spillover shards beyond its home, in zone
+	// order (see evac.go).
+	spills []shard
+	// origin is the zone the service was first evacuated from, nil when it
+	// is not evacuated; it migrates back when that zone heals.
+	origin *zoneArbiter
+}
+
+// shard is one spillover shard: a guest state in another zone's arbiter.
+type shard struct {
+	za *zoneArbiter
+	st *serviceState
 }
 
 // AddService assigns the service to the zone with the fewest services
 // (lowest index on ties — round-robin for uniform registration) and
-// registers it with that zone's arbiter.
+// registers it with that zone's arbiter under the next ordinal.
 func (p *Plane) AddService(spec workload.ServiceSpec, targetUtil float64) error {
-	if _, dup := p.zoneOfService[spec.Name]; dup {
+	if _, dup := p.ordOf[spec.Name]; dup {
 		return fmt.Errorf("monitor: duplicate service %q", spec.Name)
 	}
 	best := 0
@@ -349,31 +337,29 @@ func (p *Plane) AddService(spec workload.ServiceSpec, targetUtil float64) error 
 			best = i
 		}
 	}
-	if err := p.zones[best].mon.AddService(spec, targetUtil); err != nil {
+	st, err := p.zones[best].mon.addService(spec, targetUtil)
+	if err != nil {
 		return err
 	}
-	p.zoneOfService[spec.Name] = best
-	p.routes = append(p.routes, routeSlot{name: spec.Name})
+	st.ord = len(p.services)
+	p.ordOf[spec.Name] = st.ord
+	p.services = append(p.services, planeService{name: spec.Name, home: p.zones[best], st: st})
 	return nil
 }
 
-// routeSlot caches where one service's replicas live: its home arbiter and
-// that arbiter's serviceState, as of plane generation gen. spilled marks a
-// service with spillover shards, whose replicas span several arbiters.
-type routeSlot struct {
-	name    string
-	gen     uint64
-	mon     *Monitor
-	st      *serviceState
-	spilled bool
+// ServiceCount returns how many services are registered. Services are
+// numbered in registration order from 0; the methods that take an ordinal
+// take that number.
+func (p *Plane) ServiceCount() int { return len(p.services) }
+
+// Registered reports whether a service of that name was ever registered.
+func (p *Plane) Registered(service string) bool {
+	_, ok := p.ordOf[service]
+	return ok
 }
 
-// ServiceCount returns how many services are registered. Services are
-// numbered in registration order from 0; RouteView takes that ordinal.
-func (p *Plane) ServiceCount() int { return len(p.routes) }
-
-// RouteView returns the replicas of service ord (its registration ordinal)
-// for routing one request, without copying them.
+// RouteView returns the replicas of service ord for routing one request,
+// without copying them.
 //
 // For a service whose replicas all live in its home arbiter, the result
 // aliases that arbiter's resolved replica cache: it is valid only until the
@@ -383,44 +369,69 @@ func (p *Plane) ServiceCount() int { return len(p.routes) }
 // service's replicas are appended into *scratch instead, which the caller
 // owns and keeps.
 func (p *Plane) RouteView(ord int, scratch *[]*container.Container) []*container.Container {
-	rs := &p.routes[ord]
-	if rs.gen != p.gen {
-		rs.gen, rs.mon, rs.st = p.gen, nil, nil
-		rs.spilled = len(p.spills[rs.name]) > 0
-		if za := p.home(rs.name); za != nil {
-			rs.mon, rs.st = za.mon, za.mon.byName[rs.name]
-		}
+	e := &p.services[ord]
+	if len(e.spills) == 0 {
+		return e.home.mon.resolvedFor(e.st)
 	}
-	if rs.st == nil || rs.spilled {
-		*scratch = p.AppendReplicas((*scratch)[:0], rs.name)
-		return *scratch
-	}
-	return rs.mon.resolvedFor(rs.st)
+	*scratch = p.AppendReplicas((*scratch)[:0], ord)
+	return *scratch
 }
 
-// DeployInitial forwards to the service's home arbiter; a full home zone
-// leases capacity through the plane.
-func (p *Plane) DeployInitial(service string, now time.Duration) error {
-	za := p.home(service)
-	if za == nil {
-		return fmt.Errorf("monitor: unknown service %q", service)
-	}
-	return za.mon.DeployInitial(service, now)
+// DeployInitial deploys service ord's minimum replicas in its home zone; a
+// full home zone leases capacity through the plane.
+func (p *Plane) DeployInitial(ord int, now time.Duration) error {
+	e := &p.services[ord]
+	return e.home.mon.deployInitial(e.st, now)
 }
 
-// StartReplica forwards a pinned placement to the service's home arbiter.
-// The pinned node must live in the home zone: zones own their machines
-// exclusively, so a cross-zone pin would create a replica its owner cannot
-// poll. An unknown node is the arbiter's to reject.
+// StartReplica starts a replica of the service pinned to a node of its home
+// zone: zones own their machines exclusively, so a cross-zone pin would
+// create a replica its owner cannot poll. An unknown node is the arbiter's
+// to reject.
 func (p *Plane) StartReplica(service, nodeID string, alloc resources.Vector, now time.Duration) error {
-	za := p.home(service)
-	if za == nil {
+	ord, ok := p.ordOf[service]
+	if !ok {
 		return fmt.Errorf("monitor: unknown service %q", service)
 	}
-	if z, ok := p.zoneOfNode[nodeID]; ok && z != za.idx {
-		return fmt.Errorf("monitor: node %q is not in service %q's zone %d", nodeID, service, za.idx)
+	e := &p.services[ord]
+	if z, ok := p.zoneOfNode[nodeID]; ok && z != e.home.idx {
+		return fmt.Errorf("monitor: node %q is not in service %q's zone %d", nodeID, service, e.home.idx)
 	}
-	return za.mon.StartReplica(service, nodeID, alloc, now)
+	return e.home.mon.startReplica(e.st, nodeID, alloc, now, 0)
+}
+
+// Scale sets a service's replica count by hand. Each new replica is a
+// scale-out of the home arbiter, placed when it executes on the home zone's
+// emptiest fitting node (leasing one when none fits), with the allocation
+// of the service's first live replica, or its initial allocation when it
+// has none. Surplus replicas are removed newest first, spill shards before
+// the home. Both go through the arbiters' action path, so faults, retries,
+// the journal and the counters treat them as any other scaling action. It
+// fails, starting and removing nothing, for an unregistered name and when
+// no node fits the first new replica.
+func (p *Plane) Scale(service string, replicas int, now time.Duration) error {
+	ord, ok := p.ordOf[service]
+	if !ok {
+		return fmt.Errorf("monitor: unknown service %q", service)
+	}
+	e := &p.services[ord]
+	reps := p.AppendReplicas(nil, ord)
+	alloc := e.st.info.InitialAlloc
+	if len(reps) > 0 {
+		alloc = reps[0].Alloc
+	}
+	if replicas > len(reps) && e.home.mon.place(alloc) == "" {
+		return fmt.Errorf("monitor: no node fits a new replica of %q", service)
+	}
+	for i := len(reps); i < replicas; i++ {
+		e.home.mon.execute(pendingAction{action: core.StartOn(service, "", alloc)}, now, nil)
+	}
+	for i := len(reps) - 1; i >= replicas; i-- {
+		// A live replica's node sits in the view of the arbiter owning it.
+		za := p.zones[p.zoneOfNode[reps[i].NodeID]]
+		za.mon.execute(pendingAction{action: core.Remove(reps[i].ID)}, now, nil)
+	}
+	return nil
 }
 
 // Sample forwards a stats-sampling tick to every zone's node managers.
@@ -522,46 +533,6 @@ func (p *Plane) leaseInto(zi int, alloc resources.Vector) bool {
 	return true
 }
 
-// Apply routes a plan's actions: scale-outs to the service's home arbiter,
-// container-addressed actions to the zone whose view holds the container.
-// An action no arbiter owns (unknown service or container) goes to zone 0,
-// which journals it as moot exactly as the single Monitor does. Used by the
-// manual-scale HTTP endpoint; the periodic loop never crosses this path
-// (each arbiter applies its own plans inside Poll).
-func (p *Plane) Apply(plan core.Plan, now time.Duration) {
-	for _, a := range plan.Actions {
-		var za *zoneArbiter
-		switch a.Kind {
-		case core.ScaleOut:
-			za = p.home(a.Service)
-		case core.VerticalScale, core.ScaleIn:
-			za = p.owner(a.ContainerID)
-		}
-		if za == nil {
-			za = p.zones[0]
-		}
-		za.mon.Apply(core.Plan{Actions: []core.Action{a}}, now)
-	}
-}
-
-// owner returns the arbiter whose view holds the container, or nil. A node
-// sits in exactly one view, so the first arbiter whose replica index resolves
-// the container owns it: O(zones) on a hit. Only a container no arbiter has
-// indexed costs the per-view scan.
-func (p *Plane) owner(containerID string) *zoneArbiter {
-	for _, z := range p.zones {
-		if c, _ := z.mon.indexedReplica(containerID); c != nil {
-			return z
-		}
-	}
-	for _, z := range p.zones {
-		if c, _ := z.mon.findReplica(containerID); c != nil {
-			return z
-		}
-	}
-	return nil
-}
-
 // MaybeCheckpoint forwards to every arbiter: the control plane crashes and
 // checkpoints as a unit.
 func (p *Plane) MaybeCheckpoint(now time.Duration) {
@@ -578,41 +549,38 @@ func (p *Plane) Restart(now time.Duration) {
 	}
 }
 
-// Replicas returns a service's live replicas from its home arbiter.
+// Replicas returns a service's live replicas: its home arbiter's, then
+// its spillover shards' in zone order. Nil for an unregistered name.
 func (p *Plane) Replicas(service string) []*container.Container {
-	return p.AppendReplicas(nil, service)
+	ord, ok := p.ordOf[service]
+	if !ok {
+		return nil
+	}
+	return p.AppendReplicas(nil, ord)
 }
 
-// AppendReplicas appends a service's live replicas from its home arbiter,
-// followed by any spillover shards in zone order.
-func (p *Plane) AppendReplicas(buf []*container.Container, service string) []*container.Container {
-	za := p.home(service)
-	if za == nil {
-		return buf
-	}
-	buf = za.mon.AppendReplicas(buf, service)
-	if len(p.spills) == 0 {
-		return buf
-	}
-	for _, zi := range p.spills[service] {
-		buf = p.zones[zi].mon.AppendReplicas(buf, service)
+// AppendReplicas appends service ord's live replicas to buf, in Replicas'
+// order.
+func (p *Plane) AppendReplicas(buf []*container.Container, ord int) []*container.Container {
+	e := &p.services[ord]
+	buf = e.home.mon.appendLive(buf, e.st)
+	for _, sh := range e.spills {
+		buf = sh.za.mon.appendLive(buf, sh.st)
 	}
 	return buf
 }
 
 // ReplicaCount returns a service's live replica count across its home
-// arbiter and any spillover shards.
+// arbiter and any spillover shards; 0 for an unregistered name.
 func (p *Plane) ReplicaCount(service string) int {
-	za := p.home(service)
-	if za == nil {
+	ord, ok := p.ordOf[service]
+	if !ok {
 		return 0
 	}
-	n := za.mon.ReplicaCount(service)
-	if len(p.spills) == 0 {
-		return n
-	}
-	for _, zi := range p.spills[service] {
-		n += p.zones[zi].mon.ReplicaCount(service)
+	e := &p.services[ord]
+	n := e.home.mon.liveReplicas(e.st)
+	for _, sh := range e.spills {
+		n += sh.za.mon.liveReplicas(sh.st)
 	}
 	return n
 }

@@ -7,7 +7,6 @@ import (
 	"hyscale/internal/cluster"
 	"hyscale/internal/container"
 	"hyscale/internal/core"
-	"hyscale/internal/obs"
 	"hyscale/internal/resources"
 	"hyscale/internal/workload"
 )
@@ -89,7 +88,7 @@ func TestPlaneLeasesIdleNodeWhenZoneIsFull(t *testing.T) {
 	if err := p.AddService(planeSpec("web", 3, 3, 6), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.DeployInitial("web", 0); err != nil {
+	if err := p.DeployInitial(p.ordOf["web"], 0); err != nil {
 		t.Fatalf("DeployInitial should lease capacity: %v", err)
 	}
 	if got := p.ReplicaCount("web"); got != 3 {
@@ -123,7 +122,7 @@ func TestPlaneProactiveLeaseBeforePoll(t *testing.T) {
 	if err := p.AddService(planeSpec("web", 1, 1, 8), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.DeployInitial("web", 0); err != nil {
+	if err := p.DeployInitial(p.ordOf["web"], 0); err != nil {
 		t.Fatal(err)
 	}
 	// Exhaust zone 0's headroom with pinned ballast so no node retains a
@@ -207,78 +206,8 @@ func TestPlaneReattachReplacedNode(t *testing.T) {
 	}
 }
 
-// TestPlaneApplyRoutesContainerActions checks the manual-scale path: a
-// container-addressed action reaches the arbiter whose view holds the
-// container, whether that arbiter indexed it or it was placed behind the
-// plane's back, and an unknown container changes nothing.
-func TestPlaneApplyRoutesContainerActions(t *testing.T) {
-	p, cl := newTestPlane(t, 6, 3)
-	for _, name := range []string{"a", "b", "c"} {
-		if err := p.AddService(planeSpec(name, 1, 1, 4), 0.5); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.DeployInitial(name, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// node-5 sits in zone 2, whose arbiter never indexed this container.
-	stray := container.New("x-0", planeSpec("x", 1, 1, 1), "node-5", resources.Vector{CPU: 1, MemMB: 256}, 0)
-	if err := cl.Node("node-5").AddContainer(stray); err != nil {
-		t.Fatal(err)
-	}
-	b := p.Replicas("b")[0]
-	grow := resources.Vector{CPU: 1.5, MemMB: 256}
-	p.Apply(core.Plan{Actions: []core.Action{
-		core.Resize(b.ID, grow),
-		core.Resize(stray.ID, grow),
-		core.Resize("ghost-0", grow),
-	}}, time.Second)
-
-	if b.Alloc != grow || stray.Alloc != grow {
-		t.Fatalf("allocs = %v, %v; want both %v", b.Alloc, stray.Alloc, grow)
-	}
-	for z, want := range []uint64{0, 1, 1} {
-		if got := p.zones[z].mon.Counts().Vertical; got != want {
-			t.Errorf("zone %d applied %d vertical actions, want %d", z, got, want)
-		}
-	}
-}
-
-// TestPlaneApplyJournalsUnownedActionsMoot: an action no arbiter owns (an
-// unknown container) is still journaled as moot, exactly as the single
-// Monitor journals it, at one zone and at several.
-func TestPlaneApplyJournalsUnownedActionsMoot(t *testing.T) {
-	for _, zones := range []int{1, 3} {
-		cl, err := cluster.NewHomogeneous(6, cluster.DefaultNodeConfig(""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		j := obs.NewJournal()
-		p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{Zones: zones, StartDelay: time.Second}, nil, j, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.AddService(planeSpec("a", 1, 1, 4), 0.5); err != nil {
-			t.Fatal(err)
-		}
-		p.Apply(core.Plan{Actions: []core.Action{
-			core.Resize("ghost-0", resources.Vector{CPU: 2, MemMB: 256}),
-			core.Remove("ghost-1"),
-		}}, time.Second)
-		got := j.Decisions()
-		if len(got) != 2 {
-			t.Fatalf("zones=%d: journaled %d decisions, want 2", zones, len(got))
-		}
-		for i, want := range []string{"ghost-0", "ghost-1"} {
-			if got[i].Container != want || got[i].Outcome != obs.OutcomeMoot {
-				t.Errorf("zones=%d: decision %d = {%s %v}, want {%s moot}", zones, i, got[i].Container, got[i].Outcome, want)
-			}
-		}
-	}
-}
-
 // TestPlaneArbitersPayConfiguredStartDelay: PlaneConfig.StartDelay reaches
-// every arbiter, at one zone and at several — a scale-out applied at 10 s
+// every arbiter, at one zone and at several — a manual scale-out at 10 s
 // becomes ready 7 s later, not after the bare Monitor's 1 s default.
 func TestPlaneArbitersPayConfiguredStartDelay(t *testing.T) {
 	for _, zones := range []int{1, 3} {
@@ -294,12 +223,12 @@ func TestPlaneArbitersPayConfiguredStartDelay(t *testing.T) {
 			if err := p.AddService(planeSpec(name, 1, 1, 4), 0.5); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.DeployInitial(name, 0); err != nil {
+			if err := p.DeployInitial(p.ordOf[name], 0); err != nil {
 				t.Fatal(err)
 			}
-			p.Apply(core.Plan{Actions: []core.Action{
-				core.StartOn(name, "", resources.Vector{CPU: 1, MemMB: 256}),
-			}}, 10*time.Second)
+			if err := p.Scale(name, 2, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
 			reps := p.Replicas(name)
 			if len(reps) != 2 || reps[1].ReadyAt != 17*time.Second {
 				t.Fatalf("zones=%d service %s: replicas %d, scale-out ready at %v; want 2, 17s", zones, name, len(reps), reps[len(reps)-1].ReadyAt)

@@ -467,14 +467,14 @@ type serviceReplicas struct {
 	ids     []string
 }
 
-// CheckpointNow snapshots the Monitor's decision state unconditionally. It
+// checkpointNow snapshots the Monitor's decision state unconditionally. It
 // overwrites the monitor's one retained checkpoint in place — restore copies
 // everything out of it, so nothing else holds its buffers — and each node's
 // report and each service's replica IDs keep their buffers from one
 // checkpoint to the next. Node reports are deep-copied: the live cache
 // entries reuse their Containers buffers every poll, and a checkpoint must
 // not see those later overwrites.
-func (m *Monitor) CheckpointNow(now time.Duration) {
+func (m *Monitor) checkpointNow(now time.Duration) {
 	cp := m.checkpointBuf
 	if cp == nil {
 		cp = &checkpoint{
@@ -541,7 +541,7 @@ func (m *Monitor) MaybeCheckpoint(now time.Duration) {
 		now-m.lastCheckpointAt < m.selfHeal.CheckpointEvery {
 		return
 	}
-	m.CheckpointNow(now)
+	m.checkpointNow(now)
 }
 
 // Restart brings the Monitor back after a crash window: from the last

@@ -1,14 +1,12 @@
 package platform
 
-// Data-plane index tests: the control plane's route-slot view against the
-// reference replica lookup, container-ID uniqueness (what lets the
-// balancer's probe cache key by slot and container), and request recycling.
+// Data-plane index tests: container-ID uniqueness (what lets the balancer's
+// probe cache key by slot and container) and request recycling.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -21,8 +19,8 @@ import (
 	"hyscale/internal/workload"
 )
 
-// drWorld is a zoned world that drives every placement change the route
-// slots must follow: a node failure and a replacement machine, a zone
+// drWorld is a zoned world that drives every placement change the data
+// plane must follow: a node failure and a replacement machine, a zone
 // outage with evacuation (spilling over up to spill zones), readoption once
 // the zone heals, and a monitor crash restored from its checkpoint.
 func drWorld(t *testing.T, seed int64, spill int) *World {
@@ -81,52 +79,6 @@ func stepTicks(t *testing.T, w *World, horizon time.Duration, check func(now tim
 	}
 }
 
-// TestRouteViewMatchesAppendReplicas compares, at every tick, each
-// service's route-slot view (minus replicas already StateRemoved) with the
-// reference lookup Plane.AppendReplicas, through a node failure, a zone
-// outage with evacuation and spillover, readoption and a checkpoint
-// restart. A placement change that fails to move the plane generation
-// leaves a slot pointing at the wrong arbiter or service state, and the two
-// diverge.
-func TestRouteViewMatchesAppendReplicas(t *testing.T) {
-	// Spilled services route through the reference lookup itself, so the
-	// run without spillover is the one that exercises re-homed slots.
-	for _, spill := range []int{1, 3} {
-		w := drWorld(t, 5, spill)
-		var scratch, want, live []*container.Container
-		stepTicks(t, w, 320*time.Second, func(now time.Duration) {
-			for _, rt := range w.services {
-				want = w.ctl.AppendReplicas(want[:0], rt.spec.Name)
-				got := w.ctl.RouteView(rt.ord, &scratch)
-				live = live[:0]
-				for _, c := range got {
-					if c.State != container.StateRemoved {
-						live = append(live, c)
-					}
-				}
-				if !slices.Equal(live, want) {
-					t.Fatalf("spill %d, %v %s: route view %v, reference %v", spill, now, rt.spec.Name, ids(got), ids(want))
-				}
-			}
-		})
-		ev, rec := w.ZoneEvac(), w.Control().Recovery()
-		if ev.ServicesEvacuated == 0 || ev.ServicesReadopted == 0 || (spill > 1) != (ev.SpilloverPlacements > 0) {
-			t.Errorf("spill %d: scenario missed an evacuation stage: %+v", spill, *ev)
-		}
-		if rec.CheckpointRestores == 0 || rec.DeclaredDead == 0 {
-			t.Errorf("spill %d: scenario missed a restore or a dead node: %+v", spill, rec)
-		}
-	}
-}
-
-func ids(cs []*container.Container) []string {
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = c.ID + "/" + c.State.String()
-	}
-	return out
-}
-
 // TestContainerIDsNeverReissued records every container ever seen on any
 // node, through churn, a node failure, zone evacuation with spillover
 // guests, readoption and a checkpoint restore, and requires that no ID ever
@@ -161,19 +113,24 @@ func (c *churner) Name() string { return "churner" }
 
 func (c *churner) Decide(snap core.Snapshot) core.Plan {
 	c.polls++
-	var plan core.Plan
+	plan := core.Plan{Epoch: snap.Epoch}
+	base := 0 // flat ordinal of the service's first replica
 	for _, s := range snap.Services {
 		if c.polls%2 == 1 || len(s.Replicas) < 2 {
 			plan.Actions = append(plan.Actions, core.StartOn(s.Info.Name, "", s.Info.InitialAlloc))
+			base += len(s.Replicas)
 			continue
 		}
-		busiest := s.Replicas[0]
-		for _, r := range s.Replicas[1:] {
-			if r.Inflight > busiest.Inflight {
-				busiest = r
+		busiest := 0
+		for j, r := range s.Replicas {
+			if r.Inflight > s.Replicas[busiest].Inflight {
+				busiest = j
 			}
 		}
-		plan.Actions = append(plan.Actions, core.Remove(busiest.ContainerID))
+		a := core.Remove(s.Replicas[busiest].ContainerID)
+		a.Replica = int32(base + busiest + 1)
+		plan.Actions = append(plan.Actions, a)
+		base += len(s.Replicas)
 	}
 	return plan
 }

@@ -44,7 +44,7 @@ func (w *World) Metrics() []obs.Series {
 	ctl := w.ctl
 	replicas := l.family(obs.TypeGauge, "hyscale_service_replicas", "Live replicas per service.")
 	for _, name := range w.ServiceNames() {
-		replicas(fmt.Sprintf("service=%q", name), float64(len(ctl.Replicas(name))))
+		replicas(fmt.Sprintf("service=%q", name), float64(ctl.ReplicaCount(name)))
 	}
 	allocated := l.family(obs.TypeGauge, "hyscale_node_cpu_allocated", "CPU cores allocated on each node.")
 	for _, n := range w.cluster.Nodes() {

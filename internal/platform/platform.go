@@ -157,7 +157,7 @@ func DefaultConfig(seed int64) Config {
 type serviceRuntime struct {
 	spec workload.ServiceSpec
 	// ord is the service's index in World.services: Request.ServiceOrd and
-	// the control plane's route-slot index.
+	// the control plane's service ordinal.
 	ord int
 	// replicas is the service's ReplicaSeries entry.
 	replicas *metrics.TimeSeries
@@ -388,7 +388,7 @@ func (w *World) AddService(spec workload.ServiceSpec, targetUtil float64, patter
 	w.stats = append(w.stats, nil)
 	w.byName[spec.Name] = rt
 	w.ReplicaSeries[spec.Name] = rt.replicas
-	if err := w.ctl.DeployInitial(spec.Name, w.engine.Now()); err != nil {
+	if err := w.ctl.DeployInitial(ord, w.engine.Now()); err != nil {
 		return err
 	}
 	return nil
@@ -657,7 +657,7 @@ func (w *World) poll(e *sim.Engine) {
 		// Per-service time-series samples, in service registration order so
 		// artifact bytes are deterministic.
 		for _, rt := range w.services {
-			w.replicaBuf = w.ctl.AppendReplicas(w.replicaBuf[:0], rt.spec.Name)
+			w.replicaBuf = w.ctl.AppendReplicas(w.replicaBuf[:0], rt.ord)
 			replicas := w.replicaBuf
 			var cpuShares, cpuUsage, netMbps float64
 			for _, c := range replicas {

@@ -147,9 +147,9 @@ func (s *scaleInOnce) Decide(snap core.Snapshot) core.Plan {
 		return core.Plan{}
 	}
 	s.done = true
-	return core.Plan{Actions: []core.Action{
-		core.Remove(snap.Services[0].Replicas[0].ContainerID),
-	}}
+	a := core.Remove(snap.Services[0].Replicas[0].ContainerID)
+	a.Replica = 1 // the snapshot's first replica
+	return core.Plan{Actions: []core.Action{a}, Epoch: snap.Epoch}
 }
 
 func TestRemovalFailuresRecorded(t *testing.T) {
