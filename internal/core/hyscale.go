@@ -125,7 +125,7 @@ func (h *HyScale) enforceBounds(rd *Round, i int) {
 	svc := rd.snap.Services[i]
 	info := svc.Info
 	for rd.Count(i) < info.MinReplicas {
-		node := h.scaleOutNode(rd, info)
+		node := h.scaleOutNode(rd, i)
 		if node < 0 {
 			return
 		}
@@ -186,9 +186,9 @@ func (h *HyScale) reclaim(rd *Round, i int, def *missing) {
 		// throttle); vertical reclamation below stays exempt.
 		removable := cpuIdle && (!h.memAware || memIdle)
 		if removable && rd.Count(i) > info.MinReplicas && def.cpu < 0 &&
-			h.gate.CanDown(info.Name, rd.snap.Now) {
+			h.gate.CanDown(info.Ord, rd.snap.Now) {
 			h.scaleIn(rd, i, j)
-			h.gate.MarkDown(info.Name, rd.snap.Now)
+			h.gate.MarkDown(info.Ord, rd.snap.Now)
 			def.cpu += cur.CPU
 			if h.memAware {
 				def.mem += cur.MemMB
@@ -291,12 +291,12 @@ func (h *HyScale) acquire(rd *Round, i int, def *missing) {
 	if def.cpu <= eps && (!h.memAware || def.mem <= eps) {
 		return
 	}
-	if !h.gate.CanUp(info.Name, rd.snap.Now) {
+	if !h.gate.CanUp(info.Ord, rd.snap.Now) {
 		return
 	}
 	placedAny := false
 	for (def.cpu > eps || (h.memAware && def.mem > eps)) && rd.Count(i) < info.MaxReplicas {
-		node := h.scaleOutNode(rd, info)
+		node := h.scaleOutNode(rd, i)
 		if node < 0 {
 			break
 		}
@@ -317,17 +317,18 @@ func (h *HyScale) acquire(rd *Round, i int, def *missing) {
 		placedAny = true
 	}
 	if placedAny {
-		h.gate.MarkUp(info.Name, rd.snap.Now)
+		h.gate.MarkUp(info.Ord, rd.snap.Now)
 	}
 }
 
 // scaleOutNode selects the node with the most available CPU that (a) does
 // not already host the service and (b) advertises at least the service's
 // baseline memory and the minimum scale-out CPU (§IV-B1). It returns the
-// node's index in the snapshot, or -1.
-func (h *HyScale) scaleOutNode(rd *Round, info ServiceInfo) int {
+// node's index in the snapshot, or -1. i is the service's snapshot index.
+func (h *HyScale) scaleOutNode(rd *Round, i int) int {
+	info := rd.snap.Services[i].Info
 	need := resources.Vector{CPU: h.cfg.MinScaleOutCPU, MemMB: maxf(info.BaselineMemMB, info.InitialAlloc.MemMB)}
-	return rd.Pick(need, info.Name)
+	return rd.Pick(need, i)
 }
 
 // scaleIn removes replica j of snap.Services[svc] and, unlike Kubernetes

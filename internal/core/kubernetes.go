@@ -131,17 +131,17 @@ func (k *Kubernetes) decideService(rd *Round, snap Snapshot, i int) {
 
 	switch {
 	case want > cur:
-		if !k.gate.CanUp(info.Name, snap.Now) {
+		if !k.gate.CanUp(info.Ord, snap.Now) {
 			return
 		}
 		if rd.AddReplicas(i, want-cur) > 0 {
-			k.gate.MarkUp(info.Name, snap.Now)
+			k.gate.MarkUp(info.Ord, snap.Now)
 		}
 	case want < cur:
-		if !k.gate.CanDown(info.Name, snap.Now) {
+		if !k.gate.CanDown(info.Ord, snap.Now) {
 			return
 		}
 		rd.RemoveNewest(i, cur-want)
-		k.gate.MarkDown(info.Name, snap.Now)
+		k.gate.MarkDown(info.Ord, snap.Now)
 	}
 }

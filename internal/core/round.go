@@ -89,7 +89,7 @@ func (r *Round) Plan() Plan {
 		svc, j := sj[0], sj[1]
 		if k := r.base[svc] + j; !r.removed[k] {
 			a := Resize(r.snap.Services[svc].Replicas[j].ContainerID, r.alloc[k])
-			a.Replica = int32(k + 1)
+			a.Svc, a.Replica = int32(r.snap.Services[svc].Info.Ord+1), int32(k+1)
 			r.plan = append(r.plan, a)
 		}
 	}
@@ -119,13 +119,18 @@ func (r *Round) Debit(slot int, v resources.Vector) {
 
 // Pick returns the index in snap.Nodes of the node whose availability fits
 // need and is best under the round's placement: the most available CPU for
-// spread, the least for binpack, the first such node on a tie. A non-empty
-// avoid skips nodes hosting that service. -1 means nothing fits.
-func (r *Round) Pick(need resources.Vector, avoid string) int {
-	if avoid != "" {
+// spread, the least for binpack, the first such node on a tie. avoid, when
+// not -1, is the snap.Services index of a service whose hosts are skipped:
+// the nodes listing it in Hosts and those this round scaled it out onto. -1
+// means nothing fits.
+func (r *Round) Pick(need resources.Vector, avoid int) int {
+	var name string
+	if avoid >= 0 {
+		info := r.snap.Services[avoid].Info
+		name = info.Name
 		r.placed = r.placed[:0]
 		for _, a := range r.plan {
-			if a.Kind == ScaleOut && a.Service == avoid {
+			if a.Kind == ScaleOut && a.Svc == int32(info.Ord+1) {
 				r.placed = append(r.placed, int(a.Node-1))
 			}
 		}
@@ -133,7 +138,7 @@ func (r *Round) Pick(need resources.Vector, avoid string) int {
 	best := -1
 	bestCPU := 0.0
 	for i, n := range r.snap.Nodes {
-		if avoid != "" && (n.HostsService(avoid) || slices.Contains(r.placed, i)) {
+		if avoid >= 0 && (slices.Contains(n.Hosts, name) || slices.Contains(r.placed, i)) {
 			continue
 		}
 		a := r.avail[i]
@@ -154,7 +159,7 @@ func (r *Round) Pick(need resources.Vector, avoid string) int {
 // ScaleOut starts a replica of snap.Services[svc] on snap.Nodes[node] with
 // the given allocation, debiting the node.
 func (r *Round) ScaleOut(svc, node int, alloc resources.Vector) {
-	a := StartOn(r.snap.Services[svc].Info.Name, r.snap.Nodes[node].ID, alloc)
+	a := StartOn(r.snap.Services[svc].Info.Ord, r.snap.Nodes[node].ID, alloc)
 	a.Node = int32(node + 1)
 	r.plan = append(r.plan, a)
 	r.avail[node] = r.avail[node].Sub(alloc).ClampNonNegative()
@@ -166,7 +171,7 @@ func (r *Round) ScaleOut(svc, node int, alloc resources.Vector) {
 func (r *Round) ScaleIn(svc, j int) {
 	k := r.base[svc] + j
 	a := Remove(r.snap.Services[svc].Replicas[j].ContainerID)
-	a.Replica = int32(k + 1)
+	a.Svc, a.Replica = int32(r.snap.Services[svc].Info.Ord+1), int32(k+1)
 	r.plan = append(r.plan, a)
 	r.removed[k] = true
 	r.count[svc]--
@@ -179,7 +184,7 @@ func (r *Round) AddReplicas(svc, n int) int {
 	alloc := r.snap.Services[svc].Info.InitialAlloc
 	placed := 0
 	for ; placed < n; placed++ {
-		node := r.Pick(alloc, "")
+		node := r.Pick(alloc, -1)
 		if node < 0 {
 			break
 		}
@@ -221,32 +226,40 @@ func (r *Round) Resize(svc, j int, alloc resources.Vector) {
 // Gate is the per-service horizontal rescale-interval throttle (paper: 3 s
 // up, 50 s down): a service scales up at most once per up interval and down
 // at most once per down interval. Vertical actions are exempt (§IV-B1).
-// Unlike a Round, a Gate lives across decision rounds.
+// Unlike a Round, a Gate lives across decision rounds. It keys services by
+// ServiceInfo.Ord.
 type Gate struct {
-	up, down         time.Duration
-	lastUp, lastDown map[string]time.Duration
+	up, down time.Duration
+	// next[ord] holds the earliest times the service may scale up and down
+	// again; zero, which every snapshot time reaches, until it first does.
+	next [][2]time.Duration
 }
 
 // NewGate builds a gate with the given scale-up and scale-down intervals.
 func NewGate(up, down time.Duration) *Gate {
-	return &Gate{up: up, down: down,
-		lastUp: make(map[string]time.Duration), lastDown: make(map[string]time.Duration)}
+	return &Gate{up: up, down: down}
 }
 
-// CanUp reports whether the service may scale up at now.
-func (g *Gate) CanUp(service string, now time.Duration) bool {
-	last, seen := g.lastUp[service]
-	return !seen || now-last >= g.up
+// CanUp reports whether service ord may scale up at now.
+func (g *Gate) CanUp(ord int, now time.Duration) bool {
+	return ord >= len(g.next) || now >= g.next[ord][0]
 }
 
-// CanDown reports whether the service may scale down at now.
-func (g *Gate) CanDown(service string, now time.Duration) bool {
-	last, seen := g.lastDown[service]
-	return !seen || now-last >= g.down
+// CanDown reports whether service ord may scale down at now.
+func (g *Gate) CanDown(ord int, now time.Duration) bool {
+	return ord >= len(g.next) || now >= g.next[ord][1]
 }
 
-// MarkUp records a scale-up of the service at now.
-func (g *Gate) MarkUp(service string, now time.Duration) { g.lastUp[service] = now }
+// MarkUp records a scale-up of service ord at now.
+func (g *Gate) MarkUp(ord int, now time.Duration) { g.at(ord)[0] = now + g.up }
 
-// MarkDown records a scale-down of the service at now.
-func (g *Gate) MarkDown(service string, now time.Duration) { g.lastDown[service] = now }
+// MarkDown records a scale-down of service ord at now.
+func (g *Gate) MarkDown(ord int, now time.Duration) { g.at(ord)[1] = now + g.down }
+
+// at returns service ord's entry, growing the table to hold it.
+func (g *Gate) at(ord int) *[2]time.Duration {
+	if ord >= len(g.next) {
+		g.next = append(g.next, make([][2]time.Duration, ord+1-len(g.next))...)
+	}
+	return &g.next[ord]
+}

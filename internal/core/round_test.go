@@ -26,14 +26,14 @@ func TestRoundCreditAsymmetry(t *testing.T) {
 		Now: 10 * time.Second,
 		Services: []core.ServiceStats{
 			{
-				Info: core.ServiceInfo{Name: "a", MinReplicas: 1, MaxReplicas: 1, TargetUtil: 0.5,
+				Info: core.ServiceInfo{Name: "a", Ord: 0, MinReplicas: 1, MaxReplicas: 1, TargetUtil: 0.5,
 					BaselineMemMB: 100, InitialAlloc: alloc},
 				Replicas: []core.ReplicaStats{
 					{ContainerID: "a-0", NodeID: "n1", Requested: alloc, Usage: alloc.Scale(0.5), Routable: true},
 					{ContainerID: "a-1", NodeID: "n1", Requested: alloc, Usage: alloc.Scale(0.5), Routable: true},
 				},
 			},
-			{Info: core.ServiceInfo{Name: "b", MinReplicas: 1, MaxReplicas: 2, TargetUtil: 0.5,
+			{Info: core.ServiceInfo{Name: "b", Ord: 1, MinReplicas: 1, MaxReplicas: 2, TargetUtil: 0.5,
 				BaselineMemMB: 100, InitialAlloc: alloc}},
 		},
 		Nodes: []core.NodeStats{{
@@ -45,10 +45,10 @@ func TestRoundCreditAsymmetry(t *testing.T) {
 	}
 	snap.IndexHosts()
 	// a-1 is the snapshot's second replica and n1 its first node; a planned
-	// action carries those ordinals.
+	// action carries those ordinals and its service's.
 	scaleIn := core.Remove("a-1")
-	scaleIn.Replica = 2
-	scaleOut := core.StartOn("b", "n1", alloc)
+	scaleIn.Svc, scaleIn.Replica = 1, 2
+	scaleOut := core.StartOn(1, "n1", alloc)
 	scaleOut.Node = 1
 	cfg := core.DefaultConfig()
 	mgr, err := scalermgr.New(cfg, scalermgr.Config{}, false)
@@ -77,7 +77,7 @@ func TestRoundCreditAsymmetry(t *testing.T) {
 // listed node, already hosts b and c, so neither may scale out onto it.
 func absentHostSnapshot() core.Snapshot {
 	info := func(name string) core.ServiceInfo {
-		return core.ServiceInfo{Name: name, MinReplicas: 1, MaxReplicas: 3, TargetUtil: 0.5,
+		return core.ServiceInfo{Name: name, Ord: int(name[0] - 'a'), MinReplicas: 1, MaxReplicas: 3, TargetUtil: 0.5,
 			BaselineMemMB: 100, InitialAlloc: resources.Vector{CPU: 0.5, MemMB: 512}}
 	}
 	replica := func(id, node string, reqCPU, useCPU float64) core.ReplicaStats {
@@ -103,13 +103,14 @@ func absentHostSnapshot() core.Snapshot {
 	return snap
 }
 
-// planLines renders a plan one action per line.
-func planLines(p core.Plan) []string {
+// planLines renders a plan decided from snap one action per line, naming a
+// scale-out's service.
+func planLines(snap core.Snapshot, p core.Plan) []string {
 	var out []string
 	for _, a := range p.Actions {
 		switch a.Kind {
 		case core.ScaleOut:
-			out = append(out, fmt.Sprintf("out %s -> %s %v", a.Service, a.NodeID, a.Alloc))
+			out = append(out, fmt.Sprintf("out %s -> %s %v", serviceNamed(snap, a.Svc), a.NodeID, a.Alloc))
 		case core.ScaleIn:
 			out = append(out, "in "+a.ContainerID)
 		case core.VerticalScale:
@@ -117,6 +118,17 @@ func planLines(p core.Plan) []string {
 		}
 	}
 	return out
+}
+
+// serviceNamed returns the name of the snapshot service an action's Svc
+// ordinal names, "" when none has it.
+func serviceNamed(snap core.Snapshot, svc int32) string {
+	for _, s := range snap.Services {
+		if s.Info.Ord == int(svc)-1 {
+			return s.Info.Name
+		}
+	}
+	return ""
 }
 
 // TestRoundAbsentHostLedger pins the ledger rule for hosts a snapshot does
@@ -132,19 +144,22 @@ func TestRoundAbsentHostLedger(t *testing.T) {
 		"vertical a-0 " + resources.Vector{CPU: 1, MemMB: 512}.String(),
 		"vertical b-0 " + resources.Vector{CPU: 2, MemMB: 512}.String(),
 	}
-	got := planLines(core.NewHyScaleCPU(core.DefaultConfig()).Decide(absentHostSnapshot()))
+	snap := absentHostSnapshot()
+	got := planLines(snap, core.NewHyScaleCPU(core.DefaultConfig()).Decide(snap))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("plan %q, want %q", got, want)
 	}
 }
 
 // refRound is a name-keyed reference ledger: the planning round as it was
-// before ordinals, keyed by node and container ID. TestRoundMatchesReference
-// drives it and core.Round with the same operations.
+// before ordinals, keyed by node and container ID and service name, which
+// names lists for each plan action. TestRoundMatchesReference drives it and
+// core.Round with the same operations.
 type refRound struct {
 	snap        core.Snapshot
 	binpack     bool
 	plan        []core.Action
+	names       []string
 	avail       map[string]resources.Vector
 	count       []int
 	removed     map[string]bool
@@ -166,14 +181,14 @@ func newRefRound(snap core.Snapshot, binpack bool) *refRound {
 
 func (r *refRound) pick(need resources.Vector, avoid string) string {
 	var placed []string
-	for _, a := range r.plan {
-		if avoid != "" && a.Kind == core.ScaleOut && a.Service == avoid {
+	for i, a := range r.plan {
+		if avoid != "" && a.Kind == core.ScaleOut && r.names[i] == avoid {
 			placed = append(placed, a.NodeID)
 		}
 	}
 	best, bestCPU := "", 0.0
 	for _, n := range r.snap.Nodes {
-		if avoid != "" && (n.HostsService(avoid) || slices.Contains(placed, n.ID)) {
+		if avoid != "" && (slices.Contains(n.Hosts, avoid) || slices.Contains(placed, n.ID)) {
 			continue
 		}
 		a := r.avail[n.ID]
@@ -188,13 +203,15 @@ func (r *refRound) pick(need resources.Vector, avoid string) string {
 }
 
 func (r *refRound) scaleOut(svc int, nodeID string, alloc resources.Vector) {
-	r.plan = append(r.plan, core.StartOn(r.snap.Services[svc].Info.Name, nodeID, alloc))
+	r.plan = append(r.plan, core.Action{Kind: core.ScaleOut, NodeID: nodeID, Alloc: alloc})
+	r.names = append(r.names, r.snap.Services[svc].Info.Name)
 	r.avail[nodeID] = r.avail[nodeID].Sub(alloc).ClampNonNegative()
 	r.count[svc]++
 }
 
 func (r *refRound) scaleIn(svc int, id string) {
 	r.plan = append(r.plan, core.Remove(id))
+	r.names = append(r.names, r.snap.Services[svc].Info.Name)
 	r.removed[id] = true
 	r.count[svc]--
 }
@@ -213,13 +230,21 @@ func (r *refRound) resize(id string, alloc resources.Vector) {
 	r.resized[id] = alloc
 }
 
-func (r *refRound) finish() []core.Action {
+// finish ends the round, returning the plan and each action's service name.
+func (r *refRound) finish() ([]core.Action, []string) {
 	for _, id := range r.resizeOrder {
 		if !r.removed[id] {
 			r.plan = append(r.plan, core.Resize(id, r.resized[id]))
+			for _, s := range r.snap.Services {
+				for _, rep := range s.Replicas {
+					if rep.ContainerID == id {
+						r.names = append(r.names, s.Info.Name)
+					}
+				}
+			}
 		}
 	}
-	return r.plan
+	return r.plan, r.names
 }
 
 // randomRoundSnapshot builds a snapshot whose replicas run on listed nodes,
@@ -244,7 +269,8 @@ func randomRoundSnapshot(rng *rand.Rand) core.Snapshot {
 	}
 	for s := 0; s < 1+rng.Intn(5); s++ {
 		name := fmt.Sprintf("s%d", s)
-		svc := core.ServiceStats{Info: core.ServiceInfo{Name: name, MinReplicas: 1, MaxReplicas: 6,
+		// Ords that are not snapshot indexes, so a mix-up of the two shows.
+		svc := core.ServiceStats{Info: core.ServiceInfo{Name: name, Ord: 2*s + 1, MinReplicas: 1, MaxReplicas: 6,
 			TargetUtil: 0.5, InitialAlloc: vec()}}
 		for j := 0; j < rng.Intn(5); j++ {
 			host := hosts[rng.Intn(len(hosts))]
@@ -255,7 +281,7 @@ func randomRoundSnapshot(rng *rand.Rand) core.Snapshot {
 				NodeID: host, Requested: vec(), Routable: true})
 			if listed[host] {
 				for i := range snap.Nodes {
-					if snap.Nodes[i].ID == host && !snap.Nodes[i].HostsService(name) {
+					if snap.Nodes[i].ID == host && !slices.Contains(snap.Nodes[i].Hosts, name) {
 						snap.Nodes[i].Hosts = append(snap.Nodes[i].Hosts, name)
 					}
 				}
@@ -273,7 +299,7 @@ func randomRoundSnapshot(rng *rand.Rand) core.Snapshot {
 // avoid, under spread and binpack), over snapshots with unlisted and shared
 // unlisted hosts. After every operation each ledger read, count, removal
 // and allocation must agree, and the plans must agree action for action,
-// with every ordinal naming the action's target. One Round serves every
+// with every ordinal naming the action's target and service. One Round serves every
 // sequence, as one algorithm's does.
 func TestRoundMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
@@ -322,12 +348,12 @@ func TestRoundMatchesReference(t *testing.T) {
 				rd.ScaleIn(p.svc, p.j)
 				ref.scaleIn(p.svc, rep.ContainerID)
 			case k == 4:
-				avoid := ""
+				avoid, avoidSvc := "", -1
 				if rng.Intn(2) == 0 {
-					avoid = snap.Services[svc].Info.Name
+					avoid, avoidSvc = snap.Services[svc].Info.Name, svc
 				}
 				need := vec()
-				node := rd.Pick(need, avoid)
+				node := rd.Pick(need, avoidSvc)
 				want := ref.pick(need, avoid)
 				if (node < 0 && want != "") || (node >= 0 && snap.Nodes[node].ID != want) {
 					t.Fatalf("seq %d op %d: Pick(%v, %q) = %d, reference %q", seq, op, need, avoid, node, want)
@@ -382,15 +408,19 @@ func TestRoundMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		got, want := rd.Plan().Actions, ref.finish()
+		got := rd.Plan().Actions
+		want, names := ref.finish()
 		if len(got) != len(want) {
 			t.Fatalf("seq %d: plan has %d actions, reference %d", seq, len(got), len(want))
 		}
 		for i, a := range got {
 			named := a
-			named.Replica, named.Node = 0, 0
+			named.Svc, named.Replica, named.Node = 0, 0, 0
 			if named != want[i] {
 				t.Fatalf("seq %d: action %d is %+v, reference %+v", seq, i, a, want[i])
+			}
+			if serviceNamed(snap, a.Svc) != names[i] {
+				t.Fatalf("seq %d: action %d carries service ordinal %d, reference service %s", seq, i, a.Svc-1, names[i])
 			}
 			switch a.Kind {
 			case core.ScaleOut:
@@ -408,4 +438,20 @@ func TestRoundMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIndexHostsRejectsSharedOrd: two services of one snapshot with the same
+// Ord would share an algorithm's per-service memory, so IndexHosts, which
+// every hand-built snapshot calls, refuses them.
+func TestIndexHostsRejectsSharedOrd(t *testing.T) {
+	snap := core.Snapshot{Services: []core.ServiceStats{
+		{Info: core.ServiceInfo{Name: "a", Ord: 3}},
+		{Info: core.ServiceInfo{Name: "b", Ord: 3}},
+	}}
+	defer func() {
+		if recover() == nil {
+			t.Error("IndexHosts accepted two services with ordinal 3")
+		}
+	}()
+	snap.IndexHosts()
 }

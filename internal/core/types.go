@@ -14,6 +14,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"hyscale/internal/resources"
@@ -23,8 +24,12 @@ import (
 // needs: identity, replica bounds, the utilization target, and the envelope
 // for fresh replicas.
 type ServiceInfo struct {
-	// Name identifies the microservice.
+	// Name identifies the microservice in journals, events and NodeStats.Hosts.
 	Name string
+	// Ord is the service's registration ordinal, which the control plane
+	// assigns: the key an algorithm's per-service memory and every Action
+	// use. Services of one snapshot have distinct Ords.
+	Ord int
 	// MinReplicas and MaxReplicas bound horizontal scaling.
 	MinReplicas int
 	MaxReplicas int
@@ -81,17 +86,6 @@ type NodeStats struct {
 	Hosts []string
 }
 
-// HostsService reports whether the node already hosts a replica of the
-// service.
-func (n NodeStats) HostsService(service string) bool {
-	for _, s := range n.Hosts {
-		if s == service {
-			return true
-		}
-	}
-	return false
-}
-
 // Snapshot is the Monitor's cluster-wide view handed to an algorithm each
 // decision period.
 type Snapshot struct {
@@ -115,8 +109,16 @@ type Snapshot struct {
 // node IDs: a listed host's slot is its index in Nodes, and unlisted hosts
 // get slots past the end in order of first appearance. A producer that
 // tracks its hosts by ordinal fills them itself; hand-built snapshots call
-// this once.
+// this once. It panics when two services share an Ord, which would make
+// them share an algorithm's memory.
 func (s *Snapshot) IndexHosts() {
+	for i, svc := range s.Services {
+		for _, prev := range s.Services[:i] {
+			if prev.Info.Ord == svc.Info.Ord {
+				panic(fmt.Sprintf("core: services %q and %q share ordinal %d", prev.Info.Name, svc.Info.Name, svc.Info.Ord))
+			}
+		}
+	}
 	slot := make(map[string]int, len(s.Nodes))
 	for i, n := range s.Nodes {
 		if _, dup := slot[n.ID]; !dup {
@@ -157,8 +159,6 @@ const (
 // apply. A one-byte reason code would fit beside Kind.
 type Action struct {
 	Kind ActionKind
-	// Service is the service a ScaleOut starts a replica of.
-	Service string
 	// ContainerID is the replica a VerticalScale resizes or a ScaleIn
 	// removes.
 	ContainerID string
@@ -167,14 +167,16 @@ type Action struct {
 	// Alloc is a VerticalScale's new allocation, replacing the container's
 	// requested resources, or a ScaleOut's initial allocation.
 	Alloc resources.Vector
-	// Replica is 1 + the target's flat ordinal in the snapshot the action
-	// was planned from (its position among every service's replicas, in
-	// order), for a VerticalScale or ScaleIn: the monitor applies a plan's
-	// vertical and scale-in actions only through it. Node is 1 + a
-	// ScaleOut's node index in that snapshot's Nodes, zero for a scale-out
-	// placed when it executes. Queued work (retries, re-placements)
-	// outlives its snapshot, so the monitor resolves it by name instead.
-	Replica, Node int32
+	// Svc is 1 + the acted-on service's ServiceInfo.Ord, on every kind of
+	// action; zero means unset. Replica is 1 + the target's flat ordinal in
+	// the snapshot the action was planned from (its position among every
+	// service's replicas, in order), for a VerticalScale or ScaleIn: the
+	// monitor applies a plan's vertical and scale-in actions only through
+	// it. Node is 1 + a ScaleOut's node index in that snapshot's Nodes, zero
+	// for a scale-out placed when it executes. Queued work (retries,
+	// re-placements) outlives its snapshot, so the monitor resolves it by
+	// Svc and its container by ContainerID.
+	Svc, Replica, Node int32
 }
 
 // Resize builds a vertical action that sets the container's allocation.
@@ -182,11 +184,11 @@ func Resize(containerID string, alloc resources.Vector) Action {
 	return Action{Kind: VerticalScale, ContainerID: containerID, Alloc: alloc}
 }
 
-// StartOn builds a scale-out that starts a replica of service on node
-// nodeID with the given allocation. An empty nodeID leaves the placement
-// to the executor.
-func StartOn(service, nodeID string, alloc resources.Vector) Action {
-	return Action{Kind: ScaleOut, Service: service, NodeID: nodeID, Alloc: alloc}
+// StartOn builds a scale-out that starts a replica of the service whose
+// ServiceInfo.Ord is ord on node nodeID with the given allocation. An empty
+// nodeID leaves the placement to the executor.
+func StartOn(ord int, nodeID string, alloc resources.Vector) Action {
+	return Action{Kind: ScaleOut, Svc: int32(ord + 1), NodeID: nodeID, Alloc: alloc}
 }
 
 // Remove builds a scale-in of the container.
@@ -216,7 +218,8 @@ type Algorithm interface {
 	// "hybrid", "hybridmem", "network").
 	Name() string
 	// Decide computes the scaling plan for the snapshot. The plan carries
-	// snap's Epoch, and each vertical and scale-in its Replica ordinal.
+	// snap's Epoch, every action its service's Svc ordinal, and each
+	// vertical and scale-in its Replica ordinal.
 	Decide(snap Snapshot) Plan
 }
 

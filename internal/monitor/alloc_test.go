@@ -35,7 +35,7 @@ func TestPollSteadyStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMonitor(cl, staticAlgo{})
+	m := soloMonitor(cl, staticAlgo{})
 	for _, name := range []string{"a", "b", "c"} {
 		if err := m.AddService(spec(name), 0.5); err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestApplyVerticalAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := newMonitor(cl, nil)
+		m := soloMonitor(cl, nil)
 		var ids []string
 		for i := 0; i < nodes/2; i++ {
 			name := fmt.Sprintf("s%d", i)
@@ -143,7 +143,7 @@ func BenchmarkApplyVertical(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m := newMonitor(cl, staticAlgo{})
+			m := soloMonitor(cl, staticAlgo{})
 			var ids []string
 			for i, n := range cl.Nodes() {
 				name := fmt.Sprintf("s%d", i)
@@ -185,7 +185,7 @@ func resizingWorld(t *testing.T, algo core.Algorithm) (*Monitor, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMonitor(cl, algo)
+	m := soloMonitor(cl, algo)
 	for _, name := range []string{"a", "b", "c"} {
 		s := spec(name)
 		s.MaxReplicas = s.MinReplicas

@@ -95,6 +95,7 @@ func TestCheckpointIsolatedFromLiveState(t *testing.T) {
 	if _, err := cl.RemoveNode("node-0"); err != nil {
 		t.Fatal(err)
 	}
+	m.plane.NoteNodeRemoved("node-0")
 	// node-2 misses the polls from 10s on and turns suspect.
 	m.faults = faultWindow(faults.KindStats, "node-2", 9*time.Second, time.Hour)
 	for _, at := range []time.Duration{5, 10, 15, 20} {
@@ -148,7 +149,7 @@ func TestCheckpointPollAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMonitor(cl, staticAlgo{})
+	m := soloMonitor(cl, staticAlgo{})
 	m.selfHeal = DefaultSelfHealing()
 	for _, name := range []string{"a", "b", "c"} {
 		if err := m.AddService(spec(name), 0.5); err != nil {

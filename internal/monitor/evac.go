@@ -122,7 +122,7 @@ func (p *Plane) zoneUsable(z *zoneArbiter) bool {
 func (p *Plane) evacuateZone(z *zoneArbiter, now time.Duration) {
 	work := len(z.mon.services)
 	for _, g := range z.states(true) {
-		p.dropGuest(&p.services[g.ord], z, now)
+		p.dropGuest(&p.services[g.info.Ord], z, now)
 	}
 	p.rehomeServices(z, now)
 	if work > 0 {
@@ -147,11 +147,12 @@ func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
 	}
 	free := p.freeCapacity(z)
 	for _, st := range states {
-		e, s := &p.services[st.ord], st.spec.Name
+		ord := st.info.Ord
+		e := &p.services[ord]
 		// The service's queued re-placements are the demand to fit: every
 		// replica the detector excised has a ScaleOut waiting in the retry
 		// queue (already-abandoned ones are gone for good either way).
-		pend := extractPendings(z.mon, s)
+		pend := extractPendings(z.mon, ord)
 		allocs := make([]resources.Vector, len(pend))
 		for i, pa := range pend {
 			if pa.action.Kind == core.ScaleOut {
@@ -195,14 +196,14 @@ func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
 			moveLostByID(z.mon, primary.mon, pend[idx].lostID)
 			primary.mon.retries = append(primary.mon.retries, pend[idx])
 		}
-		moveLost(z.mon, primary.mon, s)
+		moveLost(z.mon, primary.mon, ord)
 		p.evac.ServicesEvacuated++
 		p.evac.ReplicasDisplaced += uint64(len(pend))
 		detail := fmt.Sprintf("zone %d -> zone %d", z.idx, primary.idx)
 		if len(shares) > 1 {
 			detail += fmt.Sprintf(" (+%d spill zones)", len(shares)-1)
 		}
-		z.mon.event(now, obs.EventZoneEvacuate, "", s, "", detail)
+		z.mon.event(now, obs.EventZoneEvacuate, "", e.name, "", detail)
 	}
 }
 
@@ -322,10 +323,9 @@ func (e *planeService) ensureGuest(za *zoneArbiter, reserve int) {
 			return
 		}
 	}
-	g := &serviceState{spec: home.spec, info: home.info, ord: home.ord, guest: true, nextIdx: home.nextIdx}
+	g := &serviceState{spec: home.spec, info: home.info, guest: true, nextIdx: home.nextIdx}
 	home.nextIdx += reserve
 	za.mon.services = append(za.mon.services, g)
-	za.mon.byName[e.name] = g
 	za.mon.topoGen++
 	za.mon.lastCheckpoint = nil // a restore must not resurrect a pre-shard view
 	k := 0
@@ -358,16 +358,9 @@ func (p *Plane) dropGuest(e *planeService, za *zoneArbiter, now time.Duration) [
 	if g == nil {
 		return nil
 	}
-	var allocs []resources.Vector
-	for _, id := range append([]string(nil), g.replicaIDs...) {
-		if c, _ := za.mon.findReplica(id); c != nil && c.State != container.StateRemoved {
-			allocs = append(allocs, c.Alloc)
-			za.mon.removeReplica(id)
-		}
-	}
-	g.replicaIDs = g.replicaIDs[:0]
-	movePendings(za.mon, e.home.mon, e.name)
-	moveLost(za.mon, e.home.mon, e.name)
+	allocs := za.mon.drain(nil, g)
+	movePendings(za.mon, e.home.mon, g.info.Ord)
+	moveLost(za.mon, e.home.mon, g.info.Ord)
 	za.mon.unregister(g)
 	za.mon.topoGen++
 	za.mon.lastCheckpoint = nil
@@ -388,13 +381,13 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 	var moving []*planeService
 	for _, zz := range p.zones {
 		for _, st := range zz.mon.services {
-			if e := &p.services[st.ord]; !st.guest && e.origin == z {
+			if e := &p.services[st.info.Ord]; !st.guest && e.origin == z {
 				moving = append(moving, e)
 			}
 		}
 	}
 	for _, e := range moving {
-		cur, st, s := e.home, e.st, e.name
+		cur, st, ord := e.home, e.st, e.st.info.Ord
 		e.origin = nil
 		if cur == z {
 			continue
@@ -406,33 +399,24 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 		for len(e.spills) > 0 {
 			allocs = append(allocs, p.dropGuest(e, e.spills[0].za, now)...)
 		}
-		for _, id := range append([]string(nil), st.replicaIDs...) {
-			if c, _ := cur.mon.findReplica(id); c != nil && c.State != container.StateRemoved {
-				allocs = append(allocs, c.Alloc)
-				cur.mon.removeReplica(id)
-			}
-		}
-		st.replicaIDs = st.replicaIDs[:0]
+		allocs = cur.mon.drain(allocs, st)
 		moveServiceState(cur.mon, z.mon, st, nil)
 		e.home = z
-		movePendings(cur.mon, z.mon, s)
-		moveLost(cur.mon, z.mon, s)
+		movePendings(cur.mon, z.mon, ord)
+		moveLost(cur.mon, z.mon, ord)
 		// Settle the ledger against what survived the outage here.
-		z.mon.settleLost(now, func(l lostReplica) bool { return l.service == s })
+		z.mon.settleLost(now, func(l lostReplica) bool { return l.ord == ord })
 		for _, a := range allocs {
 			z.mon.retries = append(z.mon.retries, pendingAction{
-				action: core.StartOn(s, "", a), notBefore: now,
+				action: core.StartOn(ord, "", a), notBefore: now,
 			})
 		}
 		// Every replica the service now has was started this instant with
 		// zero observed usage; hold the algorithm off for one poll so it
 		// does not trim them to the minimum before stats arrive.
-		if st.holdPolls == 0 {
-			st.holdPolls = 1
-			z.mon.held++
-		}
+		st.holdPolls = 1
 		p.evac.ServicesReadopted++
-		z.mon.event(now, obs.EventZoneReadopt, "", s, "",
+		z.mon.event(now, obs.EventZoneReadopt, "", e.name, "",
 			fmt.Sprintf("zone %d -> zone %d", cur.idx, z.idx))
 	}
 	p.sweepOrphans(z, now)
@@ -447,7 +431,7 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 // resolved elsewhere). Their lost entries, wherever they ended up, go too.
 func (p *Plane) sweepOrphans(z *zoneArbiter, now time.Duration) {
 	for _, n := range z.mon.cluster.Nodes() {
-		var orphans []string
+		var orphans []*container.Container
 		for _, c := range n.Containers() {
 			if c.State == container.StateRemoved {
 				continue
@@ -455,13 +439,13 @@ func (p *Plane) sweepOrphans(z *zoneArbiter, now time.Duration) {
 			if _, owned := z.mon.replicaHome[c.ID]; owned {
 				continue
 			}
-			orphans = append(orphans, c.ID)
+			orphans = append(orphans, c)
 		}
-		for _, id := range orphans {
-			p.dropLostEverywhere(id)
-			z.mon.removeReplica(id)
+		for _, c := range orphans {
+			p.dropLostEverywhere(c.ID)
+			z.mon.removeFrom(n, c.ID)
 			z.mon.recovery.StaleDrained++
-			z.mon.event(now, obs.EventStaleDrained, n.ID(), z.mon.serviceOfContainer(id), id, "zone sweep")
+			z.mon.event(now, obs.EventStaleDrained, n.ID(), c.Service, c.ID, "zone sweep")
 		}
 	}
 }
@@ -478,10 +462,23 @@ func (p *Plane) dropLostEverywhere(id string) {
 	}
 }
 
+// drain removes every live replica of st, emptying its replica set, and
+// appends their allocations to allocs for re-placement.
+func (m *Monitor) drain(allocs []resources.Vector, st *serviceState) []resources.Vector {
+	for _, id := range append([]string(nil), st.replicaIDs...) {
+		if c, node := m.findReplica(id); c != nil && c.State != container.StateRemoved {
+			allocs = append(allocs, c.Alloc)
+			m.removeFrom(node, id)
+		}
+	}
+	st.replicaIDs = st.replicaIDs[:0]
+	return allocs
+}
+
 // moveServiceState transfers a service's decision state st between
 // monitors. g, when not nil, is the service's spillover shard in to: it
 // folds into the arriving state, its replicas joining the home's, so a
-// monitor never holds two states for one name. Both monitors' topologies
+// monitor never holds two states for one service. Both monitors' topologies
 // change and neither's checkpoint may survive — a restore would otherwise
 // resurrect the service in its old zone.
 func moveServiceState(from, to *Monitor, st, g *serviceState) {
@@ -493,7 +490,6 @@ func moveServiceState(from, to *Monitor, st, g *serviceState) {
 	st.resolved = st.resolved[:0]
 	st.resolvedGen = 0 // topoGen starts at 1, so 0 always misses the cache
 	to.services = append(to.services, st)
-	to.byName[st.spec.Name] = st
 	from.topoGen++
 	to.topoGen++
 	from.lastCheckpoint = nil
@@ -501,12 +497,12 @@ func moveServiceState(from, to *Monitor, st, g *serviceState) {
 }
 
 // extractPendings removes and returns, in queue order, every queued ScaleOut
-// for the service — both reconciler re-placements and backing-off retries.
-func extractPendings(m *Monitor, s string) []pendingAction {
+// for service ord — both reconciler re-placements and backing-off retries.
+func extractPendings(m *Monitor, ord int) []pendingAction {
 	var out []pendingAction
 	kept := m.retries[:0]
 	for _, pa := range m.retries {
-		if pa.action.Kind == core.ScaleOut && pa.action.Service == s {
+		if pa.action.Kind == core.ScaleOut && int(pa.action.Svc) == ord+1 {
 			out = append(out, pa)
 			continue
 		}
@@ -519,17 +515,17 @@ func extractPendings(m *Monitor, s string) []pendingAction {
 	return out
 }
 
-// movePendings transfers the service's queued ScaleOuts from one monitor's
+// movePendings transfers service ord's queued ScaleOuts from one monitor's
 // retry queue to another's, preserving order.
-func movePendings(from, to *Monitor, s string) {
-	to.retries = append(to.retries, extractPendings(from, s)...)
+func movePendings(from, to *Monitor, ord int) {
+	to.retries = append(to.retries, extractPendings(from, ord)...)
 }
 
-// moveLost transfers every lost-ledger entry of the service between monitors.
-func moveLost(from, to *Monitor, s string) {
+// moveLost transfers every lost-ledger entry of service ord between monitors.
+func moveLost(from, to *Monitor, ord int) {
 	kept := from.lost[:0]
 	for _, l := range from.lost {
-		if l.service == s {
+		if l.ord == ord {
 			to.lost = append(to.lost, l)
 			continue
 		}

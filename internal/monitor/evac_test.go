@@ -351,16 +351,16 @@ func checkTable(t *testing.T, p *Plane, when string) {
 	var scratch []*container.Container
 	for ord, e := range p.services {
 		sc := p.scan(e.name)
-		if p.ordOf[e.name] != ord || e.st.ord != ord {
-			t.Fatalf("%s: %s is entry %d, its name resolves to %d and its state says %d", when, e.name, ord, p.ordOf[e.name], e.st.ord)
+		if p.ordOf[e.name] != ord || e.st.info.Ord != ord {
+			t.Fatalf("%s: %s is entry %d, its name resolves to %d and its state says %d", when, e.name, ord, p.ordOf[e.name], e.st.info.Ord)
 		}
-		if e.home.idx != sc.home || e.home.mon.byName[e.name] != e.st || e.st.guest {
+		if e.home.idx != sc.home || e.home.mon.scanState(e.name) != e.st || e.home.mon.stateOf(ord) != e.st || e.st.guest {
 			t.Fatalf("%s: %s homed in zone %d, the scan finds its state in zone %d", when, e.name, e.home.idx, sc.home)
 		}
 		var spills []int
 		for _, sh := range e.spills {
 			spills = append(spills, sh.za.idx)
-			if sh.za.mon.byName[e.name] != sh.st || !sh.st.guest {
+			if sh.za.mon.scanState(e.name) != sh.st || sh.za.mon.stateOf(ord) != sh.st || !sh.st.guest {
 				t.Fatalf("%s: %s's shard in zone %d is not that arbiter's guest state", when, e.name, sh.za.idx)
 			}
 		}
@@ -438,5 +438,116 @@ func TestServiceTableMatchesArbiters(t *testing.T) {
 	}
 	if b.origin != p.zones[1] {
 		t.Errorf("b's origin = %v, want zone 1, still down", b.origin)
+	}
+}
+
+// checkQueuedWork checks every arbiter's queued actions and lost-ledger
+// entries: each must resolve by its service ordinal to a state of that
+// arbiter, and to the one a by-name scan of the arbiter's own service list
+// finds. names lists the services in registration order, as the test
+// registered them. It returns how many entries it checked.
+func checkQueuedWork(t *testing.T, p *Plane, names []string, when string) int {
+	t.Helper()
+	checked := 0
+	check := func(z *zoneArbiter, ord int, what string) {
+		t.Helper()
+		if st, want := z.mon.stateOf(ord), z.mon.scanState(names[ord]); st == nil || st != want {
+			t.Fatalf("%s: zone %d: %s of %s resolves by ordinal to %p, the scan finds %p", when, z.idx, what, names[ord], st, want)
+		}
+		checked++
+	}
+	for _, z := range p.zones {
+		for _, pa := range z.mon.retries {
+			check(z, int(pa.action.Svc)-1, "queued action")
+		}
+		for _, l := range z.mon.lost {
+			check(z, l.ord, "lost replica "+l.id)
+		}
+	}
+	return checked
+}
+
+// TestQueuedWorkResolvesByOrdinal checks the queued work and lost ledgers
+// of every arbiter (checkQueuedWork) after deployment and after every poll
+// through node deaths and their reconcile enqueues, a checkpoint restore,
+// evacuations with spillover (a, out of zone 0) and without (b, c), and
+// then, in one run, a second evacuation that folds a's spill shard into its
+// new home and a's readoption, and in the other the death of a's spill zone,
+// which hands the shard's queued re-placements to a's home. Each run ends
+// with a cold restart.
+func TestQueuedWorkResolvesByOrdinal(t *testing.T) {
+	names := []string{"a", "b", "c", "d"}
+	for _, run := range []struct {
+		name   string
+		second string // the zone whose outage starts at 100 s
+		heal   time.Duration
+	}{
+		{"fold", "1", 150 * time.Second},
+		{"shard zone dies", "2", time.Hour},
+	} {
+		t.Run(run.name, func(t *testing.T) {
+			cl, err := cluster.NewHomogeneous(16, cluster.DefaultNodeConfig(""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPlane(cl, planeNoopAlgo{}, PlaneConfig{
+				Zones: 4, Evacuate: true, SpilloverZones: 2, ReadoptAfter: 20 * time.Second,
+				StartDelay: time.Second, SelfHealing: DefaultSelfHealing(),
+			}, faults.New(faults.Config{Windows: []faults.Window{
+				{Kind: faults.KindZoneOutage, Target: "0", From: 4 * time.Second, To: run.heal},
+				{Kind: faults.KindZoneOutage, Target: run.second, From: 100 * time.Second, To: time.Hour},
+			}}), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				n := 4
+				if name == "a" {
+					n = 6
+				}
+				if err := p.AddService(planeSpec(name, 2, n, n), 0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.deployAll(0); err != nil {
+				t.Fatal(err)
+			}
+			checkQueuedWork(t, p, names, "deploy")
+
+			a := &p.services[0]
+			checked, restoredWork := 0, 0
+			spilled, folded, shardDropped, readopted := false, false, false, false
+			for now := 5 * time.Second; now <= 250*time.Second; now += 5 * time.Second {
+				p.Poll(now)
+				checked += checkQueuedWork(t, p, names, now.String())
+				if now == 30*time.Second {
+					// A crash restores every arbiter from the checkpoint taken
+					// after the previous poll, queued re-placements included.
+					p.Restart(now)
+					restoredWork = checkQueuedWork(t, p, names, "restore")
+				}
+				p.MaybeCheckpoint(now)
+				spilled = spilled || (len(a.spills) == 1 && a.origin == p.zones[0])
+				folded = folded || (spilled && a.home.idx == 2 && len(a.spills) == 0)
+				shardDropped = shardDropped || (spilled && a.home.idx == 1 && len(a.spills) == 0)
+				readopted = readopted || (folded && a.home.idx == 0 && a.origin == nil)
+			}
+			for _, z := range p.zones {
+				z.mon.lastCheckpoint = nil
+			}
+			p.Restart(255 * time.Second)
+			checkQueuedWork(t, p, names, "cold restart")
+
+			rec := p.Recovery()
+			if checked == 0 || restoredWork == 0 || rec.CheckpointRestores == 0 || rec.ColdRestarts != uint64(len(p.zones)) {
+				t.Errorf("checked %d entries, %d after the restore; restores %d, cold restarts %d", checked, restoredWork, rec.CheckpointRestores, rec.ColdRestarts)
+			}
+			if run.second == "1" && (!spilled || !folded || !readopted) {
+				t.Errorf("missed a stage: spilled %v, folded %v, readopted %v", spilled, folded, readopted)
+			}
+			if run.second == "2" && (!spilled || !shardDropped) {
+				t.Errorf("missed a stage: spilled %v, shard dropped %v", spilled, shardDropped)
+			}
+		})
 	}
 }

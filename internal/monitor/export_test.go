@@ -1,27 +1,41 @@
 package monitor
 
 // Test-only access to the control plane. The by-name Monitor methods below
-// address a bare Monitor's services the way the tests name them; the plane
-// itself reaches its arbiters' services through its service table. The scan
-// is the table's reference: it reads only the arbiters' service lists.
+// address an arbiter's services the way the tests name them, through the
+// plane's name index. The scans further down are the reference the plane's
+// table and the arbiters' ordinal resolution are checked against: they read
+// only the arbiters' service lists, never the table.
 
 import (
 	"fmt"
 	"time"
 
+	"hyscale/internal/cluster"
 	"hyscale/internal/container"
+	"hyscale/internal/core"
 	"hyscale/internal/resources"
 	"hyscale/internal/workload"
 )
 
+// soloMonitor builds a one-zone plane over cl, with the 1 s start delay the
+// monitor tests assume, and returns its one arbiter.
+func soloMonitor(cl *cluster.Cluster, algo core.Algorithm) *Monitor {
+	p, err := NewPlane(cl, algo, PlaneConfig{StartDelay: time.Second}, nil, nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	return p.zones[0].mon
+}
+
 func (m *Monitor) AddService(spec workload.ServiceSpec, targetUtil float64) error {
-	_, err := m.addService(spec, targetUtil)
-	return err
+	return m.plane.AddService(spec, targetUtil)
 }
 
 func (m *Monitor) state(service string) (*serviceState, error) {
-	if st, ok := m.byName[service]; ok {
-		return st, nil
+	if ord, ok := m.plane.ordOf[service]; ok {
+		if st := m.stateOf(ord); st != nil {
+			return st, nil
+		}
 	}
 	return nil, fmt.Errorf("monitor: unknown service %q", service)
 }
@@ -49,6 +63,17 @@ func (m *Monitor) Replicas(service string) []*container.Container {
 		return nil
 	}
 	return m.appendLive(nil, st)
+}
+
+// scanState finds the service's state by walking this arbiter's service
+// list, never the plane's table; nil when the arbiter holds none.
+func (m *Monitor) scanState(name string) *serviceState {
+	for _, st := range m.services {
+		if st.spec.Name == name {
+			return st
+		}
+	}
+	return nil
 }
 
 // ZoneOfService returns the zone a service is homed in, or -1.

@@ -175,7 +175,7 @@ func TestPlacementFailureRequeuedAndRepicked(t *testing.T) {
 	// the only way a scale-out placement fails.
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.StartOn("a", "gone-node", resources.Vector{CPU: 1, MemMB: 512}),
+		core.StartOn(0, "gone-node", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 	algo.plan = core.Plan{}
@@ -214,7 +214,7 @@ func TestRetriedScaleOutRespectsMaxReplicas(t *testing.T) {
 	m.faults = faultWindow(faults.KindStart, "", 0, 12*time.Second)
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.StartOn("a", "node-2", resources.Vector{CPU: 1, MemMB: 512}),
+		core.StartOn(0, "node-2", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 	algo.plan = core.Plan{}
@@ -243,7 +243,7 @@ func TestSlowStartStretchesReadiness(t *testing.T) {
 	})
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.StartOn("a", "node-2", resources.Vector{CPU: 1, MemMB: 512}),
+		core.StartOn(0, "node-2", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 

@@ -16,7 +16,7 @@ package monitor
 import (
 	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 	"time"
 
 	"hyscale/internal/cluster"
@@ -61,10 +61,9 @@ const (
 // serviceState tracks a registered microservice.
 type serviceState struct {
 	spec workload.ServiceSpec
+	// info.Ord is the service's registration ordinal, its index in the
+	// plane's service table; a spillover shard carries its home's.
 	info core.ServiceInfo
-	// ord is the service's registration ordinal, its index in the plane's
-	// service table; a spillover shard carries its home's.
-	ord int
 	// replicaIDs lists live container IDs in creation order.
 	replicaIDs []string
 	nextIdx    int
@@ -155,11 +154,6 @@ type Monitor struct {
 	algo    core.Algorithm
 
 	services []*serviceState
-	byName   map[string]*serviceState
-
-	// held counts services with holdPolls > 0, so the hold machinery costs
-	// nothing when idle (always, outside zone readoptions).
-	held int
 
 	// startDelay is the container start latency applied to scale-outs.
 	startDelay time.Duration
@@ -185,10 +179,11 @@ type Monitor struct {
 	// layer). Nil keeps the hot path untouched.
 	journal *obs.Journal
 
-	// plane is the zoned control plane this arbiter belongs to and zone its
-	// index there. The arbiter asks it to lease capacity after a placement
-	// finds no fitting node, and whether a zone-outage or zone-partition
-	// window cuts a node. Nil for a bare Monitor, which has neither.
+	// plane is the control plane this arbiter belongs to and zone its index
+	// there. The arbiter resolves service ordinals through the plane's table
+	// (stateOf), asks the plane to lease capacity after a placement finds no
+	// fitting node, and asks whether a zone-outage or zone-partition window
+	// cuts a node.
 	plane *Plane
 	zone  int
 
@@ -197,8 +192,9 @@ type Monitor struct {
 	// departed keeps, for each service that left this monitor after one of
 	// its snapshots journaled it, that last observation: a decision about
 	// a service this monitor no longer observes still reports what it last
-	// saw here (see observation). Only maintained when journal is set.
-	departed map[string]observation
+	// saw here (see observation). Keyed by service ordinal; only maintained
+	// when journal is set.
+	departed map[int]observation
 
 	// nodeStates is the failure detector's per-node record; replicaHome maps
 	// every live replica to its host node; lost is the reconciler's ledger of
@@ -226,8 +222,7 @@ type Monitor struct {
 	// allocates nothing (see Snapshot). The snapshot handed to the algorithm
 	// aliases these buffers and is valid until the next Snapshot call — every
 	// consumer (Poll → Decide → Apply) runs synchronously inside that window.
-	// scratch holds the ordinal tables; a Plane shares one across its
-	// arbiters.
+	// scratch holds the ordinal tables, which the plane's arbiters share.
 	scratch      *pollScratch
 	seenGen      map[string]uint64
 	gen          uint64
@@ -240,31 +235,6 @@ type Monitor struct {
 	// manager set changed.
 	sampling  []*nodemanager.Manager
 	sampleGen uint64
-}
-
-// newMonitor wires a monitor to the cluster, creating one node manager per
-// node, and installs the scaling algorithm: a 1 s start delay, hardening on,
-// self-healing off and no plane. NewPlane sets the rest of an arbiter.
-func newMonitor(cl *cluster.Cluster, algo core.Algorithm) *Monitor {
-	m := &Monitor{
-		cluster:     cl,
-		nmByID:      make(map[string]*nodemanager.Manager),
-		algo:        algo,
-		byName:      make(map[string]*serviceState),
-		startDelay:  time.Second,
-		lastReports: make(map[string]*cachedReport),
-		nodeStates:  make(map[string]*nodeState),
-		replicaHome: make(map[string]string),
-		scratch:     &pollScratch{},
-		seenGen:     make(map[string]uint64),
-		topoGen:     1, // above the zero resolvedGen, so fresh services resolve
-	}
-	for _, n := range cl.Nodes() {
-		nm := nodemanager.New(n)
-		m.nms = append(m.nms, nm)
-		m.nmByID[n.ID()] = nm
-	}
-	return m
 }
 
 // Counts returns the cumulative action counters.
@@ -305,20 +275,18 @@ func (m *Monitor) AttachNode(n *cluster.Node) {
 	m.topoGen++ // replicas unfindable while detached may resolve again
 }
 
-// addService registers a microservice with its scaling target and returns
-// its state. No replicas are created; call deployInitial (or let the
-// algorithm's min-replica enforcement do it).
-func (m *Monitor) addService(spec workload.ServiceSpec, targetUtil float64) (*serviceState, error) {
+// addService registers a microservice with its scaling target under
+// registration ordinal ord and returns its state. No replicas are created;
+// call deployInitial (or let the algorithm's min-replica enforcement do it).
+func (m *Monitor) addService(spec workload.ServiceSpec, targetUtil float64, ord int) (*serviceState, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if _, dup := m.byName[spec.Name]; dup {
-		return nil, fmt.Errorf("monitor: duplicate service %q", spec.Name)
 	}
 	st := &serviceState{
 		spec: spec,
 		info: core.ServiceInfo{
 			Name:          spec.Name,
+			Ord:           ord,
 			MinReplicas:   spec.MinReplicas,
 			MaxReplicas:   spec.MaxReplicas,
 			TargetUtil:    targetUtil,
@@ -331,20 +299,37 @@ func (m *Monitor) addService(spec workload.ServiceSpec, targetUtil float64) (*se
 		},
 	}
 	m.services = append(m.services, st)
-	m.byName[spec.Name] = st
 	return st, nil
 }
 
-// unregister drops st from the service list and the name index. A service
-// this monitor's snapshots journaled leaves its last observation behind.
+// stateOf returns this arbiter's state of service ord: the home state when
+// the arbiter is the service's home, else the spillover shard it hosts, else
+// nil.
+func (m *Monitor) stateOf(ord int) *serviceState {
+	e := &m.plane.services[ord]
+	if e.home.mon == m {
+		return e.st
+	}
+	for _, sh := range e.spills {
+		if sh.za.mon == m {
+			return sh.st
+		}
+	}
+	return nil
+}
+
+// serviceName returns the name of service ord, for journal and event text.
+func (m *Monitor) serviceName(ord int) string { return m.plane.services[ord].name }
+
+// unregister drops st from the service list. A service this monitor's
+// snapshots journaled leaves its last observation behind.
 func (m *Monitor) unregister(st *serviceState) {
 	if st.obsBy == m {
 		if m.departed == nil {
-			m.departed = make(map[string]observation)
+			m.departed = make(map[int]observation)
 		}
-		m.departed[st.spec.Name] = st.obs
+		m.departed[st.info.Ord] = st.obs
 	}
-	delete(m.byName, st.spec.Name)
 	m.services = slices.DeleteFunc(m.services, func(x *serviceState) bool { return x == st })
 }
 
@@ -487,17 +472,11 @@ func (m *Monitor) Poll(now time.Duration) {
 }
 
 // releaseHolds ticks down per-service decision holds after a poll's plan was
-// applied. No-op unless a zone readoption set one this period.
+// applied. Only a zone readoption sets one.
 func (m *Monitor) releaseHolds() {
-	if m.held == 0 {
-		return
-	}
 	for _, st := range m.services {
 		if st.holdPolls > 0 {
 			st.holdPolls--
-			if st.holdPolls == 0 {
-				m.held--
-			}
 		}
 	}
 }
@@ -567,8 +546,7 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 		}
 		ps.noteNode(node, nm, -1)
 		var cached *cachedReport
-		if m.faults.StatsDropped(now, id) || m.faults.StatsBlackout(now, id) ||
-			(m.plane != nil && m.plane.statsCut(now, id)) {
+		if m.faults.StatsDropped(now, id) || m.faults.StatsBlackout(now, id) || m.plane.statsCut(now, id) {
 			nm.NoteMissedQuery()
 			m.noteMissedPoll(id, now)
 			cached = m.lastReports[id]
@@ -745,94 +723,60 @@ func (m *Monitor) findReplica(id string) (*container.Container, *cluster.Node) {
 	return m.cluster.FindContainer(id)
 }
 
-// serviceOfContainer maps a container ID back to its service, falling back
-// to the "<service>-<idx>" naming convention when the container is already
-// gone from the cluster.
-func (m *Monitor) serviceOfContainer(id string) string {
-	c, _ := m.findReplica(id)
-	return serviceOf(id, c)
-}
-
-// serviceOf names the service of container id, resolved to c (nil when the
-// container is gone): c's own service, else the "<service>-<idx>" prefix.
-func serviceOf(id string, c *container.Container) string {
-	if c != nil {
-		return c.Service
-	}
-	if i := strings.LastIndex(id, "-"); i > 0 {
-		return id[:i]
-	}
-	return id
-}
-
-// target is what an action's container resolved to: the container and its
-// host node (both nil when it is gone) and, for an action resolved by
-// ordinal, the snapshot's service state.
-type target struct {
-	c    *container.Container
-	node *cluster.Node
-	st   *serviceState
-}
-
 // observe journals one action attempt with its outcome and the observed
 // inputs from the snapshot that motivated it. createdID names the replica a
 // successful scale-out started; t is what a vertical or scale-in action
 // resolved to, so the journal never looks it up again. No-op unless journal
 // is set.
-func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome obs.Outcome, createdID string, t target) {
+func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome obs.Outcome, createdID string, t replicaLoc) {
 	if m.journal == nil {
 		return
 	}
 	j, ps := m.journal, m.scratch
 	d := obs.Decision{At: now, Attempt: attempt, Outcome: outcome, Alloc: a.Alloc}
-	var o observation
 	var container, node obs.Name
 	switch a.Kind {
 	case core.ScaleOut:
 		d.Kind = obs.KindScaleOut
-		o = m.observation(a.Service, nil)
 		container, node = j.Intern(createdID), j.Intern(a.NodeID)
 	default:
 		d.Kind = obs.KindVertical
 		if a.Kind == core.ScaleIn {
 			d.Kind, d.Alloc = obs.KindScaleIn, resources.Vector{}
 		}
-		o = m.observation(serviceOf(a.ContainerID, t.c), t.st)
 		if t.c != nil {
 			container, node = ps.containerName(j, t.c), ps.nodeName(j, t.node)
 		} else {
 			container = j.Intern(a.ContainerID)
 		}
 	}
+	o := m.observation(int(a.Svc) - 1)
 	d.Observed = o.usage
 	j.DecisionFor(o.name, container, node, d)
 }
 
-// observation returns the observation a decision about the service reports:
-// that of the latest snapshot of this monitor that journaled the service.
-// st, when set, is the service's state in the snapshot just taken, which
-// journaled it. A service that never showed in one reports none, under its
-// interned name.
-func (m *Monitor) observation(service string, st *serviceState) observation {
-	if st == nil {
-		st = m.byName[service]
-	}
-	if st != nil && st.obsBy == m {
+// observation returns the observation a decision about service ord reports:
+// that of the latest snapshot of this monitor that journaled the service. A
+// service that never showed in one reports none, under its interned name.
+func (m *Monitor) observation(ord int) observation {
+	if st := m.stateOf(ord); st != nil && st.obsBy == m {
 		return st.obs
 	}
-	if o, ok := m.departed[service]; ok {
+	if o, ok := m.departed[ord]; ok {
 		return o
 	}
-	return observation{name: m.journal.Intern(service)}
+	return observation{name: m.journal.Intern(m.serviceName(ord))}
 }
 
 // Apply executes a plan decided from this monitor's latest snapshot, action
 // by action, resolving each vertical and scale-in through the replica
-// ordinal it carries. Actions against services under a decision hold
-// (freshly readopted, see serviceState.holdPolls) are dropped: the
-// algorithm decided off zero-usage stats for replicas placed this very
-// period. A plan from any other snapshot, or an action whose ordinal is not
-// one of its replicas, is a caller bug and panics.
+// ordinal it carries and each scale-out through its service ordinal.
+// Actions against services under a decision hold (freshly readopted, see
+// serviceState.holdPolls) are dropped: the algorithm decided off zero-usage
+// stats for replicas placed this very period. A plan from any other
+// snapshot, an action whose replica ordinal is not one of its replicas, or
+// a scale-out whose service ordinal names no home service of this arbiter
+// is a caller bug and panics.
 func (m *Monitor) Apply(plan core.Plan, now time.Duration) {
 	if len(plan.Actions) == 0 {
 		return
@@ -843,21 +787,24 @@ func (m *Monitor) Apply(plan core.Plan, now time.Duration) {
 	}
 	verify := verifyOrdinals.Load()
 	for _, a := range plan.Actions {
+		if a.Svc <= 0 || int(a.Svc) > len(m.plane.services) {
+			panic(fmt.Sprintf("monitor: action carries service ordinal %d of %d", a.Svc-1, len(m.plane.services)))
+		}
 		var ref *replicaRef
-		if a.Kind != core.ScaleOut {
+		var st *serviceState
+		if a.Kind == core.ScaleOut {
+			if st = m.stateOf(int(a.Svc) - 1); st == nil || st.guest {
+				panic(fmt.Sprintf("monitor: zone %d: scale-out of service %d, not a home service here", m.zone, a.Svc-1))
+			}
+		} else {
 			if a.Replica <= 0 || int(a.Replica) > len(ps.reps) {
 				panic(fmt.Sprintf("monitor: action on %s carries replica ordinal %d of a %d-replica snapshot", a.ContainerID, a.Replica, len(ps.reps)))
 			}
 			ref = &ps.reps[a.Replica-1]
+			st = ref.st
 		}
-		if m.held > 0 {
-			st := m.byName[a.Service]
-			if ref != nil {
-				st = ref.st
-			}
-			if st != nil && st.holdPolls > 0 {
-				continue
-			}
+		if st.holdPolls > 0 {
+			continue
 		}
 		if verify {
 			m.verifyAction(a, ref)
@@ -870,38 +817,39 @@ func (m *Monitor) Apply(plan core.Plan, now time.Duration) {
 // at now — by a node-keyed partition window or by a zone window on the node's
 // current zone.
 func (m *Monitor) actionsCut(now time.Duration, nodeID string) bool {
-	return m.faults.ActionBlackout(now, nodeID) || (m.plane != nil && m.plane.actionsCut(now, nodeID))
+	return m.faults.ActionBlackout(now, nodeID) || m.plane.actionsCut(now, nodeID)
 }
 
 // lease asks the plane for one more machine after a placement of alloc found
 // no fitting node, and reports whether one arrived (the placement is then
-// retried once). A bare Monitor has no plane and a one-zone plane no donor,
-// so both answer no without scanning.
+// retried once). A one-zone plane has no donor, so it answers no without
+// scanning.
 func (m *Monitor) lease(alloc resources.Vector) bool {
-	return m.plane != nil && len(m.plane.zones) > 1 && m.plane.leaseInto(m.zone, alloc)
+	return len(m.plane.zones) > 1 && m.plane.leaseInto(m.zone, alloc)
 }
 
-// resolveTarget resolves a vertical or scale-in action's container: through
-// ref, what the snapshot resolved it to, for an action of the latest plan,
-// else by name (queued work). It also returns the container's node
-// manager, nil when none is attached.
-func (m *Monitor) resolveTarget(id string, ref *replicaRef) (target, *nodemanager.Manager) {
+// resolveTarget resolves a vertical or scale-in action's container and its
+// host node, both nil when it is gone: through ref, what the snapshot
+// resolved it to, for an action of the latest plan, else by container ID
+// (queued work). It also returns the container's node manager, nil when
+// none is attached.
+func (m *Monitor) resolveTarget(id string, ref *replicaRef) (replicaLoc, *nodemanager.Manager) {
 	if ref == nil {
 		c, node := m.findReplica(id)
 		if c == nil {
-			return target{}, nil
+			return replicaLoc{}, nil
 		}
-		return target{c: c, node: node}, m.nmByID[c.NodeID]
+		return replicaLoc{c: c, node: node}, m.nmByID[c.NodeID]
 	}
 	if ref.c == nil || ref.c.State == container.StateRemoved {
-		return target{st: ref.st}, nil
+		return replicaLoc{}, nil
 	}
-	return target{c: ref.c, node: ref.node, st: ref.st}, ref.nm
+	return replicaLoc{c: ref.c, node: ref.node}, ref.nm
 }
 
 // execute runs one attempt of an action; p.attempts counts prior
 // executions. ref is what the snapshot resolved the action's replica to, nil
-// to resolve it by name. Faulted, black-holed or placement-failed attempts
+// to resolve it by container ID. Faulted, black-holed or placement-failed attempts
 // are requeued with backoff (when hardening is enabled) or abandoned.
 func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 	a := p.action
@@ -924,8 +872,8 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 			m.observe(a, now, p.attempts, obs.OutcomeRejected, "", t)
 		}
 	case core.ScaleOut:
-		st, ok := m.byName[a.Service]
-		if !ok {
+		st := m.stateOf(int(a.Svc) - 1)
+		if st == nil {
 			return
 		}
 		// A queued scale-out (retry or reconciler re-placement) may have
@@ -937,7 +885,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 				// original as superseded so a recovery drains it.
 				m.finishLost(p.lostID)
 			}
-			m.observe(a, now, p.attempts, obs.OutcomeOvertaken, "", target{})
+			m.observe(a, now, p.attempts, obs.OutcomeOvertaken, "", replicaLoc{})
 			return
 		}
 		// Reconciler re-placements carry no node: resolve against live
@@ -945,18 +893,22 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 		if a.NodeID == "" {
 			if a.NodeID = m.place(a.Alloc); a.NodeID == "" {
 				m.counts.PlacementFailures++
-				m.observe(a, now, p.attempts, m.requeue(p, now), "", target{})
+				m.observe(a, now, p.attempts, m.requeue(p, now), "", replicaLoc{})
 				return
 			}
 		}
 		if m.actionsCut(now, a.NodeID) {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", target{})
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", replicaLoc{})
 			return
 		}
-		key := fmt.Sprintf("%s/%d", a.Service, st.nextIdx)
-		fail, slowBy := m.faults.StartFault(now, key)
+		var fail bool
+		var slowBy time.Duration
+		if m.faults != nil {
+			// The injector hashes this key: it stays "<service>/<idx>".
+			fail, slowBy = m.faults.StartFault(now, st.spec.Name+"/"+strconv.Itoa(st.nextIdx))
+		}
 		if fail {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", target{})
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", replicaLoc{})
 			return
 		}
 		err := m.startReplica(st, a.NodeID, a.Alloc, now, slowBy)
@@ -976,15 +928,15 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 		}
 		if err != nil {
 			m.counts.PlacementFailures++
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", target{})
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", replicaLoc{})
 		} else {
 			created := st.replicaIDs[len(st.replicaIDs)-1]
 			if p.lostID != "" {
 				m.finishLost(p.lostID)
 				m.recovery.Replaced++
-				m.event(now, obs.EventReplicaReplaced, a.NodeID, a.Service, created, "replaces "+p.lostID)
+				m.event(now, obs.EventReplicaReplaced, a.NodeID, st.spec.Name, created, "replaces "+p.lostID)
 			}
-			m.observe(a, now, p.attempts, obs.OutcomeApplied, created, target{})
+			m.observe(a, now, p.attempts, obs.OutcomeApplied, created, replicaLoc{})
 		}
 	case core.ScaleIn:
 		t, _ := m.resolveTarget(a.ContainerID, ref)
@@ -1053,13 +1005,8 @@ func (m *Monitor) startReplicaWithReady(st *serviceState, nodeID string, alloc r
 	return nil
 }
 
-func (m *Monitor) removeReplica(containerID string) {
-	if _, node := m.findReplica(containerID); node != nil {
-		m.removeFrom(node, containerID)
-	}
-}
-
-// removeFrom is removeReplica for a replica already resolved to its node.
+// removeFrom removes a replica resolved to its node, handing every request
+// it kills to onRemoval.
 func (m *Monitor) removeFrom(node *cluster.Node, containerID string) {
 	killed := node.RemoveContainer(containerID)
 	delete(m.replicaHome, containerID)

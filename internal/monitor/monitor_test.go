@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -36,8 +37,8 @@ func (r *recordingAlgo) Decide(s core.Snapshot) core.Plan {
 
 // fillOrdinals stamps plan, in place, as a planner stamps the plans it
 // decides from snap: with snap's Epoch, and each vertical and scale-in with
-// the flat ordinal of its container among snap's replicas (left 0 when snap
-// does not list it).
+// the flat ordinal of its container among snap's replicas and its service's
+// ordinal (both left 0 when snap does not list it).
 func fillOrdinals(snap core.Snapshot, plan core.Plan) core.Plan {
 	plan.Epoch = snap.Epoch
 	for i := range plan.Actions {
@@ -51,7 +52,7 @@ func fillOrdinals(snap core.Snapshot, plan core.Plan) core.Plan {
 			for _, rs := range ss.Replicas {
 				k++
 				if rs.ContainerID == a.ContainerID {
-					a.Replica = k
+					a.Svc, a.Replica = int32(ss.Info.Ord+1), k
 					break find
 				}
 			}
@@ -69,7 +70,7 @@ func setup(t *testing.T, algo core.Algorithm) (*cluster.Cluster, *Monitor) {
 	if algo == nil {
 		algo = &recordingAlgo{}
 	}
-	return cl, newMonitor(cl, algo)
+	return cl, soloMonitor(cl, algo)
 }
 
 func TestAddServiceValidation(t *testing.T) {
@@ -127,7 +128,7 @@ func TestScaleOutReplicasPayStartDelay(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.StartOn("a", "node-2", resources.Vector{CPU: 1, MemMB: 512}),
+		core.StartOn(0, "node-2", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 	algo.plan = core.Plan{}
@@ -174,7 +175,7 @@ func TestSnapshotStructure(t *testing.T) {
 	// Hosting nodes advertise the service.
 	hosting := 0
 	for _, n := range snap.Nodes {
-		if n.HostsService("a") {
+		if slices.Contains(n.Hosts, "a") {
 			hosting++
 		}
 	}
@@ -193,7 +194,7 @@ func TestPollAppliesPlan(t *testing.T) {
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
 		core.Resize(rep.ID, resources.Vector{CPU: 2.5, MemMB: 600}),
-		core.StartOn("a", "node-2", resources.Vector{CPU: 1, MemMB: 512}),
+		core.StartOn(0, "node-2", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 
@@ -245,8 +246,7 @@ func TestApplyIgnoresBogusActions(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.StartOn("ghost", "node-0", resources.Vector{CPU: 1, MemMB: 10}),
-		core.StartOn("a", "ghost-node", resources.Vector{CPU: 1, MemMB: 10}),
+		core.StartOn(0, "ghost-node", resources.Vector{CPU: 1, MemMB: 10}),
 	}}
 	m.Poll(10 * time.Second) // must not panic
 	if m.Counts().PlacementFailures != 1 {
@@ -255,9 +255,11 @@ func TestApplyIgnoresBogusActions(t *testing.T) {
 }
 
 // TestApplyRejectsForeignPlans: Apply resolves a vertical or scale-in only
-// through the replica ordinal it carries, so a plan not decided from the
-// monitor's latest snapshot, or an action on a container that snapshot
-// does not list, is a caller bug and panics.
+// through the replica ordinal it carries and a scale-out through its
+// service ordinal, so a plan not decided from the monitor's latest
+// snapshot, an action on a container that snapshot does not list, or a
+// scale-out of a service the arbiter does not home is a caller bug and
+// panics.
 func TestApplyRejectsForeignPlans(t *testing.T) {
 	_, m := setup(t, nil)
 	_ = m.AddService(spec("a"), 0.5)
@@ -278,6 +280,7 @@ func TestApplyRejectsForeignPlans(t *testing.T) {
 	snap := m.Snapshot(2 * time.Second)
 	mustPanic("plan from an older snapshot", stale)
 	mustPanic("container the snapshot does not list", fillOrdinals(snap, core.Plan{Actions: []core.Action{core.Remove("ghost")}}))
+	mustPanic("scale-out of an unregistered service", fillOrdinals(snap, core.Plan{Actions: []core.Action{core.StartOn(1, "node-0", grow)}}))
 	if rep.Alloc == grow || m.Counts() != (ActionCounts{ScaleOuts: 2}) {
 		t.Errorf("a rejected plan acted: alloc %v, counts %+v", rep.Alloc, m.Counts())
 	}
@@ -329,7 +332,7 @@ func TestReplicaIDsAreUniqueAcrossRestart(t *testing.T) {
 	algo.plan = core.Plan{Actions: []core.Action{core.Remove(first)}}
 	m.Poll(5 * time.Second)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.StartOn("a", "node-0", resources.Vector{CPU: 1, MemMB: 512}),
+		core.StartOn(0, "node-0", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 
@@ -380,7 +383,7 @@ func TestStatefulScaleOutPaysSyncDelay(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.StartOn("a", "node-2", resources.Vector{CPU: 1, MemMB: 512}),
+		core.StartOn(0, "node-2", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(0)
 
@@ -410,10 +413,10 @@ func TestDetachAttachNode(t *testing.T) {
 }
 
 // TestJournalResolvesActionTargets pins what vertical and scale-in decisions
-// journal as their Service and Node: the target's own service and host while
-// it lives, resolved once per action through its replica ordinal. Once the
-// container is gone (the moot case), Service comes from the
-// "<service>-<idx>" ID and Node is empty.
+// journal as their Service and Node: the action's service, resolved through
+// its service ordinal, and the target's host while it lives, resolved once
+// per action through its replica ordinal. Once the container is gone (the
+// moot case), Node is empty.
 func TestJournalResolvesActionTargets(t *testing.T) {
 	_, m := setup(t, nil)
 	m.journal = obs.NewJournal()

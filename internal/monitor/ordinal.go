@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"hyscale/internal/cluster"
@@ -15,8 +16,7 @@ import (
 // replicas and nodes through, and what it resolved each snapshot replica to,
 // kept for Apply. Arbiters poll one at a time, so a Plane shares one
 // pollScratch across all of them, sized once to the Plane's node and
-// container population; a bare Monitor owns one. DESIGN.md §12 walks the
-// poll path it serves.
+// container population. DESIGN.md §12 walks the poll path it serves.
 type pollScratch struct {
 	// epoch numbers the snapshots taken with this scratch, and owner took
 	// the latest. A table entry stamped with an older epoch is stale.
@@ -309,6 +309,9 @@ func (m *Monitor) verifyAction(a core.Action, ref *replicaRef) {
 			panic(fmt.Sprintf("monitor: scale-out to %s carries the ordinal of node %s", a.NodeID, n.ID))
 		}
 	}
+	if !slices.ContainsFunc(m.snapServices, func(ss core.ServiceStats) bool { return ss.Info.Ord == int(a.Svc)-1 }) {
+		panic(fmt.Sprintf("monitor: action carries service ordinal %d, which the snapshot does not list", a.Svc-1))
+	}
 	if ref == nil {
 		return
 	}
@@ -317,6 +320,9 @@ func (m *Monitor) verifyAction(a core.Action, ref *replicaRef) {
 		if k < len(ss.Replicas) {
 			if id := ss.Replicas[k].ContainerID; id != a.ContainerID {
 				panic(fmt.Sprintf("monitor: action on %s carries the ordinal of replica %s", a.ContainerID, id))
+			}
+			if ss.Info.Ord != int(a.Svc)-1 {
+				panic(fmt.Sprintf("monitor: action on %s carries service ordinal %d, its replica's is %d", a.ContainerID, a.Svc-1, ss.Info.Ord))
 			}
 			break
 		}

@@ -31,6 +31,7 @@ import (
 	"hyscale/internal/container"
 	"hyscale/internal/core"
 	"hyscale/internal/faults"
+	"hyscale/internal/nodemanager"
 	"hyscale/internal/obs"
 	"hyscale/internal/resources"
 	"hyscale/internal/workload"
@@ -172,12 +173,13 @@ type Plane struct {
 // arbiter gets cfg's start delay, hardening and self-healing, the fault
 // injector inj, the decision journal (nil journals nothing) and onRemoval,
 // which receives every in-flight request a scale-in kills (nil allowed).
-// The algorithm instance is shared by all arbiters: every algorithm in
-// internal/core keys its state per service name, services are assigned to
-// exactly one zone, and zones decide sequentially, so no state crosses zone
-// boundaries; one planning round serves them all. For the same reason the
-// arbiters share one poll scratch, whose ordinal tables are sized to the
-// whole plane once instead of once per zone.
+// The algorithm instance is shared by all arbiters: every algorithm keys
+// its per-service state by the service's registration ordinal
+// (core.ServiceInfo.Ord), services are assigned to exactly one zone, and
+// zones decide sequentially, so no state crosses zone boundaries; one
+// planning round serves them all. For the same reason the arbiters share
+// one poll scratch, whose ordinal tables are sized to the whole plane once
+// instead of once per zone.
 func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig, inj *faults.Injector, journal *obs.Journal, onRemoval func(*workload.Request)) (*Plane, error) {
 	nodes := cl.Nodes()
 	k := min(cfg.Zones, len(nodes))
@@ -208,10 +210,20 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig, inj *fa
 			}
 			p.zoneOfNode[n.ID()] = z
 		}
-		mon := newMonitor(view, algo)
-		mon.startDelay, mon.hardeningOff, mon.selfHeal = cfg.StartDelay, cfg.HardeningOff, cfg.SelfHealing
-		mon.faults, mon.journal, mon.onRemoval = inj, journal, onRemoval
-		mon.plane, mon.zone, mon.scratch = p, z, scratch
+		mon := &Monitor{
+			cluster: view, algo: algo, plane: p, zone: z, scratch: scratch,
+			startDelay: cfg.StartDelay, hardeningOff: cfg.HardeningOff, selfHeal: cfg.SelfHealing,
+			faults: inj, journal: journal, onRemoval: onRemoval,
+			nmByID:      make(map[string]*nodemanager.Manager),
+			lastReports: make(map[string]*cachedReport),
+			nodeStates:  make(map[string]*nodeState),
+			replicaHome: make(map[string]string),
+			seenGen:     make(map[string]uint64),
+			topoGen:     1, // above the zero resolvedGen, so fresh services resolve
+		}
+		for _, n := range view.Nodes() {
+			mon.AttachNode(n)
+		}
 		p.zones = append(p.zones, &zoneArbiter{idx: z, name: strconv.Itoa(z), mon: mon, healthyAt: -1})
 	}
 	return p, nil
@@ -337,12 +349,11 @@ func (p *Plane) AddService(spec workload.ServiceSpec, targetUtil float64) error 
 			best = i
 		}
 	}
-	st, err := p.zones[best].mon.addService(spec, targetUtil)
+	st, err := p.zones[best].mon.addService(spec, targetUtil, len(p.services))
 	if err != nil {
 		return err
 	}
-	st.ord = len(p.services)
-	p.ordOf[spec.Name] = st.ord
+	p.ordOf[spec.Name] = st.info.Ord
 	p.services = append(p.services, planeService{name: spec.Name, home: p.zones[best], st: st})
 	return nil
 }
@@ -424,12 +435,14 @@ func (p *Plane) Scale(service string, replicas int, now time.Duration) error {
 		return fmt.Errorf("monitor: no node fits a new replica of %q", service)
 	}
 	for i := len(reps); i < replicas; i++ {
-		e.home.mon.execute(pendingAction{action: core.StartOn(service, "", alloc)}, now, nil)
+		e.home.mon.execute(pendingAction{action: core.StartOn(ord, "", alloc)}, now, nil)
 	}
 	for i := len(reps) - 1; i >= replicas; i-- {
 		// A live replica's node sits in the view of the arbiter owning it.
 		za := p.zones[p.zoneOfNode[reps[i].NodeID]]
-		za.mon.execute(pendingAction{action: core.Remove(reps[i].ID)}, now, nil)
+		a := core.Remove(reps[i].ID)
+		a.Svc = int32(ord + 1)
+		za.mon.execute(pendingAction{action: a}, now, nil)
 	}
 	return nil
 }

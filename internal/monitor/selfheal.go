@@ -126,10 +126,10 @@ type nodeState struct {
 // awaiting either replacement (reconciler scale-out) or re-adoption (node
 // recovered before the replacement ran).
 type lostReplica struct {
-	service string
-	id      string
-	node    string
-	alloc   resources.Vector
+	ord   int // the service's registration ordinal
+	id    string
+	node  string
+	alloc resources.Vector
 	// replaced marks that a reconciler scale-out for this replica has
 	// applied; if the node later recovers, the surviving original is
 	// drained as stale instead of re-adopted.
@@ -327,14 +327,14 @@ func (m *Monitor) declareDead(nodeID string, now time.Duration) {
 				}
 			}
 			m.lost = append(m.lost, lostReplica{
-				service: st.spec.Name, id: id, node: nodeID, alloc: alloc,
+				ord: st.info.Ord, id: id, node: nodeID, alloc: alloc,
 			})
 			delete(m.replicaHome, id)
 			m.recovery.ReplicasLost++
 			// NodeID is left empty: the placement is resolved against live
 			// capacity when the action finally executes, not now.
 			m.retries = append(m.retries, pendingAction{
-				action:        core.StartOn(st.spec.Name, "", alloc),
+				action:        core.StartOn(st.info.Ord, "", alloc),
 				notBefore:     notBefore,
 				reconcileNode: nodeID,
 				lostID:        id,
@@ -362,7 +362,7 @@ func (m *Monitor) reconcileRecovery(nodeID string, now time.Duration) {
 		}
 		m.recovery.ReconcileCancelled++
 		if p.action.Kind == core.ScaleOut {
-			m.event(now, obs.EventReconcileCancel, nodeID, p.action.Service, p.lostID, "node recovered")
+			m.event(now, obs.EventReconcileCancel, nodeID, m.serviceName(int(p.action.Svc)-1), p.lostID, "node recovered")
 		}
 	}
 	for i := len(kept); i < len(m.retries); i++ {
@@ -395,13 +395,13 @@ func (m *Monitor) settleLost(now time.Duration, match func(lostReplica) bool) {
 		case l.replaced:
 			m.removeFrom(node, l.id)
 			m.recovery.StaleDrained++
-			m.event(now, obs.EventStaleDrained, l.node, l.service, l.id, "")
+			m.event(now, obs.EventStaleDrained, l.node, m.serviceName(l.ord), l.id, "")
 		default:
-			if st, ok := m.byName[l.service]; ok {
+			if st := m.stateOf(l.ord); st != nil {
 				st.replicaIDs = append(st.replicaIDs, l.id)
 				m.replicaHome[l.id] = l.node
 				m.recovery.Readopted++
-				m.event(now, obs.EventReadopted, l.node, l.service, l.id, "")
+				m.event(now, obs.EventReadopted, l.node, st.spec.Name, l.id, "")
 				m.cancelPendingFor(l.id, now)
 			}
 		}
@@ -418,7 +418,7 @@ func (m *Monitor) cancelPendingFor(lostID string, now time.Duration) {
 		}
 		m.recovery.ReconcileCancelled++
 		if pa.action.Kind == core.ScaleOut {
-			m.event(now, obs.EventReconcileCancel, pa.reconcileNode, pa.action.Service, lostID, "replica readopted")
+			m.event(now, obs.EventReconcileCancel, pa.reconcileNode, m.serviceName(int(pa.action.Svc)-1), lostID, "replica readopted")
 		}
 		m.retries = append(m.retries[:i], m.retries[i+1:]...)
 		return
@@ -461,10 +461,11 @@ type checkpoint struct {
 	replicaHome map[string]string
 }
 
-// serviceReplicas is one service's replica IDs in a checkpoint.
+// serviceReplicas is one service's replica IDs in a checkpoint, keyed by
+// the service's registration ordinal.
 type serviceReplicas struct {
-	service string
-	ids     []string
+	ord int
+	ids []string
 }
 
 // checkpointNow snapshots the Monitor's decision state unconditionally. It
@@ -505,7 +506,7 @@ func (m *Monitor) checkpointNow(now time.Duration) {
 	cp.replicaIDs = slices.Grow(cp.replicaIDs[:0], len(m.services))[:len(m.services)]
 	for i, st := range m.services {
 		e := &cp.replicaIDs[i]
-		e.service = st.spec.Name
+		e.ord = st.info.Ord
 		e.ids = append(e.ids[:0], st.replicaIDs...)
 	}
 	// Replica IDs come and go with every scale action, so this map is
@@ -573,12 +574,13 @@ func (m *Monitor) restore(cp *checkpoint, now time.Duration) {
 		m.nodeStates[k] = &st
 	}
 	m.lost = append([]lostReplica(nil), cp.lost...)
-	ids := make(map[string][]string, len(cp.replicaIDs))
-	for _, e := range cp.replicaIDs {
-		ids[e.service] = e.ids
-	}
+	// Every topology change that moves a service voids the checkpoint, so
+	// each entry's service is still here; one registered since has none.
 	for _, st := range m.services {
-		st.replicaIDs = append([]string(nil), ids[st.spec.Name]...)
+		st.replicaIDs = nil
+	}
+	for _, e := range cp.replicaIDs {
+		m.stateOf(e.ord).replicaIDs = append([]string(nil), e.ids...)
 	}
 	m.replicaHome = make(map[string]string, len(cp.replicaHome))
 	for k, v := range cp.replicaHome {

@@ -125,6 +125,7 @@ func TestDeadNodeReplicasReplacedAfterCooldown(t *testing.T) {
 	if _, err := cl.RemoveNode("node-0"); err != nil {
 		t.Fatal(err)
 	}
+	m.plane.NoteNodeRemoved("node-0")
 
 	for _, at := range []time.Duration{5, 10, 15, 20} {
 		m.Poll(at * time.Second)
@@ -238,6 +239,7 @@ func TestCheckpointRestoreKeepsReconcilePlan(t *testing.T) {
 	if _, err := cl.RemoveNode("node-0"); err != nil {
 		t.Fatal(err)
 	}
+	m.plane.NoteNodeRemoved("node-0")
 	for _, at := range []time.Duration{5, 10, 15, 20} {
 		m.Poll(at * time.Second)
 		m.MaybeCheckpoint(at * time.Second)
@@ -269,6 +271,7 @@ func TestColdRestartLosesReconcilePlan(t *testing.T) {
 	if _, err := cl.RemoveNode("node-0"); err != nil {
 		t.Fatal(err)
 	}
+	m.plane.NoteNodeRemoved("node-0")
 	for _, at := range []time.Duration{5, 10, 15, 20} {
 		m.Poll(at * time.Second)
 		m.MaybeCheckpoint(at * time.Second)
@@ -313,7 +316,7 @@ func TestPartitionStatsDirectionOnly(t *testing.T) {
 	// An action aimed at the partitioned node still executes.
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.StartOn("a", "node-0", resources.Vector{CPU: 1, MemMB: 512}),
+		core.StartOn(0, "node-0", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(15 * time.Second)
 	algo.plan = core.Plan{}
@@ -334,7 +337,7 @@ func TestPartitionActionsDirectionOnly(t *testing.T) {
 
 	algo := m.algo.(*recordingAlgo)
 	algo.plan = core.Plan{Actions: []core.Action{
-		core.StartOn("a", "node-0", resources.Vector{CPU: 1, MemMB: 512}),
+		core.StartOn(0, "node-0", resources.Vector{CPU: 1, MemMB: 512}),
 	}}
 	m.Poll(10 * time.Second)
 	algo.plan = core.Plan{}

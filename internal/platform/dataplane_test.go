@@ -117,7 +117,7 @@ func (c *churner) Decide(snap core.Snapshot) core.Plan {
 	base := 0 // flat ordinal of the service's first replica
 	for _, s := range snap.Services {
 		if c.polls%2 == 1 || len(s.Replicas) < 2 {
-			plan.Actions = append(plan.Actions, core.StartOn(s.Info.Name, "", s.Info.InitialAlloc))
+			plan.Actions = append(plan.Actions, core.StartOn(s.Info.Ord, "", s.Info.InitialAlloc))
 			base += len(s.Replicas)
 			continue
 		}
@@ -128,7 +128,7 @@ func (c *churner) Decide(snap core.Snapshot) core.Plan {
 			}
 		}
 		a := core.Remove(s.Replicas[busiest].ContainerID)
-		a.Replica = int32(base + busiest + 1)
+		a.Svc, a.Replica = int32(s.Info.Ord+1), int32(base+busiest+1)
 		plan.Actions = append(plan.Actions, a)
 		base += len(s.Replicas)
 	}

@@ -148,7 +148,7 @@ func (s *scaleInOnce) Decide(snap core.Snapshot) core.Plan {
 	}
 	s.done = true
 	a := core.Remove(snap.Services[0].Replicas[0].ContainerID)
-	a.Replica = 1 // the snapshot's first replica
+	a.Svc, a.Replica = int32(snap.Services[0].Info.Ord+1), 1 // the snapshot's first replica
 	return core.Plan{Actions: []core.Action{a}, Epoch: snap.Epoch}
 }
 

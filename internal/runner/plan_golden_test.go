@@ -62,7 +62,7 @@ func TestPlanGoldens(t *testing.T) {
 			var b strings.Builder
 			fmt.Fprintf(&b, "algorithm %s\n", algo.Name())
 			for _, snap := range planSnapshots() {
-				writePlan(&b, snap.Now, algo.Decide(snap))
+				writePlan(&b, snap, algo.Decide(snap))
 			}
 			got := b.String()
 			path := filepath.Join("testdata", "plan_"+c.label+".txt")
@@ -86,14 +86,21 @@ func TestPlanGoldens(t *testing.T) {
 	}
 }
 
-// writePlan renders one round's plan, one action per line, with every float
-// printed in its shortest exact form.
-func writePlan(b *strings.Builder, now time.Duration, p core.Plan) {
-	fmt.Fprintf(b, "t=%v actions=%d\n", now, len(p.Actions))
+// writePlan renders the plan decided from snap, one action per line, with
+// every float printed in its shortest exact form and a scale-out's service
+// ordinal mapped back to its name.
+func writePlan(b *strings.Builder, snap core.Snapshot, p core.Plan) {
+	fmt.Fprintf(b, "t=%v actions=%d\n", snap.Now, len(p.Actions))
 	for _, a := range p.Actions {
 		switch a.Kind {
 		case core.ScaleOut:
-			fmt.Fprintf(b, "  out %s -> %s %s\n", a.Service, a.NodeID, exact(a.Alloc))
+			name := "?"
+			for _, s := range snap.Services {
+				if s.Info.Ord == int(a.Svc)-1 {
+					name = s.Info.Name
+				}
+			}
+			fmt.Fprintf(b, "  out %s -> %s %s\n", name, a.NodeID, exact(a.Alloc))
 		case core.ScaleIn:
 			fmt.Fprintf(b, "  in %s\n", a.ContainerID)
 		case core.VerticalScale:
@@ -133,18 +140,20 @@ func firstDiff(want, got string) string {
 // leak into the next case.
 func planSnapshots() []core.Snapshot {
 	rng := rand.New(rand.NewSource(32))
+	// Ords run opposite to list order, so a planner that keys its memory
+	// by snapshot index instead of Ord diverges once services move.
 	infos := []core.ServiceInfo{
-		{Name: "api", MinReplicas: 1, MaxReplicas: 6, TargetUtil: 0.5, BaselineMemMB: 200,
+		{Name: "api", Ord: 5, MinReplicas: 1, MaxReplicas: 6, TargetUtil: 0.5, BaselineMemMB: 200,
 			InitialAlloc: resources.Vector{CPU: 1, MemMB: 512, NetMbps: 100}},
-		{Name: "cache", MinReplicas: 0, MaxReplicas: 4, TargetUtil: 0.6, BaselineMemMB: 600,
+		{Name: "cache", Ord: 4, MinReplicas: 0, MaxReplicas: 4, TargetUtil: 0.6, BaselineMemMB: 600,
 			InitialAlloc: resources.Vector{CPU: 0.5, MemMB: 1024, NetMbps: 50}},
-		{Name: "batch", MinReplicas: 2, MaxReplicas: 5, TargetUtil: 0, BaselineMemMB: 300,
+		{Name: "batch", Ord: 3, MinReplicas: 2, MaxReplicas: 5, TargetUtil: 0, BaselineMemMB: 300,
 			InitialAlloc: resources.Vector{CPU: 1.5, MemMB: 768, NetMbps: 20}},
-		{Name: "edge", MinReplicas: 1, MaxReplicas: 3, TargetUtil: 0.5, BaselineMemMB: 100,
+		{Name: "edge", Ord: 2, MinReplicas: 1, MaxReplicas: 3, TargetUtil: 0.5, BaselineMemMB: 100,
 			InitialAlloc: resources.Vector{CPU: 0.5, MemMB: 256, NetMbps: 300}},
-		{Name: "db", MinReplicas: 2, MaxReplicas: 4, TargetUtil: 0.7, BaselineMemMB: 1500,
+		{Name: "db", Ord: 1, MinReplicas: 2, MaxReplicas: 4, TargetUtil: 0.7, BaselineMemMB: 1500,
 			InitialAlloc: resources.Vector{CPU: 2, MemMB: 2048, NetMbps: 100}},
-		{Name: "slo", MinReplicas: 1, MaxReplicas: 8, TargetUtil: 0.5, BaselineMemMB: 250,
+		{Name: "slo", Ord: 0, MinReplicas: 1, MaxReplicas: 8, TargetUtil: 0.5, BaselineMemMB: 250,
 			InitialAlloc: resources.Vector{CPU: 1, MemMB: 512, NetMbps: 100}},
 	}
 	const nodes = 8

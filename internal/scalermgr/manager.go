@@ -3,6 +3,7 @@ package scalermgr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -37,6 +38,10 @@ type scalerState struct {
 type svcState struct {
 	scalers []*scalerState
 
+	// recs holds the service's latest per-scaler recommendations, refreshed
+	// every decision round the service appears in.
+	recs []Recommendation
+
 	// lastSampleAt feeds the freshness check: a decision-round gap larger
 	// than FreshWithin (monitor crash, checkpoint restore) drops the cost
 	// allocator to its fallback path for one round.
@@ -65,19 +70,21 @@ type Manager struct {
 	merge   MergeFunc
 	gate    *core.Gate
 
-	services map[string]*svcState
-
-	// recs holds the latest per-scaler recommendations keyed by service,
-	// refreshed every decision round the service appears in.
-	recs map[string][]Recommendation
+	// services is the per-service memory, indexed by ServiceInfo.Ord; nil
+	// until the service first reaches the scalers.
+	services []*svcState
 
 	// observer, when set, receives one callback per service per round in
 	// which the merged recommendation differs from the current replica
 	// count. Wired to the obs journal by the platform.
 	observer func(at time.Duration, service, detail string)
 
-	// rd is Decide's planning round, reused every round.
-	rd core.Round
+	// rd is Decide's planning round, reused every round; ops, stableOps and
+	// nodeLoad are its other scratch. nodeLoad counts the cost allocator's
+	// residents per ledger slot (core.ReplicaStats.Slot).
+	rd             core.Round
+	ops, stableOps []Opinion
+	nodeLoad       []int
 }
 
 var _ core.Algorithm = (*Manager)(nil)
@@ -100,14 +107,12 @@ func New(coreCfg core.Config, cfg Config, costOptimal bool) (*Manager, error) {
 		name = "manager-cost"
 	}
 	return &Manager{
-		name:     name,
-		cost:     costOptimal,
-		cfg:      cfg,
-		coreCfg:  coreCfg,
-		merge:    fn,
-		gate:     core.NewGate(coreCfg.ScaleUpInterval, coreCfg.ScaleDownInterval),
-		services: make(map[string]*svcState),
-		recs:     make(map[string][]Recommendation),
+		name:    name,
+		cost:    costOptimal,
+		cfg:     cfg,
+		coreCfg: coreCfg,
+		merge:   fn,
+		gate:    core.NewGate(coreCfg.ScaleUpInterval, coreCfg.ScaleDownInterval),
 	}, nil
 }
 
@@ -124,15 +129,13 @@ func (m *Manager) SetRecommendObserver(fn func(at time.Duration, service, detail
 // Recommendations returns the latest per-scaler recommendations in
 // deterministic order (service name, then scaler position).
 func (m *Manager) Recommendations() []Recommendation {
-	names := make([]string, 0, len(m.recs))
-	for name := range m.recs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var out []Recommendation
-	for _, name := range names {
-		out = append(out, m.recs[name]...)
+	for _, st := range m.services {
+		if st != nil {
+			out = append(out, st.recs...)
+		}
 	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Service < out[b].Service })
 	return out
 }
 
@@ -149,12 +152,14 @@ func (m *Manager) Decide(snap core.Snapshot) core.Plan {
 	rd.Reset(snap, placement)
 	// The cost allocator drains machines: replicas on the least-occupied
 	// nodes are removed first, so count residents per node once.
-	var nodeLoad map[string]int
+	var nodeLoad []int
 	if m.cost {
-		nodeLoad = make(map[string]int, len(snap.Nodes))
+		m.nodeLoad = slices.Grow(m.nodeLoad[:0], snap.Slots)[:snap.Slots]
+		nodeLoad = m.nodeLoad
+		clear(nodeLoad)
 		for _, svc := range snap.Services {
 			for _, r := range svc.Replicas {
-				nodeLoad[r.NodeID]++
+				nodeLoad[r.Slot]++
 			}
 		}
 	}
@@ -164,10 +169,13 @@ func (m *Manager) Decide(snap core.Snapshot) core.Plan {
 	return rd.Plan()
 }
 
-// state returns (creating if needed) the per-service memory.
-func (m *Manager) state(service string) *svcState {
-	st, ok := m.services[service]
-	if !ok {
+// state returns (creating if needed) the memory of service ord.
+func (m *Manager) state(ord int) *svcState {
+	if ord >= len(m.services) {
+		m.services = append(m.services, make([]*svcState, ord+1-len(m.services))...)
+	}
+	st := m.services[ord]
+	if st == nil {
 		st = &svcState{}
 		for _, sc := range m.cfg.Scalers {
 			st.scalers = append(st.scalers, &scalerState{
@@ -176,7 +184,7 @@ func (m *Manager) state(service string) *svcState {
 				burst:  newWindow(sc.BurstWindow),
 			})
 		}
-		m.services[service] = st
+		m.services[ord] = st
 	}
 	return st
 }
@@ -251,7 +259,7 @@ func need(agg, target float64) int {
 	return int(math.Ceil(agg / target))
 }
 
-func (m *Manager) decideService(rd *core.Round, snap core.Snapshot, i int, nodeLoad map[string]int) {
+func (m *Manager) decideService(rd *core.Round, snap core.Snapshot, i int, nodeLoad []int) {
 	svc := snap.Services[i]
 	info := svc.Info
 	cur := len(svc.Replicas)
@@ -267,7 +275,7 @@ func (m *Manager) decideService(rd *core.Round, snap core.Snapshot, i int, nodeL
 		return
 	}
 
-	st := m.state(info.Name)
+	st := m.state(info.Ord)
 
 	// Freshness is judged on the gap since the previous round's samples —
 	// before this round's are recorded.
@@ -276,9 +284,8 @@ func (m *Manager) decideService(rd *core.Round, snap core.Snapshot, i int, nodeL
 	st.haveSample = true
 
 	// Record this round's sample into every scaler and collect opinions.
-	recs := m.recs[info.Name][:0]
-	var ops []Opinion
-	var stableOps []Opinion
+	recs := st.recs[:0]
+	ops, stableOps := m.ops[:0], m.stableOps[:0]
 	for _, sc := range st.scalers {
 		sum, ok := sampleFor(sc.cfg.Metric, svc)
 		if ok {
@@ -307,10 +314,10 @@ func (m *Manager) decideService(rd *core.Round, snap core.Snapshot, i int, nodeL
 		})
 	}
 
+	m.ops, m.stableOps, st.recs = ops, stableOps, recs
 	if len(ops) == 0 {
 		// No scaler has an opinion (e.g. a service with zero replicas and
 		// MinReplicas 0): hold.
-		m.recs[info.Name] = recs
 		return
 	}
 
@@ -324,7 +331,6 @@ func (m *Manager) decideService(rd *core.Round, snap core.Snapshot, i int, nodeL
 	for i := range recs {
 		recs[i].Merged = merged
 	}
-	m.recs[info.Name] = recs
 
 	if m.observer != nil && merged != cur {
 		m.observer(snap.Now, info.Name, recDetail(info.Name, merged, cur, recs))
@@ -332,18 +338,18 @@ func (m *Manager) decideService(rd *core.Round, snap core.Snapshot, i int, nodeL
 
 	switch {
 	case want > cur:
-		if !m.gate.CanUp(info.Name, snap.Now) {
+		if !m.gate.CanUp(info.Ord, snap.Now) {
 			return
 		}
 		if rd.AddReplicas(i, want-cur) > 0 {
-			m.gate.MarkUp(info.Name, snap.Now)
+			m.gate.MarkUp(info.Ord, snap.Now)
 		}
 	case want < cur:
-		if !m.gate.CanDown(info.Name, snap.Now) {
+		if !m.gate.CanDown(info.Ord, snap.Now) {
 			return
 		}
 		m.removeReplicas(rd, i, svc, cur-want, nodeLoad)
-		m.gate.MarkDown(info.Name, snap.Now)
+		m.gate.MarkDown(info.Ord, snap.Now)
 	}
 }
 
@@ -402,7 +408,7 @@ func (m *Manager) costWant(st *svcState, info core.ServiceInfo, cur, merged int,
 // newest replicas (least established, minimal churn); the cost allocator
 // removes from the least-occupied nodes first — draining machines down to
 // empty stops their machine-hour accrual — breaking ties newest-first.
-func (m *Manager) removeReplicas(rd *core.Round, i int, svc core.ServiceStats, n int, nodeLoad map[string]int) {
+func (m *Manager) removeReplicas(rd *core.Round, i int, svc core.ServiceStats, n int, nodeLoad []int) {
 	if nodeLoad == nil {
 		rd.RemoveNewest(i, n)
 		return
@@ -415,8 +421,8 @@ func (m *Manager) removeReplicas(rd *core.Round, i int, svc core.ServiceStats, n
 		order[j] = j
 	}
 	sort.Slice(order, func(a, b int) bool {
-		la := nodeLoad[svc.Replicas[order[a]].NodeID]
-		lb := nodeLoad[svc.Replicas[order[b]].NodeID]
+		la := nodeLoad[svc.Replicas[order[a]].Slot]
+		lb := nodeLoad[svc.Replicas[order[b]].Slot]
 		if la != lb {
 			return la < lb
 		}
@@ -424,7 +430,7 @@ func (m *Manager) removeReplicas(rd *core.Round, i int, svc core.ServiceStats, n
 	})
 	for _, j := range order[:n] {
 		rd.ScaleIn(i, j)
-		nodeLoad[svc.Replicas[j].NodeID]--
+		nodeLoad[svc.Replicas[j].Slot]--
 	}
 }
 

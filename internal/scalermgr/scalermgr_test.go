@@ -154,6 +154,7 @@ func TestCostAllocatorRespectsMinReplicas(t *testing.T) {
 				min := rng.Intn(3) // 0..2 — exercise scale-to-zero too
 				s := &svc{info: core.ServiceInfo{
 					Name:          fmt.Sprintf("svc-%d", i),
+					Ord:           i,
 					MinReplicas:   min,
 					MaxReplicas:   min + 1 + rng.Intn(5),
 					TargetUtil:    0.5,
@@ -211,7 +212,7 @@ func TestCostAllocatorRespectsMinReplicas(t *testing.T) {
 					switch act := a; act.Kind {
 					case core.ScaleOut:
 						for _, s := range services {
-							if s.info.Name == act.Service {
+							if s.info.Ord == int(act.Svc)-1 {
 								s.replicas = append(s.replicas, core.ReplicaStats{
 									ContainerID: fmt.Sprintf("%s-c%d", s.info.Name, s.nextID),
 									NodeID:      act.NodeID,
@@ -245,5 +246,65 @@ func TestCostAllocatorRespectsMinReplicas(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// steadySnapshot builds four services of two replicas each, every replica
+// at 40% of its CPU request with its memory near baseline and nothing
+// queued, so both manager variants want exactly the two replicas each
+// service has.
+func steadySnapshot() core.Snapshot {
+	var snap core.Snapshot
+	for i := 0; i < 4; i++ {
+		info := core.ServiceInfo{Name: fmt.Sprintf("svc-%d", i), Ord: i, MinReplicas: 1, MaxReplicas: 4,
+			TargetUtil: 0.5, BaselineMemMB: 100, InitialAlloc: resources.Vector{CPU: 1, MemMB: 512, NetMbps: 100}}
+		svc := core.ServiceStats{Info: info}
+		for j := 0; j < 2; j++ {
+			svc.Replicas = append(svc.Replicas, core.ReplicaStats{
+				ContainerID: fmt.Sprintf("%s-%d", info.Name, j),
+				NodeID:      fmt.Sprintf("node-%d", (i+j)%4),
+				Requested:   info.InitialAlloc,
+				Usage:       resources.Vector{CPU: 0.4, MemMB: 150, NetMbps: 20},
+				Routable:    true,
+			})
+		}
+		snap.Services = append(snap.Services, svc)
+	}
+	for n := 0; n < 4; n++ {
+		snap.Nodes = append(snap.Nodes, core.NodeStats{
+			ID:        fmt.Sprintf("node-%d", n),
+			Capacity:  resources.Vector{CPU: 8, MemMB: 16384, NetMbps: 1000},
+			Available: resources.Vector{CPU: 6, MemMB: 15360, NetMbps: 900},
+		})
+	}
+	snap.IndexHosts()
+	return snap
+}
+
+// TestManagerDecideAllocFree pins the manager's steady state: once every
+// window has filled, a Decide that records each scaler's sample, merges the
+// opinions and plans nothing allocates nothing, for the plain manager and
+// for the cost allocator, whose per-node resident counts are scratch too.
+func TestManagerDecideAllocFree(t *testing.T) {
+	for _, cost := range []bool{false, true} {
+		mgr, err := New(core.DefaultConfig(), Config{}, cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := steadySnapshot()
+		decide := func() {
+			snap.Now += 5 * time.Second
+			if plan := mgr.Decide(snap); !plan.Empty() {
+				t.Fatalf("%s at %v: steady state planned %d actions", mgr.Name(), snap.Now, len(plan.Actions))
+			}
+		}
+		// Past the 60 s stable window, so every window holds its full set of
+		// samples and prunes one per round.
+		for i := 0; i < 20; i++ {
+			decide()
+		}
+		if allocs := testing.AllocsPerRun(100, decide); allocs != 0 {
+			t.Errorf("%s: steady-state Decide allocates %.1f objects, want 0", mgr.Name(), allocs)
+		}
 	}
 }
