@@ -36,6 +36,10 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 			sc.Failures = []scenario.NodeFailure{{Node: node, At: scenario.Duration(at)}}
 		}
 	}
+	load := func(l scenario.Load) func(*scenario.Scenario) {
+		return func(sc *scenario.Scenario) { sc.Services[0].Load = l }
+	}
+	const minute = scenario.Duration(time.Minute)
 	tests := []struct {
 		name   string
 		mutate []func(*scenario.Scenario)
@@ -84,6 +88,18 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 		{"negative background CPU", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
 			sc.Services[0].BackgroundCPU = -2
 		}}, true, `runner: service "api": workload: service "api" has negative background CPU -2`},
+		{"negative load base", []func(*scenario.Scenario){load(scenario.Load{Type: "constant", Base: -6})},
+			true, `runner: service "api": runner: load base must be >= 0, got -6`},
+		{"negative load peak", []func(*scenario.Scenario){load(scenario.Load{Type: "burst", Base: 6, Peak: -18, Period: 6 * minute, BurstLen: minute})},
+			true, `runner: service "api": runner: load peak must be >= 0, got -18`},
+		{"negative load period", []func(*scenario.Scenario){load(scenario.Load{Type: "wave", Base: 6, Amplitude: 0.3, Period: -6 * minute})},
+			true, `runner: service "api": runner: load period must be >= 0, got -6m0s`},
+		{"negative burst length", []func(*scenario.Scenario){load(scenario.Load{Type: "burst", Base: 6, Peak: 18, Period: 6 * minute, BurstLen: -minute})},
+			true, `runner: service "api": runner: load burstLen must be >= 0, got -1m0s`},
+		{"negative ramp-up", []func(*scenario.Scenario){load(scenario.Load{Type: "ramp", Base: 6, Peak: 18, RampUp: -minute})},
+			true, `runner: service "api": runner: load rampUp must be >= 0, got -1m0s`},
+		{"negative hold", []func(*scenario.Scenario){load(scenario.Load{Type: "flashcrowd", Base: 6, Peak: 18, RampUp: minute, Hold: -minute})},
+			true, `runner: service "api": runner: load hold must be >= 0, got -1m0s`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -138,6 +154,9 @@ func specRejectedAtEveryEntryPoint(t *testing.T) {
 	service := func(mutate func(*workload.ServiceSpec)) func(*RunSpec) {
 		return func(spec *RunSpec) { mutate(&spec.Services[0].Spec) }
 	}
+	load := func(mutate func(*runner.LoadSpec)) func(*RunSpec) {
+		return func(spec *RunSpec) { mutate(&spec.Services[0].Load) }
+	}
 	recovery := func(mutate func(*cluster.NodeConfig)) func(*RunSpec) {
 		return func(spec *RunSpec) {
 			cfg := cluster.DefaultNodeConfig("spare")
@@ -160,6 +179,23 @@ func specRejectedAtEveryEntryPoint(t *testing.T) {
 			`runner: service "api": workload: service "api" has non-finite InitialReplicaMemMB +Inf`},
 		{"NaN baseline memory", service(func(s *workload.ServiceSpec) { s.BaselineMemMB = math.NaN() }),
 			`runner: service "api": workload: service "api" has non-finite BaselineMemMB NaN`},
+		{"NaN load base", load(func(l *runner.LoadSpec) { l.Base = math.NaN() }),
+			`runner: service "api": runner: load base must be finite, got NaN`},
+		{"infinite load peak", load(func(l *runner.LoadSpec) { l.Peak = math.Inf(1) }),
+			`runner: service "api": runner: load peak must be finite, got +Inf`},
+		{"negative load factor", load(func(l *runner.LoadSpec) {
+			*l = runner.LoadSpec{Type: "scaled", Factor: -2, Inner: &runner.LoadSpec{Type: "constant", Base: 5}}
+		}), `runner: service "api": runner: load factor must be >= 0, got -2`},
+		{"infinite load factor", load(func(l *runner.LoadSpec) { l.Factor = math.Inf(1) }),
+			`runner: service "api": runner: load factor must be finite, got +Inf`},
+		{"NaN load amplitude", load(func(l *runner.LoadSpec) { l.Amplitude = math.NaN() }),
+			`runner: service "api": runner: load amplitude must be finite, got NaN`},
+		{"infinite ripple amplitude", load(func(l *runner.LoadSpec) { l.RippleAmplitude = math.Inf(-1) }),
+			`runner: service "api": runner: load rippleAmplitude must be finite, got -Inf`},
+		{"negative load decay", load(func(l *runner.LoadSpec) { l.Decay = -time.Minute }),
+			`runner: service "api": runner: load decay must be >= 0, got -1m0s`},
+		{"negative load ripple", load(func(l *runner.LoadSpec) { l.Ripple = -time.Second }),
+			`runner: service "api": runner: load ripple must be >= 0, got -1s`},
 		{"recovery machine without CPU", recovery(func(c *cluster.NodeConfig) { c.Capacity.CPU = 0 }),
 			`runner: node recovery "spare": cluster: node "spare" needs positive CPU and memory capacity`},
 		{"recovery machine with swap penalty below 1", recovery(func(c *cluster.NodeConfig) { c.SwapPenalty = 0.5 }),

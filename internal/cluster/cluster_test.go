@@ -127,17 +127,6 @@ func TestAvailableFloorsAtZero(t *testing.T) {
 	}
 }
 
-func TestHostsService(t *testing.T) {
-	n := testNode(t)
-	_ = n.AddContainer(running("a", testSpec(), resources.Vector{CPU: 1, MemMB: 100}))
-	if !n.HostsService("svc") {
-		t.Error("HostsService(svc) = false")
-	}
-	if n.HostsService("other") {
-		t.Error("HostsService(other) = true")
-	}
-}
-
 // TestProportionalSharing checks the Docker cpu-shares semantics: two
 // saturated containers with 1:2 weights split the (contention-derated)
 // capacity 1:2.

@@ -247,18 +247,6 @@ func (n *Node) Available() resources.Vector {
 	return n.cfg.Capacity.Sub(n.Allocated()).ClampNonNegative()
 }
 
-// HostsService reports whether any non-removed replica of the service runs
-// (or is starting) on this node. HyScale's horizontal step only targets
-// nodes that do NOT already host the service.
-func (n *Node) HostsService(service string) bool {
-	for _, c := range n.containers {
-		if c.Service == service && c.State != container.StateRemoved {
-			return true
-		}
-	}
-	return false
-}
-
 // TickResult aggregates what happened on a node (or across the cluster)
 // during one physics tick.
 type TickResult = container.AdvanceResult

@@ -88,8 +88,9 @@ func TestExperimentTableGoldens(t *testing.T) {
 // experiment that fails, recovers, evacuates or cascades (chaos, cascade,
 // the reduced DR grid and recovery) with the monitor's ordinal self-check
 // on: every snapshot replica and every action the monitor resolves by
-// ordinal is re-resolved by name, through findReplica, and any difference
-// panics. The tables must still match their goldens.
+// ordinal is re-resolved by name, through a scan of its arbiter's cluster
+// view (cluster.FindContainer), and any difference panics. The tables must
+// still match their goldens.
 func TestOrdinalResolutionMatchesFindReplica(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment grids")

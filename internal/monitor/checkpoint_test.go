@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hyscale/internal/cluster"
+	"hyscale/internal/container"
 	"hyscale/internal/faults"
 	"hyscale/internal/nodemanager"
 )
@@ -15,22 +16,20 @@ import (
 // direct way — fresh maps and slices — as the reference a restore must
 // reproduce.
 type decisionState struct {
-	Retries     []pendingAction
-	Reports     map[string]cachedReport
-	NodeStates  map[string]nodeState
-	Lost        []lostReplica
-	ReplicaIDs  map[string][]string
-	ReplicaHome map[string]string
+	Retries    []pendingAction
+	Reports    map[string]cachedReport
+	NodeStates map[string]nodeState
+	Lost       []lostReplica
+	Replicas   map[string][]replica
 }
 
 func captureState(m *Monitor) decisionState {
 	s := decisionState{
-		Retries:     append([]pendingAction(nil), m.retries...),
-		Reports:     map[string]cachedReport{},
-		NodeStates:  map[string]nodeState{},
-		Lost:        append([]lostReplica(nil), m.lost...),
-		ReplicaIDs:  map[string][]string{},
-		ReplicaHome: map[string]string{},
+		Retries:    append([]pendingAction(nil), m.retries...),
+		Reports:    map[string]cachedReport{},
+		NodeStates: map[string]nodeState{},
+		Lost:       append([]lostReplica(nil), m.lost...),
+		Replicas:   map[string][]replica{},
 	}
 	for k, v := range m.lastReports {
 		r := cachedReport{rep: v.rep, at: v.at}
@@ -41,10 +40,11 @@ func captureState(m *Monitor) decisionState {
 		s.NodeStates[k] = *v
 	}
 	for _, st := range m.services {
-		s.ReplicaIDs[st.spec.Name] = append([]string(nil), st.replicaIDs...)
-	}
-	for k, v := range m.replicaHome {
-		s.ReplicaHome[k] = v
+		var reps []replica
+		for k, c := range st.replicas {
+			reps = append(reps, replica{c: c, node: st.hosts[k]})
+		}
+		s.Replicas[st.spec.Name] = reps
 	}
 	return s
 }
@@ -65,22 +65,24 @@ func scribble(m *Monitor) {
 		st.missed += 7
 		st.health = NodeDead
 	}
+	scribbled := &container.Container{ID: "scribbled"}
 	for _, st := range m.services {
-		for i := range st.replicaIDs {
-			st.replicaIDs[i] = "scribbled"
+		for i := range st.replicas {
+			st.replicas[i], st.hosts[i] = scribbled, nil
 		}
-		st.replicaIDs = append(st.replicaIDs, "extra")
+		st.add(scribbled, nil)
 	}
 	for i := range m.retries {
 		m.retries[i].attempts += 5
-		m.retries[i].lostID = "scribbled"
+		m.retries[i].target = replica{c: scribbled}
+		m.retries[i].lost = scribbled
 	}
-	m.retries = append(m.retries, pendingAction{lostID: "extra"})
+	m.retries = append(m.retries, pendingAction{lost: scribbled})
 	for i := range m.lost {
 		m.lost[i].replaced = !m.lost[i].replaced
+		m.lost[i].c = scribbled
 	}
-	m.lost = append(m.lost, lostReplica{id: "extra"})
-	m.replicaHome["extra"] = "node-9"
+	m.lost = append(m.lost, lostReplica{c: scribbled})
 }
 
 // TestCheckpointIsolatedFromLiveState checkpoints a monitor with a pending
@@ -119,7 +121,7 @@ func TestCheckpointIsolatedFromLiveState(t *testing.T) {
 	// record are gone and a service's replica set shrank.
 	delete(m.lastReports, firstKey(m.lastReports))
 	delete(m.nodeStates, firstKey(m.nodeStates))
-	m.services[0].replicaIDs = m.services[0].replicaIDs[:1]
+	m.services[0].truncate(1)
 	m.retries = nil
 	m.checkpointNow(24 * time.Second)
 	want = captureState(m)

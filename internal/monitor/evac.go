@@ -187,13 +187,13 @@ func (p *Plane) rehomeServices(z *zoneArbiter, now time.Duration) {
 				p.evac.SpilloverPlacements += uint64(share.count)
 			}
 			for k := 0; k < share.count && idx < len(pend); k++ {
-				moveLostByID(z.mon, dest.mon, pend[idx].lostID)
+				moveLostFor(z.mon, dest.mon, pend[idx].lost)
 				dest.mon.retries = append(dest.mon.retries, pend[idx])
 				idx++
 			}
 		}
 		for ; idx < len(pend); idx++ { // defensive: anything unassigned → primary
-			moveLostByID(z.mon, primary.mon, pend[idx].lostID)
+			moveLostFor(z.mon, primary.mon, pend[idx].lost)
 			primary.mon.retries = append(primary.mon.retries, pend[idx])
 		}
 		moveLost(z.mon, primary.mon, ord)
@@ -326,7 +326,6 @@ func (e *planeService) ensureGuest(za *zoneArbiter, reserve int) {
 	g := &serviceState{spec: home.spec, info: home.info, guest: true, nextIdx: home.nextIdx}
 	home.nextIdx += reserve
 	za.mon.services = append(za.mon.services, g)
-	za.mon.topoGen++
 	za.mon.lastCheckpoint = nil // a restore must not resurrect a pre-shard view
 	k := 0
 	for k < len(e.spills) && e.spills[k].za.idx < za.idx {
@@ -362,7 +361,6 @@ func (p *Plane) dropGuest(e *planeService, za *zoneArbiter, now time.Duration) [
 	movePendings(za.mon, e.home.mon, g.info.Ord)
 	moveLost(za.mon, e.home.mon, g.info.Ord)
 	za.mon.unregister(g)
-	za.mon.topoGen++
 	za.mon.lastCheckpoint = nil
 	e.home.mon.lastCheckpoint = nil
 	return allocs
@@ -430,20 +428,22 @@ func (p *Plane) readoptZone(z *zoneArbiter, now time.Duration) {
 // unreachable (e.g. a spillover shard's host zone died and the replacement
 // resolved elsewhere). Their lost entries, wherever they ended up, go too.
 func (p *Plane) sweepOrphans(z *zoneArbiter, now time.Duration) {
+	owned := make(map[*container.Container]bool)
+	for _, st := range z.mon.services {
+		for _, c := range st.replicas {
+			owned[c] = true
+		}
+	}
 	for _, n := range z.mon.cluster.Nodes() {
 		var orphans []*container.Container
 		for _, c := range n.Containers() {
-			if c.State == container.StateRemoved {
-				continue
+			if c.State != container.StateRemoved && !owned[c] {
+				orphans = append(orphans, c)
 			}
-			if _, owned := z.mon.replicaHome[c.ID]; owned {
-				continue
-			}
-			orphans = append(orphans, c)
 		}
 		for _, c := range orphans {
-			p.dropLostEverywhere(c.ID)
-			z.mon.removeFrom(n, c.ID)
+			p.dropLostEverywhere(c)
+			z.mon.removeFrom(n, c)
 			z.mon.recovery.StaleDrained++
 			z.mon.event(now, obs.EventStaleDrained, n.ID(), c.Service, c.ID, "zone sweep")
 		}
@@ -451,10 +451,10 @@ func (p *Plane) sweepOrphans(z *zoneArbiter, now time.Duration) {
 }
 
 // dropLostEverywhere forgets a container from every arbiter's lost ledger.
-func (p *Plane) dropLostEverywhere(id string) {
+func (p *Plane) dropLostEverywhere(c *container.Container) {
 	for _, z := range p.zones {
 		for i := range z.mon.lost {
-			if z.mon.lost[i].id == id {
+			if z.mon.lost[i].c == c {
 				z.mon.lost = append(z.mon.lost[:i], z.mon.lost[i+1:]...)
 				break
 			}
@@ -465,33 +465,30 @@ func (p *Plane) dropLostEverywhere(id string) {
 // drain removes every live replica of st, emptying its replica set, and
 // appends their allocations to allocs for re-placement.
 func (m *Monitor) drain(allocs []resources.Vector, st *serviceState) []resources.Vector {
-	for _, id := range append([]string(nil), st.replicaIDs...) {
-		if c, node := m.findReplica(id); c != nil && c.State != container.StateRemoved {
+	for k, c := range st.replicas {
+		if c.State != container.StateRemoved {
 			allocs = append(allocs, c.Alloc)
-			m.removeFrom(node, id)
+			m.removeFrom(st.hosts[k], c)
 		}
 	}
-	st.replicaIDs = st.replicaIDs[:0]
+	st.truncate(0)
 	return allocs
 }
 
 // moveServiceState transfers a service's decision state st between
 // monitors. g, when not nil, is the service's spillover shard in to: it
 // folds into the arriving state, its replicas joining the home's, so a
-// monitor never holds two states for one service. Both monitors' topologies
-// change and neither's checkpoint may survive — a restore would otherwise
-// resurrect the service in its old zone.
+// monitor never holds two states for one service. Neither monitor's
+// checkpoint may survive — a restore would otherwise resurrect the service
+// in its old zone.
 func moveServiceState(from, to *Monitor, st, g *serviceState) {
 	from.unregister(st)
 	if g != nil {
-		st.replicaIDs = append(st.replicaIDs, g.replicaIDs...)
+		st.replicas = append(st.replicas, g.replicas...)
+		st.hosts = append(st.hosts, g.hosts...)
 		to.unregister(g)
 	}
-	st.resolved = st.resolved[:0]
-	st.resolvedGen = 0 // topoGen starts at 1, so 0 always misses the cache
 	to.services = append(to.services, st)
-	from.topoGen++
-	to.topoGen++
 	from.lastCheckpoint = nil
 	to.lastCheckpoint = nil
 }
@@ -534,14 +531,12 @@ func moveLost(from, to *Monitor, ord int) {
 	from.lost = kept
 }
 
-// moveLostByID transfers one lost-ledger entry between monitors (no-op when
-// the entry is gone — already replaced-and-dropped or never recorded).
-func moveLostByID(from, to *Monitor, id string) {
-	if id == "" {
-		return
-	}
+// moveLostFor transfers the lost-ledger entry of container c between
+// monitors (no-op when there is none — c is nil, or its entry was already
+// replaced-and-dropped or never recorded).
+func moveLostFor(from, to *Monitor, c *container.Container) {
 	for i := range from.lost {
-		if from.lost[i].id == id {
+		if from.lost[i].c == c {
 			to.lost = append(to.lost, from.lost[i])
 			from.lost = append(from.lost[:i], from.lost[i+1:]...)
 			return

@@ -461,7 +461,7 @@ func checkQueuedWork(t *testing.T, p *Plane, names []string, when string) int {
 			check(z, int(pa.action.Svc)-1, "queued action")
 		}
 		for _, l := range z.mon.lost {
-			check(z, l.ord, "lost replica "+l.id)
+			check(z, l.ord, "lost replica "+l.c.ID)
 		}
 	}
 	return checked

@@ -113,7 +113,8 @@ type scanResult struct {
 	home   int
 	spills []int
 	// replicas are the service's live replicas in routing order: the home
-	// state's, then each guest state's, each resolved by ID.
+	// state's, then each guest state's, each resolved by ID through the
+	// arbiter's cluster scan.
 	replicas []*container.Container
 }
 
@@ -128,8 +129,8 @@ func (p *Plane) scan(name string) scanResult {
 				continue
 			}
 			var live []*container.Container
-			for _, id := range st.replicaIDs {
-				if c, _ := z.mon.findReplica(id); c != nil && c.State != container.StateRemoved {
+			for _, listed := range st.replicas {
+				if c, _ := z.mon.cluster.FindContainer(listed.ID); c != nil && c.State != container.StateRemoved {
 					live = append(live, c)
 				}
 			}

@@ -64,9 +64,13 @@ type serviceState struct {
 	// info.Ord is the service's registration ordinal, its index in the
 	// plane's service table; a spillover shard carries its home's.
 	info core.ServiceInfo
-	// replicaIDs lists live container IDs in creation order.
-	replicaIDs []string
-	nextIdx    int
+	// replicas lists the service's replicas in creation order, and hosts
+	// their nodes, index for index. A replica leaves both when this arbiter
+	// removes or excises it; one whose container reads StateRemoved
+	// otherwise vanished with its node (see Snapshot).
+	replicas []*container.Container
+	hosts    []*cluster.Node
+	nextIdx  int
 
 	// guest marks a cross-zone spillover shard: the service's home arbiter
 	// lives in another zone, and this monitor merely hosts a bounded slice
@@ -83,15 +87,6 @@ type serviceState struct {
 	// arrive first. Reconciler retries are unaffected.
 	holdPolls int
 
-	// locs caches replicaIDs resolved to their containers and host nodes,
-	// index for index, and resolved the containers that resolve, in order;
-	// both are valid while resolvedGen matches Monitor.topoGen. Per-request
-	// routing walks resolved and Snapshot walks locs instead of re-resolving
-	// IDs through three map lookups each.
-	locs        []replicaLoc
-	resolved    []*container.Container
-	resolvedGen uint64
-
 	// name is the service's Name in the journal, interned on the first
 	// snapshot that journals it (0 until then, and without a journal).
 	name obs.Name
@@ -102,9 +97,30 @@ type serviceState struct {
 	obsBy *Monitor
 }
 
-// replicaLoc is one replica ID resolved by findReplica: its container and
-// host node, both nil when it did not resolve.
-type replicaLoc struct {
+// add appends a replica placed on node.
+func (st *serviceState) add(c *container.Container, node *cluster.Node) {
+	st.replicas = append(st.replicas, c)
+	st.hosts = append(st.hosts, node)
+}
+
+// forget drops c from the replicas; a no-op when st does not list it.
+func (st *serviceState) forget(c *container.Container) {
+	if i := slices.Index(st.replicas, c); i >= 0 {
+		st.replicas = slices.Delete(st.replicas, i, i+1)
+		st.hosts = slices.Delete(st.hosts, i, i+1)
+	}
+}
+
+// truncate keeps the first n replicas, releasing the rest.
+func (st *serviceState) truncate(n int) {
+	clear(st.replicas[n:])
+	clear(st.hosts[n:])
+	st.replicas, st.hosts = st.replicas[:n], st.hosts[:n]
+}
+
+// replica is one replica's container and host node, both nil when it is
+// gone.
+type replica struct {
 	c    *container.Container
 	node *cluster.Node
 }
@@ -123,11 +139,13 @@ type pendingAction struct {
 	// attempts is the number of executions so far.
 	attempts  int
 	notBefore time.Duration
+	// target is the replica a queued vertical or scale-in acts on.
+	target replica
 	// reconcileNode tags a reconciler re-placement with the dead node it
 	// compensates for, so a prompt recovery cancels it (the anti-flap path).
 	reconcileNode string
-	// lostID names the lost replica this re-placement replaces.
-	lostID string
+	// lost is the lost replica's container this re-placement replaces.
+	lost *container.Container
 }
 
 // cachedReport is a node manager's last successfully delivered report. The
@@ -196,17 +214,11 @@ type Monitor struct {
 	// when journal is set.
 	departed map[int]observation
 
-	// nodeStates is the failure detector's per-node record; replicaHome maps
-	// every live replica to its host node; lost is the reconciler's ledger of
-	// replicas excised from dead nodes (see selfheal.go).
-	nodeStates  map[string]*nodeState
-	replicaHome map[string]string
-	lost        []lostReplica
-
-	// topoGen versions the replica topology: every scale action, node
-	// attach/detach, and self-heal transition bumps it, invalidating the
-	// per-service resolved replica caches.
-	topoGen uint64
+	// nodeStates is the failure detector's per-node record; lost is the
+	// reconciler's ledger of replicas excised from dead nodes (see
+	// selfheal.go).
+	nodeStates map[string]*nodeState
+	lost       []lostReplica
 
 	// lastCheckpoint is the checkpoint a restart restores, nil when there
 	// is none or a topology change voided it; checkpointBuf is the storage
@@ -259,7 +271,6 @@ func (m *Monitor) DetachNode(nodeID string) {
 		}
 	}
 	m.sampleGen = 0
-	m.topoGen++ // cached pointers may reference the departed node's containers
 }
 
 // AttachNode registers a node manager for a newly added machine (the
@@ -272,7 +283,6 @@ func (m *Monitor) AttachNode(n *cluster.Node) {
 	m.nms = append(m.nms, nm)
 	m.nmByID[n.ID()] = nm
 	m.sampleGen = 0
-	m.topoGen++ // replicas unfindable while detached may resolve again
 }
 
 // addService registers a microservice with its scaling target under
@@ -340,7 +350,7 @@ func (m *Monitor) unregister(st *serviceState) {
 // scale-outs pay the container start latency, and only those see injected
 // faults).
 func (m *Monitor) deployInitial(st *serviceState, now time.Duration) error {
-	for len(st.replicaIDs) < st.spec.MinReplicas {
+	for len(st.replicas) < st.spec.MinReplicas {
 		nodeID := m.place(st.info.InitialAlloc)
 		if nodeID == "" {
 			return fmt.Errorf("monitor: no node fits initial replica of %q", st.spec.Name)
@@ -388,7 +398,7 @@ func (m *Monitor) leastLoadedNode(alloc resources.Vector) string {
 // appendLive appends st's live replicas, in creation order, to buf and
 // returns the extended slice.
 func (m *Monitor) appendLive(buf []*container.Container, st *serviceState) []*container.Container {
-	for _, c := range m.resolvedFor(st) {
+	for _, c := range st.replicas {
 		if c.State != container.StateRemoved {
 			buf = append(buf, c)
 		}
@@ -396,50 +406,15 @@ func (m *Monitor) appendLive(buf []*container.Container, st *serviceState) []*co
 	return buf
 }
 
-// liveReplicas counts st's replicas a scale-in has not removed.
+// liveReplicas counts st's replicas whose container is still on its node.
 func (m *Monitor) liveReplicas(st *serviceState) int {
 	n := 0
-	for _, c := range m.resolvedFor(st) {
+	for _, c := range st.replicas {
 		if c.State != container.StateRemoved {
 			n++
 		}
 	}
 	return n
-}
-
-// resolvedFor returns st's replicas as container pointers, in creation
-// order, rebuilding the cache after any topology change. The State filter
-// stays with the callers: a replica removed by a scale-in flips to
-// StateRemoved without a topology bump, and the pointer check is free.
-func (m *Monitor) resolvedFor(st *serviceState) []*container.Container {
-	if st.resolvedGen != m.topoGen {
-		m.resolve(st)
-	}
-	return st.resolved
-}
-
-// locate returns st's replica IDs resolved as findReplica resolves them,
-// index for index. A container a scale-in removed since reads as
-// StateRemoved, where findReplica would no longer find it.
-func (m *Monitor) locate(st *serviceState) []replicaLoc {
-	if st.resolvedGen != m.topoGen || len(st.locs) != len(st.replicaIDs) {
-		m.resolve(st)
-	}
-	return st.locs
-}
-
-// resolve rebuilds st's resolution caches.
-func (m *Monitor) resolve(st *serviceState) {
-	st.resolved = st.resolved[:0]
-	st.locs = st.locs[:0]
-	for _, id := range st.replicaIDs {
-		c, n := m.findReplica(id)
-		st.locs = append(st.locs, replicaLoc{c: c, node: n})
-		if c != nil {
-			st.resolved = append(st.resolved, c)
-		}
-	}
-	st.resolvedGen = m.topoGen
 }
 
 // Sample forwards a stats-sampling tick to every node manager of an
@@ -518,9 +493,9 @@ func (m *Monitor) drainRetries(now time.Duration) {
 // The returned snapshot aliases per-Monitor scratch buffers: it is valid
 // until the next Snapshot call, which is exactly the Poll→Decide→Apply
 // window. In steady state (no container churn, no faults) assembling it
-// allocates nothing and looks up no replica by name: replicas resolve
-// through the service's cached locations, their stats by container slot and
-// their hosts' ledger slots by node ordinal. It fills every ordinal the algorithm
+// allocates nothing and looks up no replica by name: replicas are read from
+// the service's list, their stats by container slot and their hosts' ledger
+// slots by node ordinal. It fills every ordinal the algorithm
 // plans with (ReplicaStats.Slot, Snapshot.Slots and Epoch), and records
 // what each replica resolved to, so Apply resolves the plan's actions by
 // ordinal too.
@@ -626,40 +601,36 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 		ss := growServiceStats(&m.snapServices)
 		ss.Info = st.info
 		ss.Replicas = ss.Replicas[:0]
-		locs := m.locate(st)
-		live := st.replicaIDs[:0]
-		for k, id := range st.replicaIDs {
-			c, node := locs[k].c, locs[k].node
-			if c == nil || c.State == container.StateRemoved {
+		kept := 0
+		for k, c := range st.replicas {
+			node := st.hosts[k]
+			if c.State != container.StateRemoved {
+				rs := core.ReplicaStats{ContainerID: c.ID, NodeID: node.ID(), Slot: ps.slotOf(node, node.ID())}
+				if cs := ps.statsOf(c); cs != nil {
+					rs.Requested, rs.Usage, rs.Routable, rs.Inflight = cs.Requested, cs.Usage, cs.Routable, cs.Inflight
+				} else {
+					rs.Requested, rs.Routable = c.Alloc, c.Routable()
+				}
+				ss.Replicas = append(ss.Replicas, rs)
+				ps.reps = append(ps.reps, replicaRef{c: c, node: node, nm: ps.managerOf(node), st: st})
+			} else if home := node.ID(); m.inLimbo(home) {
 				// A replica that vanished with an unreachable-but-undecided
 				// node stays in the snapshot on last-known data, so the
 				// algorithm does not double-provision before the detector
 				// rules the node dead or recovered.
-				if home := m.limboHome(id); home != "" {
-					live = append(live, id)
-					rs := m.lastKnownReplica(id, home, st)
-					rs.Slot = ps.slotOf(m.cluster.Node(home), home)
-					ss.Replicas = append(ss.Replicas, rs)
-					ps.reps = append(ps.reps, replicaRef{st: st})
-				} else {
-					delete(m.replicaHome, id)
-				}
-				continue
-			}
-			live = append(live, id)
-			rs := core.ReplicaStats{ContainerID: id, NodeID: node.ID(), Slot: ps.slotOf(node, node.ID())}
-			if cs := ps.statsOf(c); cs != nil {
-				rs.Requested, rs.Usage, rs.Routable, rs.Inflight = cs.Requested, cs.Usage, cs.Routable, cs.Inflight
+				rs := m.lastKnownReplica(c.ID, home, st)
+				rs.Slot = ps.slotOf(m.cluster.Node(home), home)
+				ss.Replicas = append(ss.Replicas, rs)
+				ps.reps = append(ps.reps, replicaRef{st: st})
 			} else {
-				rs.Requested, rs.Routable = c.Alloc, c.Routable()
+				continue // vanished for good: it leaves the lists
 			}
-			ss.Replicas = append(ss.Replicas, rs)
-			ps.reps = append(ps.reps, replicaRef{c: c, node: node, nm: ps.managerOf(node), st: st})
+			if kept != k {
+				st.replicas[kept], st.hosts[kept] = c, node
+			}
+			kept++
 		}
-		if len(live) != len(st.replicaIDs) {
-			m.topoGen++ // pruned vanished replicas from the desired set
-		}
-		st.replicaIDs = live
+		st.truncate(kept)
 		if m.journal != nil {
 			ob := obs.ServiceObserved{Replicas: len(ss.Replicas)}
 			for _, r := range ss.Replicas {
@@ -705,30 +676,12 @@ func growServiceStats(s *[]core.ServiceStats) *core.ServiceStats {
 	return &(*s)[len(*s)-1]
 }
 
-// findReplica resolves a live replica ID to its container and host node in
-// O(1) via the replicaHome index, falling back to the cluster-wide scan only
-// when the index is stale (e.g. a checkpoint restored across topology
-// changes) or the ID was never indexed (a lost replica). The fallback keeps
-// behaviour identical to the original FindContainer-based lookup. It is the
-// monitor's only container-by-ID lookup: every action, journal entry and
-// self-heal transition resolves through it.
-func (m *Monitor) findReplica(id string) (*container.Container, *cluster.Node) {
-	if home, ok := m.replicaHome[id]; ok {
-		if n := m.cluster.Node(home); n != nil {
-			if c := n.Container(id); c != nil {
-				return c, n
-			}
-		}
-	}
-	return m.cluster.FindContainer(id)
-}
-
 // observe journals one action attempt with its outcome and the observed
 // inputs from the snapshot that motivated it. createdID names the replica a
 // successful scale-out started; t is what a vertical or scale-in action
 // resolved to, so the journal never looks it up again. No-op unless journal
 // is set.
-func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome obs.Outcome, createdID string, t replicaLoc) {
+func (m *Monitor) observe(a core.Action, now time.Duration, attempt int, outcome obs.Outcome, createdID string, t replica) {
 	if m.journal == nil {
 		return
 	}
@@ -829,33 +782,34 @@ func (m *Monitor) lease(alloc resources.Vector) bool {
 }
 
 // resolveTarget resolves a vertical or scale-in action's container and its
-// host node, both nil when it is gone: through ref, what the snapshot
-// resolved it to, for an action of the latest plan, else by container ID
-// (queued work). It also returns the container's node manager, nil when
-// none is attached.
-func (m *Monitor) resolveTarget(id string, ref *replicaRef) (replicaLoc, *nodemanager.Manager) {
+// host node, both nil when it is gone: ref, what the snapshot resolved it
+// to, for an action of the latest plan, else t, the target queued work
+// carries. It also returns the container's node manager, nil when none is
+// attached.
+func (m *Monitor) resolveTarget(t replica, ref *replicaRef) (replica, *nodemanager.Manager) {
 	if ref == nil {
-		c, node := m.findReplica(id)
-		if c == nil {
-			return replicaLoc{}, nil
+		if t.c != nil && t.c.State != container.StateRemoved {
+			return t, m.nmByID[t.c.NodeID]
 		}
-		return replicaLoc{c: c, node: node}, m.nmByID[c.NodeID]
+		return replica{}, nil
 	}
 	if ref.c == nil || ref.c.State == container.StateRemoved {
-		return replicaLoc{}, nil
+		return replica{}, nil
 	}
-	return replicaLoc{c: ref.c, node: ref.node}, ref.nm
+	return replica{c: ref.c, node: ref.node}, ref.nm
 }
 
 // execute runs one attempt of an action; p.attempts counts prior
 // executions. ref is what the snapshot resolved the action's replica to, nil
-// to resolve it by container ID. Faulted, black-holed or placement-failed attempts
-// are requeued with backoff (when hardening is enabled) or abandoned.
+// for queued work, which carries its target. Faulted, black-holed or
+// placement-failed attempts are requeued with backoff (when hardening is
+// enabled) or abandoned.
 func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 	a := p.action
 	switch a.Kind {
 	case core.VerticalScale:
-		t, nm := m.resolveTarget(a.ContainerID, ref)
+		t, nm := m.resolveTarget(p.target, ref)
+		p.target = t
 		c := t.c
 		if c == nil || nm == nil {
 			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", t)
@@ -879,13 +833,13 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 		// A queued scale-out (retry or reconciler re-placement) may have
 		// been overtaken by the algorithm's own fresh decisions; never push
 		// past the replica ceiling.
-		if (p.attempts > 0 || p.lostID != "") && m.liveReplicas(st) >= st.spec.MaxReplicas {
-			if p.lostID != "" {
+		if (p.attempts > 0 || p.lost != nil) && m.liveReplicas(st) >= st.spec.MaxReplicas {
+			if p.lost != nil {
 				// The ceiling already covers the lost capacity; treat the
 				// original as superseded so a recovery drains it.
-				m.finishLost(p.lostID)
+				m.finishLost(p.lost)
 			}
-			m.observe(a, now, p.attempts, obs.OutcomeOvertaken, "", replicaLoc{})
+			m.observe(a, now, p.attempts, obs.OutcomeOvertaken, "", replica{})
 			return
 		}
 		// Reconciler re-placements carry no node: resolve against live
@@ -893,12 +847,12 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 		if a.NodeID == "" {
 			if a.NodeID = m.place(a.Alloc); a.NodeID == "" {
 				m.counts.PlacementFailures++
-				m.observe(a, now, p.attempts, m.requeue(p, now), "", replicaLoc{})
+				m.observe(a, now, p.attempts, m.requeue(p, now), "", replica{})
 				return
 			}
 		}
 		if m.actionsCut(now, a.NodeID) {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", replicaLoc{})
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", replica{})
 			return
 		}
 		var fail bool
@@ -908,7 +862,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 			fail, slowBy = m.faults.StartFault(now, st.spec.Name+"/"+strconv.Itoa(st.nextIdx))
 		}
 		if fail {
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", replicaLoc{})
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", replica{})
 			return
 		}
 		err := m.startReplica(st, a.NodeID, a.Alloc, now, slowBy)
@@ -928,18 +882,19 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 		}
 		if err != nil {
 			m.counts.PlacementFailures++
-			m.observe(a, now, p.attempts, m.requeue(p, now), "", replicaLoc{})
+			m.observe(a, now, p.attempts, m.requeue(p, now), "", replica{})
 		} else {
-			created := st.replicaIDs[len(st.replicaIDs)-1]
-			if p.lostID != "" {
-				m.finishLost(p.lostID)
+			created := st.replicas[len(st.replicas)-1].ID
+			if p.lost != nil {
+				m.finishLost(p.lost)
 				m.recovery.Replaced++
-				m.event(now, obs.EventReplicaReplaced, a.NodeID, st.spec.Name, created, "replaces "+p.lostID)
+				m.event(now, obs.EventReplicaReplaced, a.NodeID, st.spec.Name, created, "replaces "+p.lost.ID)
 			}
-			m.observe(a, now, p.attempts, obs.OutcomeApplied, created, replicaLoc{})
+			m.observe(a, now, p.attempts, obs.OutcomeApplied, created, replica{})
 		}
 	case core.ScaleIn:
-		t, _ := m.resolveTarget(a.ContainerID, ref)
+		t, _ := m.resolveTarget(p.target, ref)
+		p.target = t
 		if t.node == nil {
 			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", t)
 			return
@@ -949,7 +904,10 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 			return
 		}
 		m.observe(a, now, p.attempts, obs.OutcomeApplied, "", t)
-		m.removeFrom(t.node, a.ContainerID)
+		m.removeFrom(t.node, t.c)
+		if st := m.stateOf(int(a.Svc) - 1); st != nil {
+			st.forget(t.c)
+		}
 	}
 }
 
@@ -998,18 +956,15 @@ func (m *Monitor) startReplicaWithReady(st *serviceState, nodeID string, alloc r
 		st.nextIdx-- // the slot was never used; keep IDs dense
 		return err
 	}
-	st.replicaIDs = append(st.replicaIDs, id)
-	m.replicaHome[id] = nodeID
-	m.topoGen++
+	st.add(c, node)
 	m.counts.ScaleOuts++
 	return nil
 }
 
-// removeFrom removes a replica resolved to its node, handing every request
-// it kills to onRemoval.
-func (m *Monitor) removeFrom(node *cluster.Node, containerID string) {
-	killed := node.RemoveContainer(containerID)
-	delete(m.replicaHome, containerID)
+// removeFrom removes container c from its node, handing every request it
+// kills to onRemoval. The caller drops c from whatever list holds it.
+func (m *Monitor) removeFrom(node *cluster.Node, c *container.Container) {
+	killed := node.RemoveContainer(c.ID)
 	m.counts.ScaleIns++
 	if m.onRemoval != nil {
 		for _, r := range killed {

@@ -67,9 +67,9 @@ type statRef struct {
 // replicaRef is what Snapshot resolved one snapshot replica to: its
 // container and host node (nil for a replica served from last-known data,
 // whose container is gone), the host's node manager and the replica's
-// service. Within one Apply it stays what findReplica would return: the only
-// topology changes there are scale-ins and scale-outs, and a plan never acts
-// on a replica after scaling it in.
+// service. Within one Apply it stays what a scan of the cluster view would
+// find: the only topology changes there are scale-ins and scale-outs, and a
+// plan never acts on a replica after scaling it in.
 type replicaRef struct {
 	c    *container.Container
 	node *cluster.Node
@@ -221,8 +221,8 @@ func (ps *pollScratch) nodeName(j *obs.Journal, n *cluster.Node) obs.Name {
 }
 
 // verifyOrdinals, when set, makes every Snapshot and every action of a plan
-// check its resolution against the name-keyed one and panic on
-// any difference. It costs one atomic load per snapshot and per plan when
+// check its resolution against a resolution by name through the cluster
+// scan and panic on any difference. It costs one atomic load per snapshot and per plan when
 // off. Tests set it through VerifyOrdinals.
 var verifyOrdinals atomic.Bool
 
@@ -233,7 +233,8 @@ func VerifyOrdinals(on bool) bool { return verifyOrdinals.Swap(on) }
 
 // verifySnapshot checks every ordinal snap carries, and everything Snapshot
 // resolved, against a resolution by name: each replica's container, node,
-// node manager and stats against findReplica, nmByID and a stats map built
+// node manager and stats against cluster.FindContainer over this arbiter's
+// view, nmByID and a stats map built
 // from the snapshot's reports as the name-keyed Snapshot built it, and each
 // replica's ledger slot against its host's place in snap.Nodes. It panics
 // on the first difference.
@@ -257,14 +258,14 @@ func (m *Monitor) verifySnapshot(snap core.Snapshot) {
 			if ref.st == nil || ref.st.spec.Name != ss.Info.Name {
 				panic(fmt.Sprintf("monitor: replica %s: ordinal resolves to the wrong service", rs.ContainerID))
 			}
-			c, node := m.findReplica(rs.ContainerID)
+			c, node := m.cluster.FindContainer(rs.ContainerID)
 			if ref.c == nil || ref.c.State == container.StateRemoved {
 				if c != nil {
-					panic(fmt.Sprintf("monitor: replica %s: ordinal finds no container, findReplica finds one", rs.ContainerID))
+					panic(fmt.Sprintf("monitor: replica %s: ordinal finds no container, the cluster scan finds one", rs.ContainerID))
 				}
 			} else {
 				if ref.c != c || ref.node != node {
-					panic(fmt.Sprintf("monitor: replica %s: ordinal resolves to %p on %p, findReplica to %p on %p",
+					panic(fmt.Sprintf("monitor: replica %s: ordinal resolves to %p on %p, the cluster scan to %p on %p",
 						rs.ContainerID, ref.c, ref.node, c, node))
 				}
 				if ref.nm != m.nmByID[c.NodeID] {
@@ -301,8 +302,8 @@ func (m *Monitor) verifySnapshot(snap core.Snapshot) {
 }
 
 // verifyAction checks an action's ordinals against the latest snapshot and
-// what ref resolves it to against findReplica and nmByID, just before the
-// action executes. It panics on the first difference.
+// what ref resolves it to against cluster.FindContainer and nmByID, just
+// before the action executes. It panics on the first difference.
 func (m *Monitor) verifyAction(a core.Action, ref *replicaRef) {
 	if a.Node > 0 {
 		if n := m.snapNodes[a.Node-1]; n.ID != a.NodeID {
@@ -328,14 +329,14 @@ func (m *Monitor) verifyAction(a core.Action, ref *replicaRef) {
 		}
 		k -= len(ss.Replicas)
 	}
-	t, nm := m.resolveTarget(a.ContainerID, ref)
-	c, node := m.findReplica(a.ContainerID)
+	t, nm := m.resolveTarget(replica{}, ref)
+	c, node := m.cluster.FindContainer(a.ContainerID)
 	var want *nodemanager.Manager
 	if c != nil {
 		want = m.nmByID[c.NodeID]
 	}
 	if t.c != c || t.node != node || nm != want {
-		panic(fmt.Sprintf("monitor: action on %s: ordinal resolves to %p on %p, findReplica to %p on %p",
+		panic(fmt.Sprintf("monitor: action on %s: ordinal resolves to %p on %p, the cluster scan to %p on %p",
 			a.ContainerID, t.c, t.node, c, node))
 	}
 }

@@ -217,9 +217,7 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig, inj *fa
 			nmByID:      make(map[string]*nodemanager.Manager),
 			lastReports: make(map[string]*cachedReport),
 			nodeStates:  make(map[string]*nodeState),
-			replicaHome: make(map[string]string),
 			seenGen:     make(map[string]uint64),
-			topoGen:     1, // above the zero resolvedGen, so fresh services resolve
 		}
 		for _, n := range view.Nodes() {
 			mon.AttachNode(n)
@@ -373,16 +371,16 @@ func (p *Plane) Registered(service string) bool {
 // without copying them.
 //
 // For a service whose replicas all live in its home arbiter, the result
-// aliases that arbiter's resolved replica cache: it is valid only until the
-// next topology change, it includes replicas a scale-in already flipped to
-// StateRemoved (callers must skip them, as the balancer does), and it must
-// never be assigned to a buffer that is later appended into. A spilled
-// service's replicas are appended into *scratch instead, which the caller
-// owns and keeps.
+// aliases that arbiter's replica list: it is valid only until the next
+// placement, removal or poll, it includes replicas whose container vanished
+// with its node and reads StateRemoved (callers must skip them, as the
+// balancer does), and it must never be assigned to a buffer that is later
+// appended into. A spilled service's replicas are appended into *scratch
+// instead, which the caller owns and keeps.
 func (p *Plane) RouteView(ord int, scratch *[]*container.Container) []*container.Container {
 	e := &p.services[ord]
 	if len(e.spills) == 0 {
-		return e.home.mon.resolvedFor(e.st)
+		return e.st.replicas
 	}
 	*scratch = p.AppendReplicas((*scratch)[:0], ord)
 	return *scratch
@@ -426,10 +424,22 @@ func (p *Plane) Scale(service string, replicas int, now time.Duration) error {
 		return fmt.Errorf("monitor: unknown service %q", service)
 	}
 	e := &p.services[ord]
-	reps := p.AppendReplicas(nil, ord)
+	// The live replicas in Replicas' order, each with the arbiter owning it.
+	type owned struct {
+		mon *Monitor
+		r   replica
+	}
+	var reps []owned
+	for _, sh := range append([]shard{{za: e.home, st: e.st}}, e.spills...) {
+		for k, c := range sh.st.replicas {
+			if c.State != container.StateRemoved {
+				reps = append(reps, owned{sh.za.mon, replica{c: c, node: sh.st.hosts[k]}})
+			}
+		}
+	}
 	alloc := e.st.info.InitialAlloc
 	if len(reps) > 0 {
-		alloc = reps[0].Alloc
+		alloc = reps[0].r.c.Alloc
 	}
 	if replicas > len(reps) && e.home.mon.place(alloc) == "" {
 		return fmt.Errorf("monitor: no node fits a new replica of %q", service)
@@ -438,11 +448,9 @@ func (p *Plane) Scale(service string, replicas int, now time.Duration) error {
 		e.home.mon.execute(pendingAction{action: core.StartOn(ord, "", alloc)}, now, nil)
 	}
 	for i := len(reps) - 1; i >= replicas; i-- {
-		// A live replica's node sits in the view of the arbiter owning it.
-		za := p.zones[p.zoneOfNode[reps[i].NodeID]]
-		a := core.Remove(reps[i].ID)
+		a := core.Remove(reps[i].r.c.ID)
 		a.Svc = int32(ord + 1)
-		za.mon.execute(pendingAction{action: a}, now, nil)
+		reps[i].mon.execute(pendingAction{action: a, target: reps[i].r}, now, nil)
 	}
 	return nil
 }

@@ -17,13 +17,14 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"hyscale/internal/cluster"
 	"hyscale/internal/container"
 	"hyscale/internal/core"
 	"hyscale/internal/nodemanager"
@@ -127,8 +128,8 @@ type nodeState struct {
 // recovered before the replacement ran).
 type lostReplica struct {
 	ord   int // the service's registration ordinal
-	id    string
-	node  string
+	c     *container.Container
+	node  *cluster.Node
 	alloc resources.Vector
 	// replaced marks that a reconciler scale-out for this replica has
 	// applied; if the node later recovers, the surviving original is
@@ -252,27 +253,20 @@ func (m *Monitor) nodeDead(nodeID string) bool {
 	return st != nil && st.health == NodeDead
 }
 
-// limboHome returns the node a vanished replica should still be attributed
-// to: its last-known host, while that host is unreachable but not yet ruled
-// dead. During this grace the replica stays in the snapshot (served from
-// cached stats) so the algorithm does not double-provision before the
+// inLimbo reports whether a replica that vanished from host should still
+// be attributed to it: the host is attached and unreachable but not yet
+// ruled dead. During this grace the replica stays in the snapshot (served
+// from cached stats) so the algorithm does not double-provision before the
 // detector decides.
-func (m *Monitor) limboHome(id string) string {
+func (m *Monitor) inLimbo(host string) bool {
 	if !m.selfHeal.Enabled {
-		return ""
+		return false
 	}
-	home, ok := m.replicaHome[id]
-	if !ok {
-		return ""
+	if _, attached := m.nmByID[host]; !attached {
+		return false
 	}
-	if _, attached := m.nmByID[home]; !attached {
-		return ""
-	}
-	st := m.nodeStates[home]
-	if st == nil || st.missed == 0 || st.health == NodeDead {
-		return ""
-	}
-	return home
+	st := m.nodeStates[host]
+	return st != nil && st.missed > 0 && st.health != NodeDead
 }
 
 // lastKnownReplica synthesizes a limbo replica's stats from the node's
@@ -309,27 +303,28 @@ func (m *Monitor) declareDead(nodeID string, now time.Duration) {
 
 	notBefore := now + m.selfHeal.cooldown()
 	for _, st := range m.services {
-		kept := st.replicaIDs[:0]
-		for _, id := range st.replicaIDs {
-			if m.replicaHome[id] != nodeID {
-				kept = append(kept, id)
+		kept := 0
+		for k, c := range st.replicas {
+			node := st.hosts[k]
+			if node.ID() != nodeID {
+				st.replicas[kept], st.hosts[kept] = c, node
+				kept++
 				continue
 			}
 			alloc := st.info.InitialAlloc
-			if c, _ := m.findReplica(id); c != nil {
+			if c.State != container.StateRemoved {
 				alloc = c.Alloc
 			} else if cached := m.lastReports[nodeID]; cached != nil {
 				for _, cs := range cached.rep.Containers {
-					if cs.ID == id {
+					if cs.ID == c.ID {
 						alloc = cs.Requested
 						break
 					}
 				}
 			}
 			m.lost = append(m.lost, lostReplica{
-				ord: st.info.Ord, id: id, node: nodeID, alloc: alloc,
+				ord: st.info.Ord, c: c, node: node, alloc: alloc,
 			})
-			delete(m.replicaHome, id)
 			m.recovery.ReplicasLost++
 			// NodeID is left empty: the placement is resolved against live
 			// capacity when the action finally executes, not now.
@@ -337,16 +332,12 @@ func (m *Monitor) declareDead(nodeID string, now time.Duration) {
 				action:        core.StartOn(st.info.Ord, "", alloc),
 				notBefore:     notBefore,
 				reconcileNode: nodeID,
-				lostID:        id,
+				lost:          c,
 			})
-			m.event(now, obs.EventReconcileEnqueue, nodeID, st.spec.Name, id, "replace after "+m.selfHeal.cooldown().String())
+			m.event(now, obs.EventReconcileEnqueue, nodeID, st.spec.Name, c.ID, "replace after "+m.selfHeal.cooldown().String())
 		}
-		for i := len(kept); i < len(st.replicaIDs); i++ {
-			st.replicaIDs[i] = ""
-		}
-		st.replicaIDs = kept
+		st.truncate(kept)
 	}
-	m.topoGen++ // dead node's replicas left every desired set
 }
 
 // reconcileRecovery handles a dead node answering again (a partition that
@@ -362,7 +353,7 @@ func (m *Monitor) reconcileRecovery(nodeID string, now time.Duration) {
 		}
 		m.recovery.ReconcileCancelled++
 		if p.action.Kind == core.ScaleOut {
-			m.event(now, obs.EventReconcileCancel, nodeID, m.serviceName(int(p.action.Svc)-1), p.lostID, "node recovered")
+			m.event(now, obs.EventReconcileCancel, nodeID, m.serviceName(int(p.action.Svc)-1), p.lost.ID, "node recovered")
 		}
 	}
 	for i := len(kept); i < len(m.retries); i++ {
@@ -370,15 +361,16 @@ func (m *Monitor) reconcileRecovery(nodeID string, now time.Duration) {
 	}
 	m.retries = kept
 
-	m.settleLost(now, func(l lostReplica) bool { return l.node == nodeID })
+	m.settleLost(now, func(l lostReplica) bool { return l.node.ID() == nodeID })
 }
 
 // settleLost settles the lost-ledger entries match selects against what
-// physically survived the outage: vanished replicas are forgotten, survivors
-// whose replacement already ran are drained as stale, and the rest are
-// re-adopted, any replacement still queued for them cancelled. A recovered
-// node's own replacements are cancelled before this runs; a re-homed
-// service's may still be queued.
+// physically survived the outage on this arbiter's nodes: vanished replicas
+// are forgotten, survivors whose replacement already ran are drained as
+// stale, and the rest are re-adopted, any replacement still queued for them
+// cancelled. A recovered node's own replacements are cancelled before this
+// runs; a re-homed service's may still be queued, and its entries may name
+// another zone's nodes, which count as vanished here.
 func (m *Monitor) settleLost(now time.Duration, match func(lostReplica) bool) {
 	remaining := m.lost[:0]
 	for _, l := range m.lost {
@@ -386,39 +378,36 @@ func (m *Monitor) settleLost(now time.Duration, match func(lostReplica) bool) {
 			remaining = append(remaining, l)
 			continue
 		}
-		c, node := m.findReplica(l.id)
-		alive := c != nil && c.State != container.StateRemoved
+		alive := l.c.State != container.StateRemoved && m.cluster.Node(l.node.ID()) == l.node
 		switch {
 		case !alive:
 			// Nothing survived the outage; the replacement (ran or
 			// cancelled) is all there is.
 		case l.replaced:
-			m.removeFrom(node, l.id)
+			m.removeFrom(l.node, l.c)
 			m.recovery.StaleDrained++
-			m.event(now, obs.EventStaleDrained, l.node, m.serviceName(l.ord), l.id, "")
+			m.event(now, obs.EventStaleDrained, l.node.ID(), m.serviceName(l.ord), l.c.ID, "")
 		default:
 			if st := m.stateOf(l.ord); st != nil {
-				st.replicaIDs = append(st.replicaIDs, l.id)
-				m.replicaHome[l.id] = l.node
+				st.add(l.c, l.node)
 				m.recovery.Readopted++
-				m.event(now, obs.EventReadopted, l.node, st.spec.Name, l.id, "")
-				m.cancelPendingFor(l.id, now)
+				m.event(now, obs.EventReadopted, l.node.ID(), st.spec.Name, l.c.ID, "")
+				m.cancelPendingFor(l.c, now)
 			}
 		}
 	}
 	m.lost = remaining
-	m.topoGen++ // re-adoptions and stale drains changed the replica sets
 }
 
 // cancelPendingFor drops the queued replacement for one re-adopted replica.
-func (m *Monitor) cancelPendingFor(lostID string, now time.Duration) {
+func (m *Monitor) cancelPendingFor(lost *container.Container, now time.Duration) {
 	for i, pa := range m.retries {
-		if pa.lostID != lostID || pa.lostID == "" {
+		if pa.lost != lost {
 			continue
 		}
 		m.recovery.ReconcileCancelled++
 		if pa.action.Kind == core.ScaleOut {
-			m.event(now, obs.EventReconcileCancel, pa.reconcileNode, m.serviceName(int(pa.action.Svc)-1), lostID, "replica readopted")
+			m.event(now, obs.EventReconcileCancel, pa.reconcileNode, m.serviceName(int(pa.action.Svc)-1), lost.ID, "replica readopted")
 		}
 		m.retries = append(m.retries[:i], m.retries[i+1:]...)
 		return
@@ -428,12 +417,12 @@ func (m *Monitor) cancelPendingFor(lostID string, now time.Duration) {
 // finishLost marks a lost replica's replacement as done. When the dead node
 // is gone for good (detached), the record is dropped — there is no recovery
 // left to reconcile against.
-func (m *Monitor) finishLost(lostID string) {
+func (m *Monitor) finishLost(lost *container.Container) {
 	for i := range m.lost {
-		if m.lost[i].id != lostID {
+		if m.lost[i].c != lost {
 			continue
 		}
-		if _, attached := m.nmByID[m.lost[i].node]; !attached {
+		if _, attached := m.nmByID[m.lost[i].node.ID()]; !attached {
 			m.lost = append(m.lost[:i], m.lost[i+1:]...)
 		} else {
 			m.lost[i].replaced = true
@@ -456,22 +445,22 @@ type checkpoint struct {
 	lastReports map[string]*cachedReport
 	nodeStates  map[string]nodeState
 	lost        []lostReplica
-	// replicaIDs holds each service's replica set, in m.services order.
-	replicaIDs  []serviceReplicas
-	replicaHome map[string]string
+	// replicas holds each service's replica lists, in m.services order.
+	replicas []serviceReplicas
 }
 
-// serviceReplicas is one service's replica IDs in a checkpoint, keyed by
+// serviceReplicas is one service's replica lists in a checkpoint, keyed by
 // the service's registration ordinal.
 type serviceReplicas struct {
-	ord int
-	ids []string
+	ord      int
+	replicas []*container.Container
+	hosts    []*cluster.Node
 }
 
 // checkpointNow snapshots the Monitor's decision state unconditionally. It
 // overwrites the monitor's one retained checkpoint in place — restore copies
 // everything out of it, so nothing else holds its buffers — and each node's
-// report and each service's replica IDs keep their buffers from one
+// report and each service's replica lists keep their buffers from one
 // checkpoint to the next. Node reports are deep-copied: the live cache
 // entries reuse their Containers buffers every poll, and a checkpoint must
 // not see those later overwrites.
@@ -481,7 +470,6 @@ func (m *Monitor) checkpointNow(now time.Duration) {
 		cp = &checkpoint{
 			lastReports: make(map[string]*cachedReport, len(m.lastReports)),
 			nodeStates:  make(map[string]nodeState, len(m.nodeStates)),
-			replicaHome: make(map[string]string, len(m.replicaHome)),
 		}
 		m.checkpointBuf = cp
 	}
@@ -503,16 +491,13 @@ func (m *Monitor) checkpointNow(now time.Duration) {
 		cp.nodeStates[k] = *v
 	}
 	dropStale(cp.nodeStates, m.nodeStates)
-	cp.replicaIDs = slices.Grow(cp.replicaIDs[:0], len(m.services))[:len(m.services)]
+	cp.replicas = slices.Grow(cp.replicas[:0], len(m.services))[:len(m.services)]
 	for i, st := range m.services {
-		e := &cp.replicaIDs[i]
+		e := &cp.replicas[i]
 		e.ord = st.info.Ord
-		e.ids = append(e.ids[:0], st.replicaIDs...)
+		e.replicas = append(e.replicas[:0], st.replicas...)
+		e.hosts = append(e.hosts[:0], st.hosts...)
 	}
-	// Replica IDs come and go with every scale action, so this map is
-	// rebuilt rather than reconciled.
-	clear(cp.replicaHome)
-	maps.Copy(cp.replicaHome, m.replicaHome)
 	m.lastCheckpoint = cp
 	m.lastCheckpointAt = now
 }
@@ -577,16 +562,13 @@ func (m *Monitor) restore(cp *checkpoint, now time.Duration) {
 	// Every topology change that moves a service voids the checkpoint, so
 	// each entry's service is still here; one registered since has none.
 	for _, st := range m.services {
-		st.replicaIDs = nil
+		st.replicas, st.hosts = nil, nil
 	}
-	for _, e := range cp.replicaIDs {
-		m.stateOf(e.ord).replicaIDs = append([]string(nil), e.ids...)
+	for _, e := range cp.replicas {
+		st := m.stateOf(e.ord)
+		st.replicas = append([]*container.Container(nil), e.replicas...)
+		st.hosts = append([]*cluster.Node(nil), e.hosts...)
 	}
-	m.replicaHome = make(map[string]string, len(cp.replicaHome))
-	for k, v := range cp.replicaHome {
-		m.replicaHome[k] = v
-	}
-	m.topoGen++ // restored replica sets may differ from the cached view
 	m.recovery.CheckpointRestores++
 	m.event(now, obs.EventCheckpointRestore, "", "", "", fmt.Sprintf("checkpoint from %v", cp.at))
 }
@@ -600,36 +582,30 @@ func (m *Monitor) coldRestart(now time.Duration) {
 	m.lastReports = make(map[string]*cachedReport)
 	m.nodeStates = make(map[string]*nodeState)
 	m.lost = nil
-	m.replicaHome = make(map[string]string)
 	for _, st := range m.services {
-		ids := make([]string, 0, len(st.replicaIDs))
-		for _, c := range m.cluster.ReplicasOf(st.spec.Name) {
-			ids = append(ids, c.ID)
-			m.replicaHome[c.ID] = c.NodeID
+		// Rediscovered replicas are ordered by their creation index
+		// ("<service>-<idx>"), so a cold restart yields the same replica
+		// order on every run.
+		cs := m.cluster.ReplicasOf(st.spec.Name)
+		slices.SortStableFunc(cs, func(a, b *container.Container) int {
+			return cmp.Compare(creationIndex(a.ID), creationIndex(b.ID))
+		})
+		st.replicas, st.hosts = cs, make([]*cluster.Node, len(cs))
+		for k, c := range cs {
+			st.hosts[k] = m.cluster.Node(c.NodeID)
 		}
-		sortReplicaIDs(ids)
-		st.replicaIDs = ids
 	}
-	m.topoGen++ // rediscovered replica sets invalidate every cache
 	m.recovery.ColdRestarts++
 	m.event(now, obs.EventColdRestart, "", "", "", "")
 }
 
-// sortReplicaIDs orders rediscovered replica IDs by their creation index
-// ("<service>-<idx>"), so a cold restart yields the same replica order on
-// every run.
-func sortReplicaIDs(ids []string) {
-	idx := func(id string) int {
-		if i := strings.LastIndex(id, "-"); i >= 0 {
-			if n, err := strconv.Atoi(id[i+1:]); err == nil {
-				return n
-			}
-		}
-		return 0
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && idx(ids[j]) < idx(ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+// creationIndex parses the index of a replica ID "<service>-<idx>", 0 when
+// it has none.
+func creationIndex(id string) int {
+	if i := strings.LastIndex(id, "-"); i >= 0 {
+		if n, err := strconv.Atoi(id[i+1:]); err == nil {
+			return n
 		}
 	}
+	return 0
 }

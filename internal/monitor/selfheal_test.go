@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -114,6 +115,29 @@ func TestLimboReplicasStayInSnapshot(t *testing.T) {
 	last := algo.snaps[len(algo.snaps)-1]
 	if got := len(last.Services[0].Replicas); got != 1 {
 		t.Errorf("post-death snapshot replicas = %d, want 1", got)
+	}
+
+	// A replica a scale-in removed is not kept in limbo when its node fails
+	// before the next poll; the replica beside it, not scaled in, is.
+	cl, m := healSetup(t)
+	if err := m.StartReplica("a", "node-0", resources.Vector{CPU: 1, MemMB: 512}, 0); err != nil {
+		t.Fatal(err)
+	}
+	algo = m.algo.(*recordingAlgo)
+	algo.plan = core.Plan{Actions: []core.Action{core.Remove("a-2")}}
+	m.Poll(5 * time.Second)
+	algo.plan = core.Plan{}
+	if _, err := cl.RemoveNode("node-0"); err != nil {
+		t.Fatal(err)
+	}
+	m.plane.NoteNodeRemoved("node-0")
+	m.Poll(10 * time.Second)
+	var got []string
+	for _, rs := range algo.snaps[len(algo.snaps)-1].Services[0].Replicas {
+		got = append(got, rs.ContainerID+"@"+rs.NodeID)
+	}
+	if want := []string{"a-0@node-0", "a-1@node-1"}; !slices.Equal(got, want) {
+		t.Errorf("snapshot after node-0 failed: replicas %v, want %v", got, want)
 	}
 }
 

@@ -185,15 +185,3 @@ func (m *Manager) ApplyVertical(c *container.Container, alloc resources.Vector) 
 	}
 	return c.Update(alloc)
 }
-
-// Liveness reports the number of live (non-removed) containers; the paper's
-// NMs check microservice liveness for the Monitor.
-func (m *Manager) Liveness() int {
-	n := 0
-	for _, c := range m.node.Containers() {
-		if c.State != container.StateRemoved {
-			n++
-		}
-	}
-	return n
-}

@@ -125,17 +125,6 @@ func TestApplyVertical(t *testing.T) {
 	}
 }
 
-func TestLiveness(t *testing.T) {
-	n, nm, _ := setup(t)
-	if nm.Liveness() != 1 {
-		t.Errorf("liveness = %d, want 1", nm.Liveness())
-	}
-	n.RemoveContainer("c-0")
-	if nm.Liveness() != 0 {
-		t.Errorf("liveness = %d, want 0", nm.Liveness())
-	}
-}
-
 // refManager is the map-keyed sampling window the slot accumulators
 // replaced, kept here as the reference their Report means must match.
 type refManager struct {

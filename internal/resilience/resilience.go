@@ -535,11 +535,6 @@ func (m *Manager) ChildDeadline(now, parentDeadline time.Duration, childTimeout 
 	return own
 }
 
-// DeadlinesOn reports whether deadline propagation is enabled.
-func (m *Manager) DeadlinesOn() bool {
-	return m != nil && m.cfg.Deadlines != nil
-}
-
 // ShouldShed decides whether a saturated replica refuses this admission.
 // util is the replica's admission-queue occupancy (inflight over queue
 // limit); above the threshold the shed probability ramps linearly to

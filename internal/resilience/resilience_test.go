@@ -211,9 +211,6 @@ func TestChildDeadline(t *testing.T) {
 	}
 
 	m := NewManager(Config{Deadlines: &DeadlineConfig{Margin: 500 * time.Millisecond}}, 1)
-	if !m.DeadlinesOn() {
-		t.Fatal("DeadlinesOn = false with deadline config set")
-	}
 	// Inherited (12s - 500ms = 11.5s) beats own (16s).
 	if d := m.ChildDeadline(now, parent, 6*time.Second); d != 11500*time.Millisecond {
 		t.Errorf("propagated child deadline = %v, want 11.5s", d)
@@ -346,9 +343,6 @@ func TestNilManagerAllowsEverything(t *testing.T) {
 	}
 	if m.ShouldShed(1, "c", 1) {
 		t.Error("nil manager shed")
-	}
-	if m.DeadlinesOn() {
-		t.Error("nil manager propagates deadlines")
 	}
 	m.RecordAttempt(0, 1)
 	m.RecordCallResult(0, 0, false)

@@ -12,6 +12,7 @@ package runner
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -91,8 +92,36 @@ func FromPattern(p loadgen.Pattern) LoadSpec {
 }
 
 // Pattern materialises the spec; an empty Type yields a nil pattern (no
-// generator, for injection-driven runs).
+// generator, for injection-driven runs). It rejects a negative or
+// non-finite base, peak or factor, a non-finite amplitude and a negative
+// duration; phase and start shift the pattern and may be negative.
 func (l LoadSpec) Pattern() (loadgen.Pattern, error) {
+	for _, f := range []struct {
+		name     string
+		v        float64
+		negative bool // whether a negative value is allowed
+	}{
+		{"base", l.Base, false}, {"peak", l.Peak, false}, {"factor", l.Factor, false},
+		{"amplitude", l.Amplitude, true}, {"rippleAmplitude", l.RippleAmplitude, true},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("runner: load %s must be finite, got %v", f.name, f.v)
+		}
+		if f.v < 0 && !f.negative {
+			return nil, fmt.Errorf("runner: load %s must be >= 0, got %v", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"period", l.Period}, {"burstLen", l.BurstLen}, {"rampUp", l.RampUp},
+		{"hold", l.Hold}, {"decay", l.Decay}, {"ripple", l.Ripple},
+	} {
+		if f.d < 0 {
+			return nil, fmt.Errorf("runner: load %s must be >= 0, got %v", f.name, f.d)
+		}
+	}
 	switch l.Type {
 	case "":
 		return nil, nil

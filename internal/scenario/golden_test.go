@@ -41,8 +41,9 @@ func TestShippedScenarioGoldens(t *testing.T) {
 // zones or requests (zone outage, node crash and recovery, chaos, the zoned
 // datacenter and the cascade retry storm) with the monitor's ordinal
 // self-check on: every snapshot replica and every action the monitor
-// resolves by ordinal is re-resolved by name, through findReplica, and any
-// difference panics. The results must still match their goldens.
+// resolves by ordinal is re-resolved by name, through a scan of its
+// arbiter's cluster view (cluster.FindContainer), and any difference panics.
+// The results must still match their goldens.
 func TestShippedScenarioOrdinals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs shipped scenarios")

@@ -158,17 +158,6 @@ func (e *Engine) ScheduleBatch(at time.Duration, start, count int, fn IndexedEve
 	return err
 }
 
-// ScheduleAfter runs fn after delay relative to the current simulated time.
-// Negative delays are clamped to zero and counted in Clamped.
-func (e *Engine) ScheduleAfter(delay time.Duration, fn Event) {
-	if delay < 0 {
-		e.clamped++
-		delay = 0
-	}
-	// Scheduling relative to now can never be in the past.
-	_ = e.Schedule(e.now+delay, fn)
-}
-
 // SchedulePeriodic runs fn every interval, starting at start, until the
 // engine stops or the run horizon is reached. fn runs before the next
 // occurrence is scheduled, so a task can call Stop to cancel the series.
@@ -188,10 +177,10 @@ func (e *Engine) SchedulePeriodic(start, interval time.Duration, fn Event) error
 	return e.Schedule(start, tick)
 }
 
-// Clamped returns how many events were scheduled in the past (or with a
-// negative delay) and silently clamped to "now". A non-zero count after a run
-// means some component computed a stale timestamp — the class of bug that
-// used to vanish into dropped error returns.
+// Clamped returns how many events were scheduled in the past and silently
+// clamped to "now". A non-zero count after a run means some component
+// computed a stale timestamp — the class of bug that used to vanish into
+// dropped error returns.
 func (e *Engine) Clamped() uint64 { return e.clamped }
 
 // Stop halts the run after the current event returns. Pending events remain
@@ -237,7 +226,3 @@ func (e *Engine) Run(horizon time.Duration) error {
 	}
 	return nil
 }
-
-// Pending returns the number of queued events, mainly for tests and
-// diagnostics.
-func (e *Engine) Pending() int { return len(e.queue) }

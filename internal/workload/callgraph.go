@@ -100,33 +100,6 @@ func (g CallGraph) Roots() []string {
 	return roots
 }
 
-// MaxDepth returns the longest path length (in edges) through the DAG.
-// Validate must have accepted the graph first; cyclic graphs would loop.
-func (g CallGraph) MaxDepth() int {
-	memo := make(map[string]int)
-	var depth func(string) int
-	depth = func(svc string) int {
-		if d, ok := memo[svc]; ok {
-			return d
-		}
-		best := 0
-		for _, e := range g.Out(svc) {
-			if d := depth(e.To) + 1; d > best {
-				best = d
-			}
-		}
-		memo[svc] = best
-		return best
-	}
-	best := 0
-	for _, n := range g.Services() {
-		if d := depth(n); d > best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Validate rejects malformed graphs: empty endpoints, self-loops, edges to
 // services not in the known set (when one is supplied), out-of-range
 // probabilities, negative fan-outs, duplicate edges, and cycles — the cycle

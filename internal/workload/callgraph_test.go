@@ -70,9 +70,6 @@ func TestCallGraphShape(t *testing.T) {
 	if got := g.Services(); len(got) != 4 {
 		t.Errorf("Services = %v, want 4 names", got)
 	}
-	if got := g.MaxDepth(); got != 2 {
-		t.Errorf("MaxDepth = %d, want 2", got)
-	}
 	if got := g.Out("gw"); len(got) != 2 || got[0].To != "cat" || got[1].To != "ord" {
 		t.Errorf("Out(gw) = %v, want declaration order [cat ord]", got)
 	}

@@ -353,6 +353,3 @@ func (p *RequestPool) Put(r *Request) {
 	r.RemainingCPU, r.RemainingNetMb, r.MemFootprintMB = nan, nan, nan
 	p.free = append(p.free, r)
 }
-
-// Finished reports whether both processing stages are complete.
-func (r *Request) Finished() bool { return r.Phase == PhaseDone }

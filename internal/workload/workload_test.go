@@ -95,13 +95,6 @@ func TestNewRequest(t *testing.T) {
 	if r.MemFootprintMB != 4 {
 		t.Errorf("MemFootprintMB = %v, want 4", r.MemFootprintMB)
 	}
-	if r.Finished() {
-		t.Error("fresh request reports Finished")
-	}
-	r.Phase = PhaseDone
-	if !r.Finished() {
-		t.Error("done request reports unfinished")
-	}
 }
 
 func TestKindStrings(t *testing.T) {
