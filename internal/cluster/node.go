@@ -45,7 +45,7 @@ func DefaultNodeConfig(id string) NodeConfig {
 	return NodeConfig{
 		ID:            id,
 		Capacity:      resources.Vector{CPU: 4, MemMB: 8192, NetMbps: 1000},
-		Net:           netem.Model{CapacityMbps: 1000, TxQueueContention: 0.15},
+		Net:           netem.DefaultModel(),
 		CPUContention: 0.13,
 		SwapPenalty:   8,
 	}

@@ -99,9 +99,6 @@ type Container struct {
 	// lastUsage is the usage measured over the most recent physics tick; the
 	// node manager samples it to answer the Monitor's stats queries.
 	lastUsage Usage
-
-	// cumulative counters for diagnostics and tests.
-	completed uint64
 }
 
 // New creates a container in the Starting state that becomes Running at
@@ -174,17 +171,13 @@ func (c *Container) QueueFull() bool {
 // Release removes one request from the in-flight set without the usual
 // completion/timeout bookkeeping — the call-graph layer uses it to resolve
 // a PhaseWait parent the moment its last downstream call returns (success)
-// or a child fails permanently (fail-fast). success increments the
-// container's completed counter. Returns false when the request is not held
-// here.
-func (c *Container) Release(r *workload.Request, success bool) bool {
+// or a child fails permanently (fail-fast). Returns false when the request
+// is not held here.
+func (c *Container) Release(r *workload.Request) bool {
 	for i, held := range c.inflight {
 		if held == r {
 			c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
 			c.tallyOK = false
-			if success {
-				c.completed++
-			}
 			return true
 		}
 	}
@@ -194,10 +187,6 @@ func (c *Container) Release(r *workload.Request, success bool) bool {
 // InflightRequests exposes the in-flight slice for the physics loop. Callers
 // must not retain the slice across ticks.
 func (c *Container) InflightRequests() []*workload.Request { return c.inflight }
-
-// Completed returns the cumulative number of requests this container
-// finished successfully.
-func (c *Container) Completed() uint64 { return c.completed }
 
 // Tally is one container's physics inputs at one instant: what a single
 // pass over its in-flight requests gathers. Every physics quantity derived
@@ -414,12 +403,10 @@ func (c *Container) AdvanceInto(res *AdvanceResult, t Tally, now time.Duration, 
 		// completes when the platform resolves its last child.
 		if r.Phase == workload.PhaseDone && r.PendingChildren > 0 {
 			r.Phase = workload.PhaseWait
-			r.OwnDoneAt = finishedAt
 		}
 
 		switch {
 		case r.Phase == workload.PhaseDone:
-			c.completed++
 			res.Completed = append(res.Completed, CompletedRequest{Request: r, At: finishedAt})
 		case now+dt >= r.Deadline:
 			res.TimedOut = append(res.TimedOut, r)

@@ -175,6 +175,17 @@ func TestManualScaleValidation(t *testing.T) {
 	if code := post("/v1/services/ghost/scale", `{"replicas":2}`); code != http.StatusNotFound {
 		t.Errorf("ghost scale status = %d", code)
 	}
+	// A count above maxReplicas (6) is refused before any replica starts.
+	ctl := srv.world.Control()
+	before, reps := ctl.Counts(), ctl.ReplicaCount("api")
+	for _, body := range []string{`{"replicas":7}`, `{"replicas":2000000000}`} {
+		if code := post("/v1/services/api/scale", body); code != http.StatusConflict {
+			t.Errorf("scale %s above maxReplicas: status = %d, want 409", body, code)
+		}
+	}
+	if got := ctl.ReplicaCount("api"); got != reps || ctl.Counts() != before {
+		t.Errorf("a rejected scale acted: api has %d replicas (was %d), counts %+v -> %+v", got, reps, before, ctl.Counts())
+	}
 }
 
 // replicaSpec is a one-core service of n replicas that never grows past 8.

@@ -1,7 +1,6 @@
 // Package metrics collects the user-perceived performance measurements the
 // paper reports: average response times, request failure percentages broken
-// down by class (removal vs connection failures), availability, and
-// time-series samples for plotting.
+// down by class (removal vs connection failures) and availability.
 //
 // A completion costs two counter updates and one append to a shared
 // buffer; sorting, run merging and the export histogram all happen later,
@@ -429,44 +428,4 @@ func nearestRank(p float64, n int) int {
 		rank = n - 1
 	}
 	return rank
-}
-
-// TimeSeries is an append-only series of (time, value) samples used to
-// reproduce the paper's trace plots (e.g. Fig. 9).
-type TimeSeries struct {
-	Name   string
-	Times  []time.Duration
-	Values []float64
-}
-
-// Append adds a sample.
-func (t *TimeSeries) Append(at time.Duration, v float64) {
-	t.Times = append(t.Times, at)
-	t.Values = append(t.Values, v)
-}
-
-// Len returns the number of samples.
-func (t *TimeSeries) Len() int { return len(t.Values) }
-
-// Mean returns the average of all values, or 0 when empty.
-func (t *TimeSeries) Mean() float64 {
-	if len(t.Values) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range t.Values {
-		s += v
-	}
-	return s / float64(len(t.Values))
-}
-
-// Max returns the maximum value, or 0 when empty.
-func (t *TimeSeries) Max() float64 {
-	var m float64
-	for i, v := range t.Values {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
 }

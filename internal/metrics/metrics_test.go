@@ -103,25 +103,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	ts := &TimeSeries{Name: "x"}
-	if ts.Mean() != 0 || ts.Max() != 0 || ts.Len() != 0 {
-		t.Error("empty series stats should be zero")
-	}
-	ts.Append(time.Second, 1)
-	ts.Append(2*time.Second, 3)
-	ts.Append(3*time.Second, 2)
-	if ts.Len() != 3 {
-		t.Errorf("Len = %d", ts.Len())
-	}
-	if ts.Mean() != 2 {
-		t.Errorf("Mean = %v, want 2", ts.Mean())
-	}
-	if ts.Max() != 3 {
-		t.Errorf("Max = %v, want 3", ts.Max())
-	}
-}
-
 func TestUnknownFailureClassCountsAsConnection(t *testing.T) {
 	r := NewRecorder()
 	r.RecordFailure(r.Stats("a"), workload.FailureNone)

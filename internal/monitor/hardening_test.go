@@ -141,10 +141,6 @@ func TestStaleSnapshotServedWithinBound(t *testing.T) {
 	if got := len(m.Snapshot(35 * time.Second).Nodes); got != 3 {
 		t.Errorf("nodes after recovery = %d, want 3", got)
 	}
-	// The node manager recorded the misses.
-	if got := m.nmByID["node-0"].MissedQueries(); got != 2 {
-		t.Errorf("MissedQueries = %d, want 2", got)
-	}
 }
 
 func TestStaleSnapshotDisabledDropsNodeImmediately(t *testing.T) {

@@ -515,14 +515,12 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 			// detector accrues the miss; once it rules the node dead the
 			// reconciler takes over (legacy runs detach such nodes
 			// out-of-band and never reach here).
-			nm.NoteMissedQuery()
 			m.noteMissedPoll(id, now)
 			continue
 		}
 		ps.noteNode(node, nm, -1)
 		var cached *cachedReport
 		if m.faults.StatsDropped(now, id) || m.faults.StatsBlackout(now, id) || m.plane.statsCut(now, id) {
-			nm.NoteMissedQuery()
 			m.noteMissedPoll(id, now)
 			cached = m.lastReports[id]
 			if m.hardeningOff || cached == nil || now-cached.at > stalenessBound {

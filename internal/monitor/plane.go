@@ -416,14 +416,18 @@ func (p *Plane) StartReplica(service, nodeID string, alloc resources.Vector, now
 // has none. Surplus replicas are removed newest first, spill shards before
 // the home. Both go through the arbiters' action path, so faults, retries,
 // the journal and the counters treat them as any other scaling action. It
-// fails, starting and removing nothing, for an unregistered name and when
-// no node fits the first new replica.
+// fails, starting and removing nothing, for an unregistered name, for a
+// count above the service's MaxReplicas, and when no node fits the first
+// new replica.
 func (p *Plane) Scale(service string, replicas int, now time.Duration) error {
 	ord, ok := p.ordOf[service]
 	if !ok {
 		return fmt.Errorf("monitor: unknown service %q", service)
 	}
 	e := &p.services[ord]
+	if limit := e.st.spec.MaxReplicas; replicas > limit {
+		return fmt.Errorf("monitor: %d replicas of %q exceed its maxReplicas %d", replicas, service, limit)
+	}
 	// The live replicas in Replicas' order, each with the arbiter owning it.
 	type owned struct {
 		mon *Monitor

@@ -61,8 +61,6 @@ type Manager struct {
 	// nothing. Returned Reports alias it and are valid until the next Report
 	// call; callers that cache must copy (see monitor.cachedReport).
 	containers []ContainerStats
-
-	missedQueries uint64
 }
 
 // slot is one container's sampling window: the sum and count of the usage
@@ -132,7 +130,10 @@ func (m *Manager) Sample() {
 
 // Report aggregates the samples since the previous report and resets the
 // window. Containers that produced no samples yet (e.g. still starting)
-// report zero usage.
+// report zero usage. A stats query whose answer never reaches the Monitor
+// calls no Report, so it leaves the window intact: the usage accumulated
+// during the outage lands in the next delivered Report — nothing is lost,
+// only delayed.
 //
 // The returned Report's Containers slice is reused across calls: it is valid
 // until the next Report on this manager, and callers that keep it longer must
@@ -166,15 +167,6 @@ func (m *Manager) Report() Report {
 	rep.Containers = m.containers
 	return rep
 }
-
-// NoteMissedQuery records a stats query whose answer never reached the
-// Monitor. The sampling window is left intact, so the usage accumulated
-// during the outage lands in the next successful Report — nothing is lost,
-// only delayed.
-func (m *Manager) NoteMissedQuery() { m.missedQueries++ }
-
-// MissedQueries returns how many stats queries were dropped in transit.
-func (m *Manager) MissedQueries() uint64 { return m.missedQueries }
 
 // ApplyVertical executes a `docker update` on c, which must be hosted on
 // the managed node. The caller has already resolved c, so the check is a

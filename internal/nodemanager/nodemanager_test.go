@@ -224,7 +224,6 @@ func TestReportMatchesMapReference(t *testing.T) {
 	// A missed query leaves the window intact: the next report averages
 	// every sample since the last delivered one, churn included.
 	sample()
-	nm.NoteMissedQuery()
 	sample()
 	n.RemoveContainer(c0.ID)
 	running("c-4")

@@ -387,7 +387,7 @@ func (g *graphRun) childSucceeded(p *reqNode, at time.Duration) {
 	p.req.PendingChildren--
 	if p.pending == 0 && p.req.Phase == workload.PhaseWait {
 		if p.cont != nil {
-			p.cont.Release(p.req, true)
+			p.cont.Release(p.req)
 		}
 		p.req.Phase = workload.PhaseDone
 		g.w.resolve(p.req, p, outcomeCompleted, at, workload.FailureNone)
@@ -441,7 +441,7 @@ func (g *graphRun) failFast(p *reqNode, now time.Duration) {
 		return
 	}
 	if p.cont != nil {
-		p.cont.Release(p.req, false)
+		p.cont.Release(p.req)
 	}
 	g.w.resolve(p.req, p, outcomeFailed, now, workload.FailureConnection)
 }

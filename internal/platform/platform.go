@@ -159,8 +159,6 @@ type serviceRuntime struct {
 	// ord is the service's index in World.services: Request.ServiceOrd and
 	// the control plane's service ordinal.
 	ord int
-	// replicas is the service's ReplicaSeries entry.
-	replicas *metrics.TimeSeries
 	// name is the service's Name in the journal (0 when journaling is off).
 	name obs.Name
 }
@@ -217,12 +215,6 @@ type World struct {
 	// enabled. Its methods are nil-safe, so admission calls it unguarded.
 	res *resilience.Manager
 
-	// ReplicaSeries records per-service replica counts at each monitor
-	// poll, for the resource-efficiency analyses.
-	ReplicaSeries map[string]*metrics.TimeSeries
-	// UtilSeries records cluster-wide CPU usage fraction per poll.
-	UtilSeries *metrics.TimeSeries
-
 	// replicaBuf is the reusable replica-lookup buffer for the poll journal
 	// and for routing to spilled services. Valid only within one route/poll
 	// call; never retained, and never assigned a RouteView result.
@@ -262,16 +254,14 @@ func New(cfg Config, algo core.Algorithm) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		cfg:           cfg,
-		engine:        sim.New(cfg.Seed),
-		cluster:       cl,
-		lb:            lb.New(cfg.LBPolicy),
-		byName:        make(map[string]*serviceRuntime),
-		recorder:      metrics.NewRecorder(),
-		costs:         cost.NewTracker(cfg.Cost),
-		ReplicaSeries: make(map[string]*metrics.TimeSeries),
-		UtilSeries:    &metrics.TimeSeries{Name: "cluster-cpu-util"},
-		reqs:          &workload.RequestPool{},
+		cfg:      cfg,
+		engine:   sim.New(cfg.Seed),
+		cluster:  cl,
+		lb:       lb.New(cfg.LBPolicy),
+		byName:   make(map[string]*serviceRuntime),
+		recorder: metrics.NewRecorder(),
+		costs:    cost.NewTracker(cfg.Cost),
+		reqs:     &workload.RequestPool{},
 	}
 	w.lb.DistributionOverhead = cfg.DistributionOverhead
 	if algo == nil {
@@ -375,8 +365,7 @@ func (w *World) AddService(spec workload.ServiceSpec, targetUtil float64, patter
 	if err := w.ctl.AddService(spec, targetUtil); err != nil {
 		return err
 	}
-	rt := &serviceRuntime{spec: spec, ord: ord, replicas: &metrics.TimeSeries{Name: spec.Name + "-replicas"},
-		name: w.journal.Intern(spec.Name)}
+	rt := &serviceRuntime{spec: spec, ord: ord, name: w.journal.Intern(spec.Name)}
 	if pattern != nil {
 		gen := loadgen.NewGenerator(spec, pattern, &w.ids)
 		gen.Poisson = w.cfg.PoissonArrivals
@@ -387,7 +376,6 @@ func (w *World) AddService(spec workload.ServiceSpec, targetUtil float64, patter
 	w.services = append(w.services, rt)
 	w.stats = append(w.stats, nil)
 	w.byName[spec.Name] = rt
-	w.ReplicaSeries[spec.Name] = rt.replicas
 	if err := w.ctl.DeployInitial(ord, w.engine.Now()); err != nil {
 		return err
 	}
@@ -611,12 +599,12 @@ func (w *World) tick(e *sim.Engine) {
 	w.ctl.Sample()
 }
 
-// poll runs one Monitor decision period and records bookkeeping series.
-// Polls inside a monitor-crash fault window are skipped entirely — the
-// control plane is down while the data plane keeps serving — and the first
-// poll after the window restarts the Monitor from its last checkpoint (or
-// cold). The bookkeeping series keep sampling throughout so the outage is
-// visible in the run artifacts.
+// poll runs one Monitor decision period, then samples the journal when one
+// is on. Polls inside a monitor-crash fault window are skipped entirely —
+// the control plane is down while the data plane keeps serving — and the
+// first poll after the window restarts the Monitor from its last checkpoint
+// (or cold). The journal keeps sampling throughout so the outage is visible
+// in the run artifacts.
 func (w *World) poll(e *sim.Engine) {
 	now := e.Now()
 	if w.faults.MonitorCrashed(now) {
@@ -629,28 +617,6 @@ func (w *World) poll(e *sim.Engine) {
 		}
 		w.ctl.Poll(now)
 		w.ctl.MaybeCheckpoint(now)
-	}
-
-	var usedCPU, capCPU float64
-	for _, n := range w.cluster.Nodes() {
-		capCPU += n.Capacity().CPU
-	}
-	for _, n := range w.cluster.Occupied() {
-		for _, c := range n.Containers() {
-			usedCPU += c.LastUsage().CPU
-		}
-	}
-	if capCPU > 0 {
-		w.UtilSeries.Append(now, usedCPU/capCPU)
-	}
-	for _, rt := range w.services {
-		live := 0
-		for _, c := range w.ctl.RouteView(rt.ord, &w.replicaBuf) {
-			if c.State != container.StateRemoved {
-				live++
-			}
-		}
-		rt.replicas.Append(now, float64(live))
 	}
 
 	if w.journal != nil {

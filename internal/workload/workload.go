@@ -272,9 +272,6 @@ type Request struct {
 	// while positive a request whose own phases finished parks in
 	// PhaseWait instead of completing. Managed by the platform layer.
 	PendingChildren int
-	// OwnDoneAt records when the request's own CPU/network phases finished,
-	// for latency composition once the last child returns.
-	OwnDoneAt time.Duration
 	// Node is an opaque handle the call-graph layer stores on a request it
 	// tracks, naming the request's node in that layer's slab; zero means
 	// untracked. (8 bytes keep a Request in a 112-byte allocation.)
@@ -335,7 +332,6 @@ func (p *RequestPool) New(id uint64, spec *ServiceSpec, ord int, arrival time.Du
 	r.ExtraLatency = 0
 	r.Attempt = 0
 	r.PendingChildren = 0
-	r.OwnDoneAt = 0
 	r.Node = 0
 	return r
 }

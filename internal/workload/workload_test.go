@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func validSpec() ServiceSpec {
@@ -94,6 +95,14 @@ func TestNewRequest(t *testing.T) {
 	}
 	if r.MemFootprintMB != 4 {
 		t.Errorf("MemFootprintMB = %v, want 4", r.MemFootprintMB)
+	}
+}
+
+// TestRequestFitsItsAllocation pins the size the Request field comments
+// promise: every request the pool hands out fits a 112-byte allocation.
+func TestRequestFitsItsAllocation(t *testing.T) {
+	if size := unsafe.Sizeof(Request{}); size > 112 {
+		t.Errorf("Request is %d bytes, want at most 112", size)
 	}
 }
 
