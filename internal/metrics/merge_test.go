@@ -30,6 +30,20 @@ func rle(samples []time.Duration) (vals []time.Duration, cum []int) {
 	return vals, cum
 }
 
+// checkRun fails the test unless s's run holds exactly the distinct values
+// of samples with their cumulative counts, as rle computes them.
+func checkRun(t *testing.T, label string, s *ServiceStats, samples []time.Duration) {
+	t.Helper()
+	vals, cum := rle(samples)
+	want := make([]point, len(vals))
+	for i := range vals {
+		want[i] = point{v: vals[i], cum: cum[i]}
+	}
+	if !slices.Equal(s.vals, want) {
+		t.Fatalf("%s: %s run\n%v\nwant %v", label, s.Name, s.vals, want)
+	}
+}
+
 // TestFoldMatchesRunLengthEncodedSort records random samples into a few
 // services — heavy ties, zero latencies and values near the top of the
 // int64 range — folding at random points and reading per-service summaries
@@ -70,11 +84,49 @@ func TestFoldMatchesRunLengthEncodedSort(t *testing.T) {
 		}
 		r.fold()
 		for _, svc := range svcs {
-			s := r.Stats(svc)
-			vals, cum := rle(history[svc])
-			if !slices.Equal(s.vals, vals) || !slices.Equal(s.cum, cum) {
-				t.Fatalf("trial %d: %s run\nvals %v cum %v\nwant %v cum %v", trial, svc, s.vals, s.cum, vals, cum)
+			checkRun(t, fmt.Sprintf("trial %d", trial), r.Stats(svc), history[svc])
+		}
+	}
+}
+
+// TestFoldCountsGrowForNewCells folds samples of services first seen after
+// the previous fold: the dense per-cell counts must grow to cover them and
+// be all zero again after every fold, and every run must match the
+// run-length encoding of a direct sort of its samples.
+func TestFoldCountsGrowForNewCells(t *testing.T) {
+	r := NewRecorder()
+	history := map[*ServiceStats][]time.Duration{}
+	record := func(s *ServiceStats, lat time.Duration) {
+		history[s] = append(history[s], lat)
+		r.RecordCompletion(s, lat)
+	}
+	var cells []*ServiceStats
+	for round := 0; round < 6; round++ {
+		// Each round adds services the previous folds never saw, and
+		// records into them and into every earlier one; odd rounds leave
+		// the earliest service out, so its count must stay zero.
+		for k := 0; k <= round; k++ {
+			cells = append(cells, r.Stats(fmt.Sprintf("svc-%d-%d", round, k)))
+		}
+		for i, s := range cells {
+			if round%2 == 1 && i == 0 {
+				continue
 			}
+			for k := 0; k < 3+i%4; k++ {
+				record(s, time.Duration((i*7+k*3+round)%5))
+			}
+		}
+		r.fold()
+		if len(r.counts) < len(cells) {
+			t.Fatalf("round %d: %d counts for %d cells", round, len(r.counts), len(cells))
+		}
+		for c, n := range r.counts {
+			if n != 0 {
+				t.Fatalf("round %d: cell %d count %d after the fold, want 0", round, c, n)
+			}
+		}
+		for _, s := range cells {
+			checkRun(t, fmt.Sprintf("round %d", round), s, history[s])
 		}
 	}
 }
@@ -147,7 +199,7 @@ func TestPendingBufferIsBounded(t *testing.T) {
 // services joining mid-stream and per-service summaries read between
 // recordings, so some runs are sorted early and grow later — and checks
 // every summary against nearest-rank percentiles of a from-scratch sort of
-// the same samples.
+// the same samples, and every run against its run-length encoding.
 func TestIncrementalSummariesMatchFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inc := NewRecorder()
@@ -187,6 +239,7 @@ func TestIncrementalSummariesMatchFullSort(t *testing.T) {
 			if got, want := inc.SummarizeService(svc), refSummary(history[svc]); got != want {
 				t.Fatalf("round %d: service %s incremental %+v != full %+v", round, svc, got, want)
 			}
+			checkRun(t, fmt.Sprintf("round %d", round), inc.Stats(svc), history[svc])
 		}
 	}
 }

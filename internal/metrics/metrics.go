@@ -49,9 +49,12 @@ type Recorder struct {
 	// pending holds the completions recorded since the last fold, at most
 	// pendingCap of them, each a pack of its cell index and latency.
 	pending []time.Duration
-	// touched and groups are fold's scratch: the services with pending
-	// samples, and the pending latencies grouped by service.
-	touched []*ServiceStats
+	// counts, touched and groups are fold's scratch: per cell index, the
+	// cell's pending sample count and then its group's write position (all
+	// zero between folds); the cells with pending samples; and the pending
+	// latencies grouped by cell.
+	counts  []int32
+	touched []int32
 	groups  []time.Duration
 }
 
@@ -83,9 +86,9 @@ func (r *Recorder) LatencyHistogram() *stats.Histogram {
 	h := stats.DefaultLatencyHistogram()
 	for _, s := range r.cells {
 		prev := 0
-		for i, v := range s.vals {
-			h.ObserveN(v, uint64(s.cum[i]-prev))
-			prev = s.cum[i]
+		for _, p := range s.vals {
+			h.ObserveN(p.v, uint64(p.cum-prev))
+			prev = p.cum
 		}
 	}
 	return h
@@ -100,47 +103,62 @@ type ServiceStats struct {
 	RemovalFailures    uint64
 	ConnectionFailures uint64
 
-	// vals holds the distinct folded latencies in ascending order, and
-	// cum[i] the number of folded samples <= vals[i].
-	vals []time.Duration
-	cum  []int
-	// cell is the service's index in Recorder.cells; npend and end are
-	// fold's group size and group end for this service.
-	cell, npend, end int
-	totalLat         time.Duration
+	// vals holds the distinct folded latencies in ascending order, each
+	// with the number of folded samples <= it.
+	vals []point
+	// cell is the service's index in Recorder.cells.
+	cell     int
+	totalLat time.Duration
+}
+
+// point is one distinct folded latency v and the cumulative count cum of
+// folded samples <= v.
+type point struct {
+	v   time.Duration
+	cum int
 }
 
 // fold moves the pending samples into their services' runs: it groups them
-// by service, sorts each group and merges it, with counts, into the run.
+// by cell, counting them into the dense per-cell scratch so no cell is
+// touched until its group is merged, sorts each group and merges it, with
+// counts, into the run.
 func (r *Recorder) fold() {
 	if len(r.pending) == 0 {
 		return
 	}
+	if len(r.counts) < len(r.cells) {
+		r.counts = append(r.counts, make([]int32, len(r.cells)-len(r.counts))...)
+	}
+	counts := r.counts
 	r.touched = r.touched[:0]
 	for _, p := range r.pending {
-		s := r.cells[p>>latBits]
-		if s.npend == 0 {
-			r.touched = append(r.touched, s)
+		c := p >> latBits
+		if counts[c] == 0 {
+			r.touched = append(r.touched, int32(c))
 		}
-		s.npend++
+		counts[c]++
 	}
-	off := 0
-	for _, s := range r.touched {
-		s.end = off
-		off += s.npend
+	// Each cell's count becomes its group's start: groups are laid out in
+	// touched order.
+	off := int32(0)
+	for _, c := range r.touched {
+		off, counts[c] = off+counts[c], off
 	}
 	groups := slices.Grow(r.groups[:0], len(r.pending))[:len(r.pending)]
 	r.groups = groups
 	for _, p := range r.pending {
-		s := r.cells[p>>latBits]
-		groups[s.end] = p & latMask
-		s.end++
+		c := p >> latBits
+		groups[counts[c]] = p & latMask
+		counts[c]++
 	}
-	for _, s := range r.touched {
-		g := groups[s.end-s.npend : s.end]
+	// Each cell's position is now its group's end, the next group's start.
+	start := int32(0)
+	for _, c := range r.touched {
+		end := counts[c]
+		g := groups[start:end]
 		slices.Sort(g)
-		s.merge(g)
-		s.npend, s.end = 0, 0
+		r.cells[c].merge(g)
+		counts[c], start = 0, end
 	}
 	r.pending = r.pending[:0]
 }
@@ -159,11 +177,10 @@ func (s *ServiceStats) merge(g []time.Duration) {
 	n := len(s.vals)
 	total := len(g)
 	if n > 0 {
-		total += s.cum[n-1]
+		total += s.vals[n-1].cum
 	}
 	s.vals = slices.Grow(s.vals, distinct)[:n+distinct]
-	s.cum = slices.Grow(s.cum, distinct)[:n+distinct]
-	vals, cum := s.vals, s.cum
+	run := s.vals
 	// Walking down, each placed value's cumulative count is the running
 	// total, which then drops by the value's own count. Position k never
 	// falls below i, so every old entry is read before it is overwritten.
@@ -173,44 +190,43 @@ func (s *ServiceStats) merge(g []time.Duration) {
 		for ; j >= 0 && g[j] == v; j-- {
 			c++
 		}
-		for ; i >= 0 && vals[i] >= v; i-- {
-			own := cum[i]
+		for ; i >= 0 && run[i].v >= v; i-- {
+			own := run[i].cum
 			if i > 0 {
-				own -= cum[i-1]
+				own -= run[i-1].cum
 			}
-			if vals[i] == v {
+			if run[i].v == v {
 				c += own
 				i--
 				break
 			}
-			vals[k], cum[k] = vals[i], total
+			run[k] = point{run[i].v, total}
 			total -= own
 			k--
 		}
-		vals[k], cum[k] = v, total
+		run[k] = point{v, total}
 		total -= c
 	}
 	// The merged values start at k+1 and the untouched prefix ends at i+1;
 	// each value g shared with the run widened the gap between them by one.
 	if gap := k - i; gap > 0 {
-		copy(vals[i+1:], vals[k+1:])
-		copy(cum[i+1:], cum[k+1:])
-		s.vals, s.cum = vals[:len(vals)-gap], cum[:len(cum)-gap]
+		copy(run[i+1:], run[k+1:])
+		s.vals = run[:len(run)-gap]
 	}
 }
 
 // at returns the value of 0-based rank k among s's folded samples: the
 // first distinct value whose cumulative count exceeds k.
 func (s *ServiceStats) at(k int) time.Duration {
-	return s.vals[sort.Search(len(s.cum), func(i int) bool { return s.cum[i] > k })]
+	return s.vals[sort.Search(len(s.vals), func(i int) bool { return s.vals[i].cum > k })].v
 }
 
 // count returns the number of folded samples.
 func (s *ServiceStats) count() int {
-	if len(s.cum) == 0 {
+	if len(s.vals) == 0 {
 		return 0
 	}
-	return s.cum[len(s.cum)-1]
+	return s.vals[len(s.vals)-1].cum
 }
 
 // Stats returns the named service's stats cell, creating it on first use
@@ -268,7 +284,6 @@ func (r *Recorder) Services() []*ServiceStats {
 func (r *Recorder) Reserve(service string, n int) {
 	s := r.Stats(service)
 	s.vals = slices.Grow(s.vals, n)
-	s.cum = slices.Grow(s.cum, n)
 	r.pending = slices.Grow(r.pending, min(n, pendingCap-len(r.pending)))
 	r.groups = slices.Grow(r.groups[:0], cap(r.pending))
 }
@@ -353,8 +368,8 @@ func (r *Recorder) Summarize() Summary {
 				continue
 			}
 			r.runs = append(r.runs, s)
-			lo = min(lo, s.vals[0])
-			hi = max(hi, s.vals[len(s.vals)-1])
+			lo = min(lo, s.vals[0].v)
+			hi = max(hi, s.vals[len(s.vals)-1].v)
 		}
 		sum.MeanLatency = total / time.Duration(samples)
 		sum.P50Latency = selectRank(r.runs, nearestRank(0.50, samples), lo, hi)
@@ -387,8 +402,8 @@ func selectRank(runs []*ServiceStats, k int, lo, hi time.Duration) time.Duration
 func countAtMost(runs []*ServiceStats, v time.Duration) int {
 	n := 0
 	for _, s := range runs {
-		if i := sort.Search(len(s.vals), func(i int) bool { return s.vals[i] > v }); i > 0 {
-			n += s.cum[i-1]
+		if i := sort.Search(len(s.vals), func(i int) bool { return s.vals[i].v > v }); i > 0 {
+			n += s.vals[i-1].cum
 		}
 	}
 	return n
@@ -412,7 +427,7 @@ func (r *Recorder) SummarizeService(name string) Summary {
 		sum.P50Latency = s.at(nearestRank(0.50, n))
 		sum.P95Latency = s.at(nearestRank(0.95, n))
 		sum.P99Latency = s.at(nearestRank(0.99, n))
-		sum.MaxLatency = s.vals[len(s.vals)-1]
+		sum.MaxLatency = s.vals[len(s.vals)-1].v
 	}
 	return sum
 }

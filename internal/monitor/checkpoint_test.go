@@ -13,8 +13,9 @@ import (
 )
 
 // decisionState is a deep copy of everything a checkpoint holds, taken the
-// direct way — fresh maps and slices — as the reference a restore must
-// reproduce.
+// direct way — fresh maps and slices, node state keyed by node ID — as the
+// reference a restore must reproduce. A node with no report has no Reports
+// key, and one with a clean detector record no NodeStates key.
 type decisionState struct {
 	Retries    []pendingAction
 	Reports    map[string]cachedReport
@@ -31,13 +32,16 @@ func captureState(m *Monitor) decisionState {
 		Lost:       append([]lostReplica(nil), m.lost...),
 		Replicas:   map[string][]replica{},
 	}
-	for k, v := range m.lastReports {
-		r := cachedReport{rep: v.rep, at: v.at}
-		r.rep.Containers = append([]nodemanager.ContainerStats(nil), v.rep.Containers...)
-		s.Reports[k] = r
-	}
-	for k, v := range m.nodeStates {
-		s.NodeStates[k] = *v
+	for i := range m.nodes {
+		e := &m.nodes[i]
+		if e.rep.ok {
+			r := cachedReport{rep: e.rep.rep, at: e.rep.at, ok: true}
+			r.rep.Containers = append([]nodemanager.ContainerStats(nil), e.rep.rep.Containers...)
+			s.Reports[e.nm.NodeID()] = r
+		}
+		if e.det != (nodeState{}) {
+			s.NodeStates[e.nm.NodeID()] = e.det
+		}
 	}
 	for _, st := range m.services {
 		var reps []replica
@@ -53,15 +57,16 @@ func captureState(m *Monitor) decisionState {
 // place — the buffers a checkpoint or a restore could alias — and grows
 // each.
 func scribble(m *Monitor) {
-	for _, r := range m.lastReports {
+	for i := range m.nodes {
+		r := &m.nodes[i].rep
 		for i := range r.rep.Containers {
 			r.rep.Containers[i].Inflight += 1000
 			r.rep.Containers[i].ID = "scribbled"
 		}
 		r.rep.Containers = append(r.rep.Containers, nodemanager.ContainerStats{ID: "extra"})
 		r.at += time.Hour
-	}
-	for _, st := range m.nodeStates {
+		r.ok = !r.ok
+		st := &m.nodes[i].det
 		st.missed += 7
 		st.health = NodeDead
 	}
@@ -90,8 +95,11 @@ func scribble(m *Monitor) {
 // scribbles over its live state and restarts it: the restored state must
 // equal a deep copy taken at checkpoint time. A second scribble and restart
 // checks that the restore copied out of the checkpoint, and a later
-// checkpoint after nodes and reports left checks that overwriting the
-// retained checkpoint in place drops their entries.
+// checkpoint after a node left and another's report and detector record
+// were reset checks that overwriting the retained checkpoint in place
+// drops them. A node attached after that checkpoint restores with no report
+// and a clean record, and after a node listed first leaves, every other node
+// restores its own entry.
 func TestCheckpointIsolatedFromLiveState(t *testing.T) {
 	cl, m := healSetup(t)
 	if _, err := cl.RemoveNode("node-0"); err != nil {
@@ -104,11 +112,11 @@ func TestCheckpointIsolatedFromLiveState(t *testing.T) {
 		m.Poll(at * time.Second)
 		m.MaybeCheckpoint(at * time.Second)
 	}
-	if len(m.retries) == 0 || len(m.lost) == 0 || len(m.lastReports) == 0 || len(m.nodeStates) == 0 {
-		t.Fatalf("setup left retries=%d lost=%d reports=%d nodeStates=%d, want all non-empty",
-			len(m.retries), len(m.lost), len(m.lastReports), len(m.nodeStates))
-	}
 	want := captureState(m)
+	if len(m.retries) == 0 || len(m.lost) == 0 || len(want.Reports) == 0 || len(want.NodeStates) == 0 {
+		t.Fatalf("setup left retries=%d lost=%d reports=%d nodeStates=%d, want all non-empty",
+			len(m.retries), len(m.lost), len(want.Reports), len(want.NodeStates))
+	}
 	for i, at := range []time.Duration{22, 23} {
 		scribble(m)
 		m.Restart(at * time.Second)
@@ -117,18 +125,40 @@ func TestCheckpointIsolatedFromLiveState(t *testing.T) {
 		}
 	}
 
-	// Overwrite the retained checkpoint after a node's report and detector
-	// record are gone and a service's replica set shrank.
-	delete(m.lastReports, firstKey(m.lastReports))
-	delete(m.nodeStates, firstKey(m.nodeStates))
+	// Overwrite the retained checkpoint after a node left, another node's
+	// report and detector record were reset and a service's replica set
+	// shrank.
+	gone := firstKey(want.Reports)
+	m.DetachNode(gone)
+	e := m.entry(firstKey(want.NodeStates))
+	e.rep.ok, e.det = false, nodeState{}
 	m.services[0].truncate(1)
 	m.retries = nil
 	m.checkpointNow(24 * time.Second)
 	want = captureState(m)
+	m.AttachNode(cl.Node(gone))
 	scribble(m)
 	m.Restart(25 * time.Second)
 	if got := captureState(m); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restart from an overwritten checkpoint differs\n got %+v\nwant %+v", got, want)
+	}
+
+	// A node listed before the others leaves after the checkpoint: a restore
+	// must give every other node its own checkpointed entry back.
+	m.Poll(26 * time.Second)
+	m.checkpointNow(26 * time.Second)
+	want = captureState(m)
+	if len(want.Reports) == 0 || len(want.NodeStates) == 0 {
+		t.Fatalf("before the last checkpoint: reports=%d nodeStates=%d, want both non-empty", len(want.Reports), len(want.NodeStates))
+	}
+	first := m.nodes[0].nm.NodeID()
+	m.DetachNode(first)
+	delete(want.Reports, first)
+	delete(want.NodeStates, first)
+	scribble(m)
+	m.Restart(27 * time.Second)
+	if got := captureState(m); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restart after %s left differs\n got %+v\nwant %+v", first, got, want)
 	}
 }
 
@@ -174,7 +204,7 @@ func TestCheckpointPollAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("steady-state Sample+Poll+checkpoint allocates %.1f objects/cycle, want 0", allocs)
 	}
-	if m.lastCheckpoint == nil || m.lastCheckpointAt != now || len(m.lastCheckpoint.lastReports) == 0 {
+	if m.lastCheckpoint == nil || m.lastCheckpointAt != now || len(m.lastCheckpoint.nodes) == 0 {
 		t.Fatalf("no checkpoint of the last poll (at %v, want %v)", m.lastCheckpointAt, now)
 	}
 }

@@ -251,8 +251,8 @@ func TestSampleVisitsOccupiedNodes(t *testing.T) {
 				t.Fatalf("t=%v zone %d: Occupied lists %d nodes, a scan finds %d", now, z.idx, len(z.mon.cluster.Occupied()), len(nodes))
 			}
 			var nms []*nodemanager.Manager
-			for _, nm := range z.mon.nms {
-				if nm.Occupied() {
+			for i := range z.mon.nodes {
+				if nm := z.mon.nodes[i].nm; nm.Occupied() {
 					nms = append(nms, nm)
 				}
 			}

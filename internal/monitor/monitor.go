@@ -149,12 +149,15 @@ type pendingAction struct {
 }
 
 // cachedReport is a node manager's last successfully delivered report. The
-// Containers slice is owned by this cache entry (copied from the NM's scratch
-// report, which is reused every poll) so it can outlive the poll for the
-// staleness-degradation and checkpoint paths.
+// Containers slice is owned by this cache entry (the NM reports into it) so
+// it can outlive the poll for the staleness-degradation and checkpoint
+// paths.
 type cachedReport struct {
 	rep nodemanager.Report
 	at  time.Duration
+	// ok is set once the node delivered a report; until then, and after a
+	// cold restart, there is none to stand in for a lost query.
+	ok bool
 
 	// hosts is the deduplicated service list derived from rep.Containers,
 	// rebuilt only when the node's container set version moves.
@@ -163,13 +166,23 @@ type cachedReport struct {
 	hostsOK  bool
 }
 
+// nodeEntry is one attached node's state in its arbiter: the node's
+// manager, the last report it delivered and the failure detector's record.
+type nodeEntry struct {
+	nm  *nodemanager.Manager
+	rep cachedReport
+	det nodeState
+}
+
 // Monitor is the central arbiter. Single-goroutine, like the rest of the
 // simulator.
 type Monitor struct {
 	cluster *cluster.Cluster
-	nms     []*nodemanager.Manager
-	nmByID  map[string]*nodemanager.Manager
-	algo    core.Algorithm
+	// nodes holds one entry per attached node, in attachment order, and
+	// nodeByID each entry's index by node ID.
+	nodes    []nodeEntry
+	nodeByID map[string]int
+	algo     core.Algorithm
 
 	services []*serviceState
 
@@ -205,8 +218,7 @@ type Monitor struct {
 	plane *Plane
 	zone  int
 
-	retries     []pendingAction
-	lastReports map[string]*cachedReport
+	retries []pendingAction
 	// departed keeps, for each service that left this monitor after one of
 	// its snapshots journaled it, that last observation: a decision about
 	// a service this monitor no longer observes still reports what it last
@@ -214,11 +226,9 @@ type Monitor struct {
 	// when journal is set.
 	departed map[int]observation
 
-	// nodeStates is the failure detector's per-node record; lost is the
-	// reconciler's ledger of replicas excised from dead nodes (see
-	// selfheal.go).
-	nodeStates map[string]*nodeState
-	lost       []lostReplica
+	// lost is the reconciler's ledger of replicas excised from dead nodes
+	// (see selfheal.go).
+	lost []lostReplica
 
 	// lastCheckpoint is the checkpoint a restart restores, nil when there
 	// is none or a topology change voided it; checkpointBuf is the storage
@@ -242,7 +252,11 @@ type Monitor struct {
 	snapServices []core.ServiceStats
 	detachBuf    []string
 
-	// sampling lists the managers of occupied nodes, in nms order, as of
+	// names, set while VerifyOrdinals is on, is the name-keyed reference
+	// the node entries are checked against (see verifyNodes).
+	names *nameKeyed
+
+	// sampling lists the managers of occupied nodes, in nodes order, as of
 	// cluster generation sampleGen; zero forces a rebuild after the
 	// manager set changed.
 	sampling  []*nodemanager.Manager
@@ -258,31 +272,48 @@ func (m *Monitor) PendingRetries() int { return len(m.retries) }
 // DetachNode drops the node manager of a failed machine so the Monitor
 // stops querying it. Call after cluster.RemoveNode. Unknown IDs are a no-op.
 func (m *Monitor) DetachNode(nodeID string) {
-	if _, ok := m.nmByID[nodeID]; !ok {
+	i, ok := m.nodeByID[nodeID]
+	if !ok {
 		return
 	}
-	delete(m.nmByID, nodeID)
-	delete(m.lastReports, nodeID)
-	delete(m.nodeStates, nodeID)
-	for i, nm := range m.nms {
-		if nm.NodeID() == nodeID {
-			m.nms = append(m.nms[:i], m.nms[i+1:]...)
-			break
-		}
+	delete(m.nodeByID, nodeID)
+	if m.names != nil {
+		m.names.forget(nodeID)
+	}
+	m.nodes = slices.Delete(m.nodes, i, i+1)
+	for k := i; k < len(m.nodes); k++ {
+		m.nodeByID[m.nodes[k].nm.NodeID()] = k
 	}
 	m.sampleGen = 0
 }
 
 // AttachNode registers a node manager for a newly added machine (the
-// paper's future-work item of dynamic machine addition).
+// paper's future-work item of dynamic machine addition). A machine re-added
+// under the ID of one the arbiter still tracks takes over that node's
+// entry: its manager now queries the new machine, and the detector record
+// stays, so the first answered poll counts as the node's recovery.
 func (m *Monitor) AttachNode(n *cluster.Node) {
-	if _, dup := m.nmByID[n.ID()]; dup {
+	if i, dup := m.nodeByID[n.ID()]; dup {
+		if e := &m.nodes[i]; e.nm.Node() != n {
+			// The hosts cache is keyed on the old machine's version.
+			e.nm = nodemanager.New(n)
+			e.rep.hostsOK = false
+			m.sampleGen = 0
+		}
 		return
 	}
-	nm := nodemanager.New(n)
-	m.nms = append(m.nms, nm)
-	m.nmByID[n.ID()] = nm
+	m.nodeByID[n.ID()] = len(m.nodes)
+	m.nodes = append(m.nodes, nodeEntry{nm: nodemanager.New(n)})
 	m.sampleGen = 0
+}
+
+// entry returns the entry of the attached node nodeID, nil when none is
+// attached under that ID.
+func (m *Monitor) entry(nodeID string) *nodeEntry {
+	if i, ok := m.nodeByID[nodeID]; ok {
+		return &m.nodes[i]
+	}
+	return nil
 }
 
 // addService registers a microservice with its scaling target under
@@ -422,8 +453,8 @@ func (m *Monitor) liveReplicas(st *serviceState) int {
 func (m *Monitor) Sample() {
 	if g := m.cluster.Generation(); g != m.sampleGen {
 		m.sampling = m.sampling[:0]
-		for _, nm := range m.nms {
-			if nm.Occupied() {
+		for i := range m.nodes {
+			if nm := m.nodes[i].nm; nm.Occupied() {
 				m.sampling = append(m.sampling, nm)
 			}
 		}
@@ -502,48 +533,51 @@ func (m *Monitor) drainRetries(now time.Duration) {
 func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 	ps := m.scratch
 	snap := core.Snapshot{Now: now, Epoch: ps.begin(m)}
+	m.trackNames(verifyOrdinals.Load())
 
-	// One report per node; index container stats for replica lookup.
+	// One report per node; index container stats for replica lookup. Every
+	// node of this arbiter's view answers for its zone, so one zone cut
+	// covers them all.
 	m.snapNodes = m.snapNodes[:0]
 	m.snapServices = m.snapServices[:0]
-	for _, nm := range m.nms {
-		id := nm.NodeID()
-		node := m.cluster.Node(id)
+	zoneCut := m.plane.zoneStatsCut(now, m.zone)
+	for i := range m.nodes {
+		e := &m.nodes[i]
+		nm := e.nm
+		node := nm.Node()
+		if m.plane.viewZone(node) != m.zone {
+			// The view does not hold the manager's node; it may hold another
+			// machine under the same ID.
+			node = m.cluster.Node(nm.NodeID())
+		}
 		if node == nil {
 			// The machine is gone from the cluster entirely: no cached
 			// report can stand in for a node that hosts nothing. The
 			// detector accrues the miss; once it rules the node dead the
 			// reconciler takes over (legacy runs detach such nodes
 			// out-of-band and never reach here).
-			m.noteMissedPoll(id, now)
+			m.noteMissedPoll(e, now)
 			continue
 		}
 		ps.noteNode(node, nm, -1)
-		var cached *cachedReport
-		if m.faults.StatsDropped(now, id) || m.faults.StatsBlackout(now, id) || m.plane.statsCut(now, id) {
-			m.noteMissedPoll(id, now)
-			cached = m.lastReports[id]
-			if m.hardeningOff || cached == nil || now-cached.at > stalenessBound {
+		cached := &e.rep
+		if id := nm.NodeID(); m.faults.StatsDropped(now, id) || m.faults.StatsBlackout(now, id) || zoneCut {
+			m.noteMissedPoll(e, now)
+			if m.hardeningOff || !cached.ok || now-cached.at > stalenessBound {
 				// No usable data: the node vanishes from this snapshot.
 				continue
 			}
 			m.counts.StaleSnapshots++
 		} else {
-			rep := nm.Report()
-			cached = m.lastReports[id]
-			if cached == nil {
-				cached = &cachedReport{}
-				m.lastReports[id] = cached
+			// The NM reports straight into the cache's own buffer, which
+			// must survive for the staleness-degradation and checkpoint
+			// paths.
+			nm.Report(&cached.rep)
+			cached.at, cached.ok = now, true
+			if m.names != nil {
+				m.names.report(cached)
 			}
-			// Copy into the cache's own buffer: the NM reuses its report
-			// slice next poll, while this cache must survive for the
-			// staleness-degradation and checkpoint paths.
-			cached.rep.NodeID = rep.NodeID
-			cached.rep.Capacity = rep.Capacity
-			cached.rep.Available = rep.Available
-			cached.rep.Containers = append(cached.rep.Containers[:0], rep.Containers...)
-			cached.at = now
-			m.notePollOK(id, now)
+			m.notePollOK(e, now)
 		}
 		for i := range cached.rep.Containers {
 			ps.putStats(&cached.rep.Containers[i])
@@ -578,9 +612,9 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 	// loop so the slice is not mutated mid-iteration.
 	if m.selfHeal.Enabled {
 		detach := m.detachBuf[:0]
-		for _, nm := range m.nms {
-			if id := nm.NodeID(); m.nodeDead(id) && m.cluster.Node(id) == nil {
-				detach = append(detach, id)
+		for i := range m.nodes {
+			if e := &m.nodes[i]; e.det.health == NodeDead && m.cluster.Node(e.nm.NodeID()) == nil {
+				detach = append(detach, e.nm.NodeID())
 			}
 		}
 		m.detachBuf = detach
@@ -645,8 +679,9 @@ func (m *Monitor) Snapshot(now time.Duration) core.Snapshot {
 	}
 	snap.Services = m.snapServices
 	snap.Slots = ps.slots
-	if verifyOrdinals.Load() {
+	if m.names != nil {
 		m.verifySnapshot(snap)
+		m.verifyNodes()
 	}
 	return snap
 }
@@ -766,9 +801,10 @@ func (m *Monitor) Apply(plan core.Plan, now time.Duration) {
 
 // actionsCut reports whether control actions towards nodeID are black-holed
 // at now — by a node-keyed partition window or by a zone window on the node's
-// current zone.
-func (m *Monitor) actionsCut(now time.Duration, nodeID string) bool {
-	return m.faults.ActionBlackout(now, nodeID) || m.plane.actionsCut(now, nodeID)
+// current zone. node is the machine nodeID resolved to, nil when the caller
+// holds only the ID.
+func (m *Monitor) actionsCut(now time.Duration, node *cluster.Node, nodeID string) bool {
+	return m.faults.ActionBlackout(now, nodeID) || m.plane.actionsCut(now, node, nodeID)
 }
 
 // lease asks the plane for one more machine after a placement of alloc found
@@ -787,7 +823,10 @@ func (m *Monitor) lease(alloc resources.Vector) bool {
 func (m *Monitor) resolveTarget(t replica, ref *replicaRef) (replica, *nodemanager.Manager) {
 	if ref == nil {
 		if t.c != nil && t.c.State != container.StateRemoved {
-			return t, m.nmByID[t.c.NodeID]
+			if e := m.entry(t.c.NodeID); e != nil {
+				return t, e.nm
+			}
+			return t, nil
 		}
 		return replica{}, nil
 	}
@@ -813,7 +852,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", t)
 			return // target gone; the action is moot, not failed
 		}
-		if m.actionsCut(now, c.NodeID) || m.faults.VerticalFails(now, a.ContainerID) {
+		if m.actionsCut(now, t.node, c.NodeID) || m.faults.VerticalFails(now, a.ContainerID) {
 			m.observe(a, now, p.attempts, m.requeue(p, now), "", t)
 			return
 		}
@@ -849,7 +888,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 				return
 			}
 		}
-		if m.actionsCut(now, a.NodeID) {
+		if m.actionsCut(now, nil, a.NodeID) {
 			m.observe(a, now, p.attempts, m.requeue(p, now), "", replica{})
 			return
 		}
@@ -897,7 +936,7 @@ func (m *Monitor) execute(p pendingAction, now time.Duration, ref *replicaRef) {
 			m.observe(a, now, p.attempts, obs.OutcomeMoot, "", t)
 			return
 		}
-		if m.actionsCut(now, t.node.ID()) {
+		if m.actionsCut(now, t.node, t.node.ID()) {
 			m.observe(a, now, p.attempts, m.requeue(p, now), "", t)
 			return
 		}

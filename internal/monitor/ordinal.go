@@ -2,6 +2,8 @@ package monitor
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
 	"slices"
 	"sync/atomic"
 
@@ -234,7 +236,7 @@ func VerifyOrdinals(on bool) bool { return verifyOrdinals.Swap(on) }
 // verifySnapshot checks every ordinal snap carries, and everything Snapshot
 // resolved, against a resolution by name: each replica's container, node,
 // node manager and stats against cluster.FindContainer over this arbiter's
-// view, nmByID and a stats map built
+// view, the manager attached under the node's ID and a stats map built
 // from the snapshot's reports as the name-keyed Snapshot built it, and each
 // replica's ledger slot against its host's place in snap.Nodes. It panics
 // on the first difference.
@@ -244,7 +246,7 @@ func (m *Monitor) verifySnapshot(snap core.Snapshot) {
 	index := make(map[string]int, len(snap.Nodes))
 	for i, n := range snap.Nodes {
 		index[n.ID] = i
-		for _, cs := range m.lastReports[n.ID].rep.Containers {
+		for _, cs := range m.entry(n.ID).rep.rep.Containers {
 			stats[cs.ID] = cs
 		}
 	}
@@ -268,7 +270,7 @@ func (m *Monitor) verifySnapshot(snap core.Snapshot) {
 					panic(fmt.Sprintf("monitor: replica %s: ordinal resolves to %p on %p, the cluster scan to %p on %p",
 						rs.ContainerID, ref.c, ref.node, c, node))
 				}
-				if ref.nm != m.nmByID[c.NodeID] {
+				if ref.nm != m.managerByID(c.NodeID) {
 					panic(fmt.Sprintf("monitor: replica %s: ordinal resolves a different node manager", rs.ContainerID))
 				}
 				want := core.ReplicaStats{ContainerID: rs.ContainerID, NodeID: node.ID(), Slot: rs.Slot,
@@ -302,7 +304,8 @@ func (m *Monitor) verifySnapshot(snap core.Snapshot) {
 }
 
 // verifyAction checks an action's ordinals against the latest snapshot and
-// what ref resolves it to against cluster.FindContainer and nmByID, just
+// what ref resolves it to against cluster.FindContainer and the manager
+// attached under the container's node ID, just
 // before the action executes. It panics on the first difference.
 func (m *Monitor) verifyAction(a core.Action, ref *replicaRef) {
 	if a.Node > 0 {
@@ -333,10 +336,153 @@ func (m *Monitor) verifyAction(a core.Action, ref *replicaRef) {
 	c, node := m.cluster.FindContainer(a.ContainerID)
 	var want *nodemanager.Manager
 	if c != nil {
-		want = m.nmByID[c.NodeID]
+		want = m.managerByID(c.NodeID)
 	}
 	if t.c != c || t.node != node || nm != want {
 		panic(fmt.Sprintf("monitor: action on %s: ordinal resolves to %p on %p, the cluster scan to %p on %p",
 			a.ContainerID, t.c, t.node, c, node))
+	}
+}
+
+// managerByID returns the manager attached under nodeID, nil when none is.
+func (m *Monitor) managerByID(nodeID string) *nodemanager.Manager {
+	if e := m.entry(nodeID); e != nil {
+		return e.nm
+	}
+	return nil
+}
+
+// nameKeyed is the reference the node entries are checked against while
+// VerifyOrdinals is on: each node's last report and detector record in maps
+// keyed by node ID, kept as the arbiter kept them before its node state
+// moved into entries. The same events write it — a delivered report, a
+// missed or answered poll — a detach deletes a node's keys, a checkpoint
+// copies both maps whole, a restore puts that copy back, keys of nodes
+// detached since included, and a cold restart empties them.
+type nameKeyed struct {
+	reports   map[string]cachedReport
+	states    map[string]nodeState
+	cpReports map[string]cachedReport
+	cpStates  map[string]nodeState
+}
+
+// trackNames starts the name-keyed reference from the arbiter's entries and
+// retained checkpoint when on, and drops it when off.
+func (m *Monitor) trackNames(on bool) {
+	if !on {
+		m.names = nil
+		return
+	}
+	if m.names != nil {
+		return
+	}
+	nk := &nameKeyed{reports: map[string]cachedReport{}, states: map[string]nodeState{},
+		cpReports: map[string]cachedReport{}, cpStates: map[string]nodeState{}}
+	for i := range m.nodes {
+		keyByName(nk.reports, nk.states, &m.nodes[i])
+	}
+	if cp := m.lastCheckpoint; cp != nil {
+		for i := range cp.nodes {
+			keyByName(nk.cpReports, nk.cpStates, &cp.nodes[i])
+		}
+	}
+	m.names = nk
+}
+
+// keyByName copies e's report and detector record into reports and states
+// under its node's ID.
+func keyByName(reports map[string]cachedReport, states map[string]nodeState, e *nodeEntry) {
+	id := e.nm.NodeID()
+	if e.rep.ok {
+		reports[id] = copyReport(&e.rep)
+	}
+	if e.det != (nodeState{}) {
+		states[id] = e.det
+	}
+}
+
+// copyReport deep-copies r's report and time, leaving the hosts cache
+// unset.
+func copyReport(r *cachedReport) cachedReport {
+	c := cachedReport{rep: r.rep, at: r.at, ok: r.ok}
+	c.rep.Containers = slices.Clone(r.rep.Containers)
+	return c
+}
+
+func (nk *nameKeyed) report(r *cachedReport) { nk.reports[r.rep.NodeID] = copyReport(r) }
+
+func (nk *nameKeyed) miss(nodeID string, s SelfHealing) {
+	st := nk.states[nodeID]
+	st.miss(s)
+	nk.states[nodeID] = st
+}
+
+func (nk *nameKeyed) answer(nodeID string) {
+	if st, ok := nk.states[nodeID]; ok {
+		st.answer()
+		nk.states[nodeID] = st
+	}
+}
+
+func (nk *nameKeyed) forget(nodeID string) {
+	delete(nk.reports, nodeID)
+	delete(nk.states, nodeID)
+}
+
+func (nk *nameKeyed) checkpoint() {
+	nk.cpReports, nk.cpStates = copyReports(nk.reports), maps.Clone(nk.states)
+}
+
+func (nk *nameKeyed) restore() {
+	nk.reports, nk.states = copyReports(nk.cpReports), maps.Clone(nk.cpStates)
+}
+
+func (nk *nameKeyed) clear() {
+	clear(nk.reports)
+	clear(nk.states)
+}
+
+// copyReports deep-copies every report of rs.
+func copyReports(rs map[string]cachedReport) map[string]cachedReport {
+	out := make(map[string]cachedReport, len(rs))
+	for id, r := range rs {
+		out[id] = copyReport(&r)
+	}
+	return out
+}
+
+// verifyNodes checks each node entry against the name-keyed reference: the
+// entry's index under its node's ID, its report (present or not, and equal
+// when present) and its detector record (a node with no record has a clean
+// one). It also checks each tracked node's zone, and the plane's view
+// membership by node ordinal against the view's lookup by ID. It panics on
+// the first difference.
+func (m *Monitor) verifyNodes() {
+	nk := m.names
+	for i := range m.nodes {
+		e := &m.nodes[i]
+		id := e.nm.NodeID()
+		if k, ok := m.nodeByID[id]; !ok || k != i {
+			panic(fmt.Sprintf("monitor: zone %d: node %s is entry %d, indexed as %d", m.zone, id, i, k))
+		}
+		want, reported := nk.reports[id]
+		if got := copyReport(&e.rep); got.ok != reported || (reported && !reflect.DeepEqual(got, want)) {
+			panic(fmt.Sprintf("monitor: zone %d: node %s: entry report %+v, by name %+v (reported %v)", m.zone, id, got, want, reported))
+		}
+		if want := nk.states[id]; e.det != want {
+			panic(fmt.Sprintf("monitor: zone %d: node %s: entry detector record %+v, by name %+v", m.zone, id, e.det, want))
+		}
+		if z, ok := m.plane.zoneOfNode[id]; !ok || z != m.zone {
+			panic(fmt.Sprintf("monitor: zone %d tracks node %s, which zoneOfNode puts in zone %d", m.zone, id, z))
+		}
+		n := e.nm.Node()
+		if held := m.cluster.Node(id) == n; (m.plane.viewZone(n) == m.zone) != held {
+			panic(fmt.Sprintf("monitor: zone %d: node %s: view membership by ordinal %v, by ID %v", m.zone, id, !held, held))
+		}
+	}
+	for _, n := range m.cluster.Nodes() {
+		if m.plane.viewZone(n) != m.zone {
+			panic(fmt.Sprintf("monitor: zone %d: view holds node %s, its ordinal does not", m.zone, n.ID()))
+		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"hyscale/internal/container"
 	"hyscale/internal/core"
 	"hyscale/internal/faults"
-	"hyscale/internal/nodemanager"
 	"hyscale/internal/obs"
 	"hyscale/internal/resources"
 	"hyscale/internal/workload"
@@ -151,6 +150,12 @@ type Plane struct {
 
 	zones      []*zoneArbiter
 	zoneOfNode map[string]int
+	// viewOf is indexed by cluster.Node.Ord: 1 + the zone whose view holds
+	// that node, 0 when no view does. Node ordinals are unique among the
+	// nodes of the plane's cluster, so this is the one per-node table of the
+	// plane, and the arbiters test view membership and find a node's zone
+	// through it without a lookup by ID.
+	viewOf []int32
 
 	// services is the service table, indexed by registration ordinal
 	// (Request.ServiceOrd): where each service lives. Evacuation, spillover
@@ -204,48 +209,84 @@ func NewPlane(cl *cluster.Cluster, algo core.Algorithm, cfg PlaneConfig, inj *fa
 			return nil, err
 		}
 		lo, hi := z*len(nodes)/k, (z+1)*len(nodes)/k
-		for _, n := range nodes[lo:hi] {
-			if err := view.AdoptNode(n); err != nil {
-				return nil, err
-			}
-			p.zoneOfNode[n.ID()] = z
-		}
 		mon := &Monitor{
 			cluster: view, algo: algo, plane: p, zone: z, scratch: scratch,
 			startDelay: cfg.StartDelay, hardeningOff: cfg.HardeningOff, selfHeal: cfg.SelfHealing,
 			faults: inj, journal: journal, onRemoval: onRemoval,
-			nmByID:      make(map[string]*nodemanager.Manager),
-			lastReports: make(map[string]*cachedReport),
-			nodeStates:  make(map[string]*nodeState),
-			seenGen:     make(map[string]uint64),
+			nodeByID: make(map[string]int, hi-lo),
+			nodes:    make([]nodeEntry, 0, hi-lo),
+			seenGen:  make(map[string]uint64),
 		}
-		for _, n := range view.Nodes() {
+		za := &zoneArbiter{idx: z, name: strconv.Itoa(z), mon: mon, healthyAt: -1}
+		p.zones = append(p.zones, za)
+		for _, n := range nodes[lo:hi] {
+			if err := p.adopt(za, n); err != nil {
+				return nil, err
+			}
 			mon.AttachNode(n)
 		}
-		p.zones = append(p.zones, &zoneArbiter{idx: z, name: strconv.Itoa(z), mon: mon, healthyAt: -1})
 	}
 	return p, nil
 }
 
-// statsCut / actionsCut report whether a zone-outage or zone-partition
-// window cuts nodeID's stats answers / control actions at now. The windows
-// are keyed by zone index, and a node answers for whichever zone it is in
-// now: a retried action can name a node since leased to another zone. False
-// without zone windows.
-func (p *Plane) statsCut(now time.Duration, nodeID string) bool {
-	if p.zoneFaults == nil {
-		return false
+// adopt adds n to z's view.
+func (p *Plane) adopt(z *zoneArbiter, n *cluster.Node) error {
+	if err := z.mon.cluster.AdoptNode(n); err != nil {
+		return err
 	}
-	zi, ok := p.zoneOfNode[nodeID]
-	return ok && p.zoneFaults.ZoneStatsCut(now, p.zones[zi].name)
+	if o := n.Ord(); o >= len(p.viewOf) {
+		p.viewOf = append(p.viewOf, make([]int32, o+1-len(p.viewOf))...)
+	}
+	p.viewOf[n.Ord()] = int32(z.idx + 1)
+	p.zoneOfNode[n.ID()] = z.idx
+	return nil
 }
 
-func (p *Plane) actionsCut(now time.Duration, nodeID string) bool {
+// release drops the node nodeID from z's view, if the view holds it. The
+// node keeps its zone in zoneOfNode.
+func (p *Plane) release(z *zoneArbiter, nodeID string) {
+	if n := z.mon.cluster.ReleaseNode(nodeID); n != nil {
+		p.viewOf[n.Ord()] = 0
+	}
+}
+
+// viewZone returns the zone whose view holds n, -1 when none does.
+func (p *Plane) viewZone(n *cluster.Node) int {
+	if o := n.Ord(); o < len(p.viewOf) {
+		return int(p.viewOf[o]) - 1
+	}
+	return -1
+}
+
+// zoneStatsCut reports whether a zone-outage or zone-partition window cuts
+// the stats answers of zone zi's nodes at now. The windows are keyed by zone
+// index. False without zone windows.
+func (p *Plane) zoneStatsCut(now time.Duration, zi int) bool {
+	return p.zoneFaults != nil && p.zoneFaults.ZoneStatsCut(now, p.zones[zi].name)
+}
+
+// actionsCut reports whether a zone-outage or zone-partition window cuts
+// control actions towards the node nodeID at now. A node answers for
+// whichever zone it is in now: a retried action can name a node since
+// leased to another zone. The zone is that of the view holding node, or,
+// when no view holds it or node is nil, the last one the ID joined. False
+// without zone windows.
+func (p *Plane) actionsCut(now time.Duration, node *cluster.Node, nodeID string) bool {
 	if p.zoneFaults == nil {
 		return false
 	}
-	zi, ok := p.zoneOfNode[nodeID]
-	return ok && p.zoneFaults.ZoneActionsCut(now, p.zones[zi].name)
+	zi := -1
+	if node != nil {
+		zi = p.viewZone(node)
+	}
+	if zi < 0 {
+		z, ok := p.zoneOfNode[nodeID]
+		if !ok {
+			return false
+		}
+		zi = z
+	}
+	return p.zoneFaults.ZoneActionsCut(now, p.zones[zi].name)
 }
 
 // homeServices counts the services homed in the zone, spillover shards
@@ -546,14 +587,13 @@ func (p *Plane) leaseInto(zi int, alloc resources.Vector) bool {
 		return false
 	}
 	id := pick.ID()
-	donor.mon.cluster.ReleaseNode(id)
+	p.release(donor, id)
 	donor.mon.DetachNode(id)
 	borrower := p.zones[zi]
-	if err := borrower.mon.cluster.AdoptNode(pick); err != nil {
+	if err := p.adopt(borrower, pick); err != nil {
 		return false // unreachable: zones are disjoint
 	}
 	borrower.mon.AttachNode(pick)
-	p.zoneOfNode[id] = zi
 	p.cross.NodeLeases++
 	return true
 }
@@ -673,7 +713,7 @@ func (p *Plane) DetachNode(nodeID string) {
 	if !ok {
 		return
 	}
-	p.zones[z].mon.cluster.ReleaseNode(nodeID) // nil when NoteNodeRemoved already ran
+	p.release(p.zones[z], nodeID) // a no-op when NoteNodeRemoved already ran
 	p.zones[z].mon.DetachNode(nodeID)
 	delete(p.zoneOfNode, nodeID)
 }
@@ -681,7 +721,9 @@ func (p *Plane) DetachNode(nodeID string) {
 // AttachNode assigns a newly added machine to the zone with the fewest nodes
 // (lowest index on ties) and registers it with that zone's arbiter. A
 // machine re-added under the ID of one that failed while its arbiter still
-// tracks it rejoins that zone's view, as it rejoins the physical cluster.
+// tracks it rejoins that zone's view, as it rejoins the physical cluster,
+// and the arbiter's manager for that ID queries the new machine from then
+// on.
 func (p *Plane) AttachNode(n *cluster.Node) {
 	best, known := p.zoneOfNode[n.ID()]
 	if known {
@@ -695,11 +737,10 @@ func (p *Plane) AttachNode(n *cluster.Node) {
 			}
 		}
 	}
-	if err := p.zones[best].mon.cluster.AdoptNode(n); err != nil {
+	if err := p.adopt(p.zones[best], n); err != nil {
 		return
 	}
 	p.zones[best].mon.AttachNode(n)
-	p.zoneOfNode[n.ID()] = best
 }
 
 // NoteNodeRemoved mirrors a machine's physical removal into its zone view
@@ -708,6 +749,6 @@ func (p *Plane) AttachNode(n *cluster.Node) {
 // does when the platform removes a node under self-healing.
 func (p *Plane) NoteNodeRemoved(nodeID string) {
 	if z, ok := p.zoneOfNode[nodeID]; ok {
-		p.zones[z].mon.cluster.ReleaseNode(nodeID)
+		p.release(p.zones[z], nodeID)
 	}
 }

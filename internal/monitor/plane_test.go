@@ -184,24 +184,66 @@ func TestPlaneAttachDetachKeepsZonesBalanced(t *testing.T) {
 // (released from its view, still tracked by its arbiter) and is re-added
 // under the same ID rejoins its zone's view, just as it rejoins the physical
 // cluster — at one zone, as the central Monitor over the shared cluster saw
-// it, and at several.
+// it, and at several. The arbiter's manager then queries the new machine: a
+// container placed there shows in the node's snapshot stats, and the
+// detector record the failed machine left counts the first answered poll
+// as the node's recovery. The name-keyed self-check runs throughout.
 func TestPlaneReattachReplacedNode(t *testing.T) {
+	defer VerifyOrdinals(VerifyOrdinals(true))
 	for _, zones := range []int{1, 2} {
 		p, cl := newTestPlane(t, 4, zones)
+		for _, z := range p.zones {
+			z.mon.selfHeal = DefaultSelfHealing()
+		}
+		for _, name := range []string{"a", "b"} {
+			if err := p.AddService(planeSpec(name, 1, 1, 4), 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, err := cl.RemoveNode("node-3"); err != nil {
 			t.Fatal(err)
 		}
 		p.NoteNodeRemoved("node-3")
+		z := p.zones[p.zoneOfNode["node-3"]]
+		// Two missed polls make node-3 suspect.
+		z.mon.Snapshot(5 * time.Second)
+		z.mon.Snapshot(10 * time.Second)
+		if got := health(z.mon, "node-3"); got != NodeSuspect {
+			t.Fatalf("zones=%d: node-3 is %v after two missed polls, want suspect", zones, got)
+		}
 		if err := cl.AddNode(cluster.DefaultNodeConfig("node-3")); err != nil {
 			t.Fatal(err)
 		}
 		p.AttachNode(cl.Node("node-3"))
-		z := p.zones[p.zoneOfNode["node-3"]]
 		if got := z.mon.cluster.Node("node-3"); got != cl.Node("node-3") {
 			t.Errorf("zones=%d: zone %d view holds %p for node-3, want the re-added node %p", zones, z.idx, got, cl.Node("node-3"))
 		}
 		if got := len(z.mon.cluster.Nodes()); got != 4/zones {
 			t.Errorf("zones=%d: zone %d view has %d nodes, want %d", zones, z.idx, got, 4/zones)
+		}
+
+		svc := "a"
+		if p.ZoneOfService(svc) != z.idx {
+			svc = "b"
+		}
+		if err := p.StartReplica(svc, "node-3", resources.Vector{CPU: 2, MemMB: 256}, 12*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		snap := z.mon.Snapshot(15 * time.Second)
+		var got *core.NodeStats
+		for i := range snap.Nodes {
+			if snap.Nodes[i].ID == "node-3" {
+				got = &snap.Nodes[i]
+			}
+		}
+		if got == nil {
+			t.Fatalf("zones=%d: the snapshot after the re-add leaves node-3 out", zones)
+		}
+		if want := cl.Node("node-3").Capacity().CPU - 2; got.Available.CPU != want || len(got.Hosts) != 1 || got.Hosts[0] != svc {
+			t.Errorf("zones=%d: node-3 reports %v CPUs available hosting %v, want %v hosting [%s]", zones, got.Available.CPU, got.Hosts, want, svc)
+		}
+		if h, r := health(z.mon, "node-3"), z.mon.Recovery().Recovered; h != NodeHealthy || r != 1 {
+			t.Errorf("zones=%d: after the re-added node answered, node-3 is %v with %d recoveries, want healthy with 1", zones, h, r)
 		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"hyscale/internal/cluster"
 	"hyscale/internal/container"
 	"hyscale/internal/core"
-	"hyscale/internal/nodemanager"
 	"hyscale/internal/obs"
 	"hyscale/internal/resources"
 )
@@ -123,6 +122,30 @@ type nodeState struct {
 	health NodeHealth
 }
 
+// miss records a missed poll under s's thresholds and reports whether it
+// made the node suspect or dead. A dead node stays as it is.
+func (st *nodeState) miss(s SelfHealing) (suspect, dead bool) {
+	if st.health == NodeDead {
+		return false, false // already ruled; nothing further to detect
+	}
+	st.missed++
+	if st.health == NodeHealthy && st.missed >= s.suspectAfter() {
+		st.health, suspect = NodeSuspect, true
+	}
+	if st.health == NodeSuspect && st.missed >= s.deadAfter() {
+		st.health, dead = NodeDead, true
+	}
+	return suspect, dead
+}
+
+// answer resets the record after an answered poll and returns the health
+// it had.
+func (st *nodeState) answer() NodeHealth {
+	was := st.health
+	st.missed, st.health = 0, NodeHealthy
+	return was
+}
+
 // lostReplica is one replica excised when its node was declared dead,
 // awaiting either replacement (reconciler scale-out) or re-adoption (node
 // recovered before the replacement ran).
@@ -172,14 +195,10 @@ func (m *Monitor) Recovery() RecoveryCounts { return m.recovery }
 // attachment order. Nodes are healthy until the detector (selfHeal.Enabled)
 // observes a missed poll.
 func (m *Monitor) NodeConditions() []NodeCondition {
-	out := make([]NodeCondition, 0, len(m.nms))
-	for _, nm := range m.nms {
-		c := NodeCondition{Node: nm.NodeID()}
-		if st, ok := m.nodeStates[nm.NodeID()]; ok {
-			c.Health = st.health
-			c.MissedPolls = st.missed
-		}
-		out = append(out, c)
+	out := make([]NodeCondition, 0, len(m.nodes))
+	for i := range m.nodes {
+		e := &m.nodes[i]
+		out = append(out, NodeCondition{Node: e.nm.NodeID(), Health: e.det.health, MissedPolls: e.det.missed})
 	}
 	return out
 }
@@ -192,44 +211,39 @@ func (m *Monitor) event(now time.Duration, kind obs.EventKind, node, service, ci
 	m.journal.Event(obs.Event{At: now, Kind: kind, Node: node, Service: service, Container: cid, Detail: detail})
 }
 
-// noteMissedPoll advances the failure detector after a failed stats query.
-func (m *Monitor) noteMissedPoll(nodeID string, now time.Duration) {
+// noteMissedPoll advances e's failure detector after a failed stats query.
+func (m *Monitor) noteMissedPoll(e *nodeEntry, now time.Duration) {
 	if !m.selfHeal.Enabled {
 		return
 	}
-	st := m.nodeStates[nodeID]
-	if st == nil {
-		st = &nodeState{}
-		m.nodeStates[nodeID] = st
+	nodeID := e.nm.NodeID()
+	if m.names != nil {
+		m.names.miss(nodeID, m.selfHeal)
 	}
-	if st.health == NodeDead {
-		return // already ruled; nothing further to detect
-	}
-	st.missed++
-	if st.health == NodeHealthy && st.missed >= m.selfHeal.suspectAfter() {
-		st.health = NodeSuspect
+	suspect, dead := e.det.miss(m.selfHeal)
+	if suspect {
 		m.recovery.Suspected++
-		m.event(now, obs.EventNodeSuspect, nodeID, "", "", fmt.Sprintf("%d missed polls", st.missed))
+		m.event(now, obs.EventNodeSuspect, nodeID, "", "", fmt.Sprintf("%d missed polls", e.det.missed))
 	}
-	if st.health == NodeSuspect && st.missed >= m.selfHeal.deadAfter() {
-		st.health = NodeDead
+	if dead {
 		m.declareDead(nodeID, now)
 	}
 }
 
-// notePollOK resets the detector after a successful stats query, recovering
+// notePollOK resets e's detector after a successful stats query, recovering
 // a suspect or dead node.
-func (m *Monitor) notePollOK(nodeID string, now time.Duration) {
+func (m *Monitor) notePollOK(e *nodeEntry, now time.Duration) {
 	if !m.selfHeal.Enabled {
 		return
 	}
-	st := m.nodeStates[nodeID]
-	if st == nil || (st.missed == 0 && st.health == NodeHealthy) {
+	if e.det.missed == 0 && e.det.health == NodeHealthy {
 		return
 	}
-	was := st.health
-	st.missed = 0
-	st.health = NodeHealthy
+	nodeID := e.nm.NodeID()
+	if m.names != nil {
+		m.names.answer(nodeID)
+	}
+	was := e.det.answer()
 	if was == NodeHealthy {
 		return
 	}
@@ -243,14 +257,14 @@ func (m *Monitor) notePollOK(nodeID string, now time.Duration) {
 // nodeClean reports whether nodeID's detector record is clean: no missed
 // poll outstanding, ruled healthy.
 func (m *Monitor) nodeClean(nodeID string) bool {
-	st := m.nodeStates[nodeID]
-	return st == nil || (st.missed == 0 && st.health == NodeHealthy)
+	e := m.entry(nodeID)
+	return e == nil || (e.det.missed == 0 && e.det.health == NodeHealthy)
 }
 
 // nodeDead reports whether the detector has ruled nodeID dead.
 func (m *Monitor) nodeDead(nodeID string) bool {
-	st := m.nodeStates[nodeID]
-	return st != nil && st.health == NodeDead
+	e := m.entry(nodeID)
+	return e != nil && e.det.health == NodeDead
 }
 
 // inLimbo reports whether a replica that vanished from host should still
@@ -262,11 +276,8 @@ func (m *Monitor) inLimbo(host string) bool {
 	if !m.selfHeal.Enabled {
 		return false
 	}
-	if _, attached := m.nmByID[host]; !attached {
-		return false
-	}
-	st := m.nodeStates[host]
-	return st != nil && st.missed > 0 && st.health != NodeDead
+	e := m.entry(host)
+	return e != nil && e.det.missed > 0 && e.det.health != NodeDead
 }
 
 // lastKnownReplica synthesizes a limbo replica's stats from the node's
@@ -278,8 +289,8 @@ func (m *Monitor) lastKnownReplica(id, home string, st *serviceState) core.Repli
 		Requested:   st.info.InitialAlloc,
 		Routable:    true,
 	}
-	if cached := m.lastReports[home]; cached != nil {
-		for _, cs := range cached.rep.Containers {
+	if e := m.entry(home); e != nil && e.rep.ok {
+		for _, cs := range e.rep.rep.Containers {
 			if cs.ID == id {
 				rs.Requested = cs.Requested
 				rs.Usage = cs.Usage
@@ -314,8 +325,8 @@ func (m *Monitor) declareDead(nodeID string, now time.Duration) {
 			alloc := st.info.InitialAlloc
 			if c.State != container.StateRemoved {
 				alloc = c.Alloc
-			} else if cached := m.lastReports[nodeID]; cached != nil {
-				for _, cs := range cached.rep.Containers {
+			} else if e := m.entry(nodeID); e != nil && e.rep.ok {
+				for _, cs := range e.rep.rep.Containers {
 					if cs.ID == c.ID {
 						alloc = cs.Requested
 						break
@@ -422,7 +433,7 @@ func (m *Monitor) finishLost(lost *container.Container) {
 		if m.lost[i].c != lost {
 			continue
 		}
-		if _, attached := m.nmByID[m.lost[i].node.ID()]; !attached {
+		if m.entry(m.lost[i].node.ID()) == nil {
 			m.lost = append(m.lost[:i], m.lost[i+1:]...)
 		} else {
 			m.lost[i].replaced = true
@@ -440,11 +451,10 @@ func (m *Monitor) finishLost(lost *container.Container) {
 type checkpoint struct {
 	at      time.Duration
 	retries []pendingAction
-	// lastReports holds each node's report and its time; the host caches
-	// stay unset.
-	lastReports map[string]*cachedReport
-	nodeStates  map[string]nodeState
-	lost        []lostReplica
+	// nodes holds each attached node's entry in attachment order: its
+	// report and its detector record. The host caches stay unset.
+	nodes []nodeEntry
+	lost  []lostReplica
 	// replicas holds each service's replica lists, in m.services order.
 	replicas []serviceReplicas
 }
@@ -461,36 +471,30 @@ type serviceReplicas struct {
 // overwrites the monitor's one retained checkpoint in place — restore copies
 // everything out of it, so nothing else holds its buffers — and each node's
 // report and each service's replica lists keep their buffers from one
-// checkpoint to the next. Node reports are deep-copied: the live cache
-// entries reuse their Containers buffers every poll, and a checkpoint must
-// not see those later overwrites.
+// checkpoint to the next. Node reports are deep-copied: the live entries
+// reuse their Containers buffers every poll, and a checkpoint must not see
+// those later overwrites.
 func (m *Monitor) checkpointNow(now time.Duration) {
 	cp := m.checkpointBuf
 	if cp == nil {
-		cp = &checkpoint{
-			lastReports: make(map[string]*cachedReport, len(m.lastReports)),
-			nodeStates:  make(map[string]nodeState, len(m.nodeStates)),
-		}
+		cp = &checkpoint{}
 		m.checkpointBuf = cp
 	}
 	cp.at = now
 	cp.retries = append(cp.retries[:0], m.retries...)
 	cp.lost = append(cp.lost[:0], m.lost...)
-	for k, v := range m.lastReports {
-		f := cp.lastReports[k]
-		if f == nil {
-			f = new(cachedReport)
-			cp.lastReports[k] = f
-		}
-		buf := f.rep.Containers[:0]
-		f.rep, f.at = v.rep, v.at
-		f.rep.Containers = append(buf, v.rep.Containers...)
+	cp.nodes = slices.Grow(cp.nodes[:0], len(m.nodes))[:len(m.nodes)]
+	for i := range m.nodes {
+		e, f := &m.nodes[i], &cp.nodes[i]
+		f.nm, f.det = e.nm, e.det
+		f.rep.at, f.rep.ok = e.rep.at, e.rep.ok
+		r, w := &e.rep.rep, &f.rep.rep
+		w.NodeID, w.Capacity, w.Available = r.NodeID, r.Capacity, r.Available
+		w.Containers = append(w.Containers[:0], r.Containers...)
 	}
-	dropStale(cp.lastReports, m.lastReports)
-	for k, v := range m.nodeStates {
-		cp.nodeStates[k] = *v
+	if m.names != nil {
+		m.names.checkpoint()
 	}
-	dropStale(cp.nodeStates, m.nodeStates)
 	cp.replicas = slices.Grow(cp.replicas[:0], len(m.services))[:len(m.services)]
 	for i, st := range m.services {
 		e := &cp.replicas[i]
@@ -500,20 +504,6 @@ func (m *Monitor) checkpointNow(now time.Duration) {
 	}
 	m.lastCheckpoint = cp
 	m.lastCheckpointAt = now
-}
-
-// dropStale deletes the keys of dst that live lacks. Once every key of live
-// has been written into dst, equal sizes mean equal key sets, so it costs a
-// length check unless nodes came or went.
-func dropStale[V, W any](dst map[string]V, live map[string]W) {
-	if len(dst) == len(live) {
-		return
-	}
-	for k := range dst {
-		if _, ok := live[k]; !ok {
-			delete(dst, k)
-		}
-	}
 }
 
 // MaybeCheckpoint snapshots decision state when checkpointing is enabled
@@ -544,19 +534,23 @@ func (m *Monitor) Restart(now time.Duration) {
 
 func (m *Monitor) restore(cp *checkpoint, now time.Duration) {
 	m.retries = append([]pendingAction(nil), cp.retries...)
-	m.lastReports = make(map[string]*cachedReport, len(cp.lastReports))
-	for k, v := range cp.lastReports {
-		restored := &cachedReport{rep: v.rep, at: v.at}
-		// Copy out of the checkpoint so post-restore polls appending into the
-		// live cache never mutate the frozen state; the hosts cache rebuilds
-		// lazily (hostsOK is false).
-		restored.rep.Containers = append([]nodemanager.ContainerStats(nil), v.rep.Containers...)
-		m.lastReports[k] = restored
+	for i := range m.nodes {
+		e := &m.nodes[i]
+		e.rep.hostsOK = false // rebuilt on the next snapshot
+		f := cp.node(i, e.nm.NodeID())
+		if f == nil {
+			// Attached since the checkpoint: no report, a clean record.
+			e.rep.ok, e.det = false, nodeState{}
+			continue
+		}
+		// Copy out of the checkpoint so post-restore polls reporting into
+		// the live entry never mutate the frozen state.
+		e.rep.rep, e.rep.at, e.rep.ok = f.rep.rep, f.rep.at, f.rep.ok
+		e.rep.rep.Containers = slices.Clone(f.rep.rep.Containers)
+		e.det = f.det
 	}
-	m.nodeStates = make(map[string]*nodeState, len(cp.nodeStates))
-	for k, v := range cp.nodeStates {
-		st := v
-		m.nodeStates[k] = &st
+	if m.names != nil {
+		m.names.restore()
 	}
 	m.lost = append([]lostReplica(nil), cp.lost...)
 	// Every topology change that moves a service voids the checkpoint, so
@@ -573,14 +567,36 @@ func (m *Monitor) restore(cp *checkpoint, now time.Duration) {
 	m.event(now, obs.EventCheckpointRestore, "", "", "", fmt.Sprintf("checkpoint from %v", cp.at))
 }
 
+// node returns the checkpointed entry of the node attached under nodeID, nil
+// when none was attached then. Entries stay in attachment order, so while
+// the node list is unchanged the entry sits at the node's live index i; a
+// node list changed since the checkpoint is matched by ID.
+func (cp *checkpoint) node(i int, nodeID string) *nodeEntry {
+	if i < len(cp.nodes) && cp.nodes[i].nm.NodeID() == nodeID {
+		return &cp.nodes[i]
+	}
+	for k := range cp.nodes {
+		if cp.nodes[k].nm.NodeID() == nodeID {
+			return &cp.nodes[k]
+		}
+	}
+	return nil
+}
+
 // coldRestart models a monitor process that restarts with no durable state:
 // it re-discovers replicas from the cluster (docker ps) but loses the retry
-// queue, the detector's evidence, and the lost-replica ledger — re-
-// placements that had not run yet simply never happen.
+// queue, the detector's evidence, the last-known node reports and the
+// lost-replica ledger — re-placements that had not run yet simply never
+// happen.
 func (m *Monitor) coldRestart(now time.Duration) {
 	m.retries = nil
-	m.lastReports = make(map[string]*cachedReport)
-	m.nodeStates = make(map[string]*nodeState)
+	for i := range m.nodes {
+		e := &m.nodes[i]
+		e.rep.ok, e.rep.hostsOK, e.det = false, false, nodeState{}
+	}
+	if m.names != nil {
+		m.names.clear()
+	}
 	m.lost = nil
 	for _, st := range m.services {
 		// Rediscovered replicas are ordered by their creation index

@@ -55,12 +55,6 @@ type Manager struct {
 	slots   []slot
 	spare   []slot
 	slotVer uint64
-
-	// containers is the reusable backing array for Report's stats slice —
-	// cleared, not reallocated, each report, so steady-state polls allocate
-	// nothing. Returned Reports alias it and are valid until the next Report
-	// call; callers that cache must copy (see monitor.cachedReport).
-	containers []ContainerStats
 }
 
 // slot is one container's sampling window: the sum and count of the usage
@@ -108,6 +102,9 @@ func (m *Manager) sync() {
 // NodeID returns the managed node's ID.
 func (m *Manager) NodeID() string { return m.node.ID() }
 
+// Node returns the managed node.
+func (m *Manager) Node() *cluster.Node { return m.node }
+
 // Occupied reports whether the managed node hosts any container. A manager
 // of an empty node has nothing to Sample; its stale slots, if any, drop out
 // at the next sync.
@@ -128,24 +125,22 @@ func (m *Manager) Sample() {
 	}
 }
 
-// Report aggregates the samples since the previous report and resets the
-// window. Containers that produced no samples yet (e.g. still starting)
-// report zero usage. A stats query whose answer never reaches the Monitor
-// calls no Report, so it leaves the window intact: the usage accumulated
-// during the outage lands in the next delivered Report — nothing is lost,
-// only delayed.
+// Report aggregates the samples since the previous report into *rep and
+// resets the window. Containers that produced no samples yet (e.g. still
+// starting) report zero usage. A stats query whose answer never reaches the
+// Monitor calls no Report, so it leaves the window intact: the usage
+// accumulated during the outage lands in the next delivered Report —
+// nothing is lost, only delayed.
 //
-// The returned Report's Containers slice is reused across calls: it is valid
-// until the next Report on this manager, and callers that keep it longer must
-// copy it.
-func (m *Manager) Report() Report {
+// The container stats overwrite rep.Containers' backing array, grown as
+// needed, so a caller that keeps each node's report reuses its buffer and a
+// steady-state report allocates nothing.
+func (m *Manager) Report(rep *Report) {
 	m.sync()
-	rep := Report{
-		NodeID:    m.node.ID(),
-		Capacity:  m.node.Capacity(),
-		Available: m.node.Available(),
-	}
-	m.containers = m.containers[:0]
+	rep.NodeID = m.node.ID()
+	rep.Capacity = m.node.Capacity()
+	rep.Available = m.node.Available()
+	buf := rep.Containers[:0]
 	for i := range m.slots {
 		s := &m.slots[i]
 		c := s.c
@@ -153,7 +148,7 @@ func (m *Manager) Report() Report {
 		if s.count > 0 {
 			usage = s.sum.Scale(1 / float64(s.count))
 		}
-		m.containers = append(m.containers, ContainerStats{
+		buf = append(buf, ContainerStats{
 			ID:        c.ID,
 			Service:   c.Service,
 			Slot:      c.Slot,
@@ -164,8 +159,7 @@ func (m *Manager) Report() Report {
 		})
 		s.sum, s.count = resources.Vector{}, 0
 	}
-	rep.Containers = m.containers
-	return rep
+	rep.Containers = buf
 }
 
 // ApplyVertical executes a `docker update` on c, which must be hosted on

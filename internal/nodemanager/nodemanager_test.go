@@ -42,7 +42,8 @@ func TestReportAveragesSamples(t *testing.T) {
 	c.SetLastUsage(container.Usage{CPU: 2.0, MemMB: 200, NetMbps: 30})
 	nm.Sample()
 
-	rep := nm.Report()
+	var rep Report
+	nm.Report(&rep)
 	if rep.NodeID != "node-0" {
 		t.Errorf("NodeID = %q", rep.NodeID)
 	}
@@ -65,10 +66,11 @@ func TestReportResetsWindow(t *testing.T) {
 	_, nm, c := setup(t)
 	c.SetLastUsage(container.Usage{CPU: 4})
 	nm.Sample()
-	_ = nm.Report()
+	nm.Report(&Report{})
 
 	// New window: no samples -> zero usage.
-	rep := nm.Report()
+	var rep Report
+	nm.Report(&rep)
 	if rep.Containers[0].Usage.CPU != 0 {
 		t.Errorf("window not reset: %v", rep.Containers[0].Usage)
 	}
@@ -76,7 +78,8 @@ func TestReportResetsWindow(t *testing.T) {
 
 func TestReportIncludesCapacityAndAvailability(t *testing.T) {
 	_, nm, _ := setup(t)
-	rep := nm.Report()
+	var rep Report
+	nm.Report(&rep)
 	if rep.Capacity.CPU != 4 {
 		t.Errorf("capacity = %v", rep.Capacity)
 	}
@@ -91,7 +94,8 @@ func TestStartingContainersNotSampled(t *testing.T) {
 	starting := container.New("c-1", spec(), "node-0", resources.Vector{CPU: 1, MemMB: 256}, time.Hour)
 	_ = n.AddContainer(starting)
 	nm.Sample()
-	rep := nm.Report()
+	var rep Report
+	nm.Report(&rep)
 	for _, cs := range rep.Containers {
 		if cs.ID == "c-1" {
 			if cs.Routable {
@@ -190,7 +194,8 @@ func TestReportMatchesMapReference(t *testing.T) {
 	check := func(step string) []ContainerStats {
 		t.Helper()
 		want := ref.report()
-		rep := nm.Report()
+		var rep Report
+		nm.Report(&rep)
 		if len(rep.Containers) != len(want) {
 			t.Fatalf("%s: report has %d containers, want %d", step, len(rep.Containers), len(want))
 		}
@@ -246,10 +251,11 @@ func TestSampleReportAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var rep Report
 	cycle := func() {
 		nm.Sample()
 		nm.Sample()
-		_ = nm.Report()
+		nm.Report(&rep)
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {

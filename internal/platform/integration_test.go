@@ -16,6 +16,8 @@ import (
 	"hyscale/internal/core"
 	"hyscale/internal/faults"
 	"hyscale/internal/loadgen"
+	"hyscale/internal/monitor"
+	"hyscale/internal/resources"
 	"hyscale/internal/sim"
 	"hyscale/internal/workload"
 )
@@ -291,6 +293,85 @@ func TestIntegrationNodeRecoveryExpandsCluster(t *testing.T) {
 	}
 	if onExtra == 0 {
 		t.Error("no replicas placed on dynamically added machines")
+	}
+}
+
+// nodeWatch is an algorithm that plans nothing and keeps the stats of one
+// node from the latest snapshot that listed it.
+type nodeWatch struct {
+	id   string
+	last *core.NodeStats
+}
+
+func (a *nodeWatch) Name() string { return "node-watch" }
+
+func (a *nodeWatch) Decide(snap core.Snapshot) core.Plan {
+	for _, n := range snap.Nodes {
+		if n.ID == a.id {
+			n.Hosts = slices.Clone(n.Hosts)
+			a.last = &n
+		}
+	}
+	return core.Plan{}
+}
+
+// TestReaddedNodeReportsItsOwnContainers fails a machine under self-healing
+// and re-adds one under the same ID while the detector only suspects it, at
+// one zone and at two. The control plane must then poll the new machine: a
+// container placed on it shows in the node's snapshot stats, and its first
+// answered poll counts as the node's recovery. The monitor's ordinal and
+// name-keyed self-checks run throughout.
+func TestReaddedNodeReportsItsOwnContainers(t *testing.T) {
+	defer monitor.VerifyOrdinals(monitor.VerifyOrdinals(true))
+	for _, zones := range []int{1, 2} {
+		cfg := smallConfig(1)
+		cfg.Zones = zones
+		cfg.SelfHealing = monitor.DefaultSelfHealing()
+		algo := &nodeWatch{id: "node-3"}
+		w, err := New(cfg, algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b"} {
+			if err := w.AddService(cpuSpec(name), 0.5, loadgen.Constant{RPS: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Polls at 15 s and 20 s miss node-3: suspect, not yet dead.
+		if err := w.ScheduleNodeFailure(12*time.Second, "node-3"); err != nil {
+			t.Fatal(err)
+		}
+		machine := cfg.NodeTemplate
+		machine.ID = "node-3"
+		if err := w.ScheduleNodeRecovery(22*time.Second, machine); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(23 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		// Pin a 2-CPU replica on the new machine, through whichever service
+		// is homed in its zone.
+		svc, alloc := "a", resources.Vector{CPU: 2, MemMB: 512}
+		if err := w.Control().StartReplica(svc, "node-3", alloc, 23*time.Second); err != nil {
+			svc = "b"
+			if err := w.Control().StartReplica(svc, "node-3", alloc, 23*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Run(31 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		got := algo.last
+		if got == nil {
+			t.Fatalf("zones=%d: no snapshot listed node-3", zones)
+		}
+		want := w.Cluster().Node("node-3").Capacity().CPU - 2
+		if got.Available.CPU != want || !slices.Equal(got.Hosts, []string{svc}) {
+			t.Errorf("zones=%d: node-3 reports %v CPUs available hosting %v, want %v hosting [%s]", zones, got.Available.CPU, got.Hosts, want, svc)
+		}
+		if r := w.Control().Recovery(); r.Suspected != 1 || r.Recovered != 1 || r.DeclaredDead != 0 {
+			t.Errorf("zones=%d: recovery counts %+v, want node-3 suspected once and recovered once", zones, r)
+		}
 	}
 }
 
