@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"hyscale/internal/cluster"
 	"hyscale/internal/runner"
+	"hyscale/internal/scalermgr"
 	"hyscale/internal/scenario"
 	"hyscale/internal/workload"
 )
@@ -75,8 +77,23 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 		{"unknown algorithm", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
 			sc.Algorithm = "bogus"
 		}}, false, `runner: unknown algorithm "bogus"`},
+		{"negative suspectAfter", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
+			sc.SelfHealing = &scenario.SelfHealing{Enabled: true, SuspectAfter: -1}
+		}}, false, "monitor: selfHealing.suspectAfter must be >= 0, got -1"},
+		{"negative deadAfter", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
+			sc.SelfHealing = &scenario.SelfHealing{Enabled: true, DeadAfter: -4}
+		}}, false, "monitor: selfHealing.deadAfter must be >= 0, got -4"},
+		{"negative self-healing cooldown", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
+			sc.SelfHealing = &scenario.SelfHealing{Enabled: true, Cooldown: -time.Second}
+		}}, false, "monitor: selfHealing.cooldown must be >= 0, got -1s"},
+		{"negative checkpointEvery", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
+			sc.SelfHealing = &scenario.SelfHealing{Enabled: true, Checkpoint: true, CheckpointEvery: -time.Minute}
+		}}, false, "monitor: selfHealing.checkpointEvery must be >= 0, got -1m0s"},
+		{"negative manager SLO target", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
+			sc.Manager = &scalermgr.Config{SLOTargetMs: -250}
+		}}, true, "scalermgr: negative SLO target -250 ms"},
 		{"manager target names no service", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
-			sc.Manager = &scenario.Manager{Services: []scenario.ManagerService{{Service: "ghost"}}}
+			sc.Manager = &scalermgr.Config{Services: []scalermgr.ServiceTargets{{Service: "ghost"}}}
 		}}, true, `runner: manager targets unknown service "ghost"`},
 		{"call-graph endpoint names no service", []func(*scenario.Scenario){func(sc *scenario.Scenario) {
 			sc.CallGraph = &workload.CallGraph{Edges: []workload.CallEdge{{From: "api", To: "ghost", Calls: 1}}}
@@ -107,10 +124,7 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 			for _, m := range tt.mutate {
 				m(sc)
 			}
-			raw, err := json.Marshal(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			raw := scenarioJSON(t, sc)
 			spec, err := sc.Compile()
 			if err != nil {
 				t.Fatal(err)
@@ -143,6 +157,52 @@ func TestConfigRejectedAtEveryEntryPoint(t *testing.T) {
 		})
 	}
 	t.Run("compiled spec", specRejectedAtEveryEntryPoint)
+}
+
+// scenarioJSON encodes sc as a scenario file spells it. json.Marshal writes
+// a time.Duration as integer nanoseconds, which Parse rejects, so each one
+// is rewritten as a duration string.
+func scenarioJSON(t *testing.T, sc *scenario.Scenario) []byte {
+	t.Helper()
+	raw, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	durationStrings(doc, reflect.TypeOf(sc).Elem())
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// durationStrings rewrites every time.Duration in the generically decoded
+// value v of type t as a duration string.
+func durationStrings(v any, t reflect.Type) {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	switch t.Kind() {
+	case reflect.Slice:
+		items, _ := v.([]any)
+		for _, item := range items {
+			durationStrings(item, t.Elem())
+		}
+	case reflect.Struct:
+		m, _ := v.(map[string]any)
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if ns, ok := m[key].(float64); ok && f.Type == reflect.TypeOf(time.Duration(0)) {
+				m[key] = time.Duration(ns).String()
+			} else if m[key] != nil {
+				durationStrings(m[key], f.Type)
+			}
+		}
+	}
 }
 
 // specRejectedAtEveryEntryPoint covers the rules the scenario form cannot

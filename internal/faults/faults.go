@@ -18,6 +18,8 @@ import (
 	"slices"
 	"strings"
 	"time"
+
+	"hyscale/internal/sim"
 )
 
 // Kind names a fault site.
@@ -281,29 +283,7 @@ func (i *Injector) Enabled() bool { return i != nil && i.cfg.Enabled() }
 
 // roll returns a deterministic uniform draw in [0, 1) for (kind, target, n).
 func (i *Injector) roll(kind Kind, target string, n uint64) float64 {
-	h := uint64(i.cfg.Seed) ^ 0x9e3779b97f4a7c15
-	h = fnvMix(h, []byte(kind))
-	h = fnvMix(h, []byte(target))
-	var b [8]byte
-	for k := 0; k < 8; k++ {
-		b[k] = byte(n >> (8 * k))
-	}
-	h = fnvMix(h, b[:])
-	// splitmix64 finaliser for avalanche.
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return float64(h>>11) / (1 << 53)
-}
-
-func fnvMix(h uint64, data []byte) uint64 {
-	for _, c := range data {
-		h ^= uint64(c)
-		h *= 1099511628211 // FNV-1a prime
-	}
-	return h
+	return sim.RollFrom(sim.RollMix(sim.RollPrefix(i.cfg.Seed, string(kind)), target), n)
 }
 
 func (i *Injector) windowed(kind Kind, target string, now time.Duration) bool {

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -202,5 +203,59 @@ func TestValidate(t *testing.T) {
 	ok := Config{Seed: 1, StatsDropProb: 0.5, Windows: []Window{{Kind: KindBackend, From: 0, To: time.Minute}}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
+// refRoll is the injector's draw written out in one pass: the seed XOR the
+// golden ratio, FNV-1a over kind, target and n's eight little-endian bytes,
+// then the splitmix64 finaliser.
+func refRoll(seed int64, kind Kind, target string, n uint64) float64 {
+	h := uint64(seed) ^ 0x9e3779b97f4a7c15
+	for _, c := range []byte(string(kind) + target) {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	for k := 0; k < 8; k++ {
+		h ^= uint64(byte(n >> (8 * k)))
+		h *= 1099511628211
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return float64(h>>11) / (1 << 53)
+}
+
+// TestRollMatchesReference pins every fault draw bit for bit to refRoll
+// over random (seed, kind, target, n), so the shared hash in package sim
+// leaves every fault schedule where it was.
+func TestRollMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	kinds := []Kind{KindVertical, KindStart, KindStats, KindBackend}
+	targets := []string{"", "node-3", "api-c17", "checkout/2"}
+	for trial := 0; trial < 4000; trial++ {
+		i := &Injector{cfg: Config{Seed: rng.Int63() - rng.Int63()}}
+		kind, target := kinds[rng.Intn(len(kinds))], targets[rng.Intn(len(targets))]
+		n := rng.Uint64()
+		if got, want := i.roll(kind, target, n), refRoll(i.cfg.Seed, kind, target, n); got != want {
+			t.Fatalf("roll(%d, %s, %q, %d) = %v, want %v", i.cfg.Seed, kind, target, n, got, want)
+		}
+	}
+}
+
+// TestDrawsAllocateNothing: the per-poll and per-request draws hash their
+// two keys in place. The IDs are longer than the compiler's 32-byte stack
+// buffer, so joining kind and target into one string would allocate.
+func TestDrawsAllocateNothing(t *testing.T) {
+	i := New(Config{Seed: 3, StatsDropProb: 0.5, BackendDownProb: 0.5})
+	node := "zone-3-rack-17-node-0000000000042"
+	service := "checkout-service"
+	container := service + "-replica-0000000000000017"
+	if a := testing.AllocsPerRun(100, func() {
+		i.StatsDropped(time.Second, node)
+		i.BackendDown(time.Minute, service, container)
+	}); a != 0 {
+		t.Errorf("StatsDropped + BackendDown allocate %v times, want 0", a)
 	}
 }

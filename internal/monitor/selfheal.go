@@ -37,23 +37,23 @@ import (
 type SelfHealing struct {
 	// Enabled turns on the heartbeat failure detector and the desired-state
 	// reconciler.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// SuspectAfter is the number of consecutive missed polls before a node
 	// becomes suspect (default 2).
-	SuspectAfter int
+	SuspectAfter int `json:"suspectAfter,omitempty"`
 	// DeadAfter is the number of consecutive missed polls before a suspect
 	// node is declared dead and its replicas reconciled (default 4).
-	DeadAfter int
+	DeadAfter int `json:"deadAfter,omitempty"`
 	// Cooldown delays each lost replica's re-placement, so a node that
 	// recovers promptly cancels its replacements instead of racing them —
 	// the anti-flap guard (default 10s).
-	Cooldown time.Duration
+	Cooldown time.Duration `json:"cooldown,omitempty"`
 	// Checkpoint enables periodic decision-state snapshots; after a monitor
 	// crash (faults.KindMonitorCrash) the monitor restores from the last
 	// checkpoint instead of cold-restarting.
-	Checkpoint bool
+	Checkpoint bool `json:"checkpoint,omitempty"`
 	// CheckpointEvery spaces checkpoints; zero checkpoints every poll.
-	CheckpointEvery time.Duration
+	CheckpointEvery time.Duration `json:"checkpointEvery,omitempty"`
 }
 
 // DefaultSelfHealing returns the default self-healing settings: suspect
@@ -67,6 +67,24 @@ func DefaultSelfHealing() SelfHealing {
 		Cooldown:     10 * time.Second,
 		Checkpoint:   true,
 	}
+}
+
+// Validate rejects negative thresholds and spacings, which the detector
+// would otherwise replace with its defaults; zero selects the default.
+func (s SelfHealing) Validate() error {
+	if s.SuspectAfter < 0 {
+		return fmt.Errorf("monitor: selfHealing.suspectAfter must be >= 0, got %d", s.SuspectAfter)
+	}
+	if s.DeadAfter < 0 {
+		return fmt.Errorf("monitor: selfHealing.deadAfter must be >= 0, got %d", s.DeadAfter)
+	}
+	if s.Cooldown < 0 {
+		return fmt.Errorf("monitor: selfHealing.cooldown must be >= 0, got %v", s.Cooldown)
+	}
+	if s.CheckpointEvery < 0 {
+		return fmt.Errorf("monitor: selfHealing.checkpointEvery must be >= 0, got %v", s.CheckpointEvery)
+	}
+	return nil
 }
 
 func (s SelfHealing) suspectAfter() int {

@@ -77,7 +77,7 @@ type callEdge struct {
 	// fan-out.
 	prob  float64
 	calls int
-	// roll is resilience.RollPrefix(seed, "call|"+key): a call-probability
+	// roll is sim.RollPrefix(seed, "call|"+key): a call-probability
 	// draw finishes the hash with the (parent, slot) suffix only.
 	roll uint64
 	// stats is the edge's traffic; Stats reports the edges with Issued > 0.
@@ -232,7 +232,7 @@ func (g *graphRun) checkServices() error {
 			to:    g.w.byName[e.To],
 			prob:  e.EffectiveProb(),
 			calls: e.EffectiveCalls(),
-			roll:  resilience.RollPrefix(g.w.cfg.Seed, "call|"+key),
+			roll:  sim.RollPrefix(g.w.cfg.Seed, "call|"+key),
 		}
 		from := g.w.byName[e.From].ord
 		g.out[from] = append(g.out[from], &g.edges[i])
@@ -289,7 +289,7 @@ calls:
 			if n.resolved {
 				break calls // a sibling call already failed the parent fast
 			}
-			if e.prob < 1 && resilience.RollFrom(e.roll, n.req.ID<<8|uint64(k&0xff)) >= e.prob {
+			if e.prob < 1 && sim.RollFrom(e.roll, n.req.ID<<8|uint64(k&0xff)) >= e.prob {
 				continue
 			}
 			n.pending++

@@ -15,6 +15,7 @@ import (
 	"hyscale/internal/faults"
 	"hyscale/internal/loadgen"
 	"hyscale/internal/resilience"
+	"hyscale/internal/sim"
 	"hyscale/internal/workload"
 )
 
@@ -89,7 +90,7 @@ func TestCompiledEdgesMatchGraph(t *testing.T) {
 				t.Errorf("%s out[%d] = {%s -> %s p=%v calls=%d}, want %s p=%v calls=%d", rt.spec.Name, i,
 					e.key, e.to.spec.Name, e.prob, e.calls, ref.Key(), ref.EffectiveProb(), ref.EffectiveCalls())
 			}
-			if e.roll != resilience.RollPrefix(seed, "call|"+ref.Key()) {
+			if e.roll != sim.RollPrefix(seed, "call|"+ref.Key()) {
 				t.Errorf("%s: roll prefix differs from RollPrefix(seed, call|key)", e.key)
 			}
 		}

@@ -113,6 +113,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("platform: zone evacuation requires self-healing (the per-zone failure detectors are its trigger)")
 		}
 	}
+	if err := c.SelfHealing.Validate(); err != nil {
+		return err
+	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"hyscale/internal/sim"
 )
 
 // BreakerConfig parameterises the per-edge circuit breakers.
@@ -315,18 +317,6 @@ func (c Counters) Amplification() float64 {
 	return float64(c.TotalAttempts) / float64(c.FirstAttempts)
 }
 
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.Shed += other.Shed
-	c.Retries += other.Retries
-	c.RetriesDenied += other.RetriesDenied
-	c.DeadlineExceeded += other.DeadlineExceeded
-	c.ShortCircuited += other.ShortCircuited
-	c.BreakerOpens += other.BreakerOpens
-	c.FirstAttempts += other.FirstAttempts
-	c.TotalAttempts += other.TotalAttempts
-}
-
 // budget is one calling service's retry ledger.
 type budget struct {
 	firstAttempts uint64
@@ -558,7 +548,7 @@ func (m *Manager) ShouldShed(util float64, containerID string, reqID uint64) boo
 	if p > m.cfg.Shedding.maxShed() {
 		p = m.cfg.Shedding.maxShed()
 	}
-	if Roll(m.seed, containerID, reqID) < p {
+	if sim.Roll(m.seed, containerID, reqID) < p {
 		m.counters.Shed++
 		return true
 	}
@@ -578,40 +568,4 @@ func (m *Manager) CountDeadlineExceeded() {
 	if m != nil {
 		m.counters.DeadlineExceeded++
 	}
-}
-
-// Roll maps (seed, id, n) to a uniform [0,1) draw with an FNV-1a mix and a
-// splitmix64 finaliser — the same construction the faults injector uses.
-// Shed decisions and the platform's call-probability draws use it instead of
-// a shared random stream, so adding a defense never perturbs arrivals and
-// runs stay byte-identical at any parallelism.
-func Roll(seed int64, id string, n uint64) float64 {
-	return RollFrom(RollPrefix(seed, id), n)
-}
-
-// RollPrefix returns Roll's hash state after mixing in seed and id. FNV-1a
-// consumes its input one byte at a time, so RollFrom(RollPrefix(seed, id),
-// n) equals Roll(seed, id, n) exactly: a caller drawing many times under
-// one id hashes it once.
-func RollPrefix(seed int64, id string) uint64 {
-	h := uint64(seed) ^ 0x9e3779b97f4a7c15
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// RollFrom finishes a Roll from a RollPrefix state.
-func RollFrom(h uint64, n uint64) float64 {
-	for k := 0; k < 8; k++ {
-		h ^= uint64(byte(n >> (8 * k)))
-		h *= 1099511628211
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return float64(h>>11) / (1 << 53)
 }

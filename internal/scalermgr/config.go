@@ -173,6 +173,9 @@ func (c Config) Validate() error {
 	if c.QueueTarget < 0 {
 		return fmt.Errorf("scalermgr: negative queue target %g", c.QueueTarget)
 	}
+	if c.SLOTargetMs < 0 {
+		return fmt.Errorf("scalermgr: negative SLO target %g ms", c.SLOTargetMs)
+	}
 	seen := make(map[string]bool, len(c.Services))
 	for _, t := range c.Services {
 		if t.Service == "" {

@@ -3,6 +3,13 @@
 // load patterns and fault injections — so users can run custom scenarios
 // with cmd/hyscale-sim without writing Go.
 //
+// The selfHealing, resilience and manager blocks decode straight into their
+// runtime structs (monitor.SelfHealing, resilience.Config,
+// scalermgr.Config), so their keys are those structs' json tags. The other
+// blocks are JSON-only forms that Compile lowers onto a runner.RunSpec.
+// Every duration, at any depth, is a Go duration string such as "90s";
+// decode.go owns that rule.
+//
 // A minimal scenario:
 //
 //	{
@@ -21,7 +28,6 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -57,6 +63,10 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
 }
+
+// SelfHealing is the selfHealing block: the Monitor's failure detector,
+// reconciler and checkpoint/restore.
+type SelfHealing = monitor.SelfHealing
 
 // Load describes an arrival pattern.
 type Load struct {
@@ -331,194 +341,6 @@ func (f *Faults) Config(scenarioSeed int64) faults.Config {
 	return cfg
 }
 
-// Resilience declares the cascading-failure defenses for a scenario. Each
-// block is off when omitted, so a bare `"resilience": {}` enables nothing.
-type Resilience struct {
-	Breakers  *BreakerDecl  `json:"breakers,omitempty"`
-	Retry     *RetryDecl    `json:"retry,omitempty"`
-	Deadlines *DeadlineDecl `json:"deadlines,omitempty"`
-	Shedding  *ShedDecl     `json:"shedding,omitempty"`
-}
-
-// BreakerDecl declares the per-edge circuit breakers.
-type BreakerDecl struct {
-	// FailuresToOpen is the consecutive-failure trip count (default 5).
-	FailuresToOpen int `json:"failuresToOpen,omitempty"`
-	// OpenFor is the open-state cooldown before half-open (default 5s).
-	OpenFor Duration `json:"openFor,omitempty"`
-	// HalfOpenProbes is the probe count a half-open breaker admits
-	// (default 1).
-	HalfOpenProbes int `json:"halfOpenProbes,omitempty"`
-}
-
-// RetryDecl declares the client retry policy and its budget.
-type RetryDecl struct {
-	// MaxAttempts bounds attempts per call slot including the first
-	// (default 3).
-	MaxAttempts int `json:"maxAttempts,omitempty"`
-	// Backoff is the delay before each retry (default 100ms).
-	Backoff Duration `json:"backoff,omitempty"`
-	// Budget caps retries at Budget × first-attempt calls per calling
-	// service (0 = unlimited — the retry-storm configuration).
-	Budget float64 `json:"budget,omitempty"`
-}
-
-// DeadlineDecl enables deadline propagation down the call chain.
-type DeadlineDecl struct {
-	// Margin is subtracted per hop from the inherited deadline.
-	Margin Duration `json:"margin,omitempty"`
-}
-
-// ShedDecl declares utilization-triggered adaptive load shedding.
-type ShedDecl struct {
-	// UtilThreshold is the replica admission-queue occupancy (in-flight over
-	// queueLimit) above which shedding ramps (default 0.9).
-	UtilThreshold float64 `json:"utilThreshold,omitempty"`
-	// MaxShed caps the shed probability (default 0.95).
-	MaxShed float64 `json:"maxShed,omitempty"`
-}
-
-// Config materialises the resilience declaration.
-func (r *Resilience) Config() resilience.Config {
-	if r == nil {
-		return resilience.Config{}
-	}
-	var cfg resilience.Config
-	if b := r.Breakers; b != nil {
-		cfg.Breakers = &resilience.BreakerConfig{
-			FailuresToOpen: b.FailuresToOpen,
-			OpenFor:        time.Duration(b.OpenFor),
-			HalfOpenProbes: b.HalfOpenProbes,
-		}
-	}
-	if t := r.Retry; t != nil {
-		cfg.Retry = &resilience.RetryConfig{
-			MaxAttempts: t.MaxAttempts,
-			Backoff:     time.Duration(t.Backoff),
-			Budget:      t.Budget,
-		}
-	}
-	if d := r.Deadlines; d != nil {
-		cfg.Deadlines = &resilience.DeadlineConfig{Margin: time.Duration(d.Margin)}
-	}
-	if s := r.Shedding; s != nil {
-		cfg.Shedding = &resilience.ShedConfig{
-			UtilThreshold: s.UtilThreshold,
-			MaxShed:       s.MaxShed,
-		}
-	}
-	return cfg
-}
-
-// SelfHealing declares the Monitor's failure detector, reconciler and
-// checkpoint/restore for a scenario.
-type SelfHealing struct {
-	// Enabled turns on the heartbeat failure detector and reconciler.
-	Enabled bool `json:"enabled"`
-	// SuspectAfter / DeadAfter are the consecutive-missed-poll thresholds
-	// (defaults 2 and 4).
-	SuspectAfter int `json:"suspectAfter,omitempty"`
-	DeadAfter    int `json:"deadAfter,omitempty"`
-	// Cooldown delays each lost replica's re-placement (default 10s).
-	Cooldown Duration `json:"cooldown,omitempty"`
-	// Checkpoint enables monitor decision-state snapshots, restored after
-	// monitor-crash fault windows; CheckpointEvery spaces them (zero
-	// snapshots every poll).
-	Checkpoint      bool     `json:"checkpoint,omitempty"`
-	CheckpointEvery Duration `json:"checkpointEvery,omitempty"`
-}
-
-// Config materialises the self-healing declaration.
-func (s *SelfHealing) Config() monitor.SelfHealing {
-	if s == nil {
-		return monitor.SelfHealing{}
-	}
-	return monitor.SelfHealing{
-		Enabled:         s.Enabled,
-		SuspectAfter:    s.SuspectAfter,
-		DeadAfter:       s.DeadAfter,
-		Cooldown:        time.Duration(s.Cooldown),
-		Checkpoint:      s.Checkpoint,
-		CheckpointEvery: time.Duration(s.CheckpointEvery),
-	}
-}
-
-// ManagerScaler declares one scaler inside the manager block.
-type ManagerScaler struct {
-	// Metric is one of cpu|memory|net|queue.
-	Metric string `json:"metric"`
-	// Weight is the scaler's vote under the "weighted" merge policy.
-	Weight float64 `json:"weight,omitempty"`
-	// Target overrides the scaler's utilization target (resource scalers:
-	// fraction of request; queue: per-replica depth).
-	Target float64 `json:"target,omitempty"`
-	// StableWindow / BurstWindow override the manager-wide window widths.
-	StableWindow Duration `json:"stableWindow,omitempty"`
-	BurstWindow  Duration `json:"burstWindow,omitempty"`
-}
-
-// ManagerService declares one service's SLO/cost targets for the manager.
-type ManagerService struct {
-	Service string `json:"service"`
-	// SLOMs is a response-time objective in milliseconds: under
-	// "manager-cost" the service keeps burst headroom on scale-down.
-	SLOMs float64 `json:"sloMs,omitempty"`
-	// TargetUtil / QueueTarget override the per-service scaler targets.
-	TargetUtil  float64 `json:"targetUtil,omitempty"`
-	QueueTarget float64 `json:"queueTarget,omitempty"`
-}
-
-// Manager tunes the "manager" / "manager-cost" algorithm family: sliding
-// window widths, per-scaler weights and targets, the merge policy, and the
-// cost allocator's freshness/retention knobs. Omitted means scalermgr
-// defaults; the block is ignored by every other algorithm.
-type Manager struct {
-	StableWindow Duration         `json:"stableWindow,omitempty"`
-	BurstWindow  Duration         `json:"burstWindow,omitempty"`
-	MergePolicy  string           `json:"mergePolicy,omitempty"`
-	Scalers      []ManagerScaler  `json:"scalers,omitempty"`
-	QueueTarget  float64          `json:"queueTarget,omitempty"`
-	FreshWithin  Duration         `json:"freshWithin,omitempty"`
-	Retention    Duration         `json:"retention,omitempty"`
-	SLOTargetMs  float64          `json:"sloTargetMs,omitempty"`
-	Services     []ManagerService `json:"services,omitempty"`
-}
-
-// Config materialises the manager declaration (nil-safe: nil yields nil,
-// leaving the runner on scalermgr defaults).
-func (m *Manager) Config() *scalermgr.Config {
-	if m == nil {
-		return nil
-	}
-	cfg := scalermgr.Config{
-		StableWindow: time.Duration(m.StableWindow),
-		BurstWindow:  time.Duration(m.BurstWindow),
-		MergePolicy:  m.MergePolicy,
-		QueueTarget:  m.QueueTarget,
-		FreshWithin:  time.Duration(m.FreshWithin),
-		Retention:    time.Duration(m.Retention),
-		SLOTargetMs:  m.SLOTargetMs,
-	}
-	for _, s := range m.Scalers {
-		cfg.Scalers = append(cfg.Scalers, scalermgr.ScalerConfig{
-			Metric:       s.Metric,
-			Weight:       s.Weight,
-			Target:       s.Target,
-			StableWindow: time.Duration(s.StableWindow),
-			BurstWindow:  time.Duration(s.BurstWindow),
-		})
-	}
-	for _, s := range m.Services {
-		cfg.Services = append(cfg.Services, scalermgr.ServiceTargets{
-			Service:     s.Service,
-			SLOMs:       s.SLOMs,
-			TargetUtil:  s.TargetUtil,
-			QueueTarget: s.QueueTarget,
-		})
-	}
-	return &cfg
-}
-
 // Zones declares a sharded control plane: the node pool is partitioned into
 // Count zones, each governed by its own arbiter, under a thin global
 // allocator that assigns services to zones and leases idle machines across
@@ -580,37 +402,35 @@ type Scenario struct {
 	Faults *Faults `json:"faults,omitempty"`
 	// SelfHealing declares the Monitor's failure detector, reconciler and
 	// checkpoint/restore (nil disables all three).
-	SelfHealing *SelfHealing `json:"selfHealing,omitempty"`
+	SelfHealing *monitor.SelfHealing `json:"selfHealing,omitempty"`
 	// CallGraph declares inter-service call edges; every edge endpoint must
 	// name a declared service and the graph must be acyclic. Nil keeps all
 	// services independent.
 	CallGraph *workload.CallGraph `json:"callGraph,omitempty"`
 	// Resilience declares the cascading-failure defenses (nil disables all).
-	Resilience *Resilience `json:"resilience,omitempty"`
+	Resilience *resilience.Config `json:"resilience,omitempty"`
 	// Manager tunes the "manager"/"manager-cost" algorithms (nil keeps
 	// scalermgr defaults; ignored by every other algorithm).
-	Manager *Manager `json:"manager,omitempty"`
+	Manager *scalermgr.Config `json:"manager,omitempty"`
 }
 
 // Parse reads a scenario from JSON, rejecting unknown fields so typos
-// surface instead of silently doing nothing. Decode errors carry the
-// offending key path ("services[2].qeueLimit") rather than the std json
-// package's bare message.
+// surface instead of silently doing nothing, then validates it. Decode
+// errors carry the offending key path ("services[2].qeueLimit") rather than
+// the std json package's bare message.
 func Parse(r io.Reader) (*Scenario, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var sc Scenario
-	if err := dec.Decode(&sc); err != nil {
-		return nil, describeError(data, err)
+	sc, err := decode(data)
+	if err != nil {
+		return nil, err
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	return &sc, nil
+	return sc, nil
 }
 
 // Validate checks the rules that exist only in the JSON form — a positive
@@ -669,18 +489,22 @@ func (sc *Scenario) Compile() (runner.RunSpec, error) {
 	if sc.Faults != nil && sc.Faults.Hardening != nil {
 		cfg.HardeningOff = !*sc.Faults.Hardening
 	}
-	cfg.SelfHealing = sc.SelfHealing.Config()
+	if sc.SelfHealing != nil {
+		cfg.SelfHealing = *sc.SelfHealing
+	}
 	if sc.CallGraph != nil {
 		cfg.CallGraph = *sc.CallGraph
 	}
-	cfg.Resilience = sc.Resilience.Config()
+	if sc.Resilience != nil {
+		cfg.Resilience = *sc.Resilience
+	}
 
 	spec := runner.RunSpec{
 		Name:      "scenario",
 		Seed:      sc.Seed,
 		Platform:  cfg,
 		Algorithm: sc.Algorithm,
-		Manager:   sc.Manager.Config(),
+		Manager:   sc.Manager,
 		Duration:  time.Duration(sc.Duration),
 	}
 	for _, s := range sc.ExpandedServices() {

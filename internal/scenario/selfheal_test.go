@@ -42,7 +42,11 @@ func TestParseSelfHealingBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sc.SelfHealing.Config()
+	spec, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := spec.Platform.SelfHealing
 	if !cfg.Enabled || cfg.SuspectAfter != 3 || cfg.DeadAfter != 5 {
 		t.Errorf("self-healing config = %+v", cfg)
 	}
@@ -73,9 +77,16 @@ func TestSelfHealingValidation(t *testing.T) {
 }
 
 func TestNilSelfHealingDisabled(t *testing.T) {
-	var s *SelfHealing
-	if cfg := s.Config(); cfg.Enabled {
-		t.Error("nil selfHealing block enabled the detector")
+	sc, err := Parse(strings.NewReader(minimal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Platform.SelfHealing.Enabled {
+		t.Error("a scenario without a selfHealing block enabled the detector")
 	}
 }
 
